@@ -60,7 +60,6 @@ from .effective import (
     diagonal_evolution_check,
     effective_hamiltonian,
     evolution_matrix,
-    mixing_angle_and_rabi,
 )
 from .gates import (
     HADAMARD,
@@ -121,7 +120,6 @@ __all__ = [
     "AdiabaticityReport",
     "GateMatrix",
     "effective_hamiltonian",
-    "mixing_angle_and_rabi",
     "diagonal_evolution_check",
     "evolution_matrix",
     "apply",

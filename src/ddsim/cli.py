@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -48,7 +48,7 @@ from .config import (
     load_config,
     sweep_points,
 )
-from .drive import PulsePair, classify_regime, derive_couplings
+from .drive import classify_regime, derive_couplings
 from .dynamics import (
     PropagationError,
     check_adiabatic_elimination,
@@ -76,13 +76,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_PROPAGATE_FRAMES = {
-    "propagate-rwa": "rwa",
-    "propagate-averaged": "averaged",
-    "propagate-bare": "bare",
-}
-
 
 def _fmt(value) -> str:
     return format(float(value), ".17g")
@@ -120,23 +113,68 @@ def _json_text(obj) -> str:
     return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _qubit_amplitudes(cfg) -> np.ndarray:
-    """Normalized (alpha, beta) pair for two-level model evaluation."""
-    section = cfg.get("initial_state")
-    if section is None:
-        return np.array([1.0, 0.0], dtype=complex)
-    alpha = complex(section["alpha"][0], section["alpha"][1])
-    beta = complex(section["beta"][0], section["beta"][1])
-    norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    if norm < 1e-12:
-        raise ConfigError("initial_state: alpha and beta are both zero")
-    return np.array([alpha / norm, beta / norm], dtype=complex)
-
-
 def _gate_matrix_quiet(ev, spectrum, t0, t):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return evolution_matrix(ev, spectrum, t0, t)
+
+
+def _effective_model(couplings, pulses):
+    """Effective Hamiltonian and its evolution over the pulse window."""
+    ham = effective_hamiltonian(couplings, pulses.phi0, pulses.phi1)
+    return ham, EffectiveEvolution(ham, pulses.envelope0, pulses.envelope1, 0.0, pulses.duration)
+
+
+def _propagate(cfg, tier, spectrum, pulses):
+    """Propagate the configured initial state in one tier.
+
+    Returns the trajectory and the rotating-frame couplings of the
+    drive.  The propagators are resolved through this module's globals
+    at each call, so wrappers installed on those names see every run.
+    """
+    settings = build_integrator(cfg)
+    psi0 = build_initial_state(cfg, spectrum.n_excited, frame=tier)
+    couplings = derive_couplings(spectrum, pulses)
+    if tier == "bare":
+        traj = propagate_bare(spectrum, pulses, psi0, settings)
+    elif tier == "rwa":
+        traj = propagate_rwa(couplings, pulses, psi0, settings)
+    else:
+        traj = propagate_averaged(couplings, pulses, psi0, settings)
+    return traj, couplings
+
+
+def _final_summary(traj) -> dict:
+    pops = traj.populations
+    return {
+        "final_populations": {
+            "p0": float(pops[-1, 0]),
+            "p1": float(pops[-1, 1]),
+            "manifold": float(np.sum(pops[-1, 2:])),
+        },
+        "peak_manifold_population": float(np.max(traj.manifold_population)),
+        "norm_drift": traj.norm_drift,
+    }
+
+
+def _polarization_summary(pulses, regime) -> dict:
+    leak = polarization_leakage(pulses, regime)
+    return {
+        "class": leak.regime_class,
+        "gamma_sq": leak.gamma_sq,
+        "leakage": leak.leakage,
+        "success_weight": leak.success_weight,
+    }
+
+
+def _effective_sums(ham) -> dict:
+    return {
+        "lambda0": ham.Lambda0,
+        "lambda1": ham.Lambda1,
+        "lambda2": complex(ham.Lambda2),
+        "mixing_angle": ham.mixing_angle,
+        "rabi": ham.rabi,
+    }
 
 
 # ---------------------------------------------------------------------
@@ -147,31 +185,17 @@ def _gate_matrix_quiet(ev, spectrum, t0, t):
 def _run_propagate(cfg, mode):
     spectrum = build_spectrum_model(cfg)
     pulses = build_pulse_pair(cfg, spectrum)
-    settings = build_integrator(cfg)
-    frame = _PROPAGATE_FRAMES[mode]
-    psi0 = build_initial_state(cfg, spectrum.n_excited, frame=frame)
+    tier = mode.removeprefix("propagate-")
+    traj, couplings = _propagate(cfg, tier, spectrum, pulses)
 
     summary = {"mode": mode}
-    if mode == "propagate-bare":
-        traj = propagate_bare(spectrum, pulses, psi0, settings)
-    else:
-        couplings = derive_couplings(spectrum, pulses)
+    if tier != "bare":
         regime = classify_regime(couplings)
-        leak = polarization_leakage(pulses, regime)
-        if mode == "propagate-rwa":
-            traj = propagate_rwa(couplings, pulses, psi0, settings)
-        else:
-            traj = propagate_averaged(couplings, pulses, psi0, settings)
         summary["regime"] = {
             "labels": list(regime.labels),
             "all_off_resonant": regime.all_off_resonant,
         }
-        summary["polarization"] = {
-            "class": leak.regime_class,
-            "gamma_sq": leak.gamma_sq,
-            "leakage": leak.leakage,
-            "success_weight": leak.success_weight,
-        }
+        summary["polarization"] = _polarization_summary(pulses, regime)
         try:
             rep = check_adiabatic_elimination(traj)
             summary["elimination"] = {
@@ -181,15 +205,7 @@ def _run_propagate(cfg, mode):
             }
         except ValueError as exc:
             logger.info("elimination check skipped: %s", exc)
-
-    pops = traj.populations
-    summary["final_populations"] = {
-        "p0": float(pops[-1, 0]),
-        "p1": float(pops[-1, 1]),
-        "manifold": float(np.sum(pops[-1, 2:])),
-    }
-    summary["peak_manifold_population"] = float(np.max(traj.manifold_population))
-    summary["norm_drift"] = traj.norm_drift
+    summary.update(_final_summary(traj))
     return {"trajectory.csv": traj.csv_text(), "summary.json": _json_text(summary)}
 
 
@@ -197,9 +213,7 @@ def _run_effective(cfg):
     spectrum = build_spectrum_model(cfg)
     pulses = build_pulse_pair(cfg, spectrum)
     settings = build_integrator(cfg)
-    couplings = derive_couplings(spectrum, pulses)
-    ham = effective_hamiltonian(couplings, pulses.phi0, pulses.phi1)
-    ev = EffectiveEvolution(ham, pulses.envelope0, pulses.envelope1, 0.0, pulses.duration)
+    ham, ev = _effective_model(derive_couplings(spectrum, pulses), pulses)
     check = diagonal_evolution_check(ev)
 
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
@@ -215,11 +229,7 @@ def _run_effective(cfg):
     gate = _gate_matrix_quiet(ev, spectrum, 0.0, pulses.duration)
     summary = {
         "mode": "effective",
-        "lambda0": ham.Lambda0,
-        "lambda1": ham.Lambda1,
-        "lambda2": complex(ham.Lambda2),
-        "mixing_angle": ham.mixing_angle,
-        "rabi": ham.rabi,
+        **_effective_sums(ham),
         "adiabaticity": {
             "max_ratio": check.max_ratio,
             "time_of_max": check.time_of_max,
@@ -245,68 +255,39 @@ def _run_synthesize(cfg):
     pulses = build_pulse_pair(cfg, spectrum)
     couplings = derive_couplings(spectrum, pulses)
     regime = classify_regime(couplings)
-    leak = polarization_leakage(pulses, regime)
     ham = effective_hamiltonian(couplings, pulses.phi0, pulses.phi1)
     solution = synthesize_gate(build_gate_spec(cfg), ham, spectrum.delta)
     summary = {
         "mode": "synthesize-gate",
         "solution": solution.to_dict(),
-        "effective_sums": {
-            "lambda0": ham.Lambda0,
-            "lambda1": ham.Lambda1,
-            "lambda2": complex(ham.Lambda2),
-            "mixing_angle": ham.mixing_angle,
-            "rabi": ham.rabi,
-        },
+        "effective_sums": _effective_sums(ham),
         "regime_labels": list(regime.labels),
-        "polarization": {
-            "class": leak.regime_class,
-            "gamma_sq": leak.gamma_sq,
-            "leakage": leak.leakage,
-            "success_weight": leak.success_weight,
-        },
+        "polarization": _polarization_summary(pulses, regime),
     }
     return {"gate.json": _json_text(summary)}
 
 
 def _run_stirap(cfg):
     spectrum = build_spectrum_model(cfg)
-    section = cfg["pulses"]
-    duration = section["duration"]
+    duration = cfg["pulses"]["duration"]
     st = cfg["stirap"]
     base_env = build_envelope(st["envelope"], duration)
     probe = build_pulse_pair(cfg, spectrum)  # validates amplitudes and carriers
-    couplings = derive_couplings(spectrum, probe)
-    ham = effective_hamiltonian(couplings, probe.phi0, probe.phi1)
+    ham = effective_hamiltonian(derive_couplings(spectrum, probe), probe.phi0, probe.phi1)
 
     schedule = schedule_stirap(
         st["ordering"], base_env, st["delay"], duration,
         ham=ham, delta_qubit=spectrum.delta,
     )
     try:
-        pulses = PulsePair(
-            amp0=probe.amp0,
-            amp1=probe.amp1,
-            envelope0=schedule.envelope0,
-            envelope1=schedule.envelope1,
-            omega0=probe.omega0,
-            omega1=probe.omega1,
-            duration=duration,
-            phi0=probe.phi0,
-            phi1=probe.phi1,
-            gamma_y0=probe.gamma_y0,
-            gamma_z0=probe.gamma_z0,
-            gamma_y1=probe.gamma_y1,
-            gamma_z1=probe.gamma_z1,
+        pulses = dataclasses.replace(
+            probe, envelope0=schedule.envelope0, envelope1=schedule.envelope1
         )
     except ValueError as exc:
         raise ConfigError(f"stirap envelopes: {exc}") from exc
 
-    settings = build_integrator(cfg)
-    psi0 = build_initial_state(cfg, spectrum.n_excited, frame="rwa")
-    traj = propagate_rwa(couplings, pulses, psi0, settings)
-    pops = traj.populations
-
+    traj, _ = _propagate(cfg, "rwa", spectrum, pulses)
+    final = _final_summary(traj)
     summary = {
         "mode": "stirap",
         "ordering": schedule.ordering,
@@ -318,14 +299,8 @@ def _run_stirap(cfg):
         "residual_phase_plus": schedule.residual_phase_plus,
         "residual_phase_minus": schedule.residual_phase_minus,
         "residual_beat": schedule.residual_beat,
-        "final_populations": {
-            "p0": float(pops[-1, 0]),
-            "p1": float(pops[-1, 1]),
-            "manifold": float(np.sum(pops[-1, 2:])),
-        },
-        "transfer_probability": float(pops[-1, 1]),
-        "peak_manifold_population": float(np.max(traj.manifold_population)),
-        "norm_drift": traj.norm_drift,
+        "transfer_probability": final["final_populations"]["p1"],
+        **final,
     }
     return {"trajectory.csv": traj.csv_text(), "summary.json": _json_text(summary)}
 
@@ -343,36 +318,17 @@ def _sweep_worker(payload):
     cfg, overrides, sub_mode = payload
     sub_cfg = config_with_overrides(cfg, overrides)
     sub_cfg["mode"] = sub_mode
-    if sub_mode == "effective":
-        spectrum = build_spectrum_model(sub_cfg)
-        pulses = build_pulse_pair(sub_cfg, spectrum)
-        couplings = derive_couplings(spectrum, pulses)
-        ham = effective_hamiltonian(couplings, pulses.phi0, pulses.phi1)
-        ev = EffectiveEvolution(ham, pulses.envelope0, pulses.envelope1, 0.0, pulses.duration)
-        gate = _gate_matrix_quiet(ev, spectrum, 0.0, pulses.duration)
-        out = apply(gate, _qubit_amplitudes(sub_cfg))
-        return [abs(out[0]) ** 2, abs(out[1]) ** 2, ham.rabi, 1.0 if gate.adiabatic else 0.0]
-
     spectrum = build_spectrum_model(sub_cfg)
     pulses = build_pulse_pair(sub_cfg, spectrum)
-    settings = build_integrator(sub_cfg)
-    frame = _PROPAGATE_FRAMES[sub_mode]
-    psi0 = build_initial_state(sub_cfg, spectrum.n_excited, frame=frame)
-    if sub_mode == "propagate-bare":
-        traj = propagate_bare(spectrum, pulses, psi0, settings)
-    else:
-        couplings = derive_couplings(spectrum, pulses)
-        if sub_mode == "propagate-rwa":
-            traj = propagate_rwa(couplings, pulses, psi0, settings)
-        else:
-            traj = propagate_averaged(couplings, pulses, psi0, settings)
-    pops = traj.populations
-    return [
-        float(pops[-1, 0]),
-        float(pops[-1, 1]),
-        float(np.sum(pops[-1, 2:])),
-        traj.norm_drift,
-    ]
+    if sub_mode == "effective":
+        ham, ev = _effective_model(derive_couplings(spectrum, pulses), pulses)
+        gate = _gate_matrix_quiet(ev, spectrum, 0.0, pulses.duration)
+        out = apply(gate, build_initial_state(sub_cfg, 0).amplitudes)
+        return [abs(out[0]) ** 2, abs(out[1]) ** 2, ham.rabi, 1.0 if gate.adiabatic else 0.0]
+
+    traj, _ = _propagate(sub_cfg, sub_mode.removeprefix("propagate-"), spectrum, pulses)
+    final = _final_summary(traj)
+    return [*final["final_populations"].values(), final["norm_drift"]]
 
 
 def _run_sweep(cfg, jobs):
@@ -404,23 +360,10 @@ def _run_sweep(cfg, jobs):
 def _run_compare(cfg):
     spectrum = build_spectrum_model(cfg)
     pulses = build_pulse_pair(cfg, spectrum)
-    settings = build_integrator(cfg)
     tier = cfg.get("compare", {}).get("exact_tier", "rwa")
-    mode = f"propagate-{tier}"
-    frame = _PROPAGATE_FRAMES[mode]
-    psi0 = build_initial_state(cfg, spectrum.n_excited, frame=frame)
-
-    couplings = derive_couplings(spectrum, pulses)
-    if tier == "rwa":
-        traj = propagate_rwa(couplings, pulses, psi0, settings)
-    elif tier == "averaged":
-        traj = propagate_averaged(couplings, pulses, psi0, settings)
-    else:
-        traj = propagate_bare(spectrum, pulses, psi0, settings)
-
-    ham = effective_hamiltonian(couplings, pulses.phi0, pulses.phi1)
-    ev = EffectiveEvolution(ham, pulses.envelope0, pulses.envelope1, 0.0, pulses.duration)
-    psi2 = _qubit_amplitudes(cfg)
+    traj, couplings = _propagate(cfg, tier, spectrum, pulses)
+    ham, ev = _effective_model(couplings, pulses)
+    psi2 = build_initial_state(cfg, 0).amplitudes
 
     pops = traj.populations
     rows = []
@@ -487,19 +430,19 @@ def _write_outputs(files: dict, out_dir: Path, prefix: str, cfg, elapsed: float,
     return manifest_path
 
 
-def _load_with_seed(args) -> dict:
+def _cmd_run(args) -> int:
+    """Shared by `run` and `compare`: load, compute, then write everything."""
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = dict(cfg)
         cfg["seed"] = args.seed
-    return cfg
-
-
-def _cmd_run(args) -> int:
-    cfg = _load_with_seed(args)
     mode = cfg["mode"]
+    extra = None
     start = time.perf_counter()
-    if mode in _PROPAGATE_FRAMES:
+    if args.command == "compare":
+        files = _run_compare(cfg)
+        extra = {"command": "compare"}
+    elif mode.startswith("propagate-"):
         files = _run_propagate(cfg, mode)
     elif mode == "effective":
         files = _run_effective(cfg)
@@ -510,7 +453,9 @@ def _cmd_run(args) -> int:
     else:
         files = _run_sweep(cfg, args.jobs)
     elapsed = time.perf_counter() - start
-    manifest = _write_outputs(files, Path(args.out), _output_prefix(cfg, args.config), cfg, elapsed)
+    manifest = _write_outputs(
+        files, Path(args.out), _output_prefix(cfg, args.config), cfg, elapsed, extra
+    )
     print(manifest)
     return EXIT_OK
 
@@ -531,19 +476,6 @@ def _cmd_validate(args) -> int:
     if "gate" in cfg:
         build_gate_spec(cfg)
     print(json.dumps({"valid": True, "mode": mode}))
-    return EXIT_OK
-
-
-def _cmd_compare(args) -> int:
-    cfg = _load_with_seed(args)
-    start = time.perf_counter()
-    files = _run_compare(cfg)
-    elapsed = time.perf_counter() - start
-    manifest = _write_outputs(
-        files, Path(args.out), _output_prefix(cfg, args.config), cfg, elapsed,
-        extra={"command": "compare"},
-    )
-    print(manifest)
     return EXIT_OK
 
 
@@ -580,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("config", help="path to a JSON configuration")
     p_cmp.add_argument("--out", default=".", help="output directory (default: current)")
     p_cmp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_cmp.set_defaults(func=_cmd_compare)
+    p_cmp.set_defaults(func=_cmd_run)
     return parser
 
 

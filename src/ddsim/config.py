@@ -223,11 +223,8 @@ SCHEMA = {
 
 def load_config(path) -> dict:
     """Read and validate a configuration file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError:
-        raise
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = fh.read()
     try:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -258,13 +255,15 @@ def validate_config(cfg: Any) -> None:
 
     if mode == "sweep":
         for axis in cfg["sweep"]["axes"]:
-            _check_sweep_path(cfg, axis["path"])
+            _check_sweep_axis(axis)
 
 
 _SWEEP_ROOTS = ("spectrum", "pulses", "integrator")
 
 
-def _check_sweep_path(cfg: dict, path: str) -> None:
+def _check_sweep_axis(axis: dict) -> None:
+    """The axis names a numeric field and every value on it fits that field."""
+    path = axis["path"]
     parts = path.split(".")
     if len(parts) != 2 or parts[0] not in _SWEEP_ROOTS:
         raise ConfigError(
@@ -276,6 +275,25 @@ def _check_sweep_path(cfg: dict, path: str) -> None:
         raise ConfigError(f"sweep path {path!r}: unknown field {fld!r}")
     if props[fld].get("type") not in ("number", "integer"):
         raise ConfigError(f"sweep path {path!r}: field is not numeric")
+    validator = jsonschema.Draft202012Validator(props[fld])
+    for value in _axis_values(axis):
+        try:
+            validator.validate(value)
+        except jsonschema.ValidationError as exc:
+            raise ConfigError(f"sweep path {path!r}: {exc.message}") from exc
+
+
+def _axis_values(axis: dict) -> list:
+    """The axis's inclusive linear range.
+
+    On an integer field the integral values come out as ints; any other
+    value stays a float, for validate_config to reject.
+    """
+    section, fld = axis["path"].split(".")
+    values = [float(v) for v in np.linspace(axis["start"], axis["stop"], axis["steps"])]
+    if SCHEMA["properties"][section]["properties"][fld]["type"] == "integer":
+        return [int(v) if v.is_integer() else v for v in values]
+    return values
 
 
 def set_by_path(cfg: dict, path: str, value: float) -> None:
@@ -295,10 +313,7 @@ def sweep_points(sweep_section: dict) -> list[tuple[tuple[str, float], ...]]:
     Points come out sorted by their value tuple so output rows have a
     deterministic order regardless of axis direction.
     """
-    axes = []
-    for axis in sweep_section["axes"]:
-        values = np.linspace(axis["start"], axis["stop"], axis["steps"])
-        axes.append([(axis["path"], float(v)) for v in values])
+    axes = [[(axis["path"], v) for v in _axis_values(axis)] for axis in sweep_section["axes"]]
     points = list(itertools.product(*axes))
     points.sort(key=lambda pt: tuple(v for _, v in pt))
     return points

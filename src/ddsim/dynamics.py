@@ -197,24 +197,8 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------
-# integration backends
+# propagation engine
 # ---------------------------------------------------------------------
-
-
-def _run_adaptive(rhs, y0, grid, settings, max_step):
-    sol = solve_ivp(
-        rhs,
-        (grid[0], grid[-1]),
-        y0,
-        method="DOP853",
-        t_eval=grid,
-        rtol=settings.rtol,
-        atol=settings.atol,
-        max_step=max_step if max_step is not None else np.inf,
-    )
-    if not sol.success:
-        raise PropagationError(f"adaptive integrator failed: {sol.message}")
-    return sol.y.T.copy()
 
 
 def _run_rk4(rhs, y0, grid, step):
@@ -239,32 +223,61 @@ def _run_rk4(rhs, y0, grid, step):
     return out
 
 
-def _check_norm(traj: Trajectory, settings: IntegratorSettings, tier: str) -> None:
-    drift = traj.norm_drift
-    if drift > settings.norm_tol:
-        raise PropagationError(
-            f"{tier} propagation lost norm: max |sum|c|^2 - 1| = {drift:.3e} "
-            f"exceeds {settings.norm_tol:.1e}; tighten tolerances or reduce the step"
-        )
+def _propagate(rhs, psi0, frame, n_excited, pulses, settings, rate, couplings=None, clamp=False):
+    """Integrate dy/dt = rhs(t, y) from psi0 over [0, pulses.duration].
 
-
-def _default_step(scale_uev: float, duration: float) -> float:
-    """Fixed step resolving the fastest phase at _STEPS_PER_PERIOD points."""
-    if scale_uev <= 0:
-        return duration / 100.0
-    return 2.0 * math.pi * HBAR / (_STEPS_PER_PERIOD * scale_uev)
-
-
-def _require_frame(psi0: StateVector, frame: str) -> None:
+    rate is the fastest angular frequency in the tier, rad/ns.  The
+    fixed rk4 step defaults to resolving it with _STEPS_PER_PERIOD
+    points per period; with clamp that step also bounds max_step, for
+    either method and whatever the settings ask for.
+    """
+    settings = settings or IntegratorSettings()
     if psi0.frame != frame:
         raise ValueError(f"initial state is in frame {psi0.frame!r}, expected {frame!r}")
-
-
-def _require_dim(psi0: StateVector, n_excited: int) -> None:
     if len(psi0.amplitudes) != 2 + n_excited:
         raise ValueError(
             f"state has {len(psi0.amplitudes)} amplitudes, structure needs {2 + n_excited}"
         )
+
+    step = 2.0 * math.pi / (_STEPS_PER_PERIOD * rate) if rate > 0 else pulses.duration / 100.0
+    max_step = settings.max_step
+    if clamp:
+        max_step = step if max_step is None else min(max_step, step)
+        n_steps_est = pulses.duration / max_step
+        logger.info("%s propagation: ~%.0f carrier-resolving steps", frame, n_steps_est)
+        if n_steps_est > 5e5:
+            warnings.warn(
+                f"{frame} propagation needs about {n_steps_est:.1e} steps "
+                "(runtime grows with omega0 * duration); consider the rwa tier",
+                stacklevel=3,
+            )
+
+    grid = np.linspace(0.0, pulses.duration, settings.save_points)
+    if settings.method == "adaptive":
+        sol = solve_ivp(
+            rhs,
+            (grid[0], grid[-1]),
+            psi0.amplitudes,
+            method="DOP853",
+            t_eval=grid,
+            rtol=settings.rtol,
+            atol=settings.atol,
+            max_step=max_step if max_step is not None else np.inf,
+        )
+        if not sol.success:
+            raise PropagationError(f"adaptive integrator failed: {sol.message}")
+        ys = sol.y.T.copy()
+    else:
+        ys = _run_rk4(rhs, psi0.amplitudes, grid, max_step or step)
+
+    traj = Trajectory(grid, ys, frame, couplings=couplings, pulses=pulses)
+    drift = traj.norm_drift
+    if drift > settings.norm_tol:
+        raise PropagationError(
+            f"{frame} propagation lost norm: max |sum|c|^2 - 1| = {drift:.3e} "
+            f"exceeds {settings.norm_tol:.1e}; tighten tolerances or reduce the step"
+        )
+    return traj
 
 
 # ---------------------------------------------------------------------
@@ -283,10 +296,6 @@ def propagate_rwa(
     The couplings must have been derived from the same pulse pair (the
     detuning list and the crossed couplings are trusted as given).
     """
-    settings = settings or IntegratorSettings()
-    _require_frame(psi0, "rwa")
-    _require_dim(psi0, couplings.n_levels)
-
     wd = couplings.delta / HBAR           # detuning phases, rad/ns
     wq = couplings.delta_qubit / HBAR     # beat phase, rad/ns
     lam0 = couplings.lambda0 * np.exp(1j * pulses.phi0) / HBAR
@@ -309,21 +318,12 @@ def propagate_rwa(
         dy[2:] = -1j * (np.conj(g0) * y[0] + np.conj(g1) * y[1])
         return dy
 
-    grid = np.linspace(0.0, pulses.duration, settings.save_points)
-    if settings.method == "adaptive":
-        ys = _run_adaptive(rhs, psi0.amplitudes, grid, settings, settings.max_step)
-    else:
-        scale = max(
-            float(np.max(np.abs(couplings.delta), initial=0.0)),
-            abs(couplings.delta_qubit),
-            float(np.max(couplings.lambda_scale, initial=0.0)),
-        )
-        step = settings.max_step or _default_step(scale, pulses.duration)
-        ys = _run_rk4(rhs, psi0.amplitudes, grid, step)
-
-    traj = Trajectory(grid, ys, "rwa", couplings=couplings, pulses=pulses)
-    _check_norm(traj, settings, "rwa")
-    return traj
+    rate = max(
+        float(np.max(np.abs(couplings.delta), initial=0.0)),
+        abs(couplings.delta_qubit),
+        float(np.max(couplings.lambda_scale, initial=0.0)),
+    ) / HBAR
+    return _propagate(rhs, psi0, "rwa", couplings.n_levels, pulses, settings, rate, couplings)
 
 
 def propagate_averaged(
@@ -341,9 +341,6 @@ def propagate_averaged(
     """
     from .drive import slow_switching_ok  # local import to keep module load light
 
-    settings = settings or IntegratorSettings()
-    _require_frame(psi0, "averaged")
-    _require_dim(psi0, couplings.n_levels)
     if not slow_switching_ok(pulses, couplings.delta_qubit):
         warnings.warn(
             "envelope switching time is short against the beat period; "
@@ -368,20 +365,11 @@ def propagate_averaged(
         dy[2:] = -1j * (-wd * bk + np.conj(g0) * y[0] + np.conj(g1) * y[1])
         return dy
 
-    grid = np.linspace(0.0, pulses.duration, settings.save_points)
-    if settings.method == "adaptive":
-        ys = _run_adaptive(rhs, psi0.amplitudes, grid, settings, settings.max_step)
-    else:
-        scale = max(
-            float(np.max(np.abs(couplings.delta), initial=0.0)),
-            float(np.max(couplings.lambda_scale, initial=0.0)),
-        )
-        step = settings.max_step or _default_step(scale, pulses.duration)
-        ys = _run_rk4(rhs, psi0.amplitudes, grid, step)
-
-    traj = Trajectory(grid, ys, "averaged", couplings=couplings, pulses=pulses)
-    _check_norm(traj, settings, "averaged")
-    return traj
+    rate = max(
+        float(np.max(np.abs(couplings.delta), initial=0.0)),
+        float(np.max(couplings.lambda_scale, initial=0.0)),
+    ) / HBAR
+    return _propagate(rhs, psi0, "averaged", couplings.n_levels, pulses, settings, rate, couplings)
 
 
 def propagate_bare(
@@ -396,10 +384,6 @@ def propagate_bare(
     per period, whatever the caller asked for, so runtime is
     proportional to omega0 * duration.
     """
-    settings = settings or IntegratorSettings()
-    _require_frame(psi0, "bare")
-    _require_dim(psi0, spectrum.n_excited)
-
     w0 = pulses.omega0 / HBAR
     w1 = pulses.omega1 / HBAR
     w0k = (spectrum.manifold_energies - spectrum.epsilon0) / HBAR
@@ -409,17 +393,6 @@ def propagate_bare(
     amp0, amp1 = pulses.amp0, pulses.amp1
     phi0, phi1 = pulses.phi0, pulses.phi1
     env0, env1 = pulses.envelope0, pulses.envelope1
-
-    carrier_step = 2.0 * math.pi / (_STEPS_PER_PERIOD * max(w0, w1))
-    max_step = carrier_step if settings.max_step is None else min(settings.max_step, carrier_step)
-    n_steps_est = pulses.duration / max_step
-    logger.info("bare propagation: ~%.0f carrier-resolving steps", n_steps_est)
-    if n_steps_est > 5e5:
-        warnings.warn(
-            f"bare propagation needs about {n_steps_est:.1e} steps "
-            "(runtime grows with omega0 * duration); consider the rwa tier",
-            stacklevel=2,
-        )
 
     def rhs(t, y):
         e_field = amp0 * env0(t) * math.cos(w0 * t + phi0) + amp1 * env1(t) * math.cos(w1 * t + phi1)
@@ -432,15 +405,7 @@ def propagate_bare(
         dy[2:] = -1j * e_field * (np.conj(d0 * ph0) * y[0] + np.conj(d1 * ph1) * y[1])
         return dy
 
-    grid = np.linspace(0.0, pulses.duration, settings.save_points)
-    if settings.method == "adaptive":
-        ys = _run_adaptive(rhs, psi0.amplitudes, grid, settings, max_step)
-    else:
-        ys = _run_rk4(rhs, psi0.amplitudes, grid, max_step)
-
-    traj = Trajectory(grid, ys, "bare", couplings=None, pulses=pulses)
-    _check_norm(traj, settings, "bare")
-    return traj
+    return _propagate(rhs, psi0, "bare", spectrum.n_excited, pulses, settings, max(w0, w1), clamp=True)
 
 
 # ---------------------------------------------------------------------

@@ -280,32 +280,6 @@ class EffectiveEvolution:
             self._phi_cache[key] = val / HBAR
         return self._phi_cache[key]
 
-    def dressed_amplitudes(self, a_plus0: complex, a_minus0: complex, t: float) -> tuple[complex, complex]:
-        """Phase-accumulated dressed amplitudes at time t.
-
-        Valid in the diagonal regime (mixing angle effectively frozen):
-        each dressed amplitude only picks up the integral of its own
-        energy.
-        """
-        phi = self.phi_lambda(t)
-        om = self.omega_integral(t)
-        return (
-            a_plus0 * cmath.exp(-1j * (phi + om)),
-            a_minus0 * cmath.exp(-1j * (phi - om)),
-        )
-
-
-def mixing_angle_and_rabi(
-    ham: EffectiveHamiltonian,
-    f0: Callable,
-    f1: Callable,
-    duration: float,
-    t0: float = 0.0,
-    grid_points: int = 2001,
-) -> EffectiveEvolution:
-    """Wrap the sums and envelopes into an EffectiveEvolution window."""
-    return EffectiveEvolution(ham, f0, f1, t0, t0 + duration, grid_points=grid_points)
-
 
 @dataclass(frozen=True)
 class AdiabaticityReport:

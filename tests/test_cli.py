@@ -236,24 +236,85 @@ def test_sweep_grid_and_parallel_determinism(tmp_path):
     assert summary["sub_mode"] == "effective"
 
 
+def _rwa_sweep_cfg(axes):
+    cfg = _propagate_cfg(mode="sweep", seed=3)
+    cfg["spectrum"].update({"n_levels": 3, "jitter": 0.05})
+    cfg["pulses"]["duration"] = 0.2
+    cfg["integrator"]["save_points"] = 5
+    cfg["sweep"] = {"mode": "propagate-rwa", "axes": axes}
+    return cfg
+
+
+def test_propagate_sweep_rows_match_single_runs(tmp_path):
+    axes = [{"path": "pulses.amp0", "start": 10.0, "stop": 20.0, "steps": 2}]
+    cfg = _rwa_sweep_cfg(axes)
+    out_dir = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == EXIT_OK
+    lines = (out_dir / "run_sweep.csv").read_text().strip().split("\n")
+    assert lines[0] == "pulses.amp0,p0,p1,p_manifold,norm_drift"
+    assert len(lines) == 1 + 2
+
+    for line in lines[1:]:
+        amp0, p0, p1, manifold, drift = (float(v) for v in line.split(","))
+        single = dict(cfg, mode="propagate-rwa")
+        del single["sweep"]
+        single["pulses"] = dict(cfg["pulses"], amp0=amp0)
+        single_dir = tmp_path / f"single_{amp0}"
+        assert main(["run", _write_cfg(tmp_path, single, "single.json"), "--out", str(single_dir)]) == EXIT_OK
+        summary = _read_json(single_dir / "single_summary.json")
+        assert summary["final_populations"] == {"p0": p0, "p1": p1, "manifold": manifold}
+        assert summary["norm_drift"] == drift
+
+
+@pytest.mark.parametrize("path, start, stop", [
+    ("spectrum.seed", 1, 2),
+    ("integrator.save_points", 3, 5),
+])
+def test_sweep_over_integer_field(tmp_path, path, start, stop):
+    axes = [{"path": path, "start": start, "stop": stop, "steps": 2}]
+    out_dir = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path, _rwa_sweep_cfg(axes)), "--out", str(out_dir)]) == EXIT_OK
+    lines = (out_dir / "run_sweep.csv").read_text().strip().split("\n")
+    assert [line.split(",")[0] for line in lines[1:]] == [str(start), str(stop)]
+
+
+def test_out_of_range_sweep_axis_fails_before_compute(tmp_path, capsys):
+    axes = [{"path": "pulses.amp0", "start": 10.0, "stop": -10.0, "steps": 3}]
+    cfg_path = _write_cfg(tmp_path, _rwa_sweep_cfg(axes))
+    assert main(["validate", cfg_path]) == EXIT_CONFIG
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg_path, "--out", str(out_dir)]) == EXIT_CONFIG
+    assert not out_dir.exists()
+    err = capsys.readouterr().err.strip().split("\n")
+    assert "pulses.amp0" in json.loads(err[-1])["error"]["message"]
+
+
 # ---------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------
 
 
-def test_compare_exact_against_model(tmp_path):
+@pytest.mark.parametrize("tier", ["rwa", "averaged", "bare"])
+def test_compare_exact_against_model(tmp_path, tier):
     cfg = {
         "mode": "propagate-rwa",
         "spectrum": {"delta": 2000.0, "omega_exc": 2500.0},
         "pulses": {"amp0": 20.0, "amp1": 20.0, "omega0": 4400.0, "duration": 0.5},
         "integrator": {"save_points": 21},
     }
+    if tier != "rwa":  # rwa is the default exact tier
+        cfg["compare"] = {"exact_tier": tier}
+    if tier == "bare":
+        # the bare tier resolves the carrier, so it gets a low one; the
+        # drive and detuning shrink with it to keep lambda/delta at 0.01
+        cfg["spectrum"] = {"delta": 100.0, "omega_exc": 150.0}
+        cfg["pulses"].update({"amp0": 2.0, "amp1": 2.0, "omega0": 240.0})
     cfg_path = _write_cfg(tmp_path, cfg)
     out_dir = tmp_path / "out"
     assert main(["compare", cfg_path, "--out", str(out_dir)]) == EXIT_OK
 
     summary = _read_json(out_dir / "run_summary.json")
-    assert summary["exact_tier"] == "rwa"
+    assert summary["exact_tier"] == tier
     assert summary["coupling_over_detuning"] == pytest.approx(0.01)
     assert summary["within_bound"] is True
     assert summary["max_population_deviation"] <= summary["deviation_bound"]

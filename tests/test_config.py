@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +146,31 @@ def test_bad_sweep_paths_rejected(path, match):
     cfg = _sweep_cfg([{"path": path, "start": 1.0, "stop": 2.0, "steps": 2}])
     with pytest.raises(ConfigError, match=match):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "axis, match",
+    [
+        ({"path": "integrator.save_points", "start": 2, "stop": 5, "steps": 3}, "integer"),
+        ({"path": "spectrum.seed", "start": 0, "stop": 1, "steps": 3}, "integer"),
+        ({"path": "pulses.amp0", "start": 10.0, "stop": -10.0, "steps": 3}, "minimum"),
+        ({"path": "spectrum.jitter", "start": 0.5, "stop": 1.0, "steps": 2}, "maximum"),
+    ],
+)
+def test_sweep_values_must_fit_the_field(axis, match):
+    with pytest.raises(ConfigError, match=match):
+        validate_config(_sweep_cfg([axis]))
+
+
+def test_integer_sweep_fields_get_int_overrides():
+    axes = [
+        {"path": "spectrum.seed", "start": 1, "stop": 3, "steps": 3},
+        {"path": "integrator.save_points", "start": 3.0, "stop": 5.0, "steps": 2},
+    ]
+    validate_config(_sweep_cfg(axes))
+    pts = sweep_points({"mode": "propagate-rwa", "axes": axes})
+    assert [tuple(v for _, v in pt) for pt in pts] == [(1, 3), (1, 5), (2, 3), (2, 5), (3, 3), (3, 5)]
+    assert all(type(v) is int for pt in pts for _, v in pt)
 
 
 def test_sweep_points_sorted_regardless_of_axis_direction():
@@ -315,3 +342,16 @@ def test_load_config_rejects_bad_json(tmp_path):
 def test_load_config_propagates_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "absent.json")
+
+
+# ---------------------------------------------------------------------
+# documentation
+# ---------------------------------------------------------------------
+
+
+def test_readme_json_blocks_validate():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        validate_config(json.loads(block))

@@ -20,7 +20,6 @@ from ddsim import (
     diagonal_evolution_check,
     effective_hamiltonian,
     evolution_matrix,
-    mixing_angle_and_rabi,
     propagate_rwa,
 )
 from ddsim.effective import GateMatrix
@@ -164,13 +163,6 @@ def test_adiabaticity_check_passes_frozen_and_flags_fast():
     report = diagonal_evolution_check(ev2)
     assert not report.passed
     assert report.max_ratio > report.threshold
-
-
-def test_wrapper_builds_window():
-    ham = EffectiveHamiltonian(-1.0, -1.0, complex(-1.0))
-    ev = mixing_angle_and_rabi(ham, _flat(1.0), _flat(1.0), duration=3.0, t0=1.0)
-    assert ev.t0 == 1.0
-    assert ev.t1 == 4.0
 
 
 # ---------------------------------------------------------------- gate matrix
