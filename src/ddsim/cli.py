@@ -59,7 +59,6 @@ from .dynamics import (
 from .effective import (
     EffectiveEvolution,
     apply,
-    diagonal_evolution_check,
     effective_hamiltonian,
     evolution_matrix,
 )
@@ -214,7 +213,7 @@ def _run_effective(cfg):
     pulses = build_pulse_pair(cfg, spectrum)
     settings = build_integrator(cfg)
     ham, ev = _effective_model(derive_couplings(spectrum, pulses), pulses)
-    check = diagonal_evolution_check(ev)
+    check = ev.check
 
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
     rows = []
@@ -267,16 +266,15 @@ def _run_synthesize(cfg):
     return {"gate.json": _json_text(summary)}
 
 
-def _run_stirap(cfg):
-    spectrum = build_spectrum_model(cfg)
-    duration = cfg["pulses"]["duration"]
-    st = cfg["stirap"]
-    base_env = build_envelope(st["envelope"], duration)
-    probe = build_pulse_pair(cfg, spectrum)  # validates amplitudes and carriers
-    ham = effective_hamiltonian(derive_couplings(spectrum, probe), probe.phi0, probe.phi1)
+def _stirap_schedule(cfg, spectrum, probe, ham=None):
+    """The stirap schedule and the pulse pair its shifted envelopes form.
 
+    Without `ham` the schedule skips the effective-model quadrature.
+    """
+    st = cfg["stirap"]
+    duration = cfg["pulses"]["duration"]
     schedule = schedule_stirap(
-        st["ordering"], base_env, st["delay"], duration,
+        st["ordering"], build_envelope(st["envelope"], duration), st["delay"], duration,
         ham=ham, delta_qubit=spectrum.delta,
     )
     try:
@@ -285,6 +283,14 @@ def _run_stirap(cfg):
         )
     except ValueError as exc:
         raise ConfigError(f"stirap envelopes: {exc}") from exc
+    return schedule, pulses
+
+
+def _run_stirap(cfg):
+    spectrum = build_spectrum_model(cfg)
+    probe = build_pulse_pair(cfg, spectrum)  # validates amplitudes and carriers
+    ham = effective_hamiltonian(derive_couplings(spectrum, probe), probe.phi0, probe.phi1)
+    schedule, pulses = _stirap_schedule(cfg, spectrum, probe, ham)
 
     traj, _ = _propagate(cfg, "rwa", spectrum, pulses)
     final = _final_summary(traj)
@@ -313,11 +319,17 @@ _SWEEP_COLUMNS = {
 }
 
 
-def _sweep_worker(payload):
+def _sweep_configs(cfg):
+    """Each sweep point's (path, value) overrides and the config it runs."""
+    sub_mode = cfg["sweep"]["mode"]
+    return [
+        (pt, {**config_with_overrides(cfg, pt), "mode": sub_mode}) for pt in sweep_points(cfg["sweep"])
+    ]
+
+
+def _sweep_worker(sub_cfg):
     """Evaluate one sweep point; module-level so it pickles for workers."""
-    cfg, overrides, sub_mode = payload
-    sub_cfg = config_with_overrides(cfg, overrides)
-    sub_cfg["mode"] = sub_mode
+    sub_mode = sub_cfg["mode"]
     spectrum = build_spectrum_model(sub_cfg)
     pulses = build_pulse_pair(sub_cfg, spectrum)
     if sub_mode == "effective":
@@ -333,9 +345,9 @@ def _sweep_worker(payload):
 
 def _run_sweep(cfg, jobs):
     sub_mode = cfg["sweep"]["mode"]
-    points = sweep_points(cfg["sweep"])
+    points = _sweep_configs(cfg)
     axis_paths = [ax["path"] for ax in cfg["sweep"]["axes"]]
-    payloads = [(cfg, pt, sub_mode) for pt in points]
+    payloads = [sub_cfg for _, sub_cfg in points]
 
     logger.info("sweep: %d points, mode %s, %d worker(s)", len(points), sub_mode, jobs)
     if jobs > 1:
@@ -345,7 +357,7 @@ def _run_sweep(cfg, jobs):
         results = [_sweep_worker(p) for p in payloads]
 
     rows = []
-    for pt, res in zip(points, results):
+    for (pt, _), res in zip(points, results):
         rows.append([v for _, v in pt] + list(res))
     header = axis_paths + _SWEEP_COLUMNS[sub_mode]
     summary = {
@@ -379,7 +391,6 @@ def _run_compare(cfg):
 
     ratio = couplings.max_lambda_over_delta
     bound = 5.0 * ratio**2
-    check = diagonal_evolution_check(ev)
     summary = {
         "mode": "compare",
         "exact_tier": tier,
@@ -387,7 +398,7 @@ def _run_compare(cfg):
         "coupling_over_detuning": ratio,
         "deviation_bound": bound,
         "within_bound": bool(max_dev <= bound),
-        "model_adiabatic": check.passed,
+        "model_adiabatic": ev.check.passed,
         "norm_drift": traj.norm_drift,
     }
     csv = _csv_text(
@@ -430,12 +441,32 @@ def _write_outputs(files: dict, out_dir: Path, prefix: str, cfg, elapsed: float,
     return manifest_path
 
 
+def _dry_run(cfg) -> None:
+    """Run the builders a run of `cfg` uses, on every sweep point's config.
+
+    `validate` and `run` both call this, so a semantic problem exits 2
+    before any propagation or quadrature and no file is written.
+    """
+    configs = [sub for _, sub in _sweep_configs(cfg)] if cfg["mode"] == "sweep" else [cfg]
+    for sub in configs:
+        spectrum = build_spectrum_model(sub)
+        pulses = build_pulse_pair(sub, spectrum)
+        build_integrator(sub)
+        build_initial_state(sub, spectrum.n_excited)
+        derive_couplings(spectrum, pulses)
+        if "gate" in sub:
+            build_gate_spec(sub)
+        if sub["mode"] == "stirap":
+            _stirap_schedule(sub, spectrum, pulses)
+
+
 def _cmd_run(args) -> int:
-    """Shared by `run` and `compare`: load, compute, then write everything."""
+    """Shared by `run` and `compare`: load, check, compute, then write everything."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dict(cfg)
         cfg["seed"] = args.seed
+    _dry_run(cfg)
     mode = cfg["mode"]
     extra = None
     start = time.perf_counter()
@@ -462,20 +493,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    mode = cfg["mode"]
-    # dry-run the builders so semantic problems surface here, not mid-run
-    if "spectrum" in cfg:
-        spectrum = build_spectrum_model(cfg)
-        if "pulses" in cfg:
-            pulses = build_pulse_pair(cfg, spectrum)
-            build_initial_state(cfg, spectrum.n_excited)
-            if mode != "propagate-bare":
-                derive_couplings(spectrum, pulses)
-    if "integrator" in cfg:
-        build_integrator(cfg)
-    if "gate" in cfg:
-        build_gate_spec(cfg)
-    print(json.dumps({"valid": True, "mode": mode}))
+    _dry_run(cfg)
+    print(json.dumps({"valid": True, "mode": cfg["mode"]}))
     return EXIT_OK
 
 

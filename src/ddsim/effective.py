@@ -30,15 +30,16 @@ at t.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
 
-from .drive import CouplingSet
+from .drive import CouplingSet, Envelope
 from .spectrum import SpectrumModel
 from .units import HBAR
 
@@ -56,12 +57,13 @@ class EffectiveHamiltonian:
     @property
     def rabi(self) -> float:
         """Dressed half-splitting Omega at peak envelopes, ueV."""
-        return math.sqrt(0.25 * (self.Lambda0 - self.Lambda1) ** 2 + abs(self.Lambda2) ** 2)
+        return float(_dressed(self, 1.0, 1.0).omega)
 
     @property
     def mixing_angle(self) -> float:
         """Constant-envelope mixing angle Theta_0 in [0, pi]."""
-        return math.atan2(abs(self.Lambda2), 0.5 * (self.Lambda0 - self.Lambda1))
+        d = _dressed(self, 1.0, 1.0)
+        return math.atan2(d.y, d.x)
 
     def rescaled(self, ratio: float) -> "EffectiveHamiltonian":
         """Sums after scaling the second pulse amplitude by `ratio`.
@@ -73,6 +75,35 @@ class EffectiveHamiltonian:
     def scaled(self, s2: float) -> "EffectiveHamiltonian":
         """Sums after scaling both pulse amplitudes by sqrt(s2)."""
         return EffectiveHamiltonian(s2 * self.Lambda0, s2 * self.Lambda1, s2 * self.Lambda2)
+
+
+class _Dressed(NamedTuple):
+    """Dressed-state closed forms at one or more instants (ueV; omega_sq ueV^2)."""
+
+    mean: np.ndarray  # mean light shift
+    omega: np.ndarray  # half-splitting Omega
+    omega_sq: np.ndarray  # Omega**2 before the square root
+    x: np.ndarray  # Theta = atan2(y, x)
+    y: np.ndarray
+
+
+def _dressed(ham: EffectiveHamiltonian, f0, f1) -> _Dressed:
+    """Evaluate the closed forms at envelope values f0, f1 (scalars or arrays).
+
+    Every effective-model quantity is read from here.  The operation
+    order is part of the contract: outputs are written at full precision.
+    """
+    f0 = np.asarray(f0)
+    f1 = np.asarray(f1)
+    l0 = ham.Lambda0 * f0**2
+    l1 = ham.Lambda1 * f1**2
+    y = abs(ham.Lambda2) * f0 * f1
+    omega_sq = 0.25 * (l0 - l1) ** 2 + y**2
+    return _Dressed(0.5 * (l0 + l1), np.sqrt(omega_sq), omega_sq, 0.5 * (l0 - l1), y)
+
+
+def _plain(value):
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def effective_hamiltonian(couplings: CouplingSet, phi0: float = 0.0, phi1: float = 0.0) -> EffectiveHamiltonian:
@@ -105,22 +136,22 @@ def effective_hamiltonian(couplings: CouplingSet, phi0: float = 0.0, phi1: float
 class EffectiveEvolution:
     """Time-dependent dressed-frame quantities over a pulse window.
 
-    Wraps an EffectiveHamiltonian and the two envelopes on [t0, t1].
-    Scalar methods evaluate closed forms; the integrated splitting
-    omega_integral and mean shift phi_lambda use adaptive quadrature
-    and are cached per requested time.
+    Wraps an EffectiveHamiltonian and the two pulse envelopes (`Envelope`,
+    whose derivatives feed `theta_dot`) on [t0, t1].  Pointwise methods
+    evaluate the closed forms; the integrated splitting omega_integral
+    and mean shift phi_lambda use adaptive quadrature and are cached per
+    requested time.
 
-    Where both envelopes vanish the mixing angle is defined by its
-    limit along the window (evaluated just inside); across regions
-    where the dressed splitting is exactly zero Theta is held at its
-    last defined value and `has_omega_gap` is set.
+    Where both envelopes vanish the mixing angle is defined by its limit
+    along the window (evaluated just inside); across stretches where
+    both vanish Theta holds its last defined value.
     """
 
     def __init__(
         self,
         ham: EffectiveHamiltonian,
-        f0: Callable,
-        f1: Callable,
+        f0: Envelope,
+        f1: Envelope,
         t0: float,
         t1: float,
         grid_points: int = 2001,
@@ -133,93 +164,47 @@ class EffectiveEvolution:
         self.t0 = float(t0)
         self.t1 = float(t1)
         self._span = self.t1 - self.t0
-        self._omega_cache: dict[float, float] = {}
-        self._phi_cache: dict[float, float] = {}
-        self._check_cache = None
+        self._integrals: dict[str, dict[float, float]] = {"mean": {}, "omega": {}}
 
         self.grid = np.linspace(self.t0, self.t1, grid_points)
-        g0 = np.asarray(f0(self.grid), dtype=float)
-        g1 = np.asarray(f1(self.grid), dtype=float)
-        self._grid_omega = self._omega_from(g0, g1)
-        scale = float(np.max(self._grid_omega, initial=0.0))
-        dead = self._grid_omega <= 1e-15 * max(scale, 1.0)
-        # a gap is a run of dead points away from the edges
-        interior = dead[1:-1]
-        self.has_omega_gap = bool(np.any(interior[1:] & interior[:-1]))
-        self._grid_theta = self._theta_grid(g0, g1)
+        d = _dressed(ham, f0(self.grid), f1(self.grid))
+        self._grid_omega = d.omega
+        defined = (d.x != 0.0) | (d.y != 0.0)
+        if np.any(defined):
+            # hold the last defined value across gaps, the first one before it
+            last = np.maximum.accumulate(np.where(defined, np.arange(grid_points), -1))
+            last[last < 0] = np.argmax(defined)
+            self._grid_theta = np.arctan2(d.y, d.x)[last]
+        else:
+            self._grid_theta = np.zeros(grid_points)
 
     # -- pointwise closed forms ----------------------------------------
 
-    def _lams(self, t):
-        f0 = self.f0(t)
-        f1 = self.f1(t)
-        return (
-            self.ham.Lambda0 * np.asarray(f0) ** 2,
-            self.ham.Lambda1 * np.asarray(f1) ** 2,
-            abs(self.ham.Lambda2) * np.asarray(f0) * np.asarray(f1),
-        )
-
-    def _omega_from(self, f0, f1):
-        gap = self.ham.Lambda0 * f0**2 - self.ham.Lambda1 * f1**2
-        return np.sqrt(0.25 * gap**2 + (abs(self.ham.Lambda2) * f0 * f1) ** 2)
+    def _at(self, t) -> _Dressed:
+        return _dressed(self.ham, self.f0(t), self.f1(t))
 
     def omega(self, t):
         """Dressed half-splitting Omega(t), ueV."""
-        l0, l1, l2m = self._lams(t)
-        out = np.sqrt(0.25 * (l0 - l1) ** 2 + l2m**2)
-        return float(out) if np.ndim(out) == 0 else out
+        return _plain(self._at(t).omega)
 
     def E_plus(self, t):
-        l0, l1, _ = self._lams(t)
-        out = 0.5 * (l0 + l1) + self.omega(t)
-        return float(out) if np.ndim(out) == 0 else out
+        d = self._at(t)
+        return _plain(d.mean + d.omega)
 
     def E_minus(self, t):
-        l0, l1, _ = self._lams(t)
-        out = 0.5 * (l0 + l1) - self.omega(t)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def _theta_point(self, t: float) -> float | None:
-        l0, l1, l2m = self._lams(t)
-        y = float(l2m)
-        x = 0.5 * float(l0 - l1)
-        if x == 0.0 and y == 0.0:
-            return None
-        return math.atan2(y, x)
+        d = self._at(t)
+        return _plain(d.mean - d.omega)
 
     def theta(self, t: float) -> float:
         """Mixing angle Theta(t) in [0, pi], limit-valued at dead times."""
-        val = self._theta_point(t)
-        if val is not None:
-            return val
-        # nudge inward to pick up the limiting envelope ratio
+        # at a dead time, nudge inward to pick up the limiting envelope ratio
         direction = 1.0 if t <= 0.5 * (self.t0 + self.t1) else -1.0
-        for mag in (1e-12, 1e-9, 1e-6, 1e-3):
-            val = self._theta_point(t + direction * mag * self._span)
-            if val is not None:
-                return val
-        # fully dead neighborhood: hold the nearest defined grid value
-        idx = int(np.argmin(np.abs(self.grid - t)))
-        return float(self._grid_theta[idx])
-
-    def _theta_grid(self, g0, g1) -> np.ndarray:
-        y = abs(self.ham.Lambda2) * g0 * g1
-        x = 0.5 * (self.ham.Lambda0 * g0**2 - self.ham.Lambda1 * g1**2)
-        defined = ~((x == 0.0) & (y == 0.0))
-        th = np.where(defined, np.arctan2(y, x), np.nan)
-        if not np.any(defined):
-            return np.zeros_like(th)
-        # hold last defined value across gaps (and backfill the lead-in)
-        filled = th.copy()
-        last = np.nan
-        for i in range(len(filled)):
-            if math.isnan(filled[i]):
-                filled[i] = last
-            else:
-                last = filled[i]
-        first = filled[~np.isnan(filled)][0]
-        filled[np.isnan(filled)] = first
-        return filled
+        for mag in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+            d = self._at(t + direction * mag * self._span)
+            if d.x != 0.0 or d.y != 0.0:
+                return math.atan2(d.y, d.x)
+        # fully dead neighborhood: hold the nearest grid value
+        return float(self._grid_theta[np.argmin(np.abs(self.grid - t))])
 
     def theta_dot(self, t):
         """Mixing-angle rate used for the adiabaticity diagnostic, rad/ns.
@@ -230,55 +215,44 @@ class EffectiveEvolution:
         This is intentionally the conservative (doubled) form; the
         adiabaticity threshold absorbs the factor.
         """
-        t_arr = np.asarray(t, dtype=float)
-        f0 = np.asarray(self.f0(t_arr))
-        f1 = np.asarray(self.f1(t_arr))
-        df0 = np.asarray(self._env_derivative(self.f0, t_arr))
-        df1 = np.asarray(self._env_derivative(self.f1, t_arr))
-        gap = self.ham.Lambda0 * f0**2 - self.ham.Lambda1 * f1**2
+        f0, f1 = self.f0(t), self.f1(t)
+        df0, df1 = self.f0.derivative(t), self.f1.derivative(t)
+        d = _dressed(self.ham, f0, f1)
+        gap = 2.0 * d.x  # exactly Lambda_0 f0^2 - Lambda_1 f1^2
         dgap = 2.0 * (self.ham.Lambda0 * f0 * df0 - self.ham.Lambda1 * f1 * df1)
-        l2m = abs(self.ham.Lambda2) * f0 * f1
         dl2m = abs(self.ham.Lambda2) * (df0 * f1 + f0 * df1)
-        den = 0.25 * gap**2 + l2m**2
-        num = np.abs(dgap * l2m - dl2m * gap)
+        num = np.abs(dgap * d.y - dl2m * gap)
+        den = d.omega_sq
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(den > 0.0, num / np.where(den > 0, den, 1.0), 0.0)
-        return float(out) if np.ndim(out) == 0 else out
-
-    @staticmethod
-    def _env_derivative(env, t):
-        deriv = getattr(env, "derivative", None)
-        if deriv is not None:
-            return deriv(t)
-        h = 1e-7
-        return (np.asarray(env(np.asarray(t) + h)) - np.asarray(env(np.asarray(t) - h))) / (2 * h)
+        return _plain(out)
 
     # -- integrated quantities -----------------------------------------
 
+    def _accumulated(self, field: str, t: float) -> float:
+        """Integral over hbar on [t0, t] of one `_Dressed` field, rad."""
+        cache = self._integrals[field]
+        key = float(t)
+        if key not in cache:
+            val, _ = quad(
+                lambda s: getattr(self._at(s), field), self.t0, key,
+                limit=_QUAD_LIMIT, epsabs=1e-13, epsrel=1e-12,
+            )
+            cache[key] = val / HBAR
+        return cache[key]
+
     def omega_integral(self, t: float) -> float:
         """Accumulated dressed phase integral of Omega/hbar on [t0, t], rad."""
-        key = float(t)
-        if key not in self._omega_cache:
-            val, _ = quad(
-                lambda s: self.omega(s), self.t0, key, limit=_QUAD_LIMIT, epsabs=1e-13, epsrel=1e-12
-            )
-            self._omega_cache[key] = val / HBAR
-        return self._omega_cache[key]
+        return self._accumulated("omega", t)
 
     def phi_lambda(self, t: float) -> float:
         """Accumulated mean light-shift phase on [t0, t], rad."""
-        key = float(t)
-        if key not in self._phi_cache:
-            val, _ = quad(
-                lambda s: 0.5 * (self._lams(s)[0] + self._lams(s)[1]),
-                self.t0,
-                key,
-                limit=_QUAD_LIMIT,
-                epsabs=1e-13,
-                epsrel=1e-12,
-            )
-            self._phi_cache[key] = val / HBAR
-        return self._phi_cache[key]
+        return self._accumulated("mean", t)
+
+    @functools.cached_property
+    def check(self) -> "AdiabaticityReport":
+        """`diagonal_evolution_check` at its default threshold, computed once."""
+        return diagonal_evolution_check(self)
 
 
 @dataclass(frozen=True)
@@ -386,7 +360,7 @@ def evolution_matrix(
     if not (evolution.t0 <= t0 <= t <= evolution.t1):
         raise ValueError("requested times fall outside the evolution window")
 
-    report = _cached_check(evolution)
+    report = evolution.check
     if not report.passed:
         warnings.warn(
             f"mixing angle is not adiabatic (max ratio {report.max_ratio:.3g} at "
@@ -420,12 +394,6 @@ def evolution_matrix(
         t=t,
         adiabatic=report.passed,
     )
-
-
-def _cached_check(evolution: EffectiveEvolution) -> AdiabaticityReport:
-    if evolution._check_cache is None:
-        evolution._check_cache = diagonal_evolution_check(evolution)
-    return evolution._check_cache
 
 
 def apply(gate: GateMatrix, state) -> np.ndarray:

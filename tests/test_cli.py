@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ddsim import cli, effective
 from ddsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -287,6 +288,42 @@ def test_out_of_range_sweep_axis_fails_before_compute(tmp_path, capsys):
     assert not out_dir.exists()
     err = capsys.readouterr().err.strip().split("\n")
     assert "pulses.amp0" in json.loads(err[-1])["error"]["message"]
+
+
+_STIRAP_EDGES_CFG = {
+    "mode": "stirap",
+    "spectrum": {"delta": 0.0, "omega_exc": 2000.0},
+    "pulses": {"amp0": 80.0, "amp1": 80.0, "omega0": 1900.0, "duration": 20.0},
+    "stirap": {
+        "ordering": "counterintuitive",
+        "delay": 4.0,
+        "envelope": {"shape": "gaussian", "width": 3.0},
+    },
+}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    # the last sweep point puts the qubit splitting above the manifold
+    (_rwa_sweep_cfg([{"path": "spectrum.delta", "start": 5.0, "stop": 2500.0, "steps": 3}]),
+     "must exceed the qubit splitting"),
+    # the shifted gaussians are still on at the window edges
+    (_STIRAP_EDGES_CFG, "stirap envelopes: envelope0 does not vanish"),
+])
+def test_semantic_problem_fails_before_compute(tmp_path, capsys, monkeypatch, cfg, message):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started before the config was checked")
+
+    for name in ("propagate_rwa", "propagate_averaged", "propagate_bare"):
+        monkeypatch.setattr(cli, name, no_compute)
+    monkeypatch.setattr(effective, "quad", no_compute)
+    cfg_path = _write_cfg(tmp_path, cfg)
+    assert main(["validate", cfg_path]) == EXIT_CONFIG
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg_path, "--out", str(out_dir)]) == EXIT_CONFIG
+    assert not out_dir.exists()
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert len(errors) == 2
+    assert all(message in err["error"]["message"] for err in errors)
 
 
 # ---------------------------------------------------------------------

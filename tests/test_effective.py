@@ -38,10 +38,7 @@ def _couplings(dipoles, detunings, delta_qubit=5.0, amp=20.0, omega0=2000.0):
     return derive_couplings(sp, pp), sp, pp
 
 
-def _flat(value):
-    def f(t):
-        return value * np.ones_like(np.asarray(t, dtype=float))
-    return f
+FLAT = Envelope("constant")
 
 
 # ---------------------------------------------------------------- sums
@@ -97,7 +94,7 @@ def test_rescaled_and_scaled_sums():
 
 def test_constant_envelope_evolution():
     ham = EffectiveHamiltonian(-1.0, -1.0, complex(-1.0))
-    ev = EffectiveEvolution(ham, _flat(1.0), _flat(1.0), 0.0, 2.0)
+    ev = EffectiveEvolution(ham, FLAT, FLAT, 0.0, 2.0)
     assert ev.theta(0.3) == pytest.approx(0.5 * math.pi)
     assert ev.omega(1.0) == pytest.approx(1.0)
     assert ev.omega_integral(2.0) == pytest.approx(2.0 / HBAR, rel=1e-10)
@@ -109,7 +106,7 @@ def test_constant_envelope_evolution():
 def test_window_must_be_ordered():
     ham = EffectiveHamiltonian(-1.0, -1.0, complex(-1.0))
     with pytest.raises(ValueError, match="window"):
-        EffectiveEvolution(ham, _flat(1.0), _flat(1.0), 2.0, 2.0)
+        EffectiveEvolution(ham, FLAT, FLAT, 2.0, 2.0)
 
 
 def test_theta_follows_delayed_envelopes():
@@ -124,6 +121,29 @@ def test_theta_follows_delayed_envelopes():
     assert ev.theta(2.0) == pytest.approx(0.5 * math.pi, abs=1e-9)
     grid_theta = np.array([ev.theta(t) for t in np.linspace(0.0, 4.0, 101)])
     assert np.all(np.diff(grid_theta) > -1e-9)
+
+
+def test_theta_holds_across_dead_stretch():
+    # both envelopes vanish before, between and after two disjoint
+    # pulses; with negative sums pulse 0 alone gives pi, pulse 1 alone 0
+    ham = EffectiveHamiltonian(-1.0, -0.5, complex(-0.6))
+    f0 = Envelope("sin2", center=2.0, width=2.0)
+    f1 = Envelope("sin2", center=6.0, width=2.0)
+    ev = EffectiveEvolution(ham, f0, f1, 0.0, 8.0)
+    for t in (0.0, 0.5, 3.5, 4.0, 4.5):
+        assert ev.theta(t) == pytest.approx(math.pi, abs=1e-12)
+    for t in (7.5, 8.0):
+        assert ev.theta(t) == pytest.approx(0.0, abs=1e-12)
+    # the grid hold equals a forward fill, backfilled before the first pulse
+    x = 0.5 * (ham.Lambda0 * f0(ev.grid) ** 2 - ham.Lambda1 * f1(ev.grid) ** 2)
+    y = abs(ham.Lambda2) * f0(ev.grid) * f1(ev.grid)
+    held, last = [], None
+    for xi, yi in zip(x, y):
+        if xi != 0.0 or yi != 0.0:
+            last = math.atan2(yi, xi)
+        held.append(last)
+    first = next(v for v in held if v is not None)
+    assert [first if v is None else v for v in held] == list(ev._grid_theta)
 
 
 def test_theta_dot_is_doubled_rate():
@@ -151,7 +171,7 @@ def test_omega_integral_is_additive():
 
 def test_adiabaticity_check_passes_frozen_and_flags_fast():
     ham = EffectiveHamiltonian(-1.0, -1.0, complex(-1.0))
-    ev = EffectiveEvolution(ham, _flat(1.0), _flat(1.0), 0.0, 30.0)
+    ev = EffectiveEvolution(ham, FLAT, FLAT, 0.0, 30.0)
     report = diagonal_evolution_check(ev)
     assert report.passed
     assert report.max_ratio == 0.0
@@ -179,7 +199,7 @@ def test_gate_matrix_structure_enforced():
 def test_constant_envelope_matrix_closed_form():
     # symmetric sums rotate the qubit as cos/sin of the accumulated phase
     ham = EffectiveHamiltonian(-1.0, -1.0, complex(-1.0))
-    ev = EffectiveEvolution(ham, _flat(1.0), _flat(1.0), 0.0, 1.2)
+    ev = EffectiveEvolution(ham, FLAT, FLAT, 0.0, 1.2)
     gm = evolution_matrix(ev, epsilon0=0.0, delta_qubit=0.0)
     w = 1.2 / HBAR
     assert gm.u00 == pytest.approx(math.cos(w), rel=1e-9)
@@ -191,7 +211,7 @@ def test_constant_envelope_matrix_closed_form():
 
 def test_matrix_includes_beat_and_free_phases():
     ham = EffectiveHamiltonian(-1.0, -1.0, complex(-1.0))
-    ev = EffectiveEvolution(ham, _flat(1.0), _flat(1.0), 0.0, 2.0)
+    ev = EffectiveEvolution(ham, FLAT, FLAT, 0.0, 2.0)
     gm = evolution_matrix(ev, t0=0.5, t=1.5, epsilon0=3.0, delta_qubit=5.0)
     dp0 = cmath.exp(1j * 5.0 * 0.5 / HBAR)
     dp1 = cmath.exp(-1j * 5.0 * 1.5 / HBAR)
@@ -209,7 +229,7 @@ def test_matrix_includes_beat_and_free_phases():
 def test_matrix_reads_energies_from_spectrum():
     cs, sp, _ = _couplings([(2.0, 2.0)], [-100.0], amp=20.0)
     ham = effective_hamiltonian(cs)
-    ev = EffectiveEvolution(ham, _flat(1.0), _flat(1.0), 0.0, 1.0)
+    ev = EffectiveEvolution(ham, FLAT, FLAT, 0.0, 1.0)
     with_sp = evolution_matrix(ev, sp)
     direct = evolution_matrix(ev, epsilon0=sp.epsilon0, delta_qubit=sp.delta)
     assert np.allclose(with_sp.matrix, direct.matrix)
@@ -219,7 +239,7 @@ def test_matrix_reads_energies_from_spectrum():
 
 def test_matrix_time_bounds():
     ham = EffectiveHamiltonian(-1.0, -1.0, complex(-1.0))
-    ev = EffectiveEvolution(ham, _flat(1.0), _flat(1.0), 0.0, 1.0)
+    ev = EffectiveEvolution(ham, FLAT, FLAT, 0.0, 1.0)
     with pytest.raises(ValueError, match="window"):
         evolution_matrix(ev, t0=0.0, t=2.0, epsilon0=0.0, delta_qubit=0.0)
 
@@ -236,7 +256,7 @@ def test_nonadiabatic_evolution_warns():
 
 def test_apply_preserves_norm():
     ham = EffectiveHamiltonian(-1.0, -0.7, complex(-0.5))
-    ev = EffectiveEvolution(ham, _flat(1.0), _flat(1.0), 0.0, 1.0)
+    ev = EffectiveEvolution(ham, FLAT, FLAT, 0.0, 1.0)
     gm = evolution_matrix(ev, epsilon0=2.0, delta_qubit=5.0)
     vec = np.array([0.6, 0.8j])
     out = apply(gm, vec)
