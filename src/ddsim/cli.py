@@ -87,6 +87,15 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _trajectory_csv(traj) -> str:
+    """t, Re/Im of each amplitude, then each population."""
+    n, dim = traj.amplitudes.shape
+    re_im = np.stack((traj.amplitudes.real, traj.amplitudes.imag), axis=-1).reshape(n, 2 * dim)
+    header = ["t", *(f"a{i}_{part}" for i in range(dim) for part in ("re", "im"))]
+    header += [f"p{i}" for i in range(dim)]
+    return _csv_text(header, np.column_stack((traj.times, re_im, traj.populations)))
+
+
 def _jsonable(obj):
     """Recursively convert numpy scalars/arrays and complex to JSON types."""
     if isinstance(obj, dict):
@@ -205,7 +214,7 @@ def _run_propagate(cfg, mode):
         except ValueError as exc:
             logger.info("elimination check skipped: %s", exc)
     summary.update(_final_summary(traj))
-    return {"trajectory.csv": traj.csv_text(), "summary.json": _json_text(summary)}
+    return {"trajectory.csv": _trajectory_csv(traj), "summary.json": _json_text(summary)}
 
 
 def _run_effective(cfg):
@@ -308,7 +317,7 @@ def _run_stirap(cfg):
         "transfer_probability": final["final_populations"]["p1"],
         **final,
     }
-    return {"trajectory.csv": traj.csv_text(), "summary.json": _json_text(summary)}
+    return {"trajectory.csv": _trajectory_csv(traj), "summary.json": _json_text(summary)}
 
 
 _SWEEP_COLUMNS = {

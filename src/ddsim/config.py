@@ -22,10 +22,10 @@ from typing import Any, Iterator, Sequence
 import jsonschema
 import numpy as np
 
-from .drive import Envelope, PulsePair, enforce_two_photon_resonance
-from .dynamics import IntegratorSettings, StateVector
-from .gates import GateSpec
-from .spectrum import SpectrumConfig, SpectrumModel, build_spectrum
+from .drive import SHAPES as ENVELOPE_SHAPES, Envelope, PulsePair, enforce_two_photon_resonance
+from .dynamics import FRAMES, METHODS, IntegratorSettings, StateVector
+from .gates import ORDERINGS, TARGETS, GateSpec
+from .spectrum import SHAPES as SPECTRUM_SHAPES, SpectrumConfig, SpectrumModel, build_spectrum
 
 MODES = (
     "propagate-rwa",
@@ -69,7 +69,7 @@ _COMPLEX_PAIR = {
 _ENVELOPE_SCHEMA = {
     "type": "object",
     "properties": {
-        "shape": {"enum": ["gaussian", "sin2", "trapezoid", "constant"]},
+        "shape": {"enum": list(ENVELOPE_SHAPES)},
         "center": {"type": "number"},
         "width": {"type": "number", "exclusiveMinimum": 0},
         "ramp": {"type": "number", "minimum": 0},
@@ -90,7 +90,7 @@ SCHEMA = {
                 "delta": {"type": "number", "minimum": 0},
                 "omega_exc": {"type": "number", "exclusiveMinimum": 0},
                 "n_levels": {"type": "integer", "minimum": 1},
-                "shape": {"enum": ["single", "uniform", "doublet"]},
+                "shape": {"enum": list(SPECTRUM_SHAPES)},
                 "spacing": {"type": "number", "exclusiveMinimum": 0},
                 "doublet_split": {"type": "number", "exclusiveMinimum": 0},
                 "dipole0": {"type": "number"},
@@ -98,8 +98,6 @@ SCHEMA = {
                 "epsilon0": {"type": "number"},
                 "jitter": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
                 "seed": {"type": "integer", "minimum": 0},
-                "bohr_radius": {"type": "number", "exclusiveMinimum": 0},
-                "donor_separation": {"type": "number", "exclusiveMinimum": 0},
             },
             "required": ["delta", "omega_exc"],
             "additionalProperties": False,
@@ -126,7 +124,7 @@ SCHEMA = {
         "integrator": {
             "type": "object",
             "properties": {
-                "method": {"enum": ["adaptive", "rk4"]},
+                "method": {"enum": list(METHODS)},
                 "rtol": {"type": "number", "exclusiveMinimum": 0},
                 "atol": {"type": "number", "exclusiveMinimum": 0},
                 "max_step": {"type": "number", "exclusiveMinimum": 0},
@@ -144,7 +142,7 @@ SCHEMA = {
         "gate": {
             "type": "object",
             "properties": {
-                "target": {"enum": ["NOT", "PHASE", "HADAMARD", "CUSTOM"]},
+                "target": {"enum": list(TARGETS)},
                 "custom_unitary": {
                     "type": "array",
                     "items": {
@@ -174,7 +172,7 @@ SCHEMA = {
         "stirap": {
             "type": "object",
             "properties": {
-                "ordering": {"enum": ["counterintuitive", "intuitive"]},
+                "ordering": {"enum": list(ORDERINGS)},
                 "delay": {"type": "number", "minimum": 0},
                 "envelope": _ENVELOPE_SCHEMA,
             },
@@ -207,7 +205,7 @@ SCHEMA = {
         },
         "compare": {
             "type": "object",
-            "properties": {"exact_tier": {"enum": ["rwa", "averaged", "bare"]}},
+            "properties": {"exact_tier": {"enum": list(FRAMES)}},
             "additionalProperties": False,
         },
         "output": {

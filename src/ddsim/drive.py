@@ -46,6 +46,8 @@ REGIME_LABELS = (
 
 _EDGE_TOL = 1e-9
 
+SHAPES = ("gaussian", "sin2", "trapezoid", "constant")
+
 
 @dataclass(frozen=True)
 class Envelope:
@@ -65,9 +67,9 @@ class Envelope:
     ramp: float = 0.0
 
     def __post_init__(self):
-        if self.shape not in ("gaussian", "sin2", "trapezoid", "constant"):
+        if self.shape not in SHAPES:
             raise ValueError(f"unknown envelope shape {self.shape!r}")
-        if self.shape in ("gaussian", "sin2", "trapezoid") and self.width <= 0:
+        if self.shape != "constant" and self.width <= 0:
             raise ValueError(f"{self.shape} envelope needs width > 0")
         if self.shape == "trapezoid":
             if self.ramp <= 0:

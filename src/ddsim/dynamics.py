@@ -47,6 +47,7 @@ from .units import DIPOLE_FIELD_TO_UEV, HBAR
 logger = logging.getLogger(__name__)
 
 FRAMES = ("bare", "rwa", "averaged")
+METHODS = ("adaptive", "rk4")
 
 # steps per fastest oscillation period, for fixed-step integration and
 # for the carrier-resolution clamp of the bare tier
@@ -106,7 +107,7 @@ class IntegratorSettings:
     norm_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.method not in ("adaptive", "rk4"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown integrator method {self.method!r}")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be > 0")
@@ -162,38 +163,6 @@ class Trajectory:
     @property
     def final_amplitudes(self) -> np.ndarray:
         return self.amplitudes[-1]
-
-    def csv_text(self, stride: int = 1) -> str:
-        """Render t, Re/Im of each amplitude, and populations as CSV.
-
-        Comma-separated, '.' decimal, LF line endings, one header row.
-        With stride > 1 every stride-th sample is kept; the final row
-        is always included.
-        """
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        idx = list(range(0, len(self.times), stride))
-        if idx[-1] != len(self.times) - 1:
-            idx.append(len(self.times) - 1)
-        dim = self.amplitudes.shape[1]
-        header = ["t"]
-        for i in range(dim):
-            header += [f"a{i}_re", f"a{i}_im"]
-        header += [f"p{i}" for i in range(dim)]
-        pops = self.populations
-        lines = [",".join(header)]
-        for j in idx:
-            row = [f"{self.times[j]:.17g}"]
-            for i in range(dim):
-                row += [f"{self.amplitudes[j, i].real:.17g}", f"{self.amplitudes[j, i].imag:.17g}"]
-            row += [f"{pops[j, i]:.17g}" for i in range(dim)]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self, path, stride: int = 1) -> None:
-        """Write csv_text to a file."""
-        with open(path, "w", newline="") as fh:
-            fh.write(self.csv_text(stride))
 
 
 # ---------------------------------------------------------------------

@@ -5,15 +5,15 @@ three knobs: the mixing angle Theta_0 (set by the structure and the
 amplitude ratio of the two pulses), the accumulated dressed phase
 Omega~ = Omega * T / hbar (set by overall amplitude and duration), and
 the phase of the two-photon sum (set by the pulse phase difference).
-A target gate pins
+Every target unitary, named or custom, fixes all three; for example
 
     NOT:       Theta_0 = pi/2,  Omega~ = pi/2 + pi k
     PHASE:     Theta_0 = 0/pi (second pulse off), Omega~ = pi/2 + pi k
     HADAMARD:  Theta_0 = pi/4,  Omega~ = pi/2 + pi k
 
-together with a two-photon phase aligned to zero and, for a split
-qubit, a duration commensurate with the beat period (T * Delta = 2 pi
-l) so the beat factors drop out.  `synthesize_gate` solves for the
+with the two-photon phase aligned to zero.  A split qubit also needs a
+duration commensurate with the beat period (T * Delta = 2 pi l) so the
+beat factors drop out.  `synthesize_gate` solves for the
 pulse-1 amplitude ratio that reaches Theta_0, then searches the (k, l)
 branch lattice for the shortest admissible duration, absorbing the
 leftover into a common amplitude rescale kept inside a configurable
@@ -45,11 +45,12 @@ from .effective import (
 from .spectrum import SpectrumModel
 from .units import HBAR
 
-TARGETS = ("NOT", "PHASE", "HADAMARD", "CUSTOM")
-
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+
+_NAMED = {"NOT": PAULI_X, "PHASE": PAULI_Z, "HADAMARD": HADAMARD}
+TARGETS = (*_NAMED, "CUSTOM")
 
 
 class GateSynthesisError(ValueError):
@@ -97,13 +98,7 @@ class GateSpec:
             raise ValueError("scale_bounds must satisfy 0 < lo <= hi")
 
     def target_matrix(self) -> np.ndarray:
-        if self.target == "NOT":
-            return PAULI_X
-        if self.target == "PHASE":
-            return PAULI_Z
-        if self.target == "HADAMARD":
-            return HADAMARD
-        return self.custom_unitary
+        return _NAMED.get(self.target, self.custom_unitary)
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,7 @@ class GateSolution:
 
 
 def _ratio_for_angle(ham: EffectiveHamiltonian, theta: float) -> float:
-    """Pulse-1 amplitude ratio x >= 0 that sets the mixing angle.
+    """Pulse-1 amplitude ratio x >= 0 that sets a mixing angle off the poles.
 
     Solves Lambda1 x^2 + 2 |Lambda2| cot(theta) x - Lambda0 = 0 (from
     requiring tan of the rescaled angle to hit the target), picking the
@@ -156,12 +151,6 @@ def _ratio_for_angle(ham: EffectiveHamiltonian, theta: float) -> float:
     """
     s = math.sin(theta)
     c = math.cos(theta)
-    if abs(s) < 1e-12:
-        return 0.0  # pole of the angle: second pulse off
-    if ham.Lambda2 == 0:
-        raise GateSynthesisError(
-            "two-photon sum Lambda2 vanishes; no amplitude ratio reaches a mixed angle"
-        )
     a = ham.Lambda1
     b = 2.0 * abs(ham.Lambda2) * c / s
     cc = -ham.Lambda0
@@ -184,7 +173,7 @@ def _ratio_for_angle(ham: EffectiveHamiltonian, theta: float) -> float:
     return pos[0]
 
 
-def _decompose_custom(u: np.ndarray) -> tuple[float, float, float]:
+def _decompose_unitary(u: np.ndarray) -> tuple[float, float, float]:
     """Split a 2x2 unitary into (omega_tilde in [0,pi], theta0, arg target).
 
     The constant-angle propagator core is
@@ -223,25 +212,25 @@ def synthesize_gate(
     computed honestly by feeding the solution back through the
     closed-form propagator.
     """
-    if spec.target == "NOT":
-        theta_target, w_base, n = 0.5 * math.pi, 0.5 * math.pi, 0
-    elif spec.target == "HADAMARD":
-        theta_target, w_base, n = 0.25 * math.pi, 0.5 * math.pi, 0
-    elif spec.target == "PHASE":
-        theta_target = 0.0 if ham.Lambda0 > 0 else math.pi
-        w_base, n = 0.5 * math.pi, (0 if ham.Lambda0 > 0 else 1)
-    else:
-        w_base, theta_target, _ = _decompose_custom(spec.custom_unitary)
-        n = 0
-
-    if spec.target in ("NOT", "HADAMARD") and ham.Lambda2 == 0:
+    w_base, theta_target, arg_target = _decompose_unitary(spec.target_matrix())
+    n = 0
+    diagonal = abs(math.sin(theta_target)) < 1e-12
+    if diagonal:
+        # diagonal target: Theta sits at a pole (Lambda0's with the second pulse off, the
+        # sums' at a unit ratio with Lambda2 = 0); core(pi, pi - W) = -core(0, W) reaches the other
+        pole = 0.0 if ham.Lambda0 > 0 else math.pi
+        if not spec.allow_rescale and ham.Lambda2 == 0:
+            pole = ham.mixing_angle
+        if abs(pole - theta_target) > 0.5 * math.pi:
+            theta_target, w_base, n = pole, math.pi - w_base, 1
+    elif ham.Lambda2 == 0:
         raise GateSynthesisError(
             f"{spec.target} needs a nonzero two-photon sum Lambda2; this structure gives none"
         )
 
     # -- amplitude ratio for the mixing angle --------------------------
     if spec.allow_rescale:
-        ratio = _ratio_for_angle(ham, theta_target)
+        ratio = 0.0 if diagonal else _ratio_for_angle(ham, theta_target)
     else:
         ratio = 1.0
         got = ham.mixing_angle
@@ -250,7 +239,7 @@ def synthesize_gate(
                 f"mixing angle is {got:.4f} rad but target needs {theta_target:.4f} rad "
                 "and rescaling is disallowed"
             )
-            if spec.target == "NOT":
+            if abs(theta_target - 0.5 * math.pi) < 1e-9:
                 msg += "; complete transfer requires equal light shifts (Lambda0 = Lambda1)"
             raise GateSynthesisError(msg)
 
@@ -259,10 +248,6 @@ def synthesize_gate(
     if omega_ref <= 0:
         raise GateSynthesisError("dressed splitting vanishes after rescaling; no phase can accumulate")
 
-    if spec.target == "CUSTOM":
-        _, _, arg_target = _decompose_custom(spec.custom_unitary)
-    else:
-        arg_target = 0.0
     arg_now = cmath.phase(ham_ratio.Lambda2) if ham_ratio.Lambda2 != 0 else 0.0
     phase_offset = math.remainder(arg_target - arg_now, 2.0 * math.pi)
 

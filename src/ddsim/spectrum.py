@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_SHAPES = ("single", "uniform", "doublet")
+SHAPES = ("single", "uniform", "doublet")
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,6 @@ class SpectrumModel:
     epsilon0: float
     epsilon1: float
     excited_levels: tuple[ExcitedLevel, ...]
-    bohr_radius: float = 3.0       # nm, sets the natural dipole scale
-    donor_separation: float = 30.0  # nm
 
     def __post_init__(self):
         if self.epsilon1 < self.epsilon0:
@@ -66,8 +64,6 @@ class SpectrumModel:
             raise ValueError(
                 f"lowest excited level {energies[0]} does not lie above epsilon1={self.epsilon1}"
             )
-        if self.bohr_radius <= 0 or self.donor_separation <= 0:
-            raise ValueError("geometry lengths must be positive")
 
     # -- derived views ------------------------------------------------
 
@@ -157,8 +153,6 @@ class SpectrumConfig:
     epsilon0: float = 0.0
     jitter: float = 0.0
     seed: int = 0
-    bohr_radius: float = 3.0
-    donor_separation: float = 30.0
 
     def __post_init__(self):
         if self.delta < 0:
@@ -167,8 +161,8 @@ class SpectrumConfig:
             raise ValueError("omega_exc must be > 0")
         if self.n_levels < 1:
             raise ValueError("n_levels must be >= 1")
-        if self.shape not in _SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}, expected one of {_SHAPES}")
+        if self.shape not in SHAPES:
+            raise ValueError(f"unknown shape {self.shape!r}, expected one of {SHAPES}")
         if self.shape == "single" and self.n_levels != 1:
             raise ValueError("shape 'single' requires n_levels == 1")
         if self.n_levels > 1 and self.spacing <= 0:
@@ -234,8 +228,6 @@ def build_spectrum(config: SpectrumConfig) -> SpectrumModel:
         epsilon0=config.epsilon0,
         epsilon1=epsilon1,
         excited_levels=tuple(levels),
-        bohr_radius=config.bohr_radius,
-        donor_separation=config.donor_separation,
     )
     report = validate_hierarchy(model)
     if not report.passed:

@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ddsim import cli, effective
+from ddsim import Trajectory, cli, effective
 from ddsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -98,6 +99,23 @@ def test_run_writes_trajectory_summary_manifest(tmp_path, capsys):
     ]
 
 
+def test_trajectory_csv_layout():
+    times = np.linspace(0.0, 4.0, 5)
+    amps = np.zeros((5, 3), dtype=complex)
+    amps[:, 0] = np.cos(times)
+    amps[:, 1] = 1j * np.sin(times)
+    traj = Trajectory(times=times, amplitudes=amps, frame="rwa")
+    text = cli._trajectory_csv(traj)
+    lines = text.strip().split("\n")
+    assert lines[0] == "t,a0_re,a0_im,a1_re,a1_im,a2_re,a2_im,p0,p1,p2"
+    assert len(lines) == 6
+    data = np.loadtxt(text.split("\n"), delimiter=",", skiprows=1)
+    assert data.shape == (5, 10)
+    assert data[:, 0] == pytest.approx(traj.times)
+    assert data[:, 4] == pytest.approx(np.sin(times))
+    assert data[:, 7] == pytest.approx(traj.populations[:, 0])
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg_path = _write_cfg(tmp_path, _propagate_cfg())
     dirs = (tmp_path / "a", tmp_path / "b")
@@ -183,6 +201,30 @@ def test_run_synthesize_gate_writes_solution(tmp_path):
     assert sol["predicted_fidelity"] >= 1 - 1e-9
     assert report["effective_sums"]["lambda2"] != [0.0, 0.0]
     assert report["regime_labels"]
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_run_synthesize_diagonal_custom_gate(tmp_path, sign):
+    # red-detuned pulses give negative light shifts, so Theta sits at pi
+    # with the second pulse off; diag(e^{-i pi/4}, e^{i pi/4}) lies at 0
+    cfg = {
+        "mode": "synthesize-gate",
+        "spectrum": {"delta": 5.0, "omega_exc": 2000.0},
+        "pulses": {"amp0": 200.0, "amp1": 200.0, "omega0": 1905.0, "duration": 1.0},
+        "gate": {
+            "target": "CUSTOM",
+            "custom_unitary": [[[0.5**0.5, sign * 0.5**0.5], [0.0, 0.0]],
+                               [[0.0, 0.0], [0.5**0.5, -sign * 0.5**0.5]]],
+        },
+    }
+    out_dir = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == EXIT_OK
+    report = _read_json(out_dir / "run_gate.json")
+    assert report["effective_sums"]["lambda0"] < 0
+    sol = report["solution"]
+    assert sol["amplitude_ratio"] == 0.0
+    assert sol["n"] == (1 if sign < 0 else 0)
+    assert sol["predicted_fidelity"] >= 1 - 1e-12
 
 
 def test_run_stirap_reports_transfer(tmp_path):

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from ddsim import Envelope, SpectrumModel, StateVector
+from ddsim import Envelope, SpectrumModel, StateVector, schedule_stirap
+from ddsim.cli import _dry_run
 from ddsim.config import (
+    SCHEMA,
     ConfigError,
     build_envelope,
     build_gate_spec,
@@ -113,6 +115,79 @@ def test_stirap_mode_needs_schedule():
     cfg["mode"] = "stirap"
     with pytest.raises(ConfigError, match="stirap"):
         validate_config(cfg)
+
+
+def test_removed_geometry_settings_rejected():
+    for key in ("bohr_radius", "donor_separation"):
+        cfg = _base_cfg()
+        cfg["spectrum"][key] = 3.0
+        with pytest.raises(ConfigError, match=key):
+            validate_config(cfg)
+
+
+def _schema_enums(node, path=()):
+    """(dotted property path, enum values) for every enum in the schema."""
+    if "enum" in node:
+        yield ".".join(path), node["enum"]
+    for name, child in node.get("properties", {}).items():
+        yield from _schema_enums(child, path + (name,))
+
+
+def _full_cfg(mode):
+    cfg = _base_cfg(mode=mode)
+    cfg["gate"] = {"target": "NOT"}
+    cfg["stirap"] = {"ordering": "counterintuitive", "delay": 0.05,
+                     "envelope": {"shape": "gaussian", "width": 0.05}}
+    cfg["sweep"] = {"mode": "propagate-rwa",
+                    "axes": [{"path": "pulses.amp0", "start": 20.0, "stop": 20.0, "steps": 1}]}
+    return cfg
+
+
+def _build_mode(value):
+    cfg = _full_cfg(value)
+    validate_config(cfg)
+    _dry_run(cfg)
+
+
+def _build_sweep_mode(value):
+    cfg = _full_cfg("sweep")
+    cfg["sweep"]["mode"] = value
+    validate_config(cfg)
+    _dry_run(cfg)
+
+
+def _build_spectrum_shape(value):
+    cfg = _base_cfg()
+    cfg["spectrum"].update(shape=value, n_levels=1 if value == "single" else 2)
+    build_spectrum_model(cfg)
+
+
+def _build_envelope_shape(value):
+    assert build_envelope({"shape": value, "width": 1.0}, 2.0).shape == value
+
+
+_ENUM_BUILDERS = {
+    "mode": _build_mode,
+    "spectrum.shape": _build_spectrum_shape,
+    "pulses.envelope0.shape": _build_envelope_shape,
+    "pulses.envelope1.shape": _build_envelope_shape,
+    "integrator.method": lambda v: build_integrator({"integrator": {"method": v}}),
+    "gate.target": lambda v: build_gate_spec(
+        {"gate": {"target": v, "custom_unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}
+    ).target_matrix(),
+    "stirap.ordering": lambda v: schedule_stirap(v, Envelope("gaussian", 1.0, 0.3), 0.1, 2.0),
+    "stirap.envelope.shape": _build_envelope_shape,
+    "sweep.mode": _build_sweep_mode,
+    "compare.exact_tier": lambda v: build_initial_state({}, 1, frame=v),
+}
+
+
+def test_every_schema_enum_value_builds():
+    enums = dict(_schema_enums(SCHEMA))
+    assert set(enums) == set(_ENUM_BUILDERS)
+    for path, values in enums.items():
+        for value in values:
+            _ENUM_BUILDERS[path](value)
 
 
 # ---------------------------------------------------------------------

@@ -231,30 +231,3 @@ def test_trajectory_grid_must_increase():
     with pytest.raises(ValueError, match="increasing"):
         Trajectory(times=np.array([0.0, 0.0]),
                    amplitudes=np.zeros((2, 3), dtype=complex), frame="rwa")
-
-
-def test_csv_text_layout():
-    traj = _toy_trajectory(n=5)
-    text = traj.csv_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,a0_re,a0_im,a1_re,a1_im,a2_re,a2_im,p0,p1,p2"
-    assert len(lines) == 6
-    data = np.loadtxt(text.split("\n"), delimiter=",", skiprows=1)
-    assert data.shape == (5, 10)
-    assert data[:, 0] == pytest.approx(traj.times)
-    assert data[:, 7] == pytest.approx(traj.populations[:, 0])
-
-
-def test_csv_stride_keeps_final_row():
-    traj = _toy_trajectory(n=5)
-    data = np.loadtxt(traj.csv_text(stride=3).split("\n"), delimiter=",", skiprows=1)
-    # rows 0 and 3 by stride, then the final row appended regardless
-    assert data.shape == (3, 10)
-    assert data[-1, 0] == traj.times[-1]
-
-
-def test_csv_file_round_trip(tmp_path):
-    traj = _toy_trajectory()
-    path = tmp_path / "run.csv"
-    traj.to_csv(path)
-    assert path.read_text() == traj.csv_text()

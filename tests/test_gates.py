@@ -1,6 +1,7 @@
 """Gate synthesis, fidelity bookkeeping, and transfer scheduling."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -146,6 +147,45 @@ def test_not_ratio_balances_light_shifts():
     # Lambda1 x^2 = Lambda0 at the pi/2 angle: x = sqrt(4) = 2
     assert sol.amplitude_ratio == pytest.approx(2.0, rel=1e-12)
     assert sol.predicted_fidelity >= 1.0 - 1e-12
+
+
+# diag(e^{-i pi/4}, e^{i pi/4}) sits at Theta_0 = 0, its adjoint at pi
+DIAG = np.diag([cmath.exp(-0.25j * math.pi), cmath.exp(0.25j * math.pi)])
+
+
+@pytest.mark.parametrize("lambda0", [-30.0, 30.0])
+@pytest.mark.parametrize("delta", [0.0, 37.0])
+@pytest.mark.parametrize("target", [DIAG, DIAG.conj().T], ids=["pole0", "pole_pi"])
+def test_diagonal_custom_target_at_either_pole(lambda0, delta, target):
+    ham = EffectiveHamiltonian(lambda0, math.copysign(9.0, lambda0), 15.0)
+    sol = synthesize_gate(GateSpec(target="CUSTOM", custom_unitary=target), ham, delta)
+    assert sol.amplitude_ratio == 0.0
+    assert sol.theta0 == (0.0 if lambda0 > 0 else math.pi)
+    # the target's own pole is 0 for DIAG; the other pole is reached mirrored
+    target_pole = 0.0 if target[0, 0].imag < 0 else math.pi
+    assert sol.n == (1 if sol.theta0 != target_pole else 0)
+    assert sol.predicted_fidelity >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("target", ["PHASE", "CUSTOM"])
+def test_diagonal_target_without_rescale_uses_the_pole_the_sums_give(target):
+    # Lambda2 = 0 and Lambda0 > Lambda1 put Theta at 0 although Lambda0 < 0
+    ham = EffectiveHamiltonian(-1.0, -2.0, 0.0)
+    spec = GateSpec(target=target, custom_unitary=PAULI_Z, allow_rescale=False)
+    sol = synthesize_gate(spec, ham, 0.0)
+    assert sol.amplitude_ratio == 1.0
+    assert (sol.theta0, sol.n) == (0.0, 0)
+    assert sol.predicted_fidelity >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize(
+    "ham, delta",
+    [(SYMMETRIC, 0.0), (SYMMETRIC, 5.0), (EffectiveHamiltonian(-1.0, -0.25, -0.5 + 0.2j), 3.0)],
+)
+def test_custom_pauli_x_is_the_not_solution(ham, delta):
+    named = synthesize_gate(GateSpec(target="NOT"), ham, delta)
+    custom = synthesize_gate(GateSpec(target="CUSTOM", custom_unitary=PAULI_X), ham, delta)
+    assert dataclasses.replace(custom, target="NOT") == named
 
 
 # ---------------------------------------------------------------------
