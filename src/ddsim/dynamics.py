@@ -16,6 +16,16 @@ propagate_rwa
     pulse 1 on 0<->k) ride on an extra beat factor e^{+-i Delta t} at
     the qubit splitting.  This is the workhorse "exact" tier.
 
+    With both envelopes constant and Delta != 0 the equations repeat
+    themselves every beat period P = 2 pi hbar / |Delta| in the frame
+    b_k = c_k e^{i delta_k t} (Floquet; Shirley, Phys. Rev. 138, B979
+    (1965)).  A window of at least 2 P is then folded: the propagator
+    is integrated over one period with the configured method and
+    tolerances, and the saved states are assembled from it and its
+    powers, so the cost no longer grows with the number of periods.
+    Shaped envelopes, Delta = 0 and shorter windows are integrated
+    directly.  Each call logs (INFO) which path it took and why.
+
 propagate_averaged
     Additionally drops the crossed couplings, which average out when
     the envelopes change slowly compared to the beat period
@@ -40,7 +50,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .drive import CouplingSet, PulsePair
+from .drive import CouplingSet, PulsePair, averaging_period
 from .spectrum import SpectrumModel
 from .units import DIPOLE_FIELD_TO_UEV, HBAR
 
@@ -192,13 +202,74 @@ def _run_rk4(rhs, y0, grid, step):
     return out
 
 
-def _propagate(rhs, psi0, frame, n_excited, pulses, settings, rate, couplings=None, clamp=False):
+def _integrate(rhs, y0, grid, settings, max_step, step):
+    """Values of dy/dt = rhs(t, y) on grid, from y0 at grid[0], with the configured method."""
+    if settings.method == "adaptive":
+        sol = solve_ivp(
+            rhs,
+            (grid[0], grid[-1]),
+            y0,
+            method="DOP853",
+            t_eval=grid,
+            rtol=settings.rtol,
+            atol=settings.atol,
+            max_step=max_step if max_step is not None else np.inf,
+        )
+        if not sol.success:
+            raise PropagationError(f"adaptive integrator failed: {sol.message}")
+        return sol.y.T.copy()
+    return _run_rk4(rhs, y0, grid, max_step or step)
+
+
+def _fold(rhs, psi0, grid, period, phases, integrate):
+    """Amplitudes on grid from the propagator of one period (Floquet).
+
+    rhs(t, y) must accept y of shape (dim, dim) and describe a system
+    that repeats itself after `period` in the frame b_k = c_k e^{i phases_k t}:
+    with D(t) = diag(1, 1, e^{-i phases t}), H(t + P) = D(P) H(t) D(P)^dag.
+    The propagator U(tau) is integrated once over [0, P], and a saved time
+    t = m P + tau takes c(t) = D(m P) U(tau) F^m psi0 with F = D(P)^dag U(P),
+    the powers built by binary powering between save points.  F is not
+    unitarized, so the norm check still sees its error, amplified by m.
+    """
+    dim = len(psi0)
+    periods = np.floor(grid / period)
+    offsets = np.clip(grid - periods * period, 0.0, period)
+    taus = np.unique(np.append(offsets, period))
+
+    def block(t, y):
+        return rhs(t, y.reshape(dim, dim)).ravel()
+
+    props = integrate(block, np.eye(dim, dtype=complex).ravel(), taus).reshape(-1, dim, dim)
+    one_period = props[-1].copy()
+    one_period[2:] *= np.exp(1j * period * phases)[:, None]
+    squares = [one_period]  # F^(2^i)
+    state, done = psi0, 0
+    out = np.empty((len(grid), dim), dtype=complex)
+    for j, (m, idx) in enumerate(zip(periods.astype(int), np.searchsorted(taus, offsets))):
+        todo, bit = m - done, 0
+        while todo:
+            if bit == len(squares):
+                squares.append(squares[-1] @ squares[-1])
+            if todo & 1:
+                state = squares[bit] @ state
+            todo, bit = todo >> 1, bit + 1
+        done = m
+        out[j] = props[idx] @ state
+    out[:, 2:] *= np.exp(-1j * np.outer(periods * period, phases))
+    return out
+
+
+def _propagate(rhs, psi0, frame, n_excited, pulses, settings, rate, couplings=None, clamp=False,
+               period=None, phases=None):
     """Integrate dy/dt = rhs(t, y) from psi0 over [0, pulses.duration].
 
     rate is the fastest angular frequency in the tier, rad/ns.  The
     fixed rk4 step defaults to resolving it with _STEPS_PER_PERIOD
     points per period; with clamp that step also bounds max_step, for
-    either method and whatever the settings ask for.
+    either method and whatever the settings ask for.  With a period,
+    rhs generates the one-period propagator instead and the run is
+    folded (see _fold).
     """
     settings = settings or IntegratorSettings()
     if psi0.frame != frame:
@@ -221,27 +292,18 @@ def _propagate(rhs, psi0, frame, n_excited, pulses, settings, rate, couplings=No
                 stacklevel=3,
             )
 
+    def integrate(f, y0, grid):
+        return _integrate(f, y0, grid, settings, max_step, step)
+
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
-    if settings.method == "adaptive":
-        sol = solve_ivp(
-            rhs,
-            (grid[0], grid[-1]),
-            psi0.amplitudes,
-            method="DOP853",
-            t_eval=grid,
-            rtol=settings.rtol,
-            atol=settings.atol,
-            max_step=max_step if max_step is not None else np.inf,
-        )
-        if not sol.success:
-            raise PropagationError(f"adaptive integrator failed: {sol.message}")
-        ys = sol.y.T.copy()
+    if period is None:
+        ys = integrate(rhs, psi0.amplitudes, grid)
     else:
-        ys = _run_rk4(rhs, psi0.amplitudes, grid, max_step or step)
+        ys = _fold(rhs, psi0.amplitudes, grid, period, phases, integrate)
 
     traj = Trajectory(grid, ys, frame, couplings=couplings, pulses=pulses)
     drift = traj.norm_drift
-    if drift > settings.norm_tol:
+    if not drift <= settings.norm_tol:  # also catches a NaN drift
         raise PropagationError(
             f"{frame} propagation lost norm: max |sum|c|^2 - 1| = {drift:.3e} "
             f"exceeds {settings.norm_tol:.1e}; tighten tolerances or reduce the step"
@@ -264,6 +326,8 @@ def propagate_rwa(
 
     The couplings must have been derived from the same pulse pair (the
     detuning list and the crossed couplings are trusted as given).
+    Constant envelopes with Delta != 0 over at least two beat periods
+    are folded: see the module docstring.
     """
     wd = couplings.delta / HBAR           # detuning phases, rad/ns
     wq = couplings.delta_qubit / HBAR     # beat phase, rad/ns
@@ -273,7 +337,17 @@ def propagate_rwa(
     mu1 = couplings.mu1 * np.exp(1j * pulses.phi1) / HBAR
     env0, env1 = pulses.envelope0, pulses.envelope1
 
-    def rhs(t, y):
+    period = averaging_period(couplings.delta_qubit)
+    if env0.shape != "constant" or env1.shape != "constant":
+        reason = f"{env0.shape}/{env1.shape} envelopes"
+    elif wq == 0.0:
+        reason = "Delta = 0"
+    elif pulses.duration < 2.0 * period:
+        reason = f"window {pulses.duration:.6g} ns is shorter than 2 beat periods of {period:.6g} ns"
+    else:
+        reason = None
+
+    def rhs(t, y):  # y is one state, or a (dim, dim) propagator when folded
         f0 = env0(t)
         f1 = env1(t)
         phase_k = np.exp(1j * wd * t)
@@ -284,7 +358,10 @@ def propagate_rwa(
         dy = np.empty_like(y)
         dy[0] = -1j * np.dot(g0, ck)
         dy[1] = -1j * np.dot(g1, ck)
-        dy[2:] = -1j * (np.conj(g0) * y[0] + np.conj(g1) * y[1])
+        if y.ndim == 1:
+            dy[2:] = -1j * (np.conj(g0) * y[0] + np.conj(g1) * y[1])
+        else:
+            dy[2:] = -1j * (np.outer(np.conj(g0), y[0]) + np.outer(np.conj(g1), y[1]))
         return dy
 
     rate = max(
@@ -292,7 +369,14 @@ def propagate_rwa(
         abs(couplings.delta_qubit),
         float(np.max(couplings.lambda_scale, initial=0.0)),
     ) / HBAR
-    return _propagate(rhs, psi0, "rwa", couplings.n_levels, pulses, settings, rate, couplings)
+    n = couplings.n_levels
+    if reason is not None:
+        logger.info("rwa propagation: direct (%s)", reason)
+        return _propagate(rhs, psi0, "rwa", n, pulses, settings, rate, couplings)
+    logger.info(
+        "rwa propagation: folded over %.6g beat periods of P = %.6g ns", pulses.duration / period, period
+    )
+    return _propagate(rhs, psi0, "rwa", n, pulses, settings, rate, couplings, period=period, phases=wd)
 
 
 def propagate_averaged(

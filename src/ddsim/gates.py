@@ -255,6 +255,19 @@ def synthesize_gate(
     lo, hi = spec.scale_bounds
     k_lo = spec.k if spec.k is not None else 0
     k_hi = spec.k if spec.k is not None else spec.k_max
+    if w_base + math.pi * k_lo == 0.0:
+        # W = 0 (the identity up to a phase) needs no dressed phase: zero duration at Delta = 0,
+        # zero amplitude otherwise; the next branch, W = pi, gives the same gate
+        if spec.k is not None:
+            raise GateSynthesisError(
+                f"k = {spec.k} leaves {spec.target} no dressed phase to accumulate "
+                "(zero-length window); pin k >= 1 or leave k free"
+            )
+        k_lo = 1
+        if k_lo > k_hi:
+            raise GateSynthesisError(
+                f"{spec.target} needs k >= 1 for a window of positive length, but k_max = {spec.k_max}"
+            )
 
     def admissible_k(t_dur: float):
         """Best k in range whose amplitude rescale stays in bounds."""

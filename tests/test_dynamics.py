@@ -1,13 +1,19 @@
 """Propagation tiers against closed-form dynamics and each other."""
 
+import cmath
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import ddsim.dynamics
 from ddsim import (
+    CouplingSet,
     Envelope,
     ExcitedLevel,
+    GateSpec,
     IntegratorSettings,
     PropagationError,
     PulsePair,
@@ -16,9 +22,13 @@ from ddsim import (
     Trajectory,
     check_adiabatic_elimination,
     derive_couplings,
+    effective_hamiltonian,
+    enforce_two_photon_resonance,
     propagate_averaged,
     propagate_bare,
     propagate_rwa,
+    qubit_transfer_matrix,
+    synthesize_gate,
 )
 from ddsim.units import HBAR
 
@@ -171,6 +181,176 @@ def test_dimension_mismatch_rejected():
     cs = derive_couplings(sp, pp)
     with pytest.raises(ValueError, match="amplitudes"):
         propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 4))
+
+
+@pytest.mark.parametrize("periods", [10, 20000])
+def test_folded_norm_blowup_is_reported(periods, caplog):
+    # constant envelopes at Delta != 0 fold; one rk4 step per beat period cannot resolve it,
+    # and over 20000 periods the powers overflow until the drift reads NaN
+    sp, om0 = _single_level(-100.0, delta_qubit=30.0)
+    period = 2.0 * math.pi * HBAR / 30.0
+    pp = _flat_pair(sp, om0, amp=50.0, duration=periods * period)
+    cs = derive_couplings(sp, pp)
+    coarse = IntegratorSettings(method="rk4", max_step=period, save_points=5)
+    with caplog.at_level(logging.INFO, logger="ddsim.dynamics"), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PropagationError, match="norm"):
+            propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 1), coarse)
+    assert "folded" in caplog.text
+
+
+# ---------------------------------------------------------------- folding
+
+
+def _c_frame_reference(cs, pp, y0, times):
+    """DOP853 at rtol 1e-12 on the rwa equations in the c frame, one column per initial state.
+
+    <0|H|k> = (lambda0 e^{i phi0} + mu1 e^{i phi1} e^{-i Delta t}) e^{i delta_k t} and
+    <1|H|k> = (mu0 e^{i phi0} e^{+i Delta t} + lambda1 e^{i phi1}) e^{i delta_k t}, over hbar.
+    """
+    wd, wq = cs.delta / HBAR, cs.delta_qubit / HBAR
+    e0, e1 = np.exp(1j * pp.phi0) / HBAR, np.exp(1j * pp.phi1) / HBAR
+    # plain Python scalars: the reference runs for up to ~1e6 rhs calls
+    levels = list(zip(wd.tolist(), (cs.lambda0 * e0).tolist(), (cs.mu1 * e1).tolist(),
+                      (cs.mu0 * e0).tolist(), (cs.lambda1 * e1).tolist()))
+    dim, cols = y0.shape
+
+    def rhs(t, y):
+        v = y.tolist()  # row-major (dim, cols)
+        beat = cmath.exp(1j * wq * t)
+        dy = [0j] * (dim * cols)
+        for k, (w, lam0, mu1, mu0, lam1) in enumerate(levels):
+            ph = cmath.exp(1j * w * t)
+            g0 = (lam0 + mu1 / beat) * ph
+            g1 = (mu0 * beat + lam1) * ph
+            row = (2 + k) * cols
+            for j in range(cols):
+                dy[j] += g0 * v[row + j]
+                dy[cols + j] += g1 * v[row + j]
+                dy[row + j] = g0.conjugate() * v[j] + g1.conjugate() * v[cols + j]
+        return -1j * np.array(dy)
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), y0.astype(complex).ravel(), method="DOP853",
+                    t_eval=times, rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return sol.y.T.reshape(len(times), dim, cols)
+
+
+def _fold_draw(seed, n, sign, periods):
+    """Constant-envelope couplings at Delta != 0 over `periods` beat periods."""
+    rng = np.random.default_rng(seed)
+    dq = sign * float(rng.uniform(40.0, 120.0))
+    cs = CouplingSet(lambda0=rng.uniform(2.0, 10.0, n), lambda1=rng.uniform(2.0, 10.0, n),
+                     mu0=rng.uniform(0.0, 10.0, n), mu1=rng.uniform(0.0, 10.0, n),
+                     delta=-rng.uniform(0.2, 0.6, n) * abs(dq), delta_qubit=dq)
+    period = 2.0 * math.pi * HBAR / abs(dq)
+    env = Envelope("constant")
+    pp = PulsePair(amp0=1.0, amp1=1.0, envelope0=env, envelope1=env, omega0=5000.0,
+                   omega1=5000.0 - dq, duration=periods * period,
+                   phi0=float(rng.uniform(0.0, 2.0 * math.pi)), phi1=float(rng.uniform(0.0, 2.0 * math.pi)))
+    qubit = rng.normal(size=2) + 1j * rng.normal(size=2)
+    qubit /= np.linalg.norm(qubit)
+    return cs, pp, StateVector.qubit(qubit[0], qubit[1], n), period
+
+
+# (n, sign of Delta, window in beat periods, save points, method): saved times fall inside
+# the first period and, for integer windows, on period boundaries
+FOLD_DRAWS = [
+    (1, +1, 2.0, 2, "adaptive"),
+    (2, -1, 2.5, 7, "rk4"),
+    (3, +1, 7.3, 201, "adaptive"),
+    (4, -1, 16.0, 2, "rk4"),
+    (1, -1, 31.7, 7, "adaptive"),
+    (2, +1, 64.0, 201, "rk4"),
+    (3, -1, 100.5, 2, "adaptive"),
+    (4, +1, 150.0, 7, "rk4"),
+    (2, -1, 255.2, 201, "adaptive"),
+    (4, +1, 400.0, 7, "adaptive"),
+    (1, -1, 399.6, 201, "rk4"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FOLD_DRAWS)))
+def test_fold_matches_c_frame_reference(case, caplog):
+    n, sign, periods, save_points, method = FOLD_DRAWS[case]
+    cs, pp, psi, period = _fold_draw(case, n, sign, periods)
+    # rk4 has no tolerance; its step is set fine enough for the 1e-8 bar
+    settings = IntegratorSettings(method=method, save_points=save_points,
+                                  max_step=period / 1000.0 if method == "rk4" else None)
+    with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
+        traj = propagate_rwa(cs, pp, psi, settings)
+    assert "folded" in caplog.text
+    ref = _c_frame_reference(cs, pp, psi.amplitudes[:, None], traj.times)[:, :, 0]
+    assert np.max(np.abs(traj.amplitudes - ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("case, method", [(0, "adaptive"), (1, "rk4"), (2, "rk4"), (3, "adaptive")])
+def test_fold_is_as_accurate_as_the_direct_path(case, method, monkeypatch):
+    # at default settings, on windows short enough for the direct path to be cheap
+    n, sign, periods, save_points, _ = FOLD_DRAWS[case]
+    cs, pp, psi, _ = _fold_draw(case, n, sign, periods)
+    settings = IntegratorSettings(method=method, save_points=save_points)
+    folded = propagate_rwa(cs, pp, psi, settings)
+    monkeypatch.setattr(ddsim.dynamics, "averaging_period", lambda delta_qubit: math.inf)
+    direct = propagate_rwa(cs, pp, psi, settings)
+    ref = _c_frame_reference(cs, pp, psi.amplitudes[:, None], folded.times)[:, :, 0]
+    err_folded = np.max(np.abs(folded.amplitudes - ref))
+    err_direct = np.max(np.abs(direct.amplitudes - ref))
+    assert err_folded <= 2.0 * err_direct + 1e-11
+
+
+def _criterion_4_gate(level_energy, epsilon1, omega0, d1, amp_ref, spec):
+    """Synthesize and build the pulses as acceptance criterion 4 does."""
+    sp = SpectrumModel(epsilon0=0.0, epsilon1=epsilon1,
+                       excited_levels=(ExcitedLevel(energy=level_energy, dipole_to_0=2.0, dipole_to_1=d1),))
+    om0, om1 = enforce_two_photon_resonance(sp, omega0)
+    env = Envelope("constant")
+    ref = PulsePair(amp0=amp_ref, amp1=amp_ref, envelope0=env, envelope1=env,
+                    omega0=om0, omega1=om1, duration=1.0)
+    sol = synthesize_gate(spec, effective_hamiltonian(derive_couplings(sp, ref), 0.0, 0.0), sp.delta)
+    s, x = sol.amplitude_scale, sol.amplitude_ratio
+    pp = PulsePair(amp0=s * amp_ref, amp1=s * x * amp_ref, envelope0=env, envelope1=env,
+                   omega0=om0, omega1=om1, duration=sol.duration, phi0=sol.phase_offset)
+    return derive_couplings(sp, pp), pp
+
+
+@pytest.mark.parametrize("args", [
+    (2015.0, 15.0, 1915.0, 2.0, 50.0, GateSpec(target="NOT", l=15)),
+    (2005.0, 5.0, 1905.0, 0.2, 50.0, GateSpec(target="PHASE", l=10)),
+    (6500.0, 3000.0, 6400.0, 2.0, 50.0 / (1.0 + math.sqrt(2.0)), GateSpec(target="HADAMARD", l=5119, l_max=8192)),
+], ids=["NOT", "PHASE", "HADAMARD"])
+def test_criterion_4_gates_fold_to_reference(args):
+    cs, pp = _criterion_4_gate(*args)
+    settings = IntegratorSettings(save_points=2)
+    runs = [propagate_rwa(cs, pp, StateVector.qubit(1, 0, 1), settings),
+            propagate_rwa(cs, pp, StateVector.qubit(0, 1, 1), settings)]
+    ref = _c_frame_reference(cs, pp, np.eye(3, 2), runs[0].times)[-1]
+    realized = np.column_stack([run.final_amplitudes for run in runs])
+    assert np.max(np.abs(realized - ref)) <= 1e-9
+    assert np.allclose(qubit_transfer_matrix(*runs), ref[:2])
+
+
+@pytest.mark.parametrize("kind, periods, expect", [
+    ("constant", 3.5, "folded over 3.5 beat periods of P = "),
+    ("sin2", 3.5, "direct (sin2/sin2 envelopes)"),
+    ("zero", 3.5, "direct (Delta = 0)"),
+    ("constant", 1.5, "shorter than 2 beat periods"),
+])
+def test_each_run_logs_its_path(kind, periods, expect, caplog):
+    dq = 0.0 if kind == "zero" else 30.0
+    sp, om0 = _single_level(-100.0, delta_qubit=dq)
+    duration = periods * 2.0 * math.pi * HBAR / 30.0
+    if kind == "sin2":
+        env = Envelope("sin2", center=0.5 * duration, width=duration)
+        pp = PulsePair(amp0=20.0, amp1=20.0, envelope0=env, envelope1=env,
+                       omega0=om0, omega1=om0 - sp.delta, duration=duration)
+    else:
+        pp = _flat_pair(sp, om0, amp=20.0, duration=duration)
+    with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
+        propagate_rwa(derive_couplings(sp, pp), pp, StateVector.qubit(1.0, 0.0, 1))
+    lines = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
+    assert len(lines) == 1
+    assert lines[0].startswith("rwa propagation: ")
+    assert expect in lines[0]
 
 
 # ---------------------------------------------------------------- elimination

@@ -221,6 +221,23 @@ def test_unsatisfiable_search_window_raises():
         synthesize_gate(spec, SYMMETRIC, 5.0)
 
 
+def test_identity_at_zero_splitting_takes_the_first_positive_window():
+    # W = 0 at k = 0 would be a zero-length window; k = 1 (W = pi) is -1 times the identity
+    ham = EffectiveHamiltonian(1.0, 1.0, 1.0)
+    sol = synthesize_gate(GateSpec(target="CUSTOM", custom_unitary=np.eye(2)), ham, 0.0)
+    assert sol.k == 1
+    assert sol.omega_tilde == math.pi
+    assert sol.duration > 0
+    assert sol.predicted_fidelity >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.0, 5.0])
+def test_identity_pinned_to_zero_length_branch_raises(delta):
+    spec = GateSpec(target="CUSTOM", custom_unitary=np.eye(2), k=0)
+    with pytest.raises(GateSynthesisError, match="k = 0 leaves CUSTOM no dressed phase"):
+        synthesize_gate(spec, EffectiveHamiltonian(1.0, 1.0, 1.0), delta)
+
+
 # ---------------------------------------------------------------------
 # synthesis failure modes
 # ---------------------------------------------------------------------
