@@ -36,7 +36,6 @@ from .drive import (
     classify_regime,
     derive_couplings,
     enforce_two_photon_resonance,
-    field_at,
     slow_switching_ok,
 )
 from .dynamics import (
@@ -104,7 +103,6 @@ __all__ = [
     "classify_regime",
     "averaging_period",
     "slow_switching_ok",
-    "field_at",
     "FRAMES",
     "StateVector",
     "IntegratorSettings",

@@ -300,11 +300,6 @@ def set_by_path(cfg: dict, path: str, value: float) -> None:
     cfg.setdefault(section, {})[fld] = value
 
 
-def get_by_path(cfg: dict, path: str):
-    section, fld = path.split(".")
-    return cfg[section][fld]
-
-
 def sweep_points(sweep_section: dict) -> list[tuple[tuple[str, float], ...]]:
     """Expand the axes into an ordered grid of (path, value) overrides.
 

@@ -359,18 +359,3 @@ def slow_switching_ok(pulses: PulsePair, delta_qubit: float, factor: float = 10.
         return True
     return pulses.switching_time >= factor * period
 
-
-def field_at(pulses: PulsePair, t):
-    """Envelope values and the instantaneous physical field at time t.
-
-    Returns (f0, f1, E) with E in V/cm including both carriers.
-    """
-    f0 = pulses.envelope0(t)
-    f1 = pulses.envelope1(t)
-    t = np.asarray(t, dtype=float)
-    e = pulses.amp0 * f0 * np.cos(pulses.omega0 / HBAR * t + pulses.phi0) + (
-        pulses.amp1 * f1 * np.cos(pulses.omega1 / HBAR * t + pulses.phi1)
-    )
-    if e.ndim == 0:
-        return f0, f1, float(e)
-    return f0, f1, e

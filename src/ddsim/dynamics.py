@@ -34,6 +34,15 @@ propagate_averaged
     the envelopes; fast and the direct counterpart of the analytic
     effective model.
 
+All three are the same star-coupled equation: each manifold level k
+couples only to |0> and |1>, so H(t)/hbar = s(t) M(t) with
+<0|M|k> = g0_k(t), <1|M|k> = g1_k(t) and an optional constant manifold
+diagonal <k|M|k>.  A tier supplies only its couplings (s, g0, g1) at t
+(s is 1 except in the bare tier, where it is the instantaneous field)
+and the averaged tier its diagonal -delta_k / hbar; one right-hand side
+(_star_rhs) computes dy/dt for all of them, for a single state or for a
+propagator whose columns are states.
+
 Norms are monitored, never renormalized: drift beyond the configured
 bound raises PropagationError instead of silently hiding an integrator
 problem.
@@ -50,7 +59,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .drive import CouplingSet, PulsePair, averaging_period
+from .drive import CouplingSet, PulsePair, averaging_period, slow_switching_ok
 from .spectrum import SpectrumModel
 from .units import DIPOLE_FIELD_TO_UEV, HBAR
 
@@ -106,7 +115,12 @@ class IntegratorSettings:
     method "adaptive" uses an 8th-order adaptive Runge-Kutta scheme;
     "rk4" is a fixed-step classic RK4 fallback whose step defaults to
     resolving the fastest phase in the problem with 50 points per
-    period.  max_step is in ns and bounds either method.
+    period.  In the bare tier that is the faster carrier.  In the rwa
+    and averaged tiers it is the faster of the largest Rabi scale lambda
+    and the fastest coupling phase: max_k |delta_k| + |Delta| in the rwa
+    tier, where the crossed couplings turn at delta_k -+ Delta, and
+    max_k |delta_k| in the averaged tier.  max_step is in ns and bounds
+    either method.
     """
 
     method: str = "adaptive"
@@ -165,12 +179,6 @@ class Trajectory:
         return np.sum(self.populations[:, 2:], axis=1)
 
     @property
-    def final_state(self) -> StateVector:
-        amps = self.amplitudes[-1]
-        norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        return StateVector(amps / norm, self.frame)
-
-    @property
     def final_amplitudes(self) -> np.ndarray:
         return self.amplitudes[-1]
 
@@ -178,6 +186,29 @@ class Trajectory:
 # ---------------------------------------------------------------------
 # propagation engine
 # ---------------------------------------------------------------------
+
+
+def _star_rhs(star, diag=None):
+    """dy/dt = -i H(t) y / hbar for the star-coupled equations of every tier.
+
+    H(t)/hbar = s M(t) in rad/ns, where star(t) returns (s, g0, g1) with
+    real s, <0|M|k> = g0_k and <1|M|k> = g1_k; diag, if given, is the
+    constant manifold diagonal <k|M|k>.  y is one state of shape (dim,)
+    or a propagator of shape (dim, dim) whose columns are states.
+    """
+    def rhs(t, y):
+        s, g0, g1 = star(t)
+        ck = y[2:]
+        dy = np.empty_like(y)
+        dy[0] = -1j * s * np.dot(g0, ck)
+        dy[1] = -1j * s * np.dot(g1, ck)
+        dk = np.multiply.outer(np.conj(g0), y[0])
+        if diag is not None:
+            dk = (diag * ck.T).T + dk
+        dy[2:] = -1j * s * (dk + np.multiply.outer(np.conj(g1), y[1]))
+        return dy
+
+    return rhs
 
 
 def _run_rk4(rhs, y0, grid, step):
@@ -224,7 +255,7 @@ def _integrate(rhs, y0, grid, settings, max_step, step):
 def _fold(rhs, psi0, grid, period, phases, integrate):
     """Amplitudes on grid from the propagator of one period (Floquet).
 
-    rhs(t, y) must accept y of shape (dim, dim) and describe a system
+    rhs(t, y), applied to y of shape (dim, dim), must describe a system
     that repeats itself after `period` in the frame b_k = c_k e^{i phases_k t}:
     with D(t) = diag(1, 1, e^{-i phases t}), H(t + P) = D(P) H(t) D(P)^dag.
     The propagator U(tau) is integrated once over [0, P], and a saved time
@@ -260,15 +291,15 @@ def _fold(rhs, psi0, grid, period, phases, integrate):
     return out
 
 
-def _propagate(rhs, psi0, frame, n_excited, pulses, settings, rate, couplings=None, clamp=False,
-               period=None, phases=None):
-    """Integrate dy/dt = rhs(t, y) from psi0 over [0, pulses.duration].
+def _propagate(star, psi0, frame, n_excited, pulses, settings, rate, couplings=None, diag=None,
+               clamp=False, period=None, phases=None):
+    """Integrate the star-coupled equations (see _star_rhs) from psi0 over [0, pulses.duration].
 
     rate is the fastest angular frequency in the tier, rad/ns.  The
     fixed rk4 step defaults to resolving it with _STEPS_PER_PERIOD
     points per period; with clamp that step also bounds max_step, for
     either method and whatever the settings ask for.  With a period,
-    rhs generates the one-period propagator instead and the run is
+    the one-period propagator is integrated instead and the run is
     folded (see _fold).
     """
     settings = settings or IntegratorSettings()
@@ -295,6 +326,7 @@ def _propagate(rhs, psi0, frame, n_excited, pulses, settings, rate, couplings=No
     def integrate(f, y0, grid):
         return _integrate(f, y0, grid, settings, max_step, step)
 
+    rhs = _star_rhs(star, diag)
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
     if period is None:
         ys = integrate(rhs, psi0.amplitudes, grid)
@@ -347,36 +379,26 @@ def propagate_rwa(
     else:
         reason = None
 
-    def rhs(t, y):  # y is one state, or a (dim, dim) propagator when folded
+    def star(t):
         f0 = env0(t)
         f1 = env1(t)
         phase_k = np.exp(1j * wd * t)
         beat = np.exp(1j * wq * t)
-        g0 = (lam0 * f0 + mu1 * f1 / beat) * phase_k
-        g1 = (mu0 * f0 * beat + lam1 * f1) * phase_k
-        ck = y[2:]
-        dy = np.empty_like(y)
-        dy[0] = -1j * np.dot(g0, ck)
-        dy[1] = -1j * np.dot(g1, ck)
-        if y.ndim == 1:
-            dy[2:] = -1j * (np.conj(g0) * y[0] + np.conj(g1) * y[1])
-        else:
-            dy[2:] = -1j * (np.outer(np.conj(g0), y[0]) + np.outer(np.conj(g1), y[1]))
-        return dy
+        return 1.0, (lam0 * f0 + mu1 * f1 / beat) * phase_k, (mu0 * f0 * beat + lam1 * f1) * phase_k
 
+    # the crossed couplings turn at delta_k -+ Delta
     rate = max(
-        float(np.max(np.abs(couplings.delta), initial=0.0)),
-        abs(couplings.delta_qubit),
+        float(np.max(np.abs(couplings.delta), initial=0.0)) + abs(couplings.delta_qubit),
         float(np.max(couplings.lambda_scale, initial=0.0)),
     ) / HBAR
     n = couplings.n_levels
     if reason is not None:
         logger.info("rwa propagation: direct (%s)", reason)
-        return _propagate(rhs, psi0, "rwa", n, pulses, settings, rate, couplings)
+        return _propagate(star, psi0, "rwa", n, pulses, settings, rate, couplings)
     logger.info(
         "rwa propagation: folded over %.6g beat periods of P = %.6g ns", pulses.duration / period, period
     )
-    return _propagate(rhs, psi0, "rwa", n, pulses, settings, rate, couplings, period=period, phases=wd)
+    return _propagate(star, psi0, "rwa", n, pulses, settings, rate, couplings, period=period, phases=wd)
 
 
 def propagate_averaged(
@@ -392,8 +414,6 @@ def propagate_averaged(
     error, since the comparison against the rwa tier is itself a useful
     diagnostic.
     """
-    from .drive import slow_switching_ok  # local import to keep module load light
-
     if not slow_switching_ok(pulses, couplings.delta_qubit):
         warnings.warn(
             "envelope switching time is short against the beat period; "
@@ -401,28 +421,19 @@ def propagate_averaged(
             stacklevel=2,
         )
 
-    wd = couplings.delta / HBAR
     lam0 = couplings.lambda0 * np.exp(1j * pulses.phi0) / HBAR
     lam1 = couplings.lambda1 * np.exp(1j * pulses.phi1) / HBAR
     env0, env1 = pulses.envelope0, pulses.envelope1
 
-    def rhs(t, y):
-        f0 = env0(t)
-        f1 = env1(t)
-        g0 = lam0 * f0
-        g1 = lam1 * f1
-        bk = y[2:]
-        dy = np.empty_like(y)
-        dy[0] = -1j * np.dot(g0, bk)
-        dy[1] = -1j * np.dot(g1, bk)
-        dy[2:] = -1j * (-wd * bk + np.conj(g0) * y[0] + np.conj(g1) * y[1])
-        return dy
+    def star(t):
+        return 1.0, lam0 * env0(t), lam1 * env1(t)
 
     rate = max(
         float(np.max(np.abs(couplings.delta), initial=0.0)),
         float(np.max(couplings.lambda_scale, initial=0.0)),
     ) / HBAR
-    return _propagate(rhs, psi0, "averaged", couplings.n_levels, pulses, settings, rate, couplings)
+    return _propagate(star, psi0, "averaged", couplings.n_levels, pulses, settings, rate, couplings,
+                      diag=-couplings.delta / HBAR)
 
 
 def propagate_bare(
@@ -447,18 +458,11 @@ def propagate_bare(
     phi0, phi1 = pulses.phi0, pulses.phi1
     env0, env1 = pulses.envelope0, pulses.envelope1
 
-    def rhs(t, y):
+    def star(t):  # s is the instantaneous field, V/cm
         e_field = amp0 * env0(t) * math.cos(w0 * t + phi0) + amp1 * env1(t) * math.cos(w1 * t + phi1)
-        ph0 = np.exp(-1j * w0k * t)
-        ph1 = np.exp(-1j * w1k * t)
-        ck = y[2:]
-        dy = np.empty_like(y)
-        dy[0] = -1j * e_field * np.dot(d0 * ph0, ck)
-        dy[1] = -1j * e_field * np.dot(d1 * ph1, ck)
-        dy[2:] = -1j * e_field * (np.conj(d0 * ph0) * y[0] + np.conj(d1 * ph1) * y[1])
-        return dy
+        return e_field, d0 * np.exp(-1j * w0k * t), d1 * np.exp(-1j * w1k * t)
 
-    return _propagate(rhs, psi0, "bare", spectrum.n_excited, pulses, settings, max(w0, w1), clamp=True)
+    return _propagate(star, psi0, "bare", spectrum.n_excited, pulses, settings, max(w0, w1), clamp=True)
 
 
 # ---------------------------------------------------------------------

@@ -315,11 +315,6 @@ class GateMatrix:
         return np.array([[self.u00, self.u01], [self.u10, self.u11]], dtype=complex)
 
     @property
-    def interaction_matrix(self) -> np.ndarray:
-        """Propagator for the interaction-picture amplitudes (c_0, c_1)."""
-        return self.global_phase * self.core
-
-    @property
     def matrix(self) -> np.ndarray:
         """Full lab-frame propagator including the beat factors."""
         dp0 = cmath.exp(1j * self.delta_qubit * self.t0 / HBAR)

@@ -119,7 +119,6 @@ class GateSolution:
     phase_offset: float
     k: int
     l: int
-    m: int
     n: int
     delta_t_residual: float
     predicted_fidelity: float
@@ -135,7 +134,6 @@ class GateSolution:
             "phase_offset_rad": self.phase_offset,
             "k": self.k,
             "l": self.l,
-            "m": self.m,
             "n": self.n,
             "delta_t_residual_rad": self.delta_t_residual,
             "predicted_fidelity": self.predicted_fidelity,
@@ -332,7 +330,6 @@ def synthesize_gate(
         phase_offset=phase_offset,
         k=k,
         l=l,
-        m=0,
         n=n,
         delta_t_residual=residual,
         predicted_fidelity=fidelity,

@@ -19,7 +19,6 @@ from ddsim.config import (
     build_pulse_pair,
     build_spectrum_model,
     config_with_overrides,
-    get_by_path,
     load_config,
     set_by_path,
     sweep_points,
@@ -267,7 +266,7 @@ def test_sweep_points_sorted_regardless_of_axis_direction():
 def test_path_helpers_round_trip():
     cfg = {"pulses": {"amp0": 1.0}}
     set_by_path(cfg, "pulses.amp0", 7.0)
-    assert get_by_path(cfg, "pulses.amp0") == 7.0
+    assert cfg["pulses"]["amp0"] == 7.0
     set_by_path(cfg, "integrator.rtol", 1e-9)  # section created on demand
     assert cfg["integrator"]["rtol"] == 1e-9
 

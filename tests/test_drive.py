@@ -14,11 +14,9 @@ from ddsim import (
     classify_regime,
     derive_couplings,
     enforce_two_photon_resonance,
-    field_at,
     slow_switching_ok,
 )
 from ddsim.drive import CouplingSet
-from ddsim.units import HBAR
 
 
 def _spectrum(levels, delta=5.0):
@@ -157,15 +155,6 @@ def test_two_photon_lock():
     om0, om1 = enforce_two_photon_resonance(sp, 1905.0)
     assert om0 == 1905.0
     assert om1 == 1900.0
-
-
-def test_field_at_sums_both_carriers():
-    pp = _pair(2000.0, 5.0, amp0=3.0, amp1=4.0, phi0=0.3, phi1=-0.1)
-    t = 1.7
-    f0, f1, e = field_at(pp, t)
-    assert f0 == 1.0 and f1 == 1.0
-    expect = 3.0 * math.cos(2000.0 / HBAR * t + 0.3) + 4.0 * math.cos(1995.0 / HBAR * t - 0.1)
-    assert e == pytest.approx(expect, rel=1e-12)
 
 
 # ---------------------------------------------------------------- couplings

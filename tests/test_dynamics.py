@@ -298,6 +298,17 @@ def test_fold_is_as_accurate_as_the_direct_path(case, method, monkeypatch):
     assert err_folded <= 2.0 * err_direct + 1e-11
 
 
+@pytest.mark.parametrize("case", [3, 7])
+def test_default_rk4_step_resolves_the_crossed_couplings(case):
+    # |delta_k| reaches 0.6 |Delta| here, so the crossed couplings turn at up to 1.6 |Delta|;
+    # a step sized on max(|delta_k|, |Delta|) alone loses the norm on both draws
+    n, sign, periods, save_points, _ = FOLD_DRAWS[case]
+    cs, pp, psi, _ = _fold_draw(case, n, sign, periods)
+    traj = propagate_rwa(cs, pp, psi, IntegratorSettings(method="rk4", save_points=save_points))
+    ref = _c_frame_reference(cs, pp, psi.amplitudes[:, None], traj.times)[:, :, 0]
+    assert np.max(np.abs(traj.amplitudes - ref)) <= 2e-6
+
+
 def _criterion_4_gate(level_energy, epsilon1, omega0, d1, amp_ref, spec):
     """Synthesize and build the pulses as acceptance criterion 4 does."""
     sp = SpectrumModel(epsilon0=0.0, epsilon1=epsilon1,
@@ -353,6 +364,33 @@ def test_each_run_logs_its_path(kind, periods, expect, caplog):
     assert expect in lines[0]
 
 
+# ---------------------------------------------------------------- shared rhs
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("with_diag", [False, True])
+def test_star_rhs_takes_states_and_propagators(n, with_diag):
+    rng = np.random.default_rng([n, with_diag])
+    dim = 2 + n
+    s = float(rng.uniform(-3.0, 3.0))
+    g0, g1 = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    diag = rng.normal(size=n) if with_diag else None
+    rhs = ddsim.dynamics._star_rhs(lambda t: (s, g0, g1), diag)
+    y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    block = rhs(0.3, y)
+    # the manifold rows are elementwise and bit-equal; the qubit rows are BLAS dot products,
+    # summed in another order for a vector than for a matrix
+    for j in range(dim):
+        column = rhs(0.3, y[:, j].copy())
+        assert np.array_equal(column[2:], block[2:, j])
+        assert np.max(np.abs(column[:2] - block[:2, j])) <= 1e-14
+    h = np.zeros((dim, dim), dtype=complex)
+    h[0, 2:], h[1, 2:] = g0, g1
+    h[2:, 0], h[2:, 1] = np.conj(g0), np.conj(g1)
+    if with_diag:
+        h[2:, 2:] = np.diag(diag)
+    assert np.max(np.abs(block - (-1j * s * h) @ y)) <= 1e-14
+
+
 # ---------------------------------------------------------------- elimination
 
 def test_elimination_valid_when_detuning_dominates():
@@ -404,7 +442,7 @@ def test_trajectory_properties():
     assert traj.norms == pytest.approx(np.ones(5))
     assert traj.norm_drift < 1e-12
     assert np.all(traj.manifold_population == 0.0)
-    assert traj.final_state.frame == "rwa"
+    assert np.array_equal(traj.final_amplitudes, traj.amplitudes[-1])
 
 
 def test_trajectory_grid_must_increase():

@@ -216,7 +216,7 @@ def test_matrix_includes_beat_and_free_phases():
     dp0 = cmath.exp(1j * 5.0 * 0.5 / HBAR)
     dp1 = cmath.exp(-1j * 5.0 * 1.5 / HBAR)
     m = gm.matrix
-    inter = gm.interaction_matrix
+    inter = gm.global_phase * gm.core
     assert m[0, 0] == pytest.approx(inter[0, 0])
     assert m[0, 1] == pytest.approx(inter[0, 1] * dp0)
     assert m[1, 0] == pytest.approx(inter[1, 0] * dp1)

@@ -280,7 +280,8 @@ def test_solution_dict_round_trip():
     assert d["phase_offset_rad"] == sol.phase_offset
     assert d["delta_t_residual_rad"] == sol.delta_t_residual
     assert d["predicted_fidelity"] == sol.predicted_fidelity
-    assert {"k", "l", "m", "n"} <= set(d)
+    assert {"k", "l", "n"} <= set(d)
+    assert "m" not in d
 
 
 # ---------------------------------------------------------------------
