@@ -225,14 +225,11 @@ def _run_effective(cfg):
     check = ev.check
 
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
-    rows = []
-    for t in grid:
-        f0 = float(pulses.envelope0(t))
-        f1 = float(pulses.envelope1(t))
-        rows.append(
-            [t, f0, f1, ev.theta(t), ev.omega(t), ev.E_plus(t), ev.E_minus(t)]
-        )
-    csv = _csv_text(["t", "f0", "f1", "theta", "omega", "e_plus", "e_minus"], rows)
+    columns = (pulses.envelope0, pulses.envelope1, ev.theta, ev.omega, ev.E_plus, ev.E_minus)
+    csv = _csv_text(
+        ["t", "f0", "f1", "theta", "omega", "e_plus", "e_minus"],
+        np.column_stack([grid, *(column(grid) for column in columns)]),
+    )
 
     gate = _gate_matrix_quiet(ev, spectrum, 0.0, pulses.duration)
     summary = {
@@ -387,16 +384,9 @@ def _run_compare(cfg):
     psi2 = build_initial_state(cfg, 0).amplitudes
 
     pops = traj.populations
-    rows = []
-    max_dev = 0.0
-    for i, t in enumerate(traj.times):
-        gate = _gate_matrix_quiet(ev, spectrum, 0.0, float(t))
-        out = apply(gate, psi2)
-        p0m, p1m = float(abs(out[0]) ** 2), float(abs(out[1]) ** 2)
-        p0e, p1e = float(pops[i, 0]), float(pops[i, 1])
-        dev = max(abs(p0e - p0m), abs(p1e - p1m))
-        max_dev = max(max_dev, dev)
-        rows.append([t, p0e, p1e, float(np.sum(pops[i, 2:])), p0m, p1m, dev])
+    model = np.abs(apply(_gate_matrix_quiet(ev, spectrum, 0.0, traj.times), psi2)) ** 2
+    dev = np.max(np.abs(pops[:, :2] - model), axis=1)
+    max_dev = float(np.max(dev))
 
     ratio = couplings.max_lambda_over_delta
     bound = 5.0 * ratio**2
@@ -412,7 +402,7 @@ def _run_compare(cfg):
     }
     csv = _csv_text(
         ["t", "p0_exact", "p1_exact", "p_manifold_exact", "p0_model", "p1_model", "deviation"],
-        rows,
+        np.column_stack((traj.times, pops[:, :2], np.sum(pops[:, 2:], axis=1), model, dev)),
     )
     return {"compare.csv": csv, "summary.json": _json_text(summary)}
 

@@ -217,6 +217,7 @@ SCHEMA = {
     "required": ["mode"],
     "additionalProperties": False,
 }
+_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)  # SCHEMA itself is checked by the test suite
 
 
 def load_config(path) -> dict:
@@ -233,11 +234,10 @@ def load_config(path) -> dict:
 
 def validate_config(cfg: Any) -> None:
     """Structural and cross-field validation; raises ConfigError."""
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {loc}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {loc}: {error.message}") from error
 
     mode = cfg["mode"]
     needed = set(_REQUIRED_SECTIONS[mode])

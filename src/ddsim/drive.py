@@ -284,8 +284,6 @@ class RegimeReport:
 
     labels: tuple[str, ...]
     ratio_detuning_coupling: np.ndarray   # |delta_k| / |lambda_k|
-    ratio_splitting_coupling: np.ndarray  # Delta / |lambda_k|
-    ratio_splitting_detuning: np.ndarray  # Delta / |delta_k|
 
     @property
     def all_off_resonant(self) -> bool:
@@ -311,7 +309,7 @@ def classify_regime(couplings: CouplingSet, rho: float = DOMINANCE_RATIO) -> Reg
     """
     dq = abs(couplings.delta_qubit)
     labels = []
-    r_dc, r_sc, r_sd = [], [], []
+    r_dc = []
     for k in range(couplings.n_levels):
         dk = abs(float(couplings.delta[k]))
         lmin = min(abs(couplings.lambda0[k]), abs(couplings.lambda1[k]))
@@ -329,15 +327,8 @@ def classify_regime(couplings: CouplingSet, rho: float = DOMINANCE_RATIO) -> Reg
             lab = "unclassified"
         labels.append(lab)
         r_dc.append(_ratio(dk, lmax))
-        r_sc.append(_ratio(dq, lmax))
-        r_sd.append(_ratio(dq, dk))
 
-    return RegimeReport(
-        labels=tuple(labels),
-        ratio_detuning_coupling=np.array(r_dc),
-        ratio_splitting_coupling=np.array(r_sc),
-        ratio_splitting_detuning=np.array(r_sd),
-    )
+    return RegimeReport(labels=tuple(labels), ratio_detuning_coupling=np.array(r_dc))
 
 
 def averaging_period(delta_qubit: float) -> float:

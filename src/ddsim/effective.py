@@ -24,7 +24,8 @@ endpoints, the integrated splitting, and the integrated mean shift.
 `evolution_matrix` builds exactly that, including the free phases of
 the lab frame and the beat factors at the qubit splitting, so the
 result maps lab-frame qubit amplitudes at t0 to lab-frame amplitudes
-at t.
+at t.  Every time argument may be a scalar or an array of times; array
+arguments give arrays of the same shape.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .spectrum import SpectrumModel
 from .units import HBAR
 
 _QUAD_LIMIT = 400
+_GRID_POINTS = 2001  # held-Theta and adiabaticity grid over the window
 
 
 @dataclass(frozen=True)
@@ -140,22 +142,15 @@ class EffectiveEvolution:
     whose derivatives feed `theta_dot`) on [t0, t1].  Pointwise methods
     evaluate the closed forms; the integrated splitting omega_integral
     and mean shift phi_lambda use adaptive quadrature and are cached per
-    requested time.
+    requested time.  Every method takes a time or an array of times and
+    returns a float or an array of the same shape.
 
     Where both envelopes vanish the mixing angle is defined by its limit
     along the window (evaluated just inside); across stretches where
     both vanish Theta holds its last defined value.
     """
 
-    def __init__(
-        self,
-        ham: EffectiveHamiltonian,
-        f0: Envelope,
-        f1: Envelope,
-        t0: float,
-        t1: float,
-        grid_points: int = 2001,
-    ):
+    def __init__(self, ham: EffectiveHamiltonian, f0: Envelope, f1: Envelope, t0: float, t1: float):
         if t1 <= t0:
             raise ValueError("window must have t1 > t0")
         self.ham = ham
@@ -163,20 +158,19 @@ class EffectiveEvolution:
         self.f1 = f1
         self.t0 = float(t0)
         self.t1 = float(t1)
-        self._span = self.t1 - self.t0
         self._integrals: dict[str, dict[float, float]] = {"mean": {}, "omega": {}}
 
-        self.grid = np.linspace(self.t0, self.t1, grid_points)
+        self.grid = np.linspace(self.t0, self.t1, _GRID_POINTS)
         d = _dressed(ham, f0(self.grid), f1(self.grid))
         self._grid_omega = d.omega
         defined = (d.x != 0.0) | (d.y != 0.0)
         if np.any(defined):
             # hold the last defined value across gaps, the first one before it
-            last = np.maximum.accumulate(np.where(defined, np.arange(grid_points), -1))
+            last = np.maximum.accumulate(np.where(defined, np.arange(_GRID_POINTS), -1))
             last[last < 0] = np.argmax(defined)
             self._grid_theta = np.arctan2(d.y, d.x)[last]
         else:
-            self._grid_theta = np.zeros(grid_points)
+            self._grid_theta = np.zeros(_GRID_POINTS)
 
     # -- pointwise closed forms ----------------------------------------
 
@@ -195,16 +189,29 @@ class EffectiveEvolution:
         d = self._at(t)
         return _plain(d.mean - d.omega)
 
-    def theta(self, t: float) -> float:
+    def theta(self, t):
         """Mixing angle Theta(t) in [0, pi], limit-valued at dead times."""
-        # at a dead time, nudge inward to pick up the limiting envelope ratio
-        direction = 1.0 if t <= 0.5 * (self.t0 + self.t1) else -1.0
-        for mag in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
-            d = self._at(t + direction * mag * self._span)
-            if d.x != 0.0 or d.y != 0.0:
-                return math.atan2(d.y, d.x)
-        # fully dead neighborhood: hold the nearest grid value
-        return float(self._grid_theta[np.argmin(np.abs(self.grid - t))])
+        t = np.asarray(t, dtype=float)
+        d = self._at(t)
+        out = np.arctan2(d.y, d.x, out=np.empty(t.shape))
+        dead = np.flatnonzero((d.x == 0.0) & (d.y == 0.0))  # entries still undecided
+        if dead.size:
+            flat = t.ravel()
+            out = out.ravel()
+            # at a dead time, nudge inward to pick up the limiting envelope ratio
+            inward = np.where(flat <= 0.5 * (self.t0 + self.t1), 1.0, -1.0) * (self.t1 - self.t0)
+            for mag in (1e-12, 1e-9, 1e-6, 1e-3):
+                d = self._at(flat[dead] + mag * inward[dead])
+                defined = (d.x != 0.0) | (d.y != 0.0)
+                out[dead[defined]] = np.arctan2(d.y, d.x)[defined]
+                dead = dead[~defined]
+                if not dead.size:
+                    break
+            # fully dead neighborhood: hold the nearest grid value, the lower one on a tie
+            i = np.clip(np.searchsorted(self.grid, flat[dead]), 1, _GRID_POINTS - 1)
+            i -= np.abs(flat[dead] - self.grid[i - 1]) <= np.abs(self.grid[i] - flat[dead])
+            out[dead] = self._grid_theta[i]
+        return _plain(out.reshape(t.shape))
 
     def theta_dot(self, t):
         """Mixing-angle rate used for the adiabaticity diagnostic, rad/ns.
@@ -229,23 +236,26 @@ class EffectiveEvolution:
 
     # -- integrated quantities -----------------------------------------
 
-    def _accumulated(self, field: str, t: float) -> float:
+    def _accumulated(self, field: str, t):
         """Integral over hbar on [t0, t] of one `_Dressed` field, rad."""
         cache = self._integrals[field]
-        key = float(t)
-        if key not in cache:
-            val, _ = quad(
-                lambda s: getattr(self._at(s), field), self.t0, key,
-                limit=_QUAD_LIMIT, epsabs=1e-13, epsrel=1e-12,
-            )
-            cache[key] = val / HBAR
-        return cache[key]
+        t = np.asarray(t, dtype=float)
+        keys = t.ravel().tolist()
+        for key in keys:
+            if key not in cache:
+                val, _ = quad(
+                    lambda s: getattr(self._at(s), field), self.t0, key,
+                    limit=_QUAD_LIMIT, epsabs=1e-13, epsrel=1e-12,
+                )
+                cache[key] = val / HBAR
+        values = [cache[key] for key in keys]
+        return values[0] if t.ndim == 0 else np.reshape(values, t.shape)
 
-    def omega_integral(self, t: float) -> float:
+    def omega_integral(self, t):
         """Accumulated dressed phase integral of Omega/hbar on [t0, t], rad."""
         return self._accumulated("omega", t)
 
-    def phi_lambda(self, t: float) -> float:
+    def phi_lambda(self, t):
         """Accumulated mean light-shift phase on [t0, t], rad."""
         return self._accumulated("mean", t)
 
@@ -280,6 +290,13 @@ def diagonal_evolution_check(evolution: EffectiveEvolution, threshold: float = 0
     )
 
 
+def _block(a, b, c, d) -> np.ndarray:
+    """2x2 matrices [[a, b], [c, d]] over the shape of the entries."""
+    m = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
+    return m
+
+
 @dataclass(frozen=True)
 class GateMatrix:
     """Closed-form qubit propagator between two times.
@@ -289,47 +306,49 @@ class GateMatrix:
     mean light shift, and the full `matrix` additionally includes the
     beat factors at the qubit splitting that convert between the two
     interaction pictures at t0 and t.  `matrix` maps lab-frame qubit
-    amplitudes at t0 to lab-frame amplitudes at t.
+    amplitudes at t0 to lab-frame amplitudes at t.  For an array of end
+    times `t`, the u-fields and `global_phase` are arrays like `t`, and
+    `core` and `matrix` have shape t.shape + (2, 2).
     """
 
-    u00: complex
-    u01: complex
-    u10: complex
-    u11: complex
-    global_phase: complex
+    u00: complex | np.ndarray
+    u01: complex | np.ndarray
+    u10: complex | np.ndarray
+    u11: complex | np.ndarray
+    global_phase: complex | np.ndarray
     delta_qubit: float
     t0: float
-    t: float
+    t: float | np.ndarray
     adiabatic: bool = True
 
     def __post_init__(self):
-        norm = abs(self.u00) ** 2 + abs(self.u01) ** 2
-        if abs(norm - 1.0) > 1e-9:
+        norm = np.abs(self.u00) ** 2 + np.abs(self.u01) ** 2
+        if np.count_nonzero(np.abs(norm - 1.0) > 1e-9):
             raise ValueError(f"inner block not unitary: |u00|^2+|u01|^2 = {norm}")
-        if abs(self.u11 - self.u00.conjugate()) > 1e-9 or abs(self.u10 + self.u01.conjugate()) > 1e-9:
+        if np.count_nonzero(
+            (np.abs(self.u11 - np.conj(self.u00)) > 1e-9) | (np.abs(self.u10 + np.conj(self.u01)) > 1e-9)
+        ):
             raise ValueError("inner block lacks the su(2) structure u11=u00*, u10=-u01*")
 
     @property
     def core(self) -> np.ndarray:
         """The su(2) block alone, no phases."""
-        return np.array([[self.u00, self.u01], [self.u10, self.u11]], dtype=complex)
+        return _block(self.u00, self.u01, self.u10, self.u11)
 
     @property
     def matrix(self) -> np.ndarray:
         """Full lab-frame propagator including the beat factors."""
-        dp0 = cmath.exp(1j * self.delta_qubit * self.t0 / HBAR)
-        dp1 = cmath.exp(-1j * self.delta_qubit * self.t / HBAR)
-        m = np.array(
-            [[self.u00, self.u01 * dp0], [self.u10 * dp1, self.u11 * dp1 * dp0]], dtype=complex
-        )
-        return self.global_phase * m
+        dp0 = np.exp(1j * (self.delta_qubit * self.t0 / HBAR))
+        dp1 = np.exp(-1j * (self.delta_qubit * self.t / HBAR))
+        m = _block(self.u00, self.u01 * dp0, self.u10 * dp1, self.u11 * dp1 * dp0)
+        return np.asarray(self.global_phase)[..., None, None] * m
 
 
 def evolution_matrix(
     evolution: EffectiveEvolution,
     spectrum: SpectrumModel | None = None,
     t0: float | None = None,
-    t: float | None = None,
+    t=None,
     *,
     epsilon0: float | None = None,
     delta_qubit: float | None = None,
@@ -341,7 +360,8 @@ def evolution_matrix(
     spectrum when one is given, otherwise epsilon0 and delta_qubit must
     be supplied directly.  Runs the adiabaticity diagnostic first; a
     failing check produces a warning and is recorded on the result,
-    since the closed form assumes frozen dressed states.
+    since the closed form assumes frozen dressed states.  An array of
+    end times `t` gives one propagator per entry (see GateMatrix).
     """
     if spectrum is not None:
         epsilon0 = spectrum.epsilon0
@@ -350,10 +370,10 @@ def evolution_matrix(
         raise ValueError("without a spectrum both epsilon0 and delta_qubit are required")
     if t0 is None:
         t0 = evolution.t0
-    if t is None:
-        t = evolution.t1
-    if not (evolution.t0 <= t0 <= t <= evolution.t1):
+    times = np.asarray(evolution.t1 if t is None else t, dtype=float)
+    if not evolution.t0 <= t0 or np.count_nonzero(~((t0 <= times) & (times <= evolution.t1))):
         raise ValueError("requested times fall outside the evolution window")
+    t = _plain(times)
 
     report = evolution.check
     if not report.passed:
@@ -369,20 +389,18 @@ def evolution_matrix(
     phi = evolution.phi_lambda(t) - evolution.phi_lambda(t0)
     arg2 = cmath.phase(evolution.ham.Lambda2) if evolution.ham.Lambda2 != 0 else 0.0
 
-    c1, s1 = math.cos(0.5 * th1), math.sin(0.5 * th1)
+    c1, s1 = np.cos(0.5 * th1), np.sin(0.5 * th1)
     c0, s0 = math.cos(0.5 * th0), math.sin(0.5 * th0)
-    em, ep = cmath.exp(-1j * om), cmath.exp(1j * om)
+    em, ep = np.exp(-1j * om), np.exp(1j * om)
     u00 = em * c1 * c0 + ep * s1 * s0
     u01 = cmath.exp(1j * arg2) * (em * c1 * s0 - ep * s1 * c0)
-    u10 = -u01.conjugate()
-    u11 = u00.conjugate()
-    phase = cmath.exp(-1j * (epsilon0 * (t - t0) / HBAR + phi))
+    phase = np.exp(-1j * (epsilon0 * (t - t0) / HBAR + phi))
 
     return GateMatrix(
         u00=u00,
         u01=u01,
-        u10=u10,
-        u11=u11,
+        u10=-np.conj(u01),
+        u11=np.conj(u00),
         global_phase=phase,
         delta_qubit=delta_qubit,
         t0=t0,
@@ -392,7 +410,7 @@ def evolution_matrix(
 
 
 def apply(gate: GateMatrix, state) -> np.ndarray:
-    """Apply the full propagator to normalized qubit amplitudes."""
+    """Apply the full propagator to normalized qubit amplitudes; shape gate.t.shape + (2,)."""
     vec = np.asarray(state, dtype=complex)
     if vec.shape != (2,):
         raise ValueError("state must be a 2-vector of qubit amplitudes")

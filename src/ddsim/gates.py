@@ -316,7 +316,7 @@ def synthesize_gate(
         s2 * ham_ratio.Lambda2 * cmath.exp(1j * phase_offset),
     )
     env = Envelope("constant")
-    ev = EffectiveEvolution(final, env, env, 0.0, duration, grid_points=201)
+    ev = EffectiveEvolution(final, env, env, 0.0, duration)
     gate = evolution_matrix(ev, None, 0.0, duration, epsilon0=0.0, delta_qubit=delta_qubit)
     fidelity = gate_fidelity(gate, spec.target_matrix())
 

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from jsonschema import Draft202012Validator
 
 from ddsim import Envelope, SpectrumModel, StateVector, schedule_stirap
 from ddsim.cli import _dry_run
@@ -179,6 +180,11 @@ _ENUM_BUILDERS = {
     "sweep.mode": _build_sweep_mode,
     "compare.exact_tier": lambda v: build_initial_state({}, 1, frame=v),
 }
+
+
+def test_schema_is_valid_draft_2020_12():
+    # validate_config builds its validator once and never checks SCHEMA itself
+    Draft202012Validator.check_schema(SCHEMA)
 
 
 def test_every_schema_enum_value_builds():

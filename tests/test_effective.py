@@ -146,6 +146,48 @@ def test_theta_holds_across_dead_stretch():
     assert [first if v is None else v for v in held] == list(ev._grid_theta)
 
 
+_DEAD_EDGE_CASES = {
+    # window edges of a sin2 pair that spans the whole window
+    "sin2-edges": (Envelope("sin2", center=2.0, width=4.0), Envelope("sin2", center=2.0, width=4.0), 4.0),
+    # the two disjoint pulses of test_theta_holds_across_dead_stretch
+    "dead-stretch": (Envelope("sin2", center=2.0, width=2.0), Envelope("sin2", center=6.0, width=2.0), 8.0),
+    # shifted pair with dead ends wider than the largest inward nudge: the grid hold decides
+    "shifted": (Envelope("sin2", center=5.0, width=4.0).shifted(0.5),
+                Envelope("sin2", center=5.0, width=4.0).shifted(-0.5), 8.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEAD_EDGE_CASES))
+def test_theta_on_time_array_matches_pointwise(case):
+    f0, f1, t1 = _DEAD_EDGE_CASES[case]
+    ev = EffectiveEvolution(EffectiveHamiltonian(-1.0, -0.5, complex(-0.6)), f0, f1, 0.0, t1)
+    times = np.linspace(0.0, t1, 801)
+    pointwise = np.array([ev.theta(t) for t in times])
+    assert np.max(np.abs(ev.theta(times) - pointwise)) <= 1e-15
+    assert ev.theta(times.reshape(3, 267)).shape == (3, 267)
+    if case == "shifted":
+        assert ev.theta(1.0) == ev._grid_theta[250]
+
+
+def test_evolution_matrix_on_time_array_matches_per_time_calls():
+    f0, f1, t1 = _DEAD_EDGE_CASES["shifted"]
+    cs, sp, _ = _couplings([(2.0, 2.0)], [-100.0], amp=20.0)
+    ev = EffectiveEvolution(effective_hamiltonian(cs), f0, f1, 0.0, t1)
+    times = np.linspace(0.0, t1, 41)
+    with pytest.warns(UserWarning, match="adiabatic"):
+        gm = evolution_matrix(ev, sp, 0.0, times)
+        single = [evolution_matrix(ev, sp, 0.0, t) for t in times]
+    for field in ("u00", "u01", "u10", "u11", "global_phase"):
+        per_time = np.array([getattr(g, field) for g in single])
+        assert np.max(np.abs(getattr(gm, field) - per_time)) <= 1e-15, field
+    m = gm.matrix
+    assert m.shape == (41, 2, 2)
+    assert np.allclose(m.conj().swapaxes(-1, -2) @ m, np.eye(2), atol=1e-12)
+    out = apply(gm, np.array([0.6, 0.8j]))
+    assert out.shape == (41, 2)
+    assert np.allclose(out, [apply(g, np.array([0.6, 0.8j])) for g in single], rtol=0, atol=1e-15)
+
+
 def test_theta_dot_is_doubled_rate():
     # the diagnostic rate is intentionally twice |dTheta/dt| (its
     # threshold absorbs the factor), so compare against 2x the slope
@@ -242,6 +284,8 @@ def test_matrix_time_bounds():
     ev = EffectiveEvolution(ham, FLAT, FLAT, 0.0, 1.0)
     with pytest.raises(ValueError, match="window"):
         evolution_matrix(ev, t0=0.0, t=2.0, epsilon0=0.0, delta_qubit=0.0)
+    with pytest.raises(ValueError, match="window"):
+        evolution_matrix(ev, t0=0.0, t=np.array([0.0, 0.5, 1.5]), epsilon0=0.0, delta_qubit=0.0)
 
 
 def test_nonadiabatic_evolution_warns():
