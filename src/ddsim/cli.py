@@ -96,29 +96,17 @@ def _trajectory_csv(traj) -> str:
     return _csv_text(header, np.column_stack((traj.times, re_im, traj.populations)))
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays and complex to JSON types."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.complexfloating):
+def _json_default(obj):
+    """JSON form of what json cannot encode itself: complex numbers, numpy arrays and scalars."""
+    if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json_text(obj) -> str:
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _gate_matrix_quiet(ev, spectrum, t0, t):
@@ -205,7 +193,7 @@ def _run_propagate(cfg, mode):
         }
         summary["polarization"] = _polarization_summary(pulses, regime)
         try:
-            rep = check_adiabatic_elimination(traj)
+            rep = check_adiabatic_elimination(traj, couplings, pulses)
             summary["elimination"] = {
                 "peak_residual": rep.peak_residual,
                 "peak_manifold_population": rep.peak_manifold_population,

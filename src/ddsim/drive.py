@@ -301,12 +301,14 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def classify_regime(couplings: CouplingSet, rho: float = DOMINANCE_RATIO) -> RegimeReport:
+def classify_regime(couplings: CouplingSet) -> RegimeReport:
     """Label each manifold level by its coupling hierarchy.
 
-    "a << b" is taken as rho*a <= b.  Levels whose scales satisfy none
-    of the four orderings come back "unclassified".
+    "a << b" is taken as rho*a <= b with rho = DOMINANCE_RATIO.  Levels
+    whose scales satisfy none of the four orderings come back
+    "unclassified".
     """
+    rho = DOMINANCE_RATIO
     dq = abs(couplings.delta_qubit)
     labels = []
     r_dc = []
@@ -338,15 +340,15 @@ def averaging_period(delta_qubit: float) -> float:
     return 2.0 * math.pi * HBAR / abs(delta_qubit)
 
 
-def slow_switching_ok(pulses: PulsePair, delta_qubit: float, factor: float = 10.0) -> bool:
+def slow_switching_ok(pulses: PulsePair, delta_qubit: float) -> bool:
     """True when envelopes switch slowly against the beat period.
 
     The coarse-grained model drops terms oscillating at the qubit
     splitting; that is justified when the envelope switching time spans
-    many beat periods (factor 10 by default).
+    at least 10 beat periods.
     """
     period = averaging_period(delta_qubit)
     if math.isinf(period):
         return True
-    return pulses.switching_time >= factor * period
+    return pulses.switching_time >= 10.0 * period
 

@@ -53,8 +53,8 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import ClassVar, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -150,8 +150,6 @@ class Trajectory:
     times: np.ndarray
     amplitudes: np.ndarray  # shape (n_times, dim), complex
     frame: str
-    couplings: Optional[CouplingSet] = None
-    pulses: Optional[PulsePair] = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -291,16 +289,13 @@ def _fold(rhs, psi0, grid, period, phases, integrate):
     return out
 
 
-def _propagate(star, psi0, frame, n_excited, pulses, settings, rate, couplings=None, diag=None,
-               clamp=False, period=None, phases=None):
+def _propagate(star, psi0, frame, n_excited, pulses, settings, rate, diag=None, period=None, phases=None):
     """Integrate the star-coupled equations (see _star_rhs) from psi0 over [0, pulses.duration].
 
     rate is the fastest angular frequency in the tier, rad/ns.  The
     fixed rk4 step defaults to resolving it with _STEPS_PER_PERIOD
-    points per period; with clamp that step also bounds max_step, for
-    either method and whatever the settings ask for.  With a period,
-    the one-period propagator is integrated instead and the run is
-    folded (see _fold).
+    points per period.  With a period, the one-period propagator is
+    integrated instead and the run is folded (see _fold).
     """
     settings = settings or IntegratorSettings()
     if psi0.frame != frame:
@@ -311,20 +306,9 @@ def _propagate(star, psi0, frame, n_excited, pulses, settings, rate, couplings=N
         )
 
     step = 2.0 * math.pi / (_STEPS_PER_PERIOD * rate) if rate > 0 else pulses.duration / 100.0
-    max_step = settings.max_step
-    if clamp:
-        max_step = step if max_step is None else min(max_step, step)
-        n_steps_est = pulses.duration / max_step
-        logger.info("%s propagation: ~%.0f carrier-resolving steps", frame, n_steps_est)
-        if n_steps_est > 5e5:
-            warnings.warn(
-                f"{frame} propagation needs about {n_steps_est:.1e} steps "
-                "(runtime grows with omega0 * duration); consider the rwa tier",
-                stacklevel=3,
-            )
 
     def integrate(f, y0, grid):
-        return _integrate(f, y0, grid, settings, max_step, step)
+        return _integrate(f, y0, grid, settings, settings.max_step, step)
 
     rhs = _star_rhs(star, diag)
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
@@ -333,7 +317,7 @@ def _propagate(star, psi0, frame, n_excited, pulses, settings, rate, couplings=N
     else:
         ys = _fold(rhs, psi0.amplitudes, grid, period, phases, integrate)
 
-    traj = Trajectory(grid, ys, frame, couplings=couplings, pulses=pulses)
+    traj = Trajectory(grid, ys, frame)
     drift = traj.norm_drift
     if not drift <= settings.norm_tol:  # also catches a NaN drift
         raise PropagationError(
@@ -394,11 +378,11 @@ def propagate_rwa(
     n = couplings.n_levels
     if reason is not None:
         logger.info("rwa propagation: direct (%s)", reason)
-        return _propagate(star, psi0, "rwa", n, pulses, settings, rate, couplings)
+        return _propagate(star, psi0, "rwa", n, pulses, settings, rate)
     logger.info(
         "rwa propagation: folded over %.6g beat periods of P = %.6g ns", pulses.duration / period, period
     )
-    return _propagate(star, psi0, "rwa", n, pulses, settings, rate, couplings, period=period, phases=wd)
+    return _propagate(star, psi0, "rwa", n, pulses, settings, rate, period=period, phases=wd)
 
 
 def propagate_averaged(
@@ -432,7 +416,7 @@ def propagate_averaged(
         float(np.max(np.abs(couplings.delta), initial=0.0)),
         float(np.max(couplings.lambda_scale, initial=0.0)),
     ) / HBAR
-    return _propagate(star, psi0, "averaged", couplings.n_levels, pulses, settings, rate, couplings,
+    return _propagate(star, psi0, "averaged", couplings.n_levels, pulses, settings, rate,
                       diag=-couplings.delta / HBAR)
 
 
@@ -462,7 +446,19 @@ def propagate_bare(
         e_field = amp0 * env0(t) * math.cos(w0 * t + phi0) + amp1 * env1(t) * math.cos(w1 * t + phi1)
         return e_field, d0 * np.exp(-1j * w0k * t), d1 * np.exp(-1j * w1k * t)
 
-    return _propagate(star, psi0, "bare", spectrum.n_excited, pulses, settings, max(w0, w1), clamp=True)
+    # the carrier-resolving step bounds either method, whatever the settings ask for
+    settings = settings or IntegratorSettings()
+    max_step = min(settings.max_step or math.inf, 2.0 * math.pi / (_STEPS_PER_PERIOD * max(w0, w1)))
+    settings = replace(settings, max_step=max_step)
+    n_steps_est = pulses.duration / max_step
+    logger.info("bare propagation: ~%.0f carrier-resolving steps", n_steps_est)
+    if n_steps_est > 5e5:
+        warnings.warn(
+            f"bare propagation needs about {n_steps_est:.1e} steps "
+            "(runtime grows with omega0 * duration); consider the rwa tier",
+            stacklevel=2,
+        )
+    return _propagate(star, psi0, "bare", spectrum.n_excited, pulses, settings, max(w0, w1))
 
 
 # ---------------------------------------------------------------------
@@ -474,17 +470,16 @@ def propagate_bare(
 class EliminationReport:
     """How well the manifold amplitudes track their quasistatic value.
 
-    residual[j] is max_k |b_k(t_j) - b_k^qs(t_j)| where b_k^qs is the
-    instantaneous quasistatic solution (couplings * qubit amplitudes /
-    detuning).  The elimination is declared invalid when the peak
-    residual exceeds the threshold.
+    peak_residual is the max over saved times t_j and levels k of
+    |b_k(t_j) - b_k^qs(t_j)|, where b_k^qs is the instantaneous
+    quasistatic solution (couplings * qubit amplitudes / detuning).
+    The elimination is declared invalid when it exceeds the threshold.
     """
 
-    times: np.ndarray
-    residual: np.ndarray
+    threshold: ClassVar[float] = 0.1
+
     peak_residual: float
     peak_manifold_population: float
-    threshold: float = 0.1
 
     @property
     def valid(self) -> bool:
@@ -493,21 +488,15 @@ class EliminationReport:
 
 def check_adiabatic_elimination(
     trajectory: Trajectory,
-    couplings: CouplingSet | None = None,
-    threshold: float = 0.1,
+    couplings: CouplingSet,
+    pulses: PulsePair,
 ) -> EliminationReport:
-    """Compare manifold amplitudes against their quasistatic estimate."""
-    couplings = couplings or trajectory.couplings
-    if couplings is None:
-        raise ValueError("no coupling set attached to the trajectory or passed in")
-    if trajectory.pulses is None:
-        raise ValueError("trajectory carries no pulse metadata (envelopes needed)")
+    """Compare manifold amplitudes against their quasistatic estimate, under the propagated drive."""
     if trajectory.frame not in ("rwa", "averaged"):
         raise ValueError("elimination check needs an rwa or averaged trajectory")
     if np.any(couplings.delta == 0.0):
         raise ValueError("quasistatic estimate undefined: some delta_k is zero")
 
-    pulses = trajectory.pulses
     t = trajectory.times
     c0 = trajectory.amplitudes[:, 0]
     c1 = trajectory.amplitudes[:, 1]
@@ -524,11 +513,7 @@ def check_adiabatic_elimination(
     lam1c = np.conj(couplings.lambda1 * np.exp(1j * pulses.phi1))[None, :]
     bqs = (lam0c * f0 * c0[:, None] + lam1c * f1 * c1[:, None]) / couplings.delta[None, :]
 
-    residual = np.max(np.abs(bk - bqs), axis=1)
     return EliminationReport(
-        times=t,
-        residual=residual,
-        peak_residual=float(np.max(residual)),
+        peak_residual=float(np.max(np.abs(bk - bqs))),
         peak_manifold_population=float(np.max(np.sum(np.abs(ck) ** 2, axis=1))),
-        threshold=threshold,
     )

@@ -35,7 +35,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -46,6 +46,7 @@ from .units import HBAR
 
 _QUAD_LIMIT = 400
 _GRID_POINTS = 2001  # held-Theta and adiabaticity grid over the window
+_ACTIVE_FRACTION = 1e-3  # adiabaticity is read where Omega exceeds this fraction of its peak
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,6 @@ class EffectiveHamiltonian:
         Lambda_1 goes with the square of the field, Lambda_2 linearly.
         """
         return EffectiveHamiltonian(self.Lambda0, ratio**2 * self.Lambda1, ratio * self.Lambda2)
-
-    def scaled(self, s2: float) -> "EffectiveHamiltonian":
-        """Sums after scaling both pulse amplitudes by sqrt(s2)."""
-        return EffectiveHamiltonian(s2 * self.Lambda0, s2 * self.Lambda1, s2 * self.Lambda2)
 
 
 class _Dressed(NamedTuple):
@@ -261,33 +258,38 @@ class EffectiveEvolution:
 
     @functools.cached_property
     def check(self) -> "AdiabaticityReport":
-        """`diagonal_evolution_check` at its default threshold, computed once."""
+        """`diagonal_evolution_check` of this evolution, computed once."""
         return diagonal_evolution_check(self)
 
 
 @dataclass(frozen=True)
 class AdiabaticityReport:
-    """Peak of theta_dot * hbar / (2 Omega) over the window."""
+    """Peak of theta_dot * hbar / (2 Omega) where the pulses act."""
+
+    threshold: ClassVar[float] = 0.1
 
     max_ratio: float
     time_of_max: float
-    threshold: float = 0.1
 
     @property
     def passed(self) -> bool:
         return self.max_ratio <= self.threshold
 
 
-def diagonal_evolution_check(evolution: EffectiveEvolution, threshold: float = 0.1) -> AdiabaticityReport:
-    """Test whether the mixing angle moves slowly against the splitting."""
+def diagonal_evolution_check(evolution: EffectiveEvolution) -> AdiabaticityReport:
+    """Test whether the mixing angle moves slowly against the splitting.
+
+    Only grid points where Omega exceeds _ACTIVE_FRACTION (1e-3) of its
+    peak count: in envelope tails Omega is round-off.  With Omega zero
+    everywhere the ratio is 0.
+    """
     om = evolution._grid_omega
-    td = np.asarray(evolution.theta_dot(evolution.grid))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(om > 0, td * HBAR / (2.0 * np.where(om > 0, om, 1.0)), np.where(td > 0, np.inf, 0.0))
+    active = np.flatnonzero(om > _ACTIVE_FRACTION * np.max(om))
+    if not active.size:
+        return AdiabaticityReport(max_ratio=0.0, time_of_max=evolution.t0)
+    ratio = evolution.theta_dot(evolution.grid)[active] * HBAR / (2.0 * om[active])
     i = int(np.argmax(ratio))
-    return AdiabaticityReport(
-        max_ratio=float(ratio[i]), time_of_max=float(evolution.grid[i]), threshold=threshold
-    )
+    return AdiabaticityReport(max_ratio=float(ratio[i]), time_of_max=float(evolution.grid[active[i]]))
 
 
 def _block(a, b, c, d) -> np.ndarray:
@@ -301,7 +303,8 @@ def _block(a, b, c, d) -> np.ndarray:
 class GateMatrix:
     """Closed-form qubit propagator between two times.
 
-    The inner block (u00, u01, u10, u11) is the special-unitary part;
+    The inner block [[u00, u01], [u10, u11]] is the special-unitary
+    part, stored as its first row (u10 = -u01*, u11 = u00*);
     `global_phase` carries the free evolution of |0> together with the
     mean light shift, and the full `matrix` additionally includes the
     beat factors at the qubit splitting that convert between the two
@@ -313,8 +316,6 @@ class GateMatrix:
 
     u00: complex | np.ndarray
     u01: complex | np.ndarray
-    u10: complex | np.ndarray
-    u11: complex | np.ndarray
     global_phase: complex | np.ndarray
     delta_qubit: float
     t0: float
@@ -325,10 +326,9 @@ class GateMatrix:
         norm = np.abs(self.u00) ** 2 + np.abs(self.u01) ** 2
         if np.count_nonzero(np.abs(norm - 1.0) > 1e-9):
             raise ValueError(f"inner block not unitary: |u00|^2+|u01|^2 = {norm}")
-        if np.count_nonzero(
-            (np.abs(self.u11 - np.conj(self.u00)) > 1e-9) | (np.abs(self.u10 + np.conj(self.u01)) > 1e-9)
-        ):
-            raise ValueError("inner block lacks the su(2) structure u11=u00*, u10=-u01*")
+
+    u10 = property(lambda self: -np.conj(self.u01))
+    u11 = property(lambda self: np.conj(self.u00))
 
     @property
     def core(self) -> np.ndarray:
@@ -399,8 +399,6 @@ def evolution_matrix(
     return GateMatrix(
         u00=u00,
         u01=u01,
-        u10=-np.conj(u01),
-        u11=np.conj(u00),
         global_phase=phase,
         delta_qubit=delta_qubit,
         t0=t0,

@@ -268,11 +268,21 @@ def synthesize_gate(
             )
 
     def admissible_k(t_dur: float):
-        """Best k in range whose amplitude rescale stays in bounds."""
+        """Best k in range whose amplitude rescale stays in bounds.
+
+        s2 is linear in k, so the best is the k of the bounds' interval nearest
+        the ideal k (s2 = 1); its neighbours absorb round-off at the edges.
+        """
         best = None
-        ideal = (omega_ref * t_dur / HBAR - w_base) / math.pi
-        cands = {k_lo, k_hi, max(k_lo, min(k_hi, round(ideal)))}
-        cands |= {max(k_lo, min(k_hi, round(ideal) + d)) for d in (-2, -1, 1, 2)}
+        if spec.k is not None:
+            cands = {spec.k}
+        else:
+            phase_at_unit_scale = omega_ref * t_dur / HBAR
+            ideal = (phase_at_unit_scale - w_base) / math.pi
+            k_min = max(k_lo, math.ceil((lo * phase_at_unit_scale - w_base) / math.pi))
+            k_max = min(k_hi, math.floor((hi * phase_at_unit_scale - w_base) / math.pi))
+            near = min(max(ideal, k_min), k_max)
+            cands = {k for k in range(math.floor(near) - 1, math.ceil(near) + 2) if k_lo <= k <= k_hi}
         for k in sorted(cands):
             w_target = w_base + math.pi * k
             s2 = w_target * HBAR / (omega_ref * t_dur)

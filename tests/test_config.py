@@ -435,3 +435,13 @@ def test_readme_json_blocks_validate():
     assert blocks
     for block in blocks:
         validate_config(json.loads(block))
+
+
+def test_readme_library_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```", library, flags=re.M | re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["traj"].norm_drift < 1e-6
+    assert namespace["sol"].predicted_fidelity > 1.0 - 1e-9

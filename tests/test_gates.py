@@ -3,9 +3,12 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddsim import (
     EffectiveHamiltonian,
@@ -219,6 +222,64 @@ def test_unsatisfiable_search_window_raises():
     spec = GateSpec(target="NOT", l_max=1, k_max=0, scale_bounds=(0.9, 1.1))
     with pytest.raises(GateSynthesisError, match="no duration satisfies"):
         synthesize_gate(spec, SYMMETRIC, 5.0)
+
+
+@pytest.mark.parametrize("target, k", [("NOT", 4), ("HADAMARD", 9)])
+def test_scale_bounds_away_from_one_keep_the_first_beat_period(target, k):
+    # with s^2 held in [2, 3] the admissible k lie far from the unit-scale one
+    spec = GateSpec(target=target, scale_bounds=(2.0, 3.0))
+    sol = synthesize_gate(spec, EffectiveHamiltonian(-20.0, -5.0, 5.0), 10.0)
+    assert (sol.l, sol.k) == (1, k)
+    assert 2.0 <= sol.amplitude_scale**2 <= 3.0
+    assert sol.predicted_fidelity >= 1.0 - 1e-9
+
+
+_SUM = st.floats(0.5, 100.0).flatmap(lambda v: st.sampled_from([v, -v]))
+_BOUNDS = st.one_of(
+    st.tuples(st.floats(0.1, 1.0), st.floats(1.0, 10.0)),  # containing 1
+    st.tuples(st.floats(1.01, 5.0), st.floats(1.0, 3.0)).map(lambda b: (b[0], b[0] * b[1])),  # above 1
+    st.tuples(st.floats(0.05, 0.99), st.floats(1.0, 3.0)).map(lambda b: (b[0] / b[1], b[0])),  # below 1
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    sums=st.tuples(_SUM, _SUM, _SUM),
+    delta=st.floats(0.5, 60.0),
+    target=st.sampled_from(["NOT", "HADAMARD", "PHASE", "SQRT_X"]),
+    bounds=_BOUNDS,
+    k_max=st.integers(0, 64),
+    l_max=st.integers(1, 64),
+)
+def test_branch_search_returns_the_shortest_admissible_window(sums, delta, target, bounds, k_max, l_max):
+    ham = EffectiveHamiltonian(*sums)
+    if target == "SQRT_X":
+        spec = GateSpec("CUSTOM", custom_unitary=SQRT_X, k_max=k_max, l_max=l_max, scale_bounds=bounds)
+    else:
+        spec = GateSpec(target, k_max=k_max, l_max=l_max, scale_bounds=bounds)
+    try:
+        # pinned branches bypass the bounds and expose W0 and the reference ratio
+        pinned = synthesize_gate(dataclasses.replace(spec, k=0, l=1), ham, delta)
+    except GateSynthesisError as exc:
+        with pytest.raises(GateSynthesisError, match=re.escape(str(exc))):
+            synthesize_gate(spec, ham, delta)
+        return
+    omega_ref = ham.rescaled(pinned.amplitude_ratio).rabi
+    beat = 2.0 * math.pi * HBAR / delta
+    lo, hi = bounds
+    expected = None
+    for l in range(1, l_max + 1):
+        s2 = [(pinned.omega_tilde + math.pi * k) * HBAR / (omega_ref * (l * beat)) for k in range(k_max + 1)]
+        admissible = [(abs(math.log(v)), k) for k, v in enumerate(s2) if lo <= v <= hi]
+        if admissible:
+            expected = (l, min(admissible)[1])
+            break
+    if expected is None:
+        with pytest.raises(GateSynthesisError, match="no duration satisfies"):
+            synthesize_gate(spec, ham, delta)
+    else:
+        sol = synthesize_gate(spec, ham, delta)
+        assert (sol.l, sol.k) == expected
 
 
 def test_identity_at_zero_splitting_takes_the_first_positive_window():
