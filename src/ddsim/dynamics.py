@@ -23,8 +23,11 @@ propagate_rwa
     is integrated over one period with the configured method and
     tolerances, and the saved states are assembled from it and its
     powers, so the cost no longer grows with the number of periods.
-    Shaped envelopes, Delta = 0 and shorter windows are integrated
-    directly.  Each call logs (INFO) which path it took and why.
+    The last one-period propagator is kept, so a run with equal
+    couplings, phases, settings and save offsets (the other basis state
+    of a gate check) skips the integration.  Shaped envelopes, Delta = 0
+    and shorter windows are integrated directly.  Each call logs (INFO)
+    which path it took and why.
 
 propagate_averaged
     Additionally drops the crossed couplings, which average out when
@@ -250,7 +253,11 @@ def _integrate(rhs, y0, grid, settings, max_step, step):
     return _run_rk4(rhs, y0, grid, max_step or step)
 
 
-def _fold(rhs, psi0, grid, period, phases, integrate):
+# (key, read-only propagators U(taus)) of the last one-period integration in _fold
+_one_period_memo = None
+
+
+def _fold(rhs, psi0, grid, period, phases, integrate, key):
     """Amplitudes on grid from the propagator of one period (Floquet).
 
     rhs(t, y), applied to y of shape (dim, dim), must describe a system
@@ -260,16 +267,33 @@ def _fold(rhs, psi0, grid, period, phases, integrate):
     t = m P + tau takes c(t) = D(m P) U(tau) F^m psi0 with F = D(P)^dag U(P),
     the powers built by binary powering between save points.  F is not
     unitarized, so the norm check still sees its error, amplified by m.
+
+    key must fix rhs and integrate (coefficients and settings).  With the
+    offsets tau, which end at P, it names the integration; the last one is
+    kept and reused when a call names it again.  The phases enter only
+    the assembly.
     """
+    global _one_period_memo
     dim = len(psi0)
     periods = np.floor(grid / period)
     offsets = np.clip(grid - periods * period, 0.0, period)
     taus = np.unique(np.append(offsets, period))
 
-    def block(t, y):
-        return rhs(t, y.reshape(dim, dim)).ravel()
+    key += (taus.tobytes(),)
+    memo = _one_period_memo
+    reused = memo is not None and memo[0] == key
+    # only the rwa tier folds
+    logger.info("rwa propagation: folded over %.6g beat periods of P = %.6g ns%s", grid[-1] / period, period,
+                " (one-period propagator reused)" if reused else "")
+    if reused:
+        props = memo[1]
+    else:
+        def block(t, y):
+            return rhs(t, y.reshape(dim, dim)).ravel()
 
-    props = integrate(block, np.eye(dim, dtype=complex).ravel(), taus).reshape(-1, dim, dim)
+        props = integrate(block, np.eye(dim, dtype=complex).ravel(), taus).reshape(-1, dim, dim)
+        props.flags.writeable = False
+        _one_period_memo = (key, props)
     one_period = props[-1].copy()
     one_period[2:] *= np.exp(1j * period * phases)[:, None]
     squares = [one_period]  # F^(2^i)
@@ -289,13 +313,15 @@ def _fold(rhs, psi0, grid, period, phases, integrate):
     return out
 
 
-def _propagate(star, psi0, frame, n_excited, pulses, settings, rate, diag=None, period=None, phases=None):
+def _propagate(star, psi0, frame, n_excited, pulses, settings, rate, diag=None, period=None, phases=None,
+               key=()):
     """Integrate the star-coupled equations (see _star_rhs) from psi0 over [0, pulses.duration].
 
     rate is the fastest angular frequency in the tier, rad/ns.  The
     fixed rk4 step defaults to resolving it with _STEPS_PER_PERIOD
     points per period.  With a period, the one-period propagator is
-    integrated instead and the run is folded (see _fold).
+    integrated instead and the run is folded (see _fold); key is then a
+    tuple of the values (bytes or floats) that fix star and diag.
     """
     settings = settings or IntegratorSettings()
     if psi0.frame != frame:
@@ -315,7 +341,8 @@ def _propagate(star, psi0, frame, n_excited, pulses, settings, rate, diag=None, 
     if period is None:
         ys = integrate(rhs, psi0.amplitudes, grid)
     else:
-        ys = _fold(rhs, psi0.amplitudes, grid, period, phases, integrate)
+        key += (settings.method, settings.rtol, settings.atol, settings.max_step, step)
+        ys = _fold(rhs, psi0.amplitudes, grid, period, phases, integrate, key)
 
     traj = Trajectory(grid, ys, frame)
     drift = traj.norm_drift
@@ -379,10 +406,9 @@ def propagate_rwa(
     if reason is not None:
         logger.info("rwa propagation: direct (%s)", reason)
         return _propagate(star, psi0, "rwa", n, pulses, settings, rate)
-    logger.info(
-        "rwa propagation: folded over %.6g beat periods of P = %.6g ns", pulses.duration / period, period
-    )
-    return _propagate(star, psi0, "rwa", n, pulses, settings, rate, period=period, phases=wd)
+    # the envelopes are 1, so these fix star
+    key = tuple(a.tobytes() for a in (lam0, lam1, mu0, mu1, wd)) + (wq,)
+    return _propagate(star, psi0, "rwa", n, pulses, settings, rate, period=period, phases=wd, key=key)
 
 
 def propagate_averaged(

@@ -210,6 +210,11 @@ def synthesize_gate(
     computed honestly by feeding the solution back through the
     closed-form propagator.
     """
+    if not (math.isfinite(delta_qubit) and delta_qubit >= 0.0):
+        raise GateSynthesisError(
+            f"qubit splitting Delta = {delta_qubit} ueV must be finite and >= 0 "
+            "(epsilon1 >= epsilon0); the beat period 2 pi hbar / Delta sets every duration"
+        )
     w_base, theta_target, arg_target = _decompose_unitary(spec.target_matrix())
     n = 0
     diagonal = abs(math.sin(theta_target)) < 1e-12

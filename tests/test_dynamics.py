@@ -1,11 +1,14 @@
 """Propagation tiers against closed-form dynamics and each other."""
 
 import cmath
+import dataclasses
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import ddsim.dynamics
@@ -192,10 +195,15 @@ def test_folded_norm_blowup_is_reported(periods, caplog):
     pp = _flat_pair(sp, om0, amp=50.0, duration=periods * period)
     cs = derive_couplings(sp, pp)
     coarse = IntegratorSettings(method="rk4", max_step=period, save_points=5)
+    errors = []
     with caplog.at_level(logging.INFO, logger="ddsim.dynamics"), np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(PropagationError, match="norm"):
-            propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 1), coarse)
+        for _ in range(2):  # the repeat takes the kept one-period propagator and fails the same way
+            with pytest.raises(PropagationError, match="norm") as info:
+                propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 1), coarse)
+            errors.append(str(info.value))
     assert "folded" in caplog.text
+    assert "reused" in caplog.records[-1].getMessage()
+    assert errors[0] == errors[1]
 
 
 # ---------------------------------------------------------------- folding
@@ -346,7 +354,8 @@ def test_criterion_4_gates_fold_to_reference(args):
     ("zero", 3.5, "direct (Delta = 0)"),
     ("constant", 1.5, "shorter than 2 beat periods"),
 ])
-def test_each_run_logs_its_path(kind, periods, expect, caplog):
+def test_each_run_logs_its_path(kind, periods, expect, caplog, monkeypatch):
+    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     dq = 0.0 if kind == "zero" else 30.0
     sp, om0 = _single_level(-100.0, delta_qubit=dq)
     duration = periods * 2.0 * math.pi * HBAR / 30.0
@@ -357,11 +366,114 @@ def test_each_run_logs_its_path(kind, periods, expect, caplog):
     else:
         pp = _flat_pair(sp, om0, amp=20.0, duration=duration)
     with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
-        propagate_rwa(derive_couplings(sp, pp), pp, StateVector.qubit(1.0, 0.0, 1))
+        for _ in range(2):
+            propagate_rwa(derive_couplings(sp, pp), pp, StateVector.qubit(1.0, 0.0, 1))
     lines = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
-    assert len(lines) == 1
+    assert len(lines) == 2
     assert lines[0].startswith("rwa propagation: ")
     assert expect in lines[0]
+    # an identical fold takes the kept one-period propagator and says so
+    reused = " (one-period propagator reused)" if "folded" in expect else ""
+    assert lines[1] == lines[0] + reused
+
+
+# ---------------------------------------------------------------- one-period memo
+
+
+def _count_integrations(monkeypatch):
+    """Start from an empty memo and record the grid of every _integrate call."""
+    grids = []
+    integrate = ddsim.dynamics._integrate
+
+    def counted(rhs, y0, grid, *args):
+        grids.append(grid)
+        return integrate(rhs, y0, grid, *args)
+
+    monkeypatch.setattr(ddsim.dynamics, "_integrate", counted)
+    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
+    return grids
+
+
+def _memo_case(delta_qubit=30.0, periods=3.5, **pair):
+    sp, om0 = _single_level(-100.0, delta_qubit=delta_qubit)
+    pp = _flat_pair(sp, om0, amp=20.0, duration=periods * (2.0 * math.pi * HBAR / 30.0))
+    pp = dataclasses.replace(pp, **pair)
+    return derive_couplings(sp, pp), pp
+
+
+@pytest.mark.parametrize("method", ["adaptive", "rk4"])
+def test_second_basis_state_is_bit_identical_to_a_cold_run(method, monkeypatch):
+    cs, pp, _, _ = _fold_draw(5, 2, +1, 12.5)
+    settings = IntegratorSettings(method=method, save_points=7)
+    one = StateVector.qubit(0.0, 1.0, 2)
+    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
+    cold = propagate_rwa(cs, pp, one, settings)
+    grids = _count_integrations(monkeypatch)
+    propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 2), settings)
+    warm = propagate_rwa(cs, pp, one, settings)
+    assert len(grids) == 1
+    assert np.array_equal(warm.times, cold.times)
+    assert np.array_equal(warm.amplitudes, cold.amplitudes)
+
+
+# six save points instead of five move the offsets inside the period
+@pytest.mark.parametrize("change, value", [
+    ("phi0", 0.3), ("amp1", 21.0), ("delta_qubit", 31.0), ("rtol", 1e-9), ("atol", 1e-11),
+    ("max_step", 0.01), ("method", "rk4"), ("save_points", 6),
+])
+def test_any_changed_input_integrates_again(change, value, monkeypatch):
+    cs, pp = _memo_case()
+    settings = IntegratorSettings(save_points=5)
+    psi = StateVector.qubit(1.0, 0.0, 1)
+    new_cs, new_pp, new_settings = cs, pp, settings
+    if change in ("phi0", "amp1", "delta_qubit"):
+        new_cs, new_pp = _memo_case(**{change: value})
+    else:
+        new_settings = dataclasses.replace(settings, **{change: value})
+    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
+    cold = propagate_rwa(new_cs, new_pp, psi, new_settings)
+    grids = _count_integrations(monkeypatch)
+    propagate_rwa(cs, pp, psi, settings)
+    warm = propagate_rwa(new_cs, new_pp, psi, new_settings)
+    assert len(grids) == 2
+    assert np.array_equal(warm.amplitudes, cold.amplitudes)
+
+
+def test_windows_of_whole_periods_share_one_integration(monkeypatch):
+    # two save points of a window of l P, built as synthesize_gate builds it, sit at offsets 0
+    # and P; at a few l (63 and 121 here) l P / P rounds below l and the memo misses
+    grids = _count_integrations(monkeypatch)
+    settings = IntegratorSettings(save_points=2)
+    for periods in (3, 7, 40):
+        cs, pp = _memo_case(periods=periods)
+        propagate_rwa(cs, pp, StateVector.qubit(0.0, 1.0, 1), settings)
+    assert len(grids) == 1
+
+
+def test_returned_amplitudes_do_not_reach_the_memo(monkeypatch):
+    cs, pp = _memo_case()
+    psi = StateVector.qubit(1.0, 0.0, 1)
+    grids = _count_integrations(monkeypatch)
+    first = propagate_rwa(cs, pp, psi)
+    expected = first.amplitudes.copy()
+    first.amplitudes[:] = 0.0
+    second = propagate_rwa(cs, pp, psi)
+    assert len(grids) == 1
+    assert np.array_equal(second.amplitudes, expected)
+    assert not np.shares_memory(first.amplitudes, second.amplitudes)
+
+
+@hypothesis_settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), sign=st.sampled_from([-1, 1]),
+       periods=st.floats(2.0, 20.0))
+def test_folded_runs_are_linear_in_the_initial_state(seed, n, sign, periods):
+    cs, pp, psi, _ = _fold_draw(seed, n, sign, periods)
+    settings = IntegratorSettings(save_points=7)
+    zero = propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, n), settings)
+    one = propagate_rwa(cs, pp, StateVector.qubit(0.0, 1.0, n), settings)
+    mixed = propagate_rwa(cs, pp, psi, settings)
+    alpha, beta = psi.amplitudes[:2]
+    assert np.max(np.abs(mixed.amplitudes - (alpha * zero.amplitudes + beta * one.amplitudes))) <= 1e-12
 
 
 # ---------------------------------------------------------------- shared rhs

@@ -224,6 +224,12 @@ def test_unsatisfiable_search_window_raises():
         synthesize_gate(spec, SYMMETRIC, 5.0)
 
 
+@pytest.mark.parametrize("delta", [-5.0, math.nan, math.inf])
+def test_bad_splitting_is_named_before_any_search(delta):
+    with pytest.raises(GateSynthesisError, match=r"Delta = .* must be finite and >= 0"):
+        synthesize_gate(GateSpec(target="NOT"), SYMMETRIC, delta)
+
+
 @pytest.mark.parametrize("target, k", [("NOT", 4), ("HADAMARD", 9)])
 def test_scale_bounds_away_from_one_keep_the_first_beat_period(target, k):
     # with s^2 held in [2, 3] the admissible k lie far from the unit-scale one
