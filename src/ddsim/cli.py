@@ -9,9 +9,11 @@ Subcommands:
 `run` executes the configured mode and writes a manifest, a summary,
 and mode-specific data files (delimited text, one header row, LF line
 endings, full float precision so reruns are byte-identical).  All
-outputs are computed before anything is written, so a failing run
-leaves no partial files.  `validate` checks a configuration without
-computing.  `compare` propagates an exact tier and evaluates the
+outputs are computed before anything is written, and a failed write
+removes the files it wrote, so a failing run leaves no partial files.
+`validate` builds every object a run needs without computing; `run`
+and `compare` compute from exactly those objects, so each config is
+built once.  `compare` propagates an exact tier and evaluates the
 closed-form model on the same grid, reporting the worst population
 deviation against the perturbative error scale.
 
@@ -32,6 +34,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +51,11 @@ from .config import (
     load_config,
     sweep_points,
 )
-from .drive import classify_regime, derive_couplings
+from .drive import CouplingSet, PulsePair, classify_regime, derive_couplings
 from .dynamics import (
+    IntegratorSettings,
     PropagationError,
+    StateVector,
     check_adiabatic_elimination,
     propagate_averaged,
     propagate_bare,
@@ -63,11 +68,13 @@ from .effective import (
     evolution_matrix,
 )
 from .gates import (
+    GateSpec,
     GateSynthesisError,
     polarization_leakage,
     schedule_stirap,
     synthesize_gate,
 )
+from .spectrum import SpectrumModel
 
 logger = logging.getLogger(__name__)
 
@@ -75,6 +82,19 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+
+class _Inputs(NamedTuple):
+    """Everything one run computes from, made by `_build` and only read after."""
+
+    mode: str
+    spectrum: SpectrumModel
+    pulses: PulsePair  # for stirap, with the scheduled envelopes
+    settings: IntegratorSettings
+    psi0: StateVector  # in the rwa frame; `_propagate` re-tags it
+    couplings: CouplingSet
+    gate: GateSpec | None
+
 
 def _fmt(value) -> str:
     return format(float(value), ".17g")
@@ -115,29 +135,24 @@ def _gate_matrix_quiet(ev, spectrum, t0, t):
         return evolution_matrix(ev, spectrum, t0, t)
 
 
-def _effective_model(couplings, pulses):
+def _effective_model(inputs):
     """Effective Hamiltonian and its evolution over the pulse window."""
-    ham = effective_hamiltonian(couplings, pulses.phi0, pulses.phi1)
+    pulses = inputs.pulses
+    ham = effective_hamiltonian(inputs.couplings, pulses.phi0, pulses.phi1)
     return ham, EffectiveEvolution(ham, pulses.envelope0, pulses.envelope1, 0.0, pulses.duration)
 
 
-def _propagate(cfg, tier, spectrum, pulses):
-    """Propagate the configured initial state in one tier.
+def _propagate(inputs: _Inputs, tier: str):
+    """Propagate the built initial state in one tier.
 
-    Returns the trajectory and the rotating-frame couplings of the
-    drive.  The propagators are resolved through this module's globals
-    at each call, so wrappers installed on those names see every run.
+    The propagators are resolved through this module's globals at each
+    call, so wrappers installed on those names see every run.
     """
-    settings = build_integrator(cfg)
-    psi0 = build_initial_state(cfg, spectrum.n_excited, frame=tier)
-    couplings = derive_couplings(spectrum, pulses)
+    psi0 = dataclasses.replace(inputs.psi0, frame=tier)
     if tier == "bare":
-        traj = propagate_bare(spectrum, pulses, psi0, settings)
-    elif tier == "rwa":
-        traj = propagate_rwa(couplings, pulses, psi0, settings)
-    else:
-        traj = propagate_averaged(couplings, pulses, psi0, settings)
-    return traj, couplings
+        return propagate_bare(inputs.spectrum, inputs.pulses, psi0, inputs.settings)
+    propagate = propagate_rwa if tier == "rwa" else propagate_averaged
+    return propagate(inputs.couplings, inputs.pulses, psi0, inputs.settings)
 
 
 def _final_summary(traj) -> dict:
@@ -178,13 +193,12 @@ def _effective_sums(ham) -> dict:
 # ---------------------------------------------------------------------
 
 
-def _run_propagate(cfg, mode):
-    spectrum = build_spectrum_model(cfg)
-    pulses = build_pulse_pair(cfg, spectrum)
-    tier = mode.removeprefix("propagate-")
-    traj, couplings = _propagate(cfg, tier, spectrum, pulses)
+def _run_propagate(inputs):
+    couplings, pulses = inputs.couplings, inputs.pulses
+    tier = inputs.mode.removeprefix("propagate-")
+    traj = _propagate(inputs, tier)
 
-    summary = {"mode": mode}
+    summary = {"mode": inputs.mode}
     if tier != "bare":
         regime = classify_regime(couplings)
         summary["regime"] = {
@@ -205,14 +219,12 @@ def _run_propagate(cfg, mode):
     return {"trajectory.csv": _trajectory_csv(traj), "summary.json": _json_text(summary)}
 
 
-def _run_effective(cfg):
-    spectrum = build_spectrum_model(cfg)
-    pulses = build_pulse_pair(cfg, spectrum)
-    settings = build_integrator(cfg)
-    ham, ev = _effective_model(derive_couplings(spectrum, pulses), pulses)
+def _run_effective(inputs):
+    spectrum, pulses = inputs.spectrum, inputs.pulses
+    ham, ev = _effective_model(inputs)
     check = ev.check
 
-    grid = np.linspace(0.0, pulses.duration, settings.save_points)
+    grid = np.linspace(0.0, pulses.duration, inputs.settings.save_points)
     columns = (pulses.envelope0, pulses.envelope1, ev.theta, ev.omega, ev.E_plus, ev.E_minus)
     csv = _csv_text(
         ["t", "f0", "f1", "theta", "omega", "e_plus", "e_minus"],
@@ -237,19 +249,16 @@ def _run_effective(cfg):
             "adiabatic": gate.adiabatic,
         },
     }
-    if "gate" in cfg:
-        solution = synthesize_gate(build_gate_spec(cfg), ham, spectrum.delta)
-        summary["gate_solution"] = solution.to_dict()
+    if inputs.gate is not None:
+        summary["gate_solution"] = synthesize_gate(inputs.gate, ham, spectrum.delta).to_dict()
     return {"effective.csv": csv, "summary.json": _json_text(summary)}
 
 
-def _run_synthesize(cfg):
-    spectrum = build_spectrum_model(cfg)
-    pulses = build_pulse_pair(cfg, spectrum)
-    couplings = derive_couplings(spectrum, pulses)
-    regime = classify_regime(couplings)
-    ham = effective_hamiltonian(couplings, pulses.phi0, pulses.phi1)
-    solution = synthesize_gate(build_gate_spec(cfg), ham, spectrum.delta)
+def _run_synthesize(inputs):
+    pulses = inputs.pulses
+    regime = classify_regime(inputs.couplings)
+    ham = effective_hamiltonian(inputs.couplings, pulses.phi0, pulses.phi1)
+    solution = synthesize_gate(inputs.gate, ham, inputs.spectrum.delta)
     summary = {
         "mode": "synthesize-gate",
         "solution": solution.to_dict(),
@@ -260,33 +269,20 @@ def _run_synthesize(cfg):
     return {"gate.json": _json_text(summary)}
 
 
-def _stirap_schedule(cfg, spectrum, probe, ham=None):
-    """The stirap schedule and the pulse pair its shifted envelopes form.
-
-    Without `ham` the schedule skips the effective-model quadrature.
-    """
-    st = cfg["stirap"]
-    duration = cfg["pulses"]["duration"]
-    schedule = schedule_stirap(
+def _stirap_schedule(cfg, spectrum, ham=None):
+    """The configured stirap schedule; without `ham` it skips the effective-model quadrature."""
+    st, duration = cfg["stirap"], cfg["pulses"]["duration"]
+    return schedule_stirap(
         st["ordering"], build_envelope(st["envelope"], duration), st["delay"], duration,
         ham=ham, delta_qubit=spectrum.delta,
     )
-    try:
-        pulses = dataclasses.replace(
-            probe, envelope0=schedule.envelope0, envelope1=schedule.envelope1
-        )
-    except ValueError as exc:
-        raise ConfigError(f"stirap envelopes: {exc}") from exc
-    return schedule, pulses
 
 
-def _run_stirap(cfg):
-    spectrum = build_spectrum_model(cfg)
-    probe = build_pulse_pair(cfg, spectrum)  # validates amplitudes and carriers
-    ham = effective_hamiltonian(derive_couplings(spectrum, probe), probe.phi0, probe.phi1)
-    schedule, pulses = _stirap_schedule(cfg, spectrum, probe, ham)
+def _run_stirap(cfg, inputs):
+    ham = effective_hamiltonian(inputs.couplings, inputs.pulses.phi0, inputs.pulses.phi1)
+    schedule = _stirap_schedule(cfg, inputs.spectrum, ham)
 
-    traj, _ = _propagate(cfg, "rwa", spectrum, pulses)
+    traj = _propagate(inputs, "rwa")
     final = _final_summary(traj)
     summary = {
         "mode": "stirap",
@@ -313,35 +309,23 @@ _SWEEP_COLUMNS = {
 }
 
 
-def _sweep_configs(cfg):
-    """Each sweep point's (path, value) overrides and the config it runs."""
-    sub_mode = cfg["sweep"]["mode"]
-    return [
-        (pt, {**config_with_overrides(cfg, pt), "mode": sub_mode}) for pt in sweep_points(cfg["sweep"])
-    ]
-
-
-def _sweep_worker(sub_cfg):
-    """Evaluate one sweep point; module-level so it pickles for workers."""
-    sub_mode = sub_cfg["mode"]
-    spectrum = build_spectrum_model(sub_cfg)
-    pulses = build_pulse_pair(sub_cfg, spectrum)
-    if sub_mode == "effective":
-        ham, ev = _effective_model(derive_couplings(spectrum, pulses), pulses)
-        gate = _gate_matrix_quiet(ev, spectrum, 0.0, pulses.duration)
-        out = apply(gate, build_initial_state(sub_cfg, 0).amplitudes)
+def _sweep_worker(inputs):
+    """Evaluate one built sweep point; module-level so it pickles for workers."""
+    if inputs.mode == "effective":
+        ham, ev = _effective_model(inputs)
+        gate = _gate_matrix_quiet(ev, inputs.spectrum, 0.0, inputs.pulses.duration)
+        out = apply(gate, inputs.psi0.amplitudes[:2])
         return [abs(out[0]) ** 2, abs(out[1]) ** 2, ham.rabi, 1.0 if gate.adiabatic else 0.0]
 
-    traj, _ = _propagate(sub_cfg, sub_mode.removeprefix("propagate-"), spectrum, pulses)
-    final = _final_summary(traj)
+    final = _final_summary(_propagate(inputs, inputs.mode.removeprefix("propagate-")))
     return [*final["final_populations"].values(), final["norm_drift"]]
 
 
-def _run_sweep(cfg, jobs):
+def _run_sweep(cfg, points, jobs):
+    """The sweep table from each point's (path, value) overrides and built inputs."""
     sub_mode = cfg["sweep"]["mode"]
-    points = _sweep_configs(cfg)
     axis_paths = [ax["path"] for ax in cfg["sweep"]["axes"]]
-    payloads = [sub_cfg for _, sub_cfg in points]
+    payloads = [inputs for _, inputs in points]
 
     logger.info("sweep: %d points, mode %s, %d worker(s)", len(points), sub_mode, jobs)
     if jobs > 1:
@@ -350,9 +334,7 @@ def _run_sweep(cfg, jobs):
     else:
         results = [_sweep_worker(p) for p in payloads]
 
-    rows = []
-    for (pt, _), res in zip(points, results):
-        rows.append([v for _, v in pt] + list(res))
+    rows = [[v for _, v in pt] + list(res) for (pt, _), res in zip(points, results)]
     header = axis_paths + _SWEEP_COLUMNS[sub_mode]
     summary = {
         "mode": "sweep",
@@ -363,20 +345,18 @@ def _run_sweep(cfg, jobs):
     return {"sweep.csv": _csv_text(header, rows), "summary.json": _json_text(summary)}
 
 
-def _run_compare(cfg):
-    spectrum = build_spectrum_model(cfg)
-    pulses = build_pulse_pair(cfg, spectrum)
-    tier = cfg.get("compare", {}).get("exact_tier", "rwa")
-    traj, couplings = _propagate(cfg, tier, spectrum, pulses)
-    ham, ev = _effective_model(couplings, pulses)
-    psi2 = build_initial_state(cfg, 0).amplitudes
+def _run_compare(inputs):
+    tier = inputs.mode.removeprefix("propagate-")
+    traj = _propagate(inputs, tier)
+    _, ev = _effective_model(inputs)
 
     pops = traj.populations
-    model = np.abs(apply(_gate_matrix_quiet(ev, spectrum, 0.0, traj.times), psi2)) ** 2
+    gate = _gate_matrix_quiet(ev, inputs.spectrum, 0.0, traj.times)
+    model = np.abs(apply(gate, inputs.psi0.amplitudes[:2])) ** 2
     dev = np.max(np.abs(pops[:, :2] - model), axis=1)
     max_dev = float(np.max(dev))
 
-    ratio = couplings.max_lambda_over_delta
+    ratio = inputs.couplings.max_lambda_over_delta
     bound = 5.0 * ratio**2
     summary = {
         "mode": "compare",
@@ -405,7 +385,7 @@ def _output_prefix(cfg, config_path) -> str:
 
 
 def _write_outputs(files: dict, out_dir: Path, prefix: str, cfg, elapsed: float, extra=None) -> Path:
-    """Write data files plus a manifest; nothing touches disk before this."""
+    """Write data files plus a manifest; nothing touches disk before this, and a failed write removes them."""
     out_dir.mkdir(parents=True, exist_ok=True)
     named = {f"{prefix}_{suffix}": text for suffix, text in files.items()}
     manifest_name = f"{prefix}_manifest.json"
@@ -419,61 +399,81 @@ def _write_outputs(files: dict, out_dir: Path, prefix: str, cfg, elapsed: float,
     }
     if extra:
         manifest.update(extra)
-    for name, text in named.items():
-        with open(out_dir / name, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-    manifest_path = out_dir / manifest_name
-    with open(manifest_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_json_text(manifest))
-    return manifest_path
+    named[manifest_name] = _json_text(manifest)
+    written = []
+    try:
+        for name, text in named.items():
+            with open(out_dir / name, "w", newline="", encoding="utf-8") as fh:
+                written.append(out_dir / name)
+                fh.write(text)
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return out_dir / manifest_name
 
 
-def _dry_run(cfg) -> None:
-    """Run the builders a run of `cfg` uses, on every sweep point's config.
+def _build(cfg) -> _Inputs:
+    """Build everything one run of `cfg` computes from; a bad config raises here."""
+    spectrum = build_spectrum_model(cfg)
+    pulses = build_pulse_pair(cfg, spectrum)
+    settings = build_integrator(cfg)
+    psi0 = build_initial_state(cfg, spectrum.n_excited)
+    couplings = derive_couplings(spectrum, pulses)
+    gate = build_gate_spec(cfg) if "gate" in cfg else None
+    if cfg["mode"] == "stirap":
+        schedule = _stirap_schedule(cfg, spectrum)
+        try:
+            pulses = dataclasses.replace(pulses, envelope0=schedule.envelope0, envelope1=schedule.envelope1)
+        except ValueError as exc:
+            raise ConfigError(f"stirap envelopes: {exc}") from exc
+    return _Inputs(cfg["mode"], spectrum, pulses, settings, psi0, couplings, gate)
 
-    `validate` and `run` both call this, so a semantic problem exits 2
-    before any propagation or quadrature and no file is written.
+
+def _dry_run(cfg) -> list:
+    """`_build` a run of `cfg`: [(overrides, inputs)], one entry per sweep point.
+
+    A single run is [((), inputs)].  `validate` stops here, and `run`
+    and `compare` compute from what this returns, so a semantic problem
+    exits 2 before any propagation or quadrature and no file is written.
     """
-    configs = [sub for _, sub in _sweep_configs(cfg)] if cfg["mode"] == "sweep" else [cfg]
-    for sub in configs:
-        spectrum = build_spectrum_model(sub)
-        pulses = build_pulse_pair(sub, spectrum)
-        build_integrator(sub)
-        build_initial_state(sub, spectrum.n_excited)
-        derive_couplings(spectrum, pulses)
-        if "gate" in sub:
-            build_gate_spec(sub)
-        if sub["mode"] == "stirap":
-            _stirap_schedule(sub, spectrum, pulses)
+    if cfg["mode"] != "sweep":
+        return [((), _build(cfg))]
+    sub_mode = cfg["sweep"]["mode"]
+    return [
+        (pt, _build({**config_with_overrides(cfg, pt), "mode": sub_mode}))
+        for pt in sweep_points(cfg["sweep"])
+    ]
 
 
 def _cmd_run(args) -> int:
-    """Shared by `run` and `compare`: load, check, compute, then write everything."""
+    """Shared by `run` and `compare`: load, build, compute, then write everything."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dict(cfg)
         cfg["seed"] = args.seed
-    _dry_run(cfg)
+    compare = args.command == "compare"
+    tier = cfg.get("compare", {}).get("exact_tier", "rwa")
+    # compare computes a single run of its exact tier, whatever the mode
+    built = _dry_run({**cfg, "mode": f"propagate-{tier}"} if compare else cfg)
     mode = cfg["mode"]
-    extra = None
+    inputs = built[0][1]
     start = time.perf_counter()
-    if args.command == "compare":
-        files = _run_compare(cfg)
-        extra = {"command": "compare"}
+    if compare:
+        files = _run_compare(inputs)
     elif mode.startswith("propagate-"):
-        files = _run_propagate(cfg, mode)
+        files = _run_propagate(inputs)
     elif mode == "effective":
-        files = _run_effective(cfg)
+        files = _run_effective(inputs)
     elif mode == "synthesize-gate":
-        files = _run_synthesize(cfg)
+        files = _run_synthesize(inputs)
     elif mode == "stirap":
-        files = _run_stirap(cfg)
+        files = _run_stirap(cfg, inputs)
     else:
-        files = _run_sweep(cfg, args.jobs)
+        files = _run_sweep(cfg, built, args.jobs)
     elapsed = time.perf_counter() - start
-    manifest = _write_outputs(
-        files, Path(args.out), _output_prefix(cfg, args.config), cfg, elapsed, extra
-    )
+    extra = {"command": "compare"} if compare else None
+    manifest = _write_outputs(files, Path(args.out), _output_prefix(cfg, args.config), cfg, elapsed, extra)
     print(manifest)
     return EXIT_OK
 

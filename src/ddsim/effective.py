@@ -138,9 +138,9 @@ class EffectiveEvolution:
     Wraps an EffectiveHamiltonian and the two pulse envelopes (`Envelope`,
     whose derivatives feed `theta_dot`) on [t0, t1].  Pointwise methods
     evaluate the closed forms; the integrated splitting omega_integral
-    and mean shift phi_lambda use adaptive quadrature and are cached per
-    requested time.  Every method takes a time or an array of times and
-    returns a float or an array of the same shape.
+    and mean shift phi_lambda run one adaptive quadrature per requested
+    time.  Every method takes a time or an array of times and returns a
+    float or an array of the same shape.
 
     Where both envelopes vanish the mixing angle is defined by its limit
     along the window (evaluated just inside); across stretches where
@@ -155,7 +155,6 @@ class EffectiveEvolution:
         self.f1 = f1
         self.t0 = float(t0)
         self.t1 = float(t1)
-        self._integrals: dict[str, dict[float, float]] = {"mean": {}, "omega": {}}
 
         self.grid = np.linspace(self.t0, self.t1, _GRID_POINTS)
         d = _dressed(ham, f0(self.grid), f1(self.grid))
@@ -235,17 +234,14 @@ class EffectiveEvolution:
 
     def _accumulated(self, field: str, t):
         """Integral over hbar on [t0, t] of one `_Dressed` field, rad."""
-        cache = self._integrals[field]
         t = np.asarray(t, dtype=float)
-        keys = t.ravel().tolist()
-        for key in keys:
-            if key not in cache:
-                val, _ = quad(
-                    lambda s: getattr(self._at(s), field), self.t0, key,
-                    limit=_QUAD_LIMIT, epsabs=1e-13, epsrel=1e-12,
-                )
-                cache[key] = val / HBAR
-        values = [cache[key] for key in keys]
+        values = [
+            quad(
+                lambda s: getattr(self._at(s), field), self.t0, end,
+                limit=_QUAD_LIMIT, epsabs=1e-13, epsrel=1e-12,
+            )[0] / HBAR
+            for end in t.ravel().tolist()
+        ]
         return values[0] if t.ndim == 0 else np.reshape(values, t.shape)
 
     def omega_integral(self, t):

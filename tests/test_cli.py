@@ -407,6 +407,67 @@ def test_compare_exact_against_model(tmp_path, tier):
 
 
 # ---------------------------------------------------------------------
+# each config is built once
+# ---------------------------------------------------------------------
+
+
+def _gated_cfg(mode):
+    return {
+        "mode": mode,
+        "spectrum": {"delta": 5.0, "omega_exc": 2000.0},
+        "pulses": {"amp0": 20.0, "amp1": 20.0, "omega0": 1905.0, "duration": 1.0},
+        "integrator": {"save_points": 9},
+        "gate": {"target": "NOT"},
+    }
+
+
+_BUILD_ONCE_CASES = {
+    "run-propagate-rwa": ("run", _propagate_cfg(), 1),
+    "run-propagate-averaged": ("run", _gated_cfg("propagate-averaged"), 1),
+    "run-propagate-bare": ("run", {
+        "mode": "propagate-bare",
+        "spectrum": {"delta": 100.0, "omega_exc": 150.0},
+        "pulses": {"amp0": 2.0, "amp1": 2.0, "omega0": 240.0, "duration": 0.2},
+        "integrator": {"save_points": 5},
+    }, 1),
+    "run-effective": ("run", _gated_cfg("effective"), 1),
+    "run-synthesize-gate": ("run", _gated_cfg("synthesize-gate"), 1),
+    "run-stirap": ("run", {
+        "mode": "stirap",
+        "spectrum": {"delta": 0.0, "omega_exc": 2000.0},
+        "pulses": {"amp0": 80.0, "amp1": 80.0, "omega0": 1900.0, "duration": 2.4},
+        "stirap": {
+            "ordering": "counterintuitive",
+            "delay": 0.3,
+            "envelope": {"shape": "gaussian", "width": 0.15},
+        },
+        "integrator": {"save_points": 5},
+    }, 1),
+    "compare": ("compare", _propagate_cfg(), 1),
+    "run-sweep": ("run", _rwa_sweep_cfg([{"path": "pulses.amp0", "start": 10.0, "stop": 20.0, "steps": 2}]), 2),
+    "validate": ("validate", _propagate_cfg(), 1),
+}
+
+
+@pytest.mark.parametrize("command, cfg, points", _BUILD_ONCE_CASES.values(), ids=_BUILD_ONCE_CASES)
+def test_each_config_is_built_once(tmp_path, monkeypatch, capsys, command, cfg, points):
+    calls = []
+    build = cli.build_spectrum_model
+
+    def counted(sub_cfg):
+        calls.append(sub_cfg)
+        return build(sub_cfg)
+
+    monkeypatch.setattr(cli, "build_spectrum_model", counted)
+    argv = [command, _write_cfg(tmp_path, cfg)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out"), *(["--jobs", "1"] if command == "run" else [])]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == points
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------
 
@@ -434,6 +495,26 @@ def test_unsatisfiable_gate_exits_numeric(tmp_path, capsys):
 
 def test_missing_config_exits_io(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == EXIT_IO
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "io"
+
+
+def test_failed_write_leaves_no_partial_files(tmp_path, capsys):
+    # README's minimal propagation config; a directory takes the summary's path
+    cfg = {
+        "mode": "propagate-rwa",
+        "spectrum": {"n_levels": 3, "shape": "uniform", "omega_exc": 2000.0, "spacing": 20.0,
+                     "delta": 5.0, "dipole0": 2.0, "dipole1": 2.0},
+        "pulses": {"amp0": 20.0, "amp1": 20.0, "omega0": 1905.0, "duration": 1.0,
+                   "envelope0": {"shape": "sin2"}, "envelope1": {"shape": "sin2"}},
+    }
+    out_dir = tmp_path / "out"
+    (out_dir / "mini_summary.json").mkdir(parents=True)
+    (out_dir / "other.txt").write_text("kept")
+    assert main(["run", _write_cfg(tmp_path, cfg, "mini.json"), "--out", str(out_dir)]) == EXIT_IO
+    assert sorted(p.name for p in out_dir.iterdir()) == ["mini_summary.json", "other.txt"]
+    assert (out_dir / "mini_summary.json").is_dir()
+    assert (out_dir / "other.txt").read_text() == "kept"
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "io"
 
