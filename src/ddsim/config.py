@@ -23,7 +23,7 @@ import jsonschema
 import numpy as np
 
 from .drive import SHAPES as ENVELOPE_SHAPES, Envelope, PulsePair, enforce_two_photon_resonance
-from .dynamics import FRAMES, METHODS, IntegratorSettings, StateVector
+from .dynamics import FRAMES, IntegratorSettings, StateVector
 from .gates import ORDERINGS, TARGETS, GateSpec
 from .spectrum import SHAPES as SPECTRUM_SHAPES, SpectrumConfig, SpectrumModel, build_spectrum
 
@@ -124,7 +124,6 @@ SCHEMA = {
         "integrator": {
             "type": "object",
             "properties": {
-                "method": {"enum": list(METHODS)},
                 "rtol": {"type": "number", "exclusiveMinimum": 0},
                 "atol": {"type": "number", "exclusiveMinimum": 0},
                 "max_step": {"type": "number", "exclusiveMinimum": 0},
@@ -224,8 +223,12 @@ def load_config(path) -> dict:
     """Read and validate a configuration file."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
+
+    def reject(name):  # json reads NaN and +-Infinity, which no bound in SCHEMA rejects
+        raise ConfigError(f"{path}: non-finite number {name} is not allowed")
+
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     validate_config(cfg)

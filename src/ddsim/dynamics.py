@@ -20,9 +20,9 @@ propagate_rwa
     themselves every beat period P = 2 pi hbar / |Delta| in the frame
     b_k = c_k e^{i delta_k t} (Floquet; Shirley, Phys. Rev. 138, B979
     (1965)).  A window of at least 2 P is then folded: the propagator
-    is integrated over one period with the configured method and
-    tolerances, and the saved states are assembled from it and its
-    powers, so the cost no longer grows with the number of periods.
+    is integrated over one period with the configured tolerances, and
+    the saved states are assembled from it and its powers, so the cost
+    no longer grows with the number of periods.
     The last one-period propagator is kept, so a run with equal
     couplings, phases, settings and save offsets (the other basis state
     of a gate check) skips the integration.  Shaped envelopes, Delta = 0
@@ -44,7 +44,7 @@ diagonal <k|M|k>.  A tier supplies only its couplings (s, g0, g1) at t
 (s is 1 except in the bare tier, where it is the instantaneous field)
 and the averaged tier its diagonal -delta_k / hbar; one right-hand side
 (_star_rhs) computes dy/dt for all of them, for a single state or for a
-propagator whose columns are states.
+propagator whose columns are states, and DOP853 integrates it.
 
 Norms are monitored, never renormalized: drift beyond the configured
 bound raises PropagationError instead of silently hiding an integrator
@@ -69,10 +69,8 @@ from .units import DIPOLE_FIELD_TO_UEV, HBAR
 logger = logging.getLogger(__name__)
 
 FRAMES = ("bare", "rwa", "averaged")
-METHODS = ("adaptive", "rk4")
 
-# steps per fastest oscillation period, for fixed-step integration and
-# for the carrier-resolution clamp of the bare tier
+# steps per period of the faster carrier, for the step clamp of the bare tier
 _STEPS_PER_PERIOD = 50.0
 
 
@@ -115,18 +113,11 @@ class StateVector:
 class IntegratorSettings:
     """Numerical controls for the propagators.
 
-    method "adaptive" uses an 8th-order adaptive Runge-Kutta scheme;
-    "rk4" is a fixed-step classic RK4 fallback whose step defaults to
-    resolving the fastest phase in the problem with 50 points per
-    period.  In the bare tier that is the faster carrier.  In the rwa
-    and averaged tiers it is the faster of the largest Rabi scale lambda
-    and the fastest coupling phase: max_k |delta_k| + |Delta| in the rwa
-    tier, where the crossed couplings turn at delta_k -+ Delta, and
-    max_k |delta_k| in the averaged tier.  max_step is in ns and bounds
-    either method.
+    Every tier integrates with the 8th-order adaptive Runge-Kutta scheme
+    DOP853 at these tolerances.  max_step is in ns and bounds its step;
+    the bare tier bounds it further to resolve the faster carrier.
     """
 
-    method: str = "adaptive"
     rtol: float = 1e-10
     atol: float = 1e-12
     max_step: Optional[float] = None
@@ -134,8 +125,6 @@ class IntegratorSettings:
     norm_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown integrator method {self.method!r}")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be > 0")
         if self.max_step is not None and self.max_step <= 0:
@@ -212,52 +201,28 @@ def _star_rhs(star, diag=None):
     return rhs
 
 
-def _run_rk4(rhs, y0, grid, step):
-    out = np.empty((len(grid), len(y0)), dtype=complex)
-    y = np.array(y0, dtype=complex)
-    out[0] = y
-    for j in range(len(grid) - 1):
-        t0, t1 = grid[j], grid[j + 1]
-        n = max(1, int(math.ceil((t1 - t0) / step)))
-        h = (t1 - t0) / n
-        if h <= 0 or t0 + h == t0:
-            raise PropagationError(f"step size underflow near t={t0}")
-        t = t0
-        for _ in range(n):
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        out[j + 1] = y
-    return out
-
-
-def _integrate(rhs, y0, grid, settings, max_step, step):
-    """Values of dy/dt = rhs(t, y) on grid, from y0 at grid[0], with the configured method."""
-    if settings.method == "adaptive":
-        sol = solve_ivp(
-            rhs,
-            (grid[0], grid[-1]),
-            y0,
-            method="DOP853",
-            t_eval=grid,
-            rtol=settings.rtol,
-            atol=settings.atol,
-            max_step=max_step if max_step is not None else np.inf,
-        )
-        if not sol.success:
-            raise PropagationError(f"adaptive integrator failed: {sol.message}")
-        return sol.y.T.copy()
-    return _run_rk4(rhs, y0, grid, max_step or step)
+def _integrate(rhs, y0, grid, settings):
+    """Values of dy/dt = rhs(t, y) on grid, from y0 at grid[0], by DOP853 at the given settings."""
+    sol = solve_ivp(
+        rhs,
+        (grid[0], grid[-1]),
+        y0,
+        method="DOP853",
+        t_eval=grid,
+        rtol=settings.rtol,
+        atol=settings.atol,
+        max_step=settings.max_step or np.inf,
+    )
+    if not sol.success:
+        raise PropagationError(f"adaptive integrator failed: {sol.message}")
+    return sol.y.T.copy()
 
 
 # (key, read-only propagators U(taus)) of the last one-period integration in _fold
 _one_period_memo = None
 
 
-def _fold(rhs, psi0, grid, period, phases, integrate, key):
+def _fold(rhs, psi0, grid, period, phases, settings, key):
     """Amplitudes on grid from the propagator of one period (Floquet).
 
     rhs(t, y), applied to y of shape (dim, dim), must describe a system
@@ -268,18 +233,22 @@ def _fold(rhs, psi0, grid, period, phases, integrate, key):
     the powers built by binary powering between save points.  F is not
     unitarized, so the norm check still sees its error, amplified by m.
 
-    key must fix rhs and integrate (coefficients and settings).  With the
-    offsets tau, which end at P, it names the integration; the last one is
-    kept and reused when a call names it again.  The phases enter only
+    key must fix rhs (its coefficients).  With the settings and the
+    offsets tau, which end at P, it names the integration; the last one
+    is kept and reused when a call names it again.  The phases enter only
     the assembly.
     """
     global _one_period_memo
     dim = len(psi0)
     periods = np.floor(grid / period)
     offsets = np.clip(grid - periods * period, 0.0, period)
+    # l P / P can round below l: an offset a few ulp short of P starts the next period
+    wrap = offsets >= period - 4.0 * np.spacing(grid)
+    periods[wrap] += 1.0
+    offsets[wrap] = 0.0
     taus = np.unique(np.append(offsets, period))
 
-    key += (taus.tobytes(),)
+    key += (settings.rtol, settings.atol, settings.max_step, taus.tobytes())
     memo = _one_period_memo
     reused = memo is not None and memo[0] == key
     # only the rwa tier folds
@@ -291,7 +260,7 @@ def _fold(rhs, psi0, grid, period, phases, integrate, key):
         def block(t, y):
             return rhs(t, y.reshape(dim, dim)).ravel()
 
-        props = integrate(block, np.eye(dim, dtype=complex).ravel(), taus).reshape(-1, dim, dim)
+        props = _integrate(block, np.eye(dim, dtype=complex).ravel(), taus, settings).reshape(-1, dim, dim)
         props.flags.writeable = False
         _one_period_memo = (key, props)
     one_period = props[-1].copy()
@@ -313,15 +282,12 @@ def _fold(rhs, psi0, grid, period, phases, integrate, key):
     return out
 
 
-def _propagate(star, psi0, frame, n_excited, pulses, settings, rate, diag=None, period=None, phases=None,
-               key=()):
+def _propagate(star, psi0, frame, n_excited, pulses, settings, diag=None, period=None, phases=None, key=()):
     """Integrate the star-coupled equations (see _star_rhs) from psi0 over [0, pulses.duration].
 
-    rate is the fastest angular frequency in the tier, rad/ns.  The
-    fixed rk4 step defaults to resolving it with _STEPS_PER_PERIOD
-    points per period.  With a period, the one-period propagator is
-    integrated instead and the run is folded (see _fold); key is then a
-    tuple of the values (bytes or floats) that fix star and diag.
+    With a period, the one-period propagator is integrated instead and
+    the run is folded (see _fold); key is then a tuple of the values
+    (bytes or floats) that fix star and diag.
     """
     settings = settings or IntegratorSettings()
     if psi0.frame != frame:
@@ -331,18 +297,12 @@ def _propagate(star, psi0, frame, n_excited, pulses, settings, rate, diag=None, 
             f"state has {len(psi0.amplitudes)} amplitudes, structure needs {2 + n_excited}"
         )
 
-    step = 2.0 * math.pi / (_STEPS_PER_PERIOD * rate) if rate > 0 else pulses.duration / 100.0
-
-    def integrate(f, y0, grid):
-        return _integrate(f, y0, grid, settings, settings.max_step, step)
-
     rhs = _star_rhs(star, diag)
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
     if period is None:
-        ys = integrate(rhs, psi0.amplitudes, grid)
+        ys = _integrate(rhs, psi0.amplitudes, grid, settings)
     else:
-        key += (settings.method, settings.rtol, settings.atol, settings.max_step, step)
-        ys = _fold(rhs, psi0.amplitudes, grid, period, phases, integrate, key)
+        ys = _fold(rhs, psi0.amplitudes, grid, period, phases, settings, key)
 
     traj = Trajectory(grid, ys, frame)
     drift = traj.norm_drift
@@ -397,18 +357,13 @@ def propagate_rwa(
         beat = np.exp(1j * wq * t)
         return 1.0, (lam0 * f0 + mu1 * f1 / beat) * phase_k, (mu0 * f0 * beat + lam1 * f1) * phase_k
 
-    # the crossed couplings turn at delta_k -+ Delta
-    rate = max(
-        float(np.max(np.abs(couplings.delta), initial=0.0)) + abs(couplings.delta_qubit),
-        float(np.max(couplings.lambda_scale, initial=0.0)),
-    ) / HBAR
     n = couplings.n_levels
     if reason is not None:
         logger.info("rwa propagation: direct (%s)", reason)
-        return _propagate(star, psi0, "rwa", n, pulses, settings, rate)
+        return _propagate(star, psi0, "rwa", n, pulses, settings)
     # the envelopes are 1, so these fix star
     key = tuple(a.tobytes() for a in (lam0, lam1, mu0, mu1, wd)) + (wq,)
-    return _propagate(star, psi0, "rwa", n, pulses, settings, rate, period=period, phases=wd, key=key)
+    return _propagate(star, psi0, "rwa", n, pulses, settings, period=period, phases=wd, key=key)
 
 
 def propagate_averaged(
@@ -438,12 +393,7 @@ def propagate_averaged(
     def star(t):
         return 1.0, lam0 * env0(t), lam1 * env1(t)
 
-    rate = max(
-        float(np.max(np.abs(couplings.delta), initial=0.0)),
-        float(np.max(couplings.lambda_scale, initial=0.0)),
-    ) / HBAR
-    return _propagate(star, psi0, "averaged", couplings.n_levels, pulses, settings, rate,
-                      diag=-couplings.delta / HBAR)
+    return _propagate(star, psi0, "averaged", couplings.n_levels, pulses, settings, diag=-couplings.delta / HBAR)
 
 
 def propagate_bare(
@@ -472,7 +422,7 @@ def propagate_bare(
         e_field = amp0 * env0(t) * math.cos(w0 * t + phi0) + amp1 * env1(t) * math.cos(w1 * t + phi1)
         return e_field, d0 * np.exp(-1j * w0k * t), d1 * np.exp(-1j * w1k * t)
 
-    # the carrier-resolving step bounds either method, whatever the settings ask for
+    # the carrier-resolving step bounds the integrator, whatever the settings ask for
     settings = settings or IntegratorSettings()
     max_step = min(settings.max_step or math.inf, 2.0 * math.pi / (_STEPS_PER_PERIOD * max(w0, w1)))
     settings = replace(settings, max_step=max_step)
@@ -484,7 +434,7 @@ def propagate_bare(
             "(runtime grows with omega0 * duration); consider the rwa tier",
             stacklevel=2,
         )
-    return _propagate(star, psi0, "bare", spectrum.n_excited, pulses, settings, max(w0, w1))
+    return _propagate(star, psi0, "bare", spectrum.n_excited, pulses, settings)
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command line checks: files written, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -478,6 +479,35 @@ def test_broken_json_exits_config(tmp_path, capsys):
     assert main(["validate", str(path)]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "config"
+
+
+# json writes these floats as NaN, Infinity and -Infinity, which json also reads
+@pytest.mark.parametrize("section, field, value", [
+    ("integrator", "rtol", math.nan),
+    ("integrator", "max_step", math.nan),
+    ("integrator", "norm_tol", math.inf),
+    ("pulses", "duration", math.inf),
+    ("pulses", "phi0", -math.inf),
+    ("spectrum", "dipole0", math.nan),
+])
+def test_non_finite_number_exits_config(tmp_path, capsys, section, field, value):
+    cfg = _propagate_cfg()
+    cfg[section][field] = value
+    cfg_path = _write_cfg(tmp_path, cfg)
+    assert main(["validate", cfg_path]) == EXIT_CONFIG
+    out_dir = tmp_path / "out"
+    assert main(["run", cfg_path, "--out", str(out_dir)]) == EXIT_CONFIG
+    assert not out_dir.exists()
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert len(errors) == 2
+    assert all(f"non-finite number {json.dumps(value)} " in err["error"]["message"] for err in errors)
+
+
+def test_integrator_method_key_exits_config(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _propagate_cfg(integrator={"method": "adaptive"}))
+    assert main(["validate", cfg_path]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert "'method' was unexpected" in err["error"]["message"]
 
 
 def test_unsatisfiable_gate_exits_numeric(tmp_path, capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from ddsim import Envelope, SpectrumModel, StateVector, schedule_stirap
+from ddsim import Envelope, IntegratorSettings, SpectrumModel, StateVector, schedule_stirap
 from ddsim.cli import _dry_run
 from ddsim.config import (
     SCHEMA,
@@ -171,7 +171,6 @@ _ENUM_BUILDERS = {
     "spectrum.shape": _build_spectrum_shape,
     "pulses.envelope0.shape": _build_envelope_shape,
     "pulses.envelope1.shape": _build_envelope_shape,
-    "integrator.method": lambda v: build_integrator({"integrator": {"method": v}}),
     "gate.target": lambda v: build_gate_spec(
         {"gate": {"target": v, "custom_unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}
     ).target_matrix(),
@@ -349,11 +348,9 @@ def test_pulse_builder_wraps_envelope_errors():
 
 
 def test_integrator_builder_defaults_and_errors():
-    settings = build_integrator({})
-    assert settings.method == "adaptive"
-    tuned = build_integrator({"integrator": {"method": "rk4", "save_points": 11}})
-    assert tuned.method == "rk4"
-    assert tuned.save_points == 11
+    assert build_integrator({}) == IntegratorSettings()
+    tuned = build_integrator({"integrator": {"rtol": 1e-8, "save_points": 11}})
+    assert (tuned.rtol, tuned.save_points) == (1e-8, 11)
     with pytest.raises(ConfigError, match="integrator"):
         build_integrator({"integrator": {"rtol": -1.0}})
 
