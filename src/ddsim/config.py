@@ -223,20 +223,27 @@ def load_config(path) -> dict:
     """Read and validate a configuration file."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
-
-    def reject(name):  # json reads NaN and +-Infinity, which no bound in SCHEMA rejects
-        raise ConfigError(f"{path}: non-finite number {name} is not allowed")
-
     try:
-        cfg = json.loads(raw, parse_constant=reject)
+        cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     validate_config(cfg)
     return cfg
 
 
+def _check_finite(node: Any, path: tuple = ()) -> None:
+    """Reject NaN and +-inf anywhere in the document, which no bound in SCHEMA rejects."""
+    if isinstance(node, float) and not math.isfinite(node):
+        loc = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config invalid at {loc}: non-finite number {json.dumps(node)} is not allowed")
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in children:
+        _check_finite(value, (*path, key))
+
+
 def validate_config(cfg: Any) -> None:
     """Structural and cross-field validation; raises ConfigError."""
+    _check_finite(cfg)
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
     if error is not None:
         loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
@@ -390,17 +397,17 @@ def build_integrator(cfg: dict) -> IntegratorSettings:
         raise ConfigError(f"integrator: {exc}") from exc
 
 
-def build_initial_state(cfg: dict, n_excited: int, frame: str = "rwa") -> StateVector:
+def build_initial_state(cfg: dict, n_excited: int) -> StateVector:
     section = cfg.get("initial_state")
     if section is None:
-        return StateVector.qubit(1.0, 0.0, n_excited, frame=frame)
+        return StateVector.qubit(1.0, 0.0, n_excited)
     alpha = _as_complex(section["alpha"])
     beta = _as_complex(section["beta"])
     norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     if norm < 1e-12:
         raise ConfigError("initial_state: alpha and beta are both zero")
     try:
-        return StateVector.qubit(alpha / norm, beta / norm, n_excited, frame=frame)
+        return StateVector.qubit(alpha / norm, beta / norm, n_excited)
     except ValueError as exc:
         raise ConfigError(f"initial_state: {exc}") from exc
 

@@ -79,6 +79,25 @@ def test_out_of_range_value_rejected():
         validate_config(cfg)
 
 
+# a dict config can hold what json.loads would only read from NaN and Infinity literals;
+# the check comes before the schema's, so -inf is not reported as below a minimum
+@pytest.mark.parametrize("path, value", [
+    (("pulses", "duration"), math.nan),
+    (("pulses", "amp0"), math.inf),
+    (("pulses", "amp0"), -math.inf),
+    (("sweep", "axes", 0, "stop"), math.inf),
+])
+def test_non_finite_numbers_rejected_with_location(path, value):
+    cfg = _sweep_cfg([{"path": "pulses.amp0", "start": 10.0, "stop": 30.0, "steps": 3}])
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    loc = "/".join(str(p) for p in path)
+    with pytest.raises(ConfigError, match=f"at {loc}: non-finite number {json.dumps(value)} "):
+        validate_config(cfg)
+
+
 @pytest.mark.parametrize(
     "mode, drop, missing",
     [
@@ -177,7 +196,7 @@ _ENUM_BUILDERS = {
     "stirap.ordering": lambda v: schedule_stirap(v, Envelope("gaussian", 1.0, 0.3), 0.1, 2.0),
     "stirap.envelope.shape": _build_envelope_shape,
     "sweep.mode": _build_sweep_mode,
-    "compare.exact_tier": lambda v: build_initial_state({}, 1, frame=v),
+    "compare.exact_tier": lambda v: StateVector.qubit(1, 0, 1, frame=v),
 }
 
 

@@ -248,7 +248,7 @@ _BOUNDS = st.one_of(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     sums=st.tuples(_SUM, _SUM, _SUM),
     delta=st.floats(0.5, 60.0),
