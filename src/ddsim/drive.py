@@ -132,6 +132,18 @@ class Envelope:
             return 0.5 * self.width
         return self.ramp
 
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """Times where the envelope or its derivative jumps, ns: the sin2
+        support edges and the four trapezoid ramp ends (none for smooth shapes)."""
+        lo = self.center - 0.5 * self.width
+        hi = self.center + 0.5 * self.width
+        if self.shape == "sin2":
+            return (lo, hi)
+        if self.shape == "trapezoid":
+            return (lo, lo + self.ramp, hi - self.ramp, hi)
+        return ()
+
     def shifted(self, dt: float) -> "Envelope":
         """Copy of this envelope displaced by dt in time."""
         if self.shape == "constant":

@@ -38,13 +38,30 @@ from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .drive import CouplingSet, Envelope
 from .spectrum import SpectrumModel
 from .units import HBAR
 
-_QUAD_LIMIT = 400
+# The 8-point Gauss-Legendre rule on [-1, 1] of the cumulative integrals, as
+# numpy.polynomial.legendre.leggauss(8) gives it.  Written out because computing
+# it takes a LAPACK call, whose first use adds about 0.8 MB to a run's peak memory.
+_GL_X = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+                  0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+                  0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+# no integration panel is longer than window / _PANELS_PER_WINDOW, so that the
+# error estimate of a panel cannot miss a narrow pulse between its nodes
+_PANELS_PER_WINDOW = 400
+# panels per integrand call: 2000 nodes, the size of the grid below, so that a
+# long request's node arrays stay as small as the grid's
+_PANEL_BLOCK = 250
+# panels are halved until their error estimates, summed over a pass, stay
+# within max(_EPSABS ueV ns, _EPSREL * integral of |integrand|), and at most
+# _MAX_BISECTIONS times
+_EPSABS = 1e-13
+_EPSREL = 1e-12
+_MAX_BISECTIONS = 40
 _GRID_POINTS = 2001  # held-Theta and adiabaticity grid over the window
 _ACTIVE_FRACTION = 1e-3  # adiabaticity is read where Omega exceeds this fraction of its peak
 
@@ -101,8 +118,71 @@ def _dressed(ham: EffectiveHamiltonian, f0, f1) -> _Dressed:
     return _Dressed(0.5 * (l0 + l1), np.sqrt(omega_sq), omega_sq, 0.5 * (l0 - l1), y)
 
 
+class _Grid(NamedTuple):
+    """The held-Theta and adiabaticity grid of an EffectiveEvolution."""
+
+    times: np.ndarray
+    omega: np.ndarray
+    theta: np.ndarray  # held across stretches where both envelopes vanish
+
+
 def _plain(value):
     return float(value) if np.ndim(value) == 0 else value
+
+
+def _gauss(integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """8-point Gauss-Legendre integral of `integrand` over each panel [lo, hi].
+
+    `integrand` takes an array of times; it gets at most _PANEL_BLOCK
+    panels of nodes per call.
+    """
+    half = 0.5 * (hi - lo)
+    mid = lo + half
+    blocks = (slice(i, i + _PANEL_BLOCK) for i in range(0, half.size, _PANEL_BLOCK))
+    return np.concatenate([half[b] * (integrand(mid[b, None] + half[b, None] * _GL_X) @ _GL_W) for b in blocks])
+
+
+def _cumulative_integrals(integrand, knots: np.ndarray, cap: float) -> np.ndarray:
+    """Integrals of `integrand` from knots[0] to each of the sorted, unique knots.
+
+    Every gap between knots is cut into equal panels no longer than
+    `cap`.  A panel's integral is the 8-point Gauss-Legendre rule on its
+    two halves.  Where that differs from the rule on the whole panel by
+    more than the panel's share, by length, of max(_EPSABS, _EPSREL *
+    integral of |integrand|), both halves are split again, all such
+    panels at once, at most _MAX_BISECTIONS times.  So an integrand that
+    is smooth inside each gap costs three rules per panel, and a kink or
+    near-kink inside a gap (such as Omega where the two envelopes cross
+    while both are small) is resolved where it sits.  The panel
+    integrals are then summed cumulatively.
+    """
+    if knots.size == 1:
+        return np.zeros(1)
+    gaps = np.diff(knots)
+    per_gap = np.maximum(np.ceil(gaps / cap), 1.0).astype(int)
+    first = np.repeat(np.cumsum(per_gap) - per_gap, per_gap)  # each panel's gap starts at panel `first`
+    frac = (np.arange(first.size) - first) / np.repeat(per_gap, per_gap)
+    edges = np.append(np.repeat(knots[:-1], per_gap) + frac * np.repeat(gaps, per_gap), knots[-1])
+
+    lo, hi = edges[:-1], edges[1:]
+    owner = np.arange(lo.size)  # the panel each piece belongs to
+    whole = _gauss(integrand, lo, hi)
+    density = max(_EPSABS, _EPSREL * np.sum(np.abs(whole))) / (knots[-1] - knots[0])
+    integrals = np.zeros(lo.size)
+    for depth in range(_MAX_BISECTIONS + 1):
+        mid = 0.5 * (lo + hi)
+        left, right = _gauss(integrand, lo, mid), _gauss(integrand, mid, hi)
+        halves = left + right
+        done = (np.abs(halves - whole) <= density * (hi - lo)) | (depth == _MAX_BISECTIONS)
+        integrals += np.bincount(owner[done], halves[done], integrals.size)
+        if done.all():
+            break
+        split = ~done
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        owner = np.tile(owner[split], 2)
+        whole = np.concatenate((left[split], right[split]))
+    sums = np.cumsum(np.concatenate(([0.0], integrals)))
+    return sums[np.concatenate(([0], np.cumsum(per_gap)))]
 
 
 def effective_hamiltonian(couplings: CouplingSet, phi0: float = 0.0, phi1: float = 0.0) -> EffectiveHamiltonian:
@@ -137,10 +217,14 @@ class EffectiveEvolution:
 
     Wraps an EffectiveHamiltonian and the two pulse envelopes (`Envelope`,
     whose derivatives feed `theta_dot`) on [t0, t1].  Pointwise methods
-    evaluate the closed forms; the integrated splitting omega_integral
-    and mean shift phi_lambda run one adaptive quadrature per requested
-    time.  Every method takes a time or an array of times and returns a
-    float or an array of the same shape.
+    evaluate the closed forms.  The integrated splitting omega_integral
+    and mean shift phi_lambda take one pass of composite Gauss-Legendre
+    quadrature per call, over panels that end on every requested time
+    and every envelope kink (`Envelope.kinks`) and are halved where the
+    rule's error estimate asks for it, accumulated with a cumulative
+    sum.  Every method takes a time or an array of times,
+    all inside the window, and returns a float or an array of the same
+    shape.
 
     Where both envelopes vanish the mixing angle is defined by its limit
     along the window (evaluated just inside); across stretches where
@@ -156,17 +240,19 @@ class EffectiveEvolution:
         self.t0 = float(t0)
         self.t1 = float(t1)
 
-        self.grid = np.linspace(self.t0, self.t1, _GRID_POINTS)
-        d = _dressed(ham, f0(self.grid), f1(self.grid))
-        self._grid_omega = d.omega
+    @functools.cached_property
+    def _grid(self) -> _Grid:
+        """Omega and the held Theta on _GRID_POINTS times over the window, built on first use."""
+        times = np.linspace(self.t0, self.t1, _GRID_POINTS)
+        d = self._at(times)
         defined = (d.x != 0.0) | (d.y != 0.0)
+        theta = np.zeros(_GRID_POINTS)
         if np.any(defined):
             # hold the last defined value across gaps, the first one before it
             last = np.maximum.accumulate(np.where(defined, np.arange(_GRID_POINTS), -1))
             last[last < 0] = np.argmax(defined)
-            self._grid_theta = np.arctan2(d.y, d.x)[last]
-        else:
-            self._grid_theta = np.zeros(_GRID_POINTS)
+            theta = np.arctan2(d.y, d.x)[last]
+        return _Grid(times, d.omega, theta)
 
     # -- pointwise closed forms ----------------------------------------
 
@@ -204,9 +290,10 @@ class EffectiveEvolution:
                 if not dead.size:
                     break
             # fully dead neighborhood: hold the nearest grid value, the lower one on a tie
-            i = np.clip(np.searchsorted(self.grid, flat[dead]), 1, _GRID_POINTS - 1)
-            i -= np.abs(flat[dead] - self.grid[i - 1]) <= np.abs(self.grid[i] - flat[dead])
-            out[dead] = self._grid_theta[i]
+            grid = self._grid
+            i = np.clip(np.searchsorted(grid.times, flat[dead]), 1, _GRID_POINTS - 1)
+            i -= np.abs(flat[dead] - grid.times[i - 1]) <= np.abs(grid.times[i] - flat[dead])
+            out[dead] = grid.theta[i]
         return _plain(out.reshape(t.shape))
 
     def theta_dot(self, t):
@@ -233,16 +320,21 @@ class EffectiveEvolution:
     # -- integrated quantities -----------------------------------------
 
     def _accumulated(self, field: str, t):
-        """Integral over hbar on [t0, t] of one `_Dressed` field, rad."""
+        """Integral over hbar on [t0, t] of one `_Dressed` field, rad.
+
+        One cumulative pass over the knots t0, every requested time and
+        every envelope kink between t0 and the last of them.
+        """
         t = np.asarray(t, dtype=float)
-        values = [
-            quad(
-                lambda s: getattr(self._at(s), field), self.t0, end,
-                limit=_QUAD_LIMIT, epsabs=1e-13, epsrel=1e-12,
-            )[0] / HBAR
-            for end in t.ravel().tolist()
-        ]
-        return values[0] if t.ndim == 0 else np.reshape(values, t.shape)
+        if np.count_nonzero(~((self.t0 <= t) & (t <= self.t1))):
+            raise ValueError("requested times fall outside the evolution window")
+        span = np.max(t, initial=self.t0)
+        kinks = [k for k in self.f0.kinks + self.f1.kinks if self.t0 < k < span]
+        knots = np.unique(np.concatenate(([self.t0], t.ravel(), kinks)))
+        sums = _cumulative_integrals(
+            lambda s: getattr(self._at(s), field), knots, (self.t1 - self.t0) / _PANELS_PER_WINDOW
+        )
+        return _plain(sums[np.searchsorted(knots, t)] / HBAR)
 
     def omega_integral(self, t):
         """Accumulated dressed phase integral of Omega/hbar on [t0, t], rad."""
@@ -277,15 +369,19 @@ def diagonal_evolution_check(evolution: EffectiveEvolution) -> AdiabaticityRepor
 
     Only grid points where Omega exceeds _ACTIVE_FRACTION (1e-3) of its
     peak count: in envelope tails Omega is round-off.  With Omega zero
-    everywhere the ratio is 0.
+    everywhere the ratio is 0.  With two constant envelopes theta_dot is
+    0, so the ratio is 0 without building the grid.
     """
-    om = evolution._grid_omega
+    if evolution.f0.shape == evolution.f1.shape == "constant":
+        return AdiabaticityReport(max_ratio=0.0, time_of_max=evolution.t0)
+    grid = evolution._grid
+    om = grid.omega
     active = np.flatnonzero(om > _ACTIVE_FRACTION * np.max(om))
     if not active.size:
         return AdiabaticityReport(max_ratio=0.0, time_of_max=evolution.t0)
-    ratio = evolution.theta_dot(evolution.grid)[active] * HBAR / (2.0 * om[active])
+    ratio = evolution.theta_dot(grid.times)[active] * HBAR / (2.0 * om[active])
     i = int(np.argmax(ratio))
-    return AdiabaticityReport(max_ratio=float(ratio[i]), time_of_max=float(evolution.grid[active[i]]))
+    return AdiabaticityReport(max_ratio=float(ratio[i]), time_of_max=float(grid.times[active[i]]))
 
 
 def _block(a, b, c, d) -> np.ndarray:

@@ -358,7 +358,7 @@ def test_semantic_problem_fails_before_compute(tmp_path, capsys, monkeypatch, cf
 
     for name in ("propagate_rwa", "propagate_averaged", "propagate_bare"):
         monkeypatch.setattr(cli, name, no_compute)
-    monkeypatch.setattr(effective, "quad", no_compute)
+    monkeypatch.setattr(effective, "_cumulative_integrals", no_compute)
     cfg_path = _write_cfg(tmp_path, cfg)
     assert main(["validate", cfg_path]) == EXIT_CONFIG
     out_dir = tmp_path / "out"
