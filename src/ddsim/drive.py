@@ -134,15 +134,14 @@ class Envelope:
 
     @property
     def kinks(self) -> tuple[float, ...]:
-        """Times where the envelope or its derivative jumps, ns: the sin2
-        support edges and the four trapezoid ramp ends (none for smooth shapes)."""
+        """Times where the derivative of the envelope jumps, ns: the four
+        trapezoid ramp ends.  The other shapes have none (at the sin2
+        support edges f and f' are continuous; only f'' jumps)."""
+        if self.shape != "trapezoid":
+            return ()
         lo = self.center - 0.5 * self.width
         hi = self.center + 0.5 * self.width
-        if self.shape == "sin2":
-            return (lo, hi)
-        if self.shape == "trapezoid":
-            return (lo, lo + self.ramp, hi - self.ramp, hi)
-        return ()
+        return (lo, lo + self.ramp, hi - self.ramp, hi)
 
     def shifted(self, dt: float) -> "Envelope":
         """Copy of this envelope displaced by dt in time."""

@@ -53,15 +53,16 @@ _GL_W = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 
 # no integration panel is longer than window / _PANELS_PER_WINDOW, so that the
 # error estimate of a panel cannot miss a narrow pulse between its nodes
 _PANELS_PER_WINDOW = 400
-# panels per integrand call: 2000 nodes, the size of the grid below, so that a
-# long request's node arrays stay as small as the grid's
-_PANEL_BLOCK = 250
 # panels are halved until their error estimates, summed over a pass, stay
-# within max(_EPSABS ueV ns, _EPSREL * integral of |integrand|), and at most
-# _MAX_BISECTIONS times
+# within max(_EPSABS ueV ns, _EPSREL * integral of |integrand|), or within the
+# rounding floor of the piece (see _cumulative_integrals), at most
+# _MAX_BISECTIONS times; a level where more than _MAX_SPLIT pieces still fail
+# ends the halving, so that no integrand can make a pass unbounded
 _EPSABS = 1e-13
 _EPSREL = 1e-12
+_ROUNDING = 10.0 * np.finfo(float).eps
 _MAX_BISECTIONS = 40
+_MAX_SPLIT = 4096
 _GRID_POINTS = 2001  # held-Theta and adiabaticity grid over the window
 _ACTIVE_FRACTION = 1e-3  # adiabaticity is read where Omega exceeds this fraction of its peak
 
@@ -131,15 +132,11 @@ def _plain(value):
 
 
 def _gauss(integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """8-point Gauss-Legendre integral of `integrand` over each panel [lo, hi].
-
-    `integrand` takes an array of times; it gets at most _PANEL_BLOCK
-    panels of nodes per call.
-    """
+    """8-point Gauss-Legendre integral of `integrand` (which takes an array
+    of times) over each panel [lo, hi]."""
     half = 0.5 * (hi - lo)
     mid = lo + half
-    blocks = (slice(i, i + _PANEL_BLOCK) for i in range(0, half.size, _PANEL_BLOCK))
-    return np.concatenate([half[b] * (integrand(mid[b, None] + half[b, None] * _GL_X) @ _GL_W) for b in blocks])
+    return half * (integrand(mid[:, None] + half[:, None] * _GL_X) @ _GL_W)
 
 
 def _cumulative_integrals(integrand, knots: np.ndarray, cap: float) -> np.ndarray:
@@ -150,11 +147,21 @@ def _cumulative_integrals(integrand, knots: np.ndarray, cap: float) -> np.ndarra
     two halves.  Where that differs from the rule on the whole panel by
     more than the panel's share, by length, of max(_EPSABS, _EPSREL *
     integral of |integrand|), both halves are split again, all such
-    panels at once, at most _MAX_BISECTIONS times.  So an integrand that
-    is smooth inside each gap costs three rules per panel, and a kink or
-    near-kink inside a gap (such as Omega where the two envelopes cross
-    while both are small) is resolved where it sits.  The panel
-    integrals are then summed cumulatively.
+    panels at once.  So an integrand that is smooth inside each gap
+    costs three rules per panel, and a kink or near-kink inside a gap
+    (such as Omega where the two envelopes cross while both are small)
+    is resolved where it sits.  The panel integrals are then summed
+    cumulatively.
+
+    A piece is also done once the difference is within its rounding
+    floor: the node times carry an error of about eps * |t|, which moves
+    the rule by eps * |t| times the variation of the integrand over the
+    piece (estimated from the mean values of its two halves), and the
+    integrand values carry their own eps.  Without the floor a pulse
+    much narrower than a late window fails the tolerance on every piece
+    it touches, at every depth.  At most _MAX_BISECTIONS levels are
+    taken, and a level where more than _MAX_SPLIT pieces fail ends the
+    halving.
     """
     if knots.size == 1:
         return np.zeros(1)
@@ -173,14 +180,17 @@ def _cumulative_integrals(integrand, knots: np.ndarray, cap: float) -> np.ndarra
         mid = 0.5 * (lo + hi)
         left, right = _gauss(integrand, lo, mid), _gauss(integrand, mid, hi)
         halves = left + right
-        done = (np.abs(halves - whole) <= density * (hi - lo)) | (depth == _MAX_BISECTIONS)
-        integrals += np.bincount(owner[done], halves[done], integrals.size)
-        if done.all():
+        variation = 4.0 * np.abs(right - left) / (hi - lo)  # |f'| (hi - lo) from the halves' means
+        floor = _ROUNDING * (np.maximum(np.abs(lo), np.abs(hi)) * variation + np.abs(left) + np.abs(right))
+        failed = np.abs(halves - whole) > np.maximum(density * (hi - lo), floor)
+        if depth == _MAX_BISECTIONS or np.count_nonzero(failed) > _MAX_SPLIT:
+            failed[:] = False
+        integrals += np.bincount(owner[~failed], halves[~failed], integrals.size)
+        if not failed.any():
             break
-        split = ~done
-        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
-        owner = np.tile(owner[split], 2)
-        whole = np.concatenate((left[split], right[split]))
+        lo, hi = np.concatenate((lo[failed], mid[failed])), np.concatenate((mid[failed], hi[failed]))
+        owner = np.tile(owner[failed], 2)
+        whole = np.concatenate((left[failed], right[failed]))
     sums = np.cumsum(np.concatenate(([0.0], integrals)))
     return sums[np.concatenate(([0], np.cumsum(per_gap)))]
 
@@ -222,9 +232,8 @@ class EffectiveEvolution:
     quadrature per call, over panels that end on every requested time
     and every envelope kink (`Envelope.kinks`) and are halved where the
     rule's error estimate asks for it, accumulated with a cumulative
-    sum.  Every method takes a time or an array of times,
-    all inside the window, and returns a float or an array of the same
-    shape.
+    sum.  Every method takes a time or an array of times, all inside
+    the window, and returns a float or an array of the same shape.
 
     Where both envelopes vanish the mixing angle is defined by its limit
     along the window (evaluated just inside); across stretches where
@@ -463,8 +472,8 @@ def evolution_matrix(
     if t0 is None:
         t0 = evolution.t0
     times = np.asarray(evolution.t1 if t is None else t, dtype=float)
-    if not evolution.t0 <= t0 or np.count_nonzero(~((t0 <= times) & (times <= evolution.t1))):
-        raise ValueError("requested times fall outside the evolution window")
+    if np.count_nonzero(times < t0):  # the window bounds are checked where the integrals are taken
+        raise ValueError("requested times precede t0")
     t = _plain(times)
 
     report = evolution.check

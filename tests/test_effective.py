@@ -262,6 +262,52 @@ def test_cumulative_rule_resolves_a_kink_between_knots():
     assert abs(ev.omega_integral(np.linspace(0.0, 10.0, 1001))[-1] - value / HBAR) <= 1e-12
 
 
+def _narrow_pulse(t0, length, width):
+    """Two overlapping gaussians of `width` in the middle of [t0, t0 + length], and
+    their Omega integral by adaptive quadrature told where the pulse sits."""
+    centre = t0 + 0.5 * length
+    f0, f1 = Envelope("gaussian", center=centre, width=width), Envelope("gaussian", center=centre + 0.5 * width, width=width)
+    ev = EffectiveEvolution(_QUAD_HAM, f0, f1, t0, t0 + length)
+    value, _ = quad(lambda s: ev._at(s).omega, t0, t0 + length, points=[centre - 10 * width, centre, centre + 10 * width],
+                    limit=400, epsabs=1e-13, epsrel=1e-12)
+    return ev, value / HBAR
+
+
+def _count_nodes(monkeypatch, budget):
+    """Count the times the integrand is evaluated on; fail once they pass `budget`."""
+    seen = [0]
+
+    def counted(ham, f0, f1):
+        seen[0] += np.size(f0)
+        assert seen[0] <= budget, "integrand evaluated on too many times"
+        return dressed(ham, f0, f1)
+
+    dressed = effective._dressed
+    monkeypatch.setattr(effective, "_dressed", counted)
+    return seen
+
+
+@pytest.mark.parametrize("t0, length", [(100.0, 10.0), (0.0, 100.0)])
+def test_narrow_pulse_halving_stops_at_the_rounding_floor(monkeypatch, t0, length):
+    # a pulse 1/1000 and 1/10000 of the window wide: rounding the node times
+    # moves each piece's rule by more than its share of 1e-12, at every depth,
+    # and without the floor the failing pieces doubled level by level
+    ev, want = _narrow_pulse(t0, length, 0.01)
+    seen = _count_nodes(monkeypatch, 100_000)
+    assert abs(ev.omega_integral(t0 + length) - want) <= 1e-12
+    assert abs(ev.omega_integral(np.linspace(t0, t0 + length, 1001))[-1] - want) <= 1e-12
+    assert seen[0] <= 50_000
+
+
+def test_halving_is_bounded_without_the_rounding_floor(monkeypatch):
+    # the split cap alone ends a pass whose pieces all fail on rounding noise
+    ev, want = _narrow_pulse(0.0, 100.0, 0.01)
+    monkeypatch.setattr(effective, "_ROUNDING", 0.0)
+    seen = _count_nodes(monkeypatch, 5_000_000)
+    assert abs(ev.omega_integral(np.linspace(0.0, 100.0, 1001))[-1] - want) <= 1e-12
+    assert seen[0] > 100_000  # the cap, not the floor, ended the pass
+
+
 def test_accumulated_takes_unsorted_duplicated_and_scalar_times():
     f0, f1, t1 = _QUAD_CASES["shifted"]
     ev = EffectiveEvolution(_QUAD_HAM, f0, f1, 0.0, t1)
@@ -454,6 +500,10 @@ def test_matrix_time_bounds():
         evolution_matrix(ev, t0=0.0, t=2.0, epsilon0=0.0, delta_qubit=0.0)
     with pytest.raises(ValueError, match="window"):
         evolution_matrix(ev, t0=0.0, t=np.array([0.0, 0.5, 1.5]), epsilon0=0.0, delta_qubit=0.0)
+    with pytest.raises(ValueError, match="window"):
+        evolution_matrix(ev, t0=-0.5, t=0.5, epsilon0=0.0, delta_qubit=0.0)
+    with pytest.raises(ValueError, match="precede"):
+        evolution_matrix(ev, t0=0.5, t=np.array([0.6, 0.2]), epsilon0=0.0, delta_qubit=0.0)
 
 
 def test_nonadiabatic_evolution_warns():
