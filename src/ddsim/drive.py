@@ -143,6 +143,16 @@ class Envelope:
         hi = self.center + 0.5 * self.width
         return (lo, lo + self.ramp, hi - self.ramp, hi)
 
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Times where the envelope is not smooth, ns: the kinks and the sin2
+        support edges, where f'' jumps.  A fixed-order rule that steps across
+        one of them loses its order there."""
+        if self.shape == "sin2":
+            lo = self.center - 0.5 * self.width
+            return (lo, lo + self.width)
+        return self.kinks
+
     def shifted(self, dt: float) -> "Envelope":
         """Copy of this envelope displaced by dt in time."""
         if self.shape == "constant":

@@ -25,9 +25,9 @@ propagate_rwa
     no longer grows with the number of periods.
     The last one-period propagator is kept, so a run with equal
     couplings, phases, settings and save offsets (the other basis state
-    of a gate check) skips the integration.  Shaped envelopes, Delta = 0
-    and shorter windows are integrated directly.  Each call logs (INFO)
-    which path it took and why.
+    of a gate check) skips the integration.  Delta = 0 and shorter
+    windows are integrated directly, shaped envelopes by Magnus steps
+    (below).  Each call logs (INFO) which path it took and why.
 
 propagate_averaged
     Additionally drops the crossed couplings, which average out when
@@ -46,7 +46,25 @@ and the averaged tier its diagonal -delta_k / hbar; one right-hand side
 (_star_rhs) computes dy/dt for all of them, for a single state or for a
 propagator whose columns are states, and DOP853 integrates it, its
 step bounded by the caller's max_step and by the shortest envelope
-switching time.
+switching time, and each stretch between envelope kinks integrated
+apart.
+
+The input picks the engine.  An rwa or averaged run with a shaped
+(non-constant) envelope takes Magnus steps instead (_magnus): in the
+frame b_k = c_k e^{i delta_k t}, where H/hbar is star-coupled with the
+diagonal -delta_k / hbar, each step is exp(Omega) with the sixth-order
+Omega of three Gauss points (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+151 (2009)).  All steps of a chunk are evaluated in one array pass and
+exponentiated by a batched eigh.  Steps are equal within each gap
+between saved times and envelope breakpoints and no longer than
+DOP853's bound; the first is about a tenth of the period of the norm
+bound on H.  Magnus is unitary by construction, so a norm check proves
+nothing about it: each run is repeated at half the step, its error
+estimated as max |y_h - y_{h/2}| / 63, and the step halved again while
+the estimate exceeds atol + rtol (or the rounding floor eps * steps).
+An estimate still above it after _MAGNUS_MAX_HALVINGS further halvings
+raises PropagationError.  Bare runs, constant envelopes and the fold's
+one-period integration stay on DOP853.
 
 Norms are monitored, never renormalized: drift beyond the configured
 bound raises PropagationError instead of silently hiding an integrator
@@ -59,7 +77,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import ClassVar, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -112,9 +130,12 @@ class StateVector:
 class IntegratorSettings:
     """Numerical controls for the propagators.
 
-    Every tier integrates with the 8th-order adaptive Runge-Kutta scheme
-    DOP853 at these tolerances.  max_step is in ns and bounds its step;
-    the shortest envelope switching time bounds it further.
+    Bare runs and constant envelopes integrate with the 8th-order adaptive
+    Runge-Kutta scheme DOP853 at these tolerances.  max_step is in ns and
+    bounds its step; the shortest envelope switching time bounds it
+    further.  Shaped rwa and averaged runs take Magnus steps under the same
+    bound, halved until their step-doubling error estimate is at most
+    atol + rtol (the amplitudes have norm 1).
     """
 
     rtol: float = 1e-10
@@ -200,21 +221,135 @@ def _star_rhs(star, diag=None):
     return rhs
 
 
-def _integrate(rhs, y0, grid, settings):
-    """Values of dy/dt = rhs(t, y) on grid, from y0 at grid[0], by DOP853 at the given settings."""
-    sol = solve_ivp(
-        rhs,
-        (grid[0], grid[-1]),
-        y0,
-        method="DOP853",
-        t_eval=grid,
-        rtol=settings.rtol,
-        atol=settings.atol,
-        max_step=settings.max_step or np.inf,
+def _integrate(rhs, y0, grid, settings, kinks=()):
+    """Values of dy/dt = rhs(t, y) on grid, from y0 at grid[0], by DOP853 at the given settings.
+
+    Each stretch between the kinks inside the window is its own solve_ivp
+    call, so no step crosses a kink, where the error estimate of a step
+    does not see the jump in dy/dt.
+    """
+    bounds = [grid[0], *sorted({k for k in kinks if grid[0] < k < grid[-1]}), grid[-1]]
+    out = np.empty((len(grid), len(y0)), dtype=complex)
+    y, done = y0, 0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        stop = np.searchsorted(grid, b)  # the saved times in [a, b), then b itself
+        sol = solve_ivp(
+            rhs,
+            (a, b),
+            y,
+            method="DOP853",
+            t_eval=np.append(grid[done:stop], b),
+            rtol=settings.rtol,
+            atol=settings.atol,
+            max_step=settings.max_step or np.inf,
+        )
+        if not sol.success:
+            raise PropagationError(f"adaptive integrator failed: {sol.message}")
+        out[done:stop] = sol.y[:, :-1].T
+        y, done = sol.y[:, -1], stop
+    out[-1] = y
+    return out
+
+
+# the three Gauss-Legendre nodes on [0, 1]
+_GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
+_MAGNUS_STEPS_PER_PERIOD = 10  # first step: this many per period of the norm bound on H
+_MAGNUS_CHUNK = 64  # steps per array pass; 256 raised the peak memory of a sweep by about 3 MB
+_MAGNUS_MAX_HALVINGS = 5  # halvings after the first h against h/2 comparison
+
+
+@dataclass(frozen=True)
+class _BFrame:
+    """The rwa or averaged equations in the frame b_k = c_k e^{i delta_k t}.
+
+    H(t)/hbar is star-coupled as in _star_rhs, with s = 1:
+    couplings(t) takes a time array of shape (N,) and returns g0, g1 of
+    shape (N, n); diag is the constant manifold diagonal -delta_k / hbar;
+    rate bounds the norm of H/hbar, rad/ns.  With phases (delta_k / hbar)
+    the saved amplitudes are taken back to the c frame.
+    """
+
+    couplings: Callable
+    diag: np.ndarray
+    rate: float
+    phases: Optional[np.ndarray] = None
+
+
+def _antihermitian_commutator(x, y):
+    """[x, y] of stacked anti-Hermitian matrices: xy - yx, where yx = (xy)^dagger."""
+    xy = x @ y
+    return xy - np.conj(np.swapaxes(xy, 1, 2))
+
+
+def _magnus_pass(frame, y0, knots, counts):
+    """States at every knot, from y0 at knots[0], by counts[j] equal Magnus steps over [knots[j], knots[j + 1]].
+
+    Each step takes exp(Omega) with the sixth-order Omega of three Gauss
+    points (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), from
+    a batched eigh of the Hermitian i Omega, _MAGNUS_CHUNK steps at a time.
+    """
+    dim = len(y0)
+    manifold = np.arange(2, dim)
+    widths = np.diff(knots) / counts
+    ends = np.cumsum(counts)  # steps done at the end of each gap
+    out = np.empty((len(knots),) + y0.shape, dtype=complex)
+    out[0] = y = y0
+    for first in range(0, ends[-1], _MAGNUS_CHUNK):
+        step = np.arange(first, min(first + _MAGNUS_CHUNK, ends[-1]))
+        gap = np.searchsorted(ends, step, side="right")
+        h = widths[gap]
+        nodes = knots[gap] + (step - ends[gap] + counts[gap] + _GAUSS3[:, None]) * h  # (3, c)
+        g0, g1 = frame.couplings(nodes.ravel())
+        g = np.stack((g0, g1), axis=1).reshape(3, len(step), 2, dim - 2)  # node, step, qubit level, k
+        # the anti-Hermitian alpha_j of the Gauss nodes; the diagonal drops out of the node differences
+        a = np.zeros((3, len(step), dim, dim), dtype=complex)
+        a[:, :, :2, 2:] = (-1j * h)[:, None, None] * np.stack(
+            (g[1], (math.sqrt(15.0) / 3.0) * (g[2] - g[0]), (10.0 / 3.0) * (g[2] - 2.0 * g[1] + g[0])))
+        a[:, :, 2:, :2] = -np.conj(np.swapaxes(a[:, :, :2, 2:], 2, 3))
+        a[0, :, manifold, manifold] = (-1j * h[:, None] * frame.diag).T
+        a1, a2, a3 = a
+        c1 = _antihermitian_commutator(a1, a2)
+        c2 = _antihermitian_commutator(a1, 2.0 * a3 + c1) / -60.0
+        omega = a1 + a3 / 12.0 + _antihermitian_commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+        w, v = np.linalg.eigh(1j * omega)
+        props = (v * np.exp(-1j * w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+        for prop, j, last in zip(props, gap.tolist(), (ends[gap] == step + 1).tolist()):
+            y = prop @ y
+            if last:  # the step ends gap j
+                out[j + 1] = y
+    return out
+
+
+def _magnus(frame, y0, grid, breaks, settings):
+    """Amplitudes on grid by Magnus-6 steps, and (steps, halvings, error estimate, tolerance).
+
+    Steps are equal within each gap between saved times and envelope
+    breakpoints (breaks), no longer than settings.max_step and first
+    about 1/_MAGNUS_STEPS_PER_PERIOD of the period 2 pi / frame.rate.  y0
+    is one state of shape (dim,) or a propagator of shape (dim, dim).  Each run
+    is repeated at half the step; the estimate of the finer run's error
+    is max |y_h - y_{h/2}| / 63 (sixth order), and while it exceeds
+    atol + rtol (the state has norm 1), or the rounding floor eps * steps,
+    the step is halved again, at most _MAGNUS_MAX_HALVINGS times.
+    """
+    knots = np.union1d(grid, [b for b in breaks if grid[0] < b < grid[-1]])
+    period = 2.0 * math.pi / frame.rate if frame.rate > 0 else math.inf
+    h = min(period / _MAGNUS_STEPS_PER_PERIOD, settings.max_step or math.inf)
+    counts = np.ceil(np.diff(knots) / h).astype(int)
+    coarse = _magnus_pass(frame, y0, knots, counts)
+    for halvings in range(_MAGNUS_MAX_HALVINGS + 1):
+        counts = 2 * counts
+        fine = _magnus_pass(frame, y0, knots, counts)
+        estimate = float(np.max(np.abs(fine - coarse))) / 63.0
+        steps = int(counts.sum())
+        tol = max(settings.atol + settings.rtol, np.finfo(float).eps * steps)
+        if estimate <= tol:
+            return fine[np.searchsorted(knots, grid)], (steps, halvings, estimate, tol)
+        coarse = fine
+    raise PropagationError(
+        f"Magnus error estimate {estimate:.3e} exceeds its tolerance {tol:.1e} after "
+        f"{_MAGNUS_MAX_HALVINGS} halvings of the step ({steps} steps); loosen rtol/atol"
     )
-    if not sol.success:
-        raise PropagationError(f"adaptive integrator failed: {sol.message}")
-    return sol.y.T.copy()
 
 
 # (key, read-only propagators U(taus)) of the last one-period integration in _fold
@@ -281,12 +416,15 @@ def _fold(rhs, psi0, grid, period, phases, settings, key):
     return out
 
 
-def _propagate(star, psi0, frame, n_excited, pulses, settings, diag=None, period=None, phases=None, key=()):
+def _propagate(star, psi0, frame, n_excited, pulses, settings, diag=None, period=None, phases=None, key=(),
+               b_frame=None):
     """Integrate the star-coupled equations (see _star_rhs) from psi0 over [0, pulses.duration].
 
-    With a period, the one-period propagator is integrated instead and
-    the run is folded (see _fold); key is then a tuple of the values
-    (bytes or floats) that fix star and diag.
+    A tier that gives its b-frame form (b_frame) is integrated by Magnus
+    steps (see _magnus) when an envelope is shaped.  Otherwise DOP853
+    integrates star; with a period, the one-period propagator is
+    integrated instead and the run is folded (see _fold); key is then a
+    tuple of the values (bytes or floats) that fix star and diag.
     """
     settings = settings or IntegratorSettings()
     # where the envelopes vanish DOP853's step grows 10x a step; this bound keeps it from skipping a pulse
@@ -299,12 +437,19 @@ def _propagate(star, psi0, frame, n_excited, pulses, settings, diag=None, period
             f"state has {len(psi0.amplitudes)} amplitudes, structure needs {2 + n_excited}"
         )
 
-    rhs = _star_rhs(star, diag)
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
-    if period is None:
-        ys = _integrate(rhs, psi0.amplitudes, grid, settings)
+    if b_frame is not None and math.isfinite(pulses.switching_time):
+        breaks = pulses.envelope0.breakpoints + pulses.envelope1.breakpoints
+        ys, (steps, halvings, estimate, tol) = _magnus(b_frame, psi0.amplitudes, grid, breaks, settings)
+        logger.info("%s propagation: magnus over %d steps, %d halvings, error estimate %.2e (tolerance %.1e)",
+                    frame, steps, halvings, estimate, tol)
+        if b_frame.phases is not None:
+            ys[:, 2:] *= np.exp(-1j * np.outer(grid, b_frame.phases))
+    elif period is None:
+        kinks = pulses.envelope0.kinks + pulses.envelope1.kinks
+        ys = _integrate(_star_rhs(star, diag), psi0.amplitudes, grid, settings, kinks)
     else:
-        ys = _fold(rhs, psi0.amplitudes, grid, period, phases, settings, key)
+        ys = _fold(_star_rhs(star, diag), psi0.amplitudes, grid, period, phases, settings, key)
 
     traj = Trajectory(grid, ys, frame)
     drift = traj.norm_drift
@@ -342,16 +487,6 @@ def propagate_rwa(
     mu1 = couplings.mu1 * np.exp(1j * pulses.phi1) / HBAR
     env0, env1 = pulses.envelope0, pulses.envelope1
 
-    period = averaging_period(couplings.delta_qubit)
-    if env0.shape != "constant" or env1.shape != "constant":
-        reason = f"{env0.shape}/{env1.shape} envelopes"
-    elif wq == 0.0:
-        reason = "Delta = 0"
-    elif pulses.duration < 2.0 * period:
-        reason = f"window {pulses.duration:.6g} ns is shorter than 2 beat periods of {period:.6g} ns"
-    else:
-        reason = None
-
     def star(t):
         f0 = env0(t)
         f1 = env1(t)
@@ -360,12 +495,25 @@ def propagate_rwa(
         return 1.0, (lam0 * f0 + mu1 * f1 / beat) * phase_k, (mu0 * f0 * beat + lam1 * f1) * phase_k
 
     n = couplings.n_levels
-    if reason is not None:
+    period = averaging_period(couplings.delta_qubit)
+    if env0.shape == env1.shape == "constant":
+        if wq != 0.0 and pulses.duration >= 2.0 * period:
+            # the envelopes are 1, so these fix star
+            key = tuple(a.tobytes() for a in (lam0, lam1, mu0, mu1, wd)) + (wq,)
+            return _propagate(star, psi0, "rwa", n, pulses, settings, period=period, phases=wd, key=key)
+        reason = "Delta = 0" if wq == 0.0 else (
+            f"window {pulses.duration:.6g} ns is shorter than 2 beat periods of {period:.6g} ns")
         logger.info("rwa propagation: direct (%s)", reason)
-        return _propagate(star, psi0, "rwa", n, pulses, settings)
-    # the envelopes are 1, so these fix star
-    key = tuple(a.tobytes() for a in (lam0, lam1, mu0, mu1, wd)) + (wq,)
-    return _propagate(star, psi0, "rwa", n, pulses, settings, period=period, phases=wd, key=key)
+
+    def b_couplings(t):
+        f0 = env0(t)[:, None]
+        f1 = env1(t)[:, None]
+        beat = np.exp(1j * wq * t)[:, None]
+        return lam0 * f0 + mu1 * f1 / beat, mu0 * f0 * beat + lam1 * f1
+
+    g_max = np.hypot(np.abs(lam0) + np.abs(mu1), np.abs(mu0) + np.abs(lam1))
+    rate = np.max(np.abs(wd), initial=0.0) + abs(wq) + np.linalg.norm(g_max)
+    return _propagate(star, psi0, "rwa", n, pulses, settings, b_frame=_BFrame(b_couplings, -wd, rate, wd))
 
 
 def propagate_averaged(
@@ -392,10 +540,17 @@ def propagate_averaged(
     lam1 = couplings.lambda1 * np.exp(1j * pulses.phi1) / HBAR
     env0, env1 = pulses.envelope0, pulses.envelope1
 
+    diag = -couplings.delta / HBAR
+
     def star(t):
         return 1.0, lam0 * env0(t), lam1 * env1(t)
 
-    return _propagate(star, psi0, "averaged", couplings.n_levels, pulses, settings, diag=-couplings.delta / HBAR)
+    def b_couplings(t):
+        return lam0 * env0(t)[:, None], lam1 * env1(t)[:, None]
+
+    rate = np.max(np.abs(diag), initial=0.0) + np.linalg.norm(np.hypot(np.abs(lam0), np.abs(lam1)))
+    return _propagate(star, psi0, "averaged", couplings.n_levels, pulses, settings, diag=diag,
+                      b_frame=_BFrame(b_couplings, diag, rate))
 
 
 def propagate_bare(

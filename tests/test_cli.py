@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import ddsim.dynamics
 from ddsim import Trajectory, cli, effective
 from ddsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
@@ -521,6 +522,26 @@ def test_unsatisfiable_gate_exits_numeric(tmp_path, capsys):
     assert main(["run", cfg_path, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "numeric"
+
+
+def test_magnus_estimate_above_tolerance_exits_numeric_without_files(tmp_path, capsys, monkeypatch):
+    # README's minimal propagation config: sin2 pulses take Magnus steps in the rwa tier, and with
+    # no halving allowed its first estimate (1.5e-12) stays above the tolerance (1.7e-13)
+    monkeypatch.setattr(ddsim.dynamics, "_MAGNUS_MAX_HALVINGS", 0)
+    cfg = {
+        "mode": "propagate-rwa",
+        "spectrum": {"n_levels": 3, "shape": "uniform", "omega_exc": 2000.0, "spacing": 20.0,
+                     "delta": 5.0, "dipole0": 2.0, "dipole1": 2.0},
+        "pulses": {"amp0": 20.0, "amp1": 20.0, "omega0": 1905.0, "duration": 1.0,
+                   "envelope0": {"shape": "sin2"}, "envelope1": {"shape": "sin2"}},
+        "integrator": {"rtol": 1e-14, "atol": 1e-16, "save_points": 2},
+    }
+    out_dir = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path, cfg, "mini.json"), "--out", str(out_dir)]) == EXIT_NUMERIC
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "numeric"
+    assert err["error"]["message"].startswith("Magnus error estimate")
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_missing_config_exits_io(tmp_path, capsys):

@@ -4,6 +4,8 @@ import cmath
 import dataclasses
 import logging
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -216,38 +218,55 @@ def test_folded_norm_blowup_is_reported(periods, caplog):
 # ---------------------------------------------------------------- folding
 
 
-def _c_frame_reference(cs, pp, y0, times):
-    """DOP853 at rtol 1e-12 on the rwa equations in the c frame, one column per initial state.
+def _c_frame_reference(cs, pp, y0, times, tier="rwa"):
+    """DOP853 at rtol 1e-12 and a step of switching_time / 8 on the rwa equations in the c frame, one column
+    per initial state.
 
-    <0|H|k> = (lambda0 e^{i phi0} + mu1 e^{i phi1} e^{-i Delta t}) e^{i delta_k t} and
-    <1|H|k> = (mu0 e^{i phi0} e^{+i Delta t} + lambda1 e^{i phi1}) e^{i delta_k t}, over hbar.
+    <0|H|k> = (lambda0 f0 e^{i phi0} + mu1 f1 e^{i phi1} e^{-i Delta t}) e^{i delta_k t} and
+    <1|H|k> = (mu0 f0 e^{i phi0} e^{+i Delta t} + lambda1 f1 e^{i phi1}) e^{i delta_k t}, over hbar,
+    with the envelopes f0 and f1.  The averaged tier drops the mu terms and is taken in the
+    frame b_k = c_k e^{i delta_k t}, where <k|H|k> = -delta_k.  Each stretch between envelope
+    breakpoints (kinks and sin2 support edges) is its own solve_ivp call.
     """
+    averaged = tier == "averaged"
     wd, wq = cs.delta / HBAR, cs.delta_qubit / HBAR
     e0, e1 = np.exp(1j * pp.phi0) / HBAR, np.exp(1j * pp.phi1) / HBAR
+    mu0, mu1 = (0.0 * cs.mu0, 0.0 * cs.mu1) if averaged else (cs.mu0, cs.mu1)
     # plain Python scalars: the reference runs for up to ~1e6 rhs calls
-    levels = list(zip(wd.tolist(), (cs.lambda0 * e0).tolist(), (cs.mu1 * e1).tolist(),
-                      (cs.mu0 * e0).tolist(), (cs.lambda1 * e1).tolist()))
+    levels = list(zip(wd.tolist(), (cs.lambda0 * e0).tolist(), (mu1 * e1).tolist(),
+                      (mu0 * e0).tolist(), (cs.lambda1 * e1).tolist()))
+    env0, env1 = pp.envelope0, pp.envelope1
+    constant = env0.shape == env1.shape == "constant"
     dim, cols = y0.shape
 
     def rhs(t, y):
         v = y.tolist()  # row-major (dim, cols)
+        f0, f1 = (1.0, 1.0) if constant else (env0(t), env1(t))
         beat = cmath.exp(1j * wq * t)
         dy = [0j] * (dim * cols)
         for k, (w, lam0, mu1, mu0, lam1) in enumerate(levels):
-            ph = cmath.exp(1j * w * t)
-            g0 = (lam0 + mu1 / beat) * ph
-            g1 = (mu0 * beat + lam1) * ph
+            ph = 1.0 if averaged else cmath.exp(1j * w * t)
+            g0 = (lam0 * f0 + mu1 * f1 / beat) * ph
+            g1 = (mu0 * f0 * beat + lam1 * f1) * ph
             row = (2 + k) * cols
             for j in range(cols):
                 dy[j] += g0 * v[row + j]
                 dy[cols + j] += g1 * v[row + j]
                 dy[row + j] = g0.conjugate() * v[j] + g1.conjugate() * v[cols + j]
+                if averaged:
+                    dy[row + j] -= w * v[row + j]
         return -1j * np.array(dy)
 
-    sol = solve_ivp(rhs, (0.0, times[-1]), y0.astype(complex).ravel(), method="DOP853",
-                    t_eval=times, rtol=1e-12, atol=1e-14)
-    assert sol.success
-    return sol.y.T.reshape(len(times), dim, cols)
+    kinks = sorted({k for k in env0.breakpoints + env1.breakpoints if 0.0 < k < times[-1]})
+    out, y, done = [], y0.astype(complex).ravel(), 0
+    for a, b in zip([0.0] + kinks, kinks + [times[-1]]):
+        stop = np.searchsorted(times, b)
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", t_eval=np.append(times[done:stop], b),
+                        rtol=1e-12, atol=1e-14, max_step=pp.switching_time / 8.0)
+        assert sol.success
+        out.append(sol.y[:, :-1].T)
+        y, done = sol.y[:, -1], stop
+    return np.vstack(out + [y]).reshape(len(times), dim, cols)
 
 
 def _fold_draw(seed, n, sign, periods):
@@ -344,7 +363,7 @@ def test_criterion_4_gates_fold_to_reference(args):
 
 @pytest.mark.parametrize("kind, periods, expect", [
     ("constant", 3.5, "folded over 3.5 beat periods of P = "),
-    ("sin2", 3.5, "direct (sin2/sin2 envelopes)"),
+    ("sin2", 3.5, "magnus over"),
     ("zero", 3.5, "direct (Delta = 0)"),
     ("constant", 1.5, "shorter than 2 beat periods"),
 ])
@@ -506,6 +525,7 @@ def _late_pulse_error(tier, shape, window, center, size, n=1, ramp=0.25):
     The drive is strong and detuned (Delta = 20 ueV, omega_exc = 100 ueV, omega0 = 90 ueV,
     2000 V/cm) and its envelopes are zero until a narrow pulse of width `size` at `center`,
     a sigma for the gaussian and the support for sin2 and trapezoid (ramps of ramp * size).
+    The rwa and averaged tiers take Magnus steps, so their reference is _c_frame_reference.
     """
     sp = build_spectrum(SpectrumConfig(delta=20.0, omega_exc=100.0, n_levels=n))
     if shape == "gaussian":
@@ -515,16 +535,14 @@ def _late_pulse_error(tier, shape, window, center, size, n=1, ramp=0.25):
     pp = PulsePair(amp0=2000.0, amp1=2000.0, envelope0=env, envelope1=env,
                    omega0=90.0, omega1=90.0 - sp.delta, duration=window)
     psi = StateVector.qubit(1.0, 0.0, n, frame=tier)
-
-    def run(settings):
-        if tier == "bare":
-            return propagate_bare(sp, pp, psi, settings).amplitudes
-        propagate = propagate_rwa if tier == "rwa" else propagate_averaged
-        return propagate(derive_couplings(sp, pp), pp, psi, settings).amplitudes
-
-    # at the default atol a reference stepped across a bare trapezoid's first kink with an error of 1.7e-8
-    tight = IntegratorSettings(rtol=1e-12, atol=1e-14, max_step=env.switching_time / 8.0)
-    return np.max(np.abs(run(IntegratorSettings()) - run(tight)))
+    if tier == "bare":
+        run = propagate_bare(sp, pp, psi).amplitudes
+        tight = IntegratorSettings(rtol=1e-12, atol=1e-14, max_step=env.switching_time / 8.0)
+        return np.max(np.abs(run - propagate_bare(sp, pp, psi, tight).amplitudes))
+    cs = derive_couplings(sp, pp)
+    run = (propagate_rwa if tier == "rwa" else propagate_averaged)(cs, pp, psi)
+    ref = _c_frame_reference(cs, pp, psi.amplitudes[:, None], run.times, tier)
+    return np.max(np.abs(run.amplitudes - ref[:, :, 0]))
 
 
 # across the first 7 ns, where the envelopes vanish, the rwa and averaged steps used to grow
@@ -551,6 +569,123 @@ def test_late_narrow_pulses_match_a_tight_reference(tier, shape, n, window, late
     reach = 6.5 * size if shape == "gaussian" else 0.5 * size  # the envelope is below 1e-9 beyond it
     center = reach + late * (window - 2.0 * reach)
     assert _late_pulse_error(tier, shape, window, center, size, n, ramp) <= 1e-8
+
+
+# ---------------------------------------------------------------- kinks
+
+
+def test_integrate_stops_at_kinks_on_and_between_saved_times():
+    # dy/dt = -i f(t) y under a trapezoid: y = exp(-i F(t)), F = 0, 0, 0.2, 0.4, 0.4 on the grid;
+    # the kinks 0.25 and 0.75 are saved times, 0.35 and 0.65 fall between them, and each comes twice
+    env = Envelope("trapezoid", center=0.5, width=0.5, ramp=0.1)
+    grid = np.linspace(0.0, 1.0, 5)
+    ys = ddsim.dynamics._integrate(lambda t, y: -1j * env(t) * y, np.ones(1, dtype=complex), grid,
+                                   IntegratorSettings(rtol=1e-13, atol=1e-15), env.kinks + env.kinks)
+    assert np.max(np.abs(ys[:, 0] - np.exp(-1j * np.array([0.0, 0.0, 0.2, 0.4, 0.4])))) <= 1e-12
+
+
+def test_bare_trapezoid_converges_across_its_ramp_kinks():
+    # one solve_ivp over the whole window stepped across the ramp ends, whose jump in dy/dt the
+    # error estimate of a step does not see: these two runs differed by 4.6e-10
+    sp = build_spectrum(SpectrumConfig(delta=20.0, omega_exc=100.0, n_levels=2))
+    env = Envelope("trapezoid", center=0.8801, width=0.375, ramp=0.038)
+    pp = PulsePair(amp0=2000.0, amp1=2000.0, envelope0=env, envelope1=env,
+                   omega0=90.0, omega1=90.0 - sp.delta, duration=1.759)
+    psi = StateVector.qubit(1.0, 0.0, 2, frame="bare")
+    loose = propagate_bare(sp, pp, psi, IntegratorSettings(rtol=1e-12, max_step=env.ramp / 8.0))
+    tight = propagate_bare(sp, pp, psi, IntegratorSettings(rtol=1e-13, atol=1e-14, max_step=env.ramp / 64.0))
+    assert np.max(np.abs(loose.amplitudes - tight.amplitudes)) <= 1e-10
+
+
+# ---------------------------------------------------------------- magnus
+
+
+def _shaped_draw(seed, n, sign, shape, shift, window, tier="rwa"):
+    """Random couplings at Delta != 0 under two shaped pulses, pulse 1 displaced by 0.3 * shift * window."""
+    rng = np.random.default_rng(seed)
+    dq = sign * float(rng.uniform(40.0, 120.0))
+    cs = CouplingSet(lambda0=rng.uniform(2.0, 10.0, n), lambda1=rng.uniform(2.0, 10.0, n),
+                     mu0=rng.uniform(0.0, 10.0, n), mu1=rng.uniform(0.0, 10.0, n),
+                     delta=-rng.uniform(50.0, 150.0, n), delta_qubit=dq)
+    support = 0.5 * window  # the sin2 and trapezoid width, 13 sigma for the gaussian
+    size = support / 13.0 if shape == "gaussian" else support
+    env0 = Envelope(shape, center=0.5 * window - 0.15 * shift * window, width=size, ramp=0.2 * support)
+    pp = PulsePair(amp0=1.0, amp1=1.0, envelope0=env0, envelope1=env0.shifted(0.3 * shift * window),
+                   omega0=5000.0, omega1=5000.0 - dq, duration=window,
+                   phi0=float(rng.uniform(0.0, 2.0 * math.pi)), phi1=float(rng.uniform(0.0, 2.0 * math.pi)))
+    qubit = rng.normal(size=2) + 1j * rng.normal(size=2)
+    qubit /= np.linalg.norm(qubit)
+    return cs, pp, StateVector.qubit(qubit[0], qubit[1], n, frame=tier)
+
+
+def _magnus_run(cs, pp, psi, settings=None):
+    """The trajectory of a Magnus run, its (steps, halvings, error estimate, tolerance) and the
+    engine's propagator over the window."""
+    magnus, calls = ddsim.dynamics._magnus, []
+
+    def recorded(frame, y0, *args):
+        ys, info = magnus(frame, y0, *args)
+        calls.append((info, lambda: magnus(frame, np.eye(len(y0), dtype=complex), *args)[0][-1]))
+        return ys, info
+
+    propagate = propagate_rwa if psi.frame == "rwa" else propagate_averaged
+    with mock.patch.object(ddsim.dynamics, "_magnus", recorded):
+        traj = propagate(cs, pp, psi, settings)
+    [(info, propagator)] = calls
+    return traj, info, propagator
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@hypothesis_settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), tier=st.sampled_from(["rwa", "averaged"]), n=st.integers(1, 5),
+       sign=st.sampled_from([-1, 1]), shape=st.sampled_from(["sin2", "gaussian", "trapezoid"]),
+       shift=st.floats(-1.0, 1.0), window=st.floats(0.2, 0.5))
+def test_magnus_matches_dop853_within_its_estimate_and_is_unitary(seed, tier, n, sign, shape, shift, window):
+    cs, pp, psi = _shaped_draw(seed, n, sign, shape, shift, window, tier)
+    traj, (_, _, estimate, tol), propagator = _magnus_run(cs, pp, psi, IntegratorSettings(save_points=5))
+    assert estimate <= tol
+    ref = _c_frame_reference(cs, pp, psi.amplitudes[:, None], traj.times, tier)[:, :, 0]
+    assert np.max(np.abs(traj.amplitudes - ref)) <= max(10.0 * estimate, 1e-12)
+    u = propagator()
+    assert np.max(np.abs(u.conj().T @ u - np.eye(n + 2))) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@pytest.mark.parametrize("tier", ["rwa", "averaged"])
+def test_magnus_run_logs_its_steps_halvings_and_estimate(tier, caplog):
+    cs, pp, psi = _shaped_draw(3, 2, -1, "sin2", 0.5, 0.4, tier)
+    lines = []
+    for rtol in (1e-10, 1e-13):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
+            _, facts, _ = _magnus_run(cs, pp, psi, IntegratorSettings(rtol=rtol, save_points=5))
+        [line] = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
+        match = re.fullmatch(rf"{tier} propagation: magnus over (\d+) steps, (\d+) halvings, "
+                             r"error estimate (\S+) \(tolerance (\S+)\)", line)
+        assert match
+        steps, halvings, estimate, tol = int(match[1]), int(match[2]), float(match[3]), float(match[4])
+        assert (steps, halvings) == facts[:2]
+        assert estimate == pytest.approx(facts[2], rel=1e-2) and estimate <= tol
+        lines.append((steps, halvings, tol))
+    # a tighter tolerance halves the step more often
+    assert lines[1][2] < lines[0][2]
+    assert lines[1][1] > lines[0][1] and lines[1][0] > lines[0][0]
+
+
+def test_magnus_estimate_above_tolerance_at_the_halving_cap_raises(monkeypatch):
+    # README's library example; the first comparison, 375 against 750 steps, estimates 1.5e-12
+    # against a tolerance of 1.7e-13
+    sp = build_spectrum(SpectrumConfig(n_levels=3, shape="uniform", omega_exc=2000.0, spacing=20.0,
+                                       delta=5.0, dipole0=2.0, dipole1=2.0))
+    om0, om1 = enforce_two_photon_resonance(sp, 1905.0)
+    env = Envelope("sin2", center=0.5, width=1.0)
+    pp = PulsePair(amp0=20.0, amp1=20.0, envelope0=env, envelope1=env, omega0=om0, omega1=om1, duration=1.0)
+    cs, psi = derive_couplings(sp, pp), StateVector.qubit(1.0, 0.0, 3)
+    settings = IntegratorSettings(rtol=1e-14, atol=1e-16, save_points=2)
+    assert _magnus_run(cs, pp, psi, settings)[1][1] == 1
+    monkeypatch.setattr(ddsim.dynamics, "_MAGNUS_MAX_HALVINGS", 0)
+    with pytest.raises(PropagationError, match="Magnus error estimate .* exceeds its tolerance"):
+        propagate_rwa(cs, pp, psi, settings)
 
 
 # ---------------------------------------------------------------- elimination
