@@ -22,12 +22,14 @@ propagate_rwa
     (1965)).  A window of at least 2 P is then folded: the propagator
     is integrated over one period with the configured tolerances, and
     the saved states are assembled from it and its powers, so the cost
-    no longer grows with the number of periods.
+    no longer grows with the number of periods.  The logged error
+    estimate is that of the one period: over m periods the error of a
+    saved state can grow up to m-fold.
     The last one-period propagator is kept, so a run with equal
     couplings, phases, settings and save offsets (the other basis state
-    of a gate check) skips the integration.  Delta = 0 and shorter
-    windows are integrated directly, shaped envelopes by Magnus steps
-    (below).  Each call logs (INFO) which path it took and why.
+    of a gate check) skips the integration.  Delta = 0, shorter windows
+    and shaped envelopes are integrated directly.  Each call logs (INFO)
+    which path it took.
 
 propagate_averaged
     Additionally drops the crossed couplings, which average out when
@@ -39,36 +41,30 @@ propagate_averaged
 
 All three are the same star-coupled equation: each manifold level k
 couples only to |0> and |1>, so H(t)/hbar = s(t) M(t) with
-<0|M|k> = g0_k(t), <1|M|k> = g1_k(t) and an optional constant manifold
-diagonal <k|M|k>.  A tier supplies only its couplings (s, g0, g1) at t
-(s is 1 except in the bare tier, where it is the instantaneous field)
-and the averaged tier its diagonal -delta_k / hbar; one right-hand side
-(_star_rhs) computes dy/dt for all of them, for a single state or for a
-propagator whose columns are states, and DOP853 integrates it, its
-step bounded by the caller's max_step and by the shortest envelope
-switching time, and each stretch between envelope kinks integrated
-apart.
+<0|M|k> = g0_k(t), <1|M|k> = g1_k(t) and, in the b frame, the constant
+manifold diagonal <k|M|k> = -delta_k / hbar.  A tier supplies only its
+couplings at t, and there is one engine per description:
 
-The input picks the engine.  An rwa or averaged run with a shaped
-(non-constant) envelope takes Magnus steps instead (_magnus): in the
-frame b_k = c_k e^{i delta_k t}, where H/hbar is star-coupled with the
-diagonal -delta_k / hbar, each step is exp(Omega) with the sixth-order
-Omega of three Gauss points (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-151 (2009)).  All steps of a chunk are evaluated in one array pass and
-exponentiated by a batched eigh.  Steps are equal within each gap
-between saved times and envelope breakpoints and no longer than
-DOP853's bound; the first is about a tenth of the period of the norm
-bound on H.  Magnus is unitary by construction, so a norm check proves
-nothing about it: each run is repeated at half the step, its error
-estimated as max |y_h - y_{h/2}| / 63, and the step halved again while
-the estimate exceeds atol + rtol (or the rounding floor eps * steps).
-An estimate still above it after _MAGNUS_MAX_HALVINGS further halvings
-raises PropagationError.  Bare runs, constant envelopes and the fold's
-one-period integration stay on DOP853.
+- The bare tier keeps the carriers in s (the instantaneous field) and
+  the free phases in g0, g1.  One right-hand side (_star_rhs) computes
+  dy/dt and DOP853 integrates it, its step bounded by the caller's
+  max_step and by the shortest envelope switching time, and each
+  stretch between envelope kinks integrated apart.
+- The rwa and averaged tiers give their couplings in the b frame
+  (s = 1) and take sixth-order Magnus steps (_magnus; Blanes, Casas,
+  Oteo & Ros, Phys. Rep. 470, 151 (2009)) under the same step bound.
+  Where the generator is constant (both envelopes constant in the
+  averaged tier, or in the rwa tier at Delta = 0) every step is exact.
+  Magnus is unitary by construction, so a norm check proves nothing
+  about it: each run is repeated at half the step, and the step halved
+  until the step-doubling error estimate is at most atol + rtol (or the
+  rounding floor eps * steps, with a warning when the floor accepts what
+  atol + rtol would not), else PropagationError.
 
 Norms are monitored, never renormalized: drift beyond the configured
 bound raises PropagationError instead of silently hiding an integrator
-problem.
+problem.  The check guards the bare tier; in the other two it catches
+NaN.
 """
 
 from __future__ import annotations
@@ -130,12 +126,14 @@ class StateVector:
 class IntegratorSettings:
     """Numerical controls for the propagators.
 
-    Bare runs and constant envelopes integrate with the 8th-order adaptive
-    Runge-Kutta scheme DOP853 at these tolerances.  max_step is in ns and
-    bounds its step; the shortest envelope switching time bounds it
-    further.  Shaped rwa and averaged runs take Magnus steps under the same
-    bound, halved until their step-doubling error estimate is at most
-    atol + rtol (the amplitudes have norm 1).
+    Bare runs integrate with the 8th-order adaptive Runge-Kutta scheme
+    DOP853 at these tolerances.  max_step is in ns and bounds its step;
+    the shortest envelope switching time bounds it further.  Rwa and
+    averaged runs take Magnus steps under the same bound, halved until
+    their step-doubling error estimate is at most atol + rtol (the
+    amplitudes have norm 1); a folded rwa run estimates the error of one
+    beat period.  norm_tol bounds the drift of sum |c|^2 from 1, which
+    only the bare tier can accumulate.
     """
 
     rtol: float = 1e-10
@@ -198,13 +196,12 @@ class Trajectory:
 # ---------------------------------------------------------------------
 
 
-def _star_rhs(star, diag=None):
-    """dy/dt = -i H(t) y / hbar for the star-coupled equations of every tier.
+def _star_rhs(star):
+    """dy/dt = -i H(t) y / hbar for the star-coupled equations of the bare tier.
 
     H(t)/hbar = s M(t) in rad/ns, where star(t) returns (s, g0, g1) with
-    real s, <0|M|k> = g0_k and <1|M|k> = g1_k; diag, if given, is the
-    constant manifold diagonal <k|M|k>.  y is one state of shape (dim,)
-    or a propagator of shape (dim, dim) whose columns are states.
+    real s, <0|M|k> = g0_k and <1|M|k> = g1_k.  y is one state of shape
+    (dim,) or a propagator of shape (dim, dim) whose columns are states.
     """
     def rhs(t, y):
         s, g0, g1 = star(t)
@@ -212,10 +209,7 @@ def _star_rhs(star, diag=None):
         dy = np.empty_like(y)
         dy[0] = -1j * s * np.dot(g0, ck)
         dy[1] = -1j * s * np.dot(g1, ck)
-        dk = np.multiply.outer(np.conj(g0), y[0])
-        if diag is not None:
-            dk = (diag * ck.T).T + dk
-        dy[2:] = -1j * s * (dk + np.multiply.outer(np.conj(g1), y[1]))
+        dy[2:] = -1j * s * (np.multiply.outer(np.conj(g0), y[0]) + np.multiply.outer(np.conj(g1), y[1]))
         return dy
 
     return rhs
@@ -262,9 +256,9 @@ _MAGNUS_MAX_HALVINGS = 5  # halvings after the first h against h/2 comparison
 class _BFrame:
     """The rwa or averaged equations in the frame b_k = c_k e^{i delta_k t}.
 
-    H(t)/hbar is star-coupled as in _star_rhs, with s = 1:
-    couplings(t) takes a time array of shape (N,) and returns g0, g1 of
-    shape (N, n); diag is the constant manifold diagonal -delta_k / hbar;
+    H(t)/hbar is star-coupled as in _star_rhs, with s = 1 and a constant
+    manifold diagonal: couplings(t) takes a time array of shape (N,) and
+    returns g0, g1 of shape (N, n); diag is the diagonal -delta_k / hbar;
     rate bounds the norm of H/hbar, rad/ns.  With phases (delta_k / hbar)
     the saved amplitudes are taken back to the c frame.
     """
@@ -330,7 +324,9 @@ def _magnus(frame, y0, grid, breaks, settings):
     is repeated at half the step; the estimate of the finer run's error
     is max |y_h - y_{h/2}| / 63 (sixth order), and while it exceeds
     atol + rtol (the state has norm 1), or the rounding floor eps * steps,
-    the step is halved again, at most _MAGNUS_MAX_HALVINGS times.
+    the step is halved again, at most _MAGNUS_MAX_HALVINGS times.  Where
+    the generator is constant the node differences vanish and every step
+    is exact.
     """
     knots = np.union1d(grid, [b for b in breaks if grid[0] < b < grid[-1]])
     period = 2.0 * math.pi / frame.rate if frame.rate > 0 else math.inf
@@ -352,25 +348,24 @@ def _magnus(frame, y0, grid, breaks, settings):
     )
 
 
-# (key, read-only propagators U(taus)) of the last one-period integration in _fold
+# (key, read-only propagators U(taus), their Magnus facts) of the last one-period integration in _fold
 _one_period_memo = None
 
 
-def _fold(rhs, psi0, grid, period, phases, settings, key):
-    """Amplitudes on grid from the propagator of one period (Floquet).
+def _fold(frame, psi0, grid, period, settings, key):
+    """b-frame amplitudes on grid from the propagator of one period (Floquet), its Magnus facts, and
+    whether the kept propagator served.
 
-    rhs(t, y), applied to y of shape (dim, dim), must describe a system
-    that repeats itself after `period` in the frame b_k = c_k e^{i phases_k t}:
-    with D(t) = diag(1, 1, e^{-i phases t}), H(t + P) = D(P) H(t) D(P)^dag.
-    The propagator U(tau) is integrated once over [0, P], and a saved time
-    t = m P + tau takes c(t) = D(m P) U(tau) F^m psi0 with F = D(P)^dag U(P),
-    the powers built by binary powering between save points.  F is not
-    unitarized, so the norm check still sees its error, amplified by m.
+    frame (a _BFrame) must repeat itself after `period`: H_b(t + P) = H_b(t).
+    The propagators U(tau) over [0, tau] are integrated once by _magnus, and
+    a saved time t = m P + tau takes b(t) = U(tau) F^m psi0 with F = U(P),
+    the powers built by binary powering between save points.  The facts
+    (steps, halvings, error estimate, tolerance) are those of the one
+    period: the error of b(t) can grow up to m-fold over m periods.
 
-    key must fix rhs (its coefficients).  With the settings and the
-    offsets tau, which end at P, it names the integration; the last one
-    is kept and reused when a call names it again.  The phases enter only
-    the assembly.
+    key must fix frame (its couplings).  With the settings and the offsets
+    tau, which end at P, it names the integration; the last one is kept
+    and reused when a call names it again.
     """
     global _one_period_memo
     dim = len(psi0)
@@ -385,21 +380,13 @@ def _fold(rhs, psi0, grid, period, phases, settings, key):
     key += (settings.rtol, settings.atol, settings.max_step, taus.tobytes())
     memo = _one_period_memo
     reused = memo is not None and memo[0] == key
-    # only the rwa tier folds
-    logger.info("rwa propagation: folded over %.6g beat periods of P = %.6g ns%s", grid[-1] / period, period,
-                " (one-period propagator reused)" if reused else "")
     if reused:
-        props = memo[1]
+        props, facts = memo[1], memo[2]
     else:
-        def block(t, y):
-            return rhs(t, y.reshape(dim, dim)).ravel()
-
-        props = _integrate(block, np.eye(dim, dtype=complex).ravel(), taus, settings).reshape(-1, dim, dim)
+        props, facts = _magnus(frame, np.eye(dim, dtype=complex), taus, (), settings)
         props.flags.writeable = False
-        _one_period_memo = (key, props)
-    one_period = props[-1].copy()
-    one_period[2:] *= np.exp(1j * period * phases)[:, None]
-    squares = [one_period]  # F^(2^i)
+        _one_period_memo = (key, props, facts)
+    squares = [props[-1]]  # F^(2^i)
     state, done = psi0, 0
     out = np.empty((len(grid), dim), dtype=complex)
     for j, (m, idx) in enumerate(zip(periods.astype(int), np.searchsorted(taus, offsets))):
@@ -412,22 +399,22 @@ def _fold(rhs, psi0, grid, period, phases, settings, key):
             todo, bit = todo >> 1, bit + 1
         done = m
         out[j] = props[idx] @ state
-    out[:, 2:] *= np.exp(-1j * np.outer(periods * period, phases))
-    return out
+    return out, facts, reused
 
 
-def _propagate(star, psi0, frame, n_excited, pulses, settings, diag=None, period=None, phases=None, key=(),
-               b_frame=None):
-    """Integrate the star-coupled equations (see _star_rhs) from psi0 over [0, pulses.duration].
+def _propagate(model, psi0, frame, n_excited, pulses, settings, period=None, key=()):
+    """Integrate the star-coupled equations of a tier from psi0 over [0, pulses.duration].
 
-    A tier that gives its b-frame form (b_frame) is integrated by Magnus
-    steps (see _magnus) when an envelope is shaped.  Otherwise DOP853
-    integrates star; with a period, the one-period propagator is
-    integrated instead and the run is folded (see _fold); key is then a
-    tuple of the values (bytes or floats) that fix star and diag.
+    The bare tier gives its star(t) (see _star_rhs), which DOP853
+    integrates.  The rwa and averaged tiers give their b-frame form (a
+    _BFrame), which Magnus steps integrate (see _magnus); with a period,
+    the one-period propagator is integrated instead and the run is folded
+    (see _fold), and key is a tuple of the values (bytes or floats) that
+    fix the frame's couplings.
     """
     settings = settings or IntegratorSettings()
-    # where the envelopes vanish DOP853's step grows 10x a step; this bound keeps it from skipping a pulse
+    # the step bound of both engines: where the envelopes vanish DOP853's step grows 10x a step, and Magnus
+    # steps are equal across a save interval; this bound keeps either from skipping a pulse
     if pulses.switching_time < (settings.max_step or math.inf):
         settings = replace(settings, max_step=pulses.switching_time)
     if psi0.frame != frame:
@@ -438,18 +425,29 @@ def _propagate(star, psi0, frame, n_excited, pulses, settings, diag=None, period
         )
 
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
-    if b_frame is not None and math.isfinite(pulses.switching_time):
-        breaks = pulses.envelope0.breakpoints + pulses.envelope1.breakpoints
-        ys, (steps, halvings, estimate, tol) = _magnus(b_frame, psi0.amplitudes, grid, breaks, settings)
-        logger.info("%s propagation: magnus over %d steps, %d halvings, error estimate %.2e (tolerance %.1e)",
-                    frame, steps, halvings, estimate, tol)
-        if b_frame.phases is not None:
-            ys[:, 2:] *= np.exp(-1j * np.outer(grid, b_frame.phases))
-    elif period is None:
+    if frame == "bare":
         kinks = pulses.envelope0.kinks + pulses.envelope1.kinks
-        ys = _integrate(_star_rhs(star, diag), psi0.amplitudes, grid, settings, kinks)
+        ys = _integrate(_star_rhs(model), psi0.amplitudes, grid, settings, kinks)
     else:
-        ys = _fold(_star_rhs(star, diag), psi0.amplitudes, grid, period, phases, settings, key)
+        if period is None:
+            breaks = pulses.envelope0.breakpoints + pulses.envelope1.breakpoints
+            ys, facts = _magnus(model, psi0.amplitudes, grid, breaks, settings)
+            path, reused = "", False
+        else:
+            ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings, key)
+            path = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by "
+        logger.info("%s propagation: %smagnus over %d steps, %d halvings, error estimate %.2e (tolerance %.1e)%s",
+                    frame, path, *facts, " (one-period propagator reused)" if reused else "")
+        steps, _, estimate, floor = facts
+        if estimate > settings.atol + settings.rtol:
+            warnings.warn(
+                f"Magnus error estimate {estimate:.3e} exceeds the requested atol + rtol = "
+                f"{settings.atol + settings.rtol:.3e}; accepted under the rounding floor eps * {steps} steps "
+                f"= {floor:.3e}",
+                stacklevel=3,
+            )
+        if model.phases is not None:
+            ys[:, 2:] *= np.exp(-1j * np.outer(grid, model.phases))
 
     traj = Trajectory(grid, ys, frame)
     drift = traj.norm_drift
@@ -487,24 +485,6 @@ def propagate_rwa(
     mu1 = couplings.mu1 * np.exp(1j * pulses.phi1) / HBAR
     env0, env1 = pulses.envelope0, pulses.envelope1
 
-    def star(t):
-        f0 = env0(t)
-        f1 = env1(t)
-        phase_k = np.exp(1j * wd * t)
-        beat = np.exp(1j * wq * t)
-        return 1.0, (lam0 * f0 + mu1 * f1 / beat) * phase_k, (mu0 * f0 * beat + lam1 * f1) * phase_k
-
-    n = couplings.n_levels
-    period = averaging_period(couplings.delta_qubit)
-    if env0.shape == env1.shape == "constant":
-        if wq != 0.0 and pulses.duration >= 2.0 * period:
-            # the envelopes are 1, so these fix star
-            key = tuple(a.tobytes() for a in (lam0, lam1, mu0, mu1, wd)) + (wq,)
-            return _propagate(star, psi0, "rwa", n, pulses, settings, period=period, phases=wd, key=key)
-        reason = "Delta = 0" if wq == 0.0 else (
-            f"window {pulses.duration:.6g} ns is shorter than 2 beat periods of {period:.6g} ns")
-        logger.info("rwa propagation: direct (%s)", reason)
-
     def b_couplings(t):
         f0 = env0(t)[:, None]
         f1 = env1(t)[:, None]
@@ -513,7 +493,14 @@ def propagate_rwa(
 
     g_max = np.hypot(np.abs(lam0) + np.abs(mu1), np.abs(mu0) + np.abs(lam1))
     rate = np.max(np.abs(wd), initial=0.0) + abs(wq) + np.linalg.norm(g_max)
-    return _propagate(star, psi0, "rwa", n, pulses, settings, b_frame=_BFrame(b_couplings, -wd, rate, wd))
+    frame = _BFrame(b_couplings, -wd, rate, wd)
+    n = couplings.n_levels
+    period = averaging_period(couplings.delta_qubit)
+    if env0.shape == env1.shape == "constant" and wq != 0.0 and pulses.duration >= 2.0 * period:
+        # the envelopes are 1, so these fix the couplings
+        key = tuple(a.tobytes() for a in (lam0, lam1, mu0, mu1, wd)) + (wq,)
+        return _propagate(frame, psi0, "rwa", n, pulses, settings, period=period, key=key)
+    return _propagate(frame, psi0, "rwa", n, pulses, settings)
 
 
 def propagate_averaged(
@@ -542,15 +529,11 @@ def propagate_averaged(
 
     diag = -couplings.delta / HBAR
 
-    def star(t):
-        return 1.0, lam0 * env0(t), lam1 * env1(t)
-
     def b_couplings(t):
         return lam0 * env0(t)[:, None], lam1 * env1(t)[:, None]
 
     rate = np.max(np.abs(diag), initial=0.0) + np.linalg.norm(np.hypot(np.abs(lam0), np.abs(lam1)))
-    return _propagate(star, psi0, "averaged", couplings.n_levels, pulses, settings, diag=diag,
-                      b_frame=_BFrame(b_couplings, diag, rate))
+    return _propagate(_BFrame(b_couplings, diag, rate), psi0, "averaged", couplings.n_levels, pulses, settings)
 
 
 def propagate_bare(

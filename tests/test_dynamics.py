@@ -169,12 +169,12 @@ def test_save_grid_spans_window():
 
 
 def test_norm_blowup_is_reported():
+    # the bare tier is the one DOP853 integrates; tolerances of 0.1 lose about half the norm
     sp, om0 = _single_level(-100.0)
     pp = _flat_pair(sp, om0, amp=50.0, duration=4.0)
-    cs = derive_couplings(sp, pp)
     wild = IntegratorSettings(rtol=0.1, atol=0.1, max_step=1.0, save_points=5)
-    with pytest.raises(PropagationError, match="norm"):
-        propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 1), wild)
+    with pytest.raises(PropagationError, match="bare propagation lost norm"):
+        propagate_bare(sp, pp, StateVector.qubit(1.0, 0.0, 1, frame="bare"), wild)
 
 
 def test_frame_mismatch_rejected():
@@ -196,23 +196,26 @@ def test_dimension_mismatch_rejected():
 
 
 @pytest.mark.parametrize("periods", [10, 20000])
-def test_folded_norm_blowup_is_reported(periods, caplog):
-    # constant envelopes at Delta != 0 fold; tolerances of 0.1 and one step per beat period
-    # cannot resolve it, and over 20000 periods the powers overflow until the drift reads NaN
+def test_folded_norm_blowup_is_reported(periods, caplog, monkeypatch):
+    # constant envelopes at Delta != 0 fold, and Magnus keeps the norm, so an unresolved period
+    # shows in the estimate of the one-period propagator: with no halving allowed, its first
+    # estimate (1.5e-10 and 1.7e-10) stays above the tolerance (the rounding floor, about 2e-14)
+    monkeypatch.setattr(ddsim.dynamics, "_MAGNUS_MAX_HALVINGS", 0)
+    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     sp, om0 = _single_level(-100.0, delta_qubit=30.0)
     period = 2.0 * math.pi * HBAR / 30.0
     pp = _flat_pair(sp, om0, amp=50.0, duration=periods * period)
     cs = derive_couplings(sp, pp)
-    coarse = IntegratorSettings(rtol=0.1, atol=0.1, max_step=period, save_points=5)
+    tight = IntegratorSettings(rtol=1e-14, atol=1e-16, save_points=5)
     errors = []
-    with caplog.at_level(logging.INFO, logger="ddsim.dynamics"), np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):  # the repeat takes the kept one-period propagator and fails the same way
-            with pytest.raises(PropagationError, match="norm") as info:
-                propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 1), coarse)
+    with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
+        for _ in range(2):  # a failed period is not kept, so the repeat integrates and fails the same way
+            with pytest.raises(PropagationError, match="Magnus error estimate .* exceeds its tolerance") as info:
+                propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 1), tight)
             errors.append(str(info.value))
-    assert "folded" in caplog.text
-    assert "reused" in caplog.records[-1].getMessage()
+    assert ddsim.dynamics._one_period_memo is None
     assert errors[0] == errors[1]
+    assert not caplog.records
 
 
 # ---------------------------------------------------------------- folding
@@ -364,8 +367,8 @@ def test_criterion_4_gates_fold_to_reference(args):
 @pytest.mark.parametrize("kind, periods, expect", [
     ("constant", 3.5, "folded over 3.5 beat periods of P = "),
     ("sin2", 3.5, "magnus over"),
-    ("zero", 3.5, "direct (Delta = 0)"),
-    ("constant", 1.5, "shorter than 2 beat periods"),
+    ("zero", 3.5, "magnus over"),
+    ("constant", 1.5, "magnus over"),
 ])
 def test_each_run_logs_its_path(kind, periods, expect, caplog, monkeypatch):
     monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
@@ -394,15 +397,15 @@ def test_each_run_logs_its_path(kind, periods, expect, caplog, monkeypatch):
 
 
 def _count_integrations(monkeypatch):
-    """Start from an empty memo and record the grid of every _integrate call."""
+    """Start from an empty memo and record the grid of every _magnus call."""
     grids = []
-    integrate = ddsim.dynamics._integrate
+    magnus = ddsim.dynamics._magnus
 
-    def counted(rhs, y0, grid, *args):
+    def counted(frame, y0, grid, *args):
         grids.append(grid)
-        return integrate(rhs, y0, grid, *args)
+        return magnus(frame, y0, grid, *args)
 
-    monkeypatch.setattr(ddsim.dynamics, "_integrate", counted)
+    monkeypatch.setattr(ddsim.dynamics, "_magnus", counted)
     monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     return grids
 
@@ -492,28 +495,27 @@ def test_folded_runs_are_linear_in_the_initial_state(seed, n, sign, periods):
 # ---------------------------------------------------------------- shared rhs
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("with_diag", [False, True])
-def test_star_rhs_takes_states_and_propagators(n, with_diag):
-    rng = np.random.default_rng([n, with_diag])
+@pytest.mark.parametrize("propagator", [False, True])
+def test_star_rhs_takes_states_and_propagators(n, propagator):
+    rng = np.random.default_rng([n, propagator])
     dim = 2 + n
     s = float(rng.uniform(-3.0, 3.0))
     g0, g1 = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-    diag = rng.normal(size=n) if with_diag else None
-    rhs = ddsim.dynamics._star_rhs(lambda t: (s, g0, g1), diag)
+    rhs = ddsim.dynamics._star_rhs(lambda t: (s, g0, g1))
     y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    block = rhs(0.3, y)
-    # the manifold rows are elementwise and bit-equal; the qubit rows are BLAS dot products,
-    # summed in another order for a vector than for a matrix
-    for j in range(dim):
-        column = rhs(0.3, y[:, j].copy())
-        assert np.array_equal(column[2:], block[2:, j])
-        assert np.max(np.abs(column[:2] - block[:2, j])) <= 1e-14
+    if not propagator:
+        y = y[:, 0].copy()
+    dy = rhs(0.3, y)
     h = np.zeros((dim, dim), dtype=complex)
     h[0, 2:], h[1, 2:] = g0, g1
     h[2:, 0], h[2:, 1] = np.conj(g0), np.conj(g1)
-    if with_diag:
-        h[2:, 2:] = np.diag(diag)
-    assert np.max(np.abs(block - (-1j * s * h) @ y)) <= 1e-14
+    assert np.max(np.abs(dy - (-1j * s * h) @ y)) <= 1e-14
+    # the manifold rows are elementwise and bit-equal; the qubit rows are BLAS dot products,
+    # summed in another order for a vector than for a matrix
+    for j in range(dim if propagator else 0):
+        column = rhs(0.3, y[:, j].copy())
+        assert np.array_equal(column[2:], dy[2:, j])
+        assert np.max(np.abs(column[:2] - dy[:2, j])) <= 1e-14
 
 
 # ---------------------------------------------------------------- step bound
@@ -638,11 +640,13 @@ def _magnus_run(cs, pp, psi, settings=None):
 @pytest.mark.filterwarnings("ignore:envelope switching time is short")
 @hypothesis_settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), tier=st.sampled_from(["rwa", "averaged"]), n=st.integers(1, 5),
-       sign=st.sampled_from([-1, 1]), shape=st.sampled_from(["sin2", "gaussian", "trapezoid"]),
+       sign=st.sampled_from([-1, 1]), shape=st.sampled_from(["sin2", "gaussian", "trapezoid", "constant"]),
        shift=st.floats(-1.0, 1.0), window=st.floats(0.2, 0.5))
 def test_magnus_matches_dop853_within_its_estimate_and_is_unitary(seed, tier, n, sign, shape, shift, window):
+    # constant rwa runs over at least two beat periods fold, and each example integrates its own period
     cs, pp, psi = _shaped_draw(seed, n, sign, shape, shift, window, tier)
-    traj, (_, _, estimate, tol), propagator = _magnus_run(cs, pp, psi, IntegratorSettings(save_points=5))
+    with mock.patch.object(ddsim.dynamics, "_one_period_memo", None):
+        traj, (_, _, estimate, tol), propagator = _magnus_run(cs, pp, psi, IntegratorSettings(save_points=5))
     assert estimate <= tol
     ref = _c_frame_reference(cs, pp, psi.amplitudes[:, None], traj.times, tier)[:, :, 0]
     assert np.max(np.abs(traj.amplitudes - ref)) <= max(10.0 * estimate, 1e-12)
@@ -672,20 +676,74 @@ def test_magnus_run_logs_its_steps_halvings_and_estimate(tier, caplog):
     assert lines[1][1] > lines[0][1] and lines[1][0] > lines[0][0]
 
 
-def test_magnus_estimate_above_tolerance_at_the_halving_cap_raises(monkeypatch):
-    # README's library example; the first comparison, 375 against 750 steps, estimates 1.5e-12
-    # against a tolerance of 1.7e-13
+def _readme_example():
+    """README's library example: 3 levels under two sin2 pulses over 1 ns, from |0> in the rwa tier."""
     sp = build_spectrum(SpectrumConfig(n_levels=3, shape="uniform", omega_exc=2000.0, spacing=20.0,
                                        delta=5.0, dipole0=2.0, dipole1=2.0))
     om0, om1 = enforce_two_photon_resonance(sp, 1905.0)
     env = Envelope("sin2", center=0.5, width=1.0)
     pp = PulsePair(amp0=20.0, amp1=20.0, envelope0=env, envelope1=env, omega0=om0, omega1=om1, duration=1.0)
-    cs, psi = derive_couplings(sp, pp), StateVector.qubit(1.0, 0.0, 3)
+    return derive_couplings(sp, pp), pp, StateVector.qubit(1.0, 0.0, 3)
+
+
+def test_magnus_estimate_above_tolerance_at_the_halving_cap_raises(monkeypatch):
+    # the first comparison, 375 against 750 steps, estimates 1.5e-12 against a tolerance of 1.7e-13
+    cs, pp, psi = _readme_example()
     settings = IntegratorSettings(rtol=1e-14, atol=1e-16, save_points=2)
-    assert _magnus_run(cs, pp, psi, settings)[1][1] == 1
+    with pytest.warns(UserWarning, match="rounding floor"):
+        assert _magnus_run(cs, pp, psi, settings)[1][1] == 1
     monkeypatch.setattr(ddsim.dynamics, "_MAGNUS_MAX_HALVINGS", 0)
     with pytest.raises(PropagationError, match="Magnus error estimate .* exceeds its tolerance"):
         propagate_rwa(cs, pp, psi, settings)
+
+
+@pytest.mark.parametrize("rtol, atol", [(1e-10, 1e-12), (1e-14, 1e-16)])
+def test_acceptance_under_the_rounding_floor_warns(rtol, atol, recwarn):
+    # at the defaults the run stops at 750 steps with an estimate of 1.5e-12; at the tight settings
+    # it stops after 1 halving at 1500 steps, its estimate 2.3e-14 above the requested 1.01e-14 but
+    # under the floor eps * 1500 = 3.3e-13
+    cs, pp, psi = _readme_example()
+    _, (steps, halvings, estimate, floor), _ = _magnus_run(cs, pp, psi, IntegratorSettings(rtol=rtol, atol=atol,
+                                                                                          save_points=2))
+    messages = [str(w.message) for w in recwarn]
+    if rtol == 1e-10:
+        assert (steps, halvings) == (750, 0) and not messages
+        return
+    assert (steps, halvings) == (1500, 1) and atol + rtol < estimate <= floor
+    assert messages == [f"Magnus error estimate {estimate:.3e} exceeds the requested atol + rtol = 1.010e-14; "
+                        f"accepted under the rounding floor eps * 1500 steps = {floor:.3e}"]
+
+
+class _SolveIvpCalled(Exception):
+    pass
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+def test_only_the_bare_tier_calls_solve_ivp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _SolveIvpCalled
+
+    monkeypatch.setattr(ddsim.dynamics, "solve_ivp", refuse)
+    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
+    period = 2.0 * math.pi * HBAR / 30.0
+    sin2 = Envelope("sin2", center=1.75 * period, width=3.5 * period)
+    runs = [  # (tier, Delta, window in beat periods, envelope)
+        ("rwa", 30.0, 3.5, None),  # folded
+        ("rwa", 0.0, 3.5, None),
+        ("rwa", 30.0, 1.5, None),
+        ("averaged", 30.0, 3.5, None),
+        ("rwa", 30.0, 3.5, sin2),
+        ("averaged", 30.0, 3.5, sin2),
+    ]
+    for tier, dq, periods, env in runs:
+        sp, om0 = _single_level(-100.0, delta_qubit=dq)
+        pp = _flat_pair(sp, om0, amp=20.0, duration=periods * period)
+        if env is not None:
+            pp = dataclasses.replace(pp, envelope0=env, envelope1=env)
+        propagate = propagate_rwa if tier == "rwa" else propagate_averaged
+        propagate(derive_couplings(sp, pp), pp, StateVector.qubit(1.0, 0.0, 1, frame=tier))
+    with pytest.raises(_SolveIvpCalled):
+        propagate_bare(sp, pp, StateVector.qubit(1.0, 0.0, 1, frame="bare"))
 
 
 # ---------------------------------------------------------------- elimination
