@@ -128,7 +128,6 @@ SCHEMA = {
                 "atol": {"type": "number", "exclusiveMinimum": 0},
                 "max_step": {"type": "number", "exclusiveMinimum": 0},
                 "save_points": {"type": "integer", "minimum": 2},
-                "norm_tol": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
         },

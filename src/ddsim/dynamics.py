@@ -6,7 +6,7 @@ free phases e^{-i eps_n t / hbar} factored out):
 
 propagate_bare
     Keeps the full optical carriers, cos(omega t + phi), including
-    counter-rotating terms.  Exact but expensive: the integrator has to
+    counter-rotating terms.  Exact but expensive: the steps have to
     resolve the optical period, so runtime grows like omega0 * T.
 
 propagate_rwa
@@ -39,32 +39,32 @@ propagate_averaged
     the envelopes; fast and the direct counterpart of the analytic
     effective model.
 
-All three are the same star-coupled equation: each manifold level k
-couples only to |0> and |1>, so H(t)/hbar = s(t) M(t) with
-<0|M|k> = g0_k(t), <1|M|k> = g1_k(t) and, in the b frame, the constant
-manifold diagonal <k|M|k> = -delta_k / hbar.  A tier supplies only its
-couplings at t, and there is one engine per description:
+All three are the same star-coupled equation, and one engine integrates
+them.  Each manifold level k couples only to |0> and |1>, so in a frame
+b_k = c_k e^{-i w_k t} with constant w_k, H(t)/hbar has
+<0|H|k> = g0_k(t), <1|H|k> = g1_k(t) and the constant manifold
+diagonal <k|H|k> = w_k.  A tier supplies only its couplings at t and
+that diagonal (a _BFrame):
 
-- The bare tier keeps the carriers in s (the instantaneous field) and
-  the free phases in g0, g1.  One right-hand side (_star_rhs) computes
-  dy/dt and DOP853 integrates it, its step bounded by the caller's
-  max_step and by the shortest envelope switching time, and each
-  stretch between envelope kinks integrated apart.
-- The rwa and averaged tiers give their couplings in the b frame
-  (s = 1) and take sixth-order Magnus steps (_magnus; Blanes, Casas,
-  Oteo & Ros, Phys. Rep. 470, 151 (2009)) under the same step bound.
-  Where the generator is constant (both envelopes constant in the
-  averaged tier, or in the rwa tier at Delta = 0) every step is exact.
-  Magnus is unitary by construction, so a norm check proves nothing
-  about it: each run is repeated at half the step, and the step halved
-  until the step-doubling error estimate is at most atol + rtol (or the
-  rounding floor eps * steps, with a warning when the floor accepts what
-  atol + rtol would not), else PropagationError.
+- bare: w_k = (E_k - eps0) / hbar, g0 = s(t) d0 and
+  g1 = s(t) d1 e^{i Delta t / hbar}, with s(t) the instantaneous field;
+- rwa: w_k = -delta_k / hbar, with the crossed couplings on the beat;
+- averaged: w_k = -delta_k / hbar, without them.
 
-Norms are monitored, never renormalized: drift beyond the configured
-bound raises PropagationError instead of silently hiding an integrator
-problem.  The check guards the bare tier; in the other two it catches
-NaN.
+Every tier takes sixth-order Magnus steps (_magnus; Blanes, Casas, Oteo
+& Ros, Phys. Rep. 470, 151 (2009)), their length bounded by the caller's
+max_step and by the shortest envelope switching time, and no step
+crossing an envelope breakpoint.  Where the generator is constant (both
+envelopes constant in the averaged tier, or in the rwa tier at
+Delta = 0) every step is exact.  Magnus is unitary by construction, so
+a norm check proves nothing about it: each run is repeated at half the
+step, and the step halved until the step-doubling error estimate is at
+most atol + rtol (or the rounding floor eps * steps, with a warning when
+the floor accepts what atol + rtol would not), else PropagationError.
+
+Norms are still checked, never renormalized: a drift of sum |c|^2 from 1
+beyond _NORM_TOL raises PropagationError.  With a unitary engine it
+catches NaN.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# no tier calls solve_ivp; bench/tracing.py (FUNCTIONS, by getattr) and bench/baseline.py read this name
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from .drive import CouplingSet, PulsePair, averaging_period, slow_switching_ok
 from .spectrum import SpectrumModel
@@ -85,6 +86,7 @@ from .units import DIPOLE_FIELD_TO_UEV, HBAR
 logger = logging.getLogger(__name__)
 
 FRAMES = ("bare", "rwa", "averaged")
+_NORM_TOL = 1e-6  # largest drift of sum |c|^2 from 1 that a run may show
 
 
 class PropagationError(RuntimeError):
@@ -126,21 +128,16 @@ class StateVector:
 class IntegratorSettings:
     """Numerical controls for the propagators.
 
-    Bare runs integrate with the 8th-order adaptive Runge-Kutta scheme
-    DOP853 at these tolerances.  max_step is in ns and bounds its step;
-    the shortest envelope switching time bounds it further.  Rwa and
-    averaged runs take Magnus steps under the same bound, halved until
-    their step-doubling error estimate is at most atol + rtol (the
-    amplitudes have norm 1); a folded rwa run estimates the error of one
-    beat period.  norm_tol bounds the drift of sum |c|^2 from 1, which
-    only the bare tier can accumulate.
+    Every tier takes Magnus steps no longer than max_step (ns) and the
+    shortest envelope switching time, halved until their step-doubling
+    error estimate is at most atol + rtol (the amplitudes have norm 1); a
+    folded rwa run estimates the error of one beat period.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-12
     max_step: Optional[float] = None
     save_points: int = 201
-    norm_tol: float = 1e-6
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
@@ -149,8 +146,6 @@ class IntegratorSettings:
             raise ValueError("max_step must be > 0")
         if self.save_points < 2:
             raise ValueError("save_points must be >= 2")
-        if self.norm_tol <= 0:
-            raise ValueError("norm_tol must be > 0")
 
 
 @dataclass
@@ -196,55 +191,6 @@ class Trajectory:
 # ---------------------------------------------------------------------
 
 
-def _star_rhs(star):
-    """dy/dt = -i H(t) y / hbar for the star-coupled equations of the bare tier.
-
-    H(t)/hbar = s M(t) in rad/ns, where star(t) returns (s, g0, g1) with
-    real s, <0|M|k> = g0_k and <1|M|k> = g1_k.  y is one state of shape
-    (dim,) or a propagator of shape (dim, dim) whose columns are states.
-    """
-    def rhs(t, y):
-        s, g0, g1 = star(t)
-        ck = y[2:]
-        dy = np.empty_like(y)
-        dy[0] = -1j * s * np.dot(g0, ck)
-        dy[1] = -1j * s * np.dot(g1, ck)
-        dy[2:] = -1j * s * (np.multiply.outer(np.conj(g0), y[0]) + np.multiply.outer(np.conj(g1), y[1]))
-        return dy
-
-    return rhs
-
-
-def _integrate(rhs, y0, grid, settings, kinks=()):
-    """Values of dy/dt = rhs(t, y) on grid, from y0 at grid[0], by DOP853 at the given settings.
-
-    Each stretch between the kinks inside the window is its own solve_ivp
-    call, so no step crosses a kink, where the error estimate of a step
-    does not see the jump in dy/dt.
-    """
-    bounds = [grid[0], *sorted({k for k in kinks if grid[0] < k < grid[-1]}), grid[-1]]
-    out = np.empty((len(grid), len(y0)), dtype=complex)
-    y, done = y0, 0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        stop = np.searchsorted(grid, b)  # the saved times in [a, b), then b itself
-        sol = solve_ivp(
-            rhs,
-            (a, b),
-            y,
-            method="DOP853",
-            t_eval=np.append(grid[done:stop], b),
-            rtol=settings.rtol,
-            atol=settings.atol,
-            max_step=settings.max_step or np.inf,
-        )
-        if not sol.success:
-            raise PropagationError(f"adaptive integrator failed: {sol.message}")
-        out[done:stop] = sol.y[:, :-1].T
-        y, done = sol.y[:, -1], stop
-    out[-1] = y
-    return out
-
-
 # the three Gauss-Legendre nodes on [0, 1]
 _GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 _MAGNUS_STEPS_PER_PERIOD = 10  # first step: this many per period of the norm bound on H
@@ -254,19 +200,19 @@ _MAGNUS_MAX_HALVINGS = 5  # halvings after the first h against h/2 comparison
 
 @dataclass(frozen=True)
 class _BFrame:
-    """The rwa or averaged equations in the frame b_k = c_k e^{i delta_k t}.
+    """A tier's star-coupled equations in its frame b_k = c_k e^{-i diag_k t}.
 
-    H(t)/hbar is star-coupled as in _star_rhs, with s = 1 and a constant
-    manifold diagonal: couplings(t) takes a time array of shape (N,) and
-    returns g0, g1 of shape (N, n); diag is the diagonal -delta_k / hbar;
-    rate bounds the norm of H/hbar, rad/ns.  With phases (delta_k / hbar)
-    the saved amplitudes are taken back to the c frame.
+    couplings(t) takes a time array of shape (N,) and returns g0, g1 of
+    shape (N, n), <0|H|k> / hbar and <1|H|k> / hbar; diag is the constant
+    manifold diagonal <k|H|k> / hbar; rate bounds the norm of H/hbar,
+    rad/ns.  With c_frame the saved amplitudes are taken back to the c
+    frame.
     """
 
     couplings: Callable
     diag: np.ndarray
     rate: float
-    phases: Optional[np.ndarray] = None
+    c_frame: bool = False
 
 
 def _antihermitian_commutator(x, y):
@@ -305,7 +251,10 @@ def _magnus_pass(frame, y0, knots, counts):
         c1 = _antihermitian_commutator(a1, a2)
         c2 = _antihermitian_commutator(a1, 2.0 * a3 + c1) / -60.0
         omega = a1 + a3 / 12.0 + _antihermitian_commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-        w, v = np.linalg.eigh(1j * omega)
+        try:
+            w, v = np.linalg.eigh(1j * omega)
+        except np.linalg.LinAlgError as exc:  # a NaN or inf in the generator
+            raise PropagationError(f"Magnus step failed ({exc}); are the couplings finite?") from exc
         props = (v * np.exp(-1j * w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
         for prop, j, last in zip(props, gap.tolist(), (ends[gap] == step + 1).tolist()):
             y = prop @ y
@@ -331,7 +280,7 @@ def _magnus(frame, y0, grid, breaks, settings):
     knots = np.union1d(grid, [b for b in breaks if grid[0] < b < grid[-1]])
     period = 2.0 * math.pi / frame.rate if frame.rate > 0 else math.inf
     h = min(period / _MAGNUS_STEPS_PER_PERIOD, settings.max_step or math.inf)
-    counts = np.ceil(np.diff(knots) / h).astype(int)
+    counts = np.maximum(np.ceil(np.diff(knots) / h), 1.0).astype(int)  # h is inf at a rate of 0 or NaN
     coarse = _magnus_pass(frame, y0, knots, counts)
     for halvings in range(_MAGNUS_MAX_HALVINGS + 1):
         counts = 2 * counts
@@ -405,16 +354,14 @@ def _fold(frame, psi0, grid, period, settings, key):
 def _propagate(model, psi0, frame, n_excited, pulses, settings, period=None, key=()):
     """Integrate the star-coupled equations of a tier from psi0 over [0, pulses.duration].
 
-    The bare tier gives its star(t) (see _star_rhs), which DOP853
-    integrates.  The rwa and averaged tiers give their b-frame form (a
-    _BFrame), which Magnus steps integrate (see _magnus); with a period,
-    the one-period propagator is integrated instead and the run is folded
-    (see _fold), and key is a tuple of the values (bytes or floats) that
-    fix the frame's couplings.
+    model is the tier's b-frame form (a _BFrame), which Magnus steps
+    integrate (see _magnus); with a period, the one-period propagator is
+    integrated instead and the run is folded (see _fold), and key is a
+    tuple of the values (bytes or floats) that fix the frame's couplings.
     """
     settings = settings or IntegratorSettings()
-    # the step bound of both engines: where the envelopes vanish DOP853's step grows 10x a step, and Magnus
-    # steps are equal across a save interval; this bound keeps either from skipping a pulse
+    # Magnus steps are equal across a save interval, so where the envelopes vanish nothing else would keep
+    # them from stepping over a pulse; the shortest switching time bounds them
     if pulses.switching_time < (settings.max_step or math.inf):
         settings = replace(settings, max_step=pulses.switching_time)
     if psi0.frame != frame:
@@ -425,36 +372,31 @@ def _propagate(model, psi0, frame, n_excited, pulses, settings, period=None, key
         )
 
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
-    if frame == "bare":
-        kinks = pulses.envelope0.kinks + pulses.envelope1.kinks
-        ys = _integrate(_star_rhs(model), psi0.amplitudes, grid, settings, kinks)
+    if period is None:
+        breaks = pulses.envelope0.breakpoints + pulses.envelope1.breakpoints
+        ys, facts = _magnus(model, psi0.amplitudes, grid, breaks, settings)
+        path, reused = "", False
     else:
-        if period is None:
-            breaks = pulses.envelope0.breakpoints + pulses.envelope1.breakpoints
-            ys, facts = _magnus(model, psi0.amplitudes, grid, breaks, settings)
-            path, reused = "", False
-        else:
-            ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings, key)
-            path = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by "
-        logger.info("%s propagation: %smagnus over %d steps, %d halvings, error estimate %.2e (tolerance %.1e)%s",
-                    frame, path, *facts, " (one-period propagator reused)" if reused else "")
-        steps, _, estimate, floor = facts
-        if estimate > settings.atol + settings.rtol:
-            warnings.warn(
-                f"Magnus error estimate {estimate:.3e} exceeds the requested atol + rtol = "
-                f"{settings.atol + settings.rtol:.3e}; accepted under the rounding floor eps * {steps} steps "
-                f"= {floor:.3e}",
-                stacklevel=3,
-            )
-        if model.phases is not None:
-            ys[:, 2:] *= np.exp(-1j * np.outer(grid, model.phases))
+        ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings, key)
+        path = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by "
+    logger.info("%s propagation: %smagnus over %d steps, %d halvings, error estimate %.2e (tolerance %.1e)%s",
+                frame, path, *facts, " (one-period propagator reused)" if reused else "")
+    steps, _, estimate, floor = facts
+    if estimate > settings.atol + settings.rtol:
+        warnings.warn(
+            f"Magnus error estimate {estimate:.3e} exceeds the requested atol + rtol = "
+            f"{settings.atol + settings.rtol:.3e}; accepted under the rounding floor eps * {steps} steps "
+            f"= {floor:.3e}",
+            stacklevel=3,
+        )
+    if model.c_frame:
+        ys[:, 2:] *= np.exp(1j * np.outer(grid, model.diag))
 
     traj = Trajectory(grid, ys, frame)
     drift = traj.norm_drift
-    if not drift <= settings.norm_tol:  # also catches a NaN drift
+    if not drift <= _NORM_TOL:  # also catches a NaN drift
         raise PropagationError(
-            f"{frame} propagation lost norm: max |sum|c|^2 - 1| = {drift:.3e} "
-            f"exceeds {settings.norm_tol:.1e}; tighten tolerances or reduce the step"
+            f"{frame} propagation lost norm: max |sum|c|^2 - 1| = {drift:.3e} exceeds {_NORM_TOL:.1e}"
         )
     return traj
 
@@ -493,7 +435,7 @@ def propagate_rwa(
 
     g_max = np.hypot(np.abs(lam0) + np.abs(mu1), np.abs(mu0) + np.abs(lam1))
     rate = np.max(np.abs(wd), initial=0.0) + abs(wq) + np.linalg.norm(g_max)
-    frame = _BFrame(b_couplings, -wd, rate, wd)
+    frame = _BFrame(b_couplings, -wd, rate, c_frame=True)
     n = couplings.n_levels
     period = averaging_period(couplings.delta_qubit)
     if env0.shape == env1.shape == "constant" and wq != 0.0 and pulses.duration >= 2.0 * period:
@@ -544,32 +486,36 @@ def propagate_bare(
 ) -> Trajectory:
     """Integrate with the full carriers, no rotating-wave approximation.
 
-    DOP853 chooses its steps to resolve the carriers at the requested
-    tolerances, so runtime grows with omega0 * duration.
+    Magnus steps in the frame b_k = c_k e^{-i (E_k - eps0) t / hbar}
+    resolve the carriers, so runtime grows with omega0 * duration.
     """
     w0 = pulses.omega0 / HBAR
     w1 = pulses.omega1 / HBAR
     w0k = (spectrum.manifold_energies - spectrum.epsilon0) / HBAR
-    w1k = (spectrum.manifold_energies - spectrum.epsilon1) / HBAR
+    wq = spectrum.delta / HBAR
     d0 = spectrum.dipoles_to_0 * DIPOLE_FIELD_TO_UEV / HBAR
     d1 = spectrum.dipoles_to_1 * DIPOLE_FIELD_TO_UEV / HBAR
     amp0, amp1 = pulses.amp0, pulses.amp1
     phi0, phi1 = pulses.phi0, pulses.phi1
     env0, env1 = pulses.envelope0, pulses.envelope1
 
-    def star(t):  # s is the instantaneous field, V/cm
-        e_field = amp0 * env0(t) * math.cos(w0 * t + phi0) + amp1 * env1(t) * math.cos(w1 * t + phi1)
-        return e_field, d0 * np.exp(-1j * w0k * t), d1 * np.exp(-1j * w1k * t)
+    def b_couplings(t):
+        # the instantaneous field, V/cm
+        s = (amp0 * env0(t) * np.cos(w0 * t + phi0) + amp1 * env1(t) * np.cos(w1 * t + phi1))[:, None]
+        return s * d0, s * d1 * np.exp(1j * wq * t)[:, None]
 
+    rate = (np.max(np.abs(w0k)) + abs(wq) + max(abs(w0), abs(w1))
+            + (amp0 + amp1) * np.linalg.norm(np.hypot(np.abs(d0), np.abs(d1))))
     periods = pulses.duration * max(w0, w1) / (2.0 * math.pi)
-    logger.info("bare propagation: %.0f periods of the faster carrier, resolved by DOP853's own steps", periods)
+    logger.info("bare propagation: %.0f periods of the faster carrier", periods)
     if periods > 1e4:
         warnings.warn(
             f"bare propagation spans about {periods:.1e} carrier periods "
             "(runtime grows with omega0 * duration); consider the rwa tier",
             stacklevel=2,
         )
-    return _propagate(star, psi0, "bare", spectrum.n_excited, pulses, settings)
+    frame = _BFrame(b_couplings, w0k, rate, c_frame=True)
+    return _propagate(frame, psi0, "bare", spectrum.n_excited, pulses, settings)
 
 
 # ---------------------------------------------------------------------

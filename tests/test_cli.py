@@ -511,6 +511,23 @@ def test_integrator_method_key_exits_config(tmp_path, capsys):
     assert "'method' was unexpected" in err["error"]["message"]
 
 
+def test_integrator_norm_tol_key_exits_config_before_compute(tmp_path, capsys, monkeypatch):
+    # every tier is unitary by construction, so the norm bound is no longer a setting
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started before the config was checked")
+
+    for name in ("propagate_rwa", "propagate_averaged", "propagate_bare"):
+        monkeypatch.setattr(cli, name, no_compute)
+    cfg_path = _write_cfg(tmp_path, _propagate_cfg(mode="propagate-bare", integrator={"norm_tol": 1e-6}))
+    out_dir = tmp_path / "out"
+    assert main(["validate", cfg_path]) == EXIT_CONFIG
+    assert main(["run", cfg_path, "--out", str(out_dir)]) == EXIT_CONFIG
+    assert not out_dir.exists()
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert len(errors) == 2
+    assert all("'norm_tol' was unexpected" in err["error"]["message"] for err in errors)
+
+
 def test_unsatisfiable_gate_exits_numeric(tmp_path, capsys):
     cfg = {
         "mode": "synthesize-gate",
