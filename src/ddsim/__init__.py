@@ -16,7 +16,7 @@ Energies are in microelectronvolts, times in nanoseconds, fields in
 volts per centimeter, dipoles in electron-nanometers.
 """
 
-from .units import DIPOLE_FIELD_TO_UEV, HBAR, UEV_TO_RAD_PER_SEC, to_angular
+from .units import DIPOLE_FIELD_TO_UEV, HBAR, UEV_TO_RAD_PER_SEC
 from .spectrum import (
     ExcitedLevel,
     HierarchyReport,
@@ -27,7 +27,6 @@ from .spectrum import (
 )
 from .drive import (
     DOMINANCE_RATIO,
-    REGIME_LABELS,
     CouplingSet,
     Envelope,
     PulsePair,
@@ -85,7 +84,6 @@ __all__ = [
     "HBAR",
     "DIPOLE_FIELD_TO_UEV",
     "UEV_TO_RAD_PER_SEC",
-    "to_angular",
     "ExcitedLevel",
     "SpectrumModel",
     "SpectrumConfig",
@@ -97,7 +95,6 @@ __all__ = [
     "CouplingSet",
     "RegimeReport",
     "DOMINANCE_RATIO",
-    "REGIME_LABELS",
     "enforce_two_photon_resonance",
     "derive_couplings",
     "classify_regime",

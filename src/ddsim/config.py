@@ -124,9 +124,7 @@ SCHEMA = {
         "integrator": {
             "type": "object",
             "properties": {
-                "rtol": {"type": "number", "exclusiveMinimum": 0},
-                "atol": {"type": "number", "exclusiveMinimum": 0},
-                "max_step": {"type": "number", "exclusiveMinimum": 0},
+                "tol": {"type": "number", "exclusiveMinimum": 0},
                 "save_points": {"type": "integer", "minimum": 2},
             },
             "additionalProperties": False,

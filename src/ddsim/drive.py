@@ -36,14 +36,6 @@ from .units import DIPOLE_FIELD_TO_UEV, HBAR
 
 DOMINANCE_RATIO = 10.0
 
-REGIME_LABELS = (
-    "resonant-symmetric",
-    "resonant-asymmetric",
-    "off-resonant-symmetric",
-    "off-resonant-asymmetric",
-    "unclassified",
-)
-
 _EDGE_TOL = 1e-9
 
 SHAPES = ("gaussian", "sin2", "trapezoid", "constant")

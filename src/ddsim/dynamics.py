@@ -20,13 +20,13 @@ propagate_rwa
     themselves every beat period P = 2 pi hbar / |Delta| in the frame
     b_k = c_k e^{i delta_k t} (Floquet; Shirley, Phys. Rev. 138, B979
     (1965)).  A window of at least 2 P is then folded: the propagator
-    is integrated over one period with the configured tolerances, and
+    is integrated over one period with the configured tolerance, and
     the saved states are assembled from it and its powers, so the cost
     no longer grows with the number of periods.  The logged error
     estimate is that of the one period: over m periods the error of a
     saved state can grow up to m-fold.
     The last one-period propagator is kept, so a run with equal
-    couplings, phases, settings and save offsets (the other basis state
+    couplings, phases, tolerance and save offsets (the other basis state
     of a gate check) skips the integration.  Delta = 0, shorter windows
     and shaped envelopes are integrated directly.  Each call logs (INFO)
     which path it took.
@@ -52,15 +52,14 @@ that diagonal (a _BFrame):
 - averaged: w_k = -delta_k / hbar, without them.
 
 Every tier takes sixth-order Magnus steps (_magnus; Blanes, Casas, Oteo
-& Ros, Phys. Rep. 470, 151 (2009)), their length bounded by the caller's
-max_step and by the shortest envelope switching time, and no step
-crossing an envelope breakpoint.  Where the generator is constant (both
-envelopes constant in the averaged tier, or in the rwa tier at
-Delta = 0) every step is exact.  Magnus is unitary by construction, so
+& Ros, Phys. Rep. 470, 151 (2009)), their length bounded by the shortest
+envelope switching time, and no step crossing an envelope breakpoint.
+Where the generator is constant (both envelopes constant in the averaged
+tier, or in the rwa tier at Delta = 0) every step is exact.  Magnus is unitary by construction, so
 a norm check proves nothing about it: each run is repeated at half the
 step, and the step halved until the step-doubling error estimate is at
-most atol + rtol (or the rounding floor eps * steps, with a warning when
-the floor accepts what atol + rtol would not), else PropagationError.
+most tol (or the rounding floor eps * steps, with a warning when the
+floor accepts what tol would not), else PropagationError.
 
 Norms are still checked, never renormalized: a drift of sum |c|^2 from 1
 beyond _NORM_TOL raises PropagationError.  With a unitary engine it
@@ -72,8 +71,8 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Optional
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 # no tier calls solve_ivp; bench/tracing.py (FUNCTIONS, by getattr) and bench/baseline.py read this name
@@ -128,22 +127,18 @@ class StateVector:
 class IntegratorSettings:
     """Numerical controls for the propagators.
 
-    Every tier takes Magnus steps no longer than max_step (ns) and the
-    shortest envelope switching time, halved until their step-doubling
-    error estimate is at most atol + rtol (the amplitudes have norm 1); a
-    folded rwa run estimates the error of one beat period.
+    Every tier takes Magnus steps no longer than the shortest envelope
+    switching time, halved until their step-doubling error estimate is
+    at most tol (the amplitudes have norm 1); a folded rwa run estimates
+    the error of one beat period.
     """
 
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    max_step: Optional[float] = None
+    tol: float = 1.01e-10
     save_points: int = 201
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.max_step is not None and self.max_step <= 0:
-            raise ValueError("max_step must be > 0")
+        if not self.tol > 0:  # also rejects NaN
+            raise ValueError("tol must be > 0")
         if self.save_points < 2:
             raise ValueError("save_points must be >= 2")
 
@@ -263,23 +258,23 @@ def _magnus_pass(frame, y0, knots, counts):
     return out
 
 
-def _magnus(frame, y0, grid, breaks, settings):
+def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
     """Amplitudes on grid by Magnus-6 steps, and (steps, halvings, error estimate, tolerance).
 
     Steps are equal within each gap between saved times and envelope
-    breakpoints (breaks), no longer than settings.max_step and first
-    about 1/_MAGNUS_STEPS_PER_PERIOD of the period 2 pi / frame.rate.  y0
+    breakpoints (breaks), no longer than cap (ns) and first about
+    1/_MAGNUS_STEPS_PER_PERIOD of the period 2 pi / frame.rate.  y0
     is one state of shape (dim,) or a propagator of shape (dim, dim).  Each run
     is repeated at half the step; the estimate of the finer run's error
     is max |y_h - y_{h/2}| / 63 (sixth order), and while it exceeds
-    atol + rtol (the state has norm 1), or the rounding floor eps * steps,
+    tol (the state has norm 1), or the rounding floor eps * steps,
     the step is halved again, at most _MAGNUS_MAX_HALVINGS times.  Where
     the generator is constant the node differences vanish and every step
     is exact.
     """
     knots = np.union1d(grid, [b for b in breaks if grid[0] < b < grid[-1]])
     period = 2.0 * math.pi / frame.rate if frame.rate > 0 else math.inf
-    h = min(period / _MAGNUS_STEPS_PER_PERIOD, settings.max_step or math.inf)
+    h = min(period / _MAGNUS_STEPS_PER_PERIOD, cap)
     counts = np.maximum(np.ceil(np.diff(knots) / h), 1.0).astype(int)  # h is inf at a rate of 0 or NaN
     coarse = _magnus_pass(frame, y0, knots, counts)
     for halvings in range(_MAGNUS_MAX_HALVINGS + 1):
@@ -287,13 +282,13 @@ def _magnus(frame, y0, grid, breaks, settings):
         fine = _magnus_pass(frame, y0, knots, counts)
         estimate = float(np.max(np.abs(fine - coarse))) / 63.0
         steps = int(counts.sum())
-        tol = max(settings.atol + settings.rtol, np.finfo(float).eps * steps)
-        if estimate <= tol:
-            return fine[np.searchsorted(knots, grid)], (steps, halvings, estimate, tol)
+        accept = max(tol, np.finfo(float).eps * steps)
+        if estimate <= accept:
+            return fine[np.searchsorted(knots, grid)], (steps, halvings, estimate, accept)
         coarse = fine
     raise PropagationError(
-        f"Magnus error estimate {estimate:.3e} exceeds its tolerance {tol:.1e} after "
-        f"{_MAGNUS_MAX_HALVINGS} halvings of the step ({steps} steps); loosen rtol/atol"
+        f"Magnus error estimate {estimate:.3e} exceeds its tolerance {accept:.1e} after "
+        f"{_MAGNUS_MAX_HALVINGS} halvings of the step ({steps} steps); loosen tol"
     )
 
 
@@ -301,20 +296,20 @@ def _magnus(frame, y0, grid, breaks, settings):
 _one_period_memo = None
 
 
-def _fold(frame, psi0, grid, period, settings, key):
+def _fold(frame, psi0, grid, period, tol, key):
     """b-frame amplitudes on grid from the propagator of one period (Floquet), its Magnus facts, and
     whether the kept propagator served.
 
     frame (a _BFrame) must repeat itself after `period`: H_b(t + P) = H_b(t).
-    The propagators U(tau) over [0, tau] are integrated once by _magnus, and
+    The propagators U(tau) over [0, tau] are integrated once by _magnus to tol, and
     a saved time t = m P + tau takes b(t) = U(tau) F^m psi0 with F = U(P),
     the powers built by binary powering between save points.  The facts
     (steps, halvings, error estimate, tolerance) are those of the one
     period: the error of b(t) can grow up to m-fold over m periods.
 
-    key must fix frame (its couplings).  With the settings and the offsets
-    tau, which end at P, it names the integration; the last one is kept
-    and reused when a call names it again.
+    key must fix frame (its couplings).  With tol and the offsets tau,
+    which end at P, it names the integration; the last one is kept and
+    reused when a call names it again.
     """
     global _one_period_memo
     dim = len(psi0)
@@ -326,13 +321,13 @@ def _fold(frame, psi0, grid, period, settings, key):
     offsets[wrap] = 0.0
     taus = np.unique(np.append(offsets, period))
 
-    key += (settings.rtol, settings.atol, settings.max_step, taus.tobytes())
+    key += (tol, taus.tobytes())
     memo = _one_period_memo
     reused = memo is not None and memo[0] == key
     if reused:
         props, facts = memo[1], memo[2]
     else:
-        props, facts = _magnus(frame, np.eye(dim, dtype=complex), taus, (), settings)
+        props, facts = _magnus(frame, np.eye(dim, dtype=complex), taus, (), tol)
         props.flags.writeable = False
         _one_period_memo = (key, props, facts)
     squares = [props[-1]]  # F^(2^i)
@@ -360,10 +355,6 @@ def _propagate(model, psi0, frame, n_excited, pulses, settings, period=None, key
     tuple of the values (bytes or floats) that fix the frame's couplings.
     """
     settings = settings or IntegratorSettings()
-    # Magnus steps are equal across a save interval, so where the envelopes vanish nothing else would keep
-    # them from stepping over a pulse; the shortest switching time bounds them
-    if pulses.switching_time < (settings.max_step or math.inf):
-        settings = replace(settings, max_step=pulses.switching_time)
     if psi0.frame != frame:
         raise ValueError(f"initial state is in frame {psi0.frame!r}, expected {frame!r}")
     if len(psi0.amplitudes) != 2 + n_excited:
@@ -374,18 +365,20 @@ def _propagate(model, psi0, frame, n_excited, pulses, settings, period=None, key
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
     if period is None:
         breaks = pulses.envelope0.breakpoints + pulses.envelope1.breakpoints
-        ys, facts = _magnus(model, psi0.amplitudes, grid, breaks, settings)
+        # Magnus steps are equal across a save interval, so where the envelopes vanish nothing else would keep
+        # them from stepping over a pulse; the shortest switching time bounds them
+        ys, facts = _magnus(model, psi0.amplitudes, grid, breaks, settings.tol, pulses.switching_time)
         path, reused = "", False
     else:
-        ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings, key)
+        ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings.tol, key)
         path = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by "
     logger.info("%s propagation: %smagnus over %d steps, %d halvings, error estimate %.2e (tolerance %.1e)%s",
                 frame, path, *facts, " (one-period propagator reused)" if reused else "")
     steps, _, estimate, floor = facts
-    if estimate > settings.atol + settings.rtol:
+    if estimate > settings.tol:
         warnings.warn(
-            f"Magnus error estimate {estimate:.3e} exceeds the requested atol + rtol = "
-            f"{settings.atol + settings.rtol:.3e}; accepted under the rounding floor eps * {steps} steps "
+            f"Magnus error estimate {estimate:.3e} exceeds the requested tol = "
+            f"{settings.tol:.3e}; accepted under the rounding floor eps * {steps} steps "
             f"= {floor:.3e}",
             stacklevel=3,
         )

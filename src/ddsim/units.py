@@ -16,8 +16,3 @@ DIPOLE_FIELD_TO_UEV = 0.1
 
 # 1 ueV expressed as an angular frequency in rad/s (1 ueV / hbar).
 UEV_TO_RAD_PER_SEC = 1.0e9 / HBAR
-
-
-def to_angular(energy_uev: float) -> float:
-    """Convert an energy in ueV to an angular frequency in rad/ns."""
-    return energy_uev / HBAR

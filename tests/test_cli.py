@@ -484,9 +484,8 @@ def test_broken_json_exits_config(tmp_path, capsys):
 
 # json writes these floats as NaN, Infinity and -Infinity, which json also reads
 @pytest.mark.parametrize("section, field, value", [
-    ("integrator", "rtol", math.nan),
-    ("integrator", "max_step", math.nan),
-    ("integrator", "norm_tol", math.inf),
+    ("integrator", "tol", math.nan),
+    ("integrator", "tol", math.inf),
     ("pulses", "duration", math.inf),
     ("pulses", "phi0", -math.inf),
     ("spectrum", "dipole0", math.nan),
@@ -504,28 +503,25 @@ def test_non_finite_number_exits_config(tmp_path, capsys, section, field, value)
     assert all(f"non-finite number {json.dumps(value)} " in err["error"]["message"] for err in errors)
 
 
-def test_integrator_method_key_exits_config(tmp_path, capsys):
-    cfg_path = _write_cfg(tmp_path, _propagate_cfg(integrator={"method": "adaptive"}))
-    assert main(["validate", cfg_path]) == EXIT_CONFIG
-    err = json.loads(capsys.readouterr().err)
-    assert "'method' was unexpected" in err["error"]["message"]
-
-
-def test_integrator_norm_tol_key_exits_config_before_compute(tmp_path, capsys, monkeypatch):
-    # every tier is unitary by construction, so the norm bound is no longer a setting
+# keys of former integrators: one engine takes one tolerance, tol = atol + rtol, and its
+# step-doubling estimate, not a step cap or a norm bound, guards accuracy
+@pytest.mark.parametrize("key, value", [
+    ("method", "adaptive"), ("norm_tol", 1e-6), ("rtol", 1e-10), ("atol", 1e-12), ("max_step", 0.01),
+])
+def test_removed_integrator_key_exits_config_before_compute(tmp_path, capsys, monkeypatch, key, value):
     def no_compute(*args, **kwargs):
         raise AssertionError("compute started before the config was checked")
 
     for name in ("propagate_rwa", "propagate_averaged", "propagate_bare"):
         monkeypatch.setattr(cli, name, no_compute)
-    cfg_path = _write_cfg(tmp_path, _propagate_cfg(mode="propagate-bare", integrator={"norm_tol": 1e-6}))
+    cfg_path = _write_cfg(tmp_path, _propagate_cfg(mode="propagate-bare", integrator={key: value}))
     out_dir = tmp_path / "out"
     assert main(["validate", cfg_path]) == EXIT_CONFIG
     assert main(["run", cfg_path, "--out", str(out_dir)]) == EXIT_CONFIG
     assert not out_dir.exists()
     errors = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
     assert len(errors) == 2
-    assert all("'norm_tol' was unexpected" in err["error"]["message"] for err in errors)
+    assert all(f"'{key}' was unexpected" in err["error"]["message"] for err in errors)
 
 
 def test_unsatisfiable_gate_exits_numeric(tmp_path, capsys):
@@ -551,7 +547,7 @@ def test_magnus_estimate_above_tolerance_exits_numeric_without_files(tmp_path, c
                      "delta": 5.0, "dipole0": 2.0, "dipole1": 2.0},
         "pulses": {"amp0": 20.0, "amp1": 20.0, "omega0": 1905.0, "duration": 1.0,
                    "envelope0": {"shape": "sin2"}, "envelope1": {"shape": "sin2"}},
-        "integrator": {"rtol": 1e-14, "atol": 1e-16, "save_points": 2},
+        "integrator": {"tol": 1.01e-14, "save_points": 2},
     }
     out_dir = tmp_path / "out"
     assert main(["run", _write_cfg(tmp_path, cfg, "mini.json"), "--out", str(out_dir)]) == EXIT_NUMERIC

@@ -291,8 +291,8 @@ def test_path_helpers_round_trip():
     cfg = {"pulses": {"amp0": 1.0}}
     set_by_path(cfg, "pulses.amp0", 7.0)
     assert cfg["pulses"]["amp0"] == 7.0
-    set_by_path(cfg, "integrator.rtol", 1e-9)  # section created on demand
-    assert cfg["integrator"]["rtol"] == 1e-9
+    set_by_path(cfg, "integrator.tol", 1e-9)  # section created on demand
+    assert cfg["integrator"]["tol"] == 1e-9
 
 
 def test_overrides_do_not_mutate_the_original():
@@ -368,10 +368,12 @@ def test_pulse_builder_wraps_envelope_errors():
 
 def test_integrator_builder_defaults_and_errors():
     assert build_integrator({}) == IntegratorSettings()
-    tuned = build_integrator({"integrator": {"rtol": 1e-8, "save_points": 11}})
-    assert (tuned.rtol, tuned.save_points) == (1e-8, 11)
+    tuned = build_integrator({"integrator": {"tol": 1e-8, "save_points": 11}})
+    assert (tuned.tol, tuned.save_points) == (1e-8, 11)
     with pytest.raises(ConfigError, match="integrator"):
-        build_integrator({"integrator": {"rtol": -1.0}})
+        build_integrator({"integrator": {"tol": -1.0}})
+    with pytest.raises(ConfigError, match="integrator"):
+        build_integrator({"integrator": {"max_step": 0.01}})
 
 
 def test_initial_state_defaults_to_ground():

@@ -76,11 +76,11 @@ def test_state_frame_names():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(atol=0.0),
-    dict(rtol=0.0),
-    dict(max_step=-1.0),
+    dict(tol=0.0),
+    dict(tol=-1.0),
+    dict(tol=math.nan),
     dict(save_points=1),
-    dict(max_step=0.0),
+    dict(save_points=0),
 ])
 def test_integrator_settings_validation(kwargs):
     with pytest.raises(ValueError):
@@ -216,7 +216,7 @@ def test_folded_norm_blowup_is_reported(periods, caplog, monkeypatch):
     period = 2.0 * math.pi * HBAR / 30.0
     pp = _flat_pair(sp, om0, amp=50.0, duration=periods * period)
     cs = derive_couplings(sp, pp)
-    tight = IntegratorSettings(rtol=1e-14, atol=1e-16, save_points=5)
+    tight = IntegratorSettings(tol=1.01e-14, save_points=5)
     errors = []
     with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
         for _ in range(2):  # a failed period is not kept, so the repeat integrates and fails the same way
@@ -485,8 +485,7 @@ def test_second_basis_state_is_bit_identical_to_a_cold_run(monkeypatch):
 
 # six save points instead of five move the offsets inside the period
 @pytest.mark.parametrize("change, value", [
-    ("phi0", 0.3), ("amp1", 21.0), ("delta_qubit", 31.0), ("rtol", 1e-9), ("atol", 1e-11),
-    ("max_step", 0.01), ("save_points", 6),
+    ("phi0", 0.3), ("amp1", 21.0), ("delta_qubit", 31.0), ("tol", 1e-9), ("save_points", 6),
 ])
 def test_any_changed_input_integrates_again(change, value, monkeypatch):
     cs, pp = _memo_case()
@@ -635,7 +634,7 @@ def test_integrate_stops_at_kinks_on_and_between_saved_times():
     frame = ddsim.dynamics._BFrame(lambda t: (g * env(t)[:, None], np.zeros((len(t), 1))), np.zeros(1), g)
     grid = np.linspace(0.0, 1.0, 5)
     ys, _ = ddsim.dynamics._magnus(frame, np.array([1.0, 0.0, 0.0], dtype=complex), grid, env.kinks + env.kinks,
-                                   IntegratorSettings(rtol=1e-13, atol=1e-15))
+                                   1.01e-13)
     phase = g * np.array([0.0, 0.0, 0.2, 0.4, 0.4])
     assert np.max(np.abs(ys - np.column_stack([np.cos(phase), 0.0 * phase, -1j * np.sin(phase)]))) <= 1e-12
 
@@ -732,10 +731,10 @@ def test_magnus_matches_dop853_within_its_estimate_and_is_unitary(seed, tier, n,
 def test_magnus_run_logs_its_steps_halvings_and_estimate(tier, caplog):
     cs, pp, psi = _shaped_draw(3, 2, -1, "sin2", 0.5, 0.4, tier)
     lines = []
-    for rtol in (1e-10, 1e-13):
+    for tol in (1.01e-10, 1.1e-12):
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
-            _, facts, _ = _magnus_run(cs, pp, psi, IntegratorSettings(rtol=rtol, save_points=5))
+            _, facts, _ = _magnus_run(cs, pp, psi, IntegratorSettings(tol=tol, save_points=5))
         [line] = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
         match = re.fullmatch(rf"{tier} propagation: magnus over (\d+) steps, (\d+) halvings, "
                              r"error estimate (\S+) \(tolerance (\S+)\)", line)
@@ -762,7 +761,7 @@ def _readme_example():
 def test_magnus_estimate_above_tolerance_at_the_halving_cap_raises(monkeypatch):
     # the first comparison, 375 against 750 steps, estimates 1.5e-12 against a tolerance of 1.7e-13
     cs, pp, psi = _readme_example()
-    settings = IntegratorSettings(rtol=1e-14, atol=1e-16, save_points=2)
+    settings = IntegratorSettings(tol=1.01e-14, save_points=2)
     with pytest.warns(UserWarning, match="rounding floor"):
         assert _magnus_run(cs, pp, psi, settings)[1][1] == 1
     monkeypatch.setattr(ddsim.dynamics, "_MAGNUS_MAX_HALVINGS", 0)
@@ -770,20 +769,19 @@ def test_magnus_estimate_above_tolerance_at_the_halving_cap_raises(monkeypatch):
         propagate_rwa(cs, pp, psi, settings)
 
 
-@pytest.mark.parametrize("rtol, atol", [(1e-10, 1e-12), (1e-14, 1e-16)])
-def test_acceptance_under_the_rounding_floor_warns(rtol, atol, recwarn):
+@pytest.mark.parametrize("tol", [1.01e-10, 1.01e-14])
+def test_acceptance_under_the_rounding_floor_warns(tol, recwarn):
     # at the defaults the run stops at 750 steps with an estimate of 1.5e-12; at the tight settings
     # it stops after 1 halving at 1500 steps, its estimate 2.3e-14 above the requested 1.01e-14 but
     # under the floor eps * 1500 = 3.3e-13
     cs, pp, psi = _readme_example()
-    _, (steps, halvings, estimate, floor), _ = _magnus_run(cs, pp, psi, IntegratorSettings(rtol=rtol, atol=atol,
-                                                                                          save_points=2))
+    _, (steps, halvings, estimate, floor), _ = _magnus_run(cs, pp, psi, IntegratorSettings(tol=tol, save_points=2))
     messages = [str(w.message) for w in recwarn]
-    if rtol == 1e-10:
+    if tol == 1.01e-10:
         assert (steps, halvings) == (750, 0) and not messages
         return
-    assert (steps, halvings) == (1500, 1) and atol + rtol < estimate <= floor
-    assert messages == [f"Magnus error estimate {estimate:.3e} exceeds the requested atol + rtol = 1.010e-14; "
+    assert (steps, halvings) == (1500, 1) and tol < estimate <= floor
+    assert messages == [f"Magnus error estimate {estimate:.3e} exceeds the requested tol = 1.010e-14; "
                         f"accepted under the rounding floor eps * 1500 steps = {floor:.3e}"]
 
 

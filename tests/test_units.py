@@ -12,14 +12,5 @@ def test_dipole_field_product_scale():
     assert units.DIPOLE_FIELD_TO_UEV == 0.1
 
 
-def test_to_angular_one_uev():
-    # 1 ueV / hbar in rad/ns, frozen from the defining constants
-    assert math.isclose(units.to_angular(1.0), 1.5192674479961275, rel_tol=1e-15)
-
-
 def test_rad_per_sec_constant():
     assert math.isclose(units.UEV_TO_RAD_PER_SEC, 1519267447.9961274, rel_tol=1e-15)
-
-
-def test_to_angular_is_linear():
-    assert units.to_angular(2.5) == 2.5 * units.to_angular(1.0)
