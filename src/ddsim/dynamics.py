@@ -54,16 +54,23 @@ that diagonal (a _BFrame):
 Every tier takes sixth-order Magnus steps (_magnus; Blanes, Casas, Oteo
 & Ros, Phys. Rep. 470, 151 (2009)), their length bounded by the shortest
 envelope switching time, and no step crossing an envelope breakpoint.
-Where the generator is constant (both envelopes constant in the averaged
-tier, or in the rwa tier at Delta = 0) every step is exact.  Magnus is unitary by construction, so
-a norm check proves nothing about it: each run is repeated at half the
-step, and the step halved until the step-doubling error estimate is at
-most tol (or the rounding floor eps * steps, with a warning when the
-floor accepts what tol would not), else PropagationError.
+The steps run in real arithmetic (_magnus_pass): each complex entry a
+becomes the block [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian
+generator of dim d becomes a real antisymmetric matrix of dim 2d, and
+its exponential is a degree-16 Taylor polynomial by Paterson-Stockmeyer
+(Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)), scaled and
+squared where the 1-norm exceeds 0.8 (_expm).  Where the generator is
+constant (both envelopes constant in the averaged tier, or in the rwa
+tier at Delta = 0) every step is exact to rounding.  Each step is
+orthogonal to rounding (the Taylor remainder is below eps), so a norm
+check cannot see the step error: each run is repeated at half the step,
+and the step halved until the step-doubling error estimate is at most
+tol (or the rounding floor eps * steps, with a warning when the floor
+accepts what tol would not), else PropagationError.  A NaN or infinite
+coupling fails the exponential's norm check in the first pass.
 
 Norms are still checked, never renormalized: a drift of sum |c|^2 from 1
-beyond _NORM_TOL raises PropagationError.  With a unitary engine it
-catches NaN.
+beyond _NORM_TOL raises PropagationError.
 """
 
 from __future__ import annotations
@@ -191,6 +198,19 @@ _GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 _MAGNUS_STEPS_PER_PERIOD = 10  # first step: this many per period of the norm bound on H
 _MAGNUS_CHUNK = 64  # steps per array pass; 256 raised the peak memory of a sweep by about 3 MB
 _MAGNUS_MAX_HALVINGS = 5  # halvings after the first h against h/2 comparison
+# the sixth-order Magnus step of three Gauss nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) takes
+# alpha_j = -i h G_j on the qubit-manifold block, with the G_j from the couplings g_l at the nodes by these rows
+# (G_1 = g_2, G_2 = sqrt(15)/3 (g_3 - g_1), G_3 = 10/3 (g_3 - 2 g_2 + g_1)); alpha_1 adds -i h diag on the manifold
+# diagonal, which drops out of the node differences
+_ALPHA_NODES = np.array([[0.0, 1.0, 0.0],
+                         [-math.sqrt(15.0) / 3.0, 0.0, math.sqrt(15.0) / 3.0],
+                         [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
+_TAYLOR_NORM = 0.8  # largest 1-norm of a Taylor exponential: its degree-16 remainder, about 0.8^17 / 17!, is below eps
+# exp(x) to degree 16 is B_0 + x^4 (B_1 + x^4 (B_2 + x^4 B_3)), with B_i = sum_{j=0..3} x^j / (4 i + j)! and B_3 also
+# holding x^4 / 16! (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)); row i holds B_i's coefficients of 1, x,
+# x^2, x^3 and x^4
+_TAYLOR_BLOCKS = np.array([[1.0 / math.factorial(4 * i + j) for j in range(4)] + [0.0] for i in range(4)])
+_TAYLOR_BLOCKS[3, 4] = 1.0 / math.factorial(16)
 
 
 @dataclass(frozen=True)
@@ -210,52 +230,129 @@ class _BFrame:
     c_frame: bool = False
 
 
-def _antihermitian_commutator(x, y):
-    """[x, y] of stacked anti-Hermitian matrices: xy - yx, where yx = (xy)^dagger."""
-    xy = x @ y
-    return xy - np.conj(np.swapaxes(xy, 1, 2))
+def _commutator(x, y, out, scratch):
+    """[x, y] of stacked real antisymmetric matrices into out: xy - yx, where yx = (xy)^T."""
+    np.matmul(x, y, out=scratch)
+    np.subtract(scratch, np.swapaxes(scratch, 1, 2), out=out)
+
+
+def _expm(powers, blocks):
+    """exp of the stacked real antisymmetric matrices x in powers[1], shape (N, m, m); returns a view of powers.
+
+    A Taylor polynomial of degree 16 in six stacked products (see
+    _TAYLOR_BLOCKS).  Where the stack's largest 1-norm exceeds
+    _TAYLOR_NORM, x is scaled by 2^-s below it and the result squared s
+    times.  The result is orthogonal to rounding: the Taylor remainder is
+    below eps.  A non-finite x raises PropagationError.  powers, of shape
+    (5, N, m, m) with the identity in powers[0], and blocks, of shape
+    (4, N, m, m), are contiguous work arrays.
+    """
+    _, x, x2, x3, x4 = powers
+    m = x.shape[-1]
+    np.abs(x, out=x2)
+    norm = float(np.max(x2.reshape(-1, m) @ np.ones(m)))  # largest row sum, equal to the largest column sum
+    squarings = 0
+    if not norm <= _TAYLOR_NORM:
+        if not math.isfinite(norm):
+            raise PropagationError("Magnus step failed (non-finite generator); are the couplings finite?")
+        squarings = math.ceil(math.log2(norm / _TAYLOR_NORM))
+        x *= 0.5 ** squarings
+    np.matmul(x, x, out=x2)
+    np.matmul(x2, x, out=x3)
+    np.matmul(x2, x2, out=x4)
+    np.matmul(_TAYLOR_BLOCKS, powers.reshape(5, -1), out=blocks.reshape(4, -1))
+    # x, x^2 and x^3 are spent: the Horner steps alternate between their arrays
+    np.matmul(x4, blocks[3], out=x)
+    x += blocks[2]
+    np.matmul(x4, x, out=x2)
+    x2 += blocks[1]
+    np.matmul(x4, x2, out=x)
+    x += blocks[0]
+    p, q = x, x2
+    for _ in range(squarings):
+        np.matmul(p, p, out=q)
+        p, q = q, p
+    return p
 
 
 def _magnus_pass(frame, y0, knots, counts):
     """States at every knot, from y0 at knots[0], by counts[j] equal Magnus steps over [knots[j], knots[j + 1]].
 
     Each step takes exp(Omega) with the sixth-order Omega of three Gauss
-    points (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), from
-    a batched eigh of the Hermitian i Omega, _MAGNUS_CHUNK steps at a time.
+    points (see _ALPHA_NODES), _MAGNUS_CHUNK steps at a time, in real
+    arithmetic and without LAPACK: each complex entry a becomes the block
+    [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian alpha_j of dim d
+    become real antisymmetric matrices of dim 2d.  For those, yx = (xy)^T,
+    so each commutator takes one stacked product, and exp(Omega) is
+    _expm's Taylor polynomial, orthogonal to rounding.  The state (or
+    propagator) is advanced with the rows (Re, Im) of each amplitude and
+    taken back to complex once, at the end.  A non-finite generator raises
+    PropagationError in the first chunk.
     """
     dim = len(y0)
-    manifold = np.arange(2, dim)
+    m = 2 * dim
     widths = np.diff(knots) / counts
     ends = np.cumsum(counts)  # steps done at the end of each gap
-    out = np.empty((len(knots),) + y0.shape, dtype=complex)
-    out[0] = y = y0
-    for first in range(0, ends[-1], _MAGNUS_CHUNK):
-        step = np.arange(first, min(first + _MAGNUS_CHUNK, ends[-1]))
-        gap = np.searchsorted(ends, step, side="right")
-        h = widths[gap]
-        nodes = knots[gap] + (step - ends[gap] + counts[gap] + _GAUSS3[:, None]) * h  # (3, c)
-        g0, g1 = frame.couplings(nodes.ravel())
-        g = np.stack((g0, g1), axis=1).reshape(3, len(step), 2, dim - 2)  # node, step, qubit level, k
-        # the anti-Hermitian alpha_j of the Gauss nodes; the diagonal drops out of the node differences
-        a = np.zeros((3, len(step), dim, dim), dtype=complex)
-        a[:, :, :2, 2:] = (-1j * h)[:, None, None] * np.stack(
-            (g[1], (math.sqrt(15.0) / 3.0) * (g[2] - g[0]), (10.0 / 3.0) * (g[2] - 2.0 * g[1] + g[0])))
-        a[:, :, 2:, :2] = -np.conj(np.swapaxes(a[:, :, :2, 2:], 2, 3))
-        a[0, :, manifold, manifold] = (-1j * h[:, None] * frame.diag).T
-        a1, a2, a3 = a
-        c1 = _antihermitian_commutator(a1, a2)
-        c2 = _antihermitian_commutator(a1, 2.0 * a3 + c1) / -60.0
-        omega = a1 + a3 / 12.0 + _antihermitian_commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-        try:
-            w, v = np.linalg.eigh(1j * omega)
-        except np.linalg.LinAlgError as exc:  # a NaN or inf in the generator
-            raise PropagationError(f"Magnus step failed ({exc}); are the couplings finite?") from exc
-        props = (v * np.exp(-1j * w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-        for prop, j, last in zip(props, gap.tolist(), (ends[gap] == step + 1).tolist()):
-            y = prop @ y
-            if last:  # the step ends gap j
-                out[j + 1] = y
-    return out
+    y = np.stack((y0.real, y0.imag), axis=1).reshape((m,) + y0.shape[1:])
+    out = np.empty((len(knots),) + y.shape)
+    out[0] = y
+    c = 0
+    # a non-finite generator is reported by _expm's norm check, not by warnings on the way
+    with np.errstate(invalid="ignore", over="ignore"):
+        for first in range(0, ends[-1], _MAGNUS_CHUNK):
+            step = np.arange(first, min(first + _MAGNUS_CHUNK, ends[-1]))
+            if len(step) != c:  # the first chunk and a shorter last one allocate; the others reuse
+                c = len(step)
+                # the alpha_j in real form, seen as complex pairs of columns: row (l, Re or Im) holds conj(a_lj) and
+                # i conj(a_lj) at column j.  Each chunk writes the qubit-manifold blocks and alpha_1's manifold
+                # diagonal; the other entries stay 0
+                alpha = np.zeros((3, c, dim, 2, m))
+                pairs = alpha.view(complex)
+                upper, lower = pairs[:, :, :2, :, 2:], np.swapaxes(pairs[:, :, 2:, :, :2], 2, 4)
+                # alpha_1's entries (k, Re; k) and (k, Im; k) for k >= 2, stride apart from k to k + 1
+                flat, stride = pairs[0].reshape(c, -1), 2 * dim + 1
+                diag, diag_im = flat[:, 2 * stride:: stride], flat[:, 2 * stride + dim:: stride]
+                powers, blocks = np.empty((5, c, m, m)), np.empty((4, c, m, m))
+                powers[0] = np.eye(m)
+                omega = powers[1]  # where _expm takes its argument
+                scratch, c1, arg = blocks[:3]  # the commutators' work arrays, spent before _expm needs blocks
+            gap = np.searchsorted(ends, step, side="right")
+            h = widths[gap]
+            nodes = knots[gap] + (step - ends[gap] + counts[gap] + _GAUSS3[:, None]) * h  # (3, c)
+            g0, g1 = frame.couplings(nodes.ravel())
+            g = np.stack((g0, g1), axis=1).astype(complex, copy=False).reshape(3, -1).view(float)
+            # conj(a_qk) = i conj(h G_qk) and, as a_kq = -conj(a_qk), conj(a_kq) = i h G_qk; conj(a_kk) = i h diag_k
+            hg = (_ALPHA_NODES @ g).view(complex).reshape(3, c, 2, dim - 2) * h[:, None, None]
+            hgc = np.conj(hg)
+            np.multiply(hgc, 1j, out=upper[:, :, :, 0])
+            np.negative(hgc, out=upper[:, :, :, 1])
+            np.multiply(hg, 1j, out=lower[:, :, :, 0])
+            np.negative(hg, out=lower[:, :, :, 1])
+            hd = h[:, None] * frame.diag
+            np.multiply(hd, 1j, out=diag)
+            np.negative(hd, out=diag_im)
+            # Omega = a1 + a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240, c1 = [a1, a2], c2 = -[a1, 2 a3 + c1] / 60
+            a1, a2, a3 = alpha.reshape(3, c, m, m)
+            _commutator(a1, a2, c1, scratch)
+            np.add(c1, a3, out=arg)
+            arg += a3
+            arg *= -1.0 / 60.0
+            _commutator(a1, arg, arg, scratch)
+            arg += a2
+            np.multiply(a1, -20.0, out=scratch)
+            c1 += scratch
+            c1 -= a3
+            c1 *= 1.0 / 240.0
+            _commutator(c1, arg, omega, scratch)
+            np.multiply(a3, 1.0 / 12.0, out=scratch)
+            scratch += a1
+            omega += scratch
+            props = _expm(powers, blocks)
+            for prop, j, last in zip(props, gap.tolist(), (ends[gap] == step + 1).tolist()):
+                y = prop.dot(y)
+                if last:  # the step ends gap j
+                    out[j + 1] = y
+    return out[:, 0::2] + 1j * out[:, 1::2]
 
 
 def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):

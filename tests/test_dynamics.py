@@ -545,9 +545,9 @@ def test_folded_runs_are_linear_in_the_initial_state(seed, n, sign, periods):
 
 # ---------------------------------------------------------------- shared generator
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(1, 11))
 @pytest.mark.parametrize("propagator", [False, True])
-def test_star_rhs_takes_states_and_propagators(n, propagator):
+def test_magnus_step_takes_states_and_propagators(n, propagator):
     # one Magnus step of a constant star-coupled generator is exp(-i h H), for a state and for a propagator
     rng = np.random.default_rng([n, propagator])
     dim = 2 + n
@@ -566,6 +566,73 @@ def test_star_rhs_takes_states_and_propagators(n, propagator):
     ham[2:, 2:] = np.diag(diag)
     assert np.array_equal(out[0], y)
     assert np.max(np.abs(out[1] - expm(-1j * h * ham) @ y)) <= 1e-14
+
+
+def _real_form(a):
+    """Stacked complex matrices with each entry z as the real block [[Re z, -Im z], [Im z, Re z]]."""
+    count, dim, _ = a.shape
+    r = np.empty((count, dim, 2, dim, 2))
+    r[:, :, 0, :, 0] = r[:, :, 1, :, 1] = a.real
+    r[:, :, 1, :, 0] = a.imag
+    r[:, :, 0, :, 1] = -a.imag
+    return r.reshape(count, 2 * dim, 2 * dim)
+
+
+@pytest.mark.parametrize("dim", range(3, 13))
+@pytest.mark.parametrize("squarings", [0, 1, 4])
+def test_taylor_exponential_matches_expm_and_is_orthogonal(dim, squarings):
+    # anti-Hermitian stacks whose real forms reach a largest 1-norm of 0.9, 1.5 or 10 times _TAYLOR_NORM,
+    # which take 0, 1 and 4 squarings
+    rng = np.random.default_rng([dim, squarings])
+    count = 16
+    a = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    a = a - np.conj(np.swapaxes(a, 1, 2))
+    real = _real_form(a)
+    scale = {0: 0.9, 1: 1.5, 4: 10.0}[squarings] * ddsim.dynamics._TAYLOR_NORM / np.max(np.sum(np.abs(real), axis=2))
+    a, real = a * scale, real * scale
+    powers = np.empty((5, count, 2 * dim, 2 * dim))
+    powers[0], powers[1] = np.eye(2 * dim), real
+    r = ddsim.dynamics._expm(powers, np.empty((4, count, 2 * dim, 2 * dim)))
+    assert np.max(np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(2 * dim))) <= 1e-14
+    # the exponential of a real form is the real form of the exponential, and reads back as complex
+    exact = np.array([expm(x) for x in a])
+    assert np.max(np.abs(r - _real_form(exact))) <= 1e-14
+    assert np.max(np.abs(r[:, 0::2, 0::2] + 1j * r[:, 1::2, 0::2] - exact)) <= 1e-14
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("tier, shape", [("rwa", "constant"), ("rwa", "sin2"), ("averaged", "sin2"),
+                                         ("bare", "sin2")])
+def test_non_finite_coupling_fails_in_the_first_magnus_pass(monkeypatch, bad, tier, shape):
+    # the Taylor exponential raises nothing on a NaN, so without the norm check a NaN estimate would
+    # run every halving before failing; the constant rwa run folds, and its pass takes a propagator
+    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
+    magnus_pass, states = ddsim.dynamics._magnus_pass, []
+
+    def poisoned(frame, y0, *args):
+        states.append(y0)
+
+        def couplings(t):
+            g0, g1 = frame.couplings(t)
+            g0 = np.array(g0, dtype=complex)
+            g0[:, 0] = bad
+            return g0, g1
+
+        return magnus_pass(dataclasses.replace(frame, couplings=couplings), y0, *args)
+
+    monkeypatch.setattr(ddsim.dynamics, "_magnus_pass", poisoned)
+    sp, om0 = _single_level(-100.0, delta_qubit=30.0)
+    pp = _flat_pair(sp, om0, amp=20.0, duration=1.0)
+    if shape != "constant":
+        env = Envelope(shape, center=0.5, width=1.0)
+        pp = dataclasses.replace(pp, envelope0=env, envelope1=env)
+    propagate = {"rwa": propagate_rwa, "averaged": propagate_averaged, "bare": propagate_bare}[tier]
+    model = sp if tier == "bare" else derive_couplings(sp, pp)
+    with pytest.raises(PropagationError, match="are the couplings finite"):
+        propagate(model, pp, StateVector.qubit(1.0, 0.0, 1, frame=tier), IntegratorSettings(save_points=5))
+    assert len(states) == 1
+    assert states[0].ndim == (2 if shape == "constant" else 1)
 
 
 # ---------------------------------------------------------------- step bound
