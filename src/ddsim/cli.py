@@ -96,15 +96,11 @@ class _Inputs(NamedTuple):
     gate: GateSpec | None
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
-
-
 def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """The table as CSV, every value written as a float by "%.17g"."""
+    values = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + (line * len(values)) % tuple(values.ravel().tolist())
 
 
 def _trajectory_csv(traj) -> str:

@@ -132,15 +132,20 @@ def _plain(value):
 
 
 def _gauss(integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """8-point Gauss-Legendre integral of `integrand` (which takes an array
-    of times) over each panel [lo, hi]."""
+    """8-point Gauss-Legendre integral of each field of `integrand` over each
+    panel [lo, hi], shape (fields, panels)."""
     half = 0.5 * (hi - lo)
     mid = lo + half
-    return half * (integrand(mid[:, None] + half[:, None] * _GL_X) @ _GL_W)
+    return np.array([half * (values @ _GL_W) for values in integrand(mid[:, None] + half[:, None] * _GL_X)])
 
 
 def _cumulative_integrals(integrand, knots: np.ndarray, cap: float) -> np.ndarray:
-    """Integrals of `integrand` from knots[0] to each of the sorted, unique knots.
+    """Integrals of each field of `integrand` from knots[0] to each of the
+    sorted, unique knots, shape (fields, knots.size).
+
+    `integrand` takes an array of times and returns a sequence of arrays
+    of that shape, one per field, so that fields read from one evaluation
+    share it.
 
     Every gap between knots is cut into equal panels no longer than
     `cap`.  A panel's integral is the 8-point Gauss-Legendre rule on its
@@ -162,9 +167,14 @@ def _cumulative_integrals(integrand, knots: np.ndarray, cap: float) -> np.ndarra
     it touches, at every depth.  At most _MAX_BISECTIONS levels are
     taken, and a level where more than _MAX_SPLIT pieces fail ends the
     halving.
+
+    Each field keeps its own tolerance, split cap and set of pieces: a
+    piece is halved when any field fails on it, but a field reads the
+    halves only of pieces that it failed on itself, in the same order,
+    so every field gets exactly the value a pass over it alone gives.
     """
     if knots.size == 1:
-        return np.zeros(1)
+        return np.zeros((len(integrand(knots)), 1))
     gaps = np.diff(knots)
     per_gap = np.maximum(np.ceil(gaps / cap), 1.0).astype(int)
     first = np.repeat(np.cumsum(per_gap) - per_gap, per_gap)  # each panel's gap starts at panel `first`
@@ -174,25 +184,28 @@ def _cumulative_integrals(integrand, knots: np.ndarray, cap: float) -> np.ndarra
     lo, hi = edges[:-1], edges[1:]
     owner = np.arange(lo.size)  # the panel each piece belongs to
     whole = _gauss(integrand, lo, hi)
-    density = max(_EPSABS, _EPSREL * np.sum(np.abs(whole))) / (knots[-1] - knots[0])
-    integrals = np.zeros(lo.size)
+    density = np.array([max(_EPSABS, _EPSREL * np.sum(np.abs(w))) for w in whole]) / (knots[-1] - knots[0])
+    live = np.ones(whole.shape, dtype=bool)  # the pieces each field still takes its value from
+    integrals = np.zeros(whole.shape)
     for depth in range(_MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
         left, right = _gauss(integrand, lo, mid), _gauss(integrand, mid, hi)
         halves = left + right
         variation = 4.0 * np.abs(right - left) / (hi - lo)  # |f'| (hi - lo) from the halves' means
         floor = _ROUNDING * (np.maximum(np.abs(lo), np.abs(hi)) * variation + np.abs(left) + np.abs(right))
-        failed = np.abs(halves - whole) > np.maximum(density * (hi - lo), floor)
-        if depth == _MAX_BISECTIONS or np.count_nonzero(failed) > _MAX_SPLIT:
-            failed[:] = False
-        integrals += np.bincount(owner[~failed], halves[~failed], integrals.size)
-        if not failed.any():
+        failed = live & (np.abs(halves - whole) > np.maximum(density[:, None] * (hi - lo), floor))
+        failed[(depth == _MAX_BISECTIONS) | (np.count_nonzero(failed, axis=1) > _MAX_SPLIT)] = False
+        for row, values, done in zip(integrals, halves, live & ~failed):
+            row += np.bincount(owner[done], values[done], row.size)
+        split = failed.any(axis=0)
+        if not split.any():
             break
-        lo, hi = np.concatenate((lo[failed], mid[failed])), np.concatenate((mid[failed], hi[failed]))
-        owner = np.tile(owner[failed], 2)
-        whole = np.concatenate((left[failed], right[failed]))
-    sums = np.cumsum(np.concatenate(([0.0], integrals)))
-    return sums[np.concatenate(([0], np.cumsum(per_gap)))]
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        owner = np.tile(owner[split], 2)
+        whole = np.concatenate((left[:, split], right[:, split]), axis=1)
+        live = np.tile(failed[:, split], 2)
+    sums = np.cumsum(np.concatenate((np.zeros((integrals.shape[0], 1)), integrals), axis=1), axis=1)
+    return sums[:, np.concatenate(([0], np.cumsum(per_gap)))]
 
 
 def effective_hamiltonian(couplings: CouplingSet, phi0: float = 0.0, phi1: float = 0.0) -> EffectiveHamiltonian:
@@ -228,11 +241,13 @@ class EffectiveEvolution:
     Wraps an EffectiveHamiltonian and the two pulse envelopes (`Envelope`,
     whose derivatives feed `theta_dot`) on [t0, t1].  Pointwise methods
     evaluate the closed forms.  The integrated splitting omega_integral
-    and mean shift phi_lambda take one pass of composite Gauss-Legendre
-    quadrature per call, over panels that end on every requested time
-    and every envelope kink (`Envelope.kinks`) and are halved where the
-    rule's error estimate asks for it, accumulated with a cumulative
-    sum.  Every method takes a time or an array of times, all inside
+    and mean shift phi_lambda are closed forms, value * (t - t0) / hbar,
+    when both envelopes are constant.  Otherwise each call takes one
+    pass of composite Gauss-Legendre quadrature, over panels that end on
+    every requested time and every envelope kink (`Envelope.kinks`) and
+    are halved where the rule's error estimate asks for it, accumulated
+    with a cumulative sum; `evolution_matrix` takes both from one such
+    pass.  Every method takes a time or an array of times, all inside
     the window, and returns a float or an array of the same shape.
 
     Where both envelopes vanish the mixing angle is defined by its limit
@@ -328,30 +343,40 @@ class EffectiveEvolution:
 
     # -- integrated quantities -----------------------------------------
 
-    def _accumulated(self, field: str, t):
-        """Integral over hbar on [t0, t] of one `_Dressed` field, rad.
+    def _accumulated(self, t, *fields: str) -> list:
+        """Integrals over hbar on [t0, t] of the named `_Dressed` fields, rad, one per field.
 
-        One cumulative pass over the knots t0, every requested time and
-        every envelope kink between t0 and the last of them.
+        With two constant envelopes every field is constant, and its
+        integral is the closed form field(t0) * (t - t0) / hbar.
+        Otherwise all fields come from one cumulative pass over the knots
+        t0, every requested time and every envelope kink between t0 and
+        the last of them, each field evaluated from the same `_at` call.
         """
         t = np.asarray(t, dtype=float)
         if np.count_nonzero(~((self.t0 <= t) & (t <= self.t1))):
             raise ValueError("requested times fall outside the evolution window")
+        if self.f0.shape == self.f1.shape == "constant":
+            d = self._at(self.t0)
+            return [_plain(getattr(d, field) * (t - self.t0) / HBAR) for field in fields]
         span = np.max(t, initial=self.t0)
         kinks = [k for k in self.f0.kinks + self.f1.kinks if self.t0 < k < span]
         knots = np.unique(np.concatenate(([self.t0], t.ravel(), kinks)))
-        sums = _cumulative_integrals(
-            lambda s: getattr(self._at(s), field), knots, (self.t1 - self.t0) / _PANELS_PER_WINDOW
-        )
-        return _plain(sums[np.searchsorted(knots, t)] / HBAR)
+
+        def integrand(s):
+            d = self._at(s)
+            return [getattr(d, field) for field in fields]
+
+        sums = _cumulative_integrals(integrand, knots, (self.t1 - self.t0) / _PANELS_PER_WINDOW)
+        at = np.searchsorted(knots, t)
+        return [_plain(row[at] / HBAR) for row in sums]
 
     def omega_integral(self, t):
         """Accumulated dressed phase integral of Omega/hbar on [t0, t], rad."""
-        return self._accumulated("omega", t)
+        return self._accumulated(t, "omega")[0]
 
     def phi_lambda(self, t):
         """Accumulated mean light-shift phase on [t0, t], rad."""
-        return self._accumulated("mean", t)
+        return self._accumulated(t, "mean")[0]
 
     @functools.cached_property
     def check(self) -> "AdiabaticityReport":
@@ -486,8 +511,9 @@ def evolution_matrix(
 
     th0 = evolution.theta(t0)
     th1 = evolution.theta(t)
-    om = evolution.omega_integral(t) - evolution.omega_integral(t0)
-    phi = evolution.phi_lambda(t) - evolution.phi_lambda(t0)
+    om, phi = evolution._accumulated(t, "omega", "mean")
+    om_start, phi_start = evolution._accumulated(t0, "omega", "mean")
+    om, phi = om - om_start, phi - phi_start
     arg2 = cmath.phase(evolution.ham.Lambda2) if evolution.ham.Lambda2 != 0 else 0.0
 
     c1, s1 = np.cos(0.5 * th1), np.sin(0.5 * th1)

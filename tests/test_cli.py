@@ -118,6 +118,23 @@ def test_trajectory_csv_layout():
     assert data[:, 7] == pytest.approx(traj.populations[:, 0])
 
 
+_AWKWARD_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16,
+                   123456789012345678.0, 1.0 / 3.0, 2.0**53 + 2.0, 1e-310, 0.1]
+
+
+@pytest.mark.parametrize("rows", [
+    [_AWKWARD_FLOATS, _AWKWARD_FLOATS[::-1]],
+    # a sweep table: integer axis values ahead of the float results
+    [[3, -7, 0.25, 1.0, *_AWKWARD_FLOATS[4:]], [2**60, 0, math.nan, 0.0, *_AWKWARD_FLOATS[:10]]],
+    np.array([_AWKWARD_FLOATS, _AWKWARD_FLOATS[::-1]]),
+    [],
+])
+def test_csv_text_writes_each_value_as_the_per_value_format(rows):
+    header = [f"c{i}" for i in range(len(_AWKWARD_FLOATS))]
+    old = "\n".join([",".join(header)] + [",".join(format(float(v), ".17g") for v in row) for row in rows]) + "\n"
+    assert cli._csv_text(header, rows) == old
+
+
 def test_reruns_are_byte_identical(tmp_path):
     cfg_path = _write_cfg(tmp_path, _propagate_cfg())
     dirs = (tmp_path / "a", tmp_path / "b")

@@ -326,6 +326,108 @@ def test_accumulated_takes_unsorted_duplicated_and_scalar_times():
             ev.omega_integral(np.array([1.0, outside]))
 
 
+def _flat_top_twin(t1):
+    """A trapezoid that is exactly 1 on all of [0, t1], with its ramps outside:
+    equal to FLAT there, but integrated by quadrature."""
+    return Envelope("trapezoid", center=0.5 * t1, width=3.0 * t1, ramp=0.5 * t1)
+
+
+@pytest.mark.parametrize("periods", [3, 17, 100, 320])
+def test_constant_envelopes_integrate_in_closed_form(monkeypatch, periods):
+    # a flat-top gate window of `periods` beat periods, with the sums scaled
+    # so that the dressed phase is 4 rad, of the size synthesize_gate reaches
+    delta_qubit = 20.0
+    t1 = periods * 2.0 * math.pi * HBAR / delta_qubit
+    ham = EffectiveHamiltonian(-8.0, -6.5, complex(-5.0, 3.0))
+    scale = 4.0 * HBAR / (ham.rabi * t1)
+    ham = EffectiveHamiltonian(scale * ham.Lambda0, scale * ham.Lambda1, scale * ham.Lambda2)
+    ev = EffectiveEvolution(ham, FLAT, FLAT, 0.0, t1)
+    times = np.linspace(0.0, t1, 41)
+    om, phi = effective._cumulative_integrals(
+        lambda s: [ev._at(s).omega, ev._at(s).mean], times, t1 / effective._PANELS_PER_WINDOW
+    ) / HBAR
+    twin = EffectiveEvolution(ham, _flat_top_twin(t1), _flat_top_twin(t1), 0.0, t1)
+    assert np.array_equal(twin.omega_integral(times), om) and np.array_equal(twin.phi_lambda(times), phi)
+    quadrature = evolution_matrix(twin, None, 0.25 * t1, times[10:], epsilon0=3.0, delta_qubit=delta_qubit).matrix
+
+    def no_quadrature(*args):
+        raise AssertionError("constant envelopes took a quadrature pass")
+
+    monkeypatch.setattr(effective, "_cumulative_integrals", no_quadrature)
+    assert np.max(np.abs(ev.omega_integral(times) - om)) <= 1e-13
+    assert np.max(np.abs(ev.phi_lambda(times) - phi)) <= 1e-13
+    for i in (0, 17, 40):
+        assert isinstance(ev.omega_integral(times[i]), float)
+        assert abs(ev.omega_integral(times[i]) - om[i]) <= 1e-13
+        assert abs(ev.phi_lambda(times[i]) - phi[i]) <= 1e-13
+    matrix = evolution_matrix(ev, None, 0.25 * t1, times[10:], epsilon0=3.0, delta_qubit=delta_qubit).matrix
+    assert np.max(np.abs(matrix - quadrature)) <= 1e-13
+    for outside in (-0.5, t1 + 0.5, math.nan):
+        for method in (ev.omega_integral, ev.phi_lambda):
+            with pytest.raises(ValueError, match="window"):
+                method(outside)
+            with pytest.raises(ValueError, match="window"):
+                method(np.array([0.5 * t1, outside]))
+    with pytest.raises(ValueError, match="window"):
+        evolution_matrix(ev, None, 0.0, t1 + 0.5, epsilon0=0.0, delta_qubit=delta_qubit)
+
+
+_SHARED_PASS_CASES = {
+    "sin2": _QUAD_CASES["sin2"],
+    "gaussian": _QUAD_CASES["gaussian"],
+    "trapezoid": (Envelope("trapezoid", center=2.2, width=3.0, ramp=0.7),
+                  Envelope("trapezoid", center=1.8, width=3.0, ramp=0.5), 4.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:mixing angle is not adiabatic")
+@pytest.mark.parametrize("case", [*sorted(_SHARED_PASS_CASES), "narrow"])
+def test_matrix_takes_both_phases_from_one_pass(monkeypatch, case):
+    if case == "narrow":
+        # a pulse 3/10000 of a late window wide, with a kink in Omega where
+        # the pulses cross: the two fields fail the tolerance on different
+        # pieces, so the shared pass halves some pieces for one field that
+        # the other field has already accepted.  Reading the halves of those
+        # pieces too moved the mean phase here by 2.9e-13 rad.
+        f0, f1 = Envelope("gaussian", center=1005.0, width=0.003), Envelope("gaussian", center=1005.0015, width=0.003)
+        ev = EffectiveEvolution(EffectiveHamiltonian(-10.0, -7.0, 0j), f0, f1, 1000.0, 1010.0)
+    else:
+        f0, f1, t1 = _SHARED_PASS_CASES[case]
+        ev = EffectiveEvolution(_QUAD_HAM, f0, f1, 0.0, t1)
+    times = np.linspace(ev.t0, ev.t1, 41)
+    seen = _count_nodes(monkeypatch, 100_000)
+    nodes = {}
+    for fields in (("omega",), ("mean",), ("omega", "mean")):
+        seen[0] = 0
+        ev._accumulated(times, *fields)
+        nodes[fields] = seen[0]
+    single = (nodes[("omega",)], nodes[("mean",)])
+    # one integrand call serves both fields: the shared pass evaluates the
+    # union of the pieces the single-field passes evaluate
+    assert max(single) <= nodes[("omega", "mean")] < sum(single)
+    if case == "narrow":
+        assert min(single) < nodes[("omega", "mean")]
+        assert max(single) > 3 * 8 * effective._PANELS_PER_WINDOW  # the pass did halve
+
+    calls = []
+    accumulated = EffectiveEvolution._accumulated
+
+    def spy(self, t, *fields):
+        out = accumulated(self, t, *fields)
+        calls.append((t, fields, out))
+        return out
+
+    monkeypatch.setattr(EffectiveEvolution, "_accumulated", spy)
+    start = ev.t0 + 0.25 * (ev.t1 - ev.t0)
+    evolution_matrix(ev, None, start, times[times >= start], epsilon0=0.0, delta_qubit=5.0)
+    assert [fields for _, fields, _ in calls] == [("omega", "mean")] * 2
+    for t, _, (om, phi) in calls[:2]:
+        # each field accepts only the pieces it passes on itself, so the
+        # shared pass gives exactly what a pass over that field alone gives
+        assert np.array_equal(om, ev.omega_integral(t))
+        assert np.array_equal(phi, ev.phi_lambda(t))
+
+
 @pytest.mark.filterwarnings("ignore:mixing angle is not adiabatic")
 def test_matrix_from_a_later_start_matches_a_window_starting_there():
     f0, f1, t1 = _QUAD_CASES["gaussian"]
