@@ -238,13 +238,40 @@ def _check_finite(node: Any, path: tuple = ()) -> None:
         _check_finite(value, (*path, key))
 
 
+def _integral_floats_to_ints(node: Any, schema: dict) -> None:
+    """Turn the floats in the "integer" fields of schema into ints, in place.
+
+    JSON Schema counts 5.0 as an integer, so once node has passed the
+    schema check every such float is integral, and a run takes it as
+    its int spelling.
+    """
+    if isinstance(node, dict):
+        children = [(key, schema.get("properties", {}).get(key)) for key in node]
+    elif isinstance(node, list):
+        children = [(i, schema.get("items")) for i in range(len(node))]
+    else:
+        return
+    for key, sub in children:
+        if sub is None:
+            continue
+        if sub.get("type") == "integer" and isinstance(node[key], float):
+            node[key] = int(node[key])
+        else:
+            _integral_floats_to_ints(node[key], sub)
+
+
 def validate_config(cfg: Any) -> None:
-    """Structural and cross-field validation; raises ConfigError."""
+    """Structural and cross-field validation; raises ConfigError.
+
+    Integral floats in integer fields ("save_points": 5.0) become ints
+    in cfg, in place.
+    """
     _check_finite(cfg)
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
     if error is not None:
         loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {loc}: {error.message}") from error
+    _integral_floats_to_ints(cfg, SCHEMA)
 
     mode = cfg["mode"]
     needed = set(_REQUIRED_SECTIONS[mode])

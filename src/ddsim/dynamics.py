@@ -59,7 +59,14 @@ becomes the block [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian
 generator of dim d becomes a real antisymmetric matrix of dim 2d, and
 its exponential is a degree-16 Taylor polynomial by Paterson-Stockmeyer
 (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)), scaled and
-squared where the 1-norm exceeds 0.8 (_expm).  Where the generator is
+squared where the 1-norm exceeds 0.8 (_expm).  An averaged run whose two
+pulses share one envelope f (envelope0 == envelope1, constant included)
+has the generator -i (diag + f(t) V) with a constant star V, so every
+step's Omega is a fixed combination of ten matrices, built once per run
+(_one_envelope_basis): a chunk's Omegas are one product of per-step
+weights and that basis, with no commutator per step, and the run logs
+"magnus (one envelope)".  Every other run (rwa, bare, averaged with two
+envelopes) builds the alpha_j from its couplings.  Where the generator is
 constant (both envelopes constant in the averaged tier, or in the rwa
 tier at Delta = 0) every step is exact to rounding.  Each step is
 orthogonal to rounding (the Taylor remainder is below eps), so a norm
@@ -75,6 +82,7 @@ beyond _NORM_TOL raises PropagationError.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import warnings
@@ -146,8 +154,11 @@ class IntegratorSettings:
     def __post_init__(self):
         if not self.tol > 0:  # also rejects NaN
             raise ValueError("tol must be > 0")
+        if not float(self.save_points).is_integer():  # also rejects NaN and inf
+            raise ValueError(f"save_points must be an integer, got {self.save_points!r}")
         if self.save_points < 2:
             raise ValueError("save_points must be >= 2")
+        object.__setattr__(self, "save_points", int(self.save_points))
 
 
 @dataclass
@@ -221,13 +232,64 @@ class _BFrame:
     shape (N, n), <0|H|k> / hbar and <1|H|k> / hbar; diag is the constant
     manifold diagonal <k|H|k> / hbar; rate bounds the norm of H/hbar,
     rad/ns.  With c_frame the saved amplitudes are taken back to the c
-    frame.
+    frame.  Where both couplings follow one envelope, g_q = f(t) v_q (an
+    averaged run with envelope0 == envelope1), envelope is f and basis is
+    _one_envelope_basis(diag, v0, v1); _magnus_pass then forms each Omega
+    from them and never calls couplings.  Without a basis it takes the
+    alpha_j from couplings.
     """
 
     couplings: Callable
     diag: np.ndarray
     rate: float
     c_frame: bool = False
+    envelope: Callable | None = None
+    basis: np.ndarray | None = None
+
+
+def _one_envelope_basis(diag, v0, v1):
+    """The ten real-form matrices, flattened to shape (10, (2 dim)^2), whose combinations are every Magnus Omega
+    of the generator -i (D + f(t) V) with one envelope f.
+
+    D is diag on the manifold and V the star <0|V|k> = v0_k, <1|V|k> = v1_k.  With P = -i D, Q = -i V and
+    K = [P, Q] the matrices are P, Q, K, [P, K], [P, [P, K]], [P, [Q, K]], [Q, K], [Q, [Q, K]], [K, [P, K]]
+    and [K, [Q, K]], the order of _one_envelope_coefficients; [Q, [P, K]] = [P, [Q, K]] by Jacobi.
+    """
+    dim = 2 + len(diag)
+    m = 2 * dim
+    gen = np.zeros((2, dim, dim), dtype=complex)
+    gen[0, 2:, 2:] = np.diag(-1j * np.asarray(diag))
+    gen[1, :2, 2:] = -1j * np.array([v0, v1])
+    gen[1, 2:, :2] = -np.conj(gen[1, :2, 2:]).T
+    basis = np.empty((10, m, m))
+    real = basis[:2].reshape(2, dim, 2, dim, 2)
+    real[:, :, 0, :, 0] = real[:, :, 1, :, 1] = gen.real
+    real[:, :, 1, :, 0] = gen.imag
+    real[:, :, 0, :, 1] = -gen.imag
+    p, q, k, pk, ppk, pqk, qk, qqk, kpk, kqk = basis[:, None]  # stacks of one
+    scratch = np.empty((1, m, m))
+    for x, y, out in ((p, q, k), (p, k, pk), (q, k, qk), (p, pk, ppk), (p, qk, pqk), (q, qk, qqk), (k, pk, kpk),
+                      (k, qk, kqk)):
+        _commutator(x, y, out, scratch)
+    return basis.reshape(10, -1)
+
+
+def _one_envelope_coefficients(h, f):
+    """Per-step weights, shape (c, 10), of _one_envelope_basis in Omega, from the step widths h, shape (c,), and
+    the envelope at the Gauss nodes f, shape (3, c).
+
+    With (F1, F2, F3) = _ALPHA_NODES @ f the alpha_j are a1 = h (P + F1 Q), a2 = h F2 Q and a3 = h F3 Q, and
+    _magnus_pass's Omega = a1 + a3 / 12 + [X, Y] with X = -(h / 12) P - h (20 F1 + F3) / 240 Q + h^2 F2 / 240 K
+    and Y = h F2 Q - h^2 F3 / 30 K - h^3 F2 / 60 [P, K] - h^3 F1 F2 / 60 [Q, K]; these are the terms of [X, Y].
+    """
+    f1, f2, f3 = _ALPHA_NODES @ f
+    h2 = h * h
+    h3, h4 = h2 * h, h2 * h2
+    u = 20.0 * f1 + f3
+    f22 = f2 * f2
+    return np.stack((h, h * (f1 + f3 / 12.0), h2 * f2 / -12.0, h3 * f3 / 360.0, h4 * f2 / 720.0,
+                     h4 * f2 * (u + 20.0 * f1) / 14400.0, h3 * (f3 * u / 7200.0 - f22 / 240.0),
+                     h4 * f1 * f2 * u / 14400.0, h4 * h * f22 / -14400.0, h4 * h * f1 * f22 / -14400.0), axis=1)
 
 
 def _commutator(x, y, out, scratch):
@@ -284,7 +346,12 @@ def _magnus_pass(frame, y0, knots, counts):
     [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian alpha_j of dim d
     become real antisymmetric matrices of dim 2d.  For those, yx = (xy)^T,
     so each commutator takes one stacked product, and exp(Omega) is
-    _expm's Taylor polynomial, orthogonal to rounding.  The state (or
+    _expm's Taylor polynomial, orthogonal to rounding.  A frame with a
+    basis (one envelope) skips the alpha_j and their commutators: a
+    chunk's Omegas are the product of _one_envelope_coefficients, from
+    the envelope at the nodes, and the basis, equal to the alpha_j's
+    Omega to rounding; only the other frames allocate the alpha_j's work
+    array.  The state (or
     propagator) is advanced with the rows (Re, Im) of each amplitude and
     taken back to complex once, at the end.  A non-finite generator raises
     PropagationError in the first chunk.
@@ -303,50 +370,57 @@ def _magnus_pass(frame, y0, knots, counts):
             step = np.arange(first, min(first + _MAGNUS_CHUNK, ends[-1]))
             if len(step) != c:  # the first chunk and a shorter last one allocate; the others reuse
                 c = len(step)
-                # the alpha_j in real form, seen as complex pairs of columns: row (l, Re or Im) holds conj(a_lj) and
-                # i conj(a_lj) at column j.  Each chunk writes the qubit-manifold blocks and alpha_1's manifold
-                # diagonal; the other entries stay 0
-                alpha = np.zeros((3, c, dim, 2, m))
-                pairs = alpha.view(complex)
-                upper, lower = pairs[:, :, :2, :, 2:], np.swapaxes(pairs[:, :, 2:, :, :2], 2, 4)
-                # alpha_1's entries (k, Re; k) and (k, Im; k) for k >= 2, stride apart from k to k + 1
-                flat, stride = pairs[0].reshape(c, -1), 2 * dim + 1
-                diag, diag_im = flat[:, 2 * stride:: stride], flat[:, 2 * stride + dim:: stride]
                 powers, blocks = np.empty((5, c, m, m)), np.empty((4, c, m, m))
                 powers[0] = np.eye(m)
                 omega = powers[1]  # where _expm takes its argument
-                scratch, c1, arg = blocks[:3]  # the commutators' work arrays, spent before _expm needs blocks
+                if frame.basis is None:
+                    # the alpha_j in real form, seen as complex pairs of columns: row (l, Re or Im) holds conj(a_lj)
+                    # and i conj(a_lj) at column j.  Each chunk writes the qubit-manifold blocks and alpha_1's
+                    # manifold diagonal; the other entries stay 0
+                    alpha = np.zeros((3, c, dim, 2, m))
+                    pairs = alpha.view(complex)
+                    upper, lower = pairs[:, :, :2, :, 2:], np.swapaxes(pairs[:, :, 2:, :, :2], 2, 4)
+                    # alpha_1's entries (k, Re; k) and (k, Im; k) for k >= 2, stride apart from k to k + 1
+                    flat, stride = pairs[0].reshape(c, -1), 2 * dim + 1
+                    diag, diag_im = flat[:, 2 * stride:: stride], flat[:, 2 * stride + dim:: stride]
+                    scratch, c1, arg = blocks[:3]  # the commutators' work arrays, spent before _expm needs blocks
             gap = np.searchsorted(ends, step, side="right")
             h = widths[gap]
             nodes = knots[gap] + (step - ends[gap] + counts[gap] + _GAUSS3[:, None]) * h  # (3, c)
-            g0, g1 = frame.couplings(nodes.ravel())
-            g = np.stack((g0, g1), axis=1).astype(complex, copy=False).reshape(3, -1).view(float)
-            # conj(a_qk) = i conj(h G_qk) and, as a_kq = -conj(a_qk), conj(a_kq) = i h G_qk; conj(a_kk) = i h diag_k
-            hg = (_ALPHA_NODES @ g).view(complex).reshape(3, c, 2, dim - 2) * h[:, None, None]
-            hgc = np.conj(hg)
-            np.multiply(hgc, 1j, out=upper[:, :, :, 0])
-            np.negative(hgc, out=upper[:, :, :, 1])
-            np.multiply(hg, 1j, out=lower[:, :, :, 0])
-            np.negative(hg, out=lower[:, :, :, 1])
-            hd = h[:, None] * frame.diag
-            np.multiply(hd, 1j, out=diag)
-            np.negative(hd, out=diag_im)
-            # Omega = a1 + a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240, c1 = [a1, a2], c2 = -[a1, 2 a3 + c1] / 60
-            a1, a2, a3 = alpha.reshape(3, c, m, m)
-            _commutator(a1, a2, c1, scratch)
-            np.add(c1, a3, out=arg)
-            arg += a3
-            arg *= -1.0 / 60.0
-            _commutator(a1, arg, arg, scratch)
-            arg += a2
-            np.multiply(a1, -20.0, out=scratch)
-            c1 += scratch
-            c1 -= a3
-            c1 *= 1.0 / 240.0
-            _commutator(c1, arg, omega, scratch)
-            np.multiply(a3, 1.0 / 12.0, out=scratch)
-            scratch += a1
-            omega += scratch
+            if frame.basis is not None:
+                f = frame.envelope(nodes.ravel()).reshape(3, c)
+                np.matmul(_one_envelope_coefficients(h, f), frame.basis, out=omega.reshape(c, -1))
+            else:
+                g0, g1 = frame.couplings(nodes.ravel())
+                g = np.stack((g0, g1), axis=1).astype(complex, copy=False).reshape(3, -1).view(float)
+                # conj(a_qk) = i conj(h G_qk) and, as a_kq = -conj(a_qk), conj(a_kq) = i h G_qk;
+                # conj(a_kk) = i h diag_k
+                hg = (_ALPHA_NODES @ g).view(complex).reshape(3, c, 2, dim - 2) * h[:, None, None]
+                hgc = np.conj(hg)
+                np.multiply(hgc, 1j, out=upper[:, :, :, 0])
+                np.negative(hgc, out=upper[:, :, :, 1])
+                np.multiply(hg, 1j, out=lower[:, :, :, 0])
+                np.negative(hg, out=lower[:, :, :, 1])
+                hd = h[:, None] * frame.diag
+                np.multiply(hd, 1j, out=diag)
+                np.negative(hd, out=diag_im)
+                # Omega = a1 + a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240, c1 = [a1, a2],
+                # c2 = -[a1, 2 a3 + c1] / 60
+                a1, a2, a3 = alpha.reshape(3, c, m, m)
+                _commutator(a1, a2, c1, scratch)
+                np.add(c1, a3, out=arg)
+                arg += a3
+                arg *= -1.0 / 60.0
+                _commutator(a1, arg, arg, scratch)
+                arg += a2
+                np.multiply(a1, -20.0, out=scratch)
+                c1 += scratch
+                c1 -= a3
+                c1 *= 1.0 / 240.0
+                _commutator(c1, arg, omega, scratch)
+                np.multiply(a3, 1.0 / 12.0, out=scratch)
+                scratch += a1
+                omega += scratch
             props = _expm(powers, blocks)
             for prop, j, last in zip(props, gap.tolist(), (ends[gap] == step + 1).tolist()):
                 y = prop.dot(y)
@@ -465,12 +539,12 @@ def _propagate(model, psi0, frame, n_excited, pulses, settings, period=None, key
         # Magnus steps are equal across a save interval, so where the envelopes vanish nothing else would keep
         # them from stepping over a pulse; the shortest switching time bounds them
         ys, facts = _magnus(model, psi0.amplitudes, grid, breaks, settings.tol, pulses.switching_time)
-        path, reused = "", False
+        method, reused = "magnus" if model.basis is None else "magnus (one envelope)", False
     else:
         ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings.tol, key)
-        path = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by "
-    logger.info("%s propagation: %smagnus over %d steps, %d halvings, error estimate %.2e (tolerance %.1e)%s",
-                frame, path, *facts, " (one-period propagator reused)" if reused else "")
+        method = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by magnus"
+    logger.info("%s propagation: %s over %d steps, %d halvings, error estimate %.2e (tolerance %.1e)%s",
+                frame, method, *facts, " (one-period propagator reused)" if reused else "")
     steps, _, estimate, floor = facts
     if estimate > settings.tol:
         warnings.warn(
@@ -565,7 +639,12 @@ def propagate_averaged(
         return lam0 * env0(t)[:, None], lam1 * env1(t)[:, None]
 
     rate = np.max(np.abs(diag), initial=0.0) + np.linalg.norm(np.hypot(np.abs(lam0), np.abs(lam1)))
-    return _propagate(_BFrame(b_couplings, diag, rate), psi0, "averaged", couplings.n_levels, pulses, settings)
+    frame = _BFrame(b_couplings, diag, rate)
+    if env0 == env1:
+        # a non-finite coupling is reported by the first pass, not by warnings here
+        with np.errstate(invalid="ignore", over="ignore"):
+            frame = dataclasses.replace(frame, envelope=env0, basis=_one_envelope_basis(diag, lam0, lam1))
+    return _propagate(frame, psi0, "averaged", couplings.n_levels, pulses, settings)
 
 
 def propagate_bare(

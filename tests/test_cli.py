@@ -541,6 +541,63 @@ def test_removed_integrator_key_exits_config_before_compute(tmp_path, capsys, mo
     assert all(f"'{key}' was unexpected" in err["error"]["message"] for err in errors)
 
 
+def _integral_float_cases():
+    """(config, path to an integer field) per integer field whose float spelling used to crash a command."""
+    jittered = _propagate_cfg(spectrum={"delta": 0.0, "omega_exc": 2000.0, "n_levels": 3, "jitter": 0.1})
+    gate = {
+        "mode": "synthesize-gate",
+        "spectrum": {"delta": 5.0, "omega_exc": 2000.0},
+        "pulses": {"amp0": 20.0, "amp1": 20.0, "omega0": 1905.0, "duration": 1.0},
+        "gate": {"target": "NOT", "l_max": 64},
+    }
+    sweep = _rwa_sweep_cfg([{"path": "pulses.amp0", "start": 5.0, "stop": 10.0, "steps": 2}])
+    return {
+        "integrator.save_points": (_propagate_cfg(), ("integrator", "save_points")),
+        "gate.l_max": (gate, ("gate", "l_max")),
+        "seed": ({**jittered, "seed": 3}, ("seed",)),
+        "spectrum.seed": ({**jittered, "spectrum": {**jittered["spectrum"], "seed": 3}}, ("spectrum", "seed")),
+        "sweep.axes.steps": (sweep, ("sweep", "axes", 0, "steps")),
+    }
+
+
+def _with_value(cfg, path, value):
+    out = json.loads(json.dumps(cfg))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+# JSON Schema counts 5.0 as an integer: such a config runs as its int spelling, byte for byte
+@pytest.mark.parametrize("cfg, path", _integral_float_cases().values(), ids=_integral_float_cases())
+def test_integral_float_in_an_integer_field_runs_as_its_int(tmp_path, capsys, cfg, path):
+    node = cfg
+    for key in path:
+        node = node[key]
+    outputs = []
+    for spelling, value in (("int", node), ("float", float(node))):
+        (tmp_path / spelling).mkdir()
+        cfg_path = _write_cfg(tmp_path / spelling, _with_value(cfg, path, value))
+        assert main(["validate", cfg_path]) == EXIT_OK
+        out_dir = tmp_path / spelling / "out"
+        assert main(["run", cfg_path, "--out", str(out_dir)]) == EXIT_OK
+        files = {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+        manifest = json.loads(files.pop("run_manifest.json"))
+        assert manifest.pop("elapsed_s") >= 0.0
+        outputs.append((files, manifest))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]["config"] == _with_value(cfg, path, node)
+    assert capsys.readouterr().err == ""
+    # a non-integral value still fails the schema check
+    cfg_path = _write_cfg(tmp_path, _with_value(cfg, path, node + 0.5))
+    assert main(["validate", cfg_path]) == EXIT_CONFIG
+    assert main(["run", cfg_path, "--out", str(tmp_path / "half")]) == EXIT_CONFIG
+    assert not (tmp_path / "half").exists()
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert [err["error"]["type"] for err in errors] == ["config", "config"]
+
+
 def test_unsatisfiable_gate_exits_numeric(tmp_path, capsys):
     cfg = {
         "mode": "synthesize-gate",

@@ -81,10 +81,18 @@ def test_state_frame_names():
     dict(tol=math.nan),
     dict(save_points=1),
     dict(save_points=0),
+    dict(save_points=2.5),
+    dict(save_points=math.nan),
+    dict(save_points=math.inf),
 ])
 def test_integrator_settings_validation(kwargs):
     with pytest.raises(ValueError):
         IntegratorSettings(**kwargs)
+
+
+def test_integral_save_points_are_taken_as_an_int():
+    settings = IntegratorSettings(save_points=5.0)
+    assert settings == IntegratorSettings(save_points=5) and type(settings.save_points) is int
 
 
 # ---------------------------------------------------------------- oracles
@@ -606,7 +614,8 @@ def test_taylor_exponential_matches_expm_and_is_orthogonal(dim, squarings):
                                          ("bare", "sin2")])
 def test_non_finite_coupling_fails_in_the_first_magnus_pass(monkeypatch, bad, tier, shape):
     # the Taylor exponential raises nothing on a NaN, so without the norm check a NaN estimate would
-    # run every halving before failing; the constant rwa run folds, and its pass takes a propagator
+    # run every halving before failing; the constant rwa run folds, and its pass takes a propagator.
+    # The averaged run has one envelope, and its pass reads the couplings only as the envelope's values
     monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     magnus_pass, states = ddsim.dynamics._magnus_pass, []
 
@@ -619,7 +628,14 @@ def test_non_finite_coupling_fails_in_the_first_magnus_pass(monkeypatch, bad, ti
             g0[:, 0] = bad
             return g0, g1
 
-        return magnus_pass(dataclasses.replace(frame, couplings=couplings), y0, *args)
+        def envelope(t):
+            return np.full_like(frame.envelope(t), bad)
+
+        assert (frame.basis is not None) == (tier == "averaged")
+        bad_frame = dataclasses.replace(frame, couplings=couplings)
+        if frame.basis is not None:
+            bad_frame = dataclasses.replace(bad_frame, envelope=envelope)
+        return magnus_pass(bad_frame, y0, *args)
 
     monkeypatch.setattr(ddsim.dynamics, "_magnus_pass", poisoned)
     sp, om0 = _single_level(-100.0, delta_qubit=30.0)
@@ -796,23 +812,76 @@ def test_magnus_matches_dop853_within_its_estimate_and_is_unitary(seed, tier, n,
 @pytest.mark.filterwarnings("ignore:envelope switching time is short")
 @pytest.mark.parametrize("tier", ["rwa", "averaged"])
 def test_magnus_run_logs_its_steps_halvings_and_estimate(tier, caplog):
-    cs, pp, psi = _shaped_draw(3, 2, -1, "sin2", 0.5, 0.4, tier)
-    lines = []
-    for tol in (1.01e-10, 1.1e-12):
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
-            _, facts, _ = _magnus_run(cs, pp, psi, IntegratorSettings(tol=tol, save_points=5))
-        [line] = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
-        match = re.fullmatch(rf"{tier} propagation: magnus over (\d+) steps, (\d+) halvings, "
-                             r"error estimate (\S+) \(tolerance (\S+)\)", line)
-        assert match
-        steps, halvings, estimate, tol = int(match[1]), int(match[2]), float(match[3]), float(match[4])
-        assert (steps, halvings) == facts[:2]
-        assert estimate == pytest.approx(facts[2], rel=1e-2) and estimate <= tol
-        lines.append((steps, halvings, tol))
-    # a tighter tolerance halves the step more often
-    assert lines[1][2] < lines[0][2]
-    assert lines[1][1] > lines[0][1] and lines[1][0] > lines[0][0]
+    # pulse 1 is displaced by 0.3 * shift * window: an averaged run whose pulses share one envelope says so
+    for shift in (0.5, 0.0):
+        cs, pp, psi = _shaped_draw(3, 2, -1, "sin2", shift, 0.4, tier)
+        method = "magnus (one envelope)" if tier == "averaged" and shift == 0.0 else "magnus"
+        lines = []
+        for tol in (1.01e-10, 1.1e-12):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
+                _, facts, _ = _magnus_run(cs, pp, psi, IntegratorSettings(tol=tol, save_points=5))
+            [line] = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
+            match = re.fullmatch(rf"{tier} propagation: {re.escape(method)} over (\d+) steps, (\d+) halvings, "
+                                 r"error estimate (\S+) \(tolerance (\S+)\)", line)
+            assert match
+            steps, halvings, estimate, tol = int(match[1]), int(match[2]), float(match[3]), float(match[4])
+            assert (steps, halvings) == facts[:2]
+            assert estimate == pytest.approx(facts[2], rel=1e-2) and estimate <= tol
+            lines.append((steps, halvings, tol))
+        # a tighter tolerance halves the step more often
+        assert lines[1][2] < lines[0][2]
+        assert lines[1][1] > lines[0][1] and lines[1][0] > lines[0][0]
+
+
+def _averaged_frame(cs, pp):
+    """The _BFrame that propagate_averaged integrates for cs and pp."""
+    frames = []
+    with mock.patch.object(ddsim.dynamics, "_propagate", lambda model, *args: frames.append(model)):
+        propagate_averaged(cs, pp, StateVector.qubit(1.0, 0.0, cs.n_levels, frame="averaged"))
+    [frame] = frames
+    return frame
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@hypothesis_settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 4, 5, 10]), sign=st.sampled_from([-1, 1]),
+       shape=st.sampled_from(["sin2", "gaussian", "trapezoid", "constant"]), window=st.floats(0.2, 0.5))
+def test_one_envelope_pass_matches_the_alpha_path(seed, n, sign, shape, window):
+    # an averaged run whose pulses share one envelope forms each Omega from a fixed basis; without the basis the
+    # same frame takes the alpha_j from its couplings.  sign flips the qubit splitting and every detuning
+    cs, pp, psi = _shaped_draw(seed, n, sign, shape, 0.0, window, "averaged")
+    cs = dataclasses.replace(cs, delta=sign * cs.delta)
+    frame = _averaged_frame(cs, pp)
+    assert frame.basis is not None and frame.envelope == pp.envelope0
+    alpha_frame = dataclasses.replace(frame, basis=None)
+    # the first pass of a run: saved times and steps of a tenth of the period of the rate
+    knots = np.linspace(0.0, window, 5)
+    h = min(0.2 * math.pi / frame.rate, pp.switching_time)
+    counts = np.maximum(np.ceil(np.diff(knots) / h), 1.0).astype(int)
+    dim = n + 2
+    for y0 in (psi.amplitudes, np.eye(dim, dtype=complex)):
+        one = ddsim.dynamics._magnus_pass(frame, y0, knots, counts)
+        assert np.max(np.abs(one - ddsim.dynamics._magnus_pass(alpha_frame, y0, knots, counts))) <= 1e-13
+    for j, column in enumerate(np.eye(dim, dtype=complex)):
+        assert np.max(np.abs(one[:, :, j] - ddsim.dynamics._magnus_pass(frame, column, knots, counts))) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+def test_nan_coupling_vector_fails_in_the_first_one_envelope_pass(monkeypatch):
+    # the basis is built from the couplings before any pass; a NaN in it reaches the first pass's norm check
+    magnus_pass, states = ddsim.dynamics._magnus_pass, []
+
+    def counted(frame, y0, *args):
+        states.append(y0)
+        return magnus_pass(frame, y0, *args)
+
+    monkeypatch.setattr(ddsim.dynamics, "_magnus_pass", counted)
+    cs, pp, psi = _shaped_draw(5, 3, 1, "sin2", 0.0, 0.4, "averaged")
+    cs = dataclasses.replace(cs, lambda0=np.array([1.0, math.nan, 2.0]))
+    with pytest.raises(PropagationError, match="are the couplings finite"):
+        propagate_averaged(cs, pp, psi, IntegratorSettings(save_points=5))
+    assert len(states) == 1
 
 
 def _readme_example():
