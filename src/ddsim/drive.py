@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf
 
 from .spectrum import SpectrumModel
 from .units import DIPOLE_FIELD_TO_UEV, HBAR
@@ -109,6 +110,35 @@ class Envelope:
             rising = (t >= lo) & (t < lo + self.ramp)
             falling = (t > hi - self.ramp) & (t <= hi)
             out = np.where(rising, 1.0 / self.ramp, 0.0) + np.where(falling, -1.0 / self.ramp, 0.0)
+        if out.ndim == 0:
+            return float(out)
+        return out
+
+    def square_integral(self, t):
+        """An antiderivative F of f^2, ns: F(t) - F(t0) is the integral of f^2 over [t0, t].
+
+        Closed forms, same piecewise conventions as __call__: t itself for
+        the constant shape, so that differences are exactly t - t0; an erf
+        for the gaussian; for sin2 and trapezoid, polynomials in the
+        position within the pulse, clipped to its support.
+        """
+        t = np.asarray(t, dtype=float)
+        if self.shape == "constant":
+            out = t
+        elif self.shape == "gaussian":
+            out = (0.5 * math.sqrt(math.pi) * self.width) * erf((t - self.center) / self.width)
+        elif self.shape == "sin2":
+            # sin^4(pi x) = 3/8 - cos(2 pi x) / 2 + cos(4 pi x) / 8
+            x = np.clip((t - (self.center - 0.5 * self.width)) / self.width, 0.0, 1.0)
+            out = self.width * (0.375 * x - np.sin(2.0 * np.pi * x) / (4.0 * np.pi)
+                                + np.sin(4.0 * np.pi * x) / (32.0 * np.pi))
+        else:  # trapezoid: cubics on the ramps, linear on the flat top
+            lo = self.center - 0.5 * self.width
+            hi = self.center + 0.5 * self.width
+            up = np.clip((t - lo) / self.ramp, 0.0, 1.0)
+            down = np.clip((hi - t) / self.ramp, 0.0, 1.0)
+            flat = np.clip(t, lo + self.ramp, hi - self.ramp) - (lo + self.ramp)
+            out = self.ramp / 3.0 * (up**3 + (1.0 - down**3)) + flat
         if out.ndim == 0:
             return float(out)
         return out

@@ -62,11 +62,13 @@ its exponential is a degree-16 Taylor polynomial by Paterson-Stockmeyer
 squared where the 1-norm exceeds 0.8 (_expm).  An averaged run whose two
 pulses share one envelope f (envelope0 == envelope1, constant included)
 has the generator -i (diag + f(t) V) with a constant star V, so every
-step's Omega is a fixed combination of ten matrices, built once per run
-(_one_envelope_basis): a chunk's Omegas are one product of per-step
-weights and that basis, with no commutator per step, and the run logs
-"magnus (one envelope)".  Every other run (rwa, bare, averaged with two
-envelopes) builds the alpha_j from its couplings.  Where the generator is
+step's Omega is a combination of ten fixed matrices whose weights are
+fixed combinations of fifteen monomials in the step and the envelope at
+its nodes.  The ten matrices, with the constant weights folded in, are
+built once per run (_one_envelope_basis): a chunk's Omegas are one
+product of the per-step monomials and that basis, with no commutator per
+step, and the run logs "magnus (one envelope)".  Every other run (rwa,
+bare, averaged with two envelopes) builds the alpha_j from its couplings.  Where the generator is
 constant (both envelopes constant in the averaged tier, or in the rwa
 tier at Delta = 0) every step is exact to rounding.  Each step is
 orthogonal to rounding (the Taylor remainder is below eps), so a norm
@@ -216,6 +218,18 @@ _MAGNUS_MAX_HALVINGS = 5  # halvings after the first h against h/2 comparison
 _ALPHA_NODES = np.array([[0.0, 1.0, 0.0],
                          [-math.sqrt(15.0) / 3.0, 0.0, math.sqrt(15.0) / 3.0],
                          [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
+# with (F1, F2, F3) = _ALPHA_NODES @ f the one-envelope alpha_j are a1 = h (P + F1 Q), a2 = h F2 Q and
+# a3 = h F3 Q (see _one_envelope_basis), and _magnus_pass's Omega = a1 + a3 / 12 + [X, Y] with
+# X = -(h / 12) P - h (20 F1 + F3) / 240 Q + h^2 F2 / 240 K and
+# Y = h F2 Q - h^2 F3 / 30 K - h^3 F2 / 60 [P, K] - h^3 F1 F2 / 60 [Q, K].  Expanded, Omega's weight on each of the
+# ten matrices P, Q, K, [P, K], [P, [P, K]], [P, [Q, K]], [Q, K], [Q, [Q, K]], [K, [P, K]] and [K, [Q, K]] (the
+# columns) is a sum of fifteen monomials (the rows) times constants.  Each monomial feeds one matrix: the rows
+# h, h F1, h F3, h^2 F2, h^3 F3, h^4 F2, h^4 F1 F2, h^4 F2 F3, h^3 F1 F3, h^3 F3^2, h^3 F2^2, h^4 F1^2 F2,
+# h^4 F1 F2 F3, h^5 F2^2 and h^5 F1 F2^2 weigh these columns by these constants
+_ONE_ENVELOPE_WEIGHTS = np.zeros((15, 10))
+_ONE_ENVELOPE_WEIGHTS[np.arange(15), [0, 1, 1, 2, 3, 4, 5, 5, 6, 6, 6, 7, 7, 8, 9]] = [
+    1.0, 1.0, 1.0 / 12.0, -1.0 / 12.0, 1.0 / 360.0, 1.0 / 720.0, 1.0 / 360.0, 1.0 / 14400.0, 1.0 / 360.0,
+    1.0 / 7200.0, -1.0 / 240.0, 1.0 / 720.0, 1.0 / 14400.0, -1.0 / 14400.0, -1.0 / 14400.0]
 _TAYLOR_NORM = 0.8  # largest 1-norm of a Taylor exponential: its degree-16 remainder, about 0.8^17 / 17!, is below eps
 # exp(x) to degree 16 is B_0 + x^4 (B_1 + x^4 (B_2 + x^4 B_3)), with B_i = sum_{j=0..3} x^j / (4 i + j)! and B_3 also
 # holding x^4 / 16! (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)); row i holds B_i's coefficients of 1, x,
@@ -248,12 +262,13 @@ class _BFrame:
 
 
 def _one_envelope_basis(diag, v0, v1):
-    """The ten real-form matrices, flattened to shape (10, (2 dim)^2), whose combinations are every Magnus Omega
-    of the generator -i (D + f(t) V) with one envelope f.
+    """The fifteen real-form matrices, flattened to shape (15, (2 dim)^2), whose combinations are every Magnus
+    Omega of the generator -i (D + f(t) V) with one envelope f, weighted by _one_envelope_monomials.
 
     D is diag on the manifold and V the star <0|V|k> = v0_k, <1|V|k> = v1_k.  With P = -i D, Q = -i V and
-    K = [P, Q] the matrices are P, Q, K, [P, K], [P, [P, K]], [P, [Q, K]], [Q, K], [Q, [Q, K]], [K, [P, K]]
-    and [K, [Q, K]], the order of _one_envelope_coefficients; [Q, [P, K]] = [P, [Q, K]] by Jacobi.
+    K = [P, Q], Omega is a combination of the ten matrices P, Q, K, [P, K], [P, [P, K]], [P, [Q, K]], [Q, K],
+    [Q, [Q, K]], [K, [P, K]] and [K, [Q, K]] ([Q, [P, K]] = [P, [Q, K]] by Jacobi), whose weights are
+    _ONE_ENVELOPE_WEIGHTS' combinations of the monomials; the returned matrices are those combinations.
     """
     dim = 2 + len(diag)
     m = 2 * dim
@@ -261,35 +276,29 @@ def _one_envelope_basis(diag, v0, v1):
     gen[0, 2:, 2:] = np.diag(-1j * np.asarray(diag))
     gen[1, :2, 2:] = -1j * np.array([v0, v1])
     gen[1, 2:, :2] = -np.conj(gen[1, :2, 2:]).T
-    basis = np.empty((10, m, m))
-    real = basis[:2].reshape(2, dim, 2, dim, 2)
+    words = np.empty((10, m, m))
+    real = words[:2].reshape(2, dim, 2, dim, 2)
     real[:, :, 0, :, 0] = real[:, :, 1, :, 1] = gen.real
     real[:, :, 1, :, 0] = gen.imag
     real[:, :, 0, :, 1] = -gen.imag
-    p, q, k, pk, ppk, pqk, qk, qqk, kpk, kqk = basis[:, None]  # stacks of one
+    p, q, k, pk, ppk, pqk, qk, qqk, kpk, kqk = words[:, None]  # stacks of one
     scratch = np.empty((1, m, m))
     for x, y, out in ((p, q, k), (p, k, pk), (q, k, qk), (p, pk, ppk), (p, qk, pqk), (q, qk, qqk), (k, pk, kpk),
                       (k, qk, kqk)):
         _commutator(x, y, out, scratch)
-    return basis.reshape(10, -1)
+    return _ONE_ENVELOPE_WEIGHTS @ words.reshape(10, -1)
 
 
-def _one_envelope_coefficients(h, f):
-    """Per-step weights, shape (c, 10), of _one_envelope_basis in Omega, from the step widths h, shape (c,), and
-    the envelope at the Gauss nodes f, shape (3, c).
-
-    With (F1, F2, F3) = _ALPHA_NODES @ f the alpha_j are a1 = h (P + F1 Q), a2 = h F2 Q and a3 = h F3 Q, and
-    _magnus_pass's Omega = a1 + a3 / 12 + [X, Y] with X = -(h / 12) P - h (20 F1 + F3) / 240 Q + h^2 F2 / 240 K
-    and Y = h F2 Q - h^2 F3 / 30 K - h^3 F2 / 60 [P, K] - h^3 F1 F2 / 60 [Q, K]; these are the terms of [X, Y].
-    """
+def _one_envelope_monomials(h, f):
+    """Per-step weights, shape (c, 15), of _one_envelope_basis in Omega, from the step widths h, shape (c,), and
+    the envelope at the Gauss nodes f, shape (3, c): the monomials of _ONE_ENVELOPE_WEIGHTS' rows."""
     f1, f2, f3 = _ALPHA_NODES @ f
     h2 = h * h
     h3, h4 = h2 * h, h2 * h2
-    u = 20.0 * f1 + f3
-    f22 = f2 * f2
-    return np.stack((h, h * (f1 + f3 / 12.0), h2 * f2 / -12.0, h3 * f3 / 360.0, h4 * f2 / 720.0,
-                     h4 * f2 * (u + 20.0 * f1) / 14400.0, h3 * (f3 * u / 7200.0 - f22 / 240.0),
-                     h4 * f1 * f2 * u / 14400.0, h4 * h * f22 / -14400.0, h4 * h * f1 * f22 / -14400.0), axis=1)
+    h3f3, h4f2, h3f22 = h3 * f3, h4 * f2, h3 * (f2 * f2)
+    h4f1f2, h5f22 = h4f2 * f1, h3f22 * h2
+    return np.stack((h, h * f1, h * f3, h2 * f2, h3f3, h4f2, h4f1f2, h4f2 * f3, h3f3 * f1, h3f3 * f3, h3f22,
+                     h4f1f2 * f1, h4f1f2 * f3, h5f22, h5f22 * f1), axis=1)
 
 
 def _commutator(x, y, out, scratch):
@@ -348,11 +357,11 @@ def _magnus_pass(frame, y0, knots, counts):
     so each commutator takes one stacked product, and exp(Omega) is
     _expm's Taylor polynomial, orthogonal to rounding.  A frame with a
     basis (one envelope) skips the alpha_j and their commutators: a
-    chunk's Omegas are the product of _one_envelope_coefficients, from
-    the envelope at the nodes, and the basis, equal to the alpha_j's
-    Omega to rounding; only the other frames allocate the alpha_j's work
-    array.  The state (or
-    propagator) is advanced with the rows (Re, Im) of each amplitude and
+    chunk's Omegas are one (c, 15) @ (15, m^2) product of the monomials
+    of _one_envelope_monomials, from the step widths and the envelope at
+    the nodes, and the basis, equal to the alpha_j's Omega to rounding;
+    only the other frames allocate the alpha_j's work array.  The state
+    (or propagator) is advanced with the rows (Re, Im) of each amplitude and
     taken back to complex once, at the end.  A non-finite generator raises
     PropagationError in the first chunk.
     """
@@ -389,7 +398,7 @@ def _magnus_pass(frame, y0, knots, counts):
             nodes = knots[gap] + (step - ends[gap] + counts[gap] + _GAUSS3[:, None]) * h  # (3, c)
             if frame.basis is not None:
                 f = frame.envelope(nodes.ravel()).reshape(3, c)
-                np.matmul(_one_envelope_coefficients(h, f), frame.basis, out=omega.reshape(c, -1))
+                np.matmul(_one_envelope_monomials(h, f), frame.basis, out=omega.reshape(c, -1))
             else:
                 g0, g1 = frame.couplings(nodes.ravel())
                 g = np.stack((g0, g1), axis=1).astype(complex, copy=False).reshape(3, -1).view(float)
@@ -585,10 +594,12 @@ def propagate_rwa(
     """
     wd = couplings.delta / HBAR           # detuning phases, rad/ns
     wq = couplings.delta_qubit / HBAR     # beat phase, rad/ns
-    lam0 = couplings.lambda0 * np.exp(1j * pulses.phi0) / HBAR
-    lam1 = couplings.lambda1 * np.exp(1j * pulses.phi1) / HBAR
-    mu0 = couplings.mu0 * np.exp(1j * pulses.phi0) / HBAR
-    mu1 = couplings.mu1 * np.exp(1j * pulses.phi1) / HBAR
+    # a non-finite coupling is reported by the first pass, not by warnings here
+    with np.errstate(invalid="ignore", over="ignore"):
+        lam0 = couplings.lambda0 * np.exp(1j * pulses.phi0) / HBAR
+        lam1 = couplings.lambda1 * np.exp(1j * pulses.phi1) / HBAR
+        mu0 = couplings.mu0 * np.exp(1j * pulses.phi0) / HBAR
+        mu1 = couplings.mu1 * np.exp(1j * pulses.phi1) / HBAR
     env0, env1 = pulses.envelope0, pulses.envelope1
 
     def b_couplings(t):
@@ -629,8 +640,10 @@ def propagate_averaged(
             stacklevel=2,
         )
 
-    lam0 = couplings.lambda0 * np.exp(1j * pulses.phi0) / HBAR
-    lam1 = couplings.lambda1 * np.exp(1j * pulses.phi1) / HBAR
+    # a non-finite coupling is reported by the first pass, not by warnings here
+    with np.errstate(invalid="ignore", over="ignore"):
+        lam0 = couplings.lambda0 * np.exp(1j * pulses.phi0) / HBAR
+        lam1 = couplings.lambda1 * np.exp(1j * pulses.phi1) / HBAR
     env0, env1 = pulses.envelope0, pulses.envelope1
 
     diag = -couplings.delta / HBAR

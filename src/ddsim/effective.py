@@ -240,9 +240,12 @@ class EffectiveEvolution:
 
     Wraps an EffectiveHamiltonian and the two pulse envelopes (`Envelope`,
     whose derivatives feed `theta_dot`) on [t0, t1].  Pointwise methods
-    evaluate the closed forms.  The integrated splitting omega_integral
-    and mean shift phi_lambda are closed forms, value * (t - t0) / hbar,
-    when both envelopes are constant.  Otherwise each call takes one
+    evaluate the closed forms.  When both pulses share one envelope f
+    (f0 == f1, or both constant; `shared`), the integrated splitting
+    omega_integral and mean shift phi_lambda are closed forms too, the
+    peak value times the integral of f^2 over hbar
+    (`Envelope.square_integral`; for constant envelopes exactly
+    value * (t - t0) / hbar).  Otherwise each call takes one
     pass of composite Gauss-Legendre quadrature, over panels that end on
     every requested time and every envelope kink (`Envelope.kinks`) and
     are halved where the rule's error estimate asks for it, accumulated
@@ -263,6 +266,8 @@ class EffectiveEvolution:
         self.f1 = f1
         self.t0 = float(t0)
         self.t1 = float(t1)
+        # one shared envelope f: Theta is constant and every other dressed quantity is its peak value times f^2
+        self.shared = f0 == f1 or f0.shape == f1.shape == "constant"
 
     @functools.cached_property
     def _grid(self) -> _Grid:
@@ -313,11 +318,12 @@ class EffectiveEvolution:
                 dead = dead[~defined]
                 if not dead.size:
                     break
-            # fully dead neighborhood: hold the nearest grid value, the lower one on a tie
-            grid = self._grid
-            i = np.clip(np.searchsorted(grid.times, flat[dead]), 1, _GRID_POINTS - 1)
-            i -= np.abs(flat[dead] - grid.times[i - 1]) <= np.abs(grid.times[i] - flat[dead])
-            out[dead] = grid.theta[i]
+            if dead.size:
+                # fully dead neighborhood: hold the nearest grid value, the lower one on a tie
+                grid = self._grid
+                i = np.clip(np.searchsorted(grid.times, flat[dead]), 1, _GRID_POINTS - 1)
+                i -= np.abs(flat[dead] - grid.times[i - 1]) <= np.abs(grid.times[i] - flat[dead])
+                out[dead] = grid.theta[i]
         return _plain(out.reshape(t.shape))
 
     def theta_dot(self, t):
@@ -346,8 +352,10 @@ class EffectiveEvolution:
     def _accumulated(self, t, *fields: str) -> list:
         """Integrals over hbar on [t0, t] of the named `_Dressed` fields, rad, one per field.
 
-        With two constant envelopes every field is constant, and its
-        integral is the closed form field(t0) * (t - t0) / hbar.
+        With one shared envelope f every field is its peak value times
+        f^2, and its integral is the closed form
+        field(1, 1) * (F(t) - F(t0)) / hbar, with F the antiderivative
+        `Envelope.square_integral` (F(t) = t for a constant envelope).
         Otherwise all fields come from one cumulative pass over the knots
         t0, every requested time and every envelope kink between t0 and
         the last of them, each field evaluated from the same `_at` call.
@@ -355,9 +363,11 @@ class EffectiveEvolution:
         t = np.asarray(t, dtype=float)
         if np.count_nonzero(~((self.t0 <= t) & (t <= self.t1))):
             raise ValueError("requested times fall outside the evolution window")
-        if self.f0.shape == self.f1.shape == "constant":
-            d = self._at(self.t0)
-            return [_plain(getattr(d, field) * (t - self.t0) / HBAR) for field in fields]
+        if self.shared:
+            peak = _dressed(self.ham, 1.0, 1.0)
+            square = self.f0.square_integral
+            rise = square(t) - square(self.t0)
+            return [_plain(getattr(peak, field) * rise / HBAR) for field in fields]
         span = np.max(t, initial=self.t0)
         kinks = [k for k in self.f0.kinks + self.f1.kinks if self.t0 < k < span]
         knots = np.unique(np.concatenate(([self.t0], t.ravel(), kinks)))
@@ -403,10 +413,11 @@ def diagonal_evolution_check(evolution: EffectiveEvolution) -> AdiabaticityRepor
 
     Only grid points where Omega exceeds _ACTIVE_FRACTION (1e-3) of its
     peak count: in envelope tails Omega is round-off.  With Omega zero
-    everywhere the ratio is 0.  With two constant envelopes theta_dot is
-    0, so the ratio is 0 without building the grid.
+    everywhere the ratio is 0.  With one shared envelope (constant
+    included) Theta is constant and theta_dot is 0 analytically, so the
+    report is a ratio of 0.0 at t0, without building the grid.
     """
-    if evolution.f0.shape == evolution.f1.shape == "constant":
+    if evolution.shared:
         return AdiabaticityReport(max_ratio=0.0, time_of_max=evolution.t0)
     grid = evolution._grid
     om = grid.omega

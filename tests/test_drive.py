@@ -86,6 +86,34 @@ def test_trapezoid_derivative_on_ramp():
     assert env.derivative(8.0) == pytest.approx(-0.5)
 
 
+_SQUARE_CASES = [
+    Envelope("constant"),
+    Envelope("gaussian", center=1.3, width=0.4),
+    Envelope("sin2", center=1.0, width=2.5),
+    Envelope("trapezoid", center=1.5, width=2.0, ramp=0.6),
+    Envelope("trapezoid", center=1.5, width=2.0, ramp=1.0),  # ramps that meet: no flat top
+]
+
+
+@pytest.mark.parametrize("env", _SQUARE_CASES, ids=lambda env: f"{env.shape}-{env.ramp}")
+def test_square_integral_matches_gauss_legendre_on_fine_panels(env):
+    # windows that start before, end inside, and lie wholly inside the pulse
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    for a, b in ((-1.5, 4.5), (-0.5, 1.2), (0.9, 1.7), (2.2, 4.0)):
+        edges = np.unique(np.concatenate((np.linspace(a, b, 2001), [k for k in env.breakpoints if a < k < b])))
+        lo, hi = edges[:-1], edges[1:]
+        half = 0.5 * (hi - lo)
+        values = env((lo + half)[:, None] + half[:, None] * nodes) ** 2
+        want = float(np.sum(half * (values @ weights)))
+        got = env.square_integral(b) - env.square_integral(a)
+        assert abs(got - want) <= 1e-14 * max(1.0, b - a), (a, b)
+    times = np.linspace(-1.5, 4.5, 7)
+    assert np.array_equal(env.square_integral(times), [env.square_integral(t) for t in times])
+    assert isinstance(env.square_integral(0.5), float)
+    if env.shape == "constant":  # so that differences are exactly t - t0
+        assert np.array_equal(env.square_integral(times), times)
+
+
 def test_envelope_shift_moves_center():
     env = Envelope("gaussian", center=1.0, width=0.5)
     moved = env.shifted(2.5)

@@ -5,6 +5,7 @@ import dataclasses
 import logging
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -882,6 +883,26 @@ def test_nan_coupling_vector_fails_in_the_first_one_envelope_pass(monkeypatch):
     with pytest.raises(PropagationError, match="are the couplings finite"):
         propagate_averaged(cs, pp, psi, IntegratorSettings(save_points=5))
     assert len(states) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("tier", ["rwa", "averaged"])
+@pytest.mark.parametrize("shape", ["constant", "sin2"])
+def test_non_finite_coupling_set_fails_without_warnings(bad, tier, shape):
+    # the couplings are multiplied by the drive phases before any pass; an inf there made numpy warn
+    # (inf * 0 in the complex product) before the first pass could report it
+    sp, om0 = _single_level(-100.0, delta_qubit=30.0)
+    pp = _flat_pair(sp, om0, amp=20.0, duration=1.0, phi0=0.3, phi1=-0.2)
+    if shape != "constant":
+        env = Envelope(shape, center=0.5, width=1.0)
+        pp = dataclasses.replace(pp, envelope0=env, envelope1=env)
+    cs = dataclasses.replace(derive_couplings(sp, pp), lambda0=np.array([bad]))
+    propagate = {"rwa": propagate_rwa, "averaged": propagate_averaged}[tier]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "envelope switching time is short")
+        with pytest.raises(PropagationError, match="are the couplings finite"):
+            propagate(cs, pp, StateVector.qubit(1.0, 0.0, 1, frame=tier), IntegratorSettings(save_points=5))
 
 
 def _readme_example():

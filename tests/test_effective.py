@@ -326,10 +326,10 @@ def test_accumulated_takes_unsorted_duplicated_and_scalar_times():
             ev.omega_integral(np.array([1.0, outside]))
 
 
-def _flat_top_twin(t1):
-    """A trapezoid that is exactly 1 on all of [0, t1], with its ramps outside:
-    equal to FLAT there, but integrated by quadrature."""
-    return Envelope("trapezoid", center=0.5 * t1, width=3.0 * t1, ramp=0.5 * t1)
+def _flat_top_twins(t1):
+    """Two unequal trapezoids that are exactly 1 on all of [0, t1], with their ramps outside:
+    equal to FLAT there, but not one shared envelope, so integrated by quadrature."""
+    return tuple(Envelope("trapezoid", center=0.5 * t1, width=3.0 * t1, ramp=r * t1) for r in (0.5, 0.25))
 
 
 @pytest.mark.parametrize("periods", [3, 17, 100, 320])
@@ -346,7 +346,7 @@ def test_constant_envelopes_integrate_in_closed_form(monkeypatch, periods):
     om, phi = effective._cumulative_integrals(
         lambda s: [ev._at(s).omega, ev._at(s).mean], times, t1 / effective._PANELS_PER_WINDOW
     ) / HBAR
-    twin = EffectiveEvolution(ham, _flat_top_twin(t1), _flat_top_twin(t1), 0.0, t1)
+    twin = EffectiveEvolution(ham, *_flat_top_twins(t1), 0.0, t1)
     assert np.array_equal(twin.omega_integral(times), om) and np.array_equal(twin.phi_lambda(times), phi)
     quadrature = evolution_matrix(twin, None, 0.25 * t1, times[10:], epsilon0=3.0, delta_qubit=delta_qubit).matrix
 
@@ -373,7 +373,8 @@ def test_constant_envelopes_integrate_in_closed_form(monkeypatch, periods):
 
 
 _SHARED_PASS_CASES = {
-    "sin2": _QUAD_CASES["sin2"],
+    # two unequal sin2 pulses: one shared envelope takes the closed form, not a pass
+    "sin2": (Envelope("sin2", center=2.0, width=4.0), Envelope("sin2", center=2.0, width=3.6), 4.0),
     "gaussian": _QUAD_CASES["gaussian"],
     "trapezoid": (Envelope("trapezoid", center=2.2, width=3.0, ramp=0.7),
                   Envelope("trapezoid", center=1.8, width=3.0, ramp=0.5), 4.0),
@@ -503,6 +504,49 @@ def test_accumulated_value_does_not_depend_on_the_other_times(draw, request, dat
         assert abs(method(b) - method(a) - between) <= 1e-12
 
 
+@st.composite
+def _shared_envelope_draws(draw):
+    """One envelope of any shape, shared by both pulses, a window that may start or end inside the pulse,
+    sums of either sign with a complex two-photon sum, and times in the window that include both ends."""
+    shape = draw(st.sampled_from(["gaussian", "sin2", "trapezoid", "constant"]))
+    center, width = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.3, 4.0))
+    if shape == "gaussian":
+        env, support = Envelope("gaussian", center=center, width=width), 4.0 * width
+    elif shape == "constant":
+        env, support = FLAT, width
+    else:
+        env, support = Envelope(shape, center=center, width=width, ramp=width * draw(st.floats(0.05, 0.5))), width
+    t0 = center + support * draw(st.floats(-0.8, 0.4))
+    t1 = t0 + support * draw(st.floats(0.05, 1.6))
+    ham = EffectiveHamiltonian(draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0)),
+                               complex(draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))))
+    inside = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    times = np.concatenate(([t0, t1], np.clip(t0 + (t1 - t0) * np.array(inside), t0, t1)))
+    return EffectiveEvolution(ham, env, env, t0, t1), times
+
+
+@settings(max_examples=200)
+@given(draw=_shared_envelope_draws())
+def test_shared_envelope_closed_form_matches_the_quadrature(draw):
+    ev, times = draw
+    assert ev.shared
+    # the pass _accumulated takes for two envelopes, over the same knots
+    kinks = [k for k in ev.f0.kinks if ev.t0 < k < np.max(times)]
+    knots = np.unique(np.concatenate(([ev.t0], times, kinks)))
+    sums = effective._cumulative_integrals(lambda s: [ev._at(s).omega, ev._at(s).mean], knots,
+                                           (ev.t1 - ev.t0) / effective._PANELS_PER_WINDOW)
+    at = np.searchsorted(knots, times)
+    peak = effective._dressed(ev.ham, 1.0, 1.0)
+    for method, field, row in ((ev.omega_integral, "omega", sums[0]), (ev.phi_lambda, "mean", sums[1])):
+        scale = max(abs(float(getattr(peak, field))) * (ev.t1 - ev.t0) / HBAR, 1e-300)
+        want = row[at] / HBAR
+        assert np.max(np.abs(method(times) - want)) <= 1e-13 * scale, field
+        for i in (0, 1, len(times) - 1):  # t0, t1 and a drawn time, as scalars
+            got = method(float(times[i]))
+            assert isinstance(got, float)
+            assert abs(got - want[i]) <= 1e-13 * scale, field
+
+
 def test_adiabaticity_check_passes_frozen_and_flags_fast():
     ham = EffectiveHamiltonian(-1.0, -1.0, complex(-1.0))
     ev = EffectiveEvolution(ham, FLAT, FLAT, 0.0, 30.0)
@@ -524,13 +568,33 @@ def test_grid_is_built_only_where_it_is_read():
     flat = EffectiveEvolution(ham, FLAT, FLAT, 0.0, 2.0)
     assert evolution_matrix(flat, epsilon0=0.0, delta_qubit=5.0).adiabatic
     assert "_grid" not in flat.__dict__
-    f0 = Envelope("sin2", center=2.0, width=4.0)
-    shaped = EffectiveEvolution(ham, f0, f0, 0.0, 4.0)
+    # one shared envelope: theta_dot is 0 analytically, so the check reads no grid
+    f0 = Envelope("gaussian", center=2.0, width=0.5)
+    shared = EffectiveEvolution(ham, f0, f0, 0.5, 4.0)
+    shared.theta(np.array([1.0, 2.0]))
+    shared.omega_integral(4.0)
+    assert (shared.check.max_ratio, shared.check.time_of_max) == (0.0, 0.5)
+    assert evolution_matrix(shared, epsilon0=0.0, delta_qubit=5.0).adiabatic
+    assert "_grid" not in shared.__dict__
+    # two envelopes: the check reads the grid, and only the check
+    ham = EffectiveHamiltonian(-100.0, -80.0, complex(-90.0))
+    f0, f1 = Envelope("gaussian", center=4.5, width=0.5), Envelope("gaussian", center=5.5, width=0.5)
+    shaped = EffectiveEvolution(ham, f0, f1, 0.0, 10.0)
     shaped.theta(np.array([1.0, 2.0]))
-    shaped.omega_integral(4.0)
+    shaped.omega_integral(10.0)
     assert "_grid" not in shaped.__dict__
     assert shaped.check.passed
     assert "_grid" in shaped.__dict__
+
+
+def test_theta_at_a_dead_time_resolved_by_the_nudges_builds_no_grid():
+    # a shared sin2 vanishes at both window edges; the first inward nudge resolves each
+    f0 = Envelope("sin2", center=2.0, width=4.0)
+    ev = EffectiveEvolution(EffectiveHamiltonian(-1.0, -0.7, complex(-0.6)), f0, f0, 0.0, 4.0)
+    inside = ev.theta(2.0)
+    assert ev.theta(0.0) == pytest.approx(inside, abs=1e-15)
+    assert np.max(np.abs(ev.theta(np.array([0.0, 1.0, 4.0])) - inside)) <= 1e-15
+    assert "_grid" not in ev.__dict__
 
 
 def test_adiabaticity_check_ignores_envelope_tails():
