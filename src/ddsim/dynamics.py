@@ -28,8 +28,13 @@ propagate_rwa
     The last one-period propagator is kept, so a run with equal
     couplings, phases, tolerance and save offsets (the other basis state
     of a gate check) skips the integration.  Delta = 0, shorter windows
-    and shaped envelopes are integrated directly.  Each call logs (INFO)
-    which path it took.
+    and shaped envelopes are integrated directly.  With both envelopes
+    constant and Delta != 0, folded or not, the b-frame couplings depend
+    on t only through the beat phase Delta t / hbar, so a Magnus pass of
+    one step width and more than _MAGNUS_CHUNK steps (a fold's one period
+    when every saved time is a whole number of periods, as in a gate
+    check) forms each step's Omega from seven fixed Fourier matrices of
+    that phase (see below).  Each call logs (INFO) which path it took.
 
 propagate_averaged
     Additionally drops the crossed couplings, which average out when
@@ -67,16 +72,29 @@ fixed combinations of fifteen monomials in the step and the envelope at
 its nodes.  The ten matrices, with the constant weights folded in, are
 built once per run (_one_envelope_basis): a chunk's Omegas are one
 product of the per-step monomials and that basis, with no commutator per
-step, and the run logs "magnus (one envelope)".  Every other run (rwa,
-bare, averaged with two envelopes) builds the alpha_j from its couplings.  Where the generator is
-constant (both envelopes constant in the averaged tier, or in the rwa
-tier at Delta = 0) every step is exact to rounding.  Each step is
-orthogonal to rounding (the Taylor remainder is below eps), so a norm
-check cannot see the step error: each run is repeated at half the step,
-and the step halved until the step-doubling error estimate is at most
-tol (or the rounding floor eps * steps, with a warning when the floor
-accepts what tol would not), else PropagationError.  A NaN or infinite
-coupling fails the exponential's norm check in the first pass.
+step, and the run logs "magnus (one envelope)".  An rwa run with both
+envelopes constant and Delta != 0 has couplings that depend on t only
+through theta = Delta t / hbar, so at a fixed step the sixth-order Omega
+is a trigonometric polynomial in theta, of degree 3: each entry sums paths
+of at most five hops between the qubit and the manifold, only the crossed
+couplings carry e^{+-i theta}, and the hops alternate, so they reach at
+most e^{+-3 i theta}.  A pass of one step width and more than
+_MAGNUS_CHUNK steps (fewer do not repay the seven samples) takes Omega at
+seven phases once, its real Fourier coefficients by a discrete Fourier
+transform (_beat_basis), and each chunk's Omegas as one product of
+[1, cos n theta, sin n theta] at the steps' starts and those seven
+matrices; the run logs "magnus (beat Fourier basis)".  Every other pass
+(bare, shaped rwa, averaged with two envelopes, and rwa passes of several
+step widths or at most _MAGNUS_CHUNK steps) builds the alpha_j from its
+couplings.  Where the generator is constant (both envelopes constant in
+the averaged tier, or in the rwa tier at Delta = 0) every step is exact
+to rounding.  Each step is orthogonal to rounding (the Taylor remainder
+is below eps), so a norm check cannot see the step error: each run is
+repeated at half the step, and the step halved until the step-doubling
+error estimate is at most tol (or the rounding floor eps * steps, with a
+warning when the floor accepts what tol would not), else
+PropagationError.  A NaN or infinite coupling fails the exponential's
+norm check in the first pass.
 
 Norms are still checked, never renormalized: a drift of sum |c|^2 from 1
 beyond _NORM_TOL raises PropagationError.
@@ -250,7 +268,11 @@ class _BFrame:
     averaged run with envelope0 == envelope1), envelope is f and basis is
     _one_envelope_basis(diag, v0, v1); _magnus_pass then forms each Omega
     from them and never calls couplings.  Without a basis it takes the
-    alpha_j from couplings.
+    alpha_j from couplings.  Where the couplings depend on t only through
+    the beat phase beat * t, rad (an rwa run with both envelopes constant
+    and Delta != 0, beat = Delta / hbar), beat is set, and a pass of one
+    step width and more than _MAGNUS_CHUNK steps forms each Omega from
+    _beat_basis (see _magnus_pass).
     """
 
     couplings: Callable
@@ -259,6 +281,7 @@ class _BFrame:
     c_frame: bool = False
     envelope: Callable | None = None
     basis: np.ndarray | None = None
+    beat: float | None = None
 
 
 def _one_envelope_basis(diag, v0, v1):
@@ -305,6 +328,112 @@ def _commutator(x, y, out, scratch):
     """[x, y] of stacked real antisymmetric matrices into out: xy - yx, where yx = (xy)^T."""
     np.matmul(x, y, out=scratch)
     np.subtract(scratch, np.swapaxes(scratch, 1, 2), out=out)
+
+
+def _alpha_work(c, dim, scratch):
+    """_alpha_omega's work arrays for c steps: the alpha_j in real form, zero but for what each call writes, its
+    views, and scratch, three contiguous arrays of shape (c, 2 dim, 2 dim)."""
+    # the alpha_j in real form, seen as complex pairs of columns: row (l, Re or Im) holds conj(a_lj) and
+    # i conj(a_lj) at column j.  Each call writes the qubit-manifold blocks and alpha_1's manifold diagonal; the
+    # other entries stay 0
+    alpha = np.zeros((3, c, dim, 2, 2 * dim))
+    pairs = alpha.view(complex)
+    upper, lower = pairs[:, :, :2, :, 2:], np.swapaxes(pairs[:, :, 2:, :, :2], 2, 4)
+    # alpha_1's entries (k, Re; k) and (k, Im; k) for k >= 2, stride apart from k to k + 1
+    flat, stride = pairs[0].reshape(c, -1), 2 * dim + 1
+    diag, diag_im = flat[:, 2 * stride:: stride], flat[:, 2 * stride + dim:: stride]
+    return alpha, upper, lower, diag, diag_im, scratch
+
+
+def _alpha_omega(frame, nodes, h, work, omega):
+    """The sixth-order Omegas of c steps of widths h, shape (c,), from frame.couplings at their Gauss nodes,
+    shape (3, c), into omega, shape (c, m, m); work is _alpha_work's for c steps, and its scratch is spent."""
+    alpha, upper, lower, diag, diag_im, (scratch, c1, arg) = work
+    c, dim, m = len(h), alpha.shape[2], alpha.shape[-1]
+    g0, g1 = frame.couplings(nodes.ravel())
+    g = np.stack((g0, g1), axis=1).astype(complex, copy=False).reshape(3, -1).view(float)
+    # conj(a_qk) = i conj(h G_qk) and, as a_kq = -conj(a_qk), conj(a_kq) = i h G_qk; conj(a_kk) = i h diag_k
+    hg = (_ALPHA_NODES @ g).view(complex).reshape(3, c, 2, dim - 2) * h[:, None, None]
+    hgc = np.conj(hg)
+    np.multiply(hgc, 1j, out=upper[:, :, :, 0])
+    np.negative(hgc, out=upper[:, :, :, 1])
+    np.multiply(hg, 1j, out=lower[:, :, :, 0])
+    np.negative(hg, out=lower[:, :, :, 1])
+    hd = h[:, None] * frame.diag
+    np.multiply(hd, 1j, out=diag)
+    np.negative(hd, out=diag_im)
+    # Omega = a1 + a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240, c1 = [a1, a2], c2 = -[a1, 2 a3 + c1] / 60
+    a1, a2, a3 = alpha.reshape(3, c, m, m)
+    _commutator(a1, a2, c1, scratch)
+    np.add(c1, a3, out=arg)
+    arg += a3
+    arg *= -1.0 / 60.0
+    _commutator(a1, arg, arg, scratch)
+    arg += a2
+    np.multiply(a1, -20.0, out=scratch)
+    c1 += scratch
+    c1 -= a3
+    c1 *= 1.0 / 240.0
+    _commutator(c1, arg, omega, scratch)
+    np.multiply(a3, 1.0 / 12.0, out=scratch)
+    scratch += a1
+    omega += scratch
+
+
+def _manifold_diagonal(flat, dim):
+    """Views of the real-form entries of alpha_1's manifold diagonal in matrices flattened to shape
+    (N, (2 dim)^2): for each level k >= 2, the entries (2k, 2k + 1), h diag_k, and (2k + 1, 2k), -h diag_k."""
+    m = 2 * dim
+    return flat[:, 4 * m + 5:: 2 * m + 2], flat[:, 5 * m + 4:: 2 * m + 2]
+
+
+def _takes_beat_basis(frame, knots, counts, steps):
+    """Whether _magnus_pass takes the Omegas of its counts[j] steps over [knots[j], knots[j + 1]], steps in all,
+    from _beat_basis: frame has a beat, there are more than _MAGNUS_CHUNK steps (the seven samples cost about one
+    chunk of the alpha path), and every step has one width."""
+    if frame.beat is None or steps <= _MAGNUS_CHUNK:
+        return False
+    widths = np.diff(knots) / counts
+    return bool(np.all(widths == widths[0]))
+
+
+def _beat_weights(theta):
+    """Rows [1, cos theta, sin theta, cos 2 theta, sin 2 theta, cos 3 theta, sin 3 theta], shape (len(theta), 7):
+    each row weighs _beat_basis in the Omega of the step that starts at beat phase theta."""
+    out = np.ones((len(theta), 7))
+    n_theta = np.multiply.outer(theta, np.arange(1.0, 4.0))
+    out[:, 1::2] = np.cos(n_theta)
+    out[:, 2::2] = np.sin(n_theta)
+    return out
+
+
+def _beat_basis(frame, h, dim):
+    """The seven real-form matrices, flattened to shape (7, (2 dim)^2), whose combination by _beat_weights(beat t)
+    is the Omega of a step of width h from t, for a frame with a beat, but for alpha_1's manifold diagonal.
+
+    Omega is a trigonometric polynomial of degree 3 in theta = beat * t.  Each of its entries is a sum over paths
+    of at most five hops between the qubit and the manifold (its deepest term nests five alpha_j, and the
+    manifold diagonal does not change the degree).  Only the crossed couplings carry the beat, e^{-i theta} on
+    <0|H|k> and e^{+i theta} on <1|H|k> (conjugated on the way back), and the hops alternate between the qubit
+    and the manifold, so five of them reach at most e^{+-3 i theta}.  So the alpha path's Omega at the seven
+    phases theta_s = 2 pi s / 7 gives its real Fourier coefficients exactly, to rounding: the mean, and
+    (2 / 7) sum_s cos(n theta_s) Omega_s and (2 / 7) sum_s sin(n theta_s) Omega_s for n = 1, 2, 3.  The
+    manifold diagonal h diag is taken out of the samples (exactly, as the rest of those entries is smaller) and
+    _magnus_pass adds it to each step, as the alpha path does: in the mean its rounding, up to half an ulp,
+    would repeat on every step.
+    """
+    m = 2 * dim
+    theta = 2.0 * math.pi / 7.0 * np.arange(7)
+    widths = np.full(7, h)
+    samples = np.empty((7, m, m))
+    _alpha_omega(frame, theta / frame.beat + _GAUSS3[:, None] * widths, widths,
+                 _alpha_work(7, dim, np.empty((3, 7, m, m))), samples)
+    samples = samples.reshape(7, -1)
+    up, down = _manifold_diagonal(samples, dim)
+    up -= h * frame.diag
+    down += h * frame.diag
+    dft = _beat_weights(theta).T * (np.array([1.0] + [2.0] * 6) / 7.0)[:, None]
+    return dft @ samples
 
 
 def _expm(powers, blocks):
@@ -354,15 +483,23 @@ def _magnus_pass(frame, y0, knots, counts):
     arithmetic and without LAPACK: each complex entry a becomes the block
     [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian alpha_j of dim d
     become real antisymmetric matrices of dim 2d.  For those, yx = (xy)^T,
-    so each commutator takes one stacked product, and exp(Omega) is
-    _expm's Taylor polynomial, orthogonal to rounding.  A frame with a
-    basis (one envelope) skips the alpha_j and their commutators: a
-    chunk's Omegas are one (c, 15) @ (15, m^2) product of the monomials
-    of _one_envelope_monomials, from the step widths and the envelope at
-    the nodes, and the basis, equal to the alpha_j's Omega to rounding;
-    only the other frames allocate the alpha_j's work array.  The state
-    (or propagator) is advanced with the rows (Re, Im) of each amplitude and
-    taken back to complex once, at the end.  A non-finite generator raises
+    so each commutator takes one stacked product (_alpha_omega), and
+    exp(Omega) is _expm's Taylor polynomial, orthogonal to rounding.  A
+    frame with a basis (one envelope) skips the alpha_j and their
+    commutators: a chunk's Omegas are one (c, 15) @ (15, m^2) product of the
+    monomials of _one_envelope_monomials, from the step widths and the
+    envelope at the nodes, and the basis, equal to the alpha_j's Omega to
+    rounding.  A frame with a beat (an rwa run with both envelopes
+    constant and Delta != 0), on a pass of one step width and more than
+    _MAGNUS_CHUNK steps (_takes_beat_basis), evaluates the alpha_j's Omega
+    at seven beat phases once (_beat_basis), and a chunk's Omegas are one
+    (c, 7) @ (7, m^2) product of _beat_weights, taken once per pass from the
+    beat phase at each step's start, and that basis, plus alpha_1's manifold
+    diagonal: again the alpha_j's Omega to rounding.  Shorter passes and
+    passes of several widths take the alpha path.  Only the alpha path
+    allocates the alpha_j's work array.  The state (or propagator) is
+    advanced with the rows (Re, Im) of each amplitude and taken back to
+    complex once, at the end.  A non-finite generator raises
     PropagationError in the first chunk.
     """
     dim = len(y0)
@@ -375,6 +512,13 @@ def _magnus_pass(frame, y0, knots, counts):
     c = 0
     # a non-finite generator is reported by _expm's norm check, not by warnings on the way
     with np.errstate(invalid="ignore", over="ignore"):
+        beat_weights = None
+        if _takes_beat_basis(frame, knots, counts, ends[-1]):
+            beat_basis = _beat_basis(frame, widths[0], dim)
+            steps = np.arange(ends[-1])
+            gaps = np.searchsorted(ends, steps, side="right")
+            beat_weights = _beat_weights(frame.beat * (knots[gaps] + (steps - ends[gaps] + counts[gaps]) * widths[0]))
+            hd = widths[0] * frame.diag
         for first in range(0, ends[-1], _MAGNUS_CHUNK):
             step = np.arange(first, min(first + _MAGNUS_CHUNK, ends[-1]))
             if len(step) != c:  # the first chunk and a shorter last one allocate; the others reuse
@@ -382,54 +526,23 @@ def _magnus_pass(frame, y0, knots, counts):
                 powers, blocks = np.empty((5, c, m, m)), np.empty((4, c, m, m))
                 powers[0] = np.eye(m)
                 omega = powers[1]  # where _expm takes its argument
-                if frame.basis is None:
-                    # the alpha_j in real form, seen as complex pairs of columns: row (l, Re or Im) holds conj(a_lj)
-                    # and i conj(a_lj) at column j.  Each chunk writes the qubit-manifold blocks and alpha_1's
-                    # manifold diagonal; the other entries stay 0
-                    alpha = np.zeros((3, c, dim, 2, m))
-                    pairs = alpha.view(complex)
-                    upper, lower = pairs[:, :, :2, :, 2:], np.swapaxes(pairs[:, :, 2:, :, :2], 2, 4)
-                    # alpha_1's entries (k, Re; k) and (k, Im; k) for k >= 2, stride apart from k to k + 1
-                    flat, stride = pairs[0].reshape(c, -1), 2 * dim + 1
-                    diag, diag_im = flat[:, 2 * stride:: stride], flat[:, 2 * stride + dim:: stride]
-                    scratch, c1, arg = blocks[:3]  # the commutators' work arrays, spent before _expm needs blocks
+                if beat_weights is not None:
+                    up, down = _manifold_diagonal(omega.reshape(c, -1), dim)
+                elif frame.basis is None:
+                    work = _alpha_work(c, dim, blocks[:3])  # the scratch is spent before _expm needs blocks
             gap = np.searchsorted(ends, step, side="right")
-            h = widths[gap]
-            nodes = knots[gap] + (step - ends[gap] + counts[gap] + _GAUSS3[:, None]) * h  # (3, c)
-            if frame.basis is not None:
-                f = frame.envelope(nodes.ravel()).reshape(3, c)
-                np.matmul(_one_envelope_monomials(h, f), frame.basis, out=omega.reshape(c, -1))
+            if beat_weights is not None:
+                np.matmul(beat_weights[first:first + c], beat_basis, out=omega.reshape(c, -1))
+                up += hd
+                down -= hd
             else:
-                g0, g1 = frame.couplings(nodes.ravel())
-                g = np.stack((g0, g1), axis=1).astype(complex, copy=False).reshape(3, -1).view(float)
-                # conj(a_qk) = i conj(h G_qk) and, as a_kq = -conj(a_qk), conj(a_kq) = i h G_qk;
-                # conj(a_kk) = i h diag_k
-                hg = (_ALPHA_NODES @ g).view(complex).reshape(3, c, 2, dim - 2) * h[:, None, None]
-                hgc = np.conj(hg)
-                np.multiply(hgc, 1j, out=upper[:, :, :, 0])
-                np.negative(hgc, out=upper[:, :, :, 1])
-                np.multiply(hg, 1j, out=lower[:, :, :, 0])
-                np.negative(hg, out=lower[:, :, :, 1])
-                hd = h[:, None] * frame.diag
-                np.multiply(hd, 1j, out=diag)
-                np.negative(hd, out=diag_im)
-                # Omega = a1 + a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240, c1 = [a1, a2],
-                # c2 = -[a1, 2 a3 + c1] / 60
-                a1, a2, a3 = alpha.reshape(3, c, m, m)
-                _commutator(a1, a2, c1, scratch)
-                np.add(c1, a3, out=arg)
-                arg += a3
-                arg *= -1.0 / 60.0
-                _commutator(a1, arg, arg, scratch)
-                arg += a2
-                np.multiply(a1, -20.0, out=scratch)
-                c1 += scratch
-                c1 -= a3
-                c1 *= 1.0 / 240.0
-                _commutator(c1, arg, omega, scratch)
-                np.multiply(a3, 1.0 / 12.0, out=scratch)
-                scratch += a1
-                omega += scratch
+                h = widths[gap]
+                nodes = knots[gap] + (step - ends[gap] + counts[gap] + _GAUSS3[:, None]) * h  # (3, c)
+                if frame.basis is not None:
+                    f = frame.envelope(nodes.ravel()).reshape(3, c)
+                    np.matmul(_one_envelope_monomials(h, f), frame.basis, out=omega.reshape(c, -1))
+                else:
+                    _alpha_omega(frame, nodes, h, work, omega)
             props = _expm(powers, blocks)
             for prop, j, last in zip(props, gap.tolist(), (ends[gap] == step + 1).tolist()):
                 y = prop.dot(y)
@@ -439,7 +552,7 @@ def _magnus_pass(frame, y0, knots, counts):
 
 
 def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
-    """Amplitudes on grid by Magnus-6 steps, and (steps, halvings, error estimate, tolerance).
+    """Amplitudes on grid by Magnus-6 steps, and (steps, halvings, error estimate, tolerance, path).
 
     Steps are equal within each gap between saved times and envelope
     breakpoints (breaks), no longer than cap (ns) and first about
@@ -450,7 +563,8 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
     tol (the state has norm 1), or the rounding floor eps * steps,
     the step is halved again, at most _MAGNUS_MAX_HALVINGS times.  Where
     the generator is constant the node differences vanish and every step
-    is exact.
+    is exact.  path names how the accepted pass formed its Omegas:
+    "magnus", "magnus (one envelope)" or "magnus (beat Fourier basis)".
     """
     knots = np.union1d(grid, [b for b in breaks if grid[0] < b < grid[-1]])
     period = 2.0 * math.pi / frame.rate if frame.rate > 0 else math.inf
@@ -464,7 +578,10 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
         steps = int(counts.sum())
         accept = max(tol, np.finfo(float).eps * steps)
         if estimate <= accept:
-            return fine[np.searchsorted(knots, grid)], (steps, halvings, estimate, accept)
+            path = ("magnus (one envelope)" if frame.basis is not None
+                    else "magnus (beat Fourier basis)" if _takes_beat_basis(frame, knots, counts, steps)
+                    else "magnus")
+            return fine[np.searchsorted(knots, grid)], (steps, halvings, estimate, accept, path)
         coarse = fine
     raise PropagationError(
         f"Magnus error estimate {estimate:.3e} exceeds its tolerance {accept:.1e} after "
@@ -484,7 +601,7 @@ def _fold(frame, psi0, grid, period, tol, key):
     The propagators U(tau) over [0, tau] are integrated once by _magnus to tol, and
     a saved time t = m P + tau takes b(t) = U(tau) F^m psi0 with F = U(P),
     the powers built by binary powering between save points.  The facts
-    (steps, halvings, error estimate, tolerance) are those of the one
+    (steps, halvings, error estimate, tolerance, path) are those of the one
     period: the error of b(t) can grow up to m-fold over m periods.
 
     key must fix frame (its couplings).  With tol and the offsets tau,
@@ -548,13 +665,14 @@ def _propagate(model, psi0, frame, n_excited, pulses, settings, period=None, key
         # Magnus steps are equal across a save interval, so where the envelopes vanish nothing else would keep
         # them from stepping over a pulse; the shortest switching time bounds them
         ys, facts = _magnus(model, psi0.amplitudes, grid, breaks, settings.tol, pulses.switching_time)
-        method, reused = "magnus" if model.basis is None else "magnus (one envelope)", False
+        reused = False
     else:
         ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings.tol, key)
-        method = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by magnus"
+    steps, halvings, estimate, floor, method = facts
+    if period is not None:
+        method = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by {method}"
     logger.info("%s propagation: %s over %d steps, %d halvings, error estimate %.2e (tolerance %.1e)%s",
-                frame, method, *facts, " (one-period propagator reused)" if reused else "")
-    steps, _, estimate, floor = facts
+                frame, method, steps, halvings, estimate, floor, " (one-period propagator reused)" if reused else "")
     if estimate > settings.tol:
         warnings.warn(
             f"Magnus error estimate {estimate:.3e} exceeds the requested tol = "
@@ -610,10 +728,11 @@ def propagate_rwa(
 
     g_max = np.hypot(np.abs(lam0) + np.abs(mu1), np.abs(mu0) + np.abs(lam1))
     rate = np.max(np.abs(wd), initial=0.0) + abs(wq) + np.linalg.norm(g_max)
-    frame = _BFrame(b_couplings, -wd, rate, c_frame=True)
+    beating = env0.shape == env1.shape == "constant" and wq != 0.0  # the couplings depend on t only through wq t
+    frame = _BFrame(b_couplings, -wd, rate, c_frame=True, beat=wq if beating else None)
     n = couplings.n_levels
     period = averaging_period(couplings.delta_qubit)
-    if env0.shape == env1.shape == "constant" and wq != 0.0 and pulses.duration >= 2.0 * period:
+    if beating and pulses.duration >= 2.0 * period:
         # the envelopes are 1, so these fix the couplings
         key = tuple(a.tobytes() for a in (lam0, lam1, mu0, mu1, wd)) + (wq,)
         return _propagate(frame, psi0, "rwa", n, pulses, settings, period=period, key=key)

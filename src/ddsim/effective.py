@@ -333,8 +333,12 @@ class EffectiveEvolution:
         |dGap * |L2| - d|L2| * Gap| / (Gap^2/4 + |L2|^2) with
         Gap = Lambda_0 f0^2 - Lambda_1 f1^2 and L2 = Lambda_2 f0 f1.
         This is intentionally the conservative (doubled) form; the
-        adiabaticity threshold absorbs the factor.
+        adiabaticity threshold absorbs the factor.  With one shared
+        envelope (`shared`) Theta is constant, and the rate is exactly 0:
+        a float for a time, zeros of its shape for an array.
         """
+        if self.shared:
+            return _plain(np.zeros(np.shape(t)))
         f0, f1 = self.f0(t), self.f1(t)
         df0, df1 = self.f0.derivative(t), self.f1.derivative(t)
         d = _dressed(self.ham, f0, f1)

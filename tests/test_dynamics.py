@@ -430,21 +430,24 @@ def test_criterion_4_gates_fold_to_reference(args):
     ("sin2", 3.5, "magnus over"),
     ("zero", 3.5, "magnus over"),
     ("constant", 1.5, "magnus over"),
+    # whole periods and 2 save points: the one period is one gap of one step width, past 64 steps
+    ("whole", 3.0, "folded over 3 beat periods of P = 0.137856 ns, one period by magnus (beat Fourier basis) over "),
 ])
 def test_each_run_logs_its_path(kind, periods, expect, caplog, monkeypatch):
     monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     dq = 0.0 if kind == "zero" else 30.0
     sp, om0 = _single_level(-100.0, delta_qubit=dq)
-    duration = periods * 2.0 * math.pi * HBAR / 30.0
+    duration = periods * (2.0 * math.pi * HBAR / 30.0)  # l P as synthesize_gate builds it: saved offsets 0 and P
     if kind == "sin2":
         env = Envelope("sin2", center=0.5 * duration, width=duration)
         pp = PulsePair(amp0=20.0, amp1=20.0, envelope0=env, envelope1=env,
                        omega0=om0, omega1=om0 - sp.delta, duration=duration)
     else:
         pp = _flat_pair(sp, om0, amp=20.0, duration=duration)
+    settings = IntegratorSettings(save_points=2 if kind == "whole" else 201)
     with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
         for _ in range(2):
-            propagate_rwa(derive_couplings(sp, pp), pp, StateVector.qubit(1.0, 0.0, 1))
+            propagate_rwa(derive_couplings(sp, pp), pp, StateVector.qubit(1.0, 0.0, 1), settings)
     lines = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
     assert len(lines) == 2
     assert lines[0].startswith("rwa propagation: ")
@@ -612,16 +615,18 @@ def test_taylor_exponential_matches_expm_and_is_orthogonal(dim, squarings):
 @pytest.mark.filterwarnings("ignore:envelope switching time is short")
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("tier, shape", [("rwa", "constant"), ("rwa", "sin2"), ("averaged", "sin2"),
-                                         ("bare", "sin2")])
+                                         ("bare", "sin2"), ("rwa", "whole periods")])
 def test_non_finite_coupling_fails_in_the_first_magnus_pass(monkeypatch, bad, tier, shape):
     # the Taylor exponential raises nothing on a NaN, so without the norm check a NaN estimate would
     # run every halving before failing; the constant rwa run folds, and its pass takes a propagator.
-    # The averaged run has one envelope, and its pass reads the couplings only as the envelope's values
+    # The averaged run has one envelope, and its pass reads the couplings only as the envelope's values.
+    # Over whole periods with 2 save points the fold's period is one gap of more than 64 equal steps, and
+    # its first pass builds the beat basis from the couplings
     monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     magnus_pass, states = ddsim.dynamics._magnus_pass, []
 
-    def poisoned(frame, y0, *args):
-        states.append(y0)
+    def poisoned(frame, y0, knots, counts):
+        states.append((y0, ddsim.dynamics._takes_beat_basis(frame, knots, counts, counts.sum())))
 
         def couplings(t):
             g0, g1 = frame.couplings(t)
@@ -636,20 +641,23 @@ def test_non_finite_coupling_fails_in_the_first_magnus_pass(monkeypatch, bad, ti
         bad_frame = dataclasses.replace(frame, couplings=couplings)
         if frame.basis is not None:
             bad_frame = dataclasses.replace(bad_frame, envelope=envelope)
-        return magnus_pass(bad_frame, y0, *args)
+        return magnus_pass(bad_frame, y0, knots, counts)
 
     monkeypatch.setattr(ddsim.dynamics, "_magnus_pass", poisoned)
-    sp, om0 = _single_level(-100.0, delta_qubit=30.0)
-    pp = _flat_pair(sp, om0, amp=20.0, duration=1.0)
-    if shape != "constant":
+    whole = shape == "whole periods"
+    sp, om0 = _single_level(-300.0 if whole else -100.0, delta_qubit=30.0)
+    pp = _flat_pair(sp, om0, amp=20.0, duration=3.0 * (2.0 * math.pi * HBAR / 30.0) if whole else 1.0)
+    if shape == "sin2":
         env = Envelope(shape, center=0.5, width=1.0)
         pp = dataclasses.replace(pp, envelope0=env, envelope1=env)
     propagate = {"rwa": propagate_rwa, "averaged": propagate_averaged, "bare": propagate_bare}[tier]
     model = sp if tier == "bare" else derive_couplings(sp, pp)
+    settings = IntegratorSettings(save_points=2 if whole else 5)
     with pytest.raises(PropagationError, match="are the couplings finite"):
-        propagate(model, pp, StateVector.qubit(1.0, 0.0, 1, frame=tier), IntegratorSettings(save_points=5))
-    assert len(states) == 1
-    assert states[0].ndim == (2 if shape == "constant" else 1)
+        propagate(model, pp, StateVector.qubit(1.0, 0.0, 1, frame=tier), settings)
+    [(y0, beat_basis)] = states
+    assert y0.ndim == (1 if shape == "sin2" else 2)
+    assert beat_basis == whole
 
 
 # ---------------------------------------------------------------- step bound
@@ -775,7 +783,7 @@ def _magnus_run(cs, pp, psi, settings=None):
 
     def recorded(frame, y0, *args):
         ys, info = magnus(frame, y0, *args)
-        calls.append((info, lambda: magnus(frame, np.eye(len(y0), dtype=complex), *args)[0][-1]))
+        calls.append((info[:4], lambda: magnus(frame, np.eye(len(y0), dtype=complex), *args)[0][-1]))
         return ys, info
 
     propagate = propagate_rwa if psi.frame == "rwa" else propagate_averaged
@@ -835,11 +843,13 @@ def test_magnus_run_logs_its_steps_halvings_and_estimate(tier, caplog):
         assert lines[1][1] > lines[0][1] and lines[1][0] > lines[0][0]
 
 
-def _averaged_frame(cs, pp):
-    """The _BFrame that propagate_averaged integrates for cs and pp."""
+def _tier_frame(tier, model, pp):
+    """The _BFrame that the tier's propagator integrates for model (couplings, or the spectrum for bare) and pp."""
     frames = []
-    with mock.patch.object(ddsim.dynamics, "_propagate", lambda model, *args: frames.append(model)):
-        propagate_averaged(cs, pp, StateVector.qubit(1.0, 0.0, cs.n_levels, frame="averaged"))
+    propagate = {"rwa": propagate_rwa, "averaged": propagate_averaged, "bare": propagate_bare}[tier]
+    n = model.n_excited if tier == "bare" else model.n_levels
+    with mock.patch.object(ddsim.dynamics, "_propagate", lambda frame, *args, **kwargs: frames.append(frame)):
+        propagate(model, pp, StateVector.qubit(1.0, 0.0, n, frame=tier))
     [frame] = frames
     return frame
 
@@ -853,7 +863,7 @@ def test_one_envelope_pass_matches_the_alpha_path(seed, n, sign, shape, window):
     # same frame takes the alpha_j from its couplings.  sign flips the qubit splitting and every detuning
     cs, pp, psi = _shaped_draw(seed, n, sign, shape, 0.0, window, "averaged")
     cs = dataclasses.replace(cs, delta=sign * cs.delta)
-    frame = _averaged_frame(cs, pp)
+    frame = _tier_frame("averaged", cs, pp)
     assert frame.basis is not None and frame.envelope == pp.envelope0
     alpha_frame = dataclasses.replace(frame, basis=None)
     # the first pass of a run: saved times and steps of a tenth of the period of the rate
@@ -883,6 +893,94 @@ def test_nan_coupling_vector_fails_in_the_first_one_envelope_pass(monkeypatch):
     with pytest.raises(PropagationError, match="are the couplings finite"):
         propagate_averaged(cs, pp, psi, IntegratorSettings(save_points=5))
     assert len(states) == 1
+
+
+def _beat_draw(seed, n, sign, drive, detuning):
+    """Constant-envelope couplings at Delta != 0 whose detunings, of either sign, reach detuning * |Delta|, each
+    coupling up to drive * |delta_k|, and their rwa _BFrame."""
+    rng = np.random.default_rng(seed)
+    dq = sign * float(rng.uniform(5.0, 60.0))
+    reach = rng.uniform(0.1, 1.0, n)
+    reach[0] = 1.0
+    delta = rng.choice([-1.0, 1.0], n) * reach * detuning * abs(dq)
+    scale = drive * np.abs(delta)
+    cs = CouplingSet(*(rng.uniform(0.1, 1.0, (4, n)) * scale), delta=delta, delta_qubit=dq)
+    env = Envelope("constant")
+    pp = PulsePair(amp0=1.0, amp1=1.0, envelope0=env, envelope1=env, omega0=5000.0, omega1=5000.0 - dq,
+                   duration=1.0, phi0=float(rng.uniform(0.0, 2.0 * math.pi)),
+                   phi1=float(rng.uniform(0.0, 2.0 * math.pi)))
+    return cs, _tier_frame("rwa", cs, pp)
+
+
+@hypothesis_settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 4, 5, 10]), sign=st.sampled_from([-1, 1]),
+       drive=st.sampled_from([1e-3, 1e-2, 0.1, 0.5, 1.0]), detuning=st.floats(0.1, 19.0), reach=st.floats(0.0, 1.0))
+def test_beat_basis_pass_matches_the_alpha_path(seed, n, sign, drive, detuning, reach):
+    # a constant-envelope rwa pass of one step width and more than 64 steps forms each Omega from seven Fourier
+    # matrices of the beat phase; without the beat the same frame takes the alpha_j from its couplings.  The
+    # passes take steps of the first-step rule: a direct single-gap pass of 65 to 2000 steps over up to 40
+    # periods and, where one period takes more than 64 steps, the first pass of a fold, over [0, P].  Their
+    # difference is rounding, up to about 0.3 ulp of the manifold diagonal per step, so it grows with the steps
+    cs, frame = _beat_draw(seed, n, sign, drive, detuning)
+    assert frame.beat == cs.delta_qubit / HBAR
+    alpha_frame = dataclasses.replace(frame, beat=None)
+    period = 2.0 * math.pi * HBAR / abs(cs.delta_qubit)
+    h = 0.2 * math.pi / frame.rate
+    shortest, longest = 65.0 * h, min(40.0 * period, 2000.0 * h)
+    spans = [shortest + reach * (longest - shortest)] + ([period] if period > 64.0 * h else [])
+    dim = n + 2
+    psi = np.array([1.0, 1j]) @ np.random.default_rng(seed).normal(size=(2, dim))
+    psi /= np.linalg.norm(psi)
+    for span in spans:
+        knots = np.array([0.0, span])
+        counts = np.array([math.ceil(span / h)])
+        assert counts[0] > ddsim.dynamics._MAGNUS_CHUNK
+        for y0 in (psi, np.eye(dim, dtype=complex)):
+            fourier = ddsim.dynamics._magnus_pass(frame, y0, knots, counts)
+            alpha = ddsim.dynamics._magnus_pass(alpha_frame, y0, knots, counts)
+            assert np.max(np.abs(fourier - alpha)) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+def test_only_long_one_width_beat_passes_take_the_basis(monkeypatch):
+    built = []
+    beat_basis = ddsim.dynamics._beat_basis
+
+    def spied(frame, h, dim):
+        built.append(h)
+        return beat_basis(frame, h, dim)
+
+    monkeypatch.setattr(ddsim.dynamics, "_beat_basis", spied)
+    cs, frame = _beat_draw(11, 3, 1, 0.3, 10.0)
+    alpha_frame = dataclasses.replace(frame, beat=None)
+    period = 2.0 * math.pi * HBAR / abs(cs.delta_qubit)
+    y0 = np.eye(5, dtype=complex)
+    # (knots in periods, counts, whether the pass takes the basis): one width and more than 64 steps takes it,
+    # also over two gaps of one width (P / 2 and P - P / 2 are equal); 64 steps, or two widths, do not
+    for knots, counts, takes in (([0.0, 1.0], [65], True), ([0.0, 0.5, 1.0], [40, 40], True),
+                                 ([0.0, 1.0], [64], False), ([0.0, 0.3, 1.0], [40, 40], False),
+                                 ([0.0, 0.5, 1.0], [40, 41], False)):
+        knots, counts = period * np.array(knots), np.array(counts)
+        built.clear()
+        out = ddsim.dynamics._magnus_pass(frame, y0, knots, counts)
+        alpha = ddsim.dynamics._magnus_pass(alpha_frame, y0, knots, counts)
+        assert built == ([knots[1] / counts[0]] if takes else [])
+        assert np.max(np.abs(out - alpha)) <= 1e-13 if takes else np.array_equal(out, alpha)
+    # shaped rwa, rwa at Delta = 0, bare and averaged runs have no beat, so their long passes take no basis
+    sp, om0 = _single_level(-300.0, delta_qubit=30.0)
+    sin2 = Envelope("sin2", center=1.0, width=2.0)
+    flat = _flat_pair(sp, om0, amp=20.0, duration=2.0)
+    shaped = dataclasses.replace(flat, envelope0=sin2, envelope1=sin2)
+    still, still_om0 = _single_level(-300.0)
+    for tier, model, pulses in (("rwa", sp, shaped), ("rwa", still, _flat_pair(still, still_om0, 20.0, 2.0)),
+                                ("bare", sp, shaped), ("averaged", sp, flat), ("averaged", sp, shaped)):
+        model = model if tier == "bare" else derive_couplings(model, pulses)
+        assert _tier_frame(tier, model, pulses).beat is None
+        built.clear()
+        n = model.n_excited if tier == "bare" else model.n_levels
+        {"rwa": propagate_rwa, "averaged": propagate_averaged, "bare": propagate_bare}[tier](
+            model, pulses, StateVector.qubit(1.0, 0.0, n, frame=tier), IntegratorSettings(save_points=2))
+        assert built == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -203,6 +203,26 @@ def test_theta_dot_is_doubled_rate():
         assert ev.theta_dot(t) == pytest.approx(2.0 * fd, rel=1e-4, abs=1e-7)
 
 
+@pytest.mark.parametrize("env", [
+    Envelope("sin2", center=2.0, width=4.0),
+    Envelope("gaussian", center=2.0, width=0.5),
+    Envelope("trapezoid", center=2.0, width=3.0, ramp=0.7),
+    Envelope("constant"),
+], ids=lambda env: env.shape)
+def test_theta_dot_of_one_shared_envelope_is_exactly_zero(env):
+    # Theta is constant under one shared envelope; the ratio-of-derivatives form read round-off there,
+    # up to 0.9 rad/ns at a sin2 support edge, where f is 1.5e-32
+    ev = EffectiveEvolution(EffectiveHamiltonian(-100.0, -80.0, complex(90.0)), env, env, 0.0, 4.0)
+    # both window ends, the support edges of sin2 and trapezoid, their ramp ends, and the gaussian's flanks
+    edges = [0.0, 0.5, 1.2, 1.9, 2.0, 2.8, 3.5, 4.0]
+    for t in edges:
+        out = ev.theta_dot(t)
+        assert type(out) is float and out == 0.0
+    times = np.array([edges, np.linspace(0.0, 4.0, 8)])
+    out = ev.theta_dot(times)
+    assert out.shape == times.shape and not np.any(out)
+
+
 def test_omega_integral_is_additive():
     ham = EffectiveHamiltonian(-0.5, -0.8, complex(-0.4))
     f0 = Envelope("sin2", center=2.0, width=4.0)
