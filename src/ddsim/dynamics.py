@@ -28,21 +28,19 @@ propagate_rwa
     The last one-period propagator is kept, so a run with equal
     couplings, phases, tolerance and save offsets (the other basis state
     of a gate check) skips the integration.  Delta = 0, shorter windows
-    and shaped envelopes are integrated directly.  With both envelopes
-    constant and Delta != 0, folded or not, the b-frame couplings depend
-    on t only through the beat phase Delta t / hbar, so a Magnus pass of
-    one step width and more than _MAGNUS_CHUNK steps (a fold's one period
-    when every saved time is a whole number of periods, as in a gate
-    check) forms each step's Omega from seven fixed Fourier matrices of
-    that phase (see below).  Each call logs (INFO) which path it took.
+    and shaped envelopes are integrated directly.  Folded or not, a pass
+    may form its Omegas from a fixed basis (see below): the beat basis
+    with both envelopes constant and Delta != 0 (a fold's one period, as
+    in a gate check), the one-envelope basis at Delta = 0 with one shared
+    envelope.  Each call logs (INFO) which path it took.
 
 propagate_averaged
-    Additionally drops the crossed couplings, which average out when
-    the envelopes change slowly compared to the beat period
-    2 pi hbar / Delta.  Uses the shifted manifold variables
-    b_k = c_k e^{i delta_k t}, which makes the system autonomous up to
-    the envelopes; fast and the direct counterpart of the analytic
-    effective model.
+    The rwa tier without the crossed couplings and their beat, which
+    average out when the envelopes change slowly compared to the beat
+    period 2 pi hbar / Delta.  Its amplitudes stay in the shifted
+    manifold variables b_k = c_k e^{i delta_k t}, which make the system
+    autonomous up to the envelopes; fast and the direct counterpart of
+    the analytic effective model.
 
 All three are the same star-coupled equation, and one engine integrates
 them.  Each manifold level k couples only to |0> and |1>, so in a frame
@@ -54,7 +52,8 @@ that diagonal (a _BFrame):
 - bare: w_k = (E_k - eps0) / hbar, g0 = s(t) d0 and
   g1 = s(t) d1 e^{i Delta t / hbar}, with s(t) the instantaneous field;
 - rwa: w_k = -delta_k / hbar, with the crossed couplings on the beat;
-- averaged: w_k = -delta_k / hbar, without them.
+- averaged: the same with the crossed couplings mu0 = mu1 = 0 and the
+  beat Delta = 0; one builder (_rwa_frame) serves both tiers.
 
 Every tier takes sixth-order Magnus steps (_magnus; Blanes, Casas, Oteo
 & Ros, Phys. Rep. 470, 151 (2009)), their length bounded by the shortest
@@ -64,37 +63,43 @@ becomes the block [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian
 generator of dim d becomes a real antisymmetric matrix of dim 2d, and
 its exponential is a degree-16 Taylor polynomial by Paterson-Stockmeyer
 (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)), scaled and
-squared where the 1-norm exceeds 0.8 (_expm).  An averaged run whose two
-pulses share one envelope f (envelope0 == envelope1, constant included)
-has the generator -i (diag + f(t) V) with a constant star V, so every
-step's Omega is a combination of ten fixed matrices whose weights are
-fixed combinations of fifteen monomials in the step and the envelope at
-its nodes.  The ten matrices, with the constant weights folded in, are
-built once per run (_one_envelope_basis): a chunk's Omegas are one
-product of the per-step monomials and that basis, with no commutator per
-step, and the run logs "magnus (one envelope)".  An rwa run with both
-envelopes constant and Delta != 0 has couplings that depend on t only
-through theta = Delta t / hbar, so at a fixed step the sixth-order Omega
-is a trigonometric polynomial in theta, of degree 3: each entry sums paths
-of at most five hops between the qubit and the manifold, only the crossed
-couplings carry e^{+-i theta}, and the hops alternate, so they reach at
-most e^{+-3 i theta}.  A pass of one step width and more than
-_MAGNUS_CHUNK steps (fewer do not repay the seven samples) takes Omega at
-seven phases once, its real Fourier coefficients by a discrete Fourier
-transform (_beat_basis), and each chunk's Omegas as one product of
-[1, cos n theta, sin n theta] at the steps' starts and those seven
-matrices; the run logs "magnus (beat Fourier basis)".  Every other pass
-(bare, shaped rwa, averaged with two envelopes, and rwa passes of several
-step widths or at most _MAGNUS_CHUNK steps) builds the alpha_j from its
-couplings.  Where the generator is constant (both envelopes constant in
-the averaged tier, or in the rwa tier at Delta = 0) every step is exact
-to rounding.  Each step is orthogonal to rounding (the Taylor remainder
-is below eps), so a norm check cannot see the step error: each run is
-repeated at half the step, and the step halved until the step-doubling
-error estimate is at most tol (or the rounding floor eps * steps, with a
-warning when the floor accepts what tol would not), else
-PropagationError.  A NaN or infinite coupling fails the exponential's
-norm check in the first pass.
+squared where the 1-norm exceeds 0.8 (_expm).  A chunk of steps forms
+its Omegas in one of two ways: as one product of per-step weights,
+computed once per pass, and a fixed basis, with no commutator per step;
+or from the couplings at the Gauss nodes (the alpha path).  _rwa_frame
+picks the basis:
+
+- one envelope: without a beat (the averaged tier, or rwa at Delta = 0)
+  and with envelope0 == envelope1 (constant included), the generator is
+  -i (diag + f(t) V) with a constant star V, so every step's Omega is a
+  combination of ten fixed matrices whose weights are fixed combinations
+  of fifteen monomials in the step and the envelope at its nodes.  The
+  ten matrices, with the constant weights folded in, are built once per
+  run (_one_envelope_basis), and the run logs "magnus (one envelope)".
+- beat: with both envelopes constant and Delta != 0 (rwa) the couplings
+  depend on t only through theta = Delta t / hbar, so at a fixed step the
+  sixth-order Omega is a trigonometric polynomial in theta, of degree 3:
+  each entry sums paths of at most five hops between the qubit and the
+  manifold, only the crossed couplings carry e^{+-i theta}, and the hops
+  alternate, so they reach at most e^{+-3 i theta}.  A pass of one step
+  width and more than _MAGNUS_CHUNK steps (fewer do not repay the seven
+  samples) takes Omega at seven phases once, its real Fourier
+  coefficients by a discrete Fourier transform, and the manifold
+  diagonal as an eighth matrix (_beat_basis), weighted by
+  [1, cos n theta, sin n theta, 1] at the steps' starts; the run logs
+  "magnus (beat Fourier basis)".
+
+Every other pass (bare, shaped runs with a beat or with two envelopes,
+and beat passes of several step widths or at most _MAGNUS_CHUNK steps)
+takes the alpha path.  Where the generator is constant (both envelopes
+constant in the averaged tier, or in the rwa tier at Delta = 0) every
+step is exact to rounding.  Each step is orthogonal to rounding (the
+Taylor remainder is below eps), so a norm check cannot see the step
+error: each run is repeated at half the step, and the step halved until
+the step-doubling error estimate is at most tol (or the rounding floor
+eps * steps, with a warning when the floor accepts what tol would not),
+else PropagationError.  A NaN or infinite coupling fails the
+exponential's norm check in the first pass.
 
 Norms are still checked, never renormalized: a drift of sum |c|^2 from 1
 beyond _NORM_TOL raises PropagationError.
@@ -102,7 +107,6 @@ beyond _NORM_TOL raises PropagationError.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import warnings
@@ -264,15 +268,16 @@ class _BFrame:
     shape (N, n), <0|H|k> / hbar and <1|H|k> / hbar; diag is the constant
     manifold diagonal <k|H|k> / hbar; rate bounds the norm of H/hbar,
     rad/ns.  With c_frame the saved amplitudes are taken back to the c
-    frame.  Where both couplings follow one envelope, g_q = f(t) v_q (an
-    averaged run with envelope0 == envelope1), envelope is f and basis is
+    frame.  At most one fixed basis applies, as _rwa_frame picks it.
+    Where both couplings follow one envelope, g_q = f(t) v_q (no beat and
+    envelope0 == envelope1), envelope is f and basis is
     _one_envelope_basis(diag, v0, v1); _magnus_pass then forms each Omega
-    from them and never calls couplings.  Without a basis it takes the
-    alpha_j from couplings.  Where the couplings depend on t only through
-    the beat phase beat * t, rad (an rwa run with both envelopes constant
-    and Delta != 0, beat = Delta / hbar), beat is set, and a pass of one
-    step width and more than _MAGNUS_CHUNK steps forms each Omega from
-    _beat_basis (see _magnus_pass).
+    from them and never calls couplings.  Where the couplings depend on t
+    only through the beat phase beat * t, rad (an rwa run with both
+    envelopes constant and Delta != 0, beat = Delta / hbar), beat is set,
+    and a pass of one step width and more than _MAGNUS_CHUNK steps forms
+    each Omega from _beat_basis.  Every other pass takes the alpha_j from
+    couplings (see _magnus_pass).
     """
 
     couplings: Callable
@@ -313,8 +318,8 @@ def _one_envelope_basis(diag, v0, v1):
 
 
 def _one_envelope_monomials(h, f):
-    """Per-step weights, shape (c, 15), of _one_envelope_basis in Omega, from the step widths h, shape (c,), and
-    the envelope at the Gauss nodes f, shape (3, c): the monomials of _ONE_ENVELOPE_WEIGHTS' rows."""
+    """Per-step weights, shape (N, 15), of _one_envelope_basis in Omega, from the step widths h, shape (N,), and
+    the envelope at the Gauss nodes f, shape (3, N): the monomials of _ONE_ENVELOPE_WEIGHTS' rows."""
     f1, f2, f3 = _ALPHA_NODES @ f
     h2 = h * h
     h3, h4 = h2 * h, h2 * h2
@@ -380,13 +385,6 @@ def _alpha_omega(frame, nodes, h, work, omega):
     omega += scratch
 
 
-def _manifold_diagonal(flat, dim):
-    """Views of the real-form entries of alpha_1's manifold diagonal in matrices flattened to shape
-    (N, (2 dim)^2): for each level k >= 2, the entries (2k, 2k + 1), h diag_k, and (2k + 1, 2k), -h diag_k."""
-    m = 2 * dim
-    return flat[:, 4 * m + 5:: 2 * m + 2], flat[:, 5 * m + 4:: 2 * m + 2]
-
-
 def _takes_beat_basis(frame, knots, counts, steps):
     """Whether _magnus_pass takes the Omegas of its counts[j] steps over [knots[j], knots[j + 1]], steps in all,
     from _beat_basis: frame has a beat, there are more than _MAGNUS_CHUNK steps (the seven samples cost about one
@@ -398,18 +396,18 @@ def _takes_beat_basis(frame, knots, counts, steps):
 
 
 def _beat_weights(theta):
-    """Rows [1, cos theta, sin theta, cos 2 theta, sin 2 theta, cos 3 theta, sin 3 theta], shape (len(theta), 7):
-    each row weighs _beat_basis in the Omega of the step that starts at beat phase theta."""
-    out = np.ones((len(theta), 7))
+    """Rows [1, cos theta, sin theta, cos 2 theta, sin 2 theta, cos 3 theta, sin 3 theta, 1], shape
+    (len(theta), 8): each row weighs _beat_basis in the Omega of the step that starts at beat phase theta."""
+    out = np.ones((len(theta), 8))
     n_theta = np.multiply.outer(theta, np.arange(1.0, 4.0))
-    out[:, 1::2] = np.cos(n_theta)
-    out[:, 2::2] = np.sin(n_theta)
+    out[:, 1:7:2] = np.cos(n_theta)
+    out[:, 2:7:2] = np.sin(n_theta)
     return out
 
 
 def _beat_basis(frame, h, dim):
-    """The seven real-form matrices, flattened to shape (7, (2 dim)^2), whose combination by _beat_weights(beat t)
-    is the Omega of a step of width h from t, for a frame with a beat, but for alpha_1's manifold diagonal.
+    """The eight real-form matrices, flattened to shape (8, (2 dim)^2), whose combination by _beat_weights(beat t)
+    is the Omega of a step of width h from t, for a frame with a beat.
 
     Omega is a trigonometric polynomial of degree 3 in theta = beat * t.  Each of its entries is a sum over paths
     of at most five hops between the qubit and the manifold (its deepest term nests five alpha_j, and the
@@ -419,21 +417,25 @@ def _beat_basis(frame, h, dim):
     phases theta_s = 2 pi s / 7 gives its real Fourier coefficients exactly, to rounding: the mean, and
     (2 / 7) sum_s cos(n theta_s) Omega_s and (2 / 7) sum_s sin(n theta_s) Omega_s for n = 1, 2, 3.  The
     manifold diagonal h diag is taken out of the samples (exactly, as the rest of those entries is smaller) and
-    _magnus_pass adds it to each step, as the alpha path does: in the mean its rounding, up to half an ulp,
-    would repeat on every step.
+    is the eighth matrix, of weight 1, so each step adds it whole, as the alpha path does: in the mean its
+    rounding, up to half an ulp, would repeat on every step.
     """
     m = 2 * dim
     theta = 2.0 * math.pi / 7.0 * np.arange(7)
     widths = np.full(7, h)
-    samples = np.empty((7, m, m))
+    samples = np.zeros((8, m, m))
     _alpha_omega(frame, theta / frame.beat + _GAUSS3[:, None] * widths, widths,
-                 _alpha_work(7, dim, np.empty((3, 7, m, m))), samples)
-    samples = samples.reshape(7, -1)
-    up, down = _manifold_diagonal(samples, dim)
-    up -= h * frame.diag
-    down += h * frame.diag
-    dft = _beat_weights(theta).T * (np.array([1.0] + [2.0] * 6) / 7.0)[:, None]
-    return dft @ samples
+                 _alpha_work(7, dim, np.empty((3, 7, m, m))), samples[:7])
+    samples = samples.reshape(8, -1)
+    # the real-form manifold diagonal h diag: entries (2k, 2k + 1) and, negated, (2k + 1, 2k) for each level k >= 2
+    up, down = samples[:, 4 * m + 5:: 2 * m + 2], samples[:, 5 * m + 4:: 2 * m + 2]
+    hd = h * frame.diag
+    up[:7] -= hd
+    down[:7] += hd
+    up[7], down[7] = hd, -hd
+    dft = _beat_weights(theta)[:, :7].T * (np.array([1.0] + [2.0] * 6) / 7.0)[:, None]
+    samples[:7] = dft @ samples[:7]
+    return samples
 
 
 def _expm(powers, blocks):
@@ -483,68 +485,61 @@ def _magnus_pass(frame, y0, knots, counts):
     arithmetic and without LAPACK: each complex entry a becomes the block
     [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian alpha_j of dim d
     become real antisymmetric matrices of dim 2d.  For those, yx = (xy)^T,
-    so each commutator takes one stacked product (_alpha_omega), and
-    exp(Omega) is _expm's Taylor polynomial, orthogonal to rounding.  A
-    frame with a basis (one envelope) skips the alpha_j and their
-    commutators: a chunk's Omegas are one (c, 15) @ (15, m^2) product of the
-    monomials of _one_envelope_monomials, from the step widths and the
-    envelope at the nodes, and the basis, equal to the alpha_j's Omega to
-    rounding.  A frame with a beat (an rwa run with both envelopes
-    constant and Delta != 0), on a pass of one step width and more than
-    _MAGNUS_CHUNK steps (_takes_beat_basis), evaluates the alpha_j's Omega
-    at seven beat phases once (_beat_basis), and a chunk's Omegas are one
-    (c, 7) @ (7, m^2) product of _beat_weights, taken once per pass from the
-    beat phase at each step's start, and that basis, plus alpha_1's manifold
-    diagonal: again the alpha_j's Omega to rounding.  Shorter passes and
-    passes of several widths take the alpha path.  Only the alpha path
-    allocates the alpha_j's work array.  The state (or propagator) is
-    advanced with the rows (Re, Im) of each amplitude and taken back to
-    complex once, at the end.  A non-finite generator raises
-    PropagationError in the first chunk.
+    so each commutator takes one stacked product, and exp(Omega) is
+    _expm's Taylor polynomial, orthogonal to rounding.  A chunk's Omegas
+    are either one product of its rows of the pass's per-step weights and
+    a basis, equal to the alpha_j's Omega to rounding (one envelope:
+    _one_envelope_monomials of the widths and the envelope at the nodes,
+    and frame.basis; a beat, where _takes_beat_basis: _beat_weights at the
+    steps' starts and _beat_basis), or _alpha_omega's from the couplings
+    at the nodes (the alpha path, which alone allocates its work array).
+    The state (or propagator) is advanced with the rows (Re, Im) of each
+    amplitude and taken back to complex once, at the end.  A non-finite
+    generator raises PropagationError in the first chunk.
     """
     dim = len(y0)
     m = 2 * dim
     widths = np.diff(knots) / counts
     ends = np.cumsum(counts)  # steps done at the end of each gap
+
+    def span(first, stop):  # the gap of each of the steps first..stop - 1, and the step's index within it
+        step = np.arange(first, stop)
+        gap = np.searchsorted(ends, step, side="right")
+        return gap, step - ends[gap] + counts[gap]
+
+    def nodes(gap, local):  # their Gauss nodes, shape (3, c)
+        return knots[gap] + (local + _GAUSS3[:, None]) * widths[gap]
+
     y = np.stack((y0.real, y0.imag), axis=1).reshape((m,) + y0.shape[1:])
     out = np.empty((len(knots),) + y.shape)
     out[0] = y
     c = 0
     # a non-finite generator is reported by _expm's norm check, not by warnings on the way
     with np.errstate(invalid="ignore", over="ignore"):
-        beat_weights = None
-        if _takes_beat_basis(frame, knots, counts, ends[-1]):
-            beat_basis = _beat_basis(frame, widths[0], dim)
-            steps = np.arange(ends[-1])
-            gaps = np.searchsorted(ends, steps, side="right")
-            beat_weights = _beat_weights(frame.beat * (knots[gaps] + (steps - ends[gaps] + counts[gaps]) * widths[0]))
-            hd = widths[0] * frame.diag
+        weights = None
+        if frame.basis is not None:
+            gap, local = span(0, ends[-1])
+            basis = frame.basis
+            weights = _one_envelope_monomials(widths[gap], frame.envelope(nodes(gap, local).ravel()).reshape(3, -1))
+        elif _takes_beat_basis(frame, knots, counts, ends[-1]):
+            gap, local = span(0, ends[-1])
+            basis = _beat_basis(frame, widths[0], dim)
+            weights = _beat_weights(frame.beat * (knots[gap] + local * widths[0]))
         for first in range(0, ends[-1], _MAGNUS_CHUNK):
-            step = np.arange(first, min(first + _MAGNUS_CHUNK, ends[-1]))
-            if len(step) != c:  # the first chunk and a shorter last one allocate; the others reuse
-                c = len(step)
+            gap, local = span(first, min(first + _MAGNUS_CHUNK, ends[-1]))
+            if len(gap) != c:  # the first chunk and a shorter last one allocate; the others reuse
+                c = len(gap)
                 powers, blocks = np.empty((5, c, m, m)), np.empty((4, c, m, m))
                 powers[0] = np.eye(m)
                 omega = powers[1]  # where _expm takes its argument
-                if beat_weights is not None:
-                    up, down = _manifold_diagonal(omega.reshape(c, -1), dim)
-                elif frame.basis is None:
+                if weights is None:
                     work = _alpha_work(c, dim, blocks[:3])  # the scratch is spent before _expm needs blocks
-            gap = np.searchsorted(ends, step, side="right")
-            if beat_weights is not None:
-                np.matmul(beat_weights[first:first + c], beat_basis, out=omega.reshape(c, -1))
-                up += hd
-                down -= hd
+            if weights is None:
+                _alpha_omega(frame, nodes(gap, local), widths[gap], work, omega)
             else:
-                h = widths[gap]
-                nodes = knots[gap] + (step - ends[gap] + counts[gap] + _GAUSS3[:, None]) * h  # (3, c)
-                if frame.basis is not None:
-                    f = frame.envelope(nodes.ravel()).reshape(3, c)
-                    np.matmul(_one_envelope_monomials(h, f), frame.basis, out=omega.reshape(c, -1))
-                else:
-                    _alpha_omega(frame, nodes, h, work, omega)
+                np.matmul(weights[first:first + c], basis, out=omega.reshape(c, -1))
             props = _expm(powers, blocks)
-            for prop, j, last in zip(props, gap.tolist(), (ends[gap] == step + 1).tolist()):
+            for prop, j, last in zip(props, gap.tolist(), (local + 1 == counts[gap]).tolist()):
                 y = prop.dot(y)
                 if last:  # the step ends gap j
                     out[j + 1] = y
@@ -612,10 +607,12 @@ def _fold(frame, psi0, grid, period, tol, key):
     dim = len(psi0)
     periods = np.floor(grid / period)
     offsets = np.clip(grid - periods * period, 0.0, period)
-    # l P / P can round below l: an offset a few ulp short of P starts the next period
-    wrap = offsets >= period - 4.0 * np.spacing(grid)
+    # l P / P can round either side of l: an offset a few ulp short of P starts the next period, and one a few
+    # ulp past 0 is 0
+    slack = 4.0 * np.spacing(grid)
+    wrap = offsets >= period - slack
     periods[wrap] += 1.0
-    offsets[wrap] = 0.0
+    offsets[wrap | (offsets <= slack)] = 0.0
     taus = np.unique(np.append(offsets, period))
 
     key += (tol, taus.tobytes())
@@ -697,6 +694,47 @@ def _propagate(model, psi0, frame, n_excited, pulses, settings, period=None, key
 # ---------------------------------------------------------------------
 
 
+def _rwa_frame(couplings, pulses, crossed):
+    """The _BFrame of the rwa tier (crossed) or of the averaged tier, and the period and memo key of its fold, or
+    None and () where the run is not folded.
+
+    The averaged tier is the rwa tier with mu0 = mu1 = 0, the beat 0 and b-frame amplitudes.  The frame picks the
+    Omega form (see the module docstring): one envelope, the couplings being f(t) (lambda0 + mu1) and
+    f(t) (mu0 + lambda1); the beat, folded over at least two beat periods; else the alpha path.
+    """
+    wd = couplings.delta / HBAR                            # detuning phases, rad/ns
+    wq = couplings.delta_qubit / HBAR if crossed else 0.0  # beat phase, rad/ns
+    env0, env1 = pulses.envelope0, pulses.envelope1
+    # a non-finite coupling is reported by the first pass, not by warnings here
+    with np.errstate(invalid="ignore", over="ignore"):
+        phase0, phase1 = np.exp(1j * pulses.phi0), np.exp(1j * pulses.phi1)
+        lam0 = couplings.lambda0 * phase0 / HBAR
+        lam1 = couplings.lambda1 * phase1 / HBAR
+        mu0, mu1 = ((couplings.mu0 * phase0 / HBAR, couplings.mu1 * phase1 / HBAR) if crossed
+                    else (np.zeros_like(lam0), np.zeros_like(lam1)))
+        g_max = np.hypot(np.abs(lam0) + np.abs(mu1), np.abs(mu0) + np.abs(lam1))
+        rate = np.max(np.abs(wd), initial=0.0) + abs(wq) + np.linalg.norm(g_max)
+        one_envelope = wq == 0.0 and env0 == env1
+        basis = _one_envelope_basis(-wd, lam0 + mu1, mu0 + lam1) if one_envelope else None
+
+    def b_couplings(t):
+        f0 = env0(t)[:, None]
+        f1 = env1(t)[:, None]
+        if not crossed:  # mu0 = mu1 = 0: adding them would cost about 5% of an alpha-path step
+            return lam0 * f0, lam1 * f1
+        beat = np.exp(1j * wq * t)[:, None]
+        return lam0 * f0 + mu1 * f1 / beat, mu0 * f0 * beat + lam1 * f1
+
+    beating = env0.shape == env1.shape == "constant" and wq != 0.0  # the couplings depend on t only through wq t
+    frame = _BFrame(b_couplings, -wd, rate, c_frame=crossed, envelope=env0 if one_envelope else None, basis=basis,
+                    beat=wq if beating else None)
+    period = averaging_period(couplings.delta_qubit)
+    if beating and pulses.duration >= 2.0 * period:
+        # the envelopes are 1, so these fix the couplings
+        return frame, period, tuple(a.tobytes() for a in (lam0, lam1, mu0, mu1, wd)) + (wq,)
+    return frame, None, ()
+
+
 def propagate_rwa(
     couplings: CouplingSet,
     pulses: PulsePair,
@@ -710,33 +748,8 @@ def propagate_rwa(
     Constant envelopes with Delta != 0 over at least two beat periods
     are folded: see the module docstring.
     """
-    wd = couplings.delta / HBAR           # detuning phases, rad/ns
-    wq = couplings.delta_qubit / HBAR     # beat phase, rad/ns
-    # a non-finite coupling is reported by the first pass, not by warnings here
-    with np.errstate(invalid="ignore", over="ignore"):
-        lam0 = couplings.lambda0 * np.exp(1j * pulses.phi0) / HBAR
-        lam1 = couplings.lambda1 * np.exp(1j * pulses.phi1) / HBAR
-        mu0 = couplings.mu0 * np.exp(1j * pulses.phi0) / HBAR
-        mu1 = couplings.mu1 * np.exp(1j * pulses.phi1) / HBAR
-    env0, env1 = pulses.envelope0, pulses.envelope1
-
-    def b_couplings(t):
-        f0 = env0(t)[:, None]
-        f1 = env1(t)[:, None]
-        beat = np.exp(1j * wq * t)[:, None]
-        return lam0 * f0 + mu1 * f1 / beat, mu0 * f0 * beat + lam1 * f1
-
-    g_max = np.hypot(np.abs(lam0) + np.abs(mu1), np.abs(mu0) + np.abs(lam1))
-    rate = np.max(np.abs(wd), initial=0.0) + abs(wq) + np.linalg.norm(g_max)
-    beating = env0.shape == env1.shape == "constant" and wq != 0.0  # the couplings depend on t only through wq t
-    frame = _BFrame(b_couplings, -wd, rate, c_frame=True, beat=wq if beating else None)
-    n = couplings.n_levels
-    period = averaging_period(couplings.delta_qubit)
-    if beating and pulses.duration >= 2.0 * period:
-        # the envelopes are 1, so these fix the couplings
-        key = tuple(a.tobytes() for a in (lam0, lam1, mu0, mu1, wd)) + (wq,)
-        return _propagate(frame, psi0, "rwa", n, pulses, settings, period=period, key=key)
-    return _propagate(frame, psi0, "rwa", n, pulses, settings)
+    frame, period, key = _rwa_frame(couplings, pulses, crossed=True)
+    return _propagate(frame, psi0, "rwa", couplings.n_levels, pulses, settings, period, key)
 
 
 def propagate_averaged(
@@ -745,7 +758,7 @@ def propagate_averaged(
     psi0: StateVector,
     settings: IntegratorSettings | None = None,
 ) -> Trajectory:
-    """Integrate the beat-averaged equations in the b_k variables.
+    """Integrate the beat-averaged equations in the b_k variables: the rwa tier without the crossed couplings.
 
     Valid when the envelopes switch slowly compared to the beat period
     2 pi hbar / Delta; a violation is reported as a warning, not an
@@ -758,24 +771,7 @@ def propagate_averaged(
             "the averaged tier may deviate from the rwa tier",
             stacklevel=2,
         )
-
-    # a non-finite coupling is reported by the first pass, not by warnings here
-    with np.errstate(invalid="ignore", over="ignore"):
-        lam0 = couplings.lambda0 * np.exp(1j * pulses.phi0) / HBAR
-        lam1 = couplings.lambda1 * np.exp(1j * pulses.phi1) / HBAR
-    env0, env1 = pulses.envelope0, pulses.envelope1
-
-    diag = -couplings.delta / HBAR
-
-    def b_couplings(t):
-        return lam0 * env0(t)[:, None], lam1 * env1(t)[:, None]
-
-    rate = np.max(np.abs(diag), initial=0.0) + np.linalg.norm(np.hypot(np.abs(lam0), np.abs(lam1)))
-    frame = _BFrame(b_couplings, diag, rate)
-    if env0 == env1:
-        # a non-finite coupling is reported by the first pass, not by warnings here
-        with np.errstate(invalid="ignore", over="ignore"):
-            frame = dataclasses.replace(frame, envelope=env0, basis=_one_envelope_basis(diag, lam0, lam1))
+    frame, _, _ = _rwa_frame(couplings, pulses, crossed=False)
     return _propagate(frame, psi0, "averaged", couplings.n_levels, pulses, settings)
 
 

@@ -168,6 +168,32 @@ def test_averaged_matches_rwa_for_slow_envelopes():
     assert np.max(np.abs(rwa.populations[:, :2] - avg.populations[:, :2])) < 2e-2
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_averaged_is_rwa_without_crossed_couplings(shift):
+    # at Delta = 0 and mu0 = mu1 = 0 the rwa equations are the averaged ones, built by one function: the qubit
+    # amplitudes are bit-identical, and the manifold ones differ by the c-frame phase alone.  With shift 0 the
+    # pulses share one envelope, and both tiers take the one-envelope basis; with shift 0.5 both take the alpha path
+    cs, pp, psi = _shaped_draw(7, 3, 1, "sin2", shift, 0.4)
+    cs = dataclasses.replace(cs, mu0=np.zeros(3), mu1=np.zeros(3), delta_qubit=0.0)
+    settings = IntegratorSettings(save_points=5)
+    rwa = propagate_rwa(cs, pp, psi, settings)
+    avg = propagate_averaged(cs, pp, StateVector(psi.amplitudes, frame="averaged"), settings)
+    assert np.array_equal(rwa.amplitudes[:, :2], avg.amplitudes[:, :2])
+    b_frame = rwa.amplitudes[:, 2:] * np.exp(1j * np.outer(rwa.times, cs.delta / HBAR))
+    assert np.max(np.abs(b_frame - avg.amplitudes[:, 2:])) <= 1e-15
+
+
+def test_averaged_warns_of_fast_switching_at_the_caller():
+    # a sin2 pulse of 1 ns switches within 10 beat periods (P = 0.138 ns): the warning names this file
+    sp, om0 = _single_level(-100.0, delta_qubit=30.0)
+    env = Envelope("sin2", center=0.5, width=1.0)
+    pp = dataclasses.replace(_flat_pair(sp, om0, amp=20.0, duration=1.0), envelope0=env, envelope1=env)
+    with pytest.warns(UserWarning, match="envelope switching time is short against the beat period") as record:
+        propagate_averaged(derive_couplings(sp, pp), pp, StateVector.qubit(1.0, 0.0, 1, frame="averaged"),
+                           IntegratorSettings(save_points=5))
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_save_grid_spans_window():
     sp, om0 = _single_level(-100.0)
     pp = _flat_pair(sp, om0, amp=10.0, duration=3.0)
@@ -428,7 +454,8 @@ def test_criterion_4_gates_fold_to_reference(args):
 @pytest.mark.parametrize("kind, periods, expect", [
     ("constant", 3.5, "folded over 3.5 beat periods of P = "),
     ("sin2", 3.5, "magnus over"),
-    ("zero", 3.5, "magnus over"),
+    # rwa at Delta = 0 with one envelope: the crossed couplings carry no beat, so the one-envelope basis serves
+    ("zero", 3.5, "magnus (one envelope) over"),
     ("constant", 1.5, "magnus over"),
     # whole periods and 2 save points: the one period is one gap of one step width, past 64 steps
     ("whole", 3.0, "folded over 3 beat periods of P = 0.137856 ns, one period by magnus (beat Fourier basis) over "),
@@ -527,6 +554,26 @@ def test_windows_of_whole_periods_share_one_integration(monkeypatch):
         propagate_rwa(cs, pp, StateVector.qubit(0.0, 1.0, 1), settings)
     assert len(grids) == 1
     assert len(grids[0]) == 2
+
+
+def test_a_window_a_few_ulp_past_whole_periods_folds_one_period(caplog, monkeypatch):
+    # 3.0 * 2 pi hbar / 30 lands 1.1e-16 past 3 P: its last offset is 0, not 1.1e-16, so its fold integrates
+    # [0, P] as one gap of one width and takes the beat basis, as a window of 3 * (2 pi hbar / 30) does
+    period = 2.0 * math.pi * HBAR / 30.0
+    sp, om0 = _single_level(-100.0, delta_qubit=30.0)
+    grids = _count_integrations(monkeypatch)
+    runs = []
+    with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
+        for duration in (3.0 * 2.0 * math.pi * HBAR / 30.0, 3 * period):
+            pp = _flat_pair(sp, om0, amp=20.0, duration=duration)
+            psi = StateVector.qubit(1.0, 0.0, 1)
+            runs.append(propagate_rwa(derive_couplings(sp, pp), pp, psi, IntegratorSettings(save_points=2)))
+    assert runs[0].times[-1] > 3 * period
+    # the second window takes the kept one-period propagator
+    assert [list(grid) for grid in grids] == [[0.0, period]]
+    lines = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
+    assert "one period by magnus (beat Fourier basis) over 92 steps" in lines[0]
+    assert np.max(np.abs(runs[0].amplitudes - runs[1].amplitudes)) <= 1e-15
 
 
 def test_returned_amplitudes_do_not_reach_the_memo(monkeypatch):
@@ -856,14 +903,16 @@ def _tier_frame(tier, model, pp):
 
 @pytest.mark.filterwarnings("ignore:envelope switching time is short")
 @hypothesis_settings(max_examples=30)
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 4, 5, 10]), sign=st.sampled_from([-1, 1]),
+@given(seed=st.integers(0, 2**32 - 1), tier=st.sampled_from(["averaged", "rwa"]),
+       n=st.sampled_from([1, 2, 3, 4, 5, 10]), sign=st.sampled_from([-1, 1]),
        shape=st.sampled_from(["sin2", "gaussian", "trapezoid", "constant"]), window=st.floats(0.2, 0.5))
-def test_one_envelope_pass_matches_the_alpha_path(seed, n, sign, shape, window):
-    # an averaged run whose pulses share one envelope forms each Omega from a fixed basis; without the basis the
-    # same frame takes the alpha_j from its couplings.  sign flips the qubit splitting and every detuning
-    cs, pp, psi = _shaped_draw(seed, n, sign, shape, 0.0, window, "averaged")
-    cs = dataclasses.replace(cs, delta=sign * cs.delta)
-    frame = _tier_frame("averaged", cs, pp)
+def test_one_envelope_pass_matches_the_alpha_path(seed, tier, n, sign, shape, window):
+    # an averaged run whose pulses share one envelope forms each Omega from a fixed basis, and so does an rwa run
+    # at Delta = 0, whose crossed couplings carry no beat; without the basis the same frame takes the alpha_j from
+    # its couplings.  sign flips the qubit splitting and every detuning
+    cs, pp, psi = _shaped_draw(seed, n, sign, shape, 0.0, window, tier)
+    cs = dataclasses.replace(cs, delta=sign * cs.delta, delta_qubit=0.0 if tier == "rwa" else cs.delta_qubit)
+    frame = _tier_frame(tier, cs, pp)
     assert frame.basis is not None and frame.envelope == pp.envelope0
     alpha_frame = dataclasses.replace(frame, basis=None)
     # the first pass of a run: saved times and steps of a tenth of the period of the rate
@@ -917,10 +966,11 @@ def _beat_draw(seed, n, sign, drive, detuning):
        drive=st.sampled_from([1e-3, 1e-2, 0.1, 0.5, 1.0]), detuning=st.floats(0.1, 19.0), reach=st.floats(0.0, 1.0))
 def test_beat_basis_pass_matches_the_alpha_path(seed, n, sign, drive, detuning, reach):
     # a constant-envelope rwa pass of one step width and more than 64 steps forms each Omega from seven Fourier
-    # matrices of the beat phase; without the beat the same frame takes the alpha_j from its couplings.  The
-    # passes take steps of the first-step rule: a direct single-gap pass of 65 to 2000 steps over up to 40
-    # periods and, where one period takes more than 64 steps, the first pass of a fold, over [0, P].  Their
-    # difference is rounding, up to about 0.3 ulp of the manifold diagonal per step, so it grows with the steps
+    # matrices of the beat phase and the manifold diagonal; without the beat the same frame takes the alpha_j from
+    # its couplings.  The passes take steps of the first-step rule: a direct single-gap pass of 65 to 2000 steps
+    # over up to 40 periods and, where one period takes more than 64 steps, the first pass of a fold, over [0, P].
+    # Their difference is rounding, up to about 0.3 ulp of the manifold diagonal per step, so it grows with the
+    # steps
     cs, frame = _beat_draw(seed, n, sign, drive, detuning)
     assert frame.beat == cs.delta_qubit / HBAR
     alpha_frame = dataclasses.replace(frame, beat=None)
@@ -948,7 +998,12 @@ def test_only_long_one_width_beat_passes_take_the_basis(monkeypatch):
 
     def spied(frame, h, dim):
         built.append(h)
-        return beat_basis(frame, h, dim)
+        basis = beat_basis(frame, h, dim)
+        # seven Fourier matrices of the beat phase, and the manifold diagonal h diag in real form, whole
+        diagonal = np.diag(np.concatenate(([0.0, 0.0], -1j * h * frame.diag)))[None]
+        assert basis.shape == (8, 4 * dim * dim)
+        assert np.array_equal(basis[7], _real_form(diagonal).ravel())
+        return basis
 
     monkeypatch.setattr(ddsim.dynamics, "_beat_basis", spied)
     cs, frame = _beat_draw(11, 3, 1, 0.3, 10.0)
@@ -1038,6 +1093,8 @@ def test_acceptance_under_the_rounding_floor_warns(tol, recwarn):
     assert (steps, halvings) == (1500, 1) and tol < estimate <= floor
     assert messages == [f"Magnus error estimate {estimate:.3e} exceeds the requested tol = 1.010e-14; "
                         f"accepted under the rounding floor eps * 1500 steps = {floor:.3e}"]
+    # the warning names the caller of propagate_rwa, _magnus_run in this file
+    assert [w.filename for w in recwarn] == [__file__]
 
 
 class _SolveIvpCalled(Exception):
