@@ -297,10 +297,8 @@ def _run_stirap(cfg, inputs):
     return {"trajectory.csv": _trajectory_csv(traj), "summary.json": _json_text(summary)}
 
 
-_SWEEP_COLUMNS = {
-    "propagate-rwa": ["p0", "p1", "p_manifold", "norm_drift"],
-    "propagate-averaged": ["p0", "p1", "p_manifold", "norm_drift"],
-    "propagate-bare": ["p0", "p1", "p_manifold", "norm_drift"],
+_SWEEP_COLUMNS = {  # by sub-mode, one row for the three propagate-* modes
+    "propagate": ["p0", "p1", "p_manifold", "norm_drift"],
     "effective": ["p0", "p1", "rabi_uev", "adiabatic"],
 }
 
@@ -331,7 +329,7 @@ def _run_sweep(cfg, points, jobs):
         results = [_sweep_worker(p) for p in payloads]
 
     rows = [[v for _, v in pt] + list(res) for (pt, _), res in zip(points, results)]
-    header = axis_paths + _SWEEP_COLUMNS[sub_mode]
+    header = axis_paths + _SWEEP_COLUMNS[sub_mode.partition("-")[0]]
     summary = {
         "mode": "sweep",
         "sub_mode": sub_mode,
@@ -418,8 +416,8 @@ def _build(cfg) -> _Inputs:
     couplings = derive_couplings(spectrum, pulses)
     gate = build_gate_spec(cfg) if "gate" in cfg else None
     if cfg["mode"] == "stirap":
-        schedule = _stirap_schedule(cfg, spectrum)
         try:
+            schedule = _stirap_schedule(cfg, spectrum)
             pulses = dataclasses.replace(pulses, envelope0=schedule.envelope0, envelope1=schedule.envelope1)
         except ValueError as exc:
             raise ConfigError(f"stirap envelopes: {exc}") from exc

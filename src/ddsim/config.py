@@ -27,23 +27,6 @@ from .dynamics import FRAMES, IntegratorSettings, StateVector
 from .gates import ORDERINGS, TARGETS, GateSpec
 from .spectrum import SHAPES as SPECTRUM_SHAPES, SpectrumConfig, SpectrumModel, build_spectrum
 
-MODES = (
-    "propagate-rwa",
-    "propagate-averaged",
-    "propagate-bare",
-    "effective",
-    "synthesize-gate",
-    "stirap",
-    "sweep",
-)
-
-_SWEEPABLE_MODES = (
-    "propagate-rwa",
-    "propagate-averaged",
-    "propagate-bare",
-    "effective",
-)
-
 _REQUIRED_SECTIONS = {
     "propagate-rwa": ("spectrum", "pulses"),
     "propagate-averaged": ("spectrum", "pulses"),
@@ -53,6 +36,9 @@ _REQUIRED_SECTIONS = {
     "stirap": ("spectrum", "pulses", "stirap"),
     "sweep": ("sweep",),
 }
+MODES = tuple(_REQUIRED_SECTIONS)
+# a sweep point is a run that needs no section beyond the spectrum and the pulses
+_SWEEPABLE_MODES = tuple(mode for mode, needed in _REQUIRED_SECTIONS.items() if needed == ("spectrum", "pulses"))
 
 
 class ConfigError(ValueError):

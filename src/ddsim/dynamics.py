@@ -640,7 +640,7 @@ def _fold(frame, psi0, grid, period, tol, key):
     return out, facts, reused
 
 
-def _propagate(model, psi0, frame, n_excited, pulses, settings, period=None, key=()):
+def _propagate(model, psi0, frame, pulses, settings, period=None, key=()):
     """Integrate the star-coupled equations of a tier from psi0 over [0, pulses.duration].
 
     model is the tier's b-frame form (a _BFrame), which Magnus steps
@@ -651,9 +651,9 @@ def _propagate(model, psi0, frame, n_excited, pulses, settings, period=None, key
     settings = settings or IntegratorSettings()
     if psi0.frame != frame:
         raise ValueError(f"initial state is in frame {psi0.frame!r}, expected {frame!r}")
-    if len(psi0.amplitudes) != 2 + n_excited:
+    if len(psi0.amplitudes) != 2 + len(model.diag):
         raise ValueError(
-            f"state has {len(psi0.amplitudes)} amplitudes, structure needs {2 + n_excited}"
+            f"state has {len(psi0.amplitudes)} amplitudes, structure needs {2 + len(model.diag)}"
         )
 
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
@@ -749,7 +749,7 @@ def propagate_rwa(
     are folded: see the module docstring.
     """
     frame, period, key = _rwa_frame(couplings, pulses, crossed=True)
-    return _propagate(frame, psi0, "rwa", couplings.n_levels, pulses, settings, period, key)
+    return _propagate(frame, psi0, "rwa", pulses, settings, period, key)
 
 
 def propagate_averaged(
@@ -772,7 +772,7 @@ def propagate_averaged(
             stacklevel=2,
         )
     frame, _, _ = _rwa_frame(couplings, pulses, crossed=False)
-    return _propagate(frame, psi0, "averaged", couplings.n_levels, pulses, settings)
+    return _propagate(frame, psi0, "averaged", pulses, settings)
 
 
 def propagate_bare(
@@ -812,7 +812,7 @@ def propagate_bare(
             stacklevel=2,
         )
     frame = _BFrame(b_couplings, w0k, rate, c_frame=True)
-    return _propagate(frame, psi0, "bare", spectrum.n_excited, pulses, settings)
+    return _propagate(frame, psi0, "bare", pulses, settings)
 
 
 # ---------------------------------------------------------------------

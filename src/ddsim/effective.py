@@ -107,8 +107,9 @@ class _Dressed(NamedTuple):
 def _dressed(ham: EffectiveHamiltonian, f0, f1) -> _Dressed:
     """Evaluate the closed forms at envelope values f0, f1 (scalars or arrays).
 
-    Every effective-model quantity is read from here.  The operation
-    order is part of the contract: outputs are written at full precision.
+    Every pointwise effective-model quantity is read from here.  The
+    operation order is part of the contract: outputs are written at full
+    precision.
     """
     f0 = np.asarray(f0)
     f1 = np.asarray(f1)
@@ -132,20 +133,16 @@ def _plain(value):
 
 
 def _gauss(integrand, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """8-point Gauss-Legendre integral of each field of `integrand` over each
-    panel [lo, hi], shape (fields, panels)."""
+    """8-point Gauss-Legendre integral of `integrand` over each panel [lo, hi]."""
     half = 0.5 * (hi - lo)
     mid = lo + half
-    return np.array([half * (values @ _GL_W) for values in integrand(mid[:, None] + half[:, None] * _GL_X)])
+    return half * (integrand(mid[:, None] + half[:, None] * _GL_X) @ _GL_W)
 
 
 def _cumulative_integrals(integrand, knots: np.ndarray, cap: float) -> np.ndarray:
-    """Integrals of each field of `integrand` from knots[0] to each of the
-    sorted, unique knots, shape (fields, knots.size).
-
-    `integrand` takes an array of times and returns a sequence of arrays
-    of that shape, one per field, so that fields read from one evaluation
-    share it.
+    """Integrals of `integrand` from knots[0] to each of the sorted, unique
+    knots, shape knots.shape.  `integrand` takes an array of times and
+    returns an array of that shape.
 
     Every gap between knots is cut into equal panels no longer than
     `cap`.  A panel's integral is the 8-point Gauss-Legendre rule on its
@@ -167,14 +164,9 @@ def _cumulative_integrals(integrand, knots: np.ndarray, cap: float) -> np.ndarra
     it touches, at every depth.  At most _MAX_BISECTIONS levels are
     taken, and a level where more than _MAX_SPLIT pieces fail ends the
     halving.
-
-    Each field keeps its own tolerance, split cap and set of pieces: a
-    piece is halved when any field fails on it, but a field reads the
-    halves only of pieces that it failed on itself, in the same order,
-    so every field gets exactly the value a pass over it alone gives.
     """
     if knots.size == 1:
-        return np.zeros((len(integrand(knots)), 1))
+        return np.zeros(1)
     gaps = np.diff(knots)
     per_gap = np.maximum(np.ceil(gaps / cap), 1.0).astype(int)
     first = np.repeat(np.cumsum(per_gap) - per_gap, per_gap)  # each panel's gap starts at panel `first`
@@ -184,28 +176,25 @@ def _cumulative_integrals(integrand, knots: np.ndarray, cap: float) -> np.ndarra
     lo, hi = edges[:-1], edges[1:]
     owner = np.arange(lo.size)  # the panel each piece belongs to
     whole = _gauss(integrand, lo, hi)
-    density = np.array([max(_EPSABS, _EPSREL * np.sum(np.abs(w))) for w in whole]) / (knots[-1] - knots[0])
-    live = np.ones(whole.shape, dtype=bool)  # the pieces each field still takes its value from
-    integrals = np.zeros(whole.shape)
+    density = max(_EPSABS, _EPSREL * np.sum(np.abs(whole))) / (knots[-1] - knots[0])
+    integrals = np.zeros(lo.size)
     for depth in range(_MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
         left, right = _gauss(integrand, lo, mid), _gauss(integrand, mid, hi)
         halves = left + right
         variation = 4.0 * np.abs(right - left) / (hi - lo)  # |f'| (hi - lo) from the halves' means
         floor = _ROUNDING * (np.maximum(np.abs(lo), np.abs(hi)) * variation + np.abs(left) + np.abs(right))
-        failed = live & (np.abs(halves - whole) > np.maximum(density[:, None] * (hi - lo), floor))
-        failed[(depth == _MAX_BISECTIONS) | (np.count_nonzero(failed, axis=1) > _MAX_SPLIT)] = False
-        for row, values, done in zip(integrals, halves, live & ~failed):
-            row += np.bincount(owner[done], values[done], row.size)
-        split = failed.any(axis=0)
-        if not split.any():
+        failed = np.abs(halves - whole) > np.maximum(density * (hi - lo), floor)
+        if depth == _MAX_BISECTIONS or np.count_nonzero(failed) > _MAX_SPLIT:
+            failed[:] = False
+        integrals += np.bincount(owner[~failed], halves[~failed], integrals.size)
+        if not failed.any():
             break
-        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
-        owner = np.tile(owner[split], 2)
-        whole = np.concatenate((left[:, split], right[:, split]), axis=1)
-        live = np.tile(failed[:, split], 2)
-    sums = np.cumsum(np.concatenate((np.zeros((integrals.shape[0], 1)), integrals), axis=1), axis=1)
-    return sums[:, np.concatenate(([0], np.cumsum(per_gap)))]
+        lo, hi = np.concatenate((lo[failed], mid[failed])), np.concatenate((mid[failed], hi[failed]))
+        owner = np.tile(owner[failed], 2)
+        whole = np.concatenate((left[failed], right[failed]))
+    sums = np.cumsum(np.concatenate(([0.0], integrals)))
+    return sums[np.concatenate(([0], np.cumsum(per_gap)))]
 
 
 def effective_hamiltonian(couplings: CouplingSet, phi0: float = 0.0, phi1: float = 0.0) -> EffectiveHamiltonian:
@@ -240,18 +229,19 @@ class EffectiveEvolution:
 
     Wraps an EffectiveHamiltonian and the two pulse envelopes (`Envelope`,
     whose derivatives feed `theta_dot`) on [t0, t1].  Pointwise methods
-    evaluate the closed forms.  When both pulses share one envelope f
-    (f0 == f1, or both constant; `shared`), the integrated splitting
-    omega_integral and mean shift phi_lambda are closed forms too, the
-    peak value times the integral of f^2 over hbar
-    (`Envelope.square_integral`; for constant envelopes exactly
-    value * (t - t0) / hbar).  Otherwise each call takes one
-    pass of composite Gauss-Legendre quadrature, over panels that end on
-    every requested time and every envelope kink (`Envelope.kinks`) and
-    are halved where the rule's error estimate asks for it, accumulated
-    with a cumulative sum; `evolution_matrix` takes both from one such
-    pass.  Every method takes a time or an array of times, all inside
-    the window, and returns a float or an array of the same shape.
+    evaluate the closed forms.  The integrated mean shift phi_lambda is
+    a closed form for every pulse pair, since the mean shift is linear
+    in f0^2 and f1^2 (`Envelope.square_integral`).  When both pulses
+    share one envelope f (f0 == f1, or both constant; `shared`), the
+    integrated splitting omega_integral is one too, the peak value times
+    the integral of f^2 over hbar (for constant envelopes exactly
+    value * (t - t0) / hbar).  Otherwise Omega alone is integrated, by
+    one pass of composite Gauss-Legendre quadrature over panels that end
+    on every requested time and every envelope kink (`Envelope.kinks`)
+    and are halved where the rule's error estimate asks for it,
+    accumulated with a cumulative sum.  Every method takes a time or an
+    array of times, all inside the window, and returns a float or an
+    array of the same shape.
 
     Where both envelopes vanish the mixing angle is defined by its limit
     along the window (evaluated just inside); across stretches where
@@ -353,44 +343,40 @@ class EffectiveEvolution:
 
     # -- integrated quantities -----------------------------------------
 
-    def _accumulated(self, t, *fields: str) -> list:
-        """Integrals over hbar on [t0, t] of the named `_Dressed` fields, rad, one per field.
+    def _accumulated(self, t) -> tuple:
+        """The dressed phase and the mean light-shift phase on [t0, t], rad:
+        the integrals over hbar of Omega and of the mean shift.
 
-        With one shared envelope f every field is its peak value times
-        f^2, and its integral is the closed form
-        field(1, 1) * (F(t) - F(t0)) / hbar, with F the antiderivative
-        `Envelope.square_integral` (F(t) = t for a constant envelope).
-        Otherwise all fields come from one cumulative pass over the knots
-        t0, every requested time and every envelope kink between t0 and
-        the last of them, each field evaluated from the same `_at` call.
+        The mean shift (Lambda_0 f0^2 + Lambda_1 f1^2) / 2 integrates to
+        (Lambda_0 (F0(t) - F0(t0)) + Lambda_1 (F1(t) - F1(t0))) / (2 hbar),
+        with F the antiderivative `Envelope.square_integral` (F(t) = t for
+        a constant envelope), taken once when `shared`.  With one shared
+        envelope Omega is its peak value times f^2, and its integral the
+        closed form rabi * (F(t) - F(t0)) / hbar.  Otherwise Omega comes
+        from one cumulative pass over the knots t0, every requested time
+        and every envelope kink between t0 and the last of them.
         """
         t = np.asarray(t, dtype=float)
         if np.count_nonzero(~((self.t0 <= t) & (t <= self.t1))):
             raise ValueError("requested times fall outside the evolution window")
+        rise0 = self.f0.square_integral(t) - self.f0.square_integral(self.t0)
+        rise1 = rise0 if self.shared else self.f1.square_integral(t) - self.f1.square_integral(self.t0)
+        phi = _plain((self.ham.Lambda0 * rise0 + self.ham.Lambda1 * rise1) / (2.0 * HBAR))
         if self.shared:
-            peak = _dressed(self.ham, 1.0, 1.0)
-            square = self.f0.square_integral
-            rise = square(t) - square(self.t0)
-            return [_plain(getattr(peak, field) * rise / HBAR) for field in fields]
+            return _plain(self.ham.rabi * rise0 / HBAR), phi
         span = np.max(t, initial=self.t0)
         kinks = [k for k in self.f0.kinks + self.f1.kinks if self.t0 < k < span]
         knots = np.unique(np.concatenate(([self.t0], t.ravel(), kinks)))
-
-        def integrand(s):
-            d = self._at(s)
-            return [getattr(d, field) for field in fields]
-
-        sums = _cumulative_integrals(integrand, knots, (self.t1 - self.t0) / _PANELS_PER_WINDOW)
-        at = np.searchsorted(knots, t)
-        return [_plain(row[at] / HBAR) for row in sums]
+        sums = _cumulative_integrals(lambda s: self._at(s).omega, knots, (self.t1 - self.t0) / _PANELS_PER_WINDOW)
+        return _plain(sums[np.searchsorted(knots, t)] / HBAR), phi
 
     def omega_integral(self, t):
         """Accumulated dressed phase integral of Omega/hbar on [t0, t], rad."""
-        return self._accumulated(t, "omega")[0]
+        return self._accumulated(t)[0]
 
     def phi_lambda(self, t):
         """Accumulated mean light-shift phase on [t0, t], rad."""
-        return self._accumulated(t, "mean")[0]
+        return self._accumulated(t)[1]
 
     @functools.cached_property
     def check(self) -> "AdiabaticityReport":
@@ -526,8 +512,8 @@ def evolution_matrix(
 
     th0 = evolution.theta(t0)
     th1 = evolution.theta(t)
-    om, phi = evolution._accumulated(t, "omega", "mean")
-    om_start, phi_start = evolution._accumulated(t0, "omega", "mean")
+    om, phi = evolution._accumulated(t)
+    om_start, phi_start = evolution._accumulated(t0)
     om, phi = om - om_start, phi - phi_start
     arg2 = cmath.phase(evolution.ham.Lambda2) if evolution.ham.Lambda2 != 0 else 0.0
 

@@ -316,9 +316,10 @@ def synthesize_gate(
                 found = (l_try, t_dur) + best[1:]
                 break
         if found is None:
+            searched = f"l = {spec.l}" if spec.l is not None else f"l <= {spec.l_max}"
             raise GateSynthesisError(
                 "no duration satisfies both the dressed-phase and beat-period conditions "
-                f"within k <= {spec.k_max}, l <= {spec.l_max} and scale bounds {spec.scale_bounds}; "
+                f"within k <= {spec.k_max}, {searched} and scale bounds {spec.scale_bounds}; "
                 "widen the bounds"
             )
         l, duration, k, s2, w_target = found

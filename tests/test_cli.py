@@ -369,6 +369,14 @@ _STIRAP_EDGES_CFG = {
      "must exceed the qubit splitting"),
     # the shifted gaussians are still on at the window edges
     (_STIRAP_EDGES_CFG, "stirap envelopes: envelope0 does not vanish"),
+    # a trapezoid without ramps, as under `pulses`
+    ({**_STIRAP_EDGES_CFG, "stirap": {**_STIRAP_EDGES_CFG["stirap"],
+                                      "envelope": {"shape": "trapezoid", "width": 10.0, "ramp": 0.0}}},
+     "stirap envelopes: trapezoid envelope needs ramp > 0"),
+    # pulses delayed by twice their width
+    ({**_STIRAP_EDGES_CFG, "stirap": {**_STIRAP_EDGES_CFG["stirap"], "delay": 12.0,
+                                      "envelope": {"shape": "sin2", "width": 6.0}}},
+     "stirap envelopes: shifted envelopes barely overlap"),
 ])
 def test_semantic_problem_fails_before_compute(tmp_path, capsys, monkeypatch, cfg, message):
     def no_compute(*args, **kwargs):

@@ -242,6 +242,7 @@ _QUAD_CASES = {
     "gaussian": (Envelope("gaussian", center=2.4, width=0.5), Envelope("gaussian", center=1.6, width=0.5), 4.0),
     "constant": (FLAT, FLAT, 3.0),
     "shifted": _DEAD_EDGE_CASES["shifted"],
+    "mixed": (Envelope("gaussian", center=1.8, width=0.5), Envelope("trapezoid", center=2.2, width=3.0, ramp=0.6), 4.0),
 }
 
 
@@ -363,11 +364,11 @@ def test_constant_envelopes_integrate_in_closed_form(monkeypatch, periods):
     ham = EffectiveHamiltonian(scale * ham.Lambda0, scale * ham.Lambda1, scale * ham.Lambda2)
     ev = EffectiveEvolution(ham, FLAT, FLAT, 0.0, t1)
     times = np.linspace(0.0, t1, 41)
-    om, phi = effective._cumulative_integrals(
-        lambda s: [ev._at(s).omega, ev._at(s).mean], times, t1 / effective._PANELS_PER_WINDOW
-    ) / HBAR
+    om, phi = (effective._cumulative_integrals(lambda s, f=field: getattr(ev._at(s), f), times,
+                                               t1 / effective._PANELS_PER_WINDOW) / HBAR for field in ("omega", "mean"))
     twin = EffectiveEvolution(ham, *_flat_top_twins(t1), 0.0, t1)
-    assert np.array_equal(twin.omega_integral(times), om) and np.array_equal(twin.phi_lambda(times), phi)
+    assert np.array_equal(twin.omega_integral(times), om)
+    assert np.max(np.abs(twin.phi_lambda(times) - phi)) <= 1e-13  # a closed form for every pair
     quadrature = evolution_matrix(twin, None, 0.25 * t1, times[10:], epsilon0=3.0, delta_qubit=delta_qubit).matrix
 
     def no_quadrature(*args):
@@ -392,8 +393,8 @@ def test_constant_envelopes_integrate_in_closed_form(monkeypatch, periods):
         evolution_matrix(ev, None, 0.0, t1 + 0.5, epsilon0=0.0, delta_qubit=delta_qubit)
 
 
-_SHARED_PASS_CASES = {
-    # two unequal sin2 pulses: one shared envelope takes the closed form, not a pass
+_ONE_CALL_CASES = {
+    # two unequal sin2 pulses, since one shared envelope takes the closed form
     "sin2": (Envelope("sin2", center=2.0, width=4.0), Envelope("sin2", center=2.0, width=3.6), 4.0),
     "gaussian": _QUAD_CASES["gaussian"],
     "trapezoid": (Envelope("trapezoid", center=2.2, width=3.0, ramp=0.7),
@@ -402,49 +403,30 @@ _SHARED_PASS_CASES = {
 
 
 @pytest.mark.filterwarnings("ignore:mixing angle is not adiabatic")
-@pytest.mark.parametrize("case", [*sorted(_SHARED_PASS_CASES), "narrow"])
-def test_matrix_takes_both_phases_from_one_pass(monkeypatch, case):
+@pytest.mark.parametrize("case", [*sorted(_ONE_CALL_CASES), "narrow"])
+def test_matrix_reads_both_phases_from_one_accumulated_call(monkeypatch, case):
     if case == "narrow":
-        # a pulse 3/10000 of a late window wide, with a kink in Omega where
-        # the pulses cross: the two fields fail the tolerance on different
-        # pieces, so the shared pass halves some pieces for one field that
-        # the other field has already accepted.  Reading the halves of those
-        # pieces too moved the mean phase here by 2.9e-13 rad.
+        # a pulse 3/10000 of a late window wide, with a kink in Omega where the pulses cross
         f0, f1 = Envelope("gaussian", center=1005.0, width=0.003), Envelope("gaussian", center=1005.0015, width=0.003)
         ev = EffectiveEvolution(EffectiveHamiltonian(-10.0, -7.0, 0j), f0, f1, 1000.0, 1010.0)
     else:
-        f0, f1, t1 = _SHARED_PASS_CASES[case]
+        f0, f1, t1 = _ONE_CALL_CASES[case]
         ev = EffectiveEvolution(_QUAD_HAM, f0, f1, 0.0, t1)
     times = np.linspace(ev.t0, ev.t1, 41)
-    seen = _count_nodes(monkeypatch, 100_000)
-    nodes = {}
-    for fields in (("omega",), ("mean",), ("omega", "mean")):
-        seen[0] = 0
-        ev._accumulated(times, *fields)
-        nodes[fields] = seen[0]
-    single = (nodes[("omega",)], nodes[("mean",)])
-    # one integrand call serves both fields: the shared pass evaluates the
-    # union of the pieces the single-field passes evaluate
-    assert max(single) <= nodes[("omega", "mean")] < sum(single)
-    if case == "narrow":
-        assert min(single) < nodes[("omega", "mean")]
-        assert max(single) > 3 * 8 * effective._PANELS_PER_WINDOW  # the pass did halve
-
     calls = []
     accumulated = EffectiveEvolution._accumulated
 
-    def spy(self, t, *fields):
-        out = accumulated(self, t, *fields)
-        calls.append((t, fields, out))
+    def spy(self, t):
+        out = accumulated(self, t)
+        calls.append((t, out))
         return out
 
     monkeypatch.setattr(EffectiveEvolution, "_accumulated", spy)
     start = ev.t0 + 0.25 * (ev.t1 - ev.t0)
     evolution_matrix(ev, None, start, times[times >= start], epsilon0=0.0, delta_qubit=5.0)
-    assert [fields for _, fields, _ in calls] == [("omega", "mean")] * 2
-    for t, _, (om, phi) in calls[:2]:
-        # each field accepts only the pieces it passes on itself, so the
-        # shared pass gives exactly what a pass over that field alone gives
+    monkeypatch.undo()
+    assert len(calls) == 2  # one for the end times, one for the start
+    for t, (om, phi) in calls:
         assert np.array_equal(om, ev.omega_integral(t))
         assert np.array_equal(phi, ev.phi_lambda(t))
 
@@ -492,11 +474,11 @@ def test_trapezoid_integrals_split_at_the_ramp_kinks():
 
 @st.composite
 def _envelope_draws(draw):
-    """An envelope pair of one shape inside a window [t0, t0 + length]."""
-    shape = draw(st.sampled_from(["gaussian", "sin2", "trapezoid", "constant"]))
+    """An envelope pair inside a window [t0, t0 + length], each pulse of a shape of its own."""
     t0, length = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.5, 10.0))
     envelopes = []
     for _ in range(2):
+        shape = draw(st.sampled_from(["gaussian", "sin2", "trapezoid", "constant"]))
         center = t0 + length * draw(st.floats(0.2, 0.8))
         if shape == "gaussian":
             envelopes.append(Envelope("gaussian", center=center, width=length * draw(st.floats(0.05, 0.2))))
@@ -522,6 +504,35 @@ def test_accumulated_value_does_not_depend_on_the_other_times(draw, request, dat
         a, b = np.min(times[subset]), np.max(times[subset])
         between = getattr(EffectiveEvolution(ev.ham, f0, f1, a, b), method.__name__)(b) if a < b else 0.0
         assert abs(method(b) - method(a) - between) <= 1e-12
+
+
+@settings(max_examples=100)
+@given(draw=_envelope_draws(), ends=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+def test_mean_phase_of_any_pair_matches_adaptive_quad(draw, ends):
+    f0, f1, t0, t1 = draw
+    ham = EffectiveHamiltonian(-1.0, -0.7, complex(-0.6, 0.3))
+    ev = EffectiveEvolution(ham, f0, f1, t0, t1)
+    scale = max(abs(ham.Lambda0), abs(ham.Lambda1)) * (t1 - t0) / HBAR
+    for end in np.clip(t0 + (t1 - t0) * np.array(ends), t0, t1):
+        points = [b for b in f0.breakpoints + f1.breakpoints if t0 < b < end] or None
+        want, _ = quad(lambda s: ev._at(s).mean, t0, end, points=points, limit=400, epsabs=1e-13, epsrel=1e-12)
+        assert abs(ev.phi_lambda(end) - want / HBAR) <= 1e-12 * scale
+
+
+@pytest.mark.filterwarnings("ignore:mixing angle is not adiabatic")
+def test_two_envelope_pass_integrates_omega_alone(monkeypatch):
+    f0, f1, t1 = _QUAD_CASES["mixed"]
+    ev = EffectiveEvolution(_QUAD_HAM, f0, f1, 0.0, t1)
+    passes = []
+    cumulative = effective._cumulative_integrals
+
+    def spy(integrand, knots, cap):
+        passes.append(np.array_equal(integrand(knots), ev._at(knots).omega))
+        return cumulative(integrand, knots, cap)
+
+    monkeypatch.setattr(effective, "_cumulative_integrals", spy)
+    evolution_matrix(ev, None, 1.0, np.linspace(1.0, t1, 9), epsilon0=0.0, delta_qubit=5.0)
+    assert passes == [True, True]  # one pass of Omega per end of the matrix, none of the mean shift
 
 
 @st.composite
@@ -550,14 +561,14 @@ def _shared_envelope_draws(draw):
 def test_shared_envelope_closed_form_matches_the_quadrature(draw):
     ev, times = draw
     assert ev.shared
-    # the pass _accumulated takes for two envelopes, over the same knots
+    # the pass _accumulated takes of Omega for two envelopes, over the same knots, here one per field
     kinks = [k for k in ev.f0.kinks if ev.t0 < k < np.max(times)]
     knots = np.unique(np.concatenate(([ev.t0], times, kinks)))
-    sums = effective._cumulative_integrals(lambda s: [ev._at(s).omega, ev._at(s).mean], knots,
-                                           (ev.t1 - ev.t0) / effective._PANELS_PER_WINDOW)
     at = np.searchsorted(knots, times)
     peak = effective._dressed(ev.ham, 1.0, 1.0)
-    for method, field, row in ((ev.omega_integral, "omega", sums[0]), (ev.phi_lambda, "mean", sums[1])):
+    for method, field in ((ev.omega_integral, "omega"), (ev.phi_lambda, "mean")):
+        row = effective._cumulative_integrals(lambda s: getattr(ev._at(s), field), knots,
+                                              (ev.t1 - ev.t0) / effective._PANELS_PER_WINDOW)
         scale = max(abs(float(getattr(peak, field))) * (ev.t1 - ev.t0) / HBAR, 1e-300)
         want = row[at] / HBAR
         assert np.max(np.abs(method(times) - want)) <= 1e-13 * scale, field

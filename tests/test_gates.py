@@ -224,6 +224,12 @@ def test_unsatisfiable_search_window_raises():
         synthesize_gate(spec, SYMMETRIC, 5.0)
 
 
+def test_failed_search_names_the_pinned_l():
+    spec = GateSpec(target="NOT", l=2, scale_bounds=(0.999, 1.001))
+    with pytest.raises(GateSynthesisError, match=r"within k <= 64, l = 2 and scale bounds \(0\.999, 1\.001\)"):
+        synthesize_gate(spec, SYMMETRIC, 5.0)
+
+
 @pytest.mark.parametrize("delta", [-5.0, math.nan, math.inf])
 def test_bad_splitting_is_named_before_any_search(delta):
     with pytest.raises(GateSynthesisError, match=r"Delta = .* must be finite and >= 0"):
