@@ -57,7 +57,8 @@ that diagonal (a _BFrame):
 
 Every tier takes sixth-order Magnus steps (_magnus; Blanes, Casas, Oteo
 & Ros, Phys. Rep. 470, 151 (2009)), their length bounded by the shortest
-envelope switching time, and no step crossing an envelope breakpoint.
+envelope switching time, and no step crossing an envelope breakpoint (one
+within 4 ulps of the window end from a saved time is that saved time).
 The steps run in real arithmetic (_magnus_pass): each complex entry a
 becomes the block [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian
 generator of dim d becomes a real antisymmetric matrix of dim 2d, and
@@ -76,6 +77,19 @@ picks the basis:
   of fifteen monomials in the step and the envelope at its nodes.  The
   ten matrices, with the constant weights folded in, are built once per
   run (_one_envelope_basis), and the run logs "magnus (one envelope)".
+  Where f is constant or centred in the window [0, T], f(T - t) = f(t),
+  and a diagonal phase change S makes V real (each row of V one complex
+  factor times real dipoles), H(T - t) = K H(t) K^-1 for the antiunitary
+  K = S conj, so U(T - a, T - b) = K U(a, b) K^-1.  The three-node Gauss
+  step is time-symmetric too, so on steps that mirror about T / 2 (an odd
+  number of saved times) each pass integrates the propagators U_j of the
+  first half only and takes psi(T - t_j) = S conj(U_j) U_mid^T S* U_mid
+  psi0 (_mirror_pass): half the exponentials, the same states to
+  rounding, and the same steps, halvings and estimate.  Such a run's log
+  line adds "; second half by time reversal, N steps integrated".  An
+  even number of saved times, an off-centre envelope, complex dipoles
+  whose phase differs between levels and the fold's propagators
+  integrate the whole window.
 - beat: with both envelopes constant and Delta != 0 (rwa) the couplings
   depend on t only through theta = Delta t / hbar, so at a fixed step the
   sixth-order Omega is a trigonometric polynomial in theta, of degree 3:
@@ -277,7 +291,10 @@ class _BFrame:
     envelopes constant and Delta != 0, beat = Delta / hbar), beat is set,
     and a pass of one step width and more than _MAGNUS_CHUNK steps forms
     each Omega from _beat_basis.  Every other pass takes the alpha_j from
-    couplings (see _magnus_pass).
+    couplings (see _magnus_pass).  mirror, the phases S of _mirror_phases,
+    is set where H(T - t) = K H(t) K^-1 over the window [0, T] with
+    K = S conj: one envelope, constant or centred on T / 2, and couplings
+    that a diagonal phase change makes real (see _mirror_pass).
     """
 
     couplings: Callable
@@ -287,6 +304,7 @@ class _BFrame:
     envelope: Callable | None = None
     basis: np.ndarray | None = None
     beat: float | None = None
+    mirror: np.ndarray | None = None
 
 
 def _one_envelope_basis(diag, v0, v1):
@@ -546,29 +564,90 @@ def _magnus_pass(frame, y0, knots, counts):
     return out[:, 0::2] + 1j * out[:, 1::2]
 
 
+def _mirror_phases(v0, v1):
+    """The diagonal S, shape (2 + n,), with S conj(V) S* = V for the star <0|V|k> = v0_k, <1|V|k> = v1_k, or None.
+
+    S_0 = 1, S_k = e^{-2 i arg v0_k} and S_1 = e^{2 i (arg v1_k - arg v0_k)}, which must agree across the levels k
+    within 16 ulps (dipoles of one phase give a few; a loop phase arg(v1_k / v0_k) that differs between levels,
+    as complex dipoles can give, does not agree).  A coupling that is zero or not finite leaves S undefined.
+    """
+    r0, r1 = np.abs(v0), np.abs(v1)
+    if not (np.all((0.0 < r0) & (r0 < math.inf)) and np.all((0.0 < r1) & (r1 < math.inf))):  # also rejects NaN
+        return None
+    u0, u1 = v0 / r0, v1 / r1
+    loop = (u1 * np.conj(u0)) ** 2
+    if np.max(np.abs(loop - loop[0])) > 16.0 * np.finfo(float).eps:
+        return None
+    return np.concatenate(([1.0, loop[0]], np.conj(u0) ** 2))
+
+
+def _is_mirror_grid(knots, counts):
+    """Whether the steps of counts[j] over [knots[j], knots[j + 1]] mirror about the middle knot of the window
+    [0, knots[-1]]: an odd number of knots, each knots[i] + knots[-1 - i] within 4 ulps of knots[-1], and counts
+    that read the same in reverse."""
+    window = knots[-1]
+    return bool(len(knots) % 2 == 1 and np.array_equal(counts, counts[::-1])
+                and np.all(np.abs(knots + knots[::-1] - window) <= 4.0 * np.spacing(window)))
+
+
+def _mirror_pass(frame, psi0, knots, counts):
+    """_magnus_pass's states at every knot, from the propagators of the first half of a mirror grid.
+
+    With H(T - t) = K H(t) K^-1 for the antiunitary K = S conj (S = frame.mirror), U(T - a, T - b) =
+    K U(a, b) K^-1, and the three-node Gauss Magnus step is time-symmetric, so on a mirror grid (_is_mirror_grid)
+    the steps of the second half are those of the first half under K.  With U_j = U(t_j, 0) for j up to the
+    middle knot, psi(t_j) = U_j psi0 and psi(T - t_j) = K U_j U_mid^-1 K U_mid psi0
+    = S (conj(U_j) U_mid^T (S* U_mid psi0)): the same states as _magnus_pass's to rounding, for half its steps.
+    """
+    mid = len(knots) // 2
+    props = _magnus_pass(frame, np.eye(len(psi0), dtype=complex), knots[:mid + 1], counts[:mid])
+    first = props @ psi0
+    w = props[mid].T @ (np.conj(frame.mirror) * first[mid])
+    return np.concatenate((first, frame.mirror * (np.conj(props[-2::-1]) @ w)))
+
+
 def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
-    """Amplitudes on grid by Magnus-6 steps, and (steps, halvings, error estimate, tolerance, path).
+    """Amplitudes on grid by Magnus-6 steps, and (steps, halvings, error estimate, tolerance, path, integrated).
 
     Steps are equal within each gap between saved times and envelope
-    breakpoints (breaks), no longer than cap (ns) and first about
-    1/_MAGNUS_STEPS_PER_PERIOD of the period 2 pi / frame.rate.  y0
-    is one state of shape (dim,) or a propagator of shape (dim, dim).  Each run
-    is repeated at half the step; the estimate of the finer run's error
-    is max |y_h - y_{h/2}| / 63 (sixth order), and while it exceeds
-    tol (the state has norm 1), or the rounding floor eps * steps,
-    the step is halved again, at most _MAGNUS_MAX_HALVINGS times.  Where
-    the generator is constant the node differences vanish and every step
-    is exact.  path names how the accepted pass formed its Omegas:
-    "magnus", "magnus (one envelope)" or "magnus (beat Fourier basis)".
+    breakpoints (breaks; one within 4 ulps of the window end from a saved
+    time is that time), no longer than cap (ns) and first about
+    1/_MAGNUS_STEPS_PER_PERIOD of the period 2 pi / frame.rate.  y0 is one
+    state of shape (dim,) or a propagator of shape (dim, dim).  Each run is
+    repeated at half the step; the estimate of the finer run's error is
+    max |y_h - y_{h/2}| / 63 (sixth order), and while it exceeds tol (the
+    state has norm 1), or the rounding floor eps * steps, the step is
+    halved again, at most _MAGNUS_MAX_HALVINGS times.  Where the generator
+    is constant the node differences vanish and every step is exact.  path
+    names how the accepted pass formed its Omegas: "magnus",
+    "magnus (one envelope)" or "magnus (beat Fourier basis)".
+
+    A state y0 under a frame with mirror phases, on knots and steps that
+    mirror about the middle of the window (_is_mirror_grid: an odd number
+    of saved times, breakpoints placed symmetrically), integrates each
+    pass over the first half only and takes the second half by time
+    reversal (_mirror_pass): the same states to rounding, the same steps,
+    halvings and estimate.  integrated counts the steps of the accepted
+    pass that were integrated, steps // 2 there and steps otherwise; every
+    other run (a propagator, an even number of saved times, an
+    off-centre grid) takes _magnus_pass over the whole window.
     """
-    knots = np.union1d(grid, [b for b in breaks if grid[0] < b < grid[-1]])
+    inner = np.array([b for b in breaks if grid[0] < b < grid[-1]], dtype=float)
+    if inner.size:
+        # a breakpoint a few ulps from a saved time would leave a gap of a few ulps, a Magnus step of every pass;
+        # its rounding is that of the window, so near 0 it can be many ulps of the saved time away
+        near = grid[np.argmin(np.abs(inner[:, None] - grid), axis=1)]
+        inner = np.where(np.abs(inner - near) <= 4.0 * np.spacing(grid[-1]), near, inner)
+    knots = np.union1d(grid, inner)
     period = 2.0 * math.pi / frame.rate if frame.rate > 0 else math.inf
     h = min(period / _MAGNUS_STEPS_PER_PERIOD, cap)
     counts = np.maximum(np.ceil(np.diff(knots) / h), 1.0).astype(int)  # h is inf at a rate of 0 or NaN
-    coarse = _magnus_pass(frame, y0, knots, counts)
+    mirrored = frame.mirror is not None and y0.ndim == 1 and _is_mirror_grid(knots, counts)
+    run = _mirror_pass if mirrored else _magnus_pass
+    coarse = run(frame, y0, knots, counts)
     for halvings in range(_MAGNUS_MAX_HALVINGS + 1):
         counts = 2 * counts
-        fine = _magnus_pass(frame, y0, knots, counts)
+        fine = run(frame, y0, knots, counts)
         estimate = float(np.max(np.abs(fine - coarse))) / 63.0
         steps = int(counts.sum())
         accept = max(tol, np.finfo(float).eps * steps)
@@ -576,7 +655,8 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
             path = ("magnus (one envelope)" if frame.basis is not None
                     else "magnus (beat Fourier basis)" if _takes_beat_basis(frame, knots, counts, steps)
                     else "magnus")
-            return fine[np.searchsorted(knots, grid)], (steps, halvings, estimate, accept, path)
+            facts = (steps, halvings, estimate, accept, path, steps // 2 if mirrored else steps)
+            return fine[np.searchsorted(knots, grid)], facts
         coarse = fine
     raise PropagationError(
         f"Magnus error estimate {estimate:.3e} exceeds its tolerance {accept:.1e} after "
@@ -596,8 +676,9 @@ def _fold(frame, psi0, grid, period, tol, key):
     The propagators U(tau) over [0, tau] are integrated once by _magnus to tol, and
     a saved time t = m P + tau takes b(t) = U(tau) F^m psi0 with F = U(P),
     the powers built by binary powering between save points.  The facts
-    (steps, halvings, error estimate, tolerance, path) are those of the one
-    period: the error of b(t) can grow up to m-fold over m periods.
+    (steps, halvings, error estimate, tolerance, path, steps integrated)
+    are those of the one period: the error of b(t) can grow up to m-fold
+    over m periods.
 
     key must fix frame (its couplings).  With tol and the offsets tau,
     which end at P, it names the integration; the last one is kept and
@@ -665,11 +746,14 @@ def _propagate(model, psi0, frame, pulses, settings, period=None, key=()):
         reused = False
     else:
         ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings.tol, key)
-    steps, halvings, estimate, floor, method = facts
+    steps, halvings, estimate, floor, method, integrated = facts
+    note = " (one-period propagator reused)" if reused else ""
     if period is not None:
         method = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by {method}"
+    elif integrated < steps:
+        note = f"; second half by time reversal, {integrated} steps integrated"
     logger.info("%s propagation: %s over %d steps, %d halvings, error estimate %.2e (tolerance %.1e)%s",
-                frame, method, steps, halvings, estimate, floor, " (one-period propagator reused)" if reused else "")
+                frame, method, steps, halvings, estimate, floor, note)
     if estimate > settings.tol:
         warnings.warn(
             f"Magnus error estimate {estimate:.3e} exceeds the requested tol = "
@@ -700,7 +784,8 @@ def _rwa_frame(couplings, pulses, crossed):
 
     The averaged tier is the rwa tier with mu0 = mu1 = 0, the beat 0 and b-frame amplitudes.  The frame picks the
     Omega form (see the module docstring): one envelope, the couplings being f(t) (lambda0 + mu1) and
-    f(t) (mu0 + lambda1); the beat, folded over at least two beat periods; else the alpha path.
+    f(t) (mu0 + lambda1); the beat, folded over at least two beat periods; else the alpha path.  One envelope,
+    constant or centred in the window, also takes the mirror phases of those couplings (_mirror_phases).
     """
     wd = couplings.delta / HBAR                            # detuning phases, rad/ns
     wq = couplings.delta_qubit / HBAR if crossed else 0.0  # beat phase, rad/ns
@@ -715,7 +800,11 @@ def _rwa_frame(couplings, pulses, crossed):
         g_max = np.hypot(np.abs(lam0) + np.abs(mu1), np.abs(mu0) + np.abs(lam1))
         rate = np.max(np.abs(wd), initial=0.0) + abs(wq) + np.linalg.norm(g_max)
         one_envelope = wq == 0.0 and env0 == env1
-        basis = _one_envelope_basis(-wd, lam0 + mu1, mu0 + lam1) if one_envelope else None
+        v0, v1 = lam0 + mu1, mu0 + lam1  # the couplings over f(t) when one envelope serves
+        basis = _one_envelope_basis(-wd, v0, v1) if one_envelope else None
+        # f(T - t) = f(t): the envelope is constant or centred in the window
+        centred = env0.shape == "constant" or abs(env0.center - 0.5 * pulses.duration) <= 1e-12 * pulses.duration
+        mirror = _mirror_phases(v0, v1) if one_envelope and centred else None
 
     def b_couplings(t):
         f0 = env0(t)[:, None]
@@ -727,7 +816,7 @@ def _rwa_frame(couplings, pulses, crossed):
 
     beating = env0.shape == env1.shape == "constant" and wq != 0.0  # the couplings depend on t only through wq t
     frame = _BFrame(b_couplings, -wd, rate, c_frame=crossed, envelope=env0 if one_envelope else None, basis=basis,
-                    beat=wq if beating else None)
+                    beat=wq if beating else None, mirror=mirror)
     period = averaging_period(couplings.delta_qubit)
     if beating and pulses.duration >= 2.0 * period:
         # the envelopes are 1, so these fix the couplings

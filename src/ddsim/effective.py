@@ -343,6 +343,16 @@ class EffectiveEvolution:
 
     # -- integrated quantities -----------------------------------------
 
+    def _light_shift(self, t) -> tuple:
+        """t as an array, the integral of f0^2 on [t0, t], ns, and the mean light-shift phase on [t0, t], rad:
+        the closed forms of `_accumulated`."""
+        t = np.asarray(t, dtype=float)
+        if np.count_nonzero(~((self.t0 <= t) & (t <= self.t1))):
+            raise ValueError("requested times fall outside the evolution window")
+        rise0 = self.f0.square_integral(t) - self.f0.square_integral(self.t0)
+        rise1 = rise0 if self.shared else self.f1.square_integral(t) - self.f1.square_integral(self.t0)
+        return t, rise0, _plain((self.ham.Lambda0 * rise0 + self.ham.Lambda1 * rise1) / (2.0 * HBAR))
+
     def _accumulated(self, t) -> tuple:
         """The dressed phase and the mean light-shift phase on [t0, t], rad:
         the integrals over hbar of Omega and of the mean shift.
@@ -356,12 +366,7 @@ class EffectiveEvolution:
         from one cumulative pass over the knots t0, every requested time
         and every envelope kink between t0 and the last of them.
         """
-        t = np.asarray(t, dtype=float)
-        if np.count_nonzero(~((self.t0 <= t) & (t <= self.t1))):
-            raise ValueError("requested times fall outside the evolution window")
-        rise0 = self.f0.square_integral(t) - self.f0.square_integral(self.t0)
-        rise1 = rise0 if self.shared else self.f1.square_integral(t) - self.f1.square_integral(self.t0)
-        phi = _plain((self.ham.Lambda0 * rise0 + self.ham.Lambda1 * rise1) / (2.0 * HBAR))
+        t, rise0, phi = self._light_shift(t)
         if self.shared:
             return _plain(self.ham.rabi * rise0 / HBAR), phi
         span = np.max(t, initial=self.t0)
@@ -375,8 +380,8 @@ class EffectiveEvolution:
         return self._accumulated(t)[0]
 
     def phi_lambda(self, t):
-        """Accumulated mean light-shift phase on [t0, t], rad."""
-        return self._accumulated(t)[1]
+        """Accumulated mean light-shift phase on [t0, t], rad: a closed form, without the Omega quadrature."""
+        return self._light_shift(t)[2]
 
     @functools.cached_property
     def check(self) -> "AdiabaticityReport":

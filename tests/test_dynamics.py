@@ -668,7 +668,9 @@ def test_non_finite_coupling_fails_in_the_first_magnus_pass(monkeypatch, bad, ti
     # run every halving before failing; the constant rwa run folds, and its pass takes a propagator.
     # The averaged run has one envelope, and its pass reads the couplings only as the envelope's values.
     # Over whole periods with 2 save points the fold's period is one gap of more than 64 equal steps, and
-    # its first pass builds the beat basis from the couplings
+    # its first pass builds the beat basis from the couplings.  The averaged pulse is centred in the window over
+    # 5 save points, so its passes integrate the first half's propagators and mirror them: the first pass also
+    # takes the identity
     monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     magnus_pass, states = ddsim.dynamics._magnus_pass, []
 
@@ -703,7 +705,7 @@ def test_non_finite_coupling_fails_in_the_first_magnus_pass(monkeypatch, bad, ti
     with pytest.raises(PropagationError, match="are the couplings finite"):
         propagate(model, pp, StateVector.qubit(1.0, 0.0, 1, frame=tier), settings)
     [(y0, beat_basis)] = states
-    assert y0.ndim == (1 if shape == "sin2" else 2)
+    assert y0.ndim == (1 if shape == "sin2" and tier != "averaged" else 2)
     assert beat_basis == whole
 
 
@@ -868,10 +870,13 @@ def test_magnus_matches_dop853_within_its_estimate_and_is_unitary(seed, tier, n,
 @pytest.mark.filterwarnings("ignore:envelope switching time is short")
 @pytest.mark.parametrize("tier", ["rwa", "averaged"])
 def test_magnus_run_logs_its_steps_halvings_and_estimate(tier, caplog):
-    # pulse 1 is displaced by 0.3 * shift * window: an averaged run whose pulses share one envelope says so
+    # pulse 1 is displaced by 0.3 * shift * window: an averaged run whose pulses share one envelope says so, and
+    # as that envelope is centred in the window over 5 save points, it says that its second half came by time
+    # reversal and how many steps it integrated
     for shift in (0.5, 0.0):
         cs, pp, psi = _shaped_draw(3, 2, -1, "sin2", shift, 0.4, tier)
-        method = "magnus (one envelope)" if tier == "averaged" and shift == 0.0 else "magnus"
+        mirrored = tier == "averaged" and shift == 0.0
+        method = "magnus (one envelope)" if mirrored else "magnus"
         lines = []
         for tol in (1.01e-10, 1.1e-12):
             caplog.clear()
@@ -879,10 +884,12 @@ def test_magnus_run_logs_its_steps_halvings_and_estimate(tier, caplog):
                 _, facts, _ = _magnus_run(cs, pp, psi, IntegratorSettings(tol=tol, save_points=5))
             [line] = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
             match = re.fullmatch(rf"{tier} propagation: {re.escape(method)} over (\d+) steps, (\d+) halvings, "
-                                 r"error estimate (\S+) \(tolerance (\S+)\)", line)
+                                 r"error estimate (\S+) \(tolerance (\S+)\)"
+                                 r"(?:; second half by time reversal, (\d+) steps integrated)?", line)
             assert match
             steps, halvings, estimate, tol = int(match[1]), int(match[2]), float(match[3]), float(match[4])
             assert (steps, halvings) == facts[:2]
+            assert match[5] == (str(steps // 2) if mirrored else None)
             assert estimate == pytest.approx(facts[2], rel=1e-2) and estimate <= tol
             lines.append((steps, halvings, tol))
         # a tighter tolerance halves the step more often
@@ -1129,6 +1136,181 @@ def test_no_tier_calls_solve_ivp(monkeypatch):
             propagate_bare(sp, pp, psi)
         else:
             (propagate_rwa if tier == "rwa" else propagate_averaged)(derive_couplings(sp, pp), pp, psi)
+
+
+# ---------------------------------------------------------------- time reversal
+
+
+def _mirror_draw(seed, n, sign, shape, tier, save_points, window=0.4, on_saves=True):
+    """Couplings of real dipoles of either sign under two pulses of random phases that share one envelope centred
+    in the window, and a random qubit state: the averaged tier at Delta = sign * (40..120) ueV or the rwa tier at
+    Delta = 0, and detunings of the sign `sign`.  Pulse 1 is at most 0.6 of pulse 0, so that in the rwa tier the
+    sums lambda0 + mu1 and mu0 + lambda1 of both pulses cannot cancel (where they do, to rounding, the phases S
+    differ between levels beyond 16 ulps and the run is not mirrored).  A trapezoid's ramp ends fall on saved
+    times (on_saves) or between them."""
+    rng = np.random.default_rng(seed)
+    d0, d1 = rng.choice([-1.0, 1.0], (2, n)) * rng.uniform(0.5, 2.0, (2, n))
+    a0 = float(rng.uniform(1.0, 5.0))
+    a1 = a0 * float(rng.uniform(0.1, 0.6))
+    dq = 0.0 if tier == "rwa" else sign * float(rng.uniform(40.0, 120.0))
+    cs = CouplingSet(lambda0=d0 * a0, lambda1=d1 * a1, mu0=d1 * a0, mu1=d0 * a1,
+                     delta=sign * rng.uniform(50.0, 150.0, n), delta_qubit=dq)
+    width = window * float(rng.uniform(0.5, 0.95))
+    ramp = width * float(rng.uniform(0.1, 0.5))
+    if shape == "trapezoid" and on_saves:
+        gap = window / (save_points - 1)
+        half = max(1, round(0.5 * width / gap))
+        width, ramp = 2.0 * half * gap, min(half, max(1, round(ramp / gap))) * gap
+    env = Envelope(shape, center=0.5 * window, width=window / 13.0 if shape == "gaussian" else width, ramp=ramp)
+    pp = PulsePair(amp0=1.0, amp1=1.0, envelope0=env, envelope1=env, omega0=5000.0, omega1=5000.0 - dq,
+                   duration=window, phi0=float(rng.uniform(0.0, 2.0 * math.pi)),
+                   phi1=float(rng.uniform(0.0, 2.0 * math.pi)))
+    qubit = rng.normal(size=2) + 1j * rng.normal(size=2)
+    qubit /= np.linalg.norm(qubit)
+    return cs, pp, StateVector.qubit(qubit[0], qubit[1], n, frame=tier)
+
+
+def _engine_run(frame, psi, pp, save_points):
+    """_magnus as _propagate calls it: b-frame amplitudes on the saved times, the Magnus facts and the knots of
+    every _mirror_pass call."""
+    knots, mirror_pass = [], ddsim.dynamics._mirror_pass
+
+    def spied(frame, y0, k, counts):
+        knots.append(k)
+        return mirror_pass(frame, y0, k, counts)
+
+    grid = np.linspace(0.0, pp.duration, save_points)
+    breaks = pp.envelope0.breakpoints + pp.envelope1.breakpoints
+    with mock.patch.object(ddsim.dynamics, "_mirror_pass", spied):
+        ys, facts = ddsim.dynamics._magnus(frame, psi, grid, breaks, 1.01e-10, pp.switching_time)
+    return ys, facts, knots
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@hypothesis_settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), tier=st.sampled_from(["averaged", "rwa"]), n=st.integers(1, 5),
+       sign=st.sampled_from([-1, 1]), shape=st.sampled_from(["constant", "sin2", "gaussian", "trapezoid"]),
+       on_saves=st.booleans(), half=st.integers(1, 200), window=st.floats(0.2, 0.5))
+def test_mirrored_pass_matches_the_direct_pass(seed, tier, n, sign, shape, on_saves, half, window):
+    # one envelope centred in the window, no beat, and couplings that one diagonal phase change makes real: over an
+    # odd number of saved times each pass integrates the first half and takes the second by time reversal.  The
+    # same frame without its mirror phases integrates the whole window, to the same states within eps per step,
+    # with the same steps, halvings and estimate
+    save_points = 2 * half + 1
+    cs, pp, psi = _mirror_draw(seed, n, sign, shape, tier, save_points, window, on_saves)
+    frame, period, _ = ddsim.dynamics._rwa_frame(cs, pp, crossed=tier == "rwa")
+    assert period is None and frame.mirror is not None
+    ys, facts, knots = _engine_run(frame, psi.amplitudes, pp, save_points)
+    steps, halvings = facts[:2]
+    assert len(knots) == halvings + 2 and facts[5] == steps // 2
+    direct, direct_facts, none = _engine_run(dataclasses.replace(frame, mirror=None), psi.amplitudes, pp,
+                                             save_points)
+    assert not none and direct_facts[:2] == (steps, halvings) and direct_facts[5] == steps
+    floor = np.finfo(float).eps * steps
+    assert np.max(np.abs(ys - direct)) <= floor
+    assert abs(facts[2] - direct_facts[2]) <= floor
+
+
+@pytest.mark.parametrize("window", [0.53, 1.71, 2.73])
+def test_breakpoints_ulps_from_saved_times_are_those_times(window):
+    # a centred trapezoid of width 0.9 T and ramps of 0.2 T over 401 saved times: each ramp end falls 1 or 2 ulps
+    # from a saved time (at T = 0.53 one of them exactly on it), which would leave gaps of a few ulps, and knots
+    # that no longer mirror.  Snapped onto the saved times, no gap is shorter than 4 ulps, the run is mirrored,
+    # and its states match the direct pass over the unsnapped knots to rounding
+    cs, pp, psi = _mirror_draw(11, 3, -1, "sin2", "averaged", 401, window)
+    env = Envelope("trapezoid", center=0.5 * window, width=0.9 * window, ramp=0.2 * window)
+    pp = dataclasses.replace(pp, envelope0=env, envelope1=env)
+    grid = np.linspace(0.0, window, 401)
+    off = np.array([np.min(np.abs(grid - kink)) for kink in env.kinks]) / np.spacing(window)
+    assert np.all(off <= 2.0) and np.count_nonzero(off) >= 3
+    frame, _, _ = ddsim.dynamics._rwa_frame(cs, pp, crossed=False)
+    ys, facts, knots = _engine_run(frame, psi.amplitudes, pp, 401)
+    assert knots and np.array_equal(knots[0], grid)
+    unsnapped = np.union1d(grid, env.kinks)
+    assert np.min(np.diff(unsnapped)) <= 4.0 * np.spacing(window)
+    direct, direct_facts = ddsim.dynamics._magnus(dataclasses.replace(frame, mirror=None), psi.amplitudes, unsnapped,
+                                                  (), 1.01e-10, env.switching_time)
+    assert direct_facts[0] > facts[0]  # each gap of a few ulps took steps of its own
+    assert np.max(np.abs(ys - direct[np.searchsorted(unsnapped, grid)])) <= np.finfo(float).eps * facts[0]
+
+
+def _reversal_case(case, n):
+    """(couplings, pulses, state, save points) of a one-envelope-like run that must not be mirrored."""
+    tier = "rwa" if case in ("beat", "fold") else "averaged"
+    cs, pp, psi = _mirror_draw(7, n, 1, "constant" if case == "fold" else "sin2", tier, 5)
+    if case == "off-centre":
+        env = dataclasses.replace(pp.envelope0, center=pp.envelope0.center + 0.01 * pp.duration)
+        pp = dataclasses.replace(pp, envelope0=env, envelope1=env)
+    elif case == "two envelopes":
+        pp = dataclasses.replace(pp, envelope1=dataclasses.replace(pp.envelope0, width=0.9 * pp.envelope0.width))
+    elif case == "loop phase":
+        # complex dipoles d1_k whose phase arg(d1_k / d0_k) differs between the levels
+        loop = np.exp(1j * np.linspace(0.0, 1.0, n))
+        cs = dataclasses.replace(cs, lambda1=cs.lambda1 * loop, mu0=cs.mu0 * loop)
+    elif case in ("beat", "fold"):
+        cs = dataclasses.replace(cs, delta_qubit=60.0)
+        pp = dataclasses.replace(pp, omega1=pp.omega0 - 60.0)
+    return cs, pp, psi, 4 if case == "even saves" else 5
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@pytest.mark.parametrize("case", ["off-centre", "two envelopes", "loop phase", "even saves", "beat", "fold"])
+def test_runs_that_do_not_mirror_keep_the_direct_pass(case, monkeypatch):
+    # each of these breaks one condition of the mirror: a shifted or second envelope, a loop phase, an even
+    # number of saved times (no middle knot), a beat, or the fold, whose pass takes a propagator
+    cs, pp, psi, save_points = _reversal_case(case, 3)
+    crossed = psi.frame == "rwa"
+    frame, period, _ = ddsim.dynamics._rwa_frame(cs, pp, crossed=crossed)
+    assert (frame.mirror is not None) == (case == "even saves") and (period is not None) == (case == "fold")
+    propagate = propagate_rwa if crossed else propagate_averaged
+    rwa_frame, runs = ddsim.dynamics._rwa_frame, []
+
+    def stripped(*args, **kwargs):
+        frame, period, key = rwa_frame(*args, **kwargs)
+        return dataclasses.replace(frame, mirror=None), period, key
+
+    for keep in (True, False):
+        monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
+        with mock.patch.object(ddsim.dynamics, "_rwa_frame", rwa_frame if keep else stripped), \
+                mock.patch.object(ddsim.dynamics, "_mirror_pass") as mirror_pass:
+            runs.append(propagate(cs, pp, psi, IntegratorSettings(save_points=save_points)).amplitudes)
+        mirror_pass.assert_not_called()
+    assert np.array_equal(runs[0], runs[1])
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@hypothesis_settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["averaged mirrored", "averaged shaped", "rwa shaped",
+                                                             "rwa at zero", "rwa folded"]),
+       n=st.integers(1, 5), sign=st.sampled_from([-1, 1]), shape=st.sampled_from(["sin2", "gaussian", "trapezoid"]),
+       chi0=st.floats(0.0, 2.0 * math.pi), chi1=st.floats(0.0, 2.0 * math.pi))
+def test_drive_phases_rotate_the_qubit_basis(seed, case, n, sign, shape, chi0, chi1):
+    # a phase chi_q added to pulse q multiplies <q|H|k> by e^{i chi_q}, so H' = W H W^dagger with
+    # W = diag(e^{i chi0}, e^{i chi1}, 1, ...), and the run from psi0 is W times the run from W^dagger psi0 at the
+    # old phases.  In the rwa tier pulse 0 also drives 1 <-> k (mu0) and pulse 1 drives 0 <-> k (mu1), so
+    # chi0 = chi1 there.  Mirrored runs (one centred envelope) and direct ones (two envelopes, a beat, a fold)
+    # alike
+    tier = case.split()[0]
+    if tier == "rwa":
+        chi1 = chi0
+    if case in ("averaged mirrored", "rwa at zero"):
+        cs, pp, psi = _mirror_draw(seed, n, sign, shape, tier, 5)
+    elif case == "rwa folded":  # a gate window: constant pulses over 7 beat periods, saved at its two ends
+        cs, pp, psi = _shaped_draw(seed, n, sign, "constant", 0.0, 0.5, tier)
+        pp = dataclasses.replace(pp, duration=7.0 * 2.0 * math.pi * HBAR / abs(cs.delta_qubit))
+    else:
+        cs, pp, psi = _shaped_draw(seed, n, sign, shape, 0.5, 0.4, tier)
+    w = np.ones(n + 2, dtype=complex)
+    w[:2] = np.exp(1j * np.array([chi0, chi1]))
+    turned = dataclasses.replace(pp, phi0=pp.phi0 + chi0, phi1=pp.phi1 + chi1)
+    propagate = propagate_rwa if tier == "rwa" else propagate_averaged
+    settings = IntegratorSettings(save_points=2 if case == "rwa folded" else 5)
+    with mock.patch.object(ddsim.dynamics, "_one_period_memo", None), \
+            mock.patch.object(ddsim.dynamics, "_mirror_pass", wraps=ddsim.dynamics._mirror_pass) as mirror_pass:
+        base = propagate(cs, pp, StateVector(np.conj(w) * psi.amplitudes, tier), settings)
+        run = propagate(cs, turned, psi, settings)
+    assert mirror_pass.called == (case in ("averaged mirrored", "rwa at zero"))
+    assert np.max(np.abs(run.amplitudes - w * base.amplitudes)) <= 1e-12
 
 
 # ---------------------------------------------------------------- elimination

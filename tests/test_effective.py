@@ -535,6 +535,22 @@ def test_two_envelope_pass_integrates_omega_alone(monkeypatch):
     assert passes == [True, True]  # one pass of Omega per end of the matrix, none of the mean shift
 
 
+def test_mean_phase_of_two_envelopes_takes_no_quadrature(monkeypatch):
+    # phi_lambda is the closed form alone: the values that _accumulated pairs with the Omega quadrature
+    f0, f1, t1 = _QUAD_CASES["mixed"]
+    assert f0 != f1
+    ev = EffectiveEvolution(_QUAD_HAM, f0, f1, 0.0, t1)
+    times = np.linspace(0.0, t1, 9)
+    want = ev._accumulated(times)[1]
+
+    def refused(*args):
+        raise AssertionError("phi_lambda ran the Omega quadrature")
+
+    monkeypatch.setattr(effective, "_cumulative_integrals", refused)
+    assert np.array_equal(ev.phi_lambda(times), want)
+    assert ev.phi_lambda(float(times[4])) == want[4]
+
+
 @st.composite
 def _shared_envelope_draws(draw):
     """One envelope of any shape, shared by both pulses, a window that may start or end inside the pulse,
