@@ -13,7 +13,6 @@ Sweeps refer to scalar fields by dotted path ("pulses.amp0",
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import math
@@ -438,8 +437,16 @@ def build_gate_spec(cfg: dict) -> GateSpec:
 
 
 def config_with_overrides(cfg: dict, overrides) -> dict:
-    """Deep-copied config with (path, value) pairs applied."""
-    out = copy.deepcopy(cfg)
+    """cfg with (path, value) pairs applied, cfg itself unchanged.
+
+    Only the dicts on an override's path are copied: the top level and
+    each section an override sets.  Every other section, and anything
+    nested in a section, is shared with cfg, so the builders must not
+    mutate what they read.
+    """
+    out = dict(cfg)
     for path, value in overrides:
+        section = path.split(".")[0]
+        out[section] = dict(out.get(section, {}))
         set_by_path(out, path, value)
     return out

@@ -16,10 +16,10 @@ propagate_rwa
     pulse 1 on 0<->k) ride on an extra beat factor e^{+-i Delta t} at
     the qubit splitting.  This is the workhorse "exact" tier.
 
-    With both envelopes constant and Delta != 0 the equations repeat
-    themselves every beat period P = 2 pi hbar / |Delta| in the frame
-    b_k = c_k e^{i delta_k t} (Floquet; Shirley, Phys. Rev. 138, B979
-    (1965)).  A window of at least 2 P is then folded: the propagator
+    With both pulses on, both envelopes constant and Delta != 0 the
+    equations repeat themselves every beat period P = 2 pi hbar / |Delta|
+    in the frame b_k = c_k e^{i delta_k t} (Floquet; Shirley, Phys. Rev.
+    138, B979 (1965)).  A window of at least 2 P is then folded: the propagator
     is integrated over one period with the configured tolerance, and
     the saved states are assembled from it and its powers, so the cost
     no longer grows with the number of periods.  The logged error
@@ -27,12 +27,25 @@ propagate_rwa
     saved state can grow up to m-fold.
     The last one-period propagator is kept, so a run with equal
     couplings, phases, tolerance and save offsets (the other basis state
-    of a gate check) skips the integration.  Delta = 0, shorter windows
-    and shaped envelopes are integrated directly.  Folded or not, a pass
-    may form its Omegas from a fixed basis (see below): the beat basis
-    with both envelopes constant and Delta != 0 (a fold's one period, as
-    in a gate check), the one-envelope basis at Delta = 0 with one shared
-    envelope.  Each call logs (INFO) which path it took.
+    of a gate check) skips the integration.
+
+    With one pulse off (all its couplings 0, as at amplitude 0; the
+    paper's phase gate switches the second pulse off) the remaining
+    crossed coupling carries the beat alone: mu0 e^{+i Delta t} on
+    <1|H|k> where pulse 1 is off, mu1 e^{-i Delta t} on <0|H|k> where
+    pulse 0 is off.  Turning that qubit level at the beat, b_1 = c_1
+    e^{-i Delta t / hbar} (or b_0 = c_0 e^{+i Delta t / hbar}), takes the
+    beat off and puts +Delta / hbar (or -Delta / hbar) on its diagonal, so
+    the run has one envelope, the other pulse's, at any Delta: a
+    single-pulse frame.  A constant generator (a single constant pulse,
+    or one constant envelope at Delta = 0) repeats itself over any
+    interval, so it is folded over the save interval instead (see below).
+    Other runs at Delta = 0, shorter windows and shaped envelopes are
+    integrated directly.  Folded or not, a pass may form its Omegas from a fixed
+    basis (see below): the beat basis with both envelopes constant and
+    Delta != 0 (a fold's one period, as in a gate check), the
+    one-envelope basis at Delta = 0 with one shared envelope or with one
+    pulse off.  Each call logs (INFO) which path it took.
 
 propagate_averaged
     The rwa tier without the crossed couplings and their beat, which
@@ -44,14 +57,16 @@ propagate_averaged
 
 All three are the same star-coupled equation, and one engine integrates
 them.  Each manifold level k couples only to |0> and |1>, so in a frame
-b_k = c_k e^{-i w_k t} with constant w_k, H(t)/hbar has
-<0|H|k> = g0_k(t), <1|H|k> = g1_k(t) and the constant manifold
-diagonal <k|H|k> = w_k.  A tier supplies only its couplings at t and
-that diagonal (a _BFrame):
+b_j = c_j e^{-i w_j t} with constant w_j, H(t)/hbar has
+<0|H|k> = g0_k(t), <1|H|k> = g1_k(t) and the constant diagonal
+<j|H|j> = w_j.  A tier supplies only its couplings at t and that
+diagonal (a _BFrame), whose qubit entries are 0 but in a single-pulse
+frame:
 
 - bare: w_k = (E_k - eps0) / hbar, g0 = s(t) d0 and
   g1 = s(t) d1 e^{i Delta t / hbar}, with s(t) the instantaneous field;
-- rwa: w_k = -delta_k / hbar, with the crossed couplings on the beat;
+- rwa: w_k = -delta_k / hbar, with the crossed couplings on the beat,
+  or, with one pulse off, with the turned qubit level at +-Delta / hbar;
 - averaged: the same with the crossed couplings mu0 = mu1 = 0 and the
   beat Delta = 0; one builder (_rwa_frame) serves both tiers.
 
@@ -71,13 +86,14 @@ or from the couplings at the Gauss nodes (the alpha path).  _rwa_frame
 picks the basis:
 
 - one envelope: without a beat (the averaged tier, or rwa at Delta = 0)
-  and with envelope0 == envelope1 (constant included), the generator is
+  and with envelope0 == envelope1 (constant included), or with one pulse
+  off in either tier (a single-pulse frame), the generator is
   -i (diag + f(t) V) with a constant star V, so every step's Omega is a
   combination of ten fixed matrices whose weights are fixed combinations
   of fifteen monomials in the step and the envelope at its nodes.  The
   ten matrices, with the constant weights folded in, are built once per
   run (_one_envelope_basis), and the run logs "magnus (one envelope)".
-  Where f is constant or centred in the window [0, T], f(T - t) = f(t),
+  Where f is centred in the window [0, T], f(T - t) = f(t),
   and a diagonal phase change S makes V real (each row of V one complex
   factor times real dipoles), H(T - t) = K H(t) K^-1 for the antiunitary
   K = S conj, so U(T - a, T - b) = K U(a, b) K^-1.  The three-node Gauss
@@ -88,14 +104,16 @@ picks the basis:
   rounding, and the same steps, halvings and estimate.  Such a run's log
   line adds "; second half by time reversal, N steps integrated".  An
   even number of saved times, an off-centre envelope, complex dipoles
-  whose phase differs between levels and the fold's propagators
-  integrate the whole window.
-- beat: with both envelopes constant and Delta != 0 (rwa) the couplings
-  depend on t only through theta = Delta t / hbar, so at a fixed step the
-  sixth-order Omega is a trigonometric polynomial in theta, of degree 3:
-  each entry sums paths of at most five hops between the qubit and the
-  manifold, only the crossed couplings carry e^{+-i theta}, and the hops
-  alternate, so they reach at most e^{+-3 i theta}.  A pass of one step
+  whose phase differs between levels and the folds' propagators
+  integrate the whole window; a constant f folds over the save interval
+  (see below) and never mirrors.
+- beat: with both pulses on, both envelopes constant and Delta != 0
+  (rwa) the couplings depend on t only through theta = Delta t / hbar, so
+  at a fixed step the sixth-order Omega is a trigonometric polynomial in
+  theta, of degree 3: each entry sums paths of at most five hops between
+  the qubit and the manifold, only the crossed couplings carry
+  e^{+-i theta}, and the hops alternate, so they reach at most
+  e^{+-3 i theta}.  A pass of one step
   width and more than _MAGNUS_CHUNK steps (fewer do not repay the seven
   samples) takes Omega at seven phases once, its real Fourier
   coefficients by a discrete Fourier transform, and the manifold
@@ -105,13 +123,29 @@ picks the basis:
 
 Every other pass (bare, shaped runs with a beat or with two envelopes,
 and beat passes of several step widths or at most _MAGNUS_CHUNK steps)
-takes the alpha path.  Where the generator is constant (both envelopes
-constant in the averaged tier, or in the rwa tier at Delta = 0) every
-step is exact to rounding.  Each step is orthogonal to rounding (the
-Taylor remainder is below eps), so a norm check cannot see the step
-error: each run is repeated at half the step, and the step halved until
+takes the alpha path.
+
+Where the generator is constant (one envelope, and it constant: a
+single constant pulse in either tier, both envelopes constant in the
+averaged tier, or in the rwa tier at Delta = 0) every step is exact to
+rounding, and the generator repeats itself over any interval.  Such a
+run is folded over the uniform save interval: the one interval's
+propagator is taken as one Magnus step against two (one exponential
+each, by scaling and squaring; Moler & Van Loan, SIAM Rev. 45, 3
+(2003)), and each saved state is the last one times it.  Its estimate
+reads only the exponential's rounding, about eps ||H|| T: the two half
+steps can repeat the one step's last squaring bit for bit, so the
+estimate and the floor are taken at least eps ||H|| T, with the rate
+bound for ||H||.  The error of the saved states grows with their count,
+by rounding only.
+The log reads "folded over N save intervals of ... ns, one interval by
+magnus (one envelope) over 2 steps".
+
+Each step is orthogonal to rounding (the Taylor remainder is below
+eps), so a norm check cannot see the step error: each run is repeated at half the step, and the step halved until
 the step-doubling error estimate is at most tol (or the rounding floor
-eps * steps, with a warning when the floor accepts what tol would not),
+eps * steps, or eps ||H|| T for a constant generator, with a warning
+when the floor accepts what tol would not),
 else PropagationError.  A NaN or infinite coupling fails the
 exponential's norm check in the first pass.
 
@@ -182,8 +216,12 @@ class IntegratorSettings:
 
     Every tier takes Magnus steps no longer than the shortest envelope
     switching time, halved until their step-doubling error estimate is
-    at most tol (the amplitudes have norm 1); a folded rwa run estimates
-    the error of one beat period.
+    at most tol (the amplitudes have norm 1).  A folded rwa run with both
+    pulses on estimates the error of one beat period.  A constant
+    generator (a single constant pulse, or one constant envelope without
+    a beat: the averaged tier, or rwa at Delta = 0) is folded over the
+    save interval, one step against two, so its estimate reads only the
+    exponential's rounding (about eps ||H|| T).
     """
 
     tol: float = 1.01e-10
@@ -276,24 +314,26 @@ _TAYLOR_BLOCKS[3, 4] = 1.0 / math.factorial(16)
 
 @dataclass(frozen=True)
 class _BFrame:
-    """A tier's star-coupled equations in its frame b_k = c_k e^{-i diag_k t}.
+    """A tier's star-coupled equations in its frame b_j = c_j e^{-i diag_j t}.
 
     couplings(t) takes a time array of shape (N,) and returns g0, g1 of
-    shape (N, n), <0|H|k> / hbar and <1|H|k> / hbar; diag is the constant
-    manifold diagonal <k|H|k> / hbar; rate bounds the norm of H/hbar,
-    rad/ns.  With c_frame the saved amplitudes are taken back to the c
-    frame.  At most one fixed basis applies, as _rwa_frame picks it.
-    Where both couplings follow one envelope, g_q = f(t) v_q (no beat and
-    envelope0 == envelope1), envelope is f and basis is
-    _one_envelope_basis(diag, v0, v1); _magnus_pass then forms each Omega
-    from them and never calls couplings.  Where the couplings depend on t
+    shape (N, n), <0|H|k> / hbar and <1|H|k> / hbar; diag, shape (2 + n,),
+    is the constant diagonal <j|H|j> / hbar of every level, the two qubit
+    entries 0 but in a single-pulse frame (see _rwa_frame); rate bounds
+    the norm of H/hbar, rad/ns.  With c_frame the saved amplitudes are
+    taken back to the c frame.  At most one fixed basis applies, as
+    _rwa_frame picks it.  Where both couplings follow one envelope,
+    g_q = f(t) v_q (no beat and envelope0 == envelope1, or one pulse off),
+    envelope is f and basis is _one_envelope_basis(diag, v0, v1);
+    _magnus_pass then forms each Omega from them and never calls
+    couplings.  A constant f makes the generator constant (constant).  Where the couplings depend on t
     only through the beat phase beat * t, rad (an rwa run with both
     envelopes constant and Delta != 0, beat = Delta / hbar), beat is set,
     and a pass of one step width and more than _MAGNUS_CHUNK steps forms
     each Omega from _beat_basis.  Every other pass takes the alpha_j from
     couplings (see _magnus_pass).  mirror, the phases S of _mirror_phases,
     is set where H(T - t) = K H(t) K^-1 over the window [0, T] with
-    K = S conj: one envelope, constant or centred on T / 2, and couplings
+    K = S conj: one shaped envelope centred on T / 2, and couplings
     that a diagonal phase change makes real (see _mirror_pass).
     """
 
@@ -306,6 +346,11 @@ class _BFrame:
     beat: float | None = None
     mirror: np.ndarray | None = None
 
+    @property
+    def constant(self) -> bool:
+        """Whether the generator is constant: one envelope, and that envelope constant."""
+        return self.envelope is not None and self.envelope.shape == "constant"
+
 
 def _one_envelope_basis(diag, v0, v1):
     """The fifteen real-form matrices, flattened to shape (15, (2 dim)^2), whose combinations are every Magnus
@@ -316,10 +361,10 @@ def _one_envelope_basis(diag, v0, v1):
     [Q, [Q, K]], [K, [P, K]] and [K, [Q, K]] ([Q, [P, K]] = [P, [Q, K]] by Jacobi), whose weights are
     _ONE_ENVELOPE_WEIGHTS' combinations of the monomials; the returned matrices are those combinations.
     """
-    dim = 2 + len(diag)
+    dim = len(diag)
     m = 2 * dim
     gen = np.zeros((2, dim, dim), dtype=complex)
-    gen[0, 2:, 2:] = np.diag(-1j * np.asarray(diag))
+    gen[0] = np.diag(-1j * np.asarray(diag))
     gen[1, :2, 2:] = -1j * np.array([v0, v1])
     gen[1, 2:, :2] = -np.conj(gen[1, :2, 2:]).T
     words = np.empty((10, m, m))
@@ -357,14 +402,14 @@ def _alpha_work(c, dim, scratch):
     """_alpha_omega's work arrays for c steps: the alpha_j in real form, zero but for what each call writes, its
     views, and scratch, three contiguous arrays of shape (c, 2 dim, 2 dim)."""
     # the alpha_j in real form, seen as complex pairs of columns: row (l, Re or Im) holds conj(a_lj) and
-    # i conj(a_lj) at column j.  Each call writes the qubit-manifold blocks and alpha_1's manifold diagonal; the
-    # other entries stay 0
+    # i conj(a_lj) at column j.  Each call writes the qubit-manifold blocks and alpha_1's diagonal; the other
+    # entries stay 0
     alpha = np.zeros((3, c, dim, 2, 2 * dim))
     pairs = alpha.view(complex)
     upper, lower = pairs[:, :, :2, :, 2:], np.swapaxes(pairs[:, :, 2:, :, :2], 2, 4)
-    # alpha_1's entries (k, Re; k) and (k, Im; k) for k >= 2, stride apart from k to k + 1
+    # alpha_1's entries (k, Re; k) and (k, Im; k), stride apart from k to k + 1
     flat, stride = pairs[0].reshape(c, -1), 2 * dim + 1
-    diag, diag_im = flat[:, 2 * stride:: stride], flat[:, 2 * stride + dim:: stride]
+    diag, diag_im = flat[:, :: stride], flat[:, dim:: stride]
     return alpha, upper, lower, diag, diag_im, scratch
 
 
@@ -447,7 +492,7 @@ def _beat_basis(frame, h, dim):
     samples = samples.reshape(8, -1)
     # the real-form manifold diagonal h diag: entries (2k, 2k + 1) and, negated, (2k + 1, 2k) for each level k >= 2
     up, down = samples[:, 4 * m + 5:: 2 * m + 2], samples[:, 5 * m + 4:: 2 * m + 2]
-    hd = h * frame.diag
+    hd = h * frame.diag[2:]
     up[:7] -= hd
     down[:7] += hd
     up[7], down[7] = hd, -hd
@@ -618,7 +663,12 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
     max |y_h - y_{h/2}| / 63 (sixth order), and while it exceeds tol (the
     state has norm 1), or the rounding floor eps * steps, the step is
     halved again, at most _MAGNUS_MAX_HALVINGS times.  Where the generator
-    is constant the node differences vanish and every step is exact.  path
+    is constant (frame.constant) every step is exact, so each gap is one
+    step at first, and the estimate, one step against two, reads only the
+    exponential's rounding: the two passes can share it bit for bit (the
+    half steps repeat the one step's last squaring), so the estimate and
+    the floor are at least eps ||H|| T, with T the longest gap and
+    frame.rate for ||H||.  path
     names how the accepted pass formed its Omegas: "magnus",
     "magnus (one envelope)" or "magnus (beat Fourier basis)".
 
@@ -640,17 +690,19 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
         inner = np.where(np.abs(inner - near) <= 4.0 * np.spacing(grid[-1]), near, inner)
     knots = np.union1d(grid, inner)
     period = 2.0 * math.pi / frame.rate if frame.rate > 0 else math.inf
-    h = min(period / _MAGNUS_STEPS_PER_PERIOD, cap)
+    h = math.inf if frame.constant else min(period / _MAGNUS_STEPS_PER_PERIOD, cap)
     counts = np.maximum(np.ceil(np.diff(knots) / h), 1.0).astype(int)  # h is inf at a rate of 0 or NaN
+    eps = np.finfo(float).eps
+    rounding = eps * frame.rate * float(np.max(np.diff(knots))) if frame.constant else 0.0
     mirrored = frame.mirror is not None and y0.ndim == 1 and _is_mirror_grid(knots, counts)
     run = _mirror_pass if mirrored else _magnus_pass
     coarse = run(frame, y0, knots, counts)
     for halvings in range(_MAGNUS_MAX_HALVINGS + 1):
         counts = 2 * counts
         fine = run(frame, y0, knots, counts)
-        estimate = float(np.max(np.abs(fine - coarse))) / 63.0
+        estimate = max(float(np.max(np.abs(fine - coarse))) / 63.0, rounding)
         steps = int(counts.sum())
-        accept = max(tol, np.finfo(float).eps * steps)
+        accept = max(tol, eps * steps, rounding)
         if estimate <= accept:
             path = ("magnus (one envelope)" if frame.basis is not None
                     else "magnus (beat Fourier basis)" if _takes_beat_basis(frame, knots, counts, steps)
@@ -679,6 +731,10 @@ def _fold(frame, psi0, grid, period, tol, key):
     (steps, halvings, error estimate, tolerance, path, steps integrated)
     are those of the one period: the error of b(t) can grow up to m-fold
     over m periods.
+
+    A constant generator (frame.constant) repeats itself with any period;
+    with P the save interval it is exact to rounding in one step, and
+    _magnus compares one step with two.
 
     key must fix frame (its couplings).  With tol and the offsets tau,
     which end at P, it names the integration; the last one is kept and
@@ -728,16 +784,20 @@ def _propagate(model, psi0, frame, pulses, settings, period=None, key=()):
     integrate (see _magnus); with a period, the one-period propagator is
     integrated instead and the run is folded (see _fold), and key is a
     tuple of the values (bytes or floats) that fix the frame's couplings.
+    A constant generator is folded over the save interval, its key the
+    bytes of its one-envelope basis, whatever period the tier passes.
     """
     settings = settings or IntegratorSettings()
     if psi0.frame != frame:
         raise ValueError(f"initial state is in frame {psi0.frame!r}, expected {frame!r}")
-    if len(psi0.amplitudes) != 2 + len(model.diag):
+    if len(psi0.amplitudes) != len(model.diag):
         raise ValueError(
-            f"state has {len(psi0.amplitudes)} amplitudes, structure needs {2 + len(model.diag)}"
+            f"state has {len(psi0.amplitudes)} amplitudes, structure needs {len(model.diag)}"
         )
 
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
+    if model.constant:  # a constant generator repeats itself over any interval, the uniform save interval included
+        period, key = grid[1] - grid[0], (model.basis.tobytes(),)
     if period is None:
         breaks = pulses.envelope0.breakpoints + pulses.envelope1.breakpoints
         # Magnus steps are equal across a save interval, so where the envelopes vanish nothing else would keep
@@ -747,22 +807,25 @@ def _propagate(model, psi0, frame, pulses, settings, period=None, key=()):
     else:
         ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings.tol, key)
     steps, halvings, estimate, floor, method, integrated = facts
-    note = " (one-period propagator reused)" if reused else ""
-    if period is not None:
+    span = "interval" if model.constant else "period"
+    note = f" (one-{span} propagator reused)" if reused else ""
+    if model.constant:
+        method = f"folded over {len(grid) - 1} save intervals of {period:.6g} ns, one interval by {method}"
+    elif period is not None:
         method = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by {method}"
     elif integrated < steps:
         note = f"; second half by time reversal, {integrated} steps integrated"
     logger.info("%s propagation: %s over %d steps, %d halvings, error estimate %.2e (tolerance %.1e)%s",
                 frame, method, steps, halvings, estimate, floor, note)
     if estimate > settings.tol:
+        bound = "eps ||H|| T" if model.constant else f"eps * {steps} steps"
         warnings.warn(
             f"Magnus error estimate {estimate:.3e} exceeds the requested tol = "
-            f"{settings.tol:.3e}; accepted under the rounding floor eps * {steps} steps "
-            f"= {floor:.3e}",
+            f"{settings.tol:.3e}; accepted under the rounding floor {bound} = {floor:.3e}",
             stacklevel=3,
         )
-    if model.c_frame:
-        ys[:, 2:] *= np.exp(1j * np.outer(grid, model.diag))
+    if model.c_frame:  # c_j = b_j e^{i diag_j t}, the qubit levels' factors 1 but in a frame with a pulse off
+        ys *= np.exp(1j * np.outer(grid, model.diag))
 
     traj = Trajectory(grid, ys, frame)
     drift = traj.norm_drift
@@ -784,8 +847,12 @@ def _rwa_frame(couplings, pulses, crossed):
 
     The averaged tier is the rwa tier with mu0 = mu1 = 0, the beat 0 and b-frame amplitudes.  The frame picks the
     Omega form (see the module docstring): one envelope, the couplings being f(t) (lambda0 + mu1) and
-    f(t) (mu0 + lambda1); the beat, folded over at least two beat periods; else the alpha path.  One envelope,
-    constant or centred in the window, also takes the mirror phases of those couplings (_mirror_phases).
+    f(t) (mu0 + lambda1); the beat, folded over at least two beat periods; else the alpha path.  One envelope
+    serves without a beat where envelope0 == envelope1, and at any beat where one pulse's couplings are all 0: then
+    f is the other pulse's envelope, and qubit level 1 (pulse 1 off) or 0 (pulse 0 off) is turned at the beat,
+    +wq or -wq on its diagonal, which takes the beat off the one crossed coupling left.  One shaped envelope centred
+    in the window also takes the mirror phases of those couplings (_mirror_phases); a constant one folds over the
+    save interval (see _propagate) and never mirrors.
     """
     wd = couplings.delta / HBAR                            # detuning phases, rad/ns
     wq = couplings.delta_qubit / HBAR if crossed else 0.0  # beat phase, rad/ns
@@ -799,14 +866,26 @@ def _rwa_frame(couplings, pulses, crossed):
                     else (np.zeros_like(lam0), np.zeros_like(lam1)))
         g_max = np.hypot(np.abs(lam0) + np.abs(mu1), np.abs(mu0) + np.abs(lam1))
         rate = np.max(np.abs(wd), initial=0.0) + abs(wq) + np.linalg.norm(g_max)
-        one_envelope = wq == 0.0 and env0 == env1
+        # a pulse whose couplings are all 0 (amplitude 0) leaves the other's envelope alone, and turning the qubit
+        # level that the remaining crossed coupling reaches at the beat takes the beat off it: level 1 at +wq
+        # where pulse 1 is off, level 0 at -wq where pulse 0 is off
+        off1 = not (np.any(lam1) or np.any(mu1))
+        off0 = not (off1 or np.any(lam0) or np.any(mu0))
+        qubit = (0.0, wq) if off1 else (-wq, 0.0) if off0 else (0.0, 0.0)
+        envelope = env1 if off0 else env0
+        one_envelope = off1 or off0 or (wq == 0.0 and env0 == env1)
+        diag = np.concatenate((qubit, -wd))
         v0, v1 = lam0 + mu1, mu0 + lam1  # the couplings over f(t) when one envelope serves
-        basis = _one_envelope_basis(-wd, v0, v1) if one_envelope else None
-        # f(T - t) = f(t): the envelope is constant or centred in the window
-        centred = env0.shape == "constant" or abs(env0.center - 0.5 * pulses.duration) <= 1e-12 * pulses.duration
+        basis = _one_envelope_basis(diag, v0, v1) if one_envelope else None
+        # f(T - t) = f(t): the envelope is centred in the window; a constant one folds and never mirrors
+        centred = (envelope.shape != "constant"
+                   and abs(envelope.center - 0.5 * pulses.duration) <= 1e-12 * pulses.duration)
         mirror = _mirror_phases(v0, v1) if one_envelope and centred else None
 
     def b_couplings(t):
+        if one_envelope:
+            f = envelope(t)[:, None]
+            return v0 * f, v1 * f
         f0 = env0(t)[:, None]
         f1 = env1(t)[:, None]
         if not crossed:  # mu0 = mu1 = 0: adding them would cost about 5% of an alpha-path step
@@ -814,9 +893,10 @@ def _rwa_frame(couplings, pulses, crossed):
         beat = np.exp(1j * wq * t)[:, None]
         return lam0 * f0 + mu1 * f1 / beat, mu0 * f0 * beat + lam1 * f1
 
-    beating = env0.shape == env1.shape == "constant" and wq != 0.0  # the couplings depend on t only through wq t
-    frame = _BFrame(b_couplings, -wd, rate, c_frame=crossed, envelope=env0 if one_envelope else None, basis=basis,
-                    beat=wq if beating else None, mirror=mirror)
+    # the couplings depend on t only through wq t
+    beating = not one_envelope and env0.shape == env1.shape == "constant" and wq != 0.0
+    frame = _BFrame(b_couplings, diag, rate, c_frame=crossed, envelope=envelope if one_envelope else None,
+                    basis=basis, beat=wq if beating else None, mirror=mirror)
     period = averaging_period(couplings.delta_qubit)
     if beating and pulses.duration >= 2.0 * period:
         # the envelopes are 1, so these fix the couplings
@@ -835,7 +915,10 @@ def propagate_rwa(
     The couplings must have been derived from the same pulse pair (the
     detuning list and the crossed couplings are trusted as given).
     Constant envelopes with Delta != 0 over at least two beat periods
-    are folded: see the module docstring.
+    are folded over the beat period.  With one pulse off (all its
+    couplings 0) the run takes a single-pulse frame with one envelope; a
+    constant generator (a single constant pulse, or constant envelopes at
+    Delta = 0) is folded over the save interval: see the module docstring.
     """
     frame, period, key = _rwa_frame(couplings, pulses, crossed=True)
     return _propagate(frame, psi0, "rwa", pulses, settings, period, key)
@@ -852,7 +935,10 @@ def propagate_averaged(
     Valid when the envelopes switch slowly compared to the beat period
     2 pi hbar / Delta; a violation is reported as a warning, not an
     error, since the comparison against the rwa tier is itself a useful
-    diagnostic.
+    diagnostic.  Shared envelopes, or one pulse off, take the
+    one-envelope basis; where that envelope is constant the generator is
+    constant and the run is folded over the save interval: see the
+    module docstring.
     """
     if not slow_switching_ok(pulses, couplings.delta_qubit):
         warnings.warn(
@@ -900,7 +986,7 @@ def propagate_bare(
             "(runtime grows with omega0 * duration); consider the rwa tier",
             stacklevel=2,
         )
-    frame = _BFrame(b_couplings, w0k, rate, c_frame=True)
+    frame = _BFrame(b_couplings, np.concatenate(([0.0, 0.0], w0k)), rate, c_frame=True)
     return _propagate(frame, psi0, "bare", pulses, settings)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ddsim.dynamics
-from ddsim import Trajectory, cli, effective
+from ddsim import Trajectory, cli, config, effective
 from ddsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -305,6 +305,30 @@ def _rwa_sweep_cfg(axes):
     cfg["integrator"]["save_points"] = 5
     cfg["sweep"] = {"mode": "propagate-rwa", "axes": axes}
     return cfg
+
+
+@pytest.mark.parametrize("sub_mode", ["propagate-rwa", "propagate-averaged", "propagate-bare", "effective"])
+def test_sweep_points_share_only_what_no_build_changes(sub_mode):
+    # each point copies only the dicts its overrides set, so the builders must leave the config they read, and
+    # every other point sharing its sections, as they found them
+    axes = [{"path": "pulses.amp0", "start": 10.0, "stop": 20.0, "steps": 2},
+            {"path": "spectrum.delta", "start": 5.0, "stop": 6.0, "steps": 2},
+            {"path": "integrator.save_points", "start": 5, "stop": 7, "steps": 2}]
+    cfg = _rwa_sweep_cfg(axes)
+    cfg["sweep"]["mode"] = sub_mode
+    cfg["initial_state"] = {"alpha": [0.6, 0.0], "beta": [0.0, 0.8]}
+    cfg["pulses"]["envelope0"] = {"shape": "sin2", "width": 0.15}
+    cfg["pulses"]["envelope1"] = {"shape": "trapezoid", "ramp": 0.04}
+    before = json.loads(json.dumps(cfg))
+    points = [config.config_with_overrides(cfg, pt) for pt in config.sweep_points(cfg["sweep"])]
+    expected = [json.loads(json.dumps(point)) for point in points]
+    assert [point["pulses"]["amp0"] for point in points] == [10.0] * 4 + [20.0] * 4
+    assert points[0]["pulses"]["envelope0"] is cfg["pulses"]["envelope0"]  # shared, not copied
+    for point in points:
+        cli._build({**point, "mode": sub_mode})
+    cli._dry_run(cfg)
+    assert cfg == before
+    assert points == expected
 
 
 def test_propagate_sweep_rows_match_single_runs(tmp_path):

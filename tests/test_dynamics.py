@@ -454,8 +454,15 @@ def test_criterion_4_gates_fold_to_reference(args):
 @pytest.mark.parametrize("kind, periods, expect", [
     ("constant", 3.5, "folded over 3.5 beat periods of P = "),
     ("sin2", 3.5, "magnus over"),
-    # rwa at Delta = 0 with one envelope: the crossed couplings carry no beat, so the one-envelope basis serves
-    ("zero", 3.5, "magnus (one envelope) over"),
+    # rwa at Delta = 0 with one envelope: the crossed couplings carry no beat, and a constant generator folds
+    # over the save interval, one step against two
+    pytest.param("zero", 3.5, "folded over 200 save intervals of 0.00241247 ns, one interval by magnus (one envelope) "
+                 "over 2 steps", id="zero-3.5-folded over 200 save intervals"),
+    # pulse 1 off: turning qubit level 1 at the beat leaves one envelope, constant or shaped
+    pytest.param("off", 3.5, "folded over 200 save intervals of 0.00241247 ns, one interval by magnus (one envelope) "
+                 "over 2 steps", id="off-3.5-folded over 200 save intervals"),
+    pytest.param("off sin2", 3.5, "rwa propagation: magnus (one envelope) over",
+                 id="off sin2-3.5-magnus (one envelope)"),
     ("constant", 1.5, "magnus over"),
     # whole periods and 2 save points: the one period is one gap of one step width, past 64 steps
     ("whole", 3.0, "folded over 3 beat periods of P = 0.137856 ns, one period by magnus (beat Fourier basis) over "),
@@ -465,12 +472,14 @@ def test_each_run_logs_its_path(kind, periods, expect, caplog, monkeypatch):
     dq = 0.0 if kind == "zero" else 30.0
     sp, om0 = _single_level(-100.0, delta_qubit=dq)
     duration = periods * (2.0 * math.pi * HBAR / 30.0)  # l P as synthesize_gate builds it: saved offsets 0 and P
-    if kind == "sin2":
+    if kind.endswith("sin2"):
         env = Envelope("sin2", center=0.5 * duration, width=duration)
         pp = PulsePair(amp0=20.0, amp1=20.0, envelope0=env, envelope1=env,
                        omega0=om0, omega1=om0 - sp.delta, duration=duration)
     else:
         pp = _flat_pair(sp, om0, amp=20.0, duration=duration)
+    if kind.startswith("off"):
+        pp = dataclasses.replace(pp, amp1=0.0)
     settings = IntegratorSettings(save_points=2 if kind == "whole" else 201)
     with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
         for _ in range(2):
@@ -479,8 +488,9 @@ def test_each_run_logs_its_path(kind, periods, expect, caplog, monkeypatch):
     assert len(lines) == 2
     assert lines[0].startswith("rwa propagation: ")
     assert expect in lines[0]
-    # an identical fold takes the kept one-period propagator and says so
-    reused = " (one-period propagator reused)" if "folded" in expect else ""
+    # an identical fold takes the kept one-period (or one-interval) propagator and says so
+    reused = (" (one-period propagator reused)" if "beat periods" in expect
+              else " (one-interval propagator reused)" if "save intervals" in expect else "")
     assert lines[1] == lines[0] + reused
 
 
@@ -492,9 +502,9 @@ def _count_integrations(monkeypatch):
     grids = []
     magnus = ddsim.dynamics._magnus
 
-    def counted(frame, y0, grid, *args):
+    def counted(frame, y0, grid, *args, **kwargs):
         grids.append(grid)
-        return magnus(frame, y0, grid, *args)
+        return magnus(frame, y0, grid, *args, **kwargs)
 
     monkeypatch.setattr(ddsim.dynamics, "_magnus", counted)
     monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
@@ -611,7 +621,7 @@ def test_magnus_step_takes_states_and_propagators(n, propagator):
     rng = np.random.default_rng([n, propagator])
     dim = 2 + n
     g0, g1 = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-    diag = rng.normal(size=n)
+    diag = np.concatenate(([0.0, 0.0], rng.normal(size=n)))
     frame = ddsim.dynamics._BFrame(lambda t: (np.broadcast_to(g0, (len(t), n)), np.broadcast_to(g1, (len(t), n))),
                                    diag, 1.0)
     y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -622,7 +632,7 @@ def test_magnus_step_takes_states_and_propagators(n, propagator):
     ham = np.zeros((dim, dim), dtype=complex)
     ham[0, 2:], ham[1, 2:] = g0, g1
     ham[2:, 0], ham[2:, 1] = np.conj(g0), np.conj(g1)
-    ham[2:, 2:] = np.diag(diag)
+    ham += np.diag(diag)
     assert np.array_equal(out[0], y)
     assert np.max(np.abs(out[1] - expm(-1j * h * ham) @ y)) <= 1e-14
 
@@ -772,7 +782,7 @@ def test_integrate_stops_at_kinks_on_and_between_saved_times():
     # 0.25 and 0.75 are saved times, 0.35 and 0.65 fall between them, and each comes twice
     env = Envelope("trapezoid", center=0.5, width=0.5, ramp=0.1)
     g = 2.0
-    frame = ddsim.dynamics._BFrame(lambda t: (g * env(t)[:, None], np.zeros((len(t), 1))), np.zeros(1), g)
+    frame = ddsim.dynamics._BFrame(lambda t: (g * env(t)[:, None], np.zeros((len(t), 1))), np.zeros(3), g)
     grid = np.linspace(0.0, 1.0, 5)
     ys, _ = ddsim.dynamics._magnus(frame, np.array([1.0, 0.0, 0.0], dtype=complex), grid, env.kinks + env.kinks,
                                    1.01e-13)
@@ -830,9 +840,9 @@ def _magnus_run(cs, pp, psi, settings=None):
     engine's propagator over the window."""
     magnus, calls = ddsim.dynamics._magnus, []
 
-    def recorded(frame, y0, *args):
-        ys, info = magnus(frame, y0, *args)
-        calls.append((info[:4], lambda: magnus(frame, np.eye(len(y0), dtype=complex), *args)[0][-1]))
+    def recorded(frame, y0, *args, **kwargs):
+        ys, info = magnus(frame, y0, *args, **kwargs)
+        calls.append((info[:4], lambda: magnus(frame, np.eye(len(y0), dtype=complex), *args, **kwargs)[0][-1]))
         return ys, info
 
     propagate = propagate_rwa if psi.frame == "rwa" else propagate_averaged
@@ -912,13 +922,18 @@ def _tier_frame(tier, model, pp):
 @hypothesis_settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), tier=st.sampled_from(["averaged", "rwa"]),
        n=st.sampled_from([1, 2, 3, 4, 5, 10]), sign=st.sampled_from([-1, 1]),
-       shape=st.sampled_from(["sin2", "gaussian", "trapezoid", "constant"]), window=st.floats(0.2, 0.5))
-def test_one_envelope_pass_matches_the_alpha_path(seed, tier, n, sign, shape, window):
+       shape=st.sampled_from(["sin2", "gaussian", "trapezoid", "constant"]), window=st.floats(0.2, 0.5),
+       off=st.sampled_from([None, 0, 1]))
+def test_one_envelope_pass_matches_the_alpha_path(seed, tier, n, sign, shape, window, off):
     # an averaged run whose pulses share one envelope forms each Omega from a fixed basis, and so does an rwa run
-    # at Delta = 0, whose crossed couplings carry no beat; without the basis the same frame takes the alpha_j from
-    # its couplings.  sign flips the qubit splitting and every detuning
+    # at Delta = 0, whose crossed couplings carry no beat, or one with a pulse off at Delta != 0, whose frame turns
+    # a qubit level at the beat; without the basis the same frame takes the alpha_j from its couplings and its
+    # whole diagonal.  sign flips the qubit splitting and every detuning
     cs, pp, psi = _shaped_draw(seed, n, sign, shape, 0.0, window, tier)
-    cs = dataclasses.replace(cs, delta=sign * cs.delta, delta_qubit=0.0 if tier == "rwa" else cs.delta_qubit)
+    keep = tier == "averaged" or off is not None
+    cs = dataclasses.replace(cs, delta=sign * cs.delta, delta_qubit=cs.delta_qubit if keep else 0.0)
+    if off is not None:
+        cs = _pulse_off(cs, off)
     frame = _tier_frame(tier, cs, pp)
     assert frame.basis is not None and frame.envelope == pp.envelope0
     alpha_frame = dataclasses.replace(frame, basis=None)
@@ -1007,7 +1022,7 @@ def test_only_long_one_width_beat_passes_take_the_basis(monkeypatch):
         built.append(h)
         basis = beat_basis(frame, h, dim)
         # seven Fourier matrices of the beat phase, and the manifold diagonal h diag in real form, whole
-        diagonal = np.diag(np.concatenate(([0.0, 0.0], -1j * h * frame.diag)))[None]
+        diagonal = np.diag(-1j * h * frame.diag)[None]
         assert basis.shape == (8, 4 * dim * dim)
         assert np.array_equal(basis[7], _real_form(diagonal).ravel())
         return basis
@@ -1189,10 +1204,11 @@ def _engine_run(frame, psi, pp, save_points):
 @pytest.mark.filterwarnings("ignore:envelope switching time is short")
 @hypothesis_settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), tier=st.sampled_from(["averaged", "rwa"]), n=st.integers(1, 5),
-       sign=st.sampled_from([-1, 1]), shape=st.sampled_from(["constant", "sin2", "gaussian", "trapezoid"]),
+       sign=st.sampled_from([-1, 1]), shape=st.sampled_from(["sin2", "gaussian", "trapezoid"]),
        on_saves=st.booleans(), half=st.integers(1, 200), window=st.floats(0.2, 0.5))
 def test_mirrored_pass_matches_the_direct_pass(seed, tier, n, sign, shape, on_saves, half, window):
-    # one envelope centred in the window, no beat, and couplings that one diagonal phase change makes real: over an
+    # one shaped envelope centred in the window (a constant one folds over the save interval and never mirrors), no
+    # beat, and couplings that one diagonal phase change makes real: over an
     # odd number of saved times each pass integrates the first half and takes the second by time reversal.  The
     # same frame without its mirror phases integrates the whole window, to the same states within eps per step,
     # with the same steps, halvings and estimate
@@ -1311,6 +1327,137 @@ def test_drive_phases_rotate_the_qubit_basis(seed, case, n, sign, shape, chi0, c
         run = propagate(cs, turned, psi, settings)
     assert mirror_pass.called == (case in ("averaged mirrored", "rwa at zero"))
     assert np.max(np.abs(run.amplitudes - w * base.amplitudes)) <= 1e-12
+
+
+# ---------------------------------------------------------------- one pulse off, constant generators
+
+
+def _pulse_off(cs, off):
+    """cs with the couplings of pulse `off` (0 or 1) all zero, as an amplitude of 0 leaves them."""
+    if off == 0:
+        return dataclasses.replace(cs, lambda0=0.0 * cs.lambda0, mu0=0.0 * cs.mu0)
+    return dataclasses.replace(cs, lambda1=0.0 * cs.lambda1, mu1=0.0 * cs.mu1)
+
+
+def _unrotated_frame(cs, pp):
+    """The rwa _BFrame of cs and pp with the beat left on the crossed couplings and no fixed basis: the alpha path
+    in the frame b_k = c_k e^{i delta_k t}, whose qubit levels are those of the c frame."""
+    wd, wq = cs.delta / HBAR, cs.delta_qubit / HBAR
+    lam0, mu0 = (a * np.exp(1j * pp.phi0) / HBAR for a in (cs.lambda0, cs.mu0))
+    lam1, mu1 = (a * np.exp(1j * pp.phi1) / HBAR for a in (cs.lambda1, cs.mu1))
+
+    def couplings(t):
+        f0, f1 = pp.envelope0(t)[:, None], pp.envelope1(t)[:, None]
+        beat = np.exp(1j * wq * t)[:, None]
+        return lam0 * f0 + mu1 * f1 / beat, mu0 * f0 * beat + lam1 * f1
+
+    g_max = np.hypot(np.abs(lam0) + np.abs(mu1), np.abs(mu0) + np.abs(lam1))
+    rate = np.max(np.abs(wd)) + abs(wq) + np.linalg.norm(g_max)
+    return ddsim.dynamics._BFrame(couplings, np.concatenate(([0.0, 0.0], -wd)), rate, c_frame=True)
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@pytest.mark.filterwarnings("ignore:Magnus error estimate .* accepted under the rounding floor")  # the reference's
+@hypothesis_settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), sign=st.sampled_from([-1, 1]), off=st.sampled_from([0, 1]),
+       shape=st.sampled_from(["constant", "sin2", "gaussian", "trapezoid"]), shift=st.sampled_from([0.0, 0.5]),
+       save_points=st.sampled_from([2, 5, 201]), window=st.floats(0.2, 0.5))
+def test_single_pulse_runs_match_the_unrotated_alpha_path(seed, n, sign, off, shape, shift, save_points, window):
+    # with one pulse off the rwa frame turns the qubit level that the other pulse's crossed coupling reaches at the
+    # beat (level 1 at +Delta / hbar where pulse 1 is off, level 0 at -Delta / hbar where pulse 0 is off), which
+    # leaves one envelope: a constant one folds over the save interval, a shaped one takes the one-envelope basis.
+    # The same couplings with the beat left on them, on the alpha path at tol 1e-13, are the reference
+    cs, pp, psi = _shaped_draw(seed, n, sign, shape, shift, window)
+    cs = _pulse_off(cs, off)
+    frame = _tier_frame("rwa", cs, pp)
+    assert frame.basis is not None and frame.beat is None
+    assert frame.envelope == (pp.envelope1 if off == 0 else pp.envelope0)
+    qubit = [0.0, 0.0]
+    qubit[off] = (2 * off - 1) * cs.delta_qubit / HBAR
+    assert np.array_equal(frame.diag, np.concatenate((qubit, -cs.delta / HBAR)))
+    with mock.patch.object(ddsim.dynamics, "_one_period_memo", None):
+        traj, (_, _, estimate, _), _ = _magnus_run(cs, pp, psi, IntegratorSettings(save_points=save_points))
+    ref = ddsim.dynamics._propagate(_unrotated_frame(cs, pp), psi, "rwa", pp,
+                                    IntegratorSettings(tol=1e-13, save_points=save_points))
+    assert np.max(np.abs(traj.amplitudes - ref.amplitudes)) <= max(10.0 * estimate, 1e-12)
+
+
+def _constant_draw(seed, case, n, sign, window):
+    """Constant pulses and a random qubit state for a constant generator: rwa with pulse 0 or pulse 1 off, the
+    averaged tier, or rwa at Delta = 0; and the b-frame generator H / hbar and diagonal that give the reference
+    c(t) = e^{i diag t} e^{-i H t} c(0) (the averaged tier keeps b(t) = e^{-i H t} b(0))."""
+    tier = "averaged" if case == "averaged" else "rwa"
+    cs, pp, psi = _shaped_draw(seed, n, sign, "constant", 0.0, window, tier)
+    if case == "rwa at zero":
+        cs = dataclasses.replace(cs, delta_qubit=0.0)
+    elif case != "averaged":
+        cs = _pulse_off(cs, int(case.split()[1]))
+    e0, e1 = np.exp(1j * pp.phi0), np.exp(1j * pp.phi1)
+    ham = np.zeros((n + 2, n + 2), dtype=complex)
+    diag = np.concatenate(([0.0, 0.0], -cs.delta)) / HBAR
+    if case == "averaged":
+        ham[0, 2:], ham[1, 2:] = cs.lambda0 * e0, cs.lambda1 * e1
+    else:
+        ham[0, 2:], ham[1, 2:] = cs.lambda0 * e0 + cs.mu1 * e1, cs.mu0 * e0 + cs.lambda1 * e1
+        # the crossed coupling left carries e^{-+i Delta t / hbar}: b_1 = c_1 e^{-i Delta t / hbar} where pulse 1
+        # is off, b_0 = c_0 e^{+i Delta t / hbar} where pulse 0 is off
+        diag[:2] = {"rwa at zero": (0.0, 0.0), "pulse 0 off": (-1.0, 0.0), "pulse 1 off": (0.0, 1.0)}[case]
+        diag[:2] *= cs.delta_qubit / HBAR
+    ham = ham / HBAR
+    ham[2:, :2] = np.conj(ham[:2, 2:]).T
+    ham += np.diag(diag)
+    return cs, pp, psi, ham, diag if tier == "rwa" else 0.0 * diag
+
+
+def _eigh_run(ham, diag, psi, times):
+    """e^{i diag t} e^{-i ham t} psi at each time, by the eigenvectors of ham."""
+    w, v = np.linalg.eigh(ham)
+    b = (v * np.exp(-1j * np.outer(times, w))[:, None, :]) @ (np.conj(v).T @ psi)
+    return b * np.exp(1j * np.outer(times, diag))
+
+
+@hypothesis_settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["pulse 0 off", "pulse 1 off", "averaged", "rwa at zero"]),
+       n=st.integers(1, 10), sign=st.sampled_from([-1, 1]), save_points=st.sampled_from([2, 3, 201, 1001, 2001]),
+       window=st.floats(0.2, 2.0))
+def test_constant_generators_fold_over_the_save_interval(seed, case, n, sign, save_points, window):
+    # a constant generator repeats itself over the save interval: one interval's propagator, one step against two,
+    # gives every saved state by one product each
+    cs, pp, psi, ham, diag = _constant_draw(seed, case, n, sign, window)
+    propagate = propagate_averaged if case == "averaged" else propagate_rwa
+    with mock.patch.object(ddsim.dynamics, "_one_period_memo", None), \
+            mock.patch.object(ddsim.dynamics.logger, "info") as info:
+        traj = propagate(cs, pp, psi, IntegratorSettings(save_points=save_points))
+    [(args, _)] = info.call_args_list
+    line = args[0] % args[1:]
+    assert f"folded over {save_points - 1} save intervals of " in line
+    assert ", one interval by magnus (one envelope) over 2 steps, 0 halvings" in line
+    # the two passes can share the exponential's rounding bit for bit, so the estimate reads at least eps ||H|| T
+    frame = ddsim.dynamics._rwa_frame(cs, pp, crossed=case != "averaged")[0]
+    rounding = np.finfo(float).eps * frame.rate * (traj.times[1] - traj.times[0])
+    assert 0.995 * rounding <= float(re.search(r"error estimate (\S+) ", line)[1]) <= 1e-12
+    assert np.max(np.abs(traj.amplitudes - _eigh_run(ham, diag, psi.amplitudes, traj.times))) <= 1e-12
+
+
+@pytest.mark.parametrize("args", [
+    (2005.0, 5.0, 1905.0, 0.2, 50.0, GateSpec(target="PHASE", l=10)),
+    (2005.0, 5.0, 1905.0, 0.2, 50.0, GateSpec(target="PHASE", l=3)),
+    (2300.0, 300.0, 2150.0, 0.15, 50.0, GateSpec(target="PHASE", l=300)),
+], ids=["criterion 4", "l=3", "l=300"])
+def test_single_pulse_phase_gates_match_eigh(args):
+    # PHASE switches the second pulse off, so the gate check's two runs are single-pulse folds over their one save
+    # interval, the whole window: one exponential each, exact to its rounding
+    cs, pp = _criterion_4_gate(*args)
+    assert pp.amp1 == 0.0
+    settings = IntegratorSettings(save_points=2)
+    runs = [propagate_rwa(cs, pp, StateVector.qubit(1, 0, 1), settings),
+            propagate_rwa(cs, pp, StateVector.qubit(0, 1, 1), settings)]
+    e0 = np.exp(1j * pp.phi0)
+    ham = np.diag([0.0, cs.delta_qubit, -cs.delta[0]]).astype(complex) / HBAR
+    ham[0, 2], ham[1, 2] = cs.lambda0[0] * e0 / HBAR, cs.mu0[0] * e0 / HBAR
+    ham[2, :2] = np.conj(ham[:2, 2])
+    ref = [_eigh_run(ham, np.diag(ham).real, column, runs[0].times)[-1] for column in np.eye(3)[:2]]
+    assert np.max(np.abs(np.column_stack([run.final_amplitudes for run in runs]) - np.column_stack(ref))) <= 1e-12
 
 
 # ---------------------------------------------------------------- elimination
