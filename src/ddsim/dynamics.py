@@ -41,11 +41,7 @@ propagate_rwa
     or one constant envelope at Delta = 0) repeats itself over any
     interval, so it is folded over the save interval instead (see below).
     Other runs at Delta = 0, shorter windows and shaped envelopes are
-    integrated directly.  Folded or not, a pass may form its Omegas from a fixed
-    basis (see below): the beat basis with both envelopes constant and
-    Delta != 0 (a fold's one period, as in a gate check), the
-    one-envelope basis at Delta = 0 with one shared envelope or with one
-    pulse off.  Each call logs (INFO) which path it took.
+    integrated directly.  Each call logs (INFO) which path it took.
 
 propagate_averaged
     The rwa tier without the crossed couplings and their beat, which
@@ -57,16 +53,18 @@ propagate_averaged
 
 All three are the same star-coupled equation, and one engine integrates
 them.  Each manifold level k couples only to |0> and |1>, so in a frame
-b_j = c_j e^{-i w_j t} with constant w_j, H(t)/hbar has
-<0|H|k> = g0_k(t), <1|H|k> = g1_k(t) and the constant diagonal
-<j|H|j> = w_j.  A tier supplies only its couplings at t and that
-diagonal (a _BFrame), whose qubit entries are 0 but in a single-pulse
-frame:
+b_j = c_j e^{-i w_j t} with constant w_j a tier writes its generator in
+terms (a _BFrame): H(t)/hbar = D + sum_a u_a(t) V_a, with D the constant
+diagonal <j|H|j> = w_j, a few real scalar functions u_a, and constant
+stars V_a (<0|V_a|k> and <1|V_a|k>):
 
-- bare: w_k = (E_k - eps0) / hbar, g0 = s(t) d0 and
-  g1 = s(t) d1 e^{i Delta t / hbar}, with s(t) the instantaneous field;
-- rwa: w_k = -delta_k / hbar, with the crossed couplings on the beat,
-  or, with one pulse off, with the turned qubit level at +-Delta / hbar;
+- bare: w_k = (E_k - eps0) / hbar and w_1 = Delta / hbar, qubit level 1
+  turned at the splitting, which takes e^{i Delta t / hbar} off g1; one
+  term, the instantaneous field s(t) on the dipole star (d0, d1);
+- rwa: w_k = -delta_k / hbar; each pulse's direct couplings ride on its
+  envelope, its crossed ones on its envelope times cos and sin of the
+  beat Delta t / hbar (a shared envelope sums the pulses' terms); with
+  one pulse off, one term and a turned qubit level (see above);
 - averaged: the same with the crossed couplings mu0 = mu1 = 0 and the
   beat Delta = 0; one builder (_rwa_frame) serves both tiers.
 
@@ -79,34 +77,35 @@ becomes the block [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian
 generator of dim d becomes a real antisymmetric matrix of dim 2d, and
 its exponential is a degree-16 Taylor polynomial by Paterson-Stockmeyer
 (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)), scaled and
-squared where the 1-norm exceeds 0.8 (_expm).  A chunk of steps forms
-its Omegas in one of two ways: as one product of per-step weights,
-computed once per pass, and a fixed basis, with no commutator per step;
-or from the couplings at the Gauss nodes (the alpha path).  _rwa_frame
-picks the basis:
+squared where the 1-norm exceeds 0.8 (_expm).  The terms -i D and
+-i V_a are built in real form once per frame, on its first pass, and a
+chunk of steps forms its Omegas in one of three ways:
 
-- one envelope: without a beat (the averaged tier, or rwa at Delta = 0)
-  and with envelope0 == envelope1 (constant included), or with one pulse
-  off in either tier (a single-pulse frame), the generator is
-  -i (diag + f(t) V) with a constant star V, so every step's Omega is a
-  combination of ten fixed matrices whose weights are fixed combinations
-  of fifteen monomials in the step and the envelope at its nodes.  The
+- alpha path: the alpha_j of every step are one product of the
+  node-difference weights h _ALPHA_NODES @ u and the terms, and Omega
+  takes their commutators (_alpha_omega).
+- one envelope: a frame of one term, -i (D + f(t) V), has every step's
+  Omega a combination of ten fixed matrices whose weights are fixed
+  combinations of fifteen monomials in the step and f at its nodes.  The
   ten matrices, with the constant weights folded in, are built once per
-  run (_one_envelope_basis), and the run logs "magnus (one envelope)".
-  Where f is centred in the window [0, T], f(T - t) = f(t),
-  and a diagonal phase change S makes V real (each row of V one complex
-  factor times real dipoles), H(T - t) = K H(t) K^-1 for the antiunitary
-  K = S conj, so U(T - a, T - b) = K U(a, b) K^-1.  The three-node Gauss
-  step is time-symmetric too, so on steps that mirror about T / 2 (an odd
-  number of saved times) each pass integrates the propagators U_j of the
-  first half only and takes psi(T - t_j) = S conj(U_j) U_mid^T S* U_mid
-  psi0 (_mirror_pass): half the exponentials, the same states to
-  rounding, and the same steps, halvings and estimate.  Such a run's log
-  line adds "; second half by time reversal, N steps integrated".  An
-  even number of saved times, an off-centre envelope, complex dipoles
-  whose phase differs between levels and the folds' propagators
-  integrate the whole window; a constant f folds over the save interval
-  (see below) and never mirrors.
+  frame (_one_envelope_basis), and the run logs "magnus (one envelope)".
+  The bare tier always has one term; the rwa and averaged tiers where
+  envelope0 == envelope1 (constant included) without a beat (the
+  averaged tier, or rwa at Delta = 0), or with one pulse off.
+  Where f is a shaped envelope centred in the window [0, T],
+  f(T - t) = f(t), and a diagonal phase change S makes V real (each row
+  of V one complex factor times real dipoles), H(T - t) = K H(t) K^-1 for
+  the antiunitary K = S conj, so U(T - a, T - b) = K U(a, b) K^-1.  The
+  three-node Gauss step is time-symmetric too, so on steps that mirror
+  about T / 2 (an odd number of saved times) each pass integrates the
+  propagators U_j of the first half only and takes psi(T - t_j) =
+  S conj(U_j) U_mid^T S* U_mid psi0 (_mirror_pass): half the
+  exponentials, the same states to rounding, and the same steps,
+  halvings and estimate.  Such a run's log line adds "; second half by
+  time reversal, N steps integrated".  An even number of saved times, an
+  off-centre envelope, complex dipoles whose phase differs between
+  levels, the bare tier's field and the folds' propagators integrate the
+  whole window; a constant f folds over the save interval (see below).
 - beat: with both pulses on, both envelopes constant and Delta != 0
   (rwa) the couplings depend on t only through theta = Delta t / hbar, so
   at a fixed step the sixth-order Omega is a trigonometric polynomial in
@@ -115,15 +114,15 @@ picks the basis:
   e^{+-i theta}, and the hops alternate, so they reach at most
   e^{+-3 i theta}.  A pass of one step
   width and more than _MAGNUS_CHUNK steps (fewer do not repay the seven
-  samples) takes Omega at seven phases once, its real Fourier
-  coefficients by a discrete Fourier transform, and the manifold
-  diagonal as an eighth matrix (_beat_basis), weighted by
+  samples) takes Omega at seven phases once from the alpha path, its
+  real Fourier coefficients by a discrete Fourier transform, and the
+  manifold diagonal as an eighth matrix (_beat_basis), weighted by
   [1, cos n theta, sin n theta, 1] at the steps' starts; the run logs
   "magnus (beat Fourier basis)".
 
-Every other pass (bare, shaped runs with a beat or with two envelopes,
+Every other pass (shaped rwa runs with a beat, runs with two envelopes,
 and beat passes of several step widths or at most _MAGNUS_CHUNK steps)
-takes the alpha path.
+takes the alpha path and logs "magnus".
 
 Where the generator is constant (one envelope, and it constant: a
 single constant pulse in either tier, both envelopes constant in the
@@ -159,6 +158,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -287,11 +287,16 @@ _MAGNUS_CHUNK = 64  # steps per array pass; 256 raised the peak memory of a swee
 _MAGNUS_MAX_HALVINGS = 5  # halvings after the first h against h/2 comparison
 # the sixth-order Magnus step of three Gauss nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) takes
 # alpha_j = -i h G_j on the qubit-manifold block, with the G_j from the couplings g_l at the nodes by these rows
-# (G_1 = g_2, G_2 = sqrt(15)/3 (g_3 - g_1), G_3 = 10/3 (g_3 - 2 g_2 + g_1)); alpha_1 adds -i h diag on the manifold
+# (G_1 = g_2, G_2 = sqrt(15)/3 (g_3 - g_1), G_3 = 10/3 (g_3 - 2 g_2 + g_1)); alpha_1 adds -i h diag on the
 # diagonal, which drops out of the node differences
 _ALPHA_NODES = np.array([[0.0, 1.0, 0.0],
                          [-math.sqrt(15.0) / 3.0, 0.0, math.sqrt(15.0) / 3.0],
                          [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
+# Omega = a1 + a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240 with c1 = [a1, a2] and c2 = -[a1, 2 a3 + c1] / 60 takes
+# the alpha_j in these rows' combinations: a1, a2, -a3 / 30, (-20 a1 - a3) / 240 and a1 + a3 / 12
+_OMEGA_ALPHAS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0 / 30.0], [-1.0 / 12.0, 0.0, -1.0 / 240.0],
+                          [1.0, 0.0, 1.0 / 12.0]])
+_OMEGA_NODES = _OMEGA_ALPHAS @ _ALPHA_NODES
 # with (F1, F2, F3) = _ALPHA_NODES @ f the one-envelope alpha_j are a1 = h (P + F1 Q), a2 = h F2 Q and
 # a3 = h F3 Q (see _one_envelope_basis), and _magnus_pass's Omega = a1 + a3 / 12 + [X, Y] with
 # X = -(h / 12) P - h (20 F1 + F3) / 240 Q + h^2 F2 / 240 K and
@@ -314,64 +319,76 @@ _TAYLOR_BLOCKS[3, 4] = 1.0 / math.factorial(16)
 
 @dataclass(frozen=True)
 class _BFrame:
-    """A tier's star-coupled equations in its frame b_j = c_j e^{-i diag_j t}.
+    """A tier's star-coupled equations in its frame b_j = c_j e^{-i diag_j t}, as terms.
 
-    couplings(t) takes a time array of shape (N,) and returns g0, g1 of
-    shape (N, n), <0|H|k> / hbar and <1|H|k> / hbar; diag, shape (2 + n,),
-    is the constant diagonal <j|H|j> / hbar of every level, the two qubit
-    entries 0 but in a single-pulse frame (see _rwa_frame); rate bounds
-    the norm of H/hbar, rad/ns.  With c_frame the saved amplitudes are
-    taken back to the c frame.  At most one fixed basis applies, as
-    _rwa_frame picks it.  Where both couplings follow one envelope,
-    g_q = f(t) v_q (no beat and envelope0 == envelope1, or one pulse off),
-    envelope is f and basis is _one_envelope_basis(diag, v0, v1);
-    _magnus_pass then forms each Omega from them and never calls
-    couplings.  A constant f makes the generator constant (constant).  Where the couplings depend on t
-    only through the beat phase beat * t, rad (an rwa run with both
-    envelopes constant and Delta != 0, beat = Delta / hbar), beat is set,
-    and a pass of one step width and more than _MAGNUS_CHUNK steps forms
-    each Omega from _beat_basis.  Every other pass takes the alpha_j from
-    couplings (see _magnus_pass).  mirror, the phases S of _mirror_phases,
-    is set where H(T - t) = K H(t) K^-1 over the window [0, T] with
-    K = S conj: one shaped envelope centred on T / 2, and couplings
-    that a diagonal phase change makes real (see _mirror_pass).
+    H(t)/hbar = D + sum_a u_a(t) V_a.  scalars(t) takes a time array of
+    shape (N,) and returns the real u_a, shape (A, N); stars, shape
+    (A, 2, n), holds the constant stars, <0|V_a|k> = stars[a, 0, k] and
+    <1|V_a|k> = stars[a, 1, k]; D is diag, shape (2 + n,), the constant
+    <j|H|j> / hbar of every level, whose qubit entries are 0 but in a
+    frame that turns a qubit level (the bare tier, or one pulse off; see
+    _rwa_frame); rate bounds the norm of H/hbar, rad/ns.  With c_frame the
+    saved amplitudes are taken back to the c frame.  terms, -i D and the
+    -i V_a in real form, are built on the first pass that needs them,
+    whose errstate keeps a non-finite coupling from warning there.
+
+    basis names the fixed basis that a pass may form its Omegas from, as
+    the tier picks it: "one envelope" for a frame of one term, whose
+    Omegas _magnus_pass forms from _one_envelope_basis(terms); "beat
+    Fourier basis" where the u_a depend on t only through the beat phase
+    beat * t, rad (an rwa run with both envelopes constant and Delta != 0,
+    beat = Delta / hbar), and then a pass of one step width and more than
+    _MAGNUS_CHUNK steps forms each Omega from _beat_basis.  Every other
+    pass takes the alpha path (see _alpha_omega).  constant marks a
+    constant generator (one term, and its u constant).  mirror, the
+    phases S of _mirror_phases, is set where H(T - t) = K H(t) K^-1 over
+    the window [0, T] with K = S conj: one shaped envelope centred on
+    T / 2, and couplings that a diagonal phase change makes real (see
+    _mirror_pass).
     """
 
-    couplings: Callable
+    scalars: Callable
+    stars: np.ndarray
     diag: np.ndarray
     rate: float
     c_frame: bool = False
-    envelope: Callable | None = None
-    basis: np.ndarray | None = None
+    basis: str | None = None
     beat: float | None = None
     mirror: np.ndarray | None = None
+    constant: bool = False
 
-    @property
-    def constant(self) -> bool:
-        """Whether the generator is constant: one envelope, and that envelope constant."""
-        return self.envelope is not None and self.envelope.shape == "constant"
+    @cached_property
+    def terms(self) -> np.ndarray:
+        """-i D and the -i V_a in real form, flattened to shape (1 + A, (2 dim)^2)."""
+        dim = len(self.diag)
+        gen = np.zeros((1 + len(self.stars), dim, dim), dtype=complex)
+        gen[0] = np.diag(-1j * self.diag)
+        gen[1:, :2, 2:] = -1j * self.stars
+        gen[1:, 2:, :2] = -np.conj(np.swapaxes(gen[1:, :2, 2:], 1, 2))
+        real = np.empty((len(gen), dim, 2, dim, 2))
+        real[:, :, 0, :, 0] = real[:, :, 1, :, 1] = gen.real
+        real[:, :, 1, :, 0] = gen.imag
+        real[:, :, 0, :, 1] = -gen.imag
+        return real.reshape(len(gen), -1)
+
+    @cached_property
+    def one_envelope(self) -> np.ndarray:
+        """_one_envelope_basis of the frame's one term."""
+        return _one_envelope_basis(self.terms)
 
 
-def _one_envelope_basis(diag, v0, v1):
+def _one_envelope_basis(terms):
     """The fifteen real-form matrices, flattened to shape (15, (2 dim)^2), whose combinations are every Magnus
     Omega of the generator -i (D + f(t) V) with one envelope f, weighted by _one_envelope_monomials.
 
-    D is diag on the manifold and V the star <0|V|k> = v0_k, <1|V|k> = v1_k.  With P = -i D, Q = -i V and
-    K = [P, Q], Omega is a combination of the ten matrices P, Q, K, [P, K], [P, [P, K]], [P, [Q, K]], [Q, K],
-    [Q, [Q, K]], [K, [P, K]] and [K, [Q, K]] ([Q, [P, K]] = [P, [Q, K]] by Jacobi), whose weights are
-    _ONE_ENVELOPE_WEIGHTS' combinations of the monomials; the returned matrices are those combinations.
+    terms holds P = -i D and Q = -i V in real form, flattened (_BFrame.terms).  With K = [P, Q], Omega is a
+    combination of the ten matrices P, Q, K, [P, K], [P, [P, K]], [P, [Q, K]], [Q, K], [Q, [Q, K]], [K, [P, K]]
+    and [K, [Q, K]] ([Q, [P, K]] = [P, [Q, K]] by Jacobi), whose weights are _ONE_ENVELOPE_WEIGHTS' combinations
+    of the monomials; the returned matrices are those combinations.
     """
-    dim = len(diag)
-    m = 2 * dim
-    gen = np.zeros((2, dim, dim), dtype=complex)
-    gen[0] = np.diag(-1j * np.asarray(diag))
-    gen[1, :2, 2:] = -1j * np.array([v0, v1])
-    gen[1, 2:, :2] = -np.conj(gen[1, :2, 2:]).T
+    m = math.isqrt(terms.shape[1])
     words = np.empty((10, m, m))
-    real = words[:2].reshape(2, dim, 2, dim, 2)
-    real[:, :, 0, :, 0] = real[:, :, 1, :, 1] = gen.real
-    real[:, :, 1, :, 0] = gen.imag
-    real[:, :, 0, :, 1] = -gen.imag
+    words[:2] = terms.reshape(2, m, m)
     p, q, k, pk, ppk, pqk, qk, qqk, kpk, kqk = words[:, None]  # stacks of one
     scratch = np.empty((1, m, m))
     for x, y, out in ((p, q, k), (p, k, pk), (q, k, qk), (p, pk, ppk), (p, qk, pqk), (q, qk, qqk), (k, pk, kpk),
@@ -398,61 +415,37 @@ def _commutator(x, y, out, scratch):
     np.subtract(scratch, np.swapaxes(scratch, 1, 2), out=out)
 
 
-def _alpha_work(c, dim, scratch):
-    """_alpha_omega's work arrays for c steps: the alpha_j in real form, zero but for what each call writes, its
-    views, and scratch, three contiguous arrays of shape (c, 2 dim, 2 dim)."""
-    # the alpha_j in real form, seen as complex pairs of columns: row (l, Re or Im) holds conj(a_lj) and
-    # i conj(a_lj) at column j.  Each call writes the qubit-manifold blocks and alpha_1's diagonal; the other
-    # entries stay 0
-    alpha = np.zeros((3, c, dim, 2, 2 * dim))
-    pairs = alpha.view(complex)
-    upper, lower = pairs[:, :, :2, :, 2:], np.swapaxes(pairs[:, :, 2:, :, :2], 2, 4)
-    # alpha_1's entries (k, Re; k) and (k, Im; k), stride apart from k to k + 1
-    flat, stride = pairs[0].reshape(c, -1), 2 * dim + 1
-    diag, diag_im = flat[:, :: stride], flat[:, dim:: stride]
-    return alpha, upper, lower, diag, diag_im, scratch
-
-
-def _alpha_omega(frame, nodes, h, work, omega):
-    """The sixth-order Omegas of c steps of widths h, shape (c,), from frame.couplings at their Gauss nodes,
-    shape (3, c), into omega, shape (c, m, m); work is _alpha_work's for c steps, and its scratch is spent."""
-    alpha, upper, lower, diag, diag_im, (scratch, c1, arg) = work
-    c, dim, m = len(h), alpha.shape[2], alpha.shape[-1]
-    g0, g1 = frame.couplings(nodes.ravel())
-    g = np.stack((g0, g1), axis=1).astype(complex, copy=False).reshape(3, -1).view(float)
-    # conj(a_qk) = i conj(h G_qk) and, as a_kq = -conj(a_qk), conj(a_kq) = i h G_qk; conj(a_kk) = i h diag_k
-    hg = (_ALPHA_NODES @ g).view(complex).reshape(3, c, 2, dim - 2) * h[:, None, None]
-    hgc = np.conj(hg)
-    np.multiply(hgc, 1j, out=upper[:, :, :, 0])
-    np.negative(hgc, out=upper[:, :, :, 1])
-    np.multiply(hg, 1j, out=lower[:, :, :, 0])
-    np.negative(hg, out=lower[:, :, :, 1])
-    hd = h[:, None] * frame.diag
-    np.multiply(hd, 1j, out=diag)
-    np.negative(hd, out=diag_im)
-    # Omega = a1 + a3 / 12 + [-20 a1 - a3 + c1, a2 + c2] / 240, c1 = [a1, a2], c2 = -[a1, 2 a3 + c1] / 60
-    a1, a2, a3 = alpha.reshape(3, c, m, m)
+def _alpha_omega(frame, nodes, h, work, scratch, omega):
+    """The sixth-order Omegas of c steps of widths h, shape (c,), from frame's scalars at their Gauss nodes,
+    shape (3, c), and its terms, into omega, shape (c, m, m).  work, shape (5, c, m, m), and scratch, three arrays
+    of shape (c, m, m), are work arrays."""
+    scratch, c1, arg = scratch
+    c = len(h)
+    terms = frame.terms
+    u = frame.scalars(nodes.ravel()).reshape(-1, 3, c)
+    # the alpha_j are sum_a (h _ALPHA_NODES @ u_a)_j T_a over the terms T_a, D's u being 1, which the node differences
+    # drop, so D's alpha_j weights are (h, 0, 0); one product takes the _OMEGA_ALPHAS combinations of them
+    weights = np.empty((5, c, len(terms)))
+    weights[:, :, 0] = _OMEGA_ALPHAS[:, :1] * h
+    weights[:, :, 1:] = (_OMEGA_NODES @ u).transpose(1, 2, 0) * h[:, None]
+    np.matmul(weights.reshape(5 * c, -1), terms, out=work.reshape(5 * c, -1))
+    a1, a2, a3_30, outer, tail = work
     _commutator(a1, a2, c1, scratch)
-    np.add(c1, a3, out=arg)
-    arg += a3
-    arg *= -1.0 / 60.0
+    np.multiply(c1, -1.0 / 60.0, out=arg)
+    arg += a3_30
     _commutator(a1, arg, arg, scratch)
     arg += a2
-    np.multiply(a1, -20.0, out=scratch)
-    c1 += scratch
-    c1 -= a3
     c1 *= 1.0 / 240.0
+    c1 += outer
     _commutator(c1, arg, omega, scratch)
-    np.multiply(a3, 1.0 / 12.0, out=scratch)
-    scratch += a1
-    omega += scratch
+    omega += tail
 
 
 def _takes_beat_basis(frame, knots, counts, steps):
     """Whether _magnus_pass takes the Omegas of its counts[j] steps over [knots[j], knots[j + 1]], steps in all,
-    from _beat_basis: frame has a beat, there are more than _MAGNUS_CHUNK steps (the seven samples cost about one
-    chunk of the alpha path), and every step has one width."""
-    if frame.beat is None or steps <= _MAGNUS_CHUNK:
+    from _beat_basis: frame names that basis, there are more than _MAGNUS_CHUNK steps (the seven samples cost
+    about one chunk of the alpha path), and every step has one width."""
+    if frame.basis != "beat Fourier basis" or steps <= _MAGNUS_CHUNK:
         return False
     widths = np.diff(knots) / counts
     return bool(np.all(widths == widths[0]))
@@ -487,8 +480,8 @@ def _beat_basis(frame, h, dim):
     theta = 2.0 * math.pi / 7.0 * np.arange(7)
     widths = np.full(7, h)
     samples = np.zeros((8, m, m))
-    _alpha_omega(frame, theta / frame.beat + _GAUSS3[:, None] * widths, widths,
-                 _alpha_work(7, dim, np.empty((3, 7, m, m))), samples[:7])
+    _alpha_omega(frame, theta / frame.beat + _GAUSS3[:, None] * widths, widths, np.empty((5, 7, m, m)),
+                 np.empty((3, 7, m, m)), samples[:7])
     samples = samples.reshape(8, -1)
     # the real-form manifold diagonal h diag: entries (2k, 2k + 1) and, negated, (2k + 1, 2k) for each level k >= 2
     up, down = samples[:, 4 * m + 5:: 2 * m + 2], samples[:, 5 * m + 4:: 2 * m + 2]
@@ -553,9 +546,10 @@ def _magnus_pass(frame, y0, knots, counts):
     are either one product of its rows of the pass's per-step weights and
     a basis, equal to the alpha_j's Omega to rounding (one envelope:
     _one_envelope_monomials of the widths and the envelope at the nodes,
-    and frame.basis; a beat, where _takes_beat_basis: _beat_weights at the
-    steps' starts and _beat_basis), or _alpha_omega's from the couplings
-    at the nodes (the alpha path, which alone allocates its work array).
+    and frame.one_envelope; a beat, where _takes_beat_basis: _beat_weights
+    at the steps' starts and _beat_basis), or _alpha_omega's from the
+    scalars at the nodes and the terms (the alpha path, which alone
+    allocates its work array).
     The state (or propagator) is advanced with the rows (Re, Im) of each
     amplitude and taken back to complex once, at the end.  A non-finite
     generator raises PropagationError in the first chunk.
@@ -580,10 +574,10 @@ def _magnus_pass(frame, y0, knots, counts):
     # a non-finite generator is reported by _expm's norm check, not by warnings on the way
     with np.errstate(invalid="ignore", over="ignore"):
         weights = None
-        if frame.basis is not None:
+        if frame.basis == "one envelope":
             gap, local = span(0, ends[-1])
-            basis = frame.basis
-            weights = _one_envelope_monomials(widths[gap], frame.envelope(nodes(gap, local).ravel()).reshape(3, -1))
+            basis = frame.one_envelope
+            weights = _one_envelope_monomials(widths[gap], frame.scalars(nodes(gap, local).ravel()).reshape(3, -1))
         elif _takes_beat_basis(frame, knots, counts, ends[-1]):
             gap, local = span(0, ends[-1])
             basis = _beat_basis(frame, widths[0], dim)
@@ -596,9 +590,9 @@ def _magnus_pass(frame, y0, knots, counts):
                 powers[0] = np.eye(m)
                 omega = powers[1]  # where _expm takes its argument
                 if weights is None:
-                    work = _alpha_work(c, dim, blocks[:3])  # the scratch is spent before _expm needs blocks
-            if weights is None:
-                _alpha_omega(frame, nodes(gap, local), widths[gap], work, omega)
+                    work = np.empty((5, c, m, m))
+            if weights is None:  # blocks are scratch until _expm needs them
+                _alpha_omega(frame, nodes(gap, local), widths[gap], work, blocks[:3], omega)
             else:
                 np.matmul(weights[first:first + c], basis, out=omega.reshape(c, -1))
             props = _expm(powers, blocks)
@@ -704,9 +698,8 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
         steps = int(counts.sum())
         accept = max(tol, eps * steps, rounding)
         if estimate <= accept:
-            path = ("magnus (one envelope)" if frame.basis is not None
-                    else "magnus (beat Fourier basis)" if _takes_beat_basis(frame, knots, counts, steps)
-                    else "magnus")
+            taken = frame.basis == "one envelope" or _takes_beat_basis(frame, knots, counts, steps)
+            path = f"magnus ({frame.basis})" if taken else "magnus"
             facts = (steps, halvings, estimate, accept, path, steps // 2 if mirrored else steps)
             return fine[np.searchsorted(knots, grid)], facts
         coarse = fine
@@ -720,7 +713,7 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
 _one_period_memo = None
 
 
-def _fold(frame, psi0, grid, period, tol, key):
+def _fold(frame, psi0, grid, period, tol):
     """b-frame amplitudes on grid from the propagator of one period (Floquet), its Magnus facts, and
     whether the kept propagator served.
 
@@ -736,9 +729,10 @@ def _fold(frame, psi0, grid, period, tol, key):
     with P the save interval it is exact to rounding in one step, and
     _magnus compares one step with two.
 
-    key must fix frame (its couplings).  With tol and the offsets tau,
-    which end at P, it names the integration; the last one is kept and
-    reused when a call names it again.
+    The frame's diagonal, stars and beat fix its generator (a folded
+    frame's scalars are 1, or the cos and sin of its beat); with tol and
+    the offsets tau, which end at P, they name the integration.  The last
+    one is kept and reused, without building the terms, when named again.
     """
     global _one_period_memo
     dim = len(psi0)
@@ -752,7 +746,7 @@ def _fold(frame, psi0, grid, period, tol, key):
     offsets[wrap | (offsets <= slack)] = 0.0
     taus = np.unique(np.append(offsets, period))
 
-    key += (tol, taus.tobytes())
+    key = (frame.diag.tobytes(), frame.stars.tobytes(), frame.beat, tol, taus.tobytes())
     memo = _one_period_memo
     reused = memo is not None and memo[0] == key
     if reused:
@@ -777,15 +771,14 @@ def _fold(frame, psi0, grid, period, tol, key):
     return out, facts, reused
 
 
-def _propagate(model, psi0, frame, pulses, settings, period=None, key=()):
+def _propagate(model, psi0, frame, pulses, settings, period=None):
     """Integrate the star-coupled equations of a tier from psi0 over [0, pulses.duration].
 
     model is the tier's b-frame form (a _BFrame), which Magnus steps
     integrate (see _magnus); with a period, the one-period propagator is
-    integrated instead and the run is folded (see _fold), and key is a
-    tuple of the values (bytes or floats) that fix the frame's couplings.
-    A constant generator is folded over the save interval, its key the
-    bytes of its one-envelope basis, whatever period the tier passes.
+    integrated instead and the run is folded (see _fold).  A constant
+    generator is folded over the save interval, whatever period the tier
+    passes.
     """
     settings = settings or IntegratorSettings()
     if psi0.frame != frame:
@@ -797,7 +790,7 @@ def _propagate(model, psi0, frame, pulses, settings, period=None, key=()):
 
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
     if model.constant:  # a constant generator repeats itself over any interval, the uniform save interval included
-        period, key = grid[1] - grid[0], (model.basis.tobytes(),)
+        period = grid[1] - grid[0]
     if period is None:
         breaks = pulses.envelope0.breakpoints + pulses.envelope1.breakpoints
         # Magnus steps are equal across a save interval, so where the envelopes vanish nothing else would keep
@@ -805,7 +798,7 @@ def _propagate(model, psi0, frame, pulses, settings, period=None, key=()):
         ys, facts = _magnus(model, psi0.amplitudes, grid, breaks, settings.tol, pulses.switching_time)
         reused = False
     else:
-        ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings.tol, key)
+        ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings.tol)
     steps, halvings, estimate, floor, method, integrated = facts
     span = "interval" if model.constant else "period"
     note = f" (one-{span} propagator reused)" if reused else ""
@@ -824,7 +817,7 @@ def _propagate(model, psi0, frame, pulses, settings, period=None, key=()):
             f"{settings.tol:.3e}; accepted under the rounding floor {bound} = {floor:.3e}",
             stacklevel=3,
         )
-    if model.c_frame:  # c_j = b_j e^{i diag_j t}, the qubit levels' factors 1 but in a frame with a pulse off
+    if model.c_frame:  # c_j = b_j e^{i diag_j t}, the qubit levels' factors 1 but in a frame that turns one
         ys *= np.exp(1j * np.outer(grid, model.diag))
 
     traj = Trajectory(grid, ys, frame)
@@ -842,17 +835,19 @@ def _propagate(model, psi0, frame, pulses, settings, period=None, key=()):
 
 
 def _rwa_frame(couplings, pulses, crossed):
-    """The _BFrame of the rwa tier (crossed) or of the averaged tier, and the period and memo key of its fold, or
-    None and () where the run is not folded.
+    """The _BFrame of the rwa tier (crossed) or of the averaged tier, and the period of its fold over the beat, or
+    None where the run is not folded so.
 
-    The averaged tier is the rwa tier with mu0 = mu1 = 0, the beat 0 and b-frame amplitudes.  The frame picks the
-    Omega form (see the module docstring): one envelope, the couplings being f(t) (lambda0 + mu1) and
-    f(t) (mu0 + lambda1); the beat, folded over at least two beat periods; else the alpha path.  One envelope
-    serves without a beat where envelope0 == envelope1, and at any beat where one pulse's couplings are all 0: then
-    f is the other pulse's envelope, and qubit level 1 (pulse 1 off) or 0 (pulse 0 off) is turned at the beat,
-    +wq or -wq on its diagonal, which takes the beat off the one crossed coupling left.  One shaped envelope centred
-    in the window also takes the mirror phases of those couplings (_mirror_phases); a constant one folds over the
-    save interval (see _propagate) and never mirrors.
+    The averaged tier is the rwa tier with mu0 = mu1 = 0, the beat 0 and b-frame amplitudes.  Pulse 0 puts
+    lambda0 f0(t) on <0|H|k> and mu0 f0(t) e^{i theta} on <1|H|k>, pulse 1 lambda1 f1(t) on <1|H|k> and
+    mu1 f1(t) e^{-i theta} on <0|H|k>, theta = wq t, so with e^{+-i theta} = cos theta +- i sin theta each pulse has
+    three terms (f, f cos theta, f sin theta), one without a beat, and envelope0 == envelope1 sums the pulses'.
+    One term, f(t) (lambda0 + mu1) and f(t) (mu0 + lambda1), serves without a beat where envelope0 == envelope1,
+    and at any beat where one pulse's couplings are all 0: f is then the other pulse's envelope, and qubit level 1
+    (pulse 1 off) or 0 (pulse 0 off) is turned at the beat, +wq or -wq on its diagonal, which takes the beat off
+    the one crossed coupling left.  One shaped envelope centred in the window also takes the mirror phases of
+    those couplings (_mirror_phases); a constant one folds over the save interval (see _propagate).  A beat with
+    both envelopes constant takes the beat basis, and folds over at least two beat periods.
     """
     wd = couplings.delta / HBAR                            # detuning phases, rad/ns
     wq = couplings.delta_qubit / HBAR if crossed else 0.0  # beat phase, rad/ns
@@ -862,8 +857,9 @@ def _rwa_frame(couplings, pulses, crossed):
         phase0, phase1 = np.exp(1j * pulses.phi0), np.exp(1j * pulses.phi1)
         lam0 = couplings.lambda0 * phase0 / HBAR
         lam1 = couplings.lambda1 * phase1 / HBAR
+        zero = np.zeros_like(lam0)
         mu0, mu1 = ((couplings.mu0 * phase0 / HBAR, couplings.mu1 * phase1 / HBAR) if crossed
-                    else (np.zeros_like(lam0), np.zeros_like(lam1)))
+                    else (zero, np.zeros_like(lam1)))
         g_max = np.hypot(np.abs(lam0) + np.abs(mu1), np.abs(mu0) + np.abs(lam1))
         rate = np.max(np.abs(wd), initial=0.0) + abs(wq) + np.linalg.norm(g_max)
         # a pulse whose couplings are all 0 (amplitude 0) leaves the other's envelope alone, and turning the qubit
@@ -872,36 +868,37 @@ def _rwa_frame(couplings, pulses, crossed):
         off1 = not (np.any(lam1) or np.any(mu1))
         off0 = not (off1 or np.any(lam0) or np.any(mu0))
         qubit = (0.0, wq) if off1 else (-wq, 0.0) if off0 else (0.0, 0.0)
-        envelope = env1 if off0 else env0
-        one_envelope = off1 or off0 or (wq == 0.0 and env0 == env1)
-        diag = np.concatenate((qubit, -wd))
-        v0, v1 = lam0 + mu1, mu0 + lam1  # the couplings over f(t) when one envelope serves
-        basis = _one_envelope_basis(diag, v0, v1) if one_envelope else None
+        if off1 or off0 or (wq == 0.0 and env0 == env1):
+            envelopes, stars = (env1 if off0 else env0,), np.array([[lam0 + mu1, mu0 + lam1]])
+        elif wq == 0.0:
+            envelopes, stars = (env0, env1), np.array([[lam0, mu0], [mu1, lam1]])
+        else:  # each pulse's terms on f, f cos theta and f sin theta
+            pulse0 = np.array([[lam0, zero], [zero, mu0], [zero, 1j * mu0]])
+            pulse1 = np.array([[zero, lam1], [mu1, zero], [-1j * mu1, zero]])
+            envelopes, stars = (((env0,), pulse0 + pulse1) if env0 == env1
+                                else ((env0, env1), np.concatenate((pulse0, pulse1))))
+        one_term = len(stars) == 1
+        constant = one_term and envelopes[0].shape == "constant"
         # f(T - t) = f(t): the envelope is centred in the window; a constant one folds and never mirrors
-        centred = (envelope.shape != "constant"
-                   and abs(envelope.center - 0.5 * pulses.duration) <= 1e-12 * pulses.duration)
-        mirror = _mirror_phases(v0, v1) if one_envelope and centred else None
+        centred = (one_term and not constant
+                   and abs(envelopes[0].center - 0.5 * pulses.duration) <= 1e-12 * pulses.duration)
+        mirror = _mirror_phases(*stars[0]) if centred else None
+    turning = wq != 0.0 and not one_term  # the scalars carry the beat
 
-    def b_couplings(t):
-        if one_envelope:
-            f = envelope(t)[:, None]
-            return v0 * f, v1 * f
-        f0 = env0(t)[:, None]
-        f1 = env1(t)[:, None]
-        if not crossed:  # mu0 = mu1 = 0: adding them would cost about 5% of an alpha-path step
-            return lam0 * f0, lam1 * f1
-        beat = np.exp(1j * wq * t)[:, None]
-        return lam0 * f0 + mu1 * f1 / beat, mu0 * f0 * beat + lam1 * f1
+    def scalars(t):
+        f = np.array([env(t) for env in envelopes])
+        if not turning:
+            return f
+        theta = wq * t
+        return (f[:, None] * np.array([np.ones_like(t), np.cos(theta), np.sin(theta)])).reshape(-1, len(t))
 
-    # the couplings depend on t only through wq t
-    beating = not one_envelope and env0.shape == env1.shape == "constant" and wq != 0.0
-    frame = _BFrame(b_couplings, diag, rate, c_frame=crossed, envelope=envelope if one_envelope else None,
-                    basis=basis, beat=wq if beating else None, mirror=mirror)
+    # the scalars depend on t only through wq t
+    beating = turning and env0.shape == env1.shape == "constant"
+    frame = _BFrame(scalars, stars, np.concatenate((qubit, -wd)), rate, c_frame=crossed,
+                    basis="one envelope" if one_term else "beat Fourier basis" if beating else None,
+                    beat=wq if beating else None, mirror=mirror, constant=constant)
     period = averaging_period(couplings.delta_qubit)
-    if beating and pulses.duration >= 2.0 * period:
-        # the envelopes are 1, so these fix the couplings
-        return frame, period, tuple(a.tobytes() for a in (lam0, lam1, mu0, mu1, wd)) + (wq,)
-    return frame, None, ()
+    return frame, period if beating and pulses.duration >= 2.0 * period else None
 
 
 def propagate_rwa(
@@ -920,8 +917,8 @@ def propagate_rwa(
     constant generator (a single constant pulse, or constant envelopes at
     Delta = 0) is folded over the save interval: see the module docstring.
     """
-    frame, period, key = _rwa_frame(couplings, pulses, crossed=True)
-    return _propagate(frame, psi0, "rwa", pulses, settings, period, key)
+    frame, period = _rwa_frame(couplings, pulses, crossed=True)
+    return _propagate(frame, psi0, "rwa", pulses, settings, period)
 
 
 def propagate_averaged(
@@ -946,7 +943,7 @@ def propagate_averaged(
             "the averaged tier may deviate from the rwa tier",
             stacklevel=2,
         )
-    frame, _, _ = _rwa_frame(couplings, pulses, crossed=False)
+    frame, _ = _rwa_frame(couplings, pulses, crossed=False)
     return _propagate(frame, psi0, "averaged", pulses, settings)
 
 
@@ -958,8 +955,12 @@ def propagate_bare(
 ) -> Trajectory:
     """Integrate with the full carriers, no rotating-wave approximation.
 
-    Magnus steps in the frame b_k = c_k e^{-i (E_k - eps0) t / hbar}
-    resolve the carriers, so runtime grows with omega0 * duration.
+    Magnus steps in the frame b_k = c_k e^{-i (E_k - eps0) t / hbar},
+    b_1 = c_1 e^{-i Delta t / hbar}, resolve the carriers, so runtime grows
+    with omega0 * duration.  There the generator is
+    -i (D + s(t) V) with the instantaneous field s(t) and the dipole star
+    V, for any pair of envelopes: one term, which takes the one-envelope
+    basis.
     """
     w0 = pulses.omega0 / HBAR
     w1 = pulses.omega1 / HBAR
@@ -971,10 +972,8 @@ def propagate_bare(
     phi0, phi1 = pulses.phi0, pulses.phi1
     env0, env1 = pulses.envelope0, pulses.envelope1
 
-    def b_couplings(t):
-        # the instantaneous field, V/cm
-        s = (amp0 * env0(t) * np.cos(w0 * t + phi0) + amp1 * env1(t) * np.cos(w1 * t + phi1))[:, None]
-        return s * d0, s * d1 * np.exp(1j * wq * t)[:, None]
+    def field(t):  # the instantaneous field, V/cm, the one scalar
+        return (amp0 * env0(t) * np.cos(w0 * t + phi0) + amp1 * env1(t) * np.cos(w1 * t + phi1))[None]
 
     rate = (np.max(np.abs(w0k)) + abs(wq) + max(abs(w0), abs(w1))
             + (amp0 + amp1) * np.linalg.norm(np.hypot(np.abs(d0), np.abs(d1))))
@@ -986,7 +985,8 @@ def propagate_bare(
             "(runtime grows with omega0 * duration); consider the rwa tier",
             stacklevel=2,
         )
-    frame = _BFrame(b_couplings, np.concatenate(([0.0, 0.0], w0k)), rate, c_frame=True)
+    frame = _BFrame(field, np.array([[d0, d1]]), np.concatenate(([0.0, wq], w0k)), rate, c_frame=True,
+                    basis="one envelope")
     return _propagate(frame, psi0, "bare", pulses, settings)
 
 

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hypothesis_settings
+from hypothesis import example, given, settings as hypothesis_settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -622,8 +622,7 @@ def test_magnus_step_takes_states_and_propagators(n, propagator):
     dim = 2 + n
     g0, g1 = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
     diag = np.concatenate(([0.0, 0.0], rng.normal(size=n)))
-    frame = ddsim.dynamics._BFrame(lambda t: (np.broadcast_to(g0, (len(t), n)), np.broadcast_to(g1, (len(t), n))),
-                                   diag, 1.0)
+    frame = ddsim.dynamics._BFrame(lambda t: np.ones((1, len(t))), np.array([[g0, g1]]), diag, 1.0)
     y = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     if not propagator:
         y = y[:, 0].copy()
@@ -669,37 +668,21 @@ def test_taylor_exponential_matches_expm_and_is_orthogonal(dim, squarings):
     assert np.max(np.abs(r[:, 0::2, 0::2] + 1j * r[:, 1::2, 0::2] - exact)) <= 1e-14
 
 
-@pytest.mark.filterwarnings("ignore:envelope switching time is short")
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("tier, shape", [("rwa", "constant"), ("rwa", "sin2"), ("averaged", "sin2"),
-                                         ("bare", "sin2"), ("rwa", "whole periods")])
-def test_non_finite_coupling_fails_in_the_first_magnus_pass(monkeypatch, bad, tier, shape):
-    # the Taylor exponential raises nothing on a NaN, so without the norm check a NaN estimate would
-    # run every halving before failing; the constant rwa run folds, and its pass takes a propagator.
-    # The averaged run has one envelope, and its pass reads the couplings only as the envelope's values.
-    # Over whole periods with 2 save points the fold's period is one gap of more than 64 equal steps, and
-    # its first pass builds the beat basis from the couplings.  The averaged pulse is centred in the window over
-    # 5 save points, so its passes integrate the first half's propagators and mirror them: the first pass also
-    # takes the identity
+def _first_pass_failure(monkeypatch, bad, tier, shape, poison):
+    """Run the tier on one level with frames whose scalars (poison "scalars") or first star (poison "stars") are
+    bad in every pass; it must fail in its first pass, whose y0 and whether it took the beat basis are returned."""
     monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     magnus_pass, states = ddsim.dynamics._magnus_pass, []
 
     def poisoned(frame, y0, knots, counts):
         states.append((y0, ddsim.dynamics._takes_beat_basis(frame, knots, counts, counts.sum())))
-
-        def couplings(t):
-            g0, g1 = frame.couplings(t)
-            g0 = np.array(g0, dtype=complex)
-            g0[:, 0] = bad
-            return g0, g1
-
-        def envelope(t):
-            return np.full_like(frame.envelope(t), bad)
-
-        assert (frame.basis is not None) == (tier == "averaged")
-        bad_frame = dataclasses.replace(frame, couplings=couplings)
-        if frame.basis is not None:
-            bad_frame = dataclasses.replace(bad_frame, envelope=envelope)
+        assert (frame.basis == "one envelope") == (tier in ("averaged", "bare"))
+        if poison == "scalars":
+            bad_frame = dataclasses.replace(frame, scalars=lambda t: np.full_like(frame.scalars(t), bad))
+        else:
+            stars = np.array(frame.stars, dtype=complex)
+            stars[0, 0, 0] = bad
+            bad_frame = dataclasses.replace(frame, stars=stars)
         return magnus_pass(bad_frame, y0, knots, counts)
 
     monkeypatch.setattr(ddsim.dynamics, "_magnus_pass", poisoned)
@@ -714,9 +697,38 @@ def test_non_finite_coupling_fails_in_the_first_magnus_pass(monkeypatch, bad, ti
     settings = IntegratorSettings(save_points=2 if whole else 5)
     with pytest.raises(PropagationError, match="are the couplings finite"):
         propagate(model, pp, StateVector.qubit(1.0, 0.0, 1, frame=tier), settings)
-    [(y0, beat_basis)] = states
+    [first] = states
+    return first
+
+
+_FIRST_PASS_CASES = [("rwa", "constant"), ("rwa", "sin2"), ("averaged", "sin2"), ("bare", "sin2"),
+                     ("rwa", "whole periods")]
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("tier, shape", _FIRST_PASS_CASES)
+def test_non_finite_coupling_fails_in_the_first_magnus_pass(monkeypatch, bad, tier, shape):
+    # the Taylor exponential raises nothing on a NaN, so without the norm check a NaN estimate would
+    # run every halving before failing; the constant rwa run folds, and its pass takes a propagator.
+    # The averaged and bare runs have one term, and their passes read the scalars only as the basis weights.
+    # Over whole periods with 2 save points the fold's period is one gap of more than 64 equal steps, and
+    # its first pass builds the beat basis from the scalars.  The averaged pulse is centred in the window over
+    # 5 save points, so its passes integrate the first half's propagators and mirror them: the first pass also
+    # takes the identity
+    y0, beat_basis = _first_pass_failure(monkeypatch, bad, tier, shape, "scalars")
     assert y0.ndim == (1 if shape == "sin2" and tier != "averaged" else 2)
-    assert beat_basis == whole
+    assert beat_basis == (shape == "whole periods")
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("tier, shape", _FIRST_PASS_CASES)
+def test_non_finite_star_fails_in_the_first_magnus_pass(monkeypatch, bad, tier, shape):
+    # the same runs with a bad entry in a star instead: the terms are built from the stars on the first pass, and
+    # the alpha_j, the one-envelope basis and the beat basis all carry it
+    y0, beat_basis = _first_pass_failure(monkeypatch, bad, tier, shape, "stars")
+    assert beat_basis == (shape == "whole periods")
 
 
 # ---------------------------------------------------------------- step bound
@@ -782,7 +794,7 @@ def test_integrate_stops_at_kinks_on_and_between_saved_times():
     # 0.25 and 0.75 are saved times, 0.35 and 0.65 fall between them, and each comes twice
     env = Envelope("trapezoid", center=0.5, width=0.5, ramp=0.1)
     g = 2.0
-    frame = ddsim.dynamics._BFrame(lambda t: (g * env(t)[:, None], np.zeros((len(t), 1))), np.zeros(3), g)
+    frame = ddsim.dynamics._BFrame(lambda t: env(t)[None], np.array([[[g], [0.0]]]), np.zeros(3), g)
     grid = np.linspace(0.0, 1.0, 5)
     ys, _ = ddsim.dynamics._magnus(frame, np.array([1.0, 0.0, 0.0], dtype=complex), grid, env.kinks + env.kinks,
                                    1.01e-13)
@@ -809,7 +821,7 @@ def test_bare_run_logs_its_carrier_periods_and_magnus_facts(caplog):
         propagate_bare(sp, pp, StateVector.qubit(1.0, 0.0, 1, frame="bare"), IntegratorSettings(save_points=5))
     periods, facts = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
     assert periods == f"bare propagation: {0.1 * om0 / (2.0 * math.pi * HBAR):.0f} periods of the faster carrier"
-    match = re.fullmatch(r"bare propagation: magnus over (\d+) steps, (\d+) halvings, "
+    match = re.fullmatch(r"bare propagation: magnus \(one envelope\) over (\d+) steps, (\d+) halvings, "
                          r"error estimate (\S+) \(tolerance (\S+)\)", facts)
     assert match and float(match[3]) <= float(match[4])
 
@@ -935,7 +947,8 @@ def test_one_envelope_pass_matches_the_alpha_path(seed, tier, n, sign, shape, wi
     if off is not None:
         cs = _pulse_off(cs, off)
     frame = _tier_frame(tier, cs, pp)
-    assert frame.basis is not None and frame.envelope == pp.envelope0
+    t = np.linspace(0.0, window, 7)
+    assert frame.basis == "one envelope" and np.array_equal(frame.scalars(t), pp.envelope0(t)[None])
     alpha_frame = dataclasses.replace(frame, basis=None)
     # the first pass of a run: saved times and steps of a tenth of the period of the rate
     knots = np.linspace(0.0, window, 5)
@@ -951,7 +964,7 @@ def test_one_envelope_pass_matches_the_alpha_path(seed, tier, n, sign, shape, wi
 
 @pytest.mark.filterwarnings("ignore:envelope switching time is short")
 def test_nan_coupling_vector_fails_in_the_first_one_envelope_pass(monkeypatch):
-    # the basis is built from the couplings before any pass; a NaN in it reaches the first pass's norm check
+    # the basis is built from the couplings on the first pass; a NaN in it reaches that pass's norm check
     magnus_pass, states = ddsim.dynamics._magnus_pass, []
 
     def counted(frame, y0, *args):
@@ -964,6 +977,173 @@ def test_nan_coupling_vector_fails_in_the_first_one_envelope_pass(monkeypatch):
     with pytest.raises(PropagationError, match="are the couplings finite"):
         propagate_averaged(cs, pp, psi, IntegratorSettings(save_points=5))
     assert len(states) == 1
+
+
+# ---------------------------------------------------------------- terms
+
+
+def _envelope_in(shape, window, shift):
+    """A shaped pulse of support half the window (13 sigma for the gaussian), centred 0.15 * shift * window past
+    the middle of the window."""
+    support = 0.5 * window
+    return Envelope(shape, center=(0.5 + 0.15 * shift) * window,
+                    width=support / 13.0 if shape == "gaussian" else support, ramp=0.2 * support)
+
+
+def _tier_draw(seed, tier, n, sign, shape0, shape1, off, window):
+    """A random run of the tier under two pulses of shapes shape0 and shape1 (shape1 "same": one shared envelope),
+    pulse `off` (0 or 1, or None) off: its model (spectrum or couplings), pulses, a random state, the diagonal its
+    frame must have, and the
+    unrotated couplings couplings(t) -> (G0, G1), shape (N, n), on the c-frame qubit levels.  The rwa and
+    averaged draws flip the sign of Delta and of every detuning with sign; the bare draw puts the carriers above
+    the manifold (sign 1) or below it."""
+    rng = np.random.default_rng(seed)
+    env0 = _envelope_in(shape0, window, 0.0)
+    env1 = env0 if shape1 == "same" else _envelope_in(shape1, window, 1.0)
+    if tier == "bare":
+        dq = float(rng.uniform(5.0, 40.0))
+        energies = np.sort(rng.uniform(100.0, 140.0, n)) + dq
+        levels = tuple(ExcitedLevel(energy=e, dipole_to_0=a, dipole_to_1=b)
+                       for e, a, b in zip(energies, *rng.uniform(0.5, 2.0, (2, n))))
+        model = SpectrumModel(epsilon0=0.0, epsilon1=dq, excited_levels=levels)
+        om0 = float(np.mean(energies)) + sign * float(rng.uniform(10.0, 30.0))
+        amps = rng.uniform(200.0, 2000.0, 2)
+        if off is not None:
+            amps[off] = 0.0
+        pp = PulsePair(amp0=amps[0], amp1=amps[1], envelope0=env0, envelope1=env1, omega0=om0, omega1=om0 - dq,
+                       duration=window, phi0=float(rng.uniform(0.0, 2.0 * math.pi)),
+                       phi1=float(rng.uniform(0.0, 2.0 * math.pi)))
+        d0, d1 = (model.dipoles_to_0 * DIPOLE_FIELD_TO_UEV / HBAR, model.dipoles_to_1 * DIPOLE_FIELD_TO_UEV / HBAR)
+        w0, w1, wq = pp.omega0 / HBAR, pp.omega1 / HBAR, dq / HBAR
+
+        def couplings(t):
+            s = (pp.amp0 * env0(t) * np.cos(w0 * t + pp.phi0) + pp.amp1 * env1(t) * np.cos(w1 * t + pp.phi1))[:, None]
+            return s * d0, s * d1 * np.exp(1j * wq * t)[:, None]
+
+        psi = StateVector.qubit(*_random_qubit(rng), n, frame="bare")
+        return model, pp, psi, np.concatenate(([0.0, wq], energies / HBAR)), couplings
+    cs, pp, psi = _shaped_draw(seed, n, sign, shape0, 0.0, window, tier)
+    pp = dataclasses.replace(pp, envelope0=env0, envelope1=env1)
+    cs = dataclasses.replace(cs, delta=sign * cs.delta)
+    if off is not None:
+        cs = _pulse_off(cs, off)
+    wq = cs.delta_qubit / HBAR
+    lam0, mu0 = (a * np.exp(1j * pp.phi0) / HBAR for a in (cs.lambda0, cs.mu0))
+    lam1, mu1 = (a * np.exp(1j * pp.phi1) / HBAR for a in (cs.lambda1, cs.mu1))
+    if tier == "averaged":
+        mu0, mu1, wq = 0.0 * mu0, 0.0 * mu1, 0.0
+
+    def couplings(t):
+        f0, f1 = env0(t)[:, None], env1(t)[:, None]
+        beat = np.exp(1j * wq * t)[:, None]
+        return lam0 * f0 + mu1 * f1 * np.conj(beat), mu0 * f0 * beat + lam1 * f1
+
+    qubit = [0.0, 0.0]
+    if off is not None and tier == "rwa":
+        qubit[off] = (2 * off - 1) * wq
+    return cs, pp, psi, np.concatenate((qubit, -cs.delta / HBAR)), couplings
+
+
+def _random_qubit(rng):
+    qubit = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return qubit / np.linalg.norm(qubit)
+
+
+def _complex_magnus(diag, couplings, y0, knots, counts):
+    """States at every knot by complex sixth-order Magnus steps with scipy's expm, H(t) explicit at the Gauss
+    nodes: H = diag(diag) plus the star of the couplings turned into the frame, g_q = G_q e^{-i diag_q t}.
+    alpha_1 = -i h H_2, alpha_2 = -i h sqrt(15)/3 (H_3 - H_1), alpha_3 = -i h 10/3 (H_3 - 2 H_2 + H_1), and
+    Omega = alpha_1 + alpha_3 / 12 + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2] / 240 with C_1 = [alpha_1, alpha_2]
+    and C_2 = -[alpha_1, 2 alpha_3 + C_1] / 60 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009))."""
+    def comm(x, y):
+        return x @ y - y @ x
+
+    gauss = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
+    dim = len(diag)
+    y, out = y0, [y0]
+    for start, end, count in zip(knots[:-1], knots[1:], counts):
+        h = (end - start) / count
+        t = (start + (np.arange(count)[:, None] + gauss) * h).ravel()
+        g0, g1 = couplings(t)
+        turn = np.exp(-1j * np.outer(t, diag[:2]))
+        ham = np.zeros((len(t), dim, dim), dtype=complex)
+        ham[:, 0, 2:], ham[:, 1, 2:] = g0 * turn[:, :1], g1 * turn[:, 1:]
+        ham[:, 2:, :2] = np.conj(np.swapaxes(ham[:, :2, 2:], 1, 2))
+        ham += np.diag(diag)
+        h1, h2, h3 = np.swapaxes(ham.reshape(count, 3, dim, dim), 0, 1)
+        a1, a2, a3 = -1j * h * h2, -1j * h * math.sqrt(15.0) / 3.0 * (h3 - h1), -1j * h * 10.0 / 3.0 * (h3 - 2.0 * h2 + h1)
+        c1 = comm(a1, a2)
+        omega = a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 - comm(a1, 2.0 * a3 + c1) / 60.0) / 240.0
+        for u in expm(omega):
+            y = u @ y
+        out.append(y)
+    return np.array(out)
+
+
+_SHAPES = ["constant", "sin2", "gaussian", "trapezoid"]
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@hypothesis_settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), tier=st.sampled_from(["rwa", "averaged", "bare"]), n=st.integers(1, 5),
+       sign=st.sampled_from([-1, 1]), shape0=st.sampled_from(_SHAPES), shape1=st.sampled_from(["same"] + _SHAPES),
+       off=st.sampled_from([None, 0, 1]), saves=st.sampled_from([2, 3, 5]), window=st.floats(0.01, 0.25))
+@example(seed=3, tier="rwa", n=3, sign=1, shape0="constant", shape1="same", off=None, saves=2, window=0.25)
+@example(seed=4, tier="rwa", n=2, sign=-1, shape0="constant", shape1="same", off=None, saves=2, window=0.2)
+def test_every_tier_frame_matches_a_complex_magnus_reference(seed, tier, n, sign, shape0, shape1, off, saves,
+                                                              window):
+    # each tier writes H(t)/hbar = D + sum_a u_a(t) V_a, and _magnus_pass forms the Omegas from that form: the
+    # alpha_j as one product of node-difference weights and the real-form terms, or a one-envelope or beat basis
+    # (the explicit examples: more than 64 steps of one width under constant pulses with a beat).  The same Magnus-6
+    # steps in complex arithmetic from the couplings at the Gauss nodes, written out here, agree to rounding
+    if tier == "bare":
+        window /= 10.0
+    model, pp, psi, diag, couplings = _tier_draw(seed, tier, n, sign, shape0, shape1, off, window)
+    frame = _tier_frame(tier, model, pp)
+    assert np.allclose(frame.diag, diag, rtol=1e-15, atol=0.0)
+    knots = np.linspace(0.0, window, saves)
+    h = min(0.2 * math.pi / frame.rate, pp.switching_time)
+    counts = np.maximum(np.ceil(np.diff(knots) / h), 1.0).astype(int)
+    ours = ddsim.dynamics._magnus_pass(frame, psi.amplitudes, knots, counts)
+    ref = _complex_magnus(frame.diag, couplings, psi.amplitudes, knots, counts)
+    assert np.max(np.abs(ours - ref)) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@hypothesis_settings(max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), sign=st.sampled_from([-1, 1]),
+       shape0=st.sampled_from(_SHAPES), shape1=st.sampled_from(["same"] + _SHAPES), off=st.sampled_from([None, 0, 1]),
+       window=st.floats(0.001, 0.012))
+def test_bare_one_envelope_pass_matches_the_alpha_path(seed, n, sign, shape0, shape1, off, window):
+    # the bare tier turns qubit level 1 at the splitting, so its generator is -i (D + s(t) V) with the
+    # instantaneous field s(t), whatever its two envelopes: one term, and the one-envelope basis.  Without the
+    # basis the same frame takes the alpha_j from its scalar and its term
+    sp, pp, psi, _, _ = _tier_draw(seed, "bare", n, sign, shape0, shape1, off, window)
+    frame = _tier_frame("bare", sp, pp)
+    assert frame.basis == "one envelope" and len(frame.stars) == 1 and frame.mirror is None
+    alpha_frame = dataclasses.replace(frame, basis=None)
+    knots = np.linspace(0.0, window, 5)
+    counts = np.maximum(np.ceil(np.diff(knots) / (0.2 * math.pi / frame.rate)), 1.0).astype(int)
+    for y0 in (psi.amplitudes, np.eye(n + 2, dtype=complex)):
+        one = ddsim.dynamics._magnus_pass(frame, y0, knots, counts)
+        assert np.max(np.abs(one - ddsim.dynamics._magnus_pass(alpha_frame, y0, knots, counts))) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@hypothesis_settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), sign=st.sampled_from([-1, 1]),
+       shape0=st.sampled_from(_SHAPES), shape1=st.sampled_from(["same"] + _SHAPES), window=st.floats(0.005, 0.03))
+def test_bare_runs_are_linear_in_the_initial_state(seed, n, sign, shape0, shape1, window):
+    # the run from alpha |0> + beta |1> is alpha times the run from |0> plus beta times the run from |1>, through
+    # the whole engine and the c-frame turn-back.  Each run halves its own steps, so at the default tol two runs can
+    # stop at different steps, up to about 1e-10 apart; at tol 1e-13 each is within about that of the exact run
+    sp, pp, psi, _, _ = _tier_draw(seed, "bare", n, sign, shape0, shape1, None, window)
+    settings = IntegratorSettings(tol=1e-13, save_points=7)
+    zero = propagate_bare(sp, pp, StateVector.qubit(1.0, 0.0, n, frame="bare"), settings)
+    one = propagate_bare(sp, pp, StateVector.qubit(0.0, 1.0, n, frame="bare"), settings)
+    mixed = propagate_bare(sp, pp, psi, settings)
+    alpha, beta = psi.amplitudes[:2]
+    assert np.max(np.abs(mixed.amplitudes - (alpha * zero.amplitudes + beta * one.amplitudes))) <= 1e-12
 
 
 def _beat_draw(seed, n, sign, drive, detuning):
@@ -994,8 +1174,8 @@ def test_beat_basis_pass_matches_the_alpha_path(seed, n, sign, drive, detuning, 
     # Their difference is rounding, up to about 0.3 ulp of the manifold diagonal per step, so it grows with the
     # steps
     cs, frame = _beat_draw(seed, n, sign, drive, detuning)
-    assert frame.beat == cs.delta_qubit / HBAR
-    alpha_frame = dataclasses.replace(frame, beat=None)
+    assert frame.beat == cs.delta_qubit / HBAR and frame.basis == "beat Fourier basis"
+    alpha_frame = dataclasses.replace(frame, basis=None)
     period = 2.0 * math.pi * HBAR / abs(cs.delta_qubit)
     h = 0.2 * math.pi / frame.rate
     shortest, longest = 65.0 * h, min(40.0 * period, 2000.0 * h)
@@ -1029,7 +1209,7 @@ def test_only_long_one_width_beat_passes_take_the_basis(monkeypatch):
 
     monkeypatch.setattr(ddsim.dynamics, "_beat_basis", spied)
     cs, frame = _beat_draw(11, 3, 1, 0.3, 10.0)
-    alpha_frame = dataclasses.replace(frame, beat=None)
+    alpha_frame = dataclasses.replace(frame, basis=None)
     period = 2.0 * math.pi * HBAR / abs(cs.delta_qubit)
     y0 = np.eye(5, dtype=complex)
     # (knots in periods, counts, whether the pass takes the basis): one width and more than 64 steps takes it,
@@ -1214,7 +1394,7 @@ def test_mirrored_pass_matches_the_direct_pass(seed, tier, n, sign, shape, on_sa
     # with the same steps, halvings and estimate
     save_points = 2 * half + 1
     cs, pp, psi = _mirror_draw(seed, n, sign, shape, tier, save_points, window, on_saves)
-    frame, period, _ = ddsim.dynamics._rwa_frame(cs, pp, crossed=tier == "rwa")
+    frame, period = ddsim.dynamics._rwa_frame(cs, pp, crossed=tier == "rwa")
     assert period is None and frame.mirror is not None
     ys, facts, knots = _engine_run(frame, psi.amplitudes, pp, save_points)
     steps, halvings = facts[:2]
@@ -1239,7 +1419,7 @@ def test_breakpoints_ulps_from_saved_times_are_those_times(window):
     grid = np.linspace(0.0, window, 401)
     off = np.array([np.min(np.abs(grid - kink)) for kink in env.kinks]) / np.spacing(window)
     assert np.all(off <= 2.0) and np.count_nonzero(off) >= 3
-    frame, _, _ = ddsim.dynamics._rwa_frame(cs, pp, crossed=False)
+    frame, _ = ddsim.dynamics._rwa_frame(cs, pp, crossed=False)
     ys, facts, knots = _engine_run(frame, psi.amplitudes, pp, 401)
     assert knots and np.array_equal(knots[0], grid)
     unsnapped = np.union1d(grid, env.kinks)
@@ -1276,14 +1456,14 @@ def test_runs_that_do_not_mirror_keep_the_direct_pass(case, monkeypatch):
     # number of saved times (no middle knot), a beat, or the fold, whose pass takes a propagator
     cs, pp, psi, save_points = _reversal_case(case, 3)
     crossed = psi.frame == "rwa"
-    frame, period, _ = ddsim.dynamics._rwa_frame(cs, pp, crossed=crossed)
+    frame, period = ddsim.dynamics._rwa_frame(cs, pp, crossed=crossed)
     assert (frame.mirror is not None) == (case == "even saves") and (period is not None) == (case == "fold")
     propagate = propagate_rwa if crossed else propagate_averaged
     rwa_frame, runs = ddsim.dynamics._rwa_frame, []
 
     def stripped(*args, **kwargs):
-        frame, period, key = rwa_frame(*args, **kwargs)
-        return dataclasses.replace(frame, mirror=None), period, key
+        frame, period = rwa_frame(*args, **kwargs)
+        return dataclasses.replace(frame, mirror=None), period
 
     for keep in (True, False):
         monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
@@ -1341,19 +1521,23 @@ def _pulse_off(cs, off):
 
 def _unrotated_frame(cs, pp):
     """The rwa _BFrame of cs and pp with the beat left on the crossed couplings and no fixed basis: the alpha path
-    in the frame b_k = c_k e^{i delta_k t}, whose qubit levels are those of the c frame."""
+    in the frame b_k = c_k e^{i delta_k t}, whose qubit levels are those of the c frame.  Pulse 1 puts mu1 f1 on
+    <0|H|k> at e^{-i wq t}, and pulse 0 mu0 f0 on <1|H|k> at e^{+i wq t}: the real and imaginary parts of each
+    are a term of its own."""
     wd, wq = cs.delta / HBAR, cs.delta_qubit / HBAR
     lam0, mu0 = (a * np.exp(1j * pp.phi0) / HBAR for a in (cs.lambda0, cs.mu0))
     lam1, mu1 = (a * np.exp(1j * pp.phi1) / HBAR for a in (cs.lambda1, cs.mu1))
+    zero = 0.0 * lam0
+    stars = np.array([[lam0, zero], [zero, lam1], [mu1, zero], [-1j * mu1, zero], [zero, mu0], [zero, 1j * mu0]])
 
-    def couplings(t):
-        f0, f1 = pp.envelope0(t)[:, None], pp.envelope1(t)[:, None]
-        beat = np.exp(1j * wq * t)[:, None]
-        return lam0 * f0 + mu1 * f1 / beat, mu0 * f0 * beat + lam1 * f1
+    def scalars(t):
+        f0, f1 = pp.envelope0(t), pp.envelope1(t)
+        c, s = np.cos(wq * t), np.sin(wq * t)
+        return np.array([f0, f1, f1 * c, f1 * s, f0 * c, f0 * s])
 
     g_max = np.hypot(np.abs(lam0) + np.abs(mu1), np.abs(mu0) + np.abs(lam1))
     rate = np.max(np.abs(wd)) + abs(wq) + np.linalg.norm(g_max)
-    return ddsim.dynamics._BFrame(couplings, np.concatenate(([0.0, 0.0], -wd)), rate, c_frame=True)
+    return ddsim.dynamics._BFrame(scalars, stars, np.concatenate(([0.0, 0.0], -wd)), rate, c_frame=True)
 
 
 @pytest.mark.filterwarnings("ignore:envelope switching time is short")
@@ -1370,8 +1554,9 @@ def test_single_pulse_runs_match_the_unrotated_alpha_path(seed, n, sign, off, sh
     cs, pp, psi = _shaped_draw(seed, n, sign, shape, shift, window)
     cs = _pulse_off(cs, off)
     frame = _tier_frame("rwa", cs, pp)
-    assert frame.basis is not None and frame.beat is None
-    assert frame.envelope == (pp.envelope1 if off == 0 else pp.envelope0)
+    assert frame.basis == "one envelope" and frame.beat is None
+    t = np.linspace(0.0, window, 7)
+    assert np.array_equal(frame.scalars(t), (pp.envelope1 if off == 0 else pp.envelope0)(t)[None])
     qubit = [0.0, 0.0]
     qubit[off] = (2 * off - 1) * cs.delta_qubit / HBAR
     assert np.array_equal(frame.diag, np.concatenate((qubit, -cs.delta / HBAR)))
