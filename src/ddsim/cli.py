@@ -50,6 +50,7 @@ from .config import (
     config_with_overrides,
     load_config,
     sweep_points,
+    validate_config,
 )
 from .drive import CouplingSet, PulsePair, classify_regime, derive_couplings
 from .dynamics import (
@@ -443,9 +444,9 @@ def _dry_run(cfg) -> list:
 def _cmd_run(args) -> int:
     """Shared by `run` and `compare`: load, build, compute, then write everything."""
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dict(cfg)
-        cfg["seed"] = args.seed
+    if args.seed is not None:  # the override is checked as the file's own seed would be
+        cfg = {**cfg, "seed": args.seed}
+        validate_config(cfg)
     compare = args.command == "compare"
     tier = cfg.get("compare", {}).get("exact_tier", "rwa")
     # compare computes a single run of its exact tier, whatever the mode

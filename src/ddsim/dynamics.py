@@ -79,11 +79,13 @@ its exponential is a degree-16 Taylor polynomial by Paterson-Stockmeyer
 (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)), scaled and
 squared where the 1-norm exceeds 0.8 (_expm).  The terms -i D and
 -i V_a are built in real form once per frame, on its first pass, and a
-chunk of steps forms its Omegas in one of three ways:
+chunk of steps forms its Omegas in one of two ways:
 
-- alpha path: the alpha_j of every step are one product of the
-  node-difference weights h _ALPHA_NODES @ u and the terms, and Omega
-  takes their commutators (_alpha_omega).
+- alpha path, the reference: the alpha_j of every step are one product
+  of the node-difference weights h _ALPHA_NODES @ u and the terms, and
+  Omega takes their commutators (_alpha_omega).  Every frame of two or
+  more terms takes it (shaped or constant rwa runs with a beat, runs
+  with two envelopes) and logs "magnus".
 - one envelope: a frame of one term, -i (D + f(t) V), has every step's
   Omega a combination of ten fixed matrices whose weights are fixed
   combinations of fifteen monomials in the step and f at its nodes.  The
@@ -106,23 +108,10 @@ chunk of steps forms its Omegas in one of three ways:
   off-centre envelope, complex dipoles whose phase differs between
   levels, the bare tier's field and the folds' propagators integrate the
   whole window; a constant f folds over the save interval (see below).
-- beat: with both pulses on, both envelopes constant and Delta != 0
-  (rwa) the couplings depend on t only through theta = Delta t / hbar, so
-  at a fixed step the sixth-order Omega is a trigonometric polynomial in
-  theta, of degree 3: each entry sums paths of at most five hops between
-  the qubit and the manifold, only the crossed couplings carry
-  e^{+-i theta}, and the hops alternate, so they reach at most
-  e^{+-3 i theta}.  A pass of one step
-  width and more than _MAGNUS_CHUNK steps (fewer do not repay the seven
-  samples) takes Omega at seven phases once from the alpha path, its
-  real Fourier coefficients by a discrete Fourier transform, and the
-  manifold diagonal as an eighth matrix (_beat_basis), weighted by
-  [1, cos n theta, sin n theta, 1] at the steps' starts; the run logs
-  "magnus (beat Fourier basis)".
 
-Every other pass (shaped rwa runs with a beat, runs with two envelopes,
-and beat passes of several step widths or at most _MAGNUS_CHUNK steps)
-takes the alpha path and logs "magnus".
+A fold over the beat (both envelopes constant, Delta != 0) has six
+terms, or three where the envelopes are equal, so its one period takes
+the alpha path and logs "one period by magnus over N steps".
 
 Where the generator is constant (one envelope, and it constant: a
 single constant pulse in either tier, both envelopes constant in the
@@ -283,7 +272,7 @@ class Trajectory:
 # the three Gauss-Legendre nodes on [0, 1]
 _GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 _MAGNUS_STEPS_PER_PERIOD = 10  # first step: this many per period of the norm bound on H
-_MAGNUS_CHUNK = 64  # steps per array pass; 256 raised the peak memory of a sweep by about 3 MB
+_MAGNUS_CHUNK = 64  # steps per array pass (Omegas and exponentials); 256 raised a sweep's peak memory by about 3 MB
 _MAGNUS_MAX_HALVINGS = 5  # halvings after the first h against h/2 comparison
 # the sixth-order Magnus step of three Gauss nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) takes
 # alpha_j = -i h G_j on the qubit-manifold block, with the G_j from the couplings g_l at the nodes by these rows
@@ -332,19 +321,17 @@ class _BFrame:
     -i V_a in real form, are built on the first pass that needs them,
     whose errstate keeps a non-finite coupling from warning there.
 
-    basis names the fixed basis that a pass may form its Omegas from, as
-    the tier picks it: "one envelope" for a frame of one term, whose
-    Omegas _magnus_pass forms from _one_envelope_basis(terms); "beat
-    Fourier basis" where the u_a depend on t only through the beat phase
-    beat * t, rad (an rwa run with both envelopes constant and Delta != 0,
-    beat = Delta / hbar), and then a pass of one step width and more than
-    _MAGNUS_CHUNK steps forms each Omega from _beat_basis.  Every other
-    pass takes the alpha path (see _alpha_omega).  constant marks a
-    constant generator (one term, and its u constant).  mirror, the
-    phases S of _mirror_phases, is set where H(T - t) = K H(t) K^-1 over
-    the window [0, T] with K = S conj: one shaped envelope centred on
-    T / 2, and couplings that a diagonal phase change makes real (see
-    _mirror_pass).
+    A frame of one term forms its Omegas from _one_envelope_basis(terms)
+    (one_envelope); every other frame takes the alpha path (see
+    _alpha_omega).  beat, rad/ns, is set where the u_a depend on t only
+    through the beat phase beat * t (an rwa run with both envelopes
+    constant and Delta != 0, beat = Delta / hbar): the scalars of such a
+    frame are fixed by it, so the fold memo keys on it (see _fold).
+    constant marks a constant generator (one term, and its u constant).
+    mirror, the phases S of _mirror_phases, is set where H(T - t) =
+    K H(t) K^-1 over the window [0, T] with K = S conj: one shaped
+    envelope centred on T / 2, and couplings that a diagonal phase change
+    makes real (see _mirror_pass).
     """
 
     scalars: Callable
@@ -352,7 +339,6 @@ class _BFrame:
     diag: np.ndarray
     rate: float
     c_frame: bool = False
-    basis: str | None = None
     beat: float | None = None
     mirror: np.ndarray | None = None
     constant: bool = False
@@ -441,59 +427,6 @@ def _alpha_omega(frame, nodes, h, work, scratch, omega):
     omega += tail
 
 
-def _takes_beat_basis(frame, knots, counts, steps):
-    """Whether _magnus_pass takes the Omegas of its counts[j] steps over [knots[j], knots[j + 1]], steps in all,
-    from _beat_basis: frame names that basis, there are more than _MAGNUS_CHUNK steps (the seven samples cost
-    about one chunk of the alpha path), and every step has one width."""
-    if frame.basis != "beat Fourier basis" or steps <= _MAGNUS_CHUNK:
-        return False
-    widths = np.diff(knots) / counts
-    return bool(np.all(widths == widths[0]))
-
-
-def _beat_weights(theta):
-    """Rows [1, cos theta, sin theta, cos 2 theta, sin 2 theta, cos 3 theta, sin 3 theta, 1], shape
-    (len(theta), 8): each row weighs _beat_basis in the Omega of the step that starts at beat phase theta."""
-    out = np.ones((len(theta), 8))
-    n_theta = np.multiply.outer(theta, np.arange(1.0, 4.0))
-    out[:, 1:7:2] = np.cos(n_theta)
-    out[:, 2:7:2] = np.sin(n_theta)
-    return out
-
-
-def _beat_basis(frame, h, dim):
-    """The eight real-form matrices, flattened to shape (8, (2 dim)^2), whose combination by _beat_weights(beat t)
-    is the Omega of a step of width h from t, for a frame with a beat.
-
-    Omega is a trigonometric polynomial of degree 3 in theta = beat * t.  Each of its entries is a sum over paths
-    of at most five hops between the qubit and the manifold (its deepest term nests five alpha_j, and the
-    manifold diagonal does not change the degree).  Only the crossed couplings carry the beat, e^{-i theta} on
-    <0|H|k> and e^{+i theta} on <1|H|k> (conjugated on the way back), and the hops alternate between the qubit
-    and the manifold, so five of them reach at most e^{+-3 i theta}.  So the alpha path's Omega at the seven
-    phases theta_s = 2 pi s / 7 gives its real Fourier coefficients exactly, to rounding: the mean, and
-    (2 / 7) sum_s cos(n theta_s) Omega_s and (2 / 7) sum_s sin(n theta_s) Omega_s for n = 1, 2, 3.  The
-    manifold diagonal h diag is taken out of the samples (exactly, as the rest of those entries is smaller) and
-    is the eighth matrix, of weight 1, so each step adds it whole, as the alpha path does: in the mean its
-    rounding, up to half an ulp, would repeat on every step.
-    """
-    m = 2 * dim
-    theta = 2.0 * math.pi / 7.0 * np.arange(7)
-    widths = np.full(7, h)
-    samples = np.zeros((8, m, m))
-    _alpha_omega(frame, theta / frame.beat + _GAUSS3[:, None] * widths, widths, np.empty((5, 7, m, m)),
-                 np.empty((3, 7, m, m)), samples[:7])
-    samples = samples.reshape(8, -1)
-    # the real-form manifold diagonal h diag: entries (2k, 2k + 1) and, negated, (2k + 1, 2k) for each level k >= 2
-    up, down = samples[:, 4 * m + 5:: 2 * m + 2], samples[:, 5 * m + 4:: 2 * m + 2]
-    hd = h * frame.diag[2:]
-    up[:7] -= hd
-    down[:7] += hd
-    up[7], down[7] = hd, -hd
-    dft = _beat_weights(theta)[:, :7].T * (np.array([1.0] + [2.0] * 6) / 7.0)[:, None]
-    samples[:7] = dft @ samples[:7]
-    return samples
-
-
 def _expm(powers, blocks):
     """exp of the stacked real antisymmetric matrices x in powers[1], shape (N, m, m); returns a view of powers.
 
@@ -542,14 +475,12 @@ def _magnus_pass(frame, y0, knots, counts):
     [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian alpha_j of dim d
     become real antisymmetric matrices of dim 2d.  For those, yx = (xy)^T,
     so each commutator takes one stacked product, and exp(Omega) is
-    _expm's Taylor polynomial, orthogonal to rounding.  A chunk's Omegas
-    are either one product of its rows of the pass's per-step weights and
-    a basis, equal to the alpha_j's Omega to rounding (one envelope:
-    _one_envelope_monomials of the widths and the envelope at the nodes,
-    and frame.one_envelope; a beat, where _takes_beat_basis: _beat_weights
-    at the steps' starts and _beat_basis), or _alpha_omega's from the
-    scalars at the nodes and the terms (the alpha path, which alone
-    allocates its work array).
+    _expm's Taylor polynomial, orthogonal to rounding.  A frame of one
+    term forms a chunk's Omegas as one product of its rows of the pass's
+    _one_envelope_monomials (of the widths and the envelope at the nodes)
+    and frame.one_envelope, equal to the alpha_j's Omega to rounding; any
+    other frame takes _alpha_omega's from the scalars at the nodes and the
+    terms (the alpha path, which alone allocates its work array).
     The state (or propagator) is advanced with the rows (Re, Im) of each
     amplitude and taken back to complex once, at the end.  A non-finite
     generator raises PropagationError in the first chunk.
@@ -574,14 +505,10 @@ def _magnus_pass(frame, y0, knots, counts):
     # a non-finite generator is reported by _expm's norm check, not by warnings on the way
     with np.errstate(invalid="ignore", over="ignore"):
         weights = None
-        if frame.basis == "one envelope":
+        if len(frame.stars) == 1:
             gap, local = span(0, ends[-1])
             basis = frame.one_envelope
             weights = _one_envelope_monomials(widths[gap], frame.scalars(nodes(gap, local).ravel()).reshape(3, -1))
-        elif _takes_beat_basis(frame, knots, counts, ends[-1]):
-            gap, local = span(0, ends[-1])
-            basis = _beat_basis(frame, widths[0], dim)
-            weights = _beat_weights(frame.beat * (knots[gap] + local * widths[0]))
         for first in range(0, ends[-1], _MAGNUS_CHUNK):
             gap, local = span(first, min(first + _MAGNUS_CHUNK, ends[-1]))
             if len(gap) != c:  # the first chunk and a shorter last one allocate; the others reuse
@@ -663,8 +590,8 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
     half steps repeat the one step's last squaring), so the estimate and
     the floor are at least eps ||H|| T, with T the longest gap and
     frame.rate for ||H||.  path
-    names how the accepted pass formed its Omegas: "magnus",
-    "magnus (one envelope)" or "magnus (beat Fourier basis)".
+    names how the passes formed their Omegas: "magnus (one envelope)" for
+    a frame of one term, else "magnus" (the alpha path).
 
     A state y0 under a frame with mirror phases, on knots and steps that
     mirror about the middle of the window (_is_mirror_grid: an odd number
@@ -698,8 +625,7 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
         steps = int(counts.sum())
         accept = max(tol, eps * steps, rounding)
         if estimate <= accept:
-            taken = frame.basis == "one envelope" or _takes_beat_basis(frame, knots, counts, steps)
-            path = f"magnus ({frame.basis})" if taken else "magnus"
+            path = "magnus (one envelope)" if len(frame.stars) == 1 else "magnus"
             facts = (steps, halvings, estimate, accept, path, steps // 2 if mirrored else steps)
             return fine[np.searchsorted(knots, grid)], facts
         coarse = fine
@@ -847,7 +773,7 @@ def _rwa_frame(couplings, pulses, crossed):
     (pulse 1 off) or 0 (pulse 0 off) is turned at the beat, +wq or -wq on its diagonal, which takes the beat off
     the one crossed coupling left.  One shaped envelope centred in the window also takes the mirror phases of
     those couplings (_mirror_phases); a constant one folds over the save interval (see _propagate).  A beat with
-    both envelopes constant takes the beat basis, and folds over at least two beat periods.
+    both envelopes constant sets the frame's beat, and folds over at least two beat periods by the alpha path.
     """
     wd = couplings.delta / HBAR                            # detuning phases, rad/ns
     wq = couplings.delta_qubit / HBAR if crossed else 0.0  # beat phase, rad/ns
@@ -895,7 +821,6 @@ def _rwa_frame(couplings, pulses, crossed):
     # the scalars depend on t only through wq t
     beating = turning and env0.shape == env1.shape == "constant"
     frame = _BFrame(scalars, stars, np.concatenate((qubit, -wd)), rate, c_frame=crossed,
-                    basis="one envelope" if one_term else "beat Fourier basis" if beating else None,
                     beat=wq if beating else None, mirror=mirror, constant=constant)
     period = averaging_period(couplings.delta_qubit)
     return frame, period if beating and pulses.duration >= 2.0 * period else None
@@ -912,7 +837,8 @@ def propagate_rwa(
     The couplings must have been derived from the same pulse pair (the
     detuning list and the crossed couplings are trusted as given).
     Constant envelopes with Delta != 0 over at least two beat periods
-    are folded over the beat period.  With one pulse off (all its
+    are folded over the beat period, whose one period takes the alpha
+    path ("one period by magnus").  With one pulse off (all its
     couplings 0) the run takes a single-pulse frame with one envelope; a
     constant generator (a single constant pulse, or constant envelopes at
     Delta = 0) is folded over the save interval: see the module docstring.
@@ -985,8 +911,7 @@ def propagate_bare(
             "(runtime grows with omega0 * duration); consider the rwa tier",
             stacklevel=2,
         )
-    frame = _BFrame(field, np.array([[d0, d1]]), np.concatenate(([0.0, wq], w0k)), rate, c_frame=True,
-                    basis="one envelope")
+    frame = _BFrame(field, np.array([[d0, d1]]), np.concatenate(([0.0, wq], w0k)), rate, c_frame=True)
     return _propagate(frame, psi0, "bare", pulses, settings)
 
 

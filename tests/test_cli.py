@@ -1,8 +1,10 @@
 """End-to-end command line checks: files written, exit codes, determinism."""
 
 import json
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -171,6 +173,25 @@ def test_seed_override_changes_jittered_manifold(tmp_path):
     assert a != b
     manifest = _read_json(dirs[1] / "run_manifest.json")
     assert manifest["config"]["seed"] == 2
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_seed_override_is_validated_before_compute(tmp_path, capsys, monkeypatch, command):
+    # --seed -1 fails as a config file whose seed is -1 does: exit 2 with the schema's error, no compute, no files
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started before the seed was checked")
+
+    for name in ("propagate_rwa", "propagate_averaged", "propagate_bare"):
+        monkeypatch.setattr(cli, name, no_compute)
+    cfg_path = _write_cfg(tmp_path, _propagate_cfg(seed=1))
+    bad_path = _write_cfg(tmp_path, _propagate_cfg(seed=-1), "bad.json")
+    out_dir = tmp_path / "out"
+    assert main([command, cfg_path, "--out", str(out_dir), "--seed", "-1"]) == EXIT_CONFIG
+    assert main([command, bad_path, "--out", str(out_dir)]) == EXIT_CONFIG
+    assert not out_dir.exists()
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert errors[0] == errors[1] == {"error": {"type": "config", "exit_code": EXIT_CONFIG,
+                                                "message": "config invalid at seed: -1 is less than the minimum of 0"}}
 
 
 # ---------------------------------------------------------------------
@@ -707,6 +728,68 @@ def test_module_entry_point_reports_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ddsim ")
+
+
+# README's spectrum under pulses that take each fast path of the engine
+_README_SPECTRUM = {"n_levels": 3, "shape": "uniform", "omega_exc": 2000.0, "spacing": 20.0, "delta": 5.0,
+                    "dipole0": 2.0, "dipole1": 2.0}
+_FLAT = {"amp0": 20.0, "amp1": 20.0, "omega0": 1905.0, "envelope0": {"shape": "constant"},
+         "envelope1": {"shape": "constant"}}
+_SIN2_20 = {"amp0": 20.0, "amp1": 20.0, "omega0": 1905.0, "duration": 20.0,
+            "envelope0": {"shape": "sin2", "center": 10.0, "width": 18.0},
+            "envelope1": {"shape": "sin2", "center": 10.0, "width": 18.0}}
+_SIN2_025 = {"amp0": 20.0, "amp1": 20.0, "omega0": 1905.0, "duration": 0.25,
+             "envelope0": {"shape": "sin2", "center": 0.125, "width": 0.25},
+             "envelope1": {"shape": "sin2", "center": 0.125, "width": 0.25}}
+_BEAT_WINDOW = 2.4814006179624018  # exactly 3 beat periods at Delta = 5 ueV
+
+
+@pytest.mark.parametrize("mode, pulses, save_points, expect", [
+    # constant pulses over 3 beat periods with 2 save points: the fold's one period is one stretch of equal steps,
+    # whose three terms (one shared envelope with a beat) take the alpha path
+    pytest.param("propagate-rwa", {**_FLAT, "duration": _BEAT_WINDOW}, 2,
+                 r"rwa propagation: folded over 3 beat periods of P = .* ns, one period by magnus over \d+ steps",
+                 id="beat"),
+    # the same pulses in the averaged tier: both share one envelope and no beat is left, so the run takes the
+    # one-envelope basis, and its generator is constant, so it folds over its one save interval, one step against two
+    pytest.param("propagate-averaged", {**_FLAT, "duration": _BEAT_WINDOW}, 2,
+                 r"averaged propagation: folded over 1 save intervals of .* ns, one interval by magnus "
+                 r"\(one envelope\) over 2 steps", id="beat_averaged"),
+    # pulse 1 off, as in the paper's phase gate: turning qubit level 1 at the beat takes the beat off the crossed
+    # coupling and leaves one constant envelope, so the rwa run folds over its one save interval too
+    pytest.param("propagate-rwa", {**_FLAT, "amp1": 0, "duration": _BEAT_WINDOW}, 2,
+                 r"rwa propagation: folded over 1 save intervals of .* ns, one interval by magnus \(one envelope\) "
+                 r"over 2 steps", id="single"),
+    # one sin2 pulse shape centred in the window, averaged tier, at the default 201 save points: the run integrates
+    # the first half of the window and takes the second by time reversal
+    pytest.param("propagate-averaged", _SIN2_20, None,
+                 r"averaged propagation: magnus \(one envelope\) over .*; second half by time reversal", id="mirrored"),
+    # 200 save points leave no saved time in the middle of the window: the whole window is integrated
+    pytest.param("propagate-averaged", _SIN2_20, 200, r"averaged propagation: magnus \(one envelope\) over ",
+                 id="mirrored_even"),
+    # the centred sin2 pulse alone in the rwa tier: one shaped envelope left, so the one-envelope basis serves, and
+    # the 201 save points mirror
+    pytest.param("propagate-rwa", {**_SIN2_20, "amp1": 0}, None,
+                 r"rwa propagation: magnus \(one envelope\) over .*; second half by time reversal", id="single_sin2"),
+    # two sin2 pulses in the bare tier: with qubit level 1 turned at the splitting the generator is the
+    # instantaneous field on the dipoles, one term, so the run takes the one-envelope basis
+    pytest.param("propagate-bare", _SIN2_025, 5, r"bare propagation: magnus \(one envelope\) over ", id="bare"),
+    # the same two shaped pulses in the rwa tier at Delta = 5 ueV: their crossed couplings carry the beat, so the
+    # run takes the alpha path, logged as plain "magnus"
+    pytest.param("propagate-rwa", _SIN2_025, 5, r"rwa propagation: magnus over ", id="shaped_beat"),
+])
+def test_each_fast_path_logs_its_line(tmp_path, caplog, monkeypatch, mode, pulses, save_points, expect):
+    cfg = {"mode": mode, "spectrum": _README_SPECTRUM, "pulses": pulses}
+    if save_points is not None:
+        cfg["integrator"] = {"save_points": save_points}
+    monkeypatch.setenv("DDSIM_LOG", "INFO")
+    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
+    with caplog.at_level(logging.INFO, logger="ddsim"):
+        assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    messages = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
+    assert len([m for m in messages if re.match(expect, m)]) == 1
+    # only a mirrored run takes its second half by time reversal
+    assert any("time reversal" in m for m in messages) == ("time reversal" in expect)
 
 
 def test_log_env_variable_enables_info_logging(tmp_path):
