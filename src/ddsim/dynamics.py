@@ -117,17 +117,20 @@ Where the generator is constant (one envelope, and it constant: a
 single constant pulse in either tier, both envelopes constant in the
 averaged tier, or in the rwa tier at Delta = 0) every step is exact to
 rounding, and the generator repeats itself over any interval.  Such a
-run is folded over the uniform save interval: the one interval's
-propagator is taken as one Magnus step against two (one exponential
-each, by scaling and squaring; Moler & Van Loan, SIAM Rev. 45, 3
-(2003)), and each saved state is the last one times it.  Its estimate
-reads only the exponential's rounding, about eps ||H|| T: the two half
-steps can repeat the one step's last squaring bit for bit, so the
-estimate and the floor are taken at least eps ||H|| T, with the rate
+run is folded over the uniform save interval.  Every Magnus Omega of a
+constant generator G is h G exactly (its node differences are 0), so
+the one interval's propagator takes no Magnus pass (_constant_magnus):
+one step against two is exp(w G) against exp(w G / 2)^2, one
+exponential each, by scaling and squaring (Moler & Van Loan, SIAM Rev.
+45, 3 (2003)), and each saved state is the last one times it.  Its
+estimate reads only the exponential's rounding, about eps ||H|| T: the
+two half steps can repeat the one step's last squaring bit for bit, so
+the estimate and the floor are taken at least eps ||H|| T, with the rate
 bound for ||H||.  The error of the saved states grows with their count,
 by rounding only.
 The log reads "folded over N save intervals of ... ns, one interval by
-magnus (one envelope) over 2 steps".
+magnus (one envelope) over 2 steps", the steps a one-term pass would
+take.
 
 Each step is orthogonal to rounding (the Taylor remainder is below
 eps), so a norm check cannot see the step error: each run is repeated at half the step, and the step halved until
@@ -209,8 +212,8 @@ class IntegratorSettings:
     pulses on estimates the error of one beat period.  A constant
     generator (a single constant pulse, or one constant envelope without
     a beat: the averaged tier, or rwa at Delta = 0) is folded over the
-    save interval, one step against two, so its estimate reads only the
-    exponential's rounding (about eps ||H|| T).
+    save interval, one step against two by direct exponentials, so its
+    estimate reads only the exponential's rounding (about eps ||H|| T).
     """
 
     tol: float = 1.01e-10
@@ -572,6 +575,73 @@ def _mirror_pass(frame, psi0, knots, counts):
     return np.concatenate((first, frame.mirror * (np.conj(props[-2::-1]) @ w)))
 
 
+def _step_doubling(run, counts, tol, rounding=0.0):
+    """(fine, steps, halvings, error estimate, tolerance) of the passes run(counts), states at every knot.
+
+    Each pass is repeated at twice the counts; the estimate of the finer
+    pass's error is max(max |y_h - y_{h/2}| / 63 (sixth order), rounding),
+    and while it exceeds tol (the state has norm 1), the floor eps * steps
+    and rounding, the steps are halved again, at most _MAGNUS_MAX_HALVINGS
+    times, else PropagationError.
+    """
+    eps = np.finfo(float).eps
+    coarse = run(counts)
+    for halvings in range(_MAGNUS_MAX_HALVINGS + 1):
+        counts = 2 * counts
+        fine = run(counts)
+        estimate = max(float(np.max(np.abs(fine - coarse))) / 63.0, rounding)
+        steps = int(counts.sum())
+        accept = max(tol, eps * steps, rounding)
+        if estimate <= accept:
+            return fine, steps, halvings, estimate, accept
+        coarse = fine
+    raise PropagationError(
+        f"Magnus error estimate {estimate:.3e} exceeds its tolerance {accept:.1e} after "
+        f"{_MAGNUS_MAX_HALVINGS} halvings of the step ({steps} steps); loosen tol"
+    )
+
+
+def _constant_magnus(frame, y0, knots, tol):
+    """_magnus for a constant generator (frame.constant): the same states and facts, without a Magnus pass.
+
+    The node differences of a constant generator are 0, so every Magnus
+    Omega is exactly h G, with G = -i (D + u V) in real form, formed once:
+    a pass of count steps per gap is one _expm of the gaps' w G / count,
+    each applied count times.  The first pass takes one step per gap, and
+    the estimate, one step against two, reads only the exponential's
+    rounding: the two passes can share it bit for bit (the half steps
+    repeat the one step's last squaring), so the estimate and the floor
+    are at least eps ||H|| T, with T the longest gap and frame.rate for
+    ||H||.  The path is "magnus (one envelope)", the one-term frame's, and
+    a non-finite coupling fails the first exponential's norm check.  Each
+    pass keeps its own _expm call: a stack of coarse and fine would take
+    one squaring count for both, one too many for the half steps.
+    """
+    m = 2 * len(y0)
+    widths = np.diff(knots)
+    powers, blocks = np.empty((5, len(widths), m, m)), np.empty((4, len(widths), m, m))
+    powers[0] = np.eye(m)
+    y = np.stack((y0.real, y0.imag), axis=1).reshape((m,) + y0.shape[1:])
+
+    def run(counts):
+        np.multiply.outer(widths / counts, gen, out=powers[1].reshape(len(widths), -1))
+        out = np.empty((len(knots),) + y.shape)
+        out[0] = state = y
+        for j, (prop, count) in enumerate(zip(_expm(powers, blocks), counts.tolist())):
+            for _ in range(count):
+                state = prop.dot(state)
+            out[j + 1] = state
+        return out[:, 0::2] + 1j * out[:, 1::2]
+
+    # a non-finite generator is reported by _expm's norm check, not by warnings on the way
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = frame.terms
+        gen = terms[0] + frame.scalars(knots[:1])[0, 0] * terms[1]
+        rounding = np.finfo(float).eps * frame.rate * float(np.max(widths))
+        fine, steps, *facts = _step_doubling(run, np.ones(len(widths), dtype=int), tol, rounding)
+    return fine, (steps, *facts, "magnus (one envelope)", steps)
+
+
 def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
     """Amplitudes on grid by Magnus-6 steps, and (steps, halvings, error estimate, tolerance, path, integrated).
 
@@ -580,18 +650,12 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
     time is that time), no longer than cap (ns) and first about
     1/_MAGNUS_STEPS_PER_PERIOD of the period 2 pi / frame.rate.  y0 is one
     state of shape (dim,) or a propagator of shape (dim, dim).  Each run is
-    repeated at half the step; the estimate of the finer run's error is
-    max |y_h - y_{h/2}| / 63 (sixth order), and while it exceeds tol (the
-    state has norm 1), or the rounding floor eps * steps, the step is
-    halved again, at most _MAGNUS_MAX_HALVINGS times.  Where the generator
-    is constant (frame.constant) every step is exact, so each gap is one
-    step at first, and the estimate, one step against two, reads only the
-    exponential's rounding: the two passes can share it bit for bit (the
-    half steps repeat the one step's last squaring), so the estimate and
-    the floor are at least eps ||H|| T, with T the longest gap and
-    frame.rate for ||H||.  path
-    names how the passes formed their Omegas: "magnus (one envelope)" for
-    a frame of one term, else "magnus" (the alpha path).
+    repeated at half the step until the step-doubling estimate is at most
+    tol (_step_doubling).  path names how the passes formed their Omegas:
+    "magnus (one envelope)" for a frame of one term, else "magnus" (the
+    alpha path).  A constant generator (frame.constant), which has no
+    breakpoints, takes _constant_magnus: one exponential per pass, no
+    Magnus pass.
 
     A state y0 under a frame with mirror phases, on knots and steps that
     mirror about the middle of the window (_is_mirror_grid: an odd number
@@ -603,6 +667,8 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
     other run (a propagator, an even number of saved times, an
     off-centre grid) takes _magnus_pass over the whole window.
     """
+    if frame.constant:
+        return _constant_magnus(frame, y0, grid, tol)
     inner = np.array([b for b in breaks if grid[0] < b < grid[-1]], dtype=float)
     if inner.size:
         # a breakpoint a few ulps from a saved time would leave a gap of a few ulps, a Magnus step of every pass;
@@ -611,28 +677,13 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
         inner = np.where(np.abs(inner - near) <= 4.0 * np.spacing(grid[-1]), near, inner)
     knots = np.union1d(grid, inner)
     period = 2.0 * math.pi / frame.rate if frame.rate > 0 else math.inf
-    h = math.inf if frame.constant else min(period / _MAGNUS_STEPS_PER_PERIOD, cap)
+    h = min(period / _MAGNUS_STEPS_PER_PERIOD, cap)
     counts = np.maximum(np.ceil(np.diff(knots) / h), 1.0).astype(int)  # h is inf at a rate of 0 or NaN
-    eps = np.finfo(float).eps
-    rounding = eps * frame.rate * float(np.max(np.diff(knots))) if frame.constant else 0.0
     mirrored = frame.mirror is not None and y0.ndim == 1 and _is_mirror_grid(knots, counts)
     run = _mirror_pass if mirrored else _magnus_pass
-    coarse = run(frame, y0, knots, counts)
-    for halvings in range(_MAGNUS_MAX_HALVINGS + 1):
-        counts = 2 * counts
-        fine = run(frame, y0, knots, counts)
-        estimate = max(float(np.max(np.abs(fine - coarse))) / 63.0, rounding)
-        steps = int(counts.sum())
-        accept = max(tol, eps * steps, rounding)
-        if estimate <= accept:
-            path = "magnus (one envelope)" if len(frame.stars) == 1 else "magnus"
-            facts = (steps, halvings, estimate, accept, path, steps // 2 if mirrored else steps)
-            return fine[np.searchsorted(knots, grid)], facts
-        coarse = fine
-    raise PropagationError(
-        f"Magnus error estimate {estimate:.3e} exceeds its tolerance {accept:.1e} after "
-        f"{_MAGNUS_MAX_HALVINGS} halvings of the step ({steps} steps); loosen tol"
-    )
+    fine, steps, *facts = _step_doubling(lambda counts: run(frame, y0, knots, counts), counts, tol)
+    path = "magnus (one envelope)" if len(frame.stars) == 1 else "magnus"
+    return fine[np.searchsorted(knots, grid)], (steps, *facts, path, steps // 2 if mirrored else steps)
 
 
 # (key, read-only propagators U(taus), their Magnus facts) of the last one-period integration in _fold
@@ -653,7 +704,8 @@ def _fold(frame, psi0, grid, period, tol):
 
     A constant generator (frame.constant) repeats itself with any period;
     with P the save interval it is exact to rounding in one step, and
-    _magnus compares one step with two.
+    _magnus compares one step with two by two exponentials
+    (_constant_magnus), without a Magnus pass.
 
     The frame's diagonal, stars and beat fix its generator (a folded
     frame's scalars are 1, or the cos and sin of its beat); with tol and
@@ -704,7 +756,8 @@ def _propagate(model, psi0, frame, pulses, settings, period=None):
     integrate (see _magnus); with a period, the one-period propagator is
     integrated instead and the run is folded (see _fold).  A constant
     generator is folded over the save interval, whatever period the tier
-    passes.
+    passes, and its one interval takes two exponentials, no Magnus pass
+    (_constant_magnus).
     """
     settings = settings or IntegratorSettings()
     if psi0.frame != frame:

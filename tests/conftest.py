@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -12,3 +14,12 @@ settings.load_profile("ddsim")
 def rng():
     """Fresh seeded generator per test so draws never couple across tests."""
     return np.random.default_rng(20260819)
+
+
+@pytest.fixture(autouse=True)
+def _ddsim_log_level():
+    """Restore the ddsim logger's level after each test: cli.main sets it from DDSIM_LOG on every call."""
+    logger = logging.getLogger("ddsim")
+    level = logger.level
+    yield
+    logger.setLevel(level)

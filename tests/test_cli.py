@@ -810,3 +810,42 @@ def test_log_env_variable_enables_info_logging(tmp_path):
     )
     assert proc.returncode == 0
     assert "sweep: 3 points" in proc.stderr
+
+
+# README's minimal propagation config
+_MINIMAL = {"mode": "propagate-rwa", "spectrum": _README_SPECTRUM,
+            "pulses": {"amp0": 20.0, "amp1": 20.0, "omega0": 1905.0, "duration": 1.0,
+                       "envelope0": {"shape": "sin2"}, "envelope1": {"shape": "sin2"}}}
+
+
+@pytest.mark.parametrize("levels", [("WARNING", "INFO"), ("INFO", "WARNING")])
+def test_each_main_call_applies_ddsim_log(tmp_path, caplog, monkeypatch, levels):
+    # logging.basicConfig configures the root logger once per process (under pytest, never), so each call sets
+    # the ddsim logger's level from DDSIM_LOG itself: only the INFO call logs its propagation
+    cfg_path = _write_cfg(tmp_path, _MINIMAL)
+    logged = []
+    for level in levels:
+        monkeypatch.setenv("DDSIM_LOG", level)
+        caplog.clear()
+        assert main(["run", cfg_path, "--out", str(tmp_path / level)]) == EXIT_OK
+        logged.append(any(r.name == "ddsim.dynamics" and r.levelno == logging.INFO for r in caplog.records))
+    assert logged == [level == "INFO" for level in levels]
+
+
+def test_ddsim_log_that_names_no_level_falls_back_to_warning(tmp_path, monkeypatch):
+    # logging.BASIC_FORMAT is a string, not a level
+    monkeypatch.setenv("DDSIM_LOG", "basic_format")
+    assert main(["validate", _write_cfg(tmp_path, _MINIMAL)]) == EXIT_OK
+    assert logging.getLogger("ddsim").level == logging.WARNING
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+    monkeypatch.setattr(cli, "_parser", None)
+    cfg_path = _write_cfg(tmp_path, _MINIMAL)
+    for _ in range(2):
+        assert main(["validate", cfg_path]) == EXIT_OK
+    assert len(built) == 1
+    # build_parser itself returns a fresh parser on each call
+    assert build() is not build()

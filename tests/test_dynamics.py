@@ -1601,6 +1601,85 @@ def test_single_pulse_phase_gates_match_eigh(args):
     assert np.max(np.abs(np.column_stack([run.final_amplitudes for run in runs]) - np.column_stack(ref))) <= 1e-12
 
 
+_CONSTANT_CASES = ["pulse 0 off", "pulse 1 off", "averaged", "rwa at zero"]
+
+
+@pytest.mark.parametrize("case", ["PHASE gate"] + _CONSTANT_CASES)
+def test_constant_generators_take_no_magnus_pass(case, monkeypatch):
+    # every Omega of a constant generator is h G, so its fold takes its exponentials directly: no Magnus pass and
+    # no one-envelope basis
+    magnus, frames = ddsim.dynamics._magnus, []
+
+    def recorded(frame, *args, **kwargs):
+        frames.append(frame)
+        return magnus(frame, *args, **kwargs)
+
+    monkeypatch.setattr(ddsim.dynamics, "_magnus", recorded)
+    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
+    for name in ("_magnus_pass", "_mirror_pass", "_one_envelope_basis"):
+        monkeypatch.setattr(ddsim.dynamics, name, mock.Mock(side_effect=AssertionError(f"{name} called")))
+    if case == "PHASE gate":  # both basis states of criterion 4's PHASE check; the second reuses the first's fold
+        cs, pp = _criterion_4_gate(2005.0, 5.0, 1905.0, 0.2, 50.0, GateSpec(target="PHASE", l=10))
+        for qubit in ((1, 0), (0, 1)):
+            propagate_rwa(cs, pp, StateVector.qubit(*qubit, 1), IntegratorSettings(save_points=2))
+    else:
+        cs, pp, psi, _, _ = _constant_draw(3, case, 4, 1, 0.5)
+        propagate = propagate_averaged if case == "averaged" else propagate_rwa
+        propagate(cs, pp, psi, IntegratorSettings(save_points=5))
+    [frame] = frames
+    assert frame.constant and "one_envelope" not in frame.__dict__
+
+
+@hypothesis_settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(_CONSTANT_CASES), n=st.integers(1, 10),
+       sign=st.sampled_from([-1, 1]), knots=st.sampled_from([2, 3, 201]), window=st.floats(0.2, 2.0))
+def test_constant_magnus_matches_two_magnus_passes(seed, case, n, sign, knots, window):
+    # _magnus takes a constant generator's one step against two per gap by direct exponentials; _magnus_pass at
+    # counts 1 and 2 is the generic route.  Over the fold's one gap the two agree bit for bit, states and
+    # estimate; over many gaps the generic passes take one squaring count per chunk of 64 steps, so they agree
+    # to rounding
+    cs, pp, psi, _, _ = _constant_draw(seed, case, n, sign, window)
+    frame = ddsim.dynamics._rwa_frame(cs, pp, crossed=case != "averaged")[0]
+    assert frame.constant
+    grid = np.linspace(0.0, window, knots)
+    ones = np.ones(knots - 1, dtype=int)
+    eps = np.finfo(float).eps
+    for y0 in (np.eye(n + 2, dtype=complex), psi.amplitudes):
+        ys, (steps, halvings, estimate, _, path, integrated) = ddsim.dynamics._magnus(frame, y0, grid, (), 1.01e-10)
+        assert (steps, halvings, path, integrated) == (2 * (knots - 1), 0, "magnus (one envelope)", steps)
+        coarse = ddsim.dynamics._magnus_pass(frame, y0, grid, ones)
+        fine = ddsim.dynamics._magnus_pass(frame, y0, grid, 2 * ones)
+        expected = max(float(np.max(np.abs(fine - coarse))) / 63.0, eps * frame.rate * float(np.max(np.diff(grid))))
+        if knots == 2:
+            assert np.array_equal(ys, fine) and estimate == expected
+        else:
+            bar = 10.0 * eps * frame.rate * window
+            assert np.max(np.abs(ys - fine)) <= bar and abs(estimate - expected) <= bar
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("case", _CONSTANT_CASES)
+def test_non_finite_coupling_fails_the_first_constant_exponential(case, bad, monkeypatch):
+    # a constant frame takes no Magnus pass, so its first exponential's norm check reports the coupling
+    expm, stacks = ddsim.dynamics._expm, []
+
+    def counted(powers, blocks):
+        stacks.append(powers.shape[1])
+        return expm(powers, blocks)
+
+    monkeypatch.setattr(ddsim.dynamics, "_expm", counted)
+    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
+    cs, pp, psi, _, _ = _constant_draw(5, case, 3, 1, 0.5)
+    name = "lambda1" if case == "pulse 0 off" else "lambda0"  # a coupling of a pulse that is on
+    couplings = getattr(cs, name).copy()
+    couplings[1] = bad
+    cs = dataclasses.replace(cs, **{name: couplings})
+    propagate = propagate_averaged if case == "averaged" else propagate_rwa
+    with pytest.raises(PropagationError, match="are the couplings finite"):
+        propagate(cs, pp, psi, IntegratorSettings(save_points=5))
+    assert stacks == [1]
+
+
 # ---------------------------------------------------------------- elimination
 
 def test_elimination_valid_when_detuning_dominates():
