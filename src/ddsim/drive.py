@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .spectrum import SpectrumModel
 from .units import DIPOLE_FIELD_TO_UEV, HBAR
@@ -38,6 +37,7 @@ from .units import DIPOLE_FIELD_TO_UEV, HBAR
 DOMINANCE_RATIO = 10.0
 
 _EDGE_TOL = 1e-9
+_ERF = np.frompyfunc(math.erf, 1, 1)  # math.erf elementwise; its values are Python floats
 
 SHAPES = ("gaussian", "sin2", "trapezoid", "constant")
 
@@ -126,7 +126,8 @@ class Envelope:
         if self.shape == "constant":
             out = t
         elif self.shape == "gaussian":
-            out = (0.5 * math.sqrt(math.pi) * self.width) * erf((t - self.center) / self.width)
+            erf = np.asarray(_ERF((t - self.center) / self.width), dtype=float)
+            out = (0.5 * math.sqrt(math.pi) * self.width) * erf
         elif self.shape == "sin2":
             # sin^4(pi x) = 3/8 - cos(2 pi x) / 2 + cos(4 pi x) / 8
             x = np.clip((t - (self.center - 0.5 * self.width)) / self.width, 0.0, 1.0)
@@ -211,8 +212,8 @@ class PulsePair:
             raise ValueError("peak amplitudes must be >= 0")
         if self.omega0 <= 0 or self.omega1 <= 0:
             raise ValueError("carrier energies must be > 0")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be finite and > 0, got {self.duration}")
         for name in ("gamma_y0", "gamma_z0", "gamma_y1", "gamma_z1"):
             if abs(getattr(self, name)) > 0.3:
                 raise ValueError(f"|{name}| exceeds 0.3 rad")

@@ -154,8 +154,6 @@ from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
-# no tier calls solve_ivp; bench/tracing.py (FUNCTIONS, by getattr) and bench/baseline.py read this name
-from scipy.integrate import solve_ivp  # noqa: F401
 
 from .drive import CouplingSet, PulsePair, averaging_period, slow_switching_ok
 from .spectrum import SpectrumModel
@@ -165,6 +163,16 @@ logger = logging.getLogger(__name__)
 
 FRAMES = ("bare", "rwa", "averaged")
 _NORM_TOL = 1e-6  # largest drift of sum |c|^2 from 1 that a run may show
+
+
+def __getattr__(name):
+    # No tier calls solve_ivp.  bench/tracing.py (FUNCTIONS, by getattr) and bench/baseline.py still read this name,
+    # so it imports scipy only when read; ROADMAP item 1b's engine-neutral harness deletes it.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PropagationError(RuntimeError):

@@ -91,6 +91,10 @@ class GateSpec:
             if dev > 1e-12:
                 raise ValueError(f"custom_unitary is not unitary (deviation {dev:.2e})")
             object.__setattr__(self, "custom_unitary", u)
+        if self.k is not None and self.k < 0:
+            raise ValueError(f"pinned k must be >= 0, got {self.k}")
+        if self.l is not None and self.l < 1:
+            raise ValueError(f"pinned l must be >= 1, got {self.l}")
         if self.k_max < 0 or self.l_max < 1:
             raise ValueError("branch bounds must be k_max >= 0, l_max >= 1")
         lo, hi = self.scale_bounds

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from ddsim import (
     Envelope,
@@ -114,6 +115,20 @@ def test_square_integral_matches_gauss_legendre_on_fine_panels(env):
         assert np.array_equal(env.square_integral(times), times)
 
 
+@pytest.mark.parametrize("center, width", [(1.3, 0.4), (0.0, 1.0), (-2.0, 3e-3), (40.0, 7.5)])
+def test_gaussian_square_integral_matches_scipy_erf(center, width):
+    # math.erf, taken elementwise, against scipy's erf over +-8 widths
+    env = Envelope("gaussian", center=center, width=width)
+    scale = 0.5 * math.sqrt(math.pi) * width
+    times = center + width * np.linspace(-8.0, 8.0, 200_001)
+    got = env.square_integral(times)
+    assert got.dtype == np.float64 and got.shape == times.shape
+    assert np.max(np.abs(got - scale * erf((times - center) / width))) <= 4.0 * np.spacing(scale)
+    assert env.square_integral(times[:1203].reshape(401, 3)).shape == (401, 3)
+    assert isinstance(env.square_integral(center + 0.3 * width), float)
+    assert env.square_integral(math.inf) == scale and env.square_integral(-math.inf) == -scale
+
+
 def test_envelope_shift_moves_center():
     env = Envelope("gaussian", center=1.0, width=0.5)
     moved = env.shifted(2.5)
@@ -177,6 +192,8 @@ def test_pulse_pair_polarization_bounds():
     dict(amp0=-1.0),
     dict(omega0=0.0),
     dict(duration=0.0),
+    dict(duration=math.inf),  # unchecked, the rwa tier's fold never ended: floor(inf / period) cast to a negative int
+    dict(duration=math.nan),
 ])
 def test_pulse_pair_validation(kwargs):
     base = dict(amp0=1.0, amp1=1.0, envelope0=Envelope("constant"),

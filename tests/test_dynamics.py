@@ -4,8 +4,12 @@ import cmath
 import dataclasses
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1287,6 +1291,67 @@ def test_no_tier_calls_solve_ivp(monkeypatch):
             propagate_bare(sp, pp, psi)
         else:
             (propagate_rwa if tier == "rwa" else propagate_averaged)(derive_couplings(sp, pp), pp, psi)
+
+
+# the runs of test_no_tier_calls_solve_ivp, a gaussian square integral and README's minimal config through cli.main,
+# in an interpreter where every scipy import raises
+_NO_SCIPY_SCRIPT = r"""
+import math, pathlib, re, sys
+sys.modules["scipy"] = None
+import ddsim.dynamics
+from ddsim import (Envelope, ExcitedLevel, PulsePair, SpectrumModel, StateVector, derive_couplings,
+                   propagate_averaged, propagate_bare, propagate_rwa)
+from ddsim.cli import main
+from ddsim.units import HBAR
+
+readme, out = map(pathlib.Path, sys.argv[1:])
+period = 2.0 * math.pi * HBAR / 30.0
+sin2 = Envelope("sin2", center=1.75 * period, width=3.5 * period)
+for tier, dq, periods, env in [("rwa", 30.0, 3.5, None), ("rwa", 0.0, 3.5, None), ("rwa", 30.0, 1.5, None),
+                               ("averaged", 30.0, 3.5, None), ("rwa", 30.0, 3.5, sin2),
+                               ("averaged", 30.0, 3.5, sin2), ("bare", 30.0, 3.5, sin2)]:
+    lev = ExcitedLevel(energy=dq + 2000.0, dipole_to_0=2.0, dipole_to_1=2.0)
+    sp = SpectrumModel(epsilon0=0.0, epsilon1=dq, excited_levels=(lev,))
+    env = env or Envelope("constant")
+    pp = PulsePair(amp0=20.0, amp1=20.0, envelope0=env, envelope1=env, omega0=dq + 1900.0, omega1=1900.0,
+                   duration=periods * period)
+    psi = StateVector.qubit(1.0, 0.0, 1, frame=tier)
+    if tier == "bare":
+        propagate_bare(sp, pp, psi)
+    else:
+        (propagate_rwa if tier == "rwa" else propagate_averaged)(derive_couplings(sp, pp), pp, psi)
+assert Envelope("gaussian", center=1.0, width=0.2).square_integral(1.1) > 0.0
+block = re.search(r"A minimal propagation config:\s*```json\n(.*?)```", readme.read_text(), re.S).group(1)
+(out / "minimal.json").write_text(block)
+assert main(["validate", str(out / "minimal.json")]) == 0
+assert main(["run", str(out / "minimal.json"), "--out", str(out / "run")]) == 0
+try:
+    ddsim.dynamics.solve_ivp
+except ImportError:
+    pass
+else:
+    raise AssertionError("ddsim.dynamics binds solve_ivp at import")
+loaded = sorted(name for name, module in sys.modules.items() if module is not None and name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_every_tier_and_the_cli_run_without_scipy(tmp_path):
+    src = Path(ddsim.dynamics.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(readme), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "minimal_trajectory.csv").stat().st_size > 0
+
+
+def test_solve_ivp_is_read_lazily_from_scipy():
+    # no tier calls it; the benchmark harness still reads the name
+    assert ddsim.dynamics.solve_ivp is solve_ivp
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        ddsim.dynamics.no_such_name
+    assert not hasattr(ddsim.dynamics, "_no_such_name")
 
 
 # ---------------------------------------------------------------- time reversal

@@ -77,6 +77,15 @@ def test_bad_search_bounds_rejected(kwargs):
         GateSpec(target="NOT", **kwargs)
 
 
+@pytest.mark.parametrize("pin", [{"l": 0}, {"k": -1}, {"l": -2}], ids=str)
+def test_pinned_branch_out_of_range_rejected(pin):
+    # unchecked, synthesize_gate on EffectiveHamiltonian(-20, -5, 5) at Delta = 10 failed with a ZeroDivisionError
+    # (l = 0), a math domain error (k = -1) or "widen the bounds" (l = -2)
+    (field,) = pin
+    with pytest.raises(ValueError, match=f"pinned {field} must be"):
+        GateSpec(target="NOT", **pin)
+
+
 def test_target_matrices():
     assert np.array_equal(GateSpec(target="NOT").target_matrix(), PAULI_X)
     assert np.array_equal(GateSpec(target="PHASE").target_matrix(), PAULI_Z)
