@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -97,11 +98,143 @@ class _Inputs(NamedTuple):
     gate: GateSpec | None
 
 
+# ---------------------------------------------------------------------
+# CSV text: each value exactly as format(v, ".17g"), the whole table at once
+# ---------------------------------------------------------------------
+#
+# A finite x != 0 has the 17 significant digits D = round(|x| 10^(16-k)), 10^16 <= D < 10^17, with
+# k = floor(log10 |x|).  |x| 10^p is formed as a double-double from 10^p = hi + lo: Dekker's TwoProduct
+# (Numer. Math. 18, 224 (1971)) gives |x| hi = P + E exactly, so P + (E + |x| lo) is |x| 10^p within about
+# 5e-15, and exact when lo = 0 (0 <= p <= 22).  The rounding of D is then certain unless the product lies
+# within _TIE_WINDOW of a half-integer (of one exactly, when exact) or of the decade's ends.  Those values,
+# and the non-finite, subnormal and out-of-range ones, take CPython's own text instead.
+
+_K_MIN, _K_MAX = -281, 280  # k over 1e-280 <= |x| < 1e280, where no product or split can overflow
+_TIE_WINDOW = 2.0**-30  # far wider than the inexact product's error
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter: v = v1 + v2 with 26-bit halves whose products are exact
+_CELL = 30  # bytes per value: sign, "0.000" prefix, 17 digits and a point, "e+123", separator
+_COLUMN = np.arange(18, dtype=np.int8)[:, None]  # digit or point column within a cell's 18 such columns
+
+
+@functools.cache
+def _pow10():
+    """10^p for p = 16 - _K_MAX .. 16 - _K_MIN as (hi, hi's split halves, lo), from exact integers."""
+    hi, lo = [], []
+    for p in range(16 - _K_MAX, 16 - _K_MIN + 1):
+        if p >= 0:
+            h = float(10**p)  # int -> float is correctly rounded
+            lo.append(float(10**p - int(h)))
+        else:
+            h = 1 / 10**-p  # so is int / int
+            num, den = h.as_integer_ratio()
+            lo.append((den - num * 10**-p) / (den * 10**-p))
+        hi.append(h)
+    hi = np.array(hi)
+    split = _SPLIT * hi
+    hi1 = split - (split - hi)
+    return hi, hi1, hi - hi1, np.array(lo)
+
+
+def _exact_digits(x):
+    """(D, k, proven) per value: its 17 digits and exponent, and whether the two are certain (D = 0 for 0)."""
+    ax = np.abs(x)
+    with np.errstate(invalid="ignore"):  # NaN compares False: it is neither in range nor zero
+        in_range = (ax >= 1e-280) & (ax < 1e280)
+        zero = ax == 0
+    a = np.where(in_range, ax, 1.0)  # the rest take stand-in digits that `proven` discards
+    hi, hi1, hi2, lo = _pow10()
+    k = np.clip(np.floor(np.log10(a)), _K_MIN, _K_MAX).astype(np.int64)
+    rough = a * hi[_K_MAX - k]  # log10 may miss the decade by one next to a power of ten
+    k = np.clip(k + (rough >= 1e17) - (rough < 1e16), _K_MIN, _K_MAX)
+    i = _K_MAX - k
+    h, h1, h2, l = hi[i], hi1[i], hi2[i], lo[i]
+    split = _SPLIT * a
+    a1 = split - (split - a)
+    a2 = a - a1
+    prod = a * h
+    rest = (((a1 * h1 - prod) + a1 * h2 + a2 * h1) + a2 * h2) + a * l
+    whole = np.floor(rest)
+    frac = rest - whole
+    digits = prod.astype(np.int64) + whole.astype(np.int64)  # where D >= 10^16 > 2^53, prod is an integer
+    # the rounding is certain away from a half-integer, and k is right if the product is >= 10^16 (by more
+    # than the window, when inexact)
+    window = np.where(l == 0, 0.0, _TIE_WINDOW)
+    proven = in_range & (np.abs(frac - 0.5) > window) & (
+        (digits > 10**16) | ((digits == 10**16) & (frac >= window)))
+    digits += frac > 0.5
+    proven &= digits < 10**17  # a carry into the next decade goes to CPython too
+    return np.where(zero, 0, digits), np.where(zero, 0, k), proven | zero
+
+
+def _digit_rows(digits):
+    """(17, n) uint8: row j holds digit j of each 17-digit integer."""
+    n = len(digits)
+    v = np.concatenate(np.divmod(digits, 10**9)).astype(np.int32)  # 8 leading digits, then 9
+    rows = np.empty((9, 2 * n), np.uint8)
+    for j in range(8, -1, -1):
+        q = v // 10
+        rows[j] = v - 10 * q
+        v = q
+    return np.concatenate((rows[1:, :n], rows[:, n:]))
+
+
+def _cells(x, digits, k):
+    """(_CELL, n) uint8: each value's text as laid out by notation, NUL where a character is absent.
+
+    Fixed notation for -4 <= k < 17, else exponent.  The significant length is the digit count
+    without trailing zeros; fixed notation also keeps the integer part's digits.  A point follows
+    digit q when any digit comes after it: q = k in fixed notation with k >= 0, and 0 in exponent
+    notation; fixed notation with k < 0 writes "0." and -k - 1 zeros ahead of the digits instead.
+    """
+    n = len(x)
+    rows = _digit_rows(digits)
+    length = ((rows != 0) * (_COLUMN[:17] + np.int8(1))).max(axis=0)
+    fixed = (k >= -4) & (k < 17)
+    sci = ~fixed
+    small = fixed & (k < 0)
+    large = fixed & (k >= 0)
+    k8 = np.clip(k, -5, 17).astype(np.int8)
+    point = k8 * large + np.int8(16) * small  # 16: no point among the digits
+    shown = np.maximum(np.maximum(length, 1), (k8 + np.int8(1)) * large)  # "0" for 0
+
+    cells = np.zeros((_CELL, n), np.uint8)
+    cells[0] = np.signbit(x) * np.uint8(ord("-"))
+    cells[1] = small * np.uint8(ord("0"))
+    cells[2] = small * np.uint8(ord("."))
+    cells[3:6] = ((_COLUMN[:3] < -k8 - np.int8(1)) & small) * np.uint8(ord("0"))
+    chars = (rows + np.uint8(ord("0"))) * (_COLUMN[:17] < shown)
+    after = _COLUMN[:17] > point
+    body = cells[6:24]
+    body[:17] = chars * ~after
+    body[1:] += chars * after  # digits after the point move one column right
+    body += (shown > point + np.int8(1)) * np.uint8(ord(".")) * (_COLUMN == point + np.int8(1))
+    e = np.abs(k).astype(np.int16)
+    cells[24] = sci * np.uint8(ord("e"))
+    cells[25] = sci * (np.uint8(ord("+")) + np.uint8(2) * (k < 0))  # "-" is "+" + 2
+    cells[26] = (sci & (e >= 100)) * (ord("0") + e // 100)
+    cells[27] = sci * (ord("0") + e // 10 % 10)
+    cells[28] = sci * (ord("0") + e % 10)
+    return cells
+
+
+def _format_by_python(values) -> list[str]:
+    """CPython's own "%.17g" text, for the values whose digits `_exact_digits` cannot prove."""
+    return [format(v, ".17g") for v in values.tolist()]
+
+
 def _csv_text(header, rows) -> str:
     """The table as CSV, every value written as a float by "%.17g"."""
     values = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + (line * len(values)) % tuple(values.ravel().tolist())
+    x = values.reshape(len(values), len(header)).ravel()
+    digits, k, proven = _exact_digits(x)
+    cells = _cells(x, digits, k)
+    unproven = np.flatnonzero(~proven)
+    if len(unproven):
+        texts = "".join(text.ljust(_CELL - 1, "\0") for text in _format_by_python(x[unproven]))
+        cells[:-1, unproven] = np.frombuffer(texts.encode("ascii"), np.uint8).reshape(-1, _CELL - 1).T
+    cells[-1] = ord(",")
+    cells[-1, len(header) - 1 :: len(header)] = ord("\n")
+    return ",".join(header) + "\n" + cells.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _trajectory_csv(traj) -> str:

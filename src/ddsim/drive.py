@@ -60,14 +60,18 @@ class Envelope:
     ramp: float = 0.0
 
     def __post_init__(self):
+        # every test is written so that NaN fails it
         if self.shape not in SHAPES:
             raise ValueError(f"unknown envelope shape {self.shape!r}")
-        if self.shape != "constant" and self.width <= 0:
+        for name in ("center", "width", "ramp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"envelope {name} must be finite, got {getattr(self, name)}")
+        if self.shape != "constant" and not self.width > 0:
             raise ValueError(f"{self.shape} envelope needs width > 0")
         if self.shape == "trapezoid":
-            if self.ramp <= 0:
+            if not self.ramp > 0:
                 raise ValueError("trapezoid envelope needs ramp > 0")
-            if 2 * self.ramp > self.width:
+            if not 2 * self.ramp <= self.width:
                 raise ValueError("trapezoid ramps overlap (2*ramp > width)")
 
     def __call__(self, t):
@@ -208,21 +212,25 @@ class PulsePair:
     gamma_z1: float = 0.0
 
     def __post_init__(self):
-        if self.amp0 < 0 or self.amp1 < 0:
-            raise ValueError("peak amplitudes must be >= 0")
-        if self.omega0 <= 0 or self.omega1 <= 0:
-            raise ValueError("carrier energies must be > 0")
-        if not 0 < self.duration < math.inf:
-            raise ValueError(f"duration must be finite and > 0, got {self.duration}")
+        # every test is written so that NaN fails it
+        for name in ("amp0", "amp1"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"peak amplitude {name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("omega0", "omega1", "duration"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("phi0", "phi1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"phase {name} must be finite, got {getattr(self, name)}")
         for name in ("gamma_y0", "gamma_z0", "gamma_y1", "gamma_z1"):
-            if abs(getattr(self, name)) > 0.3:
-                raise ValueError(f"|{name}| exceeds 0.3 rad")
+            if not abs(getattr(self, name)) <= 0.3:
+                raise ValueError(f"|{name}| exceeds 0.3 rad (got {getattr(self, name)})")
         for tag, env in (("envelope0", self.envelope0), ("envelope1", self.envelope1)):
             if env.shape == "constant":
                 continue
             for edge in (0.0, self.duration):
                 val = env(edge)
-                if val > _EDGE_TOL:
+                if not val <= _EDGE_TOL:
                     raise ValueError(
                         f"{tag} does not vanish at t={edge} (f={val:.3e}); "
                         "widen the window or use the constant shape explicitly"
@@ -284,10 +292,10 @@ class CouplingSet:
 
 def enforce_two_photon_resonance(spectrum: SpectrumModel, omega0: float) -> tuple[float, float]:
     """Return (omega0, omega1) with omega1 locked to omega0 - delta."""
-    if omega0 <= 0:
-        raise ValueError("omega0 must be > 0")
+    if not 0 < omega0 < math.inf:
+        raise ValueError(f"omega0 must be finite and > 0, got {omega0}")
     omega1 = omega0 - spectrum.delta
-    if omega1 <= 0:
+    if not omega1 > 0:
         raise ValueError(
             f"two-photon resonance would need omega1 = {omega1} <= 0 "
             f"(omega0={omega0}, qubit splitting={spectrum.delta})"
@@ -301,8 +309,10 @@ def derive_couplings(spectrum: SpectrumModel, pulses: PulsePair) -> CouplingSet:
     Requires the pulse carriers to satisfy two-photon resonance against
     the spectrum (omega0 - omega1 equal to the qubit splitting).
     """
+    if not math.isfinite(spectrum.delta):
+        raise ValueError(f"qubit splitting must be finite, got {spectrum.delta}")
     mismatch = (pulses.omega0 - pulses.omega1) - spectrum.delta
-    if abs(mismatch) > 1e-9 * max(1.0, abs(spectrum.delta)):
+    if not abs(mismatch) <= 1e-9 * max(1.0, abs(spectrum.delta)):
         raise ValueError(
             f"carriers violate two-photon resonance by {mismatch} ueV; "
             "use enforce_two_photon_resonance to derive omega1"

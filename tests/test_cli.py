@@ -5,11 +5,16 @@ import logging
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings
+from hypothesis import strategies as st
 
 import ddsim.dynamics
 from ddsim import Trajectory, cli, config, effective
@@ -135,6 +140,111 @@ def test_csv_text_writes_each_value_as_the_per_value_format(rows):
     header = [f"c{i}" for i in range(len(_AWKWARD_FLOATS))]
     old = "\n".join([",".join(header)] + [",".join(format(float(v), ".17g") for v in row) for row in rows]) + "\n"
     assert cli._csv_text(header, rows) == old
+
+
+def _per_value_csv(header, rows):
+    return "\n".join([",".join(header)] + [",".join(format(float(v), ".17g") for v in row) for row in rows]) + "\n"
+
+
+# any float64 bit pattern: subnormals, NaNs of either sign and any payload, the infinities and both zeros
+_ANY_DOUBLE = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308]),
+)
+
+
+@st.composite
+def _tables(draw):
+    n_cols = draw(st.integers(1, 9))
+    row = st.lists(_ANY_DOUBLE, min_size=n_cols, max_size=n_cols)
+    return [f"c{i}" for i in range(n_cols)], draw(st.lists(row, min_size=1, max_size=40))
+
+
+@hypothesis_settings(max_examples=300)
+@given(_tables())
+def test_csv_text_matches_the_per_value_format_on_any_table(table):
+    header, rows = table
+    assert cli._csv_text(header, rows) == _per_value_csv(header, rows)
+
+
+def _edge_corpus():
+    """Values at every boundary the writer's fast path decides on, with their float64 neighbours."""
+    centres = [float(f"1e{p}") for p in range(-323, 309)]  # every power of ten, 1e-323 being subnormal
+    centres += [1e-5, 5e-5, 9.9999999999999995e-05, 1.5e-4, 1e16, 5e16, 99999999999999999.0, 1.5e17,  # k = -5/-4, 16/17
+                2.0**53, 1e-280, 1e280, 2.2250738585072014e-308, 1.7976931348623157e308,
+                1000000000000000.25, 123456789012345.625, 0.5, 2.5]  # the last four are exact ties
+    values = [0.0, 5e-324, math.inf, math.nan]
+    for c in centres:
+        values += [c, math.nextafter(c, 0.0), math.nextafter(c, math.inf)]
+    return values + [-v for v in values]
+
+
+def test_csv_text_matches_the_per_value_format_on_the_edge_corpus():
+    values = _edge_corpus()
+    rows = [values[i:i + 7] for i in range(0, len(values) - 6, 7)]
+    assert cli._csv_text([f"c{i}" for i in range(7)], rows) == _per_value_csv([f"c{i}" for i in range(7)], rows)
+
+
+@pytest.mark.parametrize("value, text", [
+    (99999999999999999.0, "1e+17"),  # parses to 1e17 itself
+    (9.9999999999999995e-05, "9.9999999999999991e-05"),
+    (1e-5, "1.0000000000000001e-05"),  # k = -5: exponent notation, two exponent digits
+    (1e-4, "0.0001"),  # k = -4: fixed, trailing zeros dropped
+    (1e16, "10000000000000000"),  # k = 16: fixed, no point
+    (1.5e17, "1.5e+17"),  # k = 17: exponent notation
+    (1e-100, "1e-100"),  # a three-digit exponent, and no point with nothing after it
+    (1000000000000000.25, "1000000000000000.2"),  # an exact tie, to even
+    (1e23, "9.9999999999999992e+22"),  # the double below a power of ten
+    (-0.0, "-0"),
+    (-math.nan, "nan"),
+])
+def test_csv_text_writes_the_pinned_texts(value, text):
+    assert cli._csv_text(["v"], [[value]]) == f"v\n{text}\n"
+
+
+def _unprovable(v):
+    """True when a value's 17 digits cannot be proven from a product good to about 1e-14.
+
+    That is: non-finite, subnormal or outside [1e-280, 1e280); a scaled value |v| 10^(16-k) within 2^-29 of a
+    half-integer; or |v| within a relative 1e-15 of a power of ten it is not equal to.
+    """
+    a = abs(v)
+    if a == 0:
+        return False
+    if not 1e-280 <= a < 1e280:  # NaN fails this too
+        return True
+    exact = Fraction(a)
+    scaled = exact * Fraction(10) ** (16 - Decimal(a).adjusted())
+    near_tie = abs(scaled - math.floor(scaled) - Fraction(1, 2)) <= Fraction(1, 2**29)
+    near_decade = any(0 < abs(scaled / edge - 1) < Fraction(1, 10**15) for edge in (10**16, 10**17))
+    return near_tie or near_decade
+
+
+def test_only_unprovable_values_reach_the_python_fallback(monkeypatch):
+    # without this a writer that quietly sent every value to CPython would pass every byte test
+    seen = []
+    python_text = cli._format_by_python
+
+    def spy(values):
+        seen.extend(values.tolist())
+        return python_text(values)
+
+    monkeypatch.setattr(cli, "_format_by_python", spy)
+    # a model-check-like table: a 1001-point grid, populations down to 1e-20, deviations near 1e-12
+    t = np.linspace(0.0, 40.0, 1001)
+    p1 = np.sin(0.2 * t) ** 2
+    manifold = 1e-3 * np.exp(-1.1 * t)
+    model = np.sin(0.2 * t + 1e-7) ** 2
+    table = np.column_stack((t, 1.0 - p1 - manifold, p1, manifold, 1.0 - model, model, 1e-12 * (1.5 + np.cos(t))))
+    planted = [math.nan, -math.inf, 5e-324, 1e-300, 1e300, 1000000000000000.25, 0.0]
+    rows = np.vstack((table, planted))
+    header = [f"c{i}" for i in range(7)]
+    assert cli._csv_text(header, rows) == _per_value_csv(header, rows)
+    assert manifold.min() < 1e-20
+    # exactly the planted values past 0.0, which is written directly, and none of the table's 7007
+    assert [v for v in seen if v == v] == [v for v in planted if v == v and _unprovable(v)]  # NaN != NaN
+    assert sum(v != v for v in seen) == 1
 
 
 def test_reruns_are_byte_identical(tmp_path):

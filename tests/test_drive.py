@@ -165,6 +165,19 @@ def test_envelope_validation(kwargs):
         Envelope(**kwargs)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("shape, field", [
+    (shape, field)
+    for shape in ("gaussian", "sin2", "trapezoid", "constant")
+    for field in ("center", "width", "ramp")
+])
+def test_envelope_rejects_non_finite_parameters(shape, field, value):
+    # `width <= 0` and `ramp <= 0` let NaN through, and center was never checked
+    base = dict(center=2.0, width=4.0, ramp=1.0)
+    with pytest.raises(ValueError, match=field):
+        Envelope(shape, **{**base, field: value})
+
+
 # ---------------------------------------------------------------- pulse pair
 
 def test_pulse_pair_rejects_envelope_alive_at_window_edge():
@@ -202,6 +215,54 @@ def test_pulse_pair_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         PulsePair(**base)
+
+
+_NON_FINITE = pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+_PAIR_FIELDS = ("amp0", "amp1", "omega0", "omega1", "duration", "phi0", "phi1",
+                "gamma_y0", "gamma_z0", "gamma_y1", "gamma_z1")
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("field", _PAIR_FIELDS)
+def test_pulse_pair_rejects_non_finite_fields(field, value):
+    # each check is written so that NaN fails it: `amp < 0` or `abs(gamma) > 0.3` let NaN through
+    base = dict(amp0=1.0, amp1=1.0, envelope0=Envelope("constant"),
+                envelope1=Envelope("constant"), omega0=2000.0, omega1=1995.0,
+                duration=4.0)
+    with pytest.raises(ValueError, match=field):
+        PulsePair(**{**base, field: value})
+
+
+def test_pulse_pair_edge_check_rejects_a_nan_envelope():
+    env = Envelope("gaussian", center=2.0, width=0.2)
+    object.__setattr__(env, "center", math.nan)  # past Envelope's own check, as a frozen dataclass allows
+    with pytest.raises(ValueError, match="envelope0 does not vanish"):
+        PulsePair(amp0=1.0, amp1=1.0, envelope0=env, envelope1=Envelope("constant"),
+                  omega0=2000.0, omega1=1995.0, duration=4.0)
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("field", ["epsilon0", "epsilon1"])
+def test_derive_couplings_rejects_a_non_finite_splitting(field, value):
+    # a NaN splitting made the resonance mismatch NaN, which `abs(mismatch) > tol` let through, and an
+    # infinite one made the tolerance infinite; SpectrumModel itself refuses the other infinities
+    with pytest.raises(ValueError):
+        sp = SpectrumModel(**{"epsilon0": 0.0, "epsilon1": 5.0, field: value},
+                           excited_levels=(ExcitedLevel(2005.0, 1.0, 1.0),))
+        derive_couplings(sp, _pair(1905.0, 5.0))
+
+
+@_NON_FINITE
+def test_two_photon_lock_rejects_non_finite_carriers(value):
+    sp = _spectrum((ExcitedLevel(2005.0, 1.0, 1.0),), delta=5.0)
+    with pytest.raises(ValueError, match="omega0"):
+        enforce_two_photon_resonance(sp, value)
+
+
+def test_two_photon_lock_rejects_a_nan_splitting():
+    sp = SpectrumModel(epsilon0=0.0, epsilon1=math.nan, excited_levels=(ExcitedLevel(2005.0, 1.0, 1.0),))
+    with pytest.raises(ValueError, match="omega1"):
+        enforce_two_photon_resonance(sp, 1905.0)
 
 
 def test_two_photon_lock():
