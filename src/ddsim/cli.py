@@ -71,7 +71,6 @@ from .effective import (
 )
 from .gates import (
     GateSpec,
-    GateSynthesisError,
     polarization_leakage,
     schedule_stirap,
     synthesize_gate,
@@ -671,9 +670,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _emit_error(EXIT_CONFIG, "config", str(exc))
-    except (PropagationError, GateSynthesisError) as exc:
-        return _emit_error(EXIT_NUMERIC, "numeric", str(exc))
-    except ValueError as exc:
+    except (PropagationError, ValueError) as exc:  # a GateSynthesisError is a ValueError
         return _emit_error(EXIT_NUMERIC, "numeric", str(exc))
     except OSError as exc:
         return _emit_error(EXIT_IO, "io", str(exc))

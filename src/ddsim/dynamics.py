@@ -38,8 +38,8 @@ propagate_rwa
     beat off and puts +Delta / hbar (or -Delta / hbar) on its diagonal, so
     the run has one envelope, the other pulse's, at any Delta: a
     single-pulse frame.  A constant generator (a single constant pulse,
-    or one constant envelope at Delta = 0) repeats itself over any
-    interval, so it is folded over the save interval instead (see below).
+    or one constant envelope at Delta = 0) takes no steps: one
+    eigendecomposition gives every saved state (see below).
     Other runs at Delta = 0, shorter windows and shaped envelopes are
     integrated directly.  Each call logs (INFO) which path it took.
 
@@ -107,7 +107,7 @@ chunk of steps forms its Omegas in one of two ways:
   time reversal, N steps integrated".  An even number of saved times, an
   off-centre envelope, complex dipoles whose phase differs between
   levels, the bare tier's field and the folds' propagators integrate the
-  whole window; a constant f folds over the save interval (see below).
+  whole window; a constant f takes no steps (see below).
 
 A fold over the beat (both envelopes constant, Delta != 0) has six
 terms, or three where the envelopes are equal, so its one period takes
@@ -115,30 +115,22 @@ the alpha path and logs "one period by magnus over N steps".
 
 Where the generator is constant (one envelope, and it constant: a
 single constant pulse in either tier, both envelopes constant in the
-averaged tier, or in the rwa tier at Delta = 0) every step is exact to
-rounding, and the generator repeats itself over any interval.  Such a
-run is folded over the uniform save interval.  Every Magnus Omega of a
-constant generator G is h G exactly (its node differences are 0), so
-the one interval's propagator takes no Magnus pass (_constant_magnus):
-one step against two is exp(w G) against exp(w G / 2)^2, one
-exponential each, by scaling and squaring (Moler & Van Loan, SIAM Rev.
-45, 3 (2003)), and each saved state is the last one times it.  Its
-estimate reads only the exponential's rounding, about eps ||H|| T: the
-two half steps can repeat the one step's last squaring bit for bit, so
-the estimate and the floor are taken at least eps ||H|| T, with the rate
-bound for ||H||.  The error of the saved states grows with their count,
-by rounding only.
-The log reads "folded over N save intervals of ... ns, one interval by
-magnus (one envelope) over 2 steps", the steps a one-term pass would
-take.
+averaged tier, or in the rwa tier at Delta = 0) no step is taken: one
+eigendecomposition H/hbar = W Lambda W^dagger gives every saved state as
+W e^{-i Lambda t} W^dagger psi0 (_eigh_states; the eigenvector method
+for normal matrices of Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The
+eigenvalues' rounding grows with t, so its estimate is
+eps d (d + ||H|| T) over the window T in dimension d, with the rate
+bound for ||H||.  The log reads "one eigendecomposition of the constant
+generator at N saved times".
 
 Each step is orthogonal to rounding (the Taylor remainder is below
 eps), so a norm check cannot see the step error: each run is repeated at half the step, and the step halved until
 the step-doubling error estimate is at most tol (or the rounding floor
-eps * steps, or eps ||H|| T for a constant generator, with a warning
-when the floor accepts what tol would not),
+eps * steps, with a warning when the floor accepts what tol would not),
 else PropagationError.  A NaN or infinite coupling fails the
-exponential's norm check in the first pass.
+exponential's norm check in the first pass (a constant generator's
+check comes before its eigendecomposition).
 
 Norms are still checked, never renormalized: a drift of sum |c|^2 from 1
 beyond _NORM_TOL raises PropagationError.
@@ -219,9 +211,9 @@ class IntegratorSettings:
     at most tol (the amplitudes have norm 1).  A folded rwa run with both
     pulses on estimates the error of one beat period.  A constant
     generator (a single constant pulse, or one constant envelope without
-    a beat: the averaged tier, or rwa at Delta = 0) is folded over the
-    save interval, one step against two by direct exponentials, so its
-    estimate reads only the exponential's rounding (about eps ||H|| T).
+    a beat: the averaged tier, or rwa at Delta = 0) takes one
+    eigendecomposition and no steps; its estimate, the eigenvalues'
+    rounding over the window, warns where it exceeds tol.
     """
 
     tol: float = 1.01e-10
@@ -338,7 +330,8 @@ class _BFrame:
     through the beat phase beat * t (an rwa run with both envelopes
     constant and Delta != 0, beat = Delta / hbar): the scalars of such a
     frame are fixed by it, so the fold memo keys on it (see _fold).
-    constant marks a constant generator (one term, and its u constant).
+    constant marks a constant generator (one term, and its u constant),
+    which _propagate takes by one eigendecomposition (_eigh_states).
     mirror, the phases S of _mirror_phases, is set where H(T - t) =
     K H(t) K^-1 over the window [0, T] with K = S conj: one shaped
     envelope centred on T / 2, and couplings that a diagonal phase change
@@ -482,7 +475,8 @@ def _magnus_pass(frame, y0, knots, counts):
 
     Each step takes exp(Omega) with the sixth-order Omega of three Gauss
     points (see _ALPHA_NODES), _MAGNUS_CHUNK steps at a time, in real
-    arithmetic and without LAPACK: each complex entry a becomes the block
+    arithmetic and without LAPACK (which only a constant generator's
+    _eigh_states calls): each complex entry a becomes the block
     [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian alpha_j of dim d
     become real antisymmetric matrices of dim 2d.  For those, yx = (xy)^T,
     so each commutator takes one stacked product, and exp(Omega) is
@@ -583,23 +577,23 @@ def _mirror_pass(frame, psi0, knots, counts):
     return np.concatenate((first, frame.mirror * (np.conj(props[-2::-1]) @ w)))
 
 
-def _step_doubling(run, counts, tol, rounding=0.0):
+def _step_doubling(run, counts, tol):
     """(fine, steps, halvings, error estimate, tolerance) of the passes run(counts), states at every knot.
 
     Each pass is repeated at twice the counts; the estimate of the finer
-    pass's error is max(max |y_h - y_{h/2}| / 63 (sixth order), rounding),
-    and while it exceeds tol (the state has norm 1), the floor eps * steps
-    and rounding, the steps are halved again, at most _MAGNUS_MAX_HALVINGS
-    times, else PropagationError.
+    pass's error is max |y_h - y_{h/2}| / 63 (sixth order), and while it
+    exceeds tol (the state has norm 1) and the floor eps * steps, the steps
+    are halved again, at most _MAGNUS_MAX_HALVINGS times, else
+    PropagationError.
     """
     eps = np.finfo(float).eps
     coarse = run(counts)
     for halvings in range(_MAGNUS_MAX_HALVINGS + 1):
         counts = 2 * counts
         fine = run(counts)
-        estimate = max(float(np.max(np.abs(fine - coarse))) / 63.0, rounding)
+        estimate = float(np.max(np.abs(fine - coarse))) / 63.0
         steps = int(counts.sum())
-        accept = max(tol, eps * steps, rounding)
+        accept = max(tol, eps * steps)
         if estimate <= accept:
             return fine, steps, halvings, estimate, accept
         coarse = fine
@@ -609,45 +603,26 @@ def _step_doubling(run, counts, tol, rounding=0.0):
     )
 
 
-def _constant_magnus(frame, y0, knots, tol):
-    """_magnus for a constant generator (frame.constant): the same states and facts, without a Magnus pass.
+def _eigh_states(frame, psi0, grid):
+    """b-frame amplitudes on grid of a constant generator (frame.constant) by one eigendecomposition, and their
+    error estimate.
 
-    The node differences of a constant generator are 0, so every Magnus
-    Omega is exactly h G, with G = -i (D + u V) in real form, formed once:
-    a pass of count steps per gap is one _expm of the gaps' w G / count,
-    each applied count times.  The first pass takes one step per gap, and
-    the estimate, one step against two, reads only the exponential's
-    rounding: the two passes can share it bit for bit (the half steps
-    repeat the one step's last squaring), so the estimate and the floor
-    are at least eps ||H|| T, with T the longest gap and frame.rate for
-    ||H||.  The path is "magnus (one envelope)", the one-term frame's, and
-    a non-finite coupling fails the first exponential's norm check.  Each
-    pass keeps its own _expm call: a stack of coarse and fine would take
-    one squaring count for both, one too many for the half steps.
+    H/hbar = D + u V is constant, so psi(t) = W e^{-i Lambda t} W^dagger psi0 with the eigenvalues Lambda and
+    eigenvectors W of H/hbar (Moler & Van Loan, SIAM Rev. 45, 3 (2003)), at every saved time at once: no steps.  The
+    eigenvalues carry an error of p(d) eps ||H|| (LAPACK's bound, p(d) taken as the dimension d), which the phases
+    grow over the window T, and W^dagger and W a few eps each: the estimate is eps d (d + frame.rate T).  A
+    non-finite coupling raises PropagationError before the decomposition.
     """
-    m = 2 * len(y0)
-    widths = np.diff(knots)
-    powers, blocks = np.empty((5, len(widths), m, m)), np.empty((4, len(widths), m, m))
-    powers[0] = np.eye(m)
-    y = np.stack((y0.real, y0.imag), axis=1).reshape((m,) + y0.shape[1:])
-
-    def run(counts):
-        np.multiply.outer(widths / counts, gen, out=powers[1].reshape(len(widths), -1))
-        out = np.empty((len(knots),) + y.shape)
-        out[0] = state = y
-        for j, (prop, count) in enumerate(zip(_expm(powers, blocks), counts.tolist())):
-            for _ in range(count):
-                state = prop.dot(state)
-            out[j + 1] = state
-        return out[:, 0::2] + 1j * out[:, 1::2]
-
-    # a non-finite generator is reported by _expm's norm check, not by warnings on the way
-    with np.errstate(invalid="ignore", over="ignore"):
-        terms = frame.terms
-        gen = terms[0] + frame.scalars(knots[:1])[0, 0] * terms[1]
-        rounding = np.finfo(float).eps * frame.rate * float(np.max(widths))
-        fine, steps, *facts = _step_doubling(run, np.ones(len(widths), dtype=int), tol, rounding)
-    return fine, (steps, *facts, "magnus (one envelope)", steps)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite coupling is reported below, not by warnings
+        star = frame.scalars(grid[:1])[0, 0] * frame.stars[0]
+    ham = np.diag(frame.diag).astype(complex)
+    ham[:2, 2:] = star
+    ham[2:, :2] = np.conj(star).T
+    if not np.all(np.isfinite(ham)):
+        raise PropagationError("constant generator is not finite; are the couplings finite?")
+    lam, w = np.linalg.eigh(ham)
+    ys = (np.exp(-1j * np.outer(grid, lam)) * (np.conj(w).T @ psi0)) @ w.T
+    return ys, np.finfo(float).eps * len(psi0) * (len(psi0) + frame.rate * grid[-1])
 
 
 def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
@@ -661,9 +636,7 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
     repeated at half the step until the step-doubling estimate is at most
     tol (_step_doubling).  path names how the passes formed their Omegas:
     "magnus (one envelope)" for a frame of one term, else "magnus" (the
-    alpha path).  A constant generator (frame.constant), which has no
-    breakpoints, takes _constant_magnus: one exponential per pass, no
-    Magnus pass.
+    alpha path).
 
     A state y0 under a frame with mirror phases, on knots and steps that
     mirror about the middle of the window (_is_mirror_grid: an odd number
@@ -675,8 +648,6 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
     other run (a propagator, an even number of saved times, an
     off-centre grid) takes _magnus_pass over the whole window.
     """
-    if frame.constant:
-        return _constant_magnus(frame, y0, grid, tol)
     inner = np.array([b for b in breaks if grid[0] < b < grid[-1]], dtype=float)
     if inner.size:
         # a breakpoint a few ulps from a saved time would leave a gap of a few ulps, a Magnus step of every pass;
@@ -709,11 +680,6 @@ def _fold(frame, psi0, grid, period, tol):
     (steps, halvings, error estimate, tolerance, path, steps integrated)
     are those of the one period: the error of b(t) can grow up to m-fold
     over m periods.
-
-    A constant generator (frame.constant) repeats itself with any period;
-    with P the save interval it is exact to rounding in one step, and
-    _magnus compares one step with two by two exponentials
-    (_constant_magnus), without a Magnus pass.
 
     The frame's diagonal, stars and beat fix its generator (a folded
     frame's scalars are 1, or the cos and sin of its beat); with tol and
@@ -762,10 +728,9 @@ def _propagate(model, psi0, frame, pulses, settings, period=None):
 
     model is the tier's b-frame form (a _BFrame), which Magnus steps
     integrate (see _magnus); with a period, the one-period propagator is
-    integrated instead and the run is folded (see _fold).  A constant
-    generator is folded over the save interval, whatever period the tier
-    passes, and its one interval takes two exponentials, no Magnus pass
-    (_constant_magnus).
+    integrated instead and the run is folded over the beat (see _fold).  A
+    constant generator takes one eigendecomposition and no steps
+    (_eigh_states).
     """
     settings = settings or IntegratorSettings()
     if psi0.frame != frame:
@@ -776,31 +741,31 @@ def _propagate(model, psi0, frame, pulses, settings, period=None):
         )
 
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
-    if model.constant:  # a constant generator repeats itself over any interval, the uniform save interval included
-        period = grid[1] - grid[0]
-    if period is None:
-        breaks = pulses.envelope0.breakpoints + pulses.envelope1.breakpoints
-        # Magnus steps are equal across a save interval, so where the envelopes vanish nothing else would keep
-        # them from stepping over a pulse; the shortest switching time bounds them
-        ys, facts = _magnus(model, psi0.amplitudes, grid, breaks, settings.tol, pulses.switching_time)
-        reused = False
-    else:
-        ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings.tol)
-    steps, halvings, estimate, floor, method, integrated = facts
-    span = "interval" if model.constant else "period"
-    note = f" (one-{span} propagator reused)" if reused else ""
+    note = ""
     if model.constant:
-        method = f"folded over {len(grid) - 1} save intervals of {period:.6g} ns, one interval by {method}"
-    elif period is not None:
-        method = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by {method}"
-    elif integrated < steps:
-        note = f"; second half by time reversal, {integrated} steps integrated"
-    logger.info("%s propagation: %s over %d steps, %d halvings, error estimate %.2e (tolerance %.1e)%s",
-                frame, method, steps, halvings, estimate, floor, note)
+        ys, estimate = _eigh_states(model, psi0.amplitudes, grid)
+        floor, kind, bound = max(settings.tol, estimate), "Eigendecomposition", "eps d (d + ||H|| T)"
+        path = f"one eigendecomposition of the constant generator at {len(grid)} saved times"
+    else:
+        if period is None:
+            breaks = pulses.envelope0.breakpoints + pulses.envelope1.breakpoints
+            # Magnus steps are equal across a save interval, so where the envelopes vanish nothing else would keep
+            # them from stepping over a pulse; the shortest switching time bounds them
+            ys, facts = _magnus(model, psi0.amplitudes, grid, breaks, settings.tol, pulses.switching_time)
+        else:
+            ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings.tol)
+            note = " (one-period propagator reused)" if reused else ""
+        steps, halvings, estimate, floor, method, integrated = facts
+        if period is not None:
+            method = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by {method}"
+        elif integrated < steps:
+            note = f"; second half by time reversal, {integrated} steps integrated"
+        path = f"{method} over {steps} steps, {halvings} halvings"
+        kind, bound = "Magnus", f"eps * {steps} steps"
+    logger.info("%s propagation: %s, error estimate %.2e (tolerance %.1e)%s", frame, path, estimate, floor, note)
     if estimate > settings.tol:
-        bound = "eps ||H|| T" if model.constant else f"eps * {steps} steps"
         warnings.warn(
-            f"Magnus error estimate {estimate:.3e} exceeds the requested tol = "
+            f"{kind} error estimate {estimate:.3e} exceeds the requested tol = "
             f"{settings.tol:.3e}; accepted under the rounding floor {bound} = {floor:.3e}",
             stacklevel=3,
         )
@@ -833,7 +798,7 @@ def _rwa_frame(couplings, pulses, crossed):
     and at any beat where one pulse's couplings are all 0: f is then the other pulse's envelope, and qubit level 1
     (pulse 1 off) or 0 (pulse 0 off) is turned at the beat, +wq or -wq on its diagonal, which takes the beat off
     the one crossed coupling left.  One shaped envelope centred in the window also takes the mirror phases of
-    those couplings (_mirror_phases); a constant one folds over the save interval (see _propagate).  A beat with
+    those couplings (_mirror_phases); a constant one takes no steps (see _propagate).  A beat with
     both envelopes constant sets the frame's beat, and folds over at least two beat periods by the alpha path.
     """
     wd = couplings.delta / HBAR                            # detuning phases, rad/ns
@@ -866,7 +831,7 @@ def _rwa_frame(couplings, pulses, crossed):
                                 else ((env0, env1), np.concatenate((pulse0, pulse1))))
         one_term = len(stars) == 1
         constant = one_term and envelopes[0].shape == "constant"
-        # f(T - t) = f(t): the envelope is centred in the window; a constant one folds and never mirrors
+        # f(T - t) = f(t): the envelope is centred in the window; a constant one takes no steps and never mirrors
         centred = (one_term and not constant
                    and abs(envelopes[0].center - 0.5 * pulses.duration) <= 1e-12 * pulses.duration)
         mirror = _mirror_phases(*stars[0]) if centred else None
@@ -902,7 +867,7 @@ def propagate_rwa(
     path ("one period by magnus").  With one pulse off (all its
     couplings 0) the run takes a single-pulse frame with one envelope; a
     constant generator (a single constant pulse, or constant envelopes at
-    Delta = 0) is folded over the save interval: see the module docstring.
+    Delta = 0) takes one eigendecomposition: see the module docstring.
     """
     frame, period = _rwa_frame(couplings, pulses, crossed=True)
     return _propagate(frame, psi0, "rwa", pulses, settings, period)
@@ -921,8 +886,8 @@ def propagate_averaged(
     error, since the comparison against the rwa tier is itself a useful
     diagnostic.  Shared envelopes, or one pulse off, take the
     one-envelope basis; where that envelope is constant the generator is
-    constant and the run is folded over the save interval: see the
-    module docstring.
+    constant and the run takes one eigendecomposition: see the module
+    docstring.
     """
     if not slow_switching_ok(pulses, couplings.delta_qubit):
         warnings.warn(

@@ -20,6 +20,7 @@ structure and watch `validate_hierarchy` flag it.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ class ExcitedLevel:
     dipole_to_1: complex
 
     def __post_init__(self):
+        for name in ("energy", "dipole_to_0", "dipole_to_1"):
+            if not cmath.isfinite(getattr(self, name)):  # also rejects NaN
+                raise ValueError(f"excited level {name} must be finite, got {getattr(self, name)!r}")
         if abs(self.dipole_to_0) == 0.0 and abs(self.dipole_to_1) == 0.0:
             raise ValueError("excited level carries no dipole coupling to either qubit state")
 
@@ -53,14 +57,18 @@ class SpectrumModel:
     excited_levels: tuple[ExcitedLevel, ...]
 
     def __post_init__(self):
-        if self.epsilon1 < self.epsilon0:
+        # each comparison is written so that NaN fails it
+        for name in ("epsilon0", "epsilon1"):
+            if not abs(getattr(self, name)) < float("inf"):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not self.epsilon0 <= self.epsilon1:
             raise ValueError(f"epsilon1={self.epsilon1} below epsilon0={self.epsilon0}")
         if len(self.excited_levels) == 0:
             raise ValueError("at least one excited level is required")
         energies = [lev.energy for lev in self.excited_levels]
-        if any(b < a for a, b in zip(energies, energies[1:])):
+        if not all(a <= b for a, b in zip(energies, energies[1:])):
             raise ValueError("excited levels must be sorted by energy (ascending)")
-        if energies[0] <= self.epsilon1:
+        if not energies[0] > self.epsilon1:
             raise ValueError(
                 f"lowest excited level {energies[0]} does not lie above epsilon1={self.epsilon1}"
             )

@@ -1,5 +1,6 @@
 """End-to-end command line checks: files written, exit codes, determinism."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -860,16 +861,16 @@ _BEAT_WINDOW = 2.4814006179624018  # exactly 3 beat periods at Delta = 5 ueV
     pytest.param("propagate-rwa", {**_FLAT, "duration": _BEAT_WINDOW}, 2,
                  r"rwa propagation: folded over 3 beat periods of P = .* ns, one period by magnus over \d+ steps",
                  id="beat"),
-    # the same pulses in the averaged tier: both share one envelope and no beat is left, so the run takes the
-    # one-envelope basis, and its generator is constant, so it folds over its one save interval, one step against two
+    # the same pulses in the averaged tier: both share one envelope and no beat is left, so the generator is
+    # constant and one eigendecomposition gives every saved state
     pytest.param("propagate-averaged", {**_FLAT, "duration": _BEAT_WINDOW}, 2,
-                 r"averaged propagation: folded over 1 save intervals of .* ns, one interval by magnus "
-                 r"\(one envelope\) over 2 steps", id="beat_averaged"),
+                 r"averaged propagation: one eigendecomposition of the constant generator at 2 saved times, "
+                 r"error estimate \S+ \(tolerance \S+\)$", id="beat_averaged"),
     # pulse 1 off, as in the paper's phase gate: turning qubit level 1 at the beat takes the beat off the crossed
-    # coupling and leaves one constant envelope, so the rwa run folds over its one save interval too
+    # coupling and leaves one constant envelope, so the rwa run's generator is constant too
     pytest.param("propagate-rwa", {**_FLAT, "amp1": 0, "duration": _BEAT_WINDOW}, 2,
-                 r"rwa propagation: folded over 1 save intervals of .* ns, one interval by magnus \(one envelope\) "
-                 r"over 2 steps", id="single"),
+                 r"rwa propagation: one eigendecomposition of the constant generator at 2 saved times, "
+                 r"error estimate \S+ \(tolerance \S+\)$", id="single"),
     # one sin2 pulse shape centred in the window, averaged tier, at the default 201 save points: the run integrates
     # the first half of the window and takes the second by time reversal
     pytest.param("propagate-averaged", _SIN2_20, None,
@@ -893,13 +894,50 @@ def test_each_fast_path_logs_its_line(tmp_path, caplog, monkeypatch, mode, pulse
     if save_points is not None:
         cfg["integrator"] = {"save_points": save_points}
     monkeypatch.setenv("DDSIM_LOG", "INFO")
-    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     with caplog.at_level(logging.INFO, logger="ddsim"):
         assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
     messages = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
     assert len([m for m in messages if re.match(expect, m)]) == 1
     # only a mirrored run takes its second half by time reversal
     assert any("time reversal" in m for m in messages) == ("time reversal" in expect)
+
+
+@pytest.mark.parametrize("mode, pulses", [
+    ("propagate-rwa", {**_FLAT, "amp1": 0, "duration": _BEAT_WINDOW}),  # one pulse off, as in a PHASE gate
+    ("propagate-averaged", {**_FLAT, "duration": _BEAT_WINDOW}),
+])
+def test_non_finite_coupling_of_a_constant_run_exits_numeric_without_files(tmp_path, capsys, monkeypatch, mode,
+                                                                          pulses):
+    # the config path rejects non-finite numbers, so the NaN is planted in the derived couplings: a constant
+    # generator checks them before its eigendecomposition
+    derive = cli.derive_couplings
+
+    def planted(*args):
+        couplings = derive(*args)
+        return dataclasses.replace(couplings, lambda0=np.where(np.arange(couplings.n_levels) == 1, math.nan,
+                                                               couplings.lambda0))
+
+    monkeypatch.setattr(cli, "derive_couplings", planted)
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigh called"))
+    out_dir = tmp_path / "out"
+    cfg = {"mode": mode, "spectrum": _README_SPECTRUM, "pulses": pulses, "integrator": {"save_points": 5}}
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out_dir)]) == EXIT_NUMERIC
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "numeric" and "are the couplings finite" in err["error"]["message"]
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_run_effective_under_two_envelopes_writes_its_files(tmp_path):
+    # README's spectrum under two different sin2 pulses: the one effective-model path that still integrates the
+    # dressed phase Omega by quadrature
+    cfg = {"mode": "effective", "spectrum": _README_SPECTRUM,
+           "pulses": {"amp0": 20.0, "amp1": 20.0, "omega0": 1905.0, "duration": 1.0,
+                      "envelope0": {"shape": "sin2", "center": 0.45, "width": 0.8},
+                      "envelope1": {"shape": "sin2", "center": 0.55, "width": 0.8}}}
+    out_dir = tmp_path / "two_envelopes"
+    assert main(["run", _write_cfg(tmp_path, cfg, "two_envelopes.json"), "--out", str(out_dir)]) == EXIT_OK
+    for suffix in ("effective.csv", "summary.json", "manifest.json"):
+        assert (out_dir / f"two_envelopes_{suffix}").stat().st_size > 0
 
 
 def test_log_env_variable_enables_info_logging(tmp_path):

@@ -253,6 +253,18 @@ def test_derive_couplings_rejects_a_non_finite_splitting(field, value):
 
 
 @_NON_FINITE
+@pytest.mark.parametrize("field", ["energy", "dipole_to_0", "dipole_to_1", "epsilon0", "epsilon1"])
+def test_derive_couplings_gets_no_spectrum_with_a_non_finite_field(field, value):
+    # a NaN energy gave detunings [nan] and a NaN dipole lambda0 [nan+nanj], and nothing raised; the spectrum now
+    # refuses each, naming the field, before the couplings are derived
+    level = {"energy": 2005.0, "dipole_to_0": 1.0, "dipole_to_1": 1.0}
+    qubit = {"epsilon0": 0.0, "epsilon1": 5.0}
+    (level if field in level else qubit)[field] = value
+    with pytest.raises(ValueError, match=field):
+        derive_couplings(SpectrumModel(**qubit, excited_levels=(ExcitedLevel(**level),)), _pair(1905.0, 5.0))
+
+
+@_NON_FINITE
 def test_two_photon_lock_rejects_non_finite_carriers(value):
     sp = _spectrum((ExcitedLevel(2005.0, 1.0, 1.0),), delta=5.0)
     with pytest.raises(ValueError, match="omega0"):
@@ -260,7 +272,8 @@ def test_two_photon_lock_rejects_non_finite_carriers(value):
 
 
 def test_two_photon_lock_rejects_a_nan_splitting():
-    sp = SpectrumModel(epsilon0=0.0, epsilon1=math.nan, excited_levels=(ExcitedLevel(2005.0, 1.0, 1.0),))
+    sp = SpectrumModel(epsilon0=0.0, epsilon1=5.0, excited_levels=(ExcitedLevel(2005.0, 1.0, 1.0),))
+    object.__setattr__(sp, "epsilon1", math.nan)  # past SpectrumModel's own check, as a frozen dataclass allows
     with pytest.raises(ValueError, match="omega1"):
         enforce_two_photon_resonance(sp, 1905.0)
 

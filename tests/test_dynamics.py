@@ -212,8 +212,8 @@ def test_save_grid_spans_window():
 def test_norm_blowup_is_reported(monkeypatch):
     # every tier is unitary by construction, so what breaks a run is a non-finite input: here a NaN
     # dipole, which makes the couplings and the bound on the step's rate NaN
-    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
-    lev = ExcitedLevel(energy=1930.0, dipole_to_0=math.nan, dipole_to_1=2.0)
+    lev = ExcitedLevel(energy=1930.0, dipole_to_0=2.0, dipole_to_1=2.0)
+    object.__setattr__(lev, "dipole_to_0", math.nan)  # past ExcitedLevel's own check, as a frozen dataclass allows
     sp = SpectrumModel(epsilon0=0.0, epsilon1=30.0, excited_levels=(lev,))
     flat = _flat_pair(sp, 1830.0, amp=20.0, duration=1.0)
     sin2 = Envelope("sin2", center=0.5, width=1.0)
@@ -250,7 +250,6 @@ def test_folded_norm_blowup_is_reported(periods, caplog, monkeypatch):
     # shows in the estimate of the one-period propagator: with no halving allowed, its first
     # estimate (1.5e-10 and 1.7e-10) stays above the tolerance (the rounding floor, about 2e-14)
     monkeypatch.setattr(ddsim.dynamics, "_MAGNUS_MAX_HALVINGS", 0)
-    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     sp, om0 = _single_level(-100.0, delta_qubit=30.0)
     period = 2.0 * math.pi * HBAR / 30.0
     pp = _flat_pair(sp, om0, amp=50.0, duration=periods * period)
@@ -458,13 +457,13 @@ def test_criterion_4_gates_fold_to_reference(args):
 @pytest.mark.parametrize("kind, periods, expect", [
     ("constant", 3.5, "folded over 3.5 beat periods of P = "),
     ("sin2", 3.5, "magnus over"),
-    # rwa at Delta = 0 with one envelope: the crossed couplings carry no beat, and a constant generator folds
-    # over the save interval, one step against two
-    pytest.param("zero", 3.5, "folded over 200 save intervals of 0.00241247 ns, one interval by magnus (one envelope) "
-                 "over 2 steps", id="zero-3.5-folded over 200 save intervals"),
+    # rwa at Delta = 0 with one envelope: the crossed couplings carry no beat, and a constant generator takes one
+    # eigendecomposition
+    pytest.param("zero", 3.5, "rwa propagation: one eigendecomposition of the constant generator at 201 saved times, "
+                 "error estimate ", id="zero-3.5-one eigendecomposition"),
     # pulse 1 off: turning qubit level 1 at the beat leaves one envelope, constant or shaped
-    pytest.param("off", 3.5, "folded over 200 save intervals of 0.00241247 ns, one interval by magnus (one envelope) "
-                 "over 2 steps", id="off-3.5-folded over 200 save intervals"),
+    pytest.param("off", 3.5, "rwa propagation: one eigendecomposition of the constant generator at 201 saved times, "
+                 "error estimate ", id="off-3.5-one eigendecomposition"),
     pytest.param("off sin2", 3.5, "rwa propagation: magnus (one envelope) over",
                  id="off sin2-3.5-magnus (one envelope)"),
     ("constant", 1.5, "magnus over"),
@@ -473,7 +472,6 @@ def test_criterion_4_gates_fold_to_reference(args):
     ("whole", 3.0, "folded over 3 beat periods of P = 0.137856 ns, one period by magnus over "),
 ])
 def test_each_run_logs_its_path(kind, periods, expect, caplog, monkeypatch):
-    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     dq = 0.0 if kind == "zero" else 30.0
     sp, om0 = _single_level(-100.0, delta_qubit=dq)
     duration = periods * (2.0 * math.pi * HBAR / 30.0)  # l P as synthesize_gate builds it: saved offsets 0 and P
@@ -493,17 +491,15 @@ def test_each_run_logs_its_path(kind, periods, expect, caplog, monkeypatch):
     assert len(lines) == 2
     assert lines[0].startswith("rwa propagation: ")
     assert expect in lines[0]
-    # an identical fold takes the kept one-period (or one-interval) propagator and says so
-    reused = (" (one-period propagator reused)" if "beat periods" in expect
-              else " (one-interval propagator reused)" if "save intervals" in expect else "")
-    assert lines[1] == lines[0] + reused
+    # an identical fold takes the kept one-period propagator and says so
+    assert lines[1] == lines[0] + (" (one-period propagator reused)" if "beat periods" in expect else "")
 
 
 # ---------------------------------------------------------------- one-period memo
 
 
 def _count_integrations(monkeypatch):
-    """Start from an empty memo and record the grid of every _magnus call."""
+    """Record the grid of every _magnus call."""
     grids = []
     magnus = ddsim.dynamics._magnus
 
@@ -512,7 +508,6 @@ def _count_integrations(monkeypatch):
         return magnus(frame, y0, grid, *args, **kwargs)
 
     monkeypatch.setattr(ddsim.dynamics, "_magnus", counted)
-    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     return grids
 
 
@@ -524,12 +519,12 @@ def _memo_case(delta_qubit=30.0, periods=3.5, **pair):
 
 
 def test_second_basis_state_is_bit_identical_to_a_cold_run(monkeypatch):
+    # the first run starts from an empty memo; the run from |0> and the repeat from |1> reuse its period
     cs, pp, _, _ = _fold_draw(5, 2, +1, 12.5)
     settings = IntegratorSettings(save_points=7)
     one = StateVector.qubit(0.0, 1.0, 2)
-    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
-    cold = propagate_rwa(cs, pp, one, settings)
     grids = _count_integrations(monkeypatch)
+    cold = propagate_rwa(cs, pp, one, settings)
     propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 2), settings)
     warm = propagate_rwa(cs, pp, one, settings)
     assert len(grids) == 1
@@ -550,7 +545,6 @@ def test_any_changed_input_integrates_again(change, value, monkeypatch):
         new_cs, new_pp = _memo_case(**{change: value})
     else:
         new_settings = dataclasses.replace(settings, **{change: value})
-    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     cold = propagate_rwa(new_cs, new_pp, psi, new_settings)
     grids = _count_integrations(monkeypatch)
     propagate_rwa(cs, pp, psi, settings)
@@ -676,7 +670,6 @@ def test_taylor_exponential_matches_expm_and_is_orthogonal(dim, squarings):
 def _first_pass_failure(monkeypatch, bad, tier, shape, poison):
     """Run the tier on one level with frames whose scalars (poison "scalars") or first star (poison "stars") are
     bad in every pass; it must fail in its first pass, whose y0 and frame are returned."""
-    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     magnus_pass, states = ddsim.dynamics._magnus_pass, []
 
     def poisoned(frame, y0, knots, counts):
@@ -853,17 +846,27 @@ def _shaped_draw(seed, n, sign, shape, shift, window, tier="rwa"):
 
 
 def _magnus_run(cs, pp, psi, settings=None):
-    """The trajectory of a Magnus run, its (steps, halvings, error estimate, tolerance) and the
-    engine's propagator over the window."""
-    magnus, calls = ddsim.dynamics._magnus, []
+    """The trajectory of a run, its (steps, halvings, error estimate, tolerance) and the engine's propagator over
+    the window.  A constant generator takes one eigendecomposition: no steps or halvings, and the tolerance is the
+    larger of tol and its estimate, as _propagate logs them."""
+    magnus, eigh_states, calls = ddsim.dynamics._magnus, ddsim.dynamics._eigh_states, []
+    tol = (settings or IntegratorSettings()).tol
 
     def recorded(frame, y0, *args, **kwargs):
         ys, info = magnus(frame, y0, *args, **kwargs)
         calls.append((info[:4], lambda: magnus(frame, np.eye(len(y0), dtype=complex), *args, **kwargs)[0][-1]))
         return ys, info
 
+    def recorded_eigh(frame, y0, grid):
+        ys, estimate = eigh_states(frame, y0, grid)
+        columns = np.eye(len(y0), dtype=complex)
+        calls.append(((0, 0, estimate, max(tol, estimate)),
+                      lambda: np.column_stack([eigh_states(frame, column, grid)[0][-1] for column in columns])))
+        return ys, estimate
+
     propagate = propagate_rwa if psi.frame == "rwa" else propagate_averaged
-    with mock.patch.object(ddsim.dynamics, "_magnus", recorded):
+    with mock.patch.object(ddsim.dynamics, "_magnus", recorded), \
+            mock.patch.object(ddsim.dynamics, "_eigh_states", recorded_eigh):
         traj = propagate(cs, pp, psi, settings)
     [(info, propagator)] = calls
     return traj, info, propagator
@@ -877,8 +880,7 @@ def _magnus_run(cs, pp, psi, settings=None):
 def test_magnus_matches_dop853_within_its_estimate_and_is_unitary(seed, tier, n, sign, shape, shift, window):
     # constant rwa runs over at least two beat periods fold, and each example integrates its own period
     cs, pp, psi = _shaped_draw(seed, n, sign, shape, shift, window, tier)
-    with mock.patch.object(ddsim.dynamics, "_one_period_memo", None):
-        traj, (_, _, estimate, tol), propagator = _magnus_run(cs, pp, psi, IntegratorSettings(save_points=5))
+    traj, (_, _, estimate, tol), propagator = _magnus_run(cs, pp, psi, IntegratorSettings(save_points=5))
     assert estimate <= tol
     if tier == "averaged" and shape == "constant":
         # the b-frame generator is constant, so expm of it is exact, independent of either integrator
@@ -1269,7 +1271,6 @@ def test_no_tier_calls_solve_ivp(monkeypatch):
         raise _SolveIvpCalled
 
     monkeypatch.setattr(ddsim.dynamics, "solve_ivp", refuse)
-    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
     period = 2.0 * math.pi * HBAR / 30.0
     sin2 = Envelope("sin2", center=1.75 * period, width=3.5 * period)
     runs = [  # (tier, Delta, window in beat periods, envelope)
@@ -1408,7 +1409,7 @@ def _engine_run(frame, psi, pp, save_points):
        sign=st.sampled_from([-1, 1]), shape=st.sampled_from(["sin2", "gaussian", "trapezoid"]),
        on_saves=st.booleans(), half=st.integers(1, 200), window=st.floats(0.2, 0.5))
 def test_mirrored_pass_matches_the_direct_pass(seed, tier, n, sign, shape, on_saves, half, window):
-    # one shaped envelope centred in the window (a constant one folds over the save interval and never mirrors), no
+    # one shaped envelope centred in the window (a constant one takes no steps and never mirrors), no
     # beat, and couplings that one diagonal phase change makes real: over an
     # odd number of saved times each pass integrates the first half and takes the second by time reversal.  The
     # same frame without its mirror phases integrates the whole window, to the same states within eps per step,
@@ -1487,7 +1488,6 @@ def test_runs_that_do_not_mirror_keep_the_direct_pass(case, monkeypatch):
         return dataclasses.replace(frame, mirror=None), period
 
     for keep in (True, False):
-        monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
         with mock.patch.object(ddsim.dynamics, "_rwa_frame", rwa_frame if keep else stripped), \
                 mock.patch.object(ddsim.dynamics, "_mirror_pass") as mirror_pass:
             runs.append(propagate(cs, pp, psi, IntegratorSettings(save_points=save_points)).amplitudes)
@@ -1522,8 +1522,7 @@ def test_drive_phases_rotate_the_qubit_basis(seed, case, n, sign, shape, chi0, c
     turned = dataclasses.replace(pp, phi0=pp.phi0 + chi0, phi1=pp.phi1 + chi1)
     propagate = propagate_rwa if tier == "rwa" else propagate_averaged
     settings = IntegratorSettings(save_points=2 if case == "rwa folded" else 5)
-    with mock.patch.object(ddsim.dynamics, "_one_period_memo", None), \
-            mock.patch.object(ddsim.dynamics, "_mirror_pass", wraps=ddsim.dynamics._mirror_pass) as mirror_pass:
+    with mock.patch.object(ddsim.dynamics, "_mirror_pass", wraps=ddsim.dynamics._mirror_pass) as mirror_pass:
         base = propagate(cs, pp, StateVector(np.conj(w) * psi.amplitudes, tier), settings)
         run = propagate(cs, turned, psi, settings)
     assert mirror_pass.called == (case in ("averaged mirrored", "rwa at zero"))
@@ -1570,7 +1569,7 @@ def _unrotated_frame(cs, pp):
 def test_single_pulse_runs_match_the_unrotated_alpha_path(seed, n, sign, off, shape, shift, save_points, window):
     # with one pulse off the rwa frame turns the qubit level that the other pulse's crossed coupling reaches at the
     # beat (level 1 at +Delta / hbar where pulse 1 is off, level 0 at -Delta / hbar where pulse 0 is off), which
-    # leaves one envelope: a constant one folds over the save interval, a shaped one takes the one-envelope basis.
+    # leaves one envelope: a constant one takes one eigendecomposition, a shaped one the one-envelope basis.
     # The same couplings with the beat left on them, six terms on the alpha path at tol 1e-13, are the reference
     cs, pp, psi = _shaped_draw(seed, n, sign, shape, shift, window)
     cs = _pulse_off(cs, off)
@@ -1581,35 +1580,37 @@ def test_single_pulse_runs_match_the_unrotated_alpha_path(seed, n, sign, off, sh
     qubit = [0.0, 0.0]
     qubit[off] = (2 * off - 1) * cs.delta_qubit / HBAR
     assert np.array_equal(frame.diag, np.concatenate((qubit, -cs.delta / HBAR)))
-    with mock.patch.object(ddsim.dynamics, "_one_period_memo", None):
-        traj, (_, _, estimate, _), _ = _magnus_run(cs, pp, psi, IntegratorSettings(save_points=save_points))
+    traj, (_, _, estimate, _), _ = _magnus_run(cs, pp, psi, IntegratorSettings(save_points=save_points))
     ref = ddsim.dynamics._propagate(_unrotated_frame(cs, pp), psi, "rwa", pp,
                                     IntegratorSettings(tol=1e-13, save_points=save_points))
     assert np.max(np.abs(traj.amplitudes - ref.amplitudes)) <= max(10.0 * estimate, 1e-12)
 
 
-def _constant_draw(seed, case, n, sign, window):
+def _constant_draw(seed, case, n, sign, window, real=np.float64):
     """Constant pulses and a random qubit state for a constant generator: rwa with pulse 0 or pulse 1 off, the
     averaged tier, or rwa at Delta = 0; and the b-frame generator H / hbar and diagonal that give the reference
-    c(t) = e^{i diag t} e^{-i H t} c(0) (the averaged tier keeps b(t) = e^{-i H t} b(0))."""
+    c(t) = e^{i diag t} e^{-i H t} c(0) (the averaged tier keeps b(t) = e^{-i H t} b(0)), built from the couplings
+    in the floating type real."""
     tier = "averaged" if case == "averaged" else "rwa"
     cs, pp, psi = _shaped_draw(seed, n, sign, "constant", 0.0, window, tier)
     if case == "rwa at zero":
         cs = dataclasses.replace(cs, delta_qubit=0.0)
     elif case != "averaged":
         cs = _pulse_off(cs, int(case.split()[1]))
-    e0, e1 = np.exp(1j * pp.phi0), np.exp(1j * pp.phi1)
-    ham = np.zeros((n + 2, n + 2), dtype=complex)
-    diag = np.concatenate(([0.0, 0.0], -cs.delta)) / HBAR
+    e0, e1 = np.exp(1j * real(pp.phi0)), np.exp(1j * real(pp.phi1))
+    lam0, lam1, mu0, mu1, delta = (np.asarray(getattr(cs, name), dtype=real)
+                                   for name in ("lambda0", "lambda1", "mu0", "mu1", "delta"))
+    ham = np.zeros((n + 2, n + 2), dtype=e0.dtype)
+    diag = np.concatenate(([0.0, 0.0], -delta)) / real(HBAR)
     if case == "averaged":
-        ham[0, 2:], ham[1, 2:] = cs.lambda0 * e0, cs.lambda1 * e1
+        ham[0, 2:], ham[1, 2:] = lam0 * e0, lam1 * e1
     else:
-        ham[0, 2:], ham[1, 2:] = cs.lambda0 * e0 + cs.mu1 * e1, cs.mu0 * e0 + cs.lambda1 * e1
+        ham[0, 2:], ham[1, 2:] = lam0 * e0 + mu1 * e1, mu0 * e0 + lam1 * e1
         # the crossed coupling left carries e^{-+i Delta t / hbar}: b_1 = c_1 e^{-i Delta t / hbar} where pulse 1
         # is off, b_0 = c_0 e^{+i Delta t / hbar} where pulse 0 is off
         diag[:2] = {"rwa at zero": (0.0, 0.0), "pulse 0 off": (-1.0, 0.0), "pulse 1 off": (0.0, 1.0)}[case]
-        diag[:2] *= cs.delta_qubit / HBAR
-    ham = ham / HBAR
+        diag[:2] *= real(cs.delta_qubit) / real(HBAR)
+    ham = ham / real(HBAR)
     ham[2:, :2] = np.conj(ham[:2, 2:]).T
     ham += np.diag(diag)
     return cs, pp, psi, ham, diag if tier == "rwa" else 0.0 * diag
@@ -1622,27 +1623,76 @@ def _eigh_run(ham, diag, psi, times):
     return b * np.exp(1j * np.outer(times, diag))
 
 
+def _expm_run(ham, diag, psi, times):
+    """e^{i diag t} e^{-i ham t} psi at each time, by scipy's expm (scaling and squaring of a Pade approximant)."""
+    return (expm(-1j * times[:, None, None] * ham) @ psi) * np.exp(1j * np.outer(times, diag))
+
+
+def _extended_run(ham, diag, psi, times):
+    """e^{i diag t} e^{-i ham t} psi at each of the evenly spaced times, in extended precision (ham and diag of
+    np.longdouble type): e^{-i ham h} over the spacing h by a Taylor series, scaled and squared, applied time after
+    time, and each time's distance from j h (a few ulps) taken to first order."""
+    step = np.longdouble(times[-1]) / (len(times) - 1)
+    x = -1j * step * ham
+    squarings = max(0, math.ceil(math.log2(4.0 * float(np.max(np.sum(np.abs(x), axis=1))))))
+    x = x / np.longdouble(2.0) ** squarings  # 1-norm at most 1/4: the terms past the 25th are below extended eps
+    prop = term = np.eye(len(ham), dtype=x.dtype)
+    for k in range(1, 26):
+        term = term @ x / k
+        prop = prop + term
+    for _ in range(squarings):
+        prop = prop @ prop
+    y = psi.astype(x.dtype)
+    out = np.empty((len(times), len(psi)), dtype=x.dtype)
+    for j, t in enumerate(times):
+        shift = np.longdouble(t) - j * step
+        out[j] = (y - 1j * shift * (ham @ y)) * np.exp(1j * diag * np.longdouble(t))
+        y = prop @ y
+    return out
+
+
 @hypothesis_settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["pulse 0 off", "pulse 1 off", "averaged", "rwa at zero"]),
        n=st.integers(1, 10), sign=st.sampled_from([-1, 1]), save_points=st.sampled_from([2, 3, 201, 1001, 2001]),
        window=st.floats(0.2, 2.0))
-def test_constant_generators_fold_over_the_save_interval(seed, case, n, sign, save_points, window):
-    # a constant generator repeats itself over the save interval: one interval's propagator, one step against two,
-    # gives every saved state by one product each
+def test_constant_generators_match_expm_at_every_saved_time(seed, case, n, sign, save_points, window):
+    # a constant generator takes one eigendecomposition for all saved times, no steps and no fold; scipy's expm of
+    # the generator built from the couplings is the independent reference
     cs, pp, psi, ham, diag = _constant_draw(seed, case, n, sign, window)
     propagate = propagate_averaged if case == "averaged" else propagate_rwa
-    with mock.patch.object(ddsim.dynamics, "_one_period_memo", None), \
-            mock.patch.object(ddsim.dynamics.logger, "info") as info:
+    with mock.patch.object(ddsim.dynamics.logger, "info") as info:
         traj = propagate(cs, pp, psi, IntegratorSettings(save_points=save_points))
     [(args, _)] = info.call_args_list
     line = args[0] % args[1:]
-    assert f"folded over {save_points - 1} save intervals of " in line
-    assert ", one interval by magnus (one envelope) over 2 steps, 0 halvings" in line
-    # the two passes can share the exponential's rounding bit for bit, so the estimate reads at least eps ||H|| T
+    tier = "averaged" if case == "averaged" else "rwa"
+    match = re.fullmatch(rf"{tier} propagation: one eigendecomposition of the constant generator at {save_points} "
+                         r"saved times, error estimate (\S+) \(tolerance 1\.0e-10\)", line)
+    assert match
+    # the eigenvalues' rounding grows over the window, eps d (d + rate T) in dimension d
     frame = ddsim.dynamics._rwa_frame(cs, pp, crossed=case != "averaged")[0]
-    rounding = np.finfo(float).eps * frame.rate * (traj.times[1] - traj.times[0])
-    assert 0.995 * rounding <= float(re.search(r"error estimate (\S+) ", line)[1]) <= 1e-12
-    assert np.max(np.abs(traj.amplitudes - _eigh_run(ham, diag, psi.amplitudes, traj.times))) <= 1e-12
+    dim = n + 2
+    assert float(match[1]) == pytest.approx(np.finfo(float).eps * dim * (dim + frame.rate * window), rel=1e-2)
+    assert np.max(np.abs(traj.amplitudes - _expm_run(ham, diag, psi.amplitudes, traj.times))) <= 1e-12
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="the reference needs an extended long double")
+@hypothesis_settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["pulse 0 off", "pulse 1 off", "averaged", "rwa at zero"]),
+       n=st.integers(1, 10), sign=st.sampled_from([-1, 1]), save_points=st.integers(2, 2001),
+       window=st.floats(0.2, 100.0))
+def test_constant_generator_error_is_within_its_logged_estimate(seed, case, n, sign, save_points, window):
+    # against the same couplings propagated in extended precision, every saved state of a constant run is within
+    # the estimate it logs, over the whole window; a run whose estimate exceeds tol warns
+    cs, pp, psi, _, _ = _constant_draw(seed, case, n, sign, window)
+    _, _, _, ham, diag = _constant_draw(seed, case, n, sign, window, np.longdouble)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj, (steps, halvings, estimate, _), _ = _magnus_run(cs, pp, psi, IntegratorSettings(save_points=save_points))
+    assert (steps, halvings) == (0, 0)
+    assert [str(w.message).split(";")[0] for w in caught] == (
+        [f"Eigendecomposition error estimate {estimate:.3e} exceeds the requested tol = 1.010e-10"]
+        if estimate > 1.01e-10 else [])
+    assert np.max(np.abs(traj.amplitudes - _extended_run(ham, diag, psi.amplitudes, traj.times))) <= estimate
 
 
 @pytest.mark.parametrize("args", [
@@ -1651,8 +1701,8 @@ def test_constant_generators_fold_over_the_save_interval(seed, case, n, sign, sa
     (2300.0, 300.0, 2150.0, 0.15, 50.0, GateSpec(target="PHASE", l=300)),
 ], ids=["criterion 4", "l=3", "l=300"])
 def test_single_pulse_phase_gates_match_eigh(args):
-    # PHASE switches the second pulse off, so the gate check's two runs are single-pulse folds over their one save
-    # interval, the whole window: one exponential each, exact to its rounding
+    # PHASE switches the second pulse off, so the gate check's two runs have a constant generator: one
+    # eigendecomposition each, which matches that of the generator built from the couplings, and scipy's expm
     cs, pp = _criterion_4_gate(*args)
     assert pp.amp1 == 0.0
     settings = IntegratorSettings(save_points=2)
@@ -1662,8 +1712,10 @@ def test_single_pulse_phase_gates_match_eigh(args):
     ham = np.diag([0.0, cs.delta_qubit, -cs.delta[0]]).astype(complex) / HBAR
     ham[0, 2], ham[1, 2] = cs.lambda0[0] * e0 / HBAR, cs.mu0[0] * e0 / HBAR
     ham[2, :2] = np.conj(ham[:2, 2])
-    ref = [_eigh_run(ham, np.diag(ham).real, column, runs[0].times)[-1] for column in np.eye(3)[:2]]
-    assert np.max(np.abs(np.column_stack([run.final_amplitudes for run in runs]) - np.column_stack(ref))) <= 1e-12
+    realized = np.column_stack([run.final_amplitudes for run in runs])
+    for reference in (_eigh_run, _expm_run):
+        ref = [reference(ham, np.diag(ham).real, column, runs[0].times)[-1] for column in np.eye(3)[:2]]
+        assert np.max(np.abs(realized - np.column_stack(ref))) <= 1e-12
 
 
 _CONSTANT_CASES = ["pulse 0 off", "pulse 1 off", "averaged", "rwa at zero"]
@@ -1671,19 +1723,18 @@ _CONSTANT_CASES = ["pulse 0 off", "pulse 1 off", "averaged", "rwa at zero"]
 
 @pytest.mark.parametrize("case", ["PHASE gate"] + _CONSTANT_CASES)
 def test_constant_generators_take_no_magnus_pass(case, monkeypatch):
-    # every Omega of a constant generator is h G, so its fold takes its exponentials directly: no Magnus pass and
-    # no one-envelope basis
-    magnus, frames = ddsim.dynamics._magnus, []
+    # a constant generator takes one eigendecomposition per run, from its diagonal and star: no Magnus pass, no
+    # exponential of a real form, and no real-form terms
+    eigh_states, frames = ddsim.dynamics._eigh_states, []
 
-    def recorded(frame, *args, **kwargs):
+    def recorded(frame, *args):
         frames.append(frame)
-        return magnus(frame, *args, **kwargs)
+        return eigh_states(frame, *args)
 
-    monkeypatch.setattr(ddsim.dynamics, "_magnus", recorded)
-    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
-    for name in ("_magnus_pass", "_mirror_pass", "_one_envelope_basis"):
+    monkeypatch.setattr(ddsim.dynamics, "_eigh_states", recorded)
+    for name in ("_magnus", "_magnus_pass", "_mirror_pass", "_one_envelope_basis", "_expm"):
         monkeypatch.setattr(ddsim.dynamics, name, mock.Mock(side_effect=AssertionError(f"{name} called")))
-    if case == "PHASE gate":  # both basis states of criterion 4's PHASE check; the second reuses the first's fold
+    if case == "PHASE gate":  # both basis states of criterion 4's PHASE check
         cs, pp = _criterion_4_gate(2005.0, 5.0, 1905.0, 0.2, 50.0, GateSpec(target="PHASE", l=10))
         for qubit in ((1, 0), (0, 1)):
             propagate_rwa(cs, pp, StateVector.qubit(*qubit, 1), IntegratorSettings(save_points=2))
@@ -1691,58 +1742,26 @@ def test_constant_generators_take_no_magnus_pass(case, monkeypatch):
         cs, pp, psi, _, _ = _constant_draw(3, case, 4, 1, 0.5)
         propagate = propagate_averaged if case == "averaged" else propagate_rwa
         propagate(cs, pp, psi, IntegratorSettings(save_points=5))
-    [frame] = frames
-    assert frame.constant and "one_envelope" not in frame.__dict__
-
-
-@hypothesis_settings(max_examples=40)
-@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(_CONSTANT_CASES), n=st.integers(1, 10),
-       sign=st.sampled_from([-1, 1]), knots=st.sampled_from([2, 3, 201]), window=st.floats(0.2, 2.0))
-def test_constant_magnus_matches_two_magnus_passes(seed, case, n, sign, knots, window):
-    # _magnus takes a constant generator's one step against two per gap by direct exponentials; _magnus_pass at
-    # counts 1 and 2 is the generic route.  Over the fold's one gap the two agree bit for bit, states and
-    # estimate; over many gaps the generic passes take one squaring count per chunk of 64 steps, so they agree
-    # to rounding
-    cs, pp, psi, _, _ = _constant_draw(seed, case, n, sign, window)
-    frame = ddsim.dynamics._rwa_frame(cs, pp, crossed=case != "averaged")[0]
-    assert frame.constant
-    grid = np.linspace(0.0, window, knots)
-    ones = np.ones(knots - 1, dtype=int)
-    eps = np.finfo(float).eps
-    for y0 in (np.eye(n + 2, dtype=complex), psi.amplitudes):
-        ys, (steps, halvings, estimate, _, path, integrated) = ddsim.dynamics._magnus(frame, y0, grid, (), 1.01e-10)
-        assert (steps, halvings, path, integrated) == (2 * (knots - 1), 0, "magnus (one envelope)", steps)
-        coarse = ddsim.dynamics._magnus_pass(frame, y0, grid, ones)
-        fine = ddsim.dynamics._magnus_pass(frame, y0, grid, 2 * ones)
-        expected = max(float(np.max(np.abs(fine - coarse))) / 63.0, eps * frame.rate * float(np.max(np.diff(grid))))
-        if knots == 2:
-            assert np.array_equal(ys, fine) and estimate == expected
-        else:
-            bar = 10.0 * eps * frame.rate * window
-            assert np.max(np.abs(ys - fine)) <= bar and abs(estimate - expected) <= bar
+    assert len(frames) == (2 if case == "PHASE gate" else 1)
+    assert all(frame.constant and "terms" not in frame.__dict__ for frame in frames)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("case", _CONSTANT_CASES)
 def test_non_finite_coupling_fails_the_first_constant_exponential(case, bad, monkeypatch):
-    # a constant frame takes no Magnus pass, so its first exponential's norm check reports the coupling
-    expm, stacks = ddsim.dynamics._expm, []
-
-    def counted(powers, blocks):
-        stacks.append(powers.shape[1])
-        return expm(powers, blocks)
-
-    monkeypatch.setattr(ddsim.dynamics, "_expm", counted)
-    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)
+    # a constant generator's finiteness is checked before its eigendecomposition, so a bad coupling fails there,
+    # before any exponential, and without a RuntimeWarning on the way
+    monkeypatch.setattr(np.linalg, "eigh", mock.Mock(side_effect=AssertionError("eigh called")))
     cs, pp, psi, _, _ = _constant_draw(5, case, 3, 1, 0.5)
     name = "lambda1" if case == "pulse 0 off" else "lambda0"  # a coupling of a pulse that is on
     couplings = getattr(cs, name).copy()
     couplings[1] = bad
     cs = dataclasses.replace(cs, **{name: couplings})
     propagate = propagate_averaged if case == "averaged" else propagate_rwa
-    with pytest.raises(PropagationError, match="are the couplings finite"):
-        propagate(cs, pp, psi, IntegratorSettings(save_points=5))
-    assert stacks == [1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagationError, match="are the couplings finite"):
+            propagate(cs, pp, psi, IntegratorSettings(save_points=5))
 
 
 # ---------------------------------------------------------------- elimination

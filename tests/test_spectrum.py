@@ -1,5 +1,7 @@
 """Structure models: explicit spectra, generated spectra, hierarchy checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,41 @@ def test_manifold_below_qubit_rejected():
 def test_dark_level_rejected():
     with pytest.raises(ValueError, match="dipole"):
         ExcitedLevel(energy=2000.0, dipole_to_0=0.0, dipole_to_1=0.0)
+
+
+_NON_FINITE = pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("field", ["energy", "dipole_to_0", "dipole_to_1"])
+def test_excited_level_rejects_non_finite_fields(field, value):
+    # each check is written so that NaN fails it: `abs(dipole) == 0` or `b < a` let NaN through
+    with pytest.raises(ValueError, match=field):
+        ExcitedLevel(**{"energy": 2005.0, "dipole_to_0": 1.0, "dipole_to_1": 1.0, field: value})
+
+
+@pytest.mark.parametrize("field", ["dipole_to_0", "dipole_to_1"])
+def test_excited_level_rejects_a_complex_dipole_with_a_nan_part(field):
+    with pytest.raises(ValueError, match=field):
+        ExcitedLevel(**{"energy": 2005.0, "dipole_to_0": 1.0, "dipole_to_1": 1.0, field: complex(1.0, math.nan)})
+
+
+@_NON_FINITE
+@pytest.mark.parametrize("field", ["epsilon0", "epsilon1"])
+def test_spectrum_rejects_non_finite_epsilons(field, value):
+    lev = ExcitedLevel(energy=2005.0, dipole_to_0=1.0, dipole_to_1=1.0)
+    with pytest.raises(ValueError, match=field):
+        SpectrumModel(**{"epsilon0": 0.0, "epsilon1": 5.0, field: value}, excited_levels=(lev,))
+
+
+@pytest.mark.parametrize("energies, message", [((2005.0,), "above"), ((2005.0, 2045.0), "sorted")])
+def test_spectrum_rejects_a_nan_level_energy_past_its_own_check(energies, message):
+    # a frozen dataclass lets a caller set a NaN energy after ExcitedLevel's check; the gap and ordering
+    # comparisons are written so that NaN fails them
+    levels = [ExcitedLevel(energy=e, dipole_to_0=1.0, dipole_to_1=1.0) for e in energies]
+    object.__setattr__(levels[-1], "energy", math.nan)
+    with pytest.raises(ValueError, match=message):
+        SpectrumModel(epsilon0=0.0, epsilon1=5.0, excited_levels=tuple(levels))
 
 
 def test_hierarchy_report_wide_gap():
