@@ -649,20 +649,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = None  # main's parser, built on its first call
+@functools.lru_cache(maxsize=1)
+def _main_parser() -> argparse.ArgumentParser:
+    """main's parser, built on its first call."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    global _parser
     # basicConfig adds the stderr handler once; the level is set on every call, and a name that is not a level
     # (say BASIC_FORMAT, a logging attribute but a string) leaves WARNING
     logging.basicConfig()
     level = getattr(logging, os.environ.get("DDSIM_LOG", "WARNING").upper(), None)
     logging.getLogger("ddsim").setLevel(level if isinstance(level, int) else logging.WARNING)
 
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         return _emit_error(EXIT_CONFIG, "config", "--jobs must be >= 1")
 

@@ -1,153 +1,116 @@
 """Time propagation of the driven qubit-plus-manifold system.
 
-Three tiers of the same physical problem, all expressed in the
-interaction picture of the static spectrum (amplitudes c_n with the
-free phases e^{-i eps_n t / hbar} factored out):
+Three tiers of the same physical problem, all expressed in the interaction picture of the static spectrum
+(amplitudes c_n with the free phases e^{-i eps_n t / hbar} factored out):
 
 propagate_bare
-    Keeps the full optical carriers, cos(omega t + phi), including
-    counter-rotating terms.  Exact but expensive: the steps have to
-    resolve the optical period, so runtime grows like omega0 * T.
+    Keeps the full optical carriers, cos(omega t + phi), including counter-rotating terms.  Exact but expensive:
+    the steps have to resolve the optical period, so runtime grows like omega0 * T.
 
 propagate_rwa
-    Drops the counter-rotating terms only.  Each manifold level k is
-    coupled to |0> and |1> through its detuning phase e^{i delta_k t},
-    and the crossed couplings (pulse 0 on the 1<->k transition and
-    pulse 1 on 0<->k) ride on an extra beat factor e^{+-i Delta t} at
-    the qubit splitting.  This is the workhorse "exact" tier.
+    Drops the counter-rotating terms only.  Each manifold level k is coupled to |0> and |1> through its detuning
+    phase e^{i delta_k t}, and the crossed couplings (pulse 0 on the 1<->k transition and pulse 1 on 0<->k) ride on
+    an extra beat factor e^{+-i Delta t} at the qubit splitting.  This is the workhorse "exact" tier.
 
-    With both pulses on, both envelopes constant and Delta != 0 the
-    equations repeat themselves every beat period P = 2 pi hbar / |Delta|
-    in the frame b_k = c_k e^{i delta_k t} (Floquet; Shirley, Phys. Rev.
-    138, B979 (1965)).  A window of at least 2 P is then folded: the propagator
-    is integrated over one period with the configured tolerance, and
-    the saved states are assembled from it and its powers, so the cost
-    no longer grows with the number of periods.  The logged error
-    estimate is that of the one period: over m periods the error of a
-    saved state can grow up to m-fold.
-    The last one-period propagator is kept, so a run with equal
-    couplings, phases, tolerance and save offsets (the other basis state
-    of a gate check) skips the integration.
+    With both pulses on, both envelopes constant and Delta != 0 the equations repeat every beat period, and over any
+    window one eigendecomposition of their Floquet matrix gives every saved state (see below).
 
-    With one pulse off (all its couplings 0, as at amplitude 0; the
-    paper's phase gate switches the second pulse off) the remaining
-    crossed coupling carries the beat alone: mu0 e^{+i Delta t} on
-    <1|H|k> where pulse 1 is off, mu1 e^{-i Delta t} on <0|H|k> where
-    pulse 0 is off.  Turning that qubit level at the beat, b_1 = c_1
-    e^{-i Delta t / hbar} (or b_0 = c_0 e^{+i Delta t / hbar}), takes the
-    beat off and puts +Delta / hbar (or -Delta / hbar) on its diagonal, so
-    the run has one envelope, the other pulse's, at any Delta: a
-    single-pulse frame.  A constant generator (a single constant pulse,
-    or one constant envelope at Delta = 0) takes no steps: one
-    eigendecomposition gives every saved state (see below).
-    Other runs at Delta = 0, shorter windows and shaped envelopes are
+    With one pulse off (all its couplings 0, as at amplitude 0; the paper's phase gate switches the second pulse
+    off) the remaining crossed coupling carries the beat alone: mu0 e^{+i Delta t} on <1|H|k> where pulse 1 is off,
+    mu1 e^{-i Delta t} on <0|H|k> where pulse 0 is off.  Turning that qubit level at the beat, b_1 = c_1 e^{-i
+    Delta t / hbar} (or b_0 = c_0 e^{+i Delta t / hbar}), takes the beat off and puts +Delta / hbar (or -Delta /
+    hbar) on its diagonal, so the run has one envelope, the other pulse's, at any Delta: a single-pulse frame.  A
+    constant generator (a single constant pulse, or one constant envelope at Delta = 0) takes no steps: one
+    eigendecomposition gives every saved state (see below). Other runs at Delta = 0 and shaped envelopes are
     integrated directly.  Each call logs (INFO) which path it took.
 
 propagate_averaged
-    The rwa tier without the crossed couplings and their beat, which
-    average out when the envelopes change slowly compared to the beat
-    period 2 pi hbar / Delta.  Its amplitudes stay in the shifted
-    manifold variables b_k = c_k e^{i delta_k t}, which make the system
-    autonomous up to the envelopes; fast and the direct counterpart of
-    the analytic effective model.
+    The rwa tier without the crossed couplings and their beat, which average out when the envelopes change slowly
+    compared to the beat period 2 pi hbar / Delta.  Its amplitudes stay in the shifted manifold variables b_k = c_k
+    e^{i delta_k t}, which make the system autonomous up to the envelopes; fast and the direct counterpart of the
+    analytic effective model.
 
-All three are the same star-coupled equation, and one engine integrates
-them.  Each manifold level k couples only to |0> and |1>, so in a frame
-b_j = c_j e^{-i w_j t} with constant w_j a tier writes its generator in
-terms (a _BFrame): H(t)/hbar = D + sum_a u_a(t) V_a, with D the constant
-diagonal <j|H|j> = w_j, a few real scalar functions u_a, and constant
-stars V_a (<0|V_a|k> and <1|V_a|k>):
+All three are the same star-coupled equation, and one engine integrates them.  Each manifold level k couples only
+to |0> and |1>, so in a frame b_j = c_j e^{-i w_j t} with constant w_j a tier writes its generator in terms (a
+_BFrame): H(t)/hbar = D + sum_a u_a(t) V_a, with D the constant diagonal <j|H|j> = w_j, a few real scalar functions
+u_a, and constant stars V_a (<0|V_a|k> and <1|V_a|k>):
 
-- bare: w_k = (E_k - eps0) / hbar and w_1 = Delta / hbar, qubit level 1
-  turned at the splitting, which takes e^{i Delta t / hbar} off g1; one
-  term, the instantaneous field s(t) on the dipole star (d0, d1);
-- rwa: w_k = -delta_k / hbar; each pulse's direct couplings ride on its
-  envelope, its crossed ones on its envelope times cos and sin of the
-  beat Delta t / hbar (a shared envelope sums the pulses' terms); with
-  one pulse off, one term and a turned qubit level (see above);
-- averaged: the same with the crossed couplings mu0 = mu1 = 0 and the
-  beat Delta = 0; one builder (_rwa_frame) serves both tiers.
+- bare: w_k = (E_k - eps0) / hbar and w_1 = Delta / hbar, qubit level 1 turned at the splitting, which takes e^{i
+  Delta t / hbar} off g1; one term, the instantaneous field s(t) on the dipole star (d0, d1);
+- rwa: w_k = -delta_k / hbar; each pulse's direct couplings ride on its envelope, its crossed ones on its envelope
+  times cos and sin of the beat Delta t / hbar (a shared envelope sums the pulses' terms); with one pulse off, one
+  term and a turned qubit level (see above);
+- averaged: the same with the crossed couplings mu0 = mu1 = 0 and the beat Delta = 0; one builder (_rwa_frame)
+  serves both tiers.
 
-Every tier takes sixth-order Magnus steps (_magnus; Blanes, Casas, Oteo
-& Ros, Phys. Rep. 470, 151 (2009)), their length bounded by the shortest
-envelope switching time, and no step crossing an envelope breakpoint (one
-within 4 ulps of the window end from a saved time is that saved time).
-The steps run in real arithmetic (_magnus_pass): each complex entry a
-becomes the block [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian
-generator of dim d becomes a real antisymmetric matrix of dim 2d, and
-its exponential is a degree-16 Taylor polynomial by Paterson-Stockmeyer
-(Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)), scaled and
-squared where the 1-norm exceeds 0.8 (_expm).  The terms -i D and
--i V_a are built in real form once per frame, on its first pass, and a
-chunk of steps forms its Omegas in one of two ways:
+Every tier takes sixth-order Magnus steps (_magnus; Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), their
+length bounded by the shortest envelope switching time, and no step crossing an envelope breakpoint (one within 4
+ulps of the window end from a saved time is that saved time). The steps run in real arithmetic (_magnus_pass): each
+complex entry a becomes the block [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian generator of dim d becomes a
+real antisymmetric matrix of dim 2d, and its exponential is a degree-16 Taylor polynomial by Paterson-Stockmeyer
+(Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)), scaled and squared where the 1-norm exceeds 0.8 (_expm).
+The terms -i D and -i V_a are built in real form once per frame, on its first pass, and a chunk of steps forms its
+Omegas in one of two ways:
 
-- alpha path, the reference: the alpha_j of every step are one product
-  of the node-difference weights h _ALPHA_NODES @ u and the terms, and
-  Omega takes their commutators (_alpha_omega).  Every frame of two or
-  more terms takes it (shaped or constant rwa runs with a beat, runs
-  with two envelopes) and logs "magnus".
-- one envelope: a frame of one term, -i (D + f(t) V), has every step's
-  Omega a combination of ten fixed matrices whose weights are fixed
-  combinations of fifteen monomials in the step and f at its nodes.  The
-  ten matrices, with the constant weights folded in, are built once per
-  frame (_one_envelope_basis), and the run logs "magnus (one envelope)".
-  The bare tier always has one term; the rwa and averaged tiers where
-  envelope0 == envelope1 (constant included) without a beat (the
-  averaged tier, or rwa at Delta = 0), or with one pulse off.
-  Where f is a shaped envelope centred in the window [0, T],
-  f(T - t) = f(t), and a diagonal phase change S makes V real (each row
-  of V one complex factor times real dipoles), H(T - t) = K H(t) K^-1 for
-  the antiunitary K = S conj, so U(T - a, T - b) = K U(a, b) K^-1.  The
-  three-node Gauss step is time-symmetric too, so on steps that mirror
-  about T / 2 (an odd number of saved times) each pass integrates the
-  propagators U_j of the first half only and takes psi(T - t_j) =
-  S conj(U_j) U_mid^T S* U_mid psi0 (_mirror_pass): half the
-  exponentials, the same states to rounding, and the same steps,
-  halvings and estimate.  Such a run's log line adds "; second half by
-  time reversal, N steps integrated".  An even number of saved times, an
-  off-centre envelope, complex dipoles whose phase differs between
-  levels, the bare tier's field and the folds' propagators integrate the
-  whole window; a constant f takes no steps (see below).
+- alpha path, the reference: the alpha_j of every step are one product of the node-difference weights h
+  _ALPHA_NODES @ u and the terms, and Omega takes their commutators (_alpha_omega).  Every frame of two or more
+  terms takes it (shaped rwa runs with a beat, constant ones past the Floquet matrix's cap, runs with two
+  envelopes) and logs "magnus".
+- one envelope: a frame of one term, -i (D + f(t) V), has every step's Omega a combination of ten fixed matrices
+  whose weights are fixed combinations of fifteen monomials in the step and f at its nodes.  The ten matrices, with
+  the constant weights folded in, are built once per frame (_one_envelope_basis), and the run logs "magnus (one
+  envelope)". The bare tier always has one term; the rwa and averaged tiers where envelope0 == envelope1 (constant
+  included) without a beat (the averaged tier, or rwa at Delta = 0), or with one pulse off. Where f is a shaped
+  envelope centred in the window [0, T], f(T - t) = f(t), and a diagonal phase change S makes V real (each row of V
+  one complex factor times real dipoles), H(T - t) = K H(t) K^-1 for the antiunitary K = S conj, so U(T - a, T - b)
+  = K U(a, b) K^-1.  The three-node Gauss step is time-symmetric too, so on steps that mirror about T / 2 (an odd
+  number of saved times) each pass integrates the propagators U_j of the first half only and takes psi(T - t_j) = S
+  conj(U_j) U_mid^T S* U_mid psi0 (_mirror_pass): half the exponentials, the same states to rounding, and the same
+  steps, halvings and estimate.  Such a run's log line adds "; second half by time reversal, N steps integrated".
+  An even number of saved times, an off-centre envelope, complex dipoles whose phase differs between levels and the
+  bare tier's field integrate the whole window; a constant f takes no steps (see below).
 
-A fold over the beat (both envelopes constant, Delta != 0) has six
-terms, or three where the envelopes are equal, so its one period takes
-the alpha path and logs "one period by magnus over N steps".
+Where the generator is constant (one envelope, and it constant: a single constant pulse in either tier, both
+envelopes constant in the averaged tier, or in the rwa tier at Delta = 0) no step is taken: one eigendecomposition
+H/hbar = W Lambda W^dagger gives every saved state as W e^{-i Lambda t} W^dagger psi0 (_eigh_states; the
+eigenvector method for normal matrices of Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  Each computed eigenvalue lies
+within its residual ||H w - lambda w|| of an exact one, so the estimate is ||W^dagger W - I|| plus the window T
+times that residual and the rounding eps |lambda| of the phases, weighted by psi0's components (_eigen_rounding).
+The log reads "one eigendecomposition of the constant generator at N saved times".
 
-Where the generator is constant (one envelope, and it constant: a
-single constant pulse in either tier, both envelopes constant in the
-averaged tier, or in the rwa tier at Delta = 0) no step is taken: one
-eigendecomposition H/hbar = W Lambda W^dagger gives every saved state as
-W e^{-i Lambda t} W^dagger psi0 (_eigh_states; the eigenvector method
-for normal matrices of Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  The
-eigenvalues' rounding grows with t, so its estimate is
-eps d (d + ||H|| T) over the window T in dimension d, with the rate
-bound for ||H||.  The log reads "one eigendecomposition of the constant
-generator at N saved times".
+Constant envelopes with a beat w = Delta / hbar (both pulses on) have H_b(t)/hbar = H0 + H1 e^{i w t} + h.c., and
+Shirley's matrix K_mn = H_{m-n} + m w delta_mn over the harmonics -N..N (Phys. Rev. 138, B979 (1965)), made real by
+diagonal phases and a phase per harmonic where it can be, gives every saved state from one eigendecomposition
+(_floquet).  N grows until the edge weight, the amplitude harmonics +-N can hold, is at most tol; with the rounding
+above it is the estimate.  Past _FLOQUET_MAX_HARMONICS the run takes Magnus steps.  The log reads "Floquet matrix
+over harmonics -N..N, dimension M, at N saved times".
 
-Each step is orthogonal to rounding (the Taylor remainder is below
-eps), so a norm check cannot see the step error: each run is repeated at half the step, and the step halved until
-the step-doubling error estimate is at most tol (or the rounding floor
-eps * steps, with a warning when the floor accepts what tol would not),
-else PropagationError.  A NaN or infinite coupling fails the
-exponential's norm check in the first pass (a constant generator's
-check comes before its eigendecomposition).
+Each step is orthogonal to rounding (the Taylor remainder is below eps), so a norm check cannot see the step error:
+each run is repeated at half the step, and the step halved until the step-doubling error estimate is at most tol
+(or the rounding floor eps * steps, with a warning when the floor accepts what tol would not), else
+PropagationError.  A NaN or infinite coupling fails the exponential's norm check in the first pass (a constant
+generator's and a Floquet matrix's check comes before their eigendecomposition).  The last eigendecomposition of
+each kind is kept for the next run with equal couplings (the other basis state of a gate check), to the same bits.
 
-Norms are still checked, never renormalized: a drift of sum |c|^2 from 1
-beyond _NORM_TOL raises PropagationError.
+Norms are still checked, never renormalized: a drift of sum |c|^2 from 1 beyond _NORM_TOL raises PropagationError.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import logging
 import math
+import os
 import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from .drive import CouplingSet, PulsePair, averaging_period, slow_switching_ok
+from .drive import CouplingSet, PulsePair, slow_switching_ok
 from .spectrum import SpectrumModel
 from .units import DIPOLE_FIELD_TO_UEV, HBAR
 
@@ -206,14 +169,12 @@ class StateVector:
 class IntegratorSettings:
     """Numerical controls for the propagators.
 
-    Every tier takes Magnus steps no longer than the shortest envelope
-    switching time, halved until their step-doubling error estimate is
-    at most tol (the amplitudes have norm 1).  A folded rwa run with both
-    pulses on estimates the error of one beat period.  A constant
-    generator (a single constant pulse, or one constant envelope without
-    a beat: the averaged tier, or rwa at Delta = 0) takes one
-    eigendecomposition and no steps; its estimate, the eigenvalues'
-    rounding over the window, warns where it exceeds tol.
+    Every tier takes Magnus steps no longer than the shortest envelope switching time, halved until their
+    step-doubling error estimate is at most tol (the amplitudes have norm 1).  A constant generator (a single
+    constant pulse, or one constant envelope without a beat: the averaged tier, or rwa at Delta = 0) takes one
+    eigendecomposition and no steps, and so do constant envelopes with a beat in the rwa tier, whose Floquet matrix
+    takes as many harmonics as bring its edge weight to tol.  Their estimate, read from the decomposition, warns
+    where it exceeds tol.
     """
 
     tol: float = 1.01e-10
@@ -277,6 +238,9 @@ _GAUSS3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * (math.sqrt(15.0) / 10.0)
 _MAGNUS_STEPS_PER_PERIOD = 10  # first step: this many per period of the norm bound on H
 _MAGNUS_CHUNK = 64  # steps per array pass (Omegas and exponentials); 256 raised a sweep's peak memory by about 3 MB
 _MAGNUS_MAX_HALVINGS = 5  # halvings after the first h against h/2 comparison
+# largest N of a Floquet matrix over the harmonics -N..N (dimension (2 + n)(2 N + 1)): its real eigh takes about 25 ms
+# at n = 5, as long as 5-15 beat periods of Magnus steps at g / Delta of 1-2; a run that needs more takes Magnus steps
+_FLOQUET_MAX_HARMONICS = 32
 # the sixth-order Magnus step of three Gauss nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) takes
 # alpha_j = -i h G_j on the qubit-manifold block, with the G_j from the couplings g_l at the nodes by these rows
 # (G_1 = g_2, G_2 = sqrt(15)/3 (g_3 - g_1), G_3 = 10/3 (g_3 - 2 g_2 + g_1)); alpha_1 adds -i h diag on the
@@ -313,29 +277,22 @@ _TAYLOR_BLOCKS[3, 4] = 1.0 / math.factorial(16)
 class _BFrame:
     """A tier's star-coupled equations in its frame b_j = c_j e^{-i diag_j t}, as terms.
 
-    H(t)/hbar = D + sum_a u_a(t) V_a.  scalars(t) takes a time array of
-    shape (N,) and returns the real u_a, shape (A, N); stars, shape
-    (A, 2, n), holds the constant stars, <0|V_a|k> = stars[a, 0, k] and
-    <1|V_a|k> = stars[a, 1, k]; D is diag, shape (2 + n,), the constant
-    <j|H|j> / hbar of every level, whose qubit entries are 0 but in a
-    frame that turns a qubit level (the bare tier, or one pulse off; see
-    _rwa_frame); rate bounds the norm of H/hbar, rad/ns.  With c_frame the
-    saved amplitudes are taken back to the c frame.  terms, -i D and the
-    -i V_a in real form, are built on the first pass that needs them,
-    whose errstate keeps a non-finite coupling from warning there.
+    H(t)/hbar = D + sum_a u_a(t) V_a.  scalars(t) takes a time array of shape (N,) and returns the real u_a, shape
+    (A, N); stars, shape (A, 2, n), holds the constant stars, <0|V_a|k> = stars[a, 0, k] and <1|V_a|k> = stars[a,
+    1, k]; D is diag, shape (2 + n,), the constant <j|H|j> / hbar of every level, whose qubit entries are 0 but in
+    a frame that turns a qubit level (the bare tier, or one pulse off; see _rwa_frame); rate bounds the norm of
+    H/hbar, rad/ns.  With c_frame the saved amplitudes are taken back to the c frame.  terms, -i D and the -i V_a
+    in real form, are built on the first pass that needs them, whose errstate keeps a non-finite coupling from
+    warning there.
 
-    A frame of one term forms its Omegas from _one_envelope_basis(terms)
-    (one_envelope); every other frame takes the alpha path (see
-    _alpha_omega).  beat, rad/ns, is set where the u_a depend on t only
-    through the beat phase beat * t (an rwa run with both envelopes
-    constant and Delta != 0, beat = Delta / hbar): the scalars of such a
-    frame are fixed by it, so the fold memo keys on it (see _fold).
-    constant marks a constant generator (one term, and its u constant),
-    which _propagate takes by one eigendecomposition (_eigh_states).
-    mirror, the phases S of _mirror_phases, is set where H(T - t) =
-    K H(t) K^-1 over the window [0, T] with K = S conj: one shaped
-    envelope centred on T / 2, and couplings that a diagonal phase change
-    makes real (see _mirror_pass).
+    A frame of one term forms its Omegas from _one_envelope_basis(terms) (one_envelope); every other frame takes
+    the alpha path (see _alpha_omega).  beat, rad/ns, is set where the u_a depend on t only through the beat phase
+    beat * t (an rwa run with both envelopes constant and Delta != 0, beat = Delta / hbar): its terms come in
+    triples (1, cos, sin) of beat * t, one per pulse group, from which _floquet builds its Floquet matrix. constant
+    marks a constant generator (one term, and its u constant), which _propagate takes by one eigendecomposition
+    (_eigh_states). mirror, the phases S of _mirror_phases, is set where H(T - t) = K H(t) K^-1 over the window [0,
+    T] with K = S conj: one shaped envelope centred on T / 2, and couplings that a diagonal phase change makes real
+    (see _mirror_pass).
     """
 
     scalars: Callable
@@ -434,13 +391,11 @@ def _alpha_omega(frame, nodes, h, work, scratch, omega):
 def _expm(powers, blocks):
     """exp of the stacked real antisymmetric matrices x in powers[1], shape (N, m, m); returns a view of powers.
 
-    A Taylor polynomial of degree 16 in six stacked products (see
-    _TAYLOR_BLOCKS).  Where the stack's largest 1-norm exceeds
-    _TAYLOR_NORM, x is scaled by 2^-s below it and the result squared s
-    times.  The result is orthogonal to rounding: the Taylor remainder is
-    below eps.  A non-finite x raises PropagationError.  powers, of shape
-    (5, N, m, m) with the identity in powers[0], and blocks, of shape
-    (4, N, m, m), are contiguous work arrays.
+    A Taylor polynomial of degree 16 in six stacked products (see _TAYLOR_BLOCKS).  Where the stack's largest
+    1-norm exceeds _TAYLOR_NORM, x is scaled by 2^-s below it and the result squared s times.  The result is
+    orthogonal to rounding: the Taylor remainder is below eps.  A non-finite x raises PropagationError.  powers, of
+    shape (5, N, m, m) with the identity in powers[0], and blocks, of shape (4, N, m, m), are contiguous work
+    arrays.
     """
     _, x, x2, x3, x4 = powers
     m = x.shape[-1]
@@ -473,22 +428,16 @@ def _expm(powers, blocks):
 def _magnus_pass(frame, y0, knots, counts):
     """States at every knot, from y0 at knots[0], by counts[j] equal Magnus steps over [knots[j], knots[j + 1]].
 
-    Each step takes exp(Omega) with the sixth-order Omega of three Gauss
-    points (see _ALPHA_NODES), _MAGNUS_CHUNK steps at a time, in real
-    arithmetic and without LAPACK (which only a constant generator's
-    _eigh_states calls): each complex entry a becomes the block
-    [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian alpha_j of dim d
-    become real antisymmetric matrices of dim 2d.  For those, yx = (xy)^T,
-    so each commutator takes one stacked product, and exp(Omega) is
-    _expm's Taylor polynomial, orthogonal to rounding.  A frame of one
-    term forms a chunk's Omegas as one product of its rows of the pass's
-    _one_envelope_monomials (of the widths and the envelope at the nodes)
-    and frame.one_envelope, equal to the alpha_j's Omega to rounding; any
-    other frame takes _alpha_omega's from the scalars at the nodes and the
-    terms (the alpha path, which alone allocates its work array).
-    The state (or propagator) is advanced with the rows (Re, Im) of each
-    amplitude and taken back to complex once, at the end.  A non-finite
-    generator raises PropagationError in the first chunk.
+    Each step takes exp(Omega) with the sixth-order Omega of three Gauss points (see _ALPHA_NODES), _MAGNUS_CHUNK
+    steps at a time, in real arithmetic and without LAPACK (which only the eigendecompositions call):
+    each complex entry a becomes the block [[Re a, -Im a], [Im a, Re a]], so the anti-Hermitian alpha_j of dim d
+    become real antisymmetric matrices of dim 2d.  For those, yx = (xy)^T, so each commutator takes one stacked
+    product, and exp(Omega) is _expm's Taylor polynomial, orthogonal to rounding.  A frame of one term forms a
+    chunk's Omegas as one product of its rows of the pass's _one_envelope_monomials (of the widths and the envelope
+    at the nodes) and frame.one_envelope, equal to the alpha_j's Omega to rounding; any other frame takes
+    _alpha_omega's from the scalars at the nodes and the terms (the alpha path, which alone allocates its work
+    array). The state (or propagator) is advanced with the rows (Re, Im) of each amplitude and taken back to
+    complex once, at the end.  A non-finite generator raises PropagationError in the first chunk.
     """
     dim = len(y0)
     m = 2 * dim
@@ -580,11 +529,9 @@ def _mirror_pass(frame, psi0, knots, counts):
 def _step_doubling(run, counts, tol):
     """(fine, steps, halvings, error estimate, tolerance) of the passes run(counts), states at every knot.
 
-    Each pass is repeated at twice the counts; the estimate of the finer
-    pass's error is max |y_h - y_{h/2}| / 63 (sixth order), and while it
-    exceeds tol (the state has norm 1) and the floor eps * steps, the steps
-    are halved again, at most _MAGNUS_MAX_HALVINGS times, else
-    PropagationError.
+    Each pass is repeated at twice the counts; the estimate of the finer pass's error is max |y_h - y_{h/2}| / 63
+    (sixth order), and while it exceeds tol (the state has norm 1) and the floor eps * steps, the steps are halved
+    again, at most _MAGNUS_MAX_HALVINGS times, else PropagationError.
     """
     eps = np.finfo(float).eps
     coarse = run(counts)
@@ -603,49 +550,174 @@ def _step_doubling(run, counts, tol):
     )
 
 
-def _eigh_states(frame, psi0, grid):
-    """b-frame amplitudes on grid of a constant generator (frame.constant) by one eigendecomposition, and their
-    error estimate.
-
-    H/hbar = D + u V is constant, so psi(t) = W e^{-i Lambda t} W^dagger psi0 with the eigenvalues Lambda and
-    eigenvectors W of H/hbar (Moler & Van Loan, SIAM Rev. 45, 3 (2003)), at every saved time at once: no steps.  The
-    eigenvalues carry an error of p(d) eps ||H|| (LAPACK's bound, p(d) taken as the dimension d), which the phases
-    grow over the window T, and W^dagger and W a few eps each: the estimate is eps d (d + frame.rate T).  A
-    non-finite coupling raises PropagationError before the decomposition.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite coupling is reported below, not by warnings
-        star = frame.scalars(grid[:1])[0, 0] * frame.stars[0]
-    ham = np.diag(frame.diag).astype(complex)
+def _star_matrix(diag, star):
+    """diag(diag) plus the star <0|V|k> = star[0, k], <1|V|k> = star[1, k] and its conjugate, as a complex matrix."""
+    ham = np.diag(diag).astype(complex)
     ham[:2, 2:] = star
     ham[2:, :2] = np.conj(star).T
+    return ham
+
+
+def _eigen_rounding(ham, lam, w, diag):
+    """(||W^dagger W - I||, and per eigenvalue the rate at which a phase may drift: its residual ||ham w - lambda w||,
+    within which an exact eigenvalue lies, plus eps (|lambda| + max |diag|) for rounding lambda t and the c-frame
+    phases diag t) of the eigendecomposition ham = W Lambda W^dagger of a frame with diagonal diag."""
+    drift = np.linalg.norm(ham @ w - w * lam, axis=0) + np.finfo(float).eps * (np.abs(lam) + np.max(np.abs(diag)))
+    return float(np.linalg.norm(np.conj(w).T @ w - np.eye(len(lam)))), drift
+
+
+@lru_cache(maxsize=1)
+def _constant_eigh(diag, star):
+    """(Lambda, W, _eigen_rounding) of H/hbar = diag(diag) + star, as bytes so that the last is kept for the other
+    basis state of a gate check; a non-finite coupling raises PropagationError before the decomposition."""
+    diag = np.frombuffer(diag)
+    ham = _star_matrix(diag, np.frombuffer(star, dtype=complex).reshape(2, -1))
     if not np.all(np.isfinite(ham)):
         raise PropagationError("constant generator is not finite; are the couplings finite?")
     lam, w = np.linalg.eigh(ham)
-    ys = (np.exp(-1j * np.outer(grid, lam)) * (np.conj(w).T @ psi0)) @ w.T
-    return ys, np.finfo(float).eps * len(psi0) * (len(psi0) + frame.rate * grid[-1])
+    return (lam, w, *_eigen_rounding(ham, lam, w, diag))
+
+
+def _eigh_states(frame, psi0, grid):
+    """b-frame amplitudes on grid of a constant generator (frame.constant), psi(t) = W e^{-i Lambda t} W^dagger psi0
+    (_constant_eigh), their estimate, ||W^dagger W - I|| plus the window T times sum_lambda |c_lambda| drift_lambda
+    over c = W^dagger psi0, and their log text."""
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite coupling is reported there, not by warnings
+        star = frame.scalars(grid[:1])[0, 0] * frame.stars[0]
+    lam, w, offset, drift = _constant_eigh(frame.diag.tobytes(), star.tobytes())
+    coeffs = np.conj(w).T @ psi0
+    ys = (np.exp(-1j * np.outer(grid, lam)) * coeffs) @ w.T
+    return (ys, offset + grid[-1] * float(np.abs(coeffs) @ drift),
+            f"one eigendecomposition of the constant generator at {len(grid)} saved times")
+
+
+def _real_form(h0, h1):
+    """(S, b, S* H0 S, b* S* H1 S), real, with diagonal phases S_j = e^{i alpha_j} and a harmonic phase b = e^{i beta},
+    or (1, 1, H0, H1) where no such phases exist (complex dipoles whose phase differs between levels).  With
+    <0|H0|k> = a_k, <1|H0|k> = b_k, <1|H1|k> = c_k, <k|H1|0> = e_k and alpha_0 = 0, the entries are real where
+    alpha_k = -arg a_k = alpha_1 - arg b_k = alpha_1 + beta - arg c_k = arg e_k - beta (mod pi): alpha_1 and beta
+    follow from the largest products b_k a_k*, e_k a_k and c_k b_k*, each alpha_k from its largest coupling, and
+    they are kept where no imaginary part exceeds 16 ulps of the largest entry."""
+    a, b, c, e = h0[0, 2:], h0[1, 2:], h1[1, 2:], h1[2:, 0]
+
+    def unit(z):  # the phase of the largest entry, 1 if all vanish
+        z = z.flat[np.argmax(np.abs(z))]
+        return z / abs(z) if z else 1.0
+
+    turn, beta = unit(b * np.conj(a)), unit(np.concatenate((e * a, c * np.conj(b))))
+    options = np.array([np.conj(a), turn * np.conj(b), turn * beta * np.conj(c), e * np.conj(beta)])
+    phases = np.concatenate(([1.0, turn], [unit(z) for z in options.T]))
+    r0, r1 = np.conj(phases)[:, None] * h0 * phases, np.conj(beta * phases)[:, None] * h1 * phases
+    if max(np.max(np.abs(r0.imag)), np.max(np.abs(r1.imag))) > 16.0 * np.finfo(float).eps * max(
+            np.max(np.abs(r0)), np.max(np.abs(r1))):
+        return np.ones(len(h0)), 1.0, h0, h1
+    return phases, beta, r0.real, r1.real
+
+
+@lru_cache(maxsize=1)
+def _blas_thread_setter():
+    """openblas_set_num_threads_local (it returns the previous count) of the OpenBLAS in numpy's wheel, else a no-op."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        with suppress(OSError, AttributeError):
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+            return setter
+    return lambda count: count
+
+
+@contextmanager
+def _one_blas_thread():
+    """Keep OpenBLAS to the calling thread within the block: for a Floquet matrix (dim 40-100) a second thread on a
+    2-core machine spun the other core (process CPU 2-4x wall time) and at times stalled the eigh by 50-130 ms."""
+    setter = _blas_thread_setter()
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
+@lru_cache(maxsize=1)
+def _floquet(diag, stars, beat, tol):
+    """Shirley's matrix of a beating frame, decomposed, or None where it needs more than _FLOQUET_MAX_HARMONICS.
+
+    diag and stars are the frame's arrays as bytes, so that the last result is kept for the other basis state of a
+    gate check.  The stars come in triples (1, cos, sin) of beat t, so H_b(t)/hbar = H0 + H1 e^{i beat t} + h.c. with
+    H1 = (V_cos - i V_sin) / 2, and K_mn = H_{m-n} + m beat delta_mn over the harmonics -N..N, in its real form
+    (_real_form), is decomposed as W Lambda W^dagger.  The first N is the least with x^N / N! <= tol,
+    x = ||H1|| / |beat| (beating runs at g / Delta up to 0.33, over 3 to 5119 beat periods, had edge weights of
+    (c x)^N / N!, c <= 0.96); while the edge weight max_{n = +-N} sum_lambda ||W_n,lambda|| ||W_0,lambda||, a bound
+    on the amplitude harmonic n can hold, exceeds tol, N grows by 4 (each decomposition logs at DEBUG).  Returns
+    (N, S, b, Lambda, W, W_0^dagger S*, edge weight, ||W^dagger W - I||, weights): per eigenvalue its drift
+    (_eigen_rounding) summed over the harmonics n with weights ||W_n,lambda||, plus eps |n beat| for rounding
+    n beat t.  A non-finite coupling raises PropagationError before any eigh.
+    """
+    diag = np.frombuffer(diag)
+    d = len(diag)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite coupling is reported below, not by warnings
+        direct, cos, sin = np.frombuffer(stars, dtype=complex).reshape(-1, 3, 2, d - 2).sum(axis=0)
+        h0, h1 = _star_matrix(diag, direct), (_star_matrix(0.0 * diag, cos) - 1j * _star_matrix(0.0 * diag, sin)) / 2.0
+    if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(h1))):
+        raise PropagationError("Floquet matrix is not finite; are the couplings finite?")
+    phases, turn, h0, h1 = _real_form(h0, h1)
+    ratio, harmonics, term = np.linalg.norm(h1, 2) / abs(beat), 0, 1.0
+    while term > tol:
+        harmonics += 1
+        term *= ratio / harmonics
+    while harmonics <= _FLOQUET_MAX_HARMONICS:
+        count, index = 2 * harmonics + 1, np.arange(2 * harmonics + 1)
+        k = np.zeros((count, d, count, d), dtype=h0.dtype)
+        k[index, :, index, :] = h0
+        k[index[1:], :, index[:-1], :] = h1
+        k[index[:-1], :, index[1:], :] = np.conj(h1).T
+        k = k.reshape(count * d, -1)
+        k[np.diag_indices(count * d)] += np.repeat((index - harmonics) * beat, d)
+        lam, w = np.linalg.eigh(k)
+        blocks = np.linalg.norm(w.reshape(count, d, -1), axis=1)  # ||W_n,lambda||
+        edge = float(max(blocks[0] @ blocks[harmonics], blocks[-1] @ blocks[harmonics]))
+        logger.debug("Floquet matrix over harmonics -%d..%d: edge weight %.2e", harmonics, harmonics, edge)
+        if edge <= tol:
+            offset, drift = _eigen_rounding(k, lam, w, diag)
+            weights = blocks.sum(axis=0) * drift + np.finfo(float).eps * abs(beat) * (np.abs(index - harmonics) @ blocks)
+            head = np.conj(w[harmonics * d:(harmonics + 1) * d].T * phases)  # W_0^dagger S*, as every array here
+            return harmonics, phases, turn, lam, w, head, edge, offset, weights  # only ever read
+        harmonics += 4
+    return None
+
+
+def _floquet_states(frame, psi0, grid, tol):
+    """b-frame amplitudes on grid of a beating frame, psi(t) = S sum_n b^n e^{i n beat t} W_n e^{-i Lambda t}
+    W_0^dagger S* psi0 (_floquet), their estimate, the edge weight plus ||W^dagger W - I|| plus T sum_lambda
+    |c_lambda| weights_lambda over c = W_0^dagger S* psi0, and their log text; None past _FLOQUET_MAX_HARMONICS."""
+    with _one_blas_thread():
+        solved = _floquet(frame.diag.tobytes(), frame.stars.tobytes(), frame.beat, tol)
+        if solved is None:
+            return None
+        harmonics, phases, turn, lam, w, head, edge, offset, weights = solved
+        coeffs = head @ psi0
+        x = np.exp(-1j * np.outer(grid, lam)) * coeffs
+        full = (x.real @ w.T + 1j * (x.imag @ w.T)).reshape(len(grid), 2 * harmonics + 1, -1)  # two real products
+    n = np.arange(-harmonics, harmonics + 1)
+    ys = phases * (np.exp(1j * np.outer(frame.beat * grid, n))[:, None, :] * turn ** n @ full)[:, 0]
+    return (ys, edge + offset + grid[-1] * float(np.abs(coeffs) @ weights),
+            f"Floquet matrix over harmonics -{harmonics}..{harmonics}, dimension {len(lam)}, at {len(grid)} saved times")
 
 
 def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
     """Amplitudes on grid by Magnus-6 steps, and (steps, halvings, error estimate, tolerance, path, integrated).
 
-    Steps are equal within each gap between saved times and envelope
-    breakpoints (breaks; one within 4 ulps of the window end from a saved
-    time is that time), no longer than cap (ns) and first about
-    1/_MAGNUS_STEPS_PER_PERIOD of the period 2 pi / frame.rate.  y0 is one
-    state of shape (dim,) or a propagator of shape (dim, dim).  Each run is
-    repeated at half the step until the step-doubling estimate is at most
-    tol (_step_doubling).  path names how the passes formed their Omegas:
-    "magnus (one envelope)" for a frame of one term, else "magnus" (the
-    alpha path).
+    Steps are equal within each gap between saved times and envelope breakpoints (breaks; one within 4 ulps of the
+    window end from a saved time is that time), no longer than cap (ns) and first about 1/_MAGNUS_STEPS_PER_PERIOD
+    of the period 2 pi / frame.rate.  y0 is one state of shape (dim,) or a propagator of shape (dim, dim).  Each
+    run is repeated at half the step until the step-doubling estimate is at most tol (_step_doubling).  path names
+    how the passes formed their Omegas: "magnus (one envelope)" for a frame of one term, else "magnus" (the alpha
+    path).
 
-    A state y0 under a frame with mirror phases, on knots and steps that
-    mirror about the middle of the window (_is_mirror_grid: an odd number
-    of saved times, breakpoints placed symmetrically), integrates each
-    pass over the first half only and takes the second half by time
-    reversal (_mirror_pass): the same states to rounding, the same steps,
-    halvings and estimate.  integrated counts the steps of the accepted
-    pass that were integrated, steps // 2 there and steps otherwise; every
-    other run (a propagator, an even number of saved times, an
+    A state y0 under a frame with mirror phases, on knots and steps that mirror about the middle of the window
+    (_is_mirror_grid: an odd number of saved times, breakpoints placed symmetrically), integrates each pass over
+    the first half only and takes the second half by time reversal (_mirror_pass): the same states to rounding, the
+    same steps, halvings and estimate.  integrated counts the steps of the accepted pass that were integrated,
+    steps // 2 there and steps otherwise; every other run (a propagator, an even number of saved times, an
     off-centre grid) takes _magnus_pass over the whole window.
     """
     inner = np.array([b for b in breaks if grid[0] < b < grid[-1]], dtype=float)
@@ -665,100 +737,29 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
     return fine[np.searchsorted(knots, grid)], (steps, *facts, path, steps // 2 if mirrored else steps)
 
 
-# (key, read-only propagators U(taus), their Magnus facts) of the last one-period integration in _fold
-_one_period_memo = None
-
-
-def _fold(frame, psi0, grid, period, tol):
-    """b-frame amplitudes on grid from the propagator of one period (Floquet), its Magnus facts, and
-    whether the kept propagator served.
-
-    frame (a _BFrame) must repeat itself after `period`: H_b(t + P) = H_b(t).
-    The propagators U(tau) over [0, tau] are integrated once by _magnus to tol, and
-    a saved time t = m P + tau takes b(t) = U(tau) F^m psi0 with F = U(P),
-    the powers built by binary powering between save points.  The facts
-    (steps, halvings, error estimate, tolerance, path, steps integrated)
-    are those of the one period: the error of b(t) can grow up to m-fold
-    over m periods.
-
-    The frame's diagonal, stars and beat fix its generator (a folded
-    frame's scalars are 1, or the cos and sin of its beat); with tol and
-    the offsets tau, which end at P, they name the integration.  The last
-    one is kept and reused, without building the terms, when named again.
-    """
-    global _one_period_memo
-    dim = len(psi0)
-    periods = np.floor(grid / period)
-    offsets = np.clip(grid - periods * period, 0.0, period)
-    # l P / P can round either side of l: an offset a few ulp short of P starts the next period, and one a few
-    # ulp past 0 is 0
-    slack = 4.0 * np.spacing(grid)
-    wrap = offsets >= period - slack
-    periods[wrap] += 1.0
-    offsets[wrap | (offsets <= slack)] = 0.0
-    taus = np.unique(np.append(offsets, period))
-
-    key = (frame.diag.tobytes(), frame.stars.tobytes(), frame.beat, tol, taus.tobytes())
-    memo = _one_period_memo
-    reused = memo is not None and memo[0] == key
-    if reused:
-        props, facts = memo[1], memo[2]
-    else:
-        props, facts = _magnus(frame, np.eye(dim, dtype=complex), taus, (), tol)
-        props.flags.writeable = False
-        _one_period_memo = (key, props, facts)
-    squares = [props[-1]]  # F^(2^i)
-    state, done = psi0, 0
-    out = np.empty((len(grid), dim), dtype=complex)
-    for j, (m, idx) in enumerate(zip(periods.astype(int), np.searchsorted(taus, offsets))):
-        todo, bit = m - done, 0
-        while todo:
-            if bit == len(squares):
-                squares.append(squares[-1] @ squares[-1])
-            if todo & 1:
-                state = squares[bit] @ state
-            todo, bit = todo >> 1, bit + 1
-        done = m
-        out[j] = props[idx] @ state
-    return out, facts, reused
-
-
-def _propagate(model, psi0, frame, pulses, settings, period=None):
-    """Integrate the star-coupled equations of a tier from psi0 over [0, pulses.duration].
-
-    model is the tier's b-frame form (a _BFrame), which Magnus steps
-    integrate (see _magnus); with a period, the one-period propagator is
-    integrated instead and the run is folded over the beat (see _fold).  A
-    constant generator takes one eigendecomposition and no steps
-    (_eigh_states).
-    """
+def _propagate(model, psi0, frame, pulses, settings):
+    """Integrate the star-coupled equations of a tier, in its b-frame form model (a _BFrame), from psi0 over
+    [0, pulses.duration]: by one eigendecomposition where the generator is constant (_eigh_states) or beats
+    (_floquet_states, unless past _FLOQUET_MAX_HARMONICS), else by Magnus steps (_magnus)."""
     settings = settings or IntegratorSettings()
     if psi0.frame != frame:
         raise ValueError(f"initial state is in frame {psi0.frame!r}, expected {frame!r}")
     if len(psi0.amplitudes) != len(model.diag):
-        raise ValueError(
-            f"state has {len(psi0.amplitudes)} amplitudes, structure needs {len(model.diag)}"
-        )
-
+        raise ValueError(f"state has {len(psi0.amplitudes)} amplitudes, structure needs {len(model.diag)}")
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
     note = ""
-    if model.constant:
-        ys, estimate = _eigh_states(model, psi0.amplitudes, grid)
-        floor, kind, bound = max(settings.tol, estimate), "Eigendecomposition", "eps d (d + ||H|| T)"
-        path = f"one eigendecomposition of the constant generator at {len(grid)} saved times"
+    solved = (_eigh_states(model, psi0.amplitudes, grid) if model.constant
+              else model.beat is not None and _floquet_states(model, psi0.amplitudes, grid, settings.tol))
+    if solved:
+        ys, estimate, path = solved
+        floor, kind, bound = max(settings.tol, estimate), "Eigendecomposition", "||H W - W Lambda|| T"
     else:
-        if period is None:
-            breaks = pulses.envelope0.breakpoints + pulses.envelope1.breakpoints
-            # Magnus steps are equal across a save interval, so where the envelopes vanish nothing else would keep
-            # them from stepping over a pulse; the shortest switching time bounds them
-            ys, facts = _magnus(model, psi0.amplitudes, grid, breaks, settings.tol, pulses.switching_time)
-        else:
-            ys, facts, reused = _fold(model, psi0.amplitudes, grid, period, settings.tol)
-            note = " (one-period propagator reused)" if reused else ""
+        breaks = pulses.envelope0.breakpoints + pulses.envelope1.breakpoints
+        # Magnus steps are equal across a save interval, so where the envelopes vanish nothing else would keep
+        # them from stepping over a pulse; the shortest switching time bounds them
+        ys, facts = _magnus(model, psi0.amplitudes, grid, breaks, settings.tol, pulses.switching_time)
         steps, halvings, estimate, floor, method, integrated = facts
-        if period is not None:
-            method = f"folded over {grid[-1] / period:.6g} beat periods of P = {period:.6g} ns, one period by {method}"
-        elif integrated < steps:
+        if integrated < steps:
             note = f"; second half by time reversal, {integrated} steps integrated"
         path = f"{method} over {steps} steps, {halvings} halvings"
         kind, bound = "Magnus", f"eps * {steps} steps"
@@ -787,8 +788,7 @@ def _propagate(model, psi0, frame, pulses, settings, period=None):
 
 
 def _rwa_frame(couplings, pulses, crossed):
-    """The _BFrame of the rwa tier (crossed) or of the averaged tier, and the period of its fold over the beat, or
-    None where the run is not folded so.
+    """The _BFrame of the rwa tier (crossed) or of the averaged tier.
 
     The averaged tier is the rwa tier with mu0 = mu1 = 0, the beat 0 and b-frame amplitudes.  Pulse 0 puts
     lambda0 f0(t) on <0|H|k> and mu0 f0(t) e^{i theta} on <1|H|k>, pulse 1 lambda1 f1(t) on <1|H|k> and
@@ -799,7 +799,7 @@ def _rwa_frame(couplings, pulses, crossed):
     (pulse 1 off) or 0 (pulse 0 off) is turned at the beat, +wq or -wq on its diagonal, which takes the beat off
     the one crossed coupling left.  One shaped envelope centred in the window also takes the mirror phases of
     those couplings (_mirror_phases); a constant one takes no steps (see _propagate).  A beat with
-    both envelopes constant sets the frame's beat, and folds over at least two beat periods by the alpha path.
+    both envelopes constant sets the frame's beat, which takes the Floquet matrix over any window (_floquet).
     """
     wd = couplings.delta / HBAR                            # detuning phases, rad/ns
     wq = couplings.delta_qubit / HBAR if crossed else 0.0  # beat phase, rad/ns
@@ -846,10 +846,8 @@ def _rwa_frame(couplings, pulses, crossed):
 
     # the scalars depend on t only through wq t
     beating = turning and env0.shape == env1.shape == "constant"
-    frame = _BFrame(scalars, stars, np.concatenate((qubit, -wd)), rate, c_frame=crossed,
-                    beat=wq if beating else None, mirror=mirror, constant=constant)
-    period = averaging_period(couplings.delta_qubit)
-    return frame, period if beating and pulses.duration >= 2.0 * period else None
+    return _BFrame(scalars, stars, np.concatenate((qubit, -wd)), rate, c_frame=crossed,
+                   beat=wq if beating else None, mirror=mirror, constant=constant)
 
 
 def propagate_rwa(
@@ -862,15 +860,15 @@ def propagate_rwa(
 
     The couplings must have been derived from the same pulse pair (the
     detuning list and the crossed couplings are trusted as given).
-    Constant envelopes with Delta != 0 over at least two beat periods
-    are folded over the beat period, whose one period takes the alpha
-    path ("one period by magnus").  With one pulse off (all its
-    couplings 0) the run takes a single-pulse frame with one envelope; a
-    constant generator (a single constant pulse, or constant envelopes at
-    Delta = 0) takes one eigendecomposition: see the module docstring.
+    Constant envelopes with Delta != 0, over any window, take one
+    eigendecomposition of their Floquet matrix ("Floquet matrix over
+    harmonics -N..N"), kept for the next run with equal couplings and
+    tol.  With one pulse off (all its couplings 0) the run takes a
+    single-pulse frame with one envelope; a constant generator (a single
+    constant pulse, or constant envelopes at Delta = 0) takes one
+    eigendecomposition: see the module docstring.
     """
-    frame, period = _rwa_frame(couplings, pulses, crossed=True)
-    return _propagate(frame, psi0, "rwa", pulses, settings, period)
+    return _propagate(_rwa_frame(couplings, pulses, crossed=True), psi0, "rwa", pulses, settings)
 
 
 def propagate_averaged(
@@ -895,8 +893,7 @@ def propagate_averaged(
             "the averaged tier may deviate from the rwa tier",
             stacklevel=2,
         )
-    frame, _ = _rwa_frame(couplings, pulses, crossed=False)
-    return _propagate(frame, psi0, "averaged", pulses, settings)
+    return _propagate(_rwa_frame(couplings, pulses, crossed=False), psi0, "averaged", pulses, settings)
 
 
 def propagate_bare(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-import ddsim.dynamics
 
 # every property draws the same examples on every run, keeps no example database and has no
 # per-example deadline, so Tier-1 stays deterministic; a property sets only its max_examples
@@ -25,9 +24,3 @@ def _ddsim_log_level():
     level = logger.level
     yield
     logger.setLevel(level)
-
-
-@pytest.fixture(autouse=True)
-def _empty_fold_memo(monkeypatch):
-    """Start each test with no kept one-period propagator, so that no test's runs depend on what ran before."""
-    monkeypatch.setattr(ddsim.dynamics, "_one_period_memo", None)

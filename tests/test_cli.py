@@ -856,11 +856,11 @@ _BEAT_WINDOW = 2.4814006179624018  # exactly 3 beat periods at Delta = 5 ueV
 
 
 @pytest.mark.parametrize("mode, pulses, save_points, expect", [
-    # constant pulses over 3 beat periods with 2 save points: the fold's one period is one stretch of equal steps,
-    # whose three terms (one shared envelope with a beat) take the alpha path
+    # constant pulses with a beat: one eigendecomposition of the Floquet matrix over harmonics -N..N gives every
+    # saved state
     pytest.param("propagate-rwa", {**_FLAT, "duration": _BEAT_WINDOW}, 2,
-                 r"rwa propagation: folded over 3 beat periods of P = .* ns, one period by magnus over \d+ steps",
-                 id="beat"),
+                 r"rwa propagation: Floquet matrix over harmonics -(\d+)\.\.\1, dimension \d+, at 2 saved times"
+                 r", error estimate \S+ \(tolerance \S+\)$", id="beat"),
     # the same pulses in the averaged tier: both share one envelope and no beat is left, so the generator is
     # constant and one eigendecomposition gives every saved state
     pytest.param("propagate-averaged", {**_FLAT, "duration": _BEAT_WINDOW}, 2,
@@ -905,11 +905,12 @@ def test_each_fast_path_logs_its_line(tmp_path, caplog, monkeypatch, mode, pulse
 @pytest.mark.parametrize("mode, pulses", [
     ("propagate-rwa", {**_FLAT, "amp1": 0, "duration": _BEAT_WINDOW}),  # one pulse off, as in a PHASE gate
     ("propagate-averaged", {**_FLAT, "duration": _BEAT_WINDOW}),
+    pytest.param("propagate-rwa", {**_FLAT, "duration": _BEAT_WINDOW}, id="propagate-rwa-beat"),  # both pulses on
 ])
 def test_non_finite_coupling_of_a_constant_run_exits_numeric_without_files(tmp_path, capsys, monkeypatch, mode,
                                                                           pulses):
     # the config path rejects non-finite numbers, so the NaN is planted in the derived couplings: a constant
-    # generator checks them before its eigendecomposition
+    # generator, and constant pulses with a beat (the Floquet matrix), check them before their eigendecomposition
     derive = cli.derive_couplings
 
     def planted(*args):
@@ -990,7 +991,7 @@ def test_ddsim_log_that_names_no_level_falls_back_to_warning(tmp_path, monkeypat
 def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     build, built = cli.build_parser, []
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
-    monkeypatch.setattr(cli, "_parser", None)
+    cli._main_parser.cache_clear()
     cfg_path = _write_cfg(tmp_path, _MINIMAL)
     for _ in range(2):
         assert main(["validate", cfg_path]) == EXIT_OK

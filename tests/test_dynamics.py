@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -218,7 +219,7 @@ def test_norm_blowup_is_reported(monkeypatch):
     flat = _flat_pair(sp, 1830.0, amp=20.0, duration=1.0)
     sin2 = Envelope("sin2", center=0.5, width=1.0)
     settings = IntegratorSettings(save_points=5)
-    for pp in (flat, dataclasses.replace(flat, envelope0=sin2, envelope1=sin2)):  # the rwa tier folds the first
+    for pp in (flat, dataclasses.replace(flat, envelope0=sin2, envelope1=sin2)):  # the first takes the Floquet matrix
         cs = derive_couplings(sp, pp)
         for tier, propagate, model in [("rwa", propagate_rwa, cs), ("averaged", propagate_averaged, cs),
                                        ("bare", propagate_bare, sp)]:
@@ -244,29 +245,30 @@ def test_dimension_mismatch_rejected():
         propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 4))
 
 
-@pytest.mark.parametrize("periods", [10, 20000])
+@pytest.mark.parametrize("periods", [10])
 def test_folded_norm_blowup_is_reported(periods, caplog, monkeypatch):
-    # constant envelopes at Delta != 0 fold, and Magnus keeps the norm, so an unresolved period
-    # shows in the estimate of the one-period propagator: with no halving allowed, its first
-    # estimate (1.5e-10 and 1.7e-10) stays above the tolerance (the rounding floor, about 2e-14)
+    # constant envelopes at Delta != 0 whose couplings are so strong against the beat that the Floquet matrix would
+    # need more than _FLOQUET_MAX_HARMONICS harmonics (||H1|| / |beat| = 10) take Magnus steps over the window, and
+    # Magnus keeps the norm, so an unresolved step shows in the estimate: with no halving allowed, its first estimate
+    # stays above the tolerance (the rounding floor, about 1e-12), and no eigendecomposition is taken
     monkeypatch.setattr(ddsim.dynamics, "_MAGNUS_MAX_HALVINGS", 0)
+    monkeypatch.setattr(np.linalg, "eigh", mock.Mock(side_effect=AssertionError("eigh called")))
     sp, om0 = _single_level(-100.0, delta_qubit=30.0)
     period = 2.0 * math.pi * HBAR / 30.0
-    pp = _flat_pair(sp, om0, amp=50.0, duration=periods * period)
+    pp = _flat_pair(sp, om0, amp=3000.0, duration=periods * period)
     cs = derive_couplings(sp, pp)
     tight = IntegratorSettings(tol=1.01e-14, save_points=5)
     errors = []
     with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
-        for _ in range(2):  # a failed period is not kept, so the repeat integrates and fails the same way
+        for _ in range(2):  # a failed run keeps nothing, so the repeat integrates and fails the same way
             with pytest.raises(PropagationError, match="Magnus error estimate .* exceeds its tolerance") as info:
                 propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 1), tight)
             errors.append(str(info.value))
-    assert ddsim.dynamics._one_period_memo is None
     assert errors[0] == errors[1]
     assert not caplog.records
 
 
-# ---------------------------------------------------------------- folding
+# ---------------------------------------------------------------- constant envelopes with a beat (Floquet)
 
 
 def _flushed(env, t):
@@ -396,28 +398,49 @@ FOLD_DRAWS = [
 ]
 
 
-@pytest.mark.parametrize("case", range(len(FOLD_DRAWS)))
-def test_fold_matches_c_frame_reference(case, caplog):
+@functools.lru_cache(maxsize=None)
+def _fold_case(case):
+    """FOLD_DRAWS[case]: its couplings, pulses, state, settings, and _c_frame_reference on its saved times (kept, as
+    two tests hold the same runs to it)."""
     n, sign, periods, save_points = FOLD_DRAWS[case]
     cs, pp, psi, _ = _fold_draw(case, n, sign, periods)
-    settings = IntegratorSettings(save_points=save_points)
+    times = np.linspace(0.0, pp.duration, save_points)
+    return cs, pp, psi, IntegratorSettings(save_points=save_points), _c_frame_reference(cs, pp, psi.amplitudes[:, None],
+                                                                                      times)[:, :, 0]
+
+
+@pytest.mark.parametrize("case", range(len(FOLD_DRAWS)))
+def test_fold_matches_c_frame_reference(case, caplog):
+    cs, pp, psi, settings, ref = _fold_case(case)
     with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
         traj = propagate_rwa(cs, pp, psi, settings)
-    assert "folded" in caplog.text
-    ref = _c_frame_reference(cs, pp, psi.amplitudes[:, None], traj.times)[:, :, 0]
+    assert "rwa propagation: Floquet matrix over harmonics" in caplog.text
     assert np.max(np.abs(traj.amplitudes - ref)) <= 1e-8
+
+
+def test_floquet_matrix_without_a_real_form_matches_the_reference():
+    # complex dipoles d1_k whose phase arg(d1_k / d0_k) differs between the levels leave no diagonal phases that make
+    # the Floquet matrix real, so it is decomposed as a complex Hermitian one
+    cs, pp, psi, _ = _fold_draw(2, 3, -1, 5.5)
+    loop = np.exp(1j * np.array([0.0, 0.4, 1.1]))
+    cs = dataclasses.replace(cs, lambda1=cs.lambda1 * loop, mu0=cs.mu0 * loop)
+    ddsim.dynamics._floquet.cache_clear()
+    with mock.patch.object(ddsim.dynamics, "_real_form", wraps=ddsim.dynamics._real_form) as real_form:
+        traj = propagate_rwa(cs, pp, psi, IntegratorSettings(save_points=7))
+    real_form.assert_called_once()
+    assert np.iscomplexobj(ddsim.dynamics._real_form(*real_form.call_args.args)[2])
+    ref = _c_frame_reference(cs, pp, psi.amplitudes[:, None], traj.times)[:, :, 0]
+    assert np.max(np.abs(traj.amplitudes - ref)) <= IntegratorSettings().tol
 
 
 @pytest.mark.parametrize("case", range(4))
 def test_fold_is_as_accurate_as_the_direct_path(case, monkeypatch):
     # at default settings, on windows short enough for the direct path to be cheap
-    n, sign, periods, save_points = FOLD_DRAWS[case]
-    cs, pp, psi, _ = _fold_draw(case, n, sign, periods)
-    settings = IntegratorSettings(save_points=save_points)
+    cs, pp, psi, settings, ref = _fold_case(case)
     folded = propagate_rwa(cs, pp, psi, settings)
-    monkeypatch.setattr(ddsim.dynamics, "averaging_period", lambda delta_qubit: math.inf)
+    # as a run past _FLOQUET_MAX_HARMONICS does, the same run takes Magnus steps over the window
+    monkeypatch.setattr(ddsim.dynamics, "_floquet_states", lambda *args: None)
     direct = propagate_rwa(cs, pp, psi, settings)
-    ref = _c_frame_reference(cs, pp, psi.amplitudes[:, None], folded.times)[:, :, 0]
     err_folded = np.max(np.abs(folded.amplitudes - ref))
     err_direct = np.max(np.abs(direct.amplitudes - ref))
     assert err_folded <= 2.0 * err_direct + 1e-11
@@ -438,24 +461,49 @@ def _criterion_4_gate(level_energy, epsilon1, omega0, d1, amp_ref, spec):
     return derive_couplings(sp, pp), pp
 
 
-@pytest.mark.parametrize("args", [
-    (2015.0, 15.0, 1915.0, 2.0, 50.0, GateSpec(target="NOT", l=15)),
-    (2005.0, 5.0, 1905.0, 0.2, 50.0, GateSpec(target="PHASE", l=10)),
-    (6500.0, 3000.0, 6400.0, 2.0, 50.0 / (1.0 + math.sqrt(2.0)), GateSpec(target="HADAMARD", l=5119, l_max=8192)),
-], ids=["NOT", "PHASE", "HADAMARD"])
+_CRITERION_4_GATES = {
+    "NOT": (2015.0, 15.0, 1915.0, 2.0, 50.0, GateSpec(target="NOT", l=15)),
+    "PHASE": (2005.0, 5.0, 1905.0, 0.2, 50.0, GateSpec(target="PHASE", l=10)),
+    "HADAMARD": (6500.0, 3000.0, 6400.0, 2.0, 50.0 / (1.0 + math.sqrt(2.0)), GateSpec(target="HADAMARD", l=5119,
+                                                                                    l_max=8192)),
+}
+
+
+@pytest.mark.parametrize("args", _CRITERION_4_GATES.values(), ids=_CRITERION_4_GATES.keys())
 def test_criterion_4_gates_fold_to_reference(args):
-    cs, pp = _criterion_4_gate(*args)
-    settings = IntegratorSettings(save_points=2)
-    runs = [propagate_rwa(cs, pp, StateVector.qubit(1, 0, 1), settings),
-            propagate_rwa(cs, pp, StateVector.qubit(0, 1, 1), settings)]
-    ref = _c_frame_reference(cs, pp, np.eye(3, 2), runs[0].times)[-1]
+    runs, ref = _criterion_4_runs(args)
     realized = np.column_stack([run.final_amplitudes for run in runs])
     assert np.max(np.abs(realized - ref)) <= 1e-9
     assert np.allclose(qubit_transfer_matrix(*runs), ref[:2])
 
 
+@functools.lru_cache(maxsize=None)
+def _criterion_4_runs(args):
+    """The runs of criterion 4's gate of args from |0> and from |1>, and _c_frame_reference's columns at the window
+    end (kept, as two tests hold the same runs to it)."""
+    cs, pp = _criterion_4_gate(*args)
+    settings = IntegratorSettings(save_points=2)
+    runs = [propagate_rwa(cs, pp, StateVector.qubit(*qubit, 1), settings) for qubit in ((1, 0), (0, 1))]
+    return runs, _c_frame_reference(cs, pp, np.eye(3, 2), runs[0].times)[-1]
+
+
+# the default tol holds on every run whose rwa equations beat: the FOLD_DRAWS cases and criterion 4's NOT and
+# HADAMARD gates, each against _c_frame_reference
+@pytest.mark.parametrize("case", [*range(len(FOLD_DRAWS)), "NOT", "HADAMARD"])
+def test_every_beat_run_is_within_the_default_tol(case):
+    if isinstance(case, int):
+        cs, pp, psi, settings, ref = _fold_case(case)
+        error = np.max(np.abs(propagate_rwa(cs, pp, psi, settings).amplitudes - ref))
+    else:
+        runs, ref = _criterion_4_runs(_CRITERION_4_GATES[case])
+        error = np.max(np.abs(np.column_stack([run.final_amplitudes for run in runs]) - ref))
+    assert error <= IntegratorSettings().tol
+
+
 @pytest.mark.parametrize("kind, periods, expect", [
-    ("constant", 3.5, "folded over 3.5 beat periods of P = "),
+    # constant envelopes with a beat, whatever the window: one eigendecomposition of the Floquet matrix
+    pytest.param("constant", 3.5, "rwa propagation: Floquet matrix over harmonics -7..7, dimension 45, at 201 saved times",
+                 id="constant-3.5-floquet"),
     ("sin2", 3.5, "magnus over"),
     # rwa at Delta = 0 with one envelope: the crossed couplings carry no beat, and a constant generator takes one
     # eigendecomposition
@@ -466,10 +514,10 @@ def test_criterion_4_gates_fold_to_reference(args):
                  "error estimate ", id="off-3.5-one eigendecomposition"),
     pytest.param("off sin2", 3.5, "rwa propagation: magnus (one envelope) over",
                  id="off sin2-3.5-magnus (one envelope)"),
-    ("constant", 1.5, "magnus over"),
-    # whole periods and 2 save points: the one period is one gap, whose three terms (one shared envelope) take the
-    # alpha path
-    ("whole", 3.0, "folded over 3 beat periods of P = 0.137856 ns, one period by magnus over "),
+    pytest.param("constant", 1.5, "rwa propagation: Floquet matrix over harmonics -7..7, dimension 45, at 201 saved times",
+                 id="constant-1.5-floquet"),
+    pytest.param("whole", 3.0, "rwa propagation: Floquet matrix over harmonics -7..7, dimension 45, at 2 saved times",
+                 id="whole-3.0-floquet"),
 ])
 def test_each_run_logs_its_path(kind, periods, expect, caplog, monkeypatch):
     dq = 0.0 if kind == "zero" else 30.0
@@ -491,24 +539,25 @@ def test_each_run_logs_its_path(kind, periods, expect, caplog, monkeypatch):
     assert len(lines) == 2
     assert lines[0].startswith("rwa propagation: ")
     assert expect in lines[0]
-    # an identical fold takes the kept one-period propagator and says so
-    assert lines[1] == lines[0] + (" (one-period propagator reused)" if "beat periods" in expect else "")
+    # an identical run logs the same line, whether or not it is served a kept decomposition
+    assert lines[1] == lines[0]
 
 
-# ---------------------------------------------------------------- one-period memo
+# ---------------------------------------------------------------- kept decomposition
 
 
-def _count_integrations(monkeypatch):
-    """Record the grid of every _magnus call."""
-    grids = []
-    magnus = ddsim.dynamics._magnus
+def _count_decompositions(monkeypatch):
+    """Record the dimension of every np.linalg.eigh call, from an empty _floquet cache."""
+    ddsim.dynamics._floquet.cache_clear()
+    dims = []
+    eigh = np.linalg.eigh
 
-    def counted(frame, y0, grid, *args, **kwargs):
-        grids.append(grid)
-        return magnus(frame, y0, grid, *args, **kwargs)
+    def counted(a, *args, **kwargs):
+        dims.append(len(a))
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(ddsim.dynamics, "_magnus", counted)
-    return grids
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return dims
 
 
 def _memo_case(delta_qubit=30.0, periods=3.5, **pair):
@@ -519,20 +568,27 @@ def _memo_case(delta_qubit=30.0, periods=3.5, **pair):
 
 
 def test_second_basis_state_is_bit_identical_to_a_cold_run(monkeypatch):
-    # the first run starts from an empty memo; the run from |0> and the repeat from |1> reuse its period
-    cs, pp, _, _ = _fold_draw(5, 2, +1, 12.5)
+    # the run from |0> decomposes and the run from |1> is served its decomposition; with the kept one cleared, the
+    # run from |1> decomposes afresh, to the same bits: constant pulses with a beat (the Floquet matrix), and with
+    # pulse 1 off (a constant generator, as in a PHASE gate)
+    dims = _count_decompositions(monkeypatch)
+    ddsim.dynamics._constant_eigh.cache_clear()
+    fold_cs, pp, _, _ = _fold_draw(5, 2, +1, 12.5)
     settings = IntegratorSettings(save_points=7)
     one = StateVector.qubit(0.0, 1.0, 2)
-    grids = _count_integrations(monkeypatch)
-    cold = propagate_rwa(cs, pp, one, settings)
-    propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 2), settings)
-    warm = propagate_rwa(cs, pp, one, settings)
-    assert len(grids) == 1
-    assert np.array_equal(warm.times, cold.times)
-    assert np.array_equal(warm.amplitudes, cold.amplitudes)
+    for cs, kept in ((fold_cs, ddsim.dynamics._floquet), (_pulse_off(fold_cs, 1), ddsim.dynamics._constant_eigh)):
+        dims.clear()
+        propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 2), settings)
+        warm = propagate_rwa(cs, pp, one, settings)
+        assert len(dims) == 1
+        kept.cache_clear()
+        cold = propagate_rwa(cs, pp, one, settings)
+        assert len(dims) == 2
+        assert np.array_equal(warm.times, cold.times)
+        assert np.array_equal(warm.amplitudes, cold.amplitudes)
 
 
-# six save points instead of five move the offsets inside the period
+# six save points instead of five change only the saved times, which the decomposition does not depend on
 @pytest.mark.parametrize("change, value", [
     ("phi0", 0.3), ("amp1", 21.0), ("delta_qubit", 31.0), ("tol", 1e-9), ("save_points", 6),
 ])
@@ -545,55 +601,35 @@ def test_any_changed_input_integrates_again(change, value, monkeypatch):
         new_cs, new_pp = _memo_case(**{change: value})
     else:
         new_settings = dataclasses.replace(settings, **{change: value})
+    ddsim.dynamics._floquet.cache_clear()
     cold = propagate_rwa(new_cs, new_pp, psi, new_settings)
-    grids = _count_integrations(monkeypatch)
+    dims = _count_decompositions(monkeypatch)
     propagate_rwa(cs, pp, psi, settings)
     warm = propagate_rwa(new_cs, new_pp, psi, new_settings)
-    assert len(grids) == 2
+    assert len(dims) == (1 if change == "save_points" else 2)
     assert np.array_equal(warm.amplitudes, cold.amplitudes)
 
 
 def test_windows_of_whole_periods_share_one_integration(monkeypatch):
-    # two save points of a window of l P, built as synthesize_gate builds it, sit at offsets 0
-    # and P; at l = 63, 121, ... l P / P rounds below l, which must not add an offset P - ulp
-    grids = _count_integrations(monkeypatch)
+    # windows of l P, built as synthesize_gate builds them, differ only in their saved times: one decomposition
+    # serves them all
+    dims = _count_decompositions(monkeypatch)
     settings = IntegratorSettings(save_points=2)
     for periods in (3, 7, 40, 63, 121, 126, 237, 242, 247, 252):
         cs, pp = _memo_case(periods=periods)
         propagate_rwa(cs, pp, StateVector.qubit(0.0, 1.0, 1), settings)
-    assert len(grids) == 1
-    assert len(grids[0]) == 2
-
-
-def test_a_window_a_few_ulp_past_whole_periods_folds_one_period(caplog, monkeypatch):
-    # 3.0 * 2 pi hbar / 30 lands 1.1e-16 past 3 P: its last offset is 0, not 1.1e-16, so its fold integrates
-    # [0, P] as one gap of one width, as a window of 3 * (2 pi hbar / 30) does
-    period = 2.0 * math.pi * HBAR / 30.0
-    sp, om0 = _single_level(-100.0, delta_qubit=30.0)
-    grids = _count_integrations(monkeypatch)
-    runs = []
-    with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
-        for duration in (3.0 * 2.0 * math.pi * HBAR / 30.0, 3 * period):
-            pp = _flat_pair(sp, om0, amp=20.0, duration=duration)
-            psi = StateVector.qubit(1.0, 0.0, 1)
-            runs.append(propagate_rwa(derive_couplings(sp, pp), pp, psi, IntegratorSettings(save_points=2)))
-    assert runs[0].times[-1] > 3 * period
-    # the second window takes the kept one-period propagator
-    assert [list(grid) for grid in grids] == [[0.0, period]]
-    lines = [r.getMessage() for r in caplog.records if r.name == "ddsim.dynamics"]
-    assert "one period by magnus over 92 steps" in lines[0]
-    assert np.max(np.abs(runs[0].amplitudes - runs[1].amplitudes)) <= 1e-15
+    assert dims == [45]
 
 
 def test_returned_amplitudes_do_not_reach_the_memo(monkeypatch):
     cs, pp = _memo_case()
     psi = StateVector.qubit(1.0, 0.0, 1)
-    grids = _count_integrations(monkeypatch)
+    dims = _count_decompositions(monkeypatch)
     first = propagate_rwa(cs, pp, psi)
     expected = first.amplitudes.copy()
     first.amplitudes[:] = 0.0
     second = propagate_rwa(cs, pp, psi)
-    assert len(grids) == 1
+    assert len(dims) == 1
     assert np.array_equal(second.amplitudes, expected)
     assert not np.shares_memory(first.amplitudes, second.amplitudes)
 
@@ -609,6 +645,39 @@ def test_folded_runs_are_linear_in_the_initial_state(seed, n, sign, periods):
     mixed = propagate_rwa(cs, pp, psi, settings)
     alpha, beta = psi.amplitudes[:2]
     assert np.max(np.abs(mixed.amplitudes - (alpha * zero.amplitudes + beta * one.amplitudes))) <= 1e-12
+
+
+def _floquet_draw(seed, n, sign, ratio, periods):
+    """Constant-envelope couplings at Delta != 0, each up to ratio * |Delta|, over `periods` beat periods."""
+    rng = np.random.default_rng(seed)
+    dq = sign * float(rng.uniform(40.0, 120.0))
+    cs = CouplingSet(*(rng.uniform(0.1, 1.0, (4, n)) * ratio * abs(dq)), delta=-rng.uniform(0.2, 0.6, n) * abs(dq),
+                     delta_qubit=dq)
+    env = Envelope("constant")
+    pp = PulsePair(amp0=1.0, amp1=1.0, envelope0=env, envelope1=env, omega0=5000.0, omega1=5000.0 - dq,
+                   duration=periods * 2.0 * math.pi * HBAR / abs(dq), phi0=float(rng.uniform(0.0, 2.0 * math.pi)),
+                   phi1=float(rng.uniform(0.0, 2.0 * math.pi)))
+    qubit = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return cs, pp, StateVector.qubit(*(qubit / np.linalg.norm(qubit)), n)
+
+
+@hypothesis_settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), sign=st.sampled_from([-1, 1]), ratio=st.floats(0.01, 2.0),
+       periods=st.floats(0.5, 10.0), save_points=st.integers(2, 201), tol=st.sampled_from([1.01e-10, 1e-8, 1e-6]))
+def test_floquet_error_is_within_its_logged_estimate(seed, n, sign, ratio, periods, save_points, tol):
+    # couplings up to 2 |Delta| against a DOP853 reference: every saved state is within the logged estimate (the
+    # edge weight and the decomposition's rounding) plus 1e-11, the reference's own floor (over 150 draws of this
+    # kind it read at most 2.3e-12 past the estimate); the looser tolerances take fewer harmonics, so the edge
+    # weight is what bounds their error
+    cs, pp, psi = _floquet_draw(seed, n, sign, ratio, periods)
+    with mock.patch.object(ddsim.dynamics.logger, "info") as info:
+        traj = propagate_rwa(cs, pp, psi, IntegratorSettings(tol=tol, save_points=save_points))
+    [(args, _)] = info.call_args_list
+    match = re.fullmatch(r"rwa propagation: Floquet matrix over harmonics .*, error estimate (\S+) \(tolerance \S+\)",
+                         args[0] % args[1:])
+    assert match
+    ref = _c_frame_reference(cs, pp, psi.amplitudes[:, None], traj.times)[:, :, 0]
+    assert np.max(np.abs(traj.amplitudes - ref)) <= float(match[1]) + 1e-11
 
 
 # ---------------------------------------------------------------- shared generator
@@ -684,6 +753,8 @@ def _first_pass_failure(monkeypatch, bad, tier, shape, poison):
         return magnus_pass(bad_frame, y0, knots, counts)
 
     monkeypatch.setattr(ddsim.dynamics, "_magnus_pass", poisoned)
+    # constant rwa runs with a beat take Magnus steps where their Floquet matrix would exceed _FLOQUET_MAX_HARMONICS
+    monkeypatch.setattr(ddsim.dynamics, "_floquet_states", lambda *args: None)
     whole = shape == "whole periods"
     sp, om0 = _single_level(-300.0 if whole else -100.0, delta_qubit=30.0)
     pp = _flat_pair(sp, om0, amp=20.0, duration=3.0 * (2.0 * math.pi * HBAR / 30.0) if whole else 1.0)
@@ -708,13 +779,12 @@ _FIRST_PASS_CASES = [("rwa", "constant"), ("rwa", "sin2"), ("averaged", "sin2"),
 @pytest.mark.parametrize("tier, shape", _FIRST_PASS_CASES)
 def test_non_finite_coupling_fails_in_the_first_magnus_pass(monkeypatch, bad, tier, shape):
     # the Taylor exponential raises nothing on a NaN, so without the norm check a NaN estimate would
-    # run every halving before failing; the constant rwa runs fold over the beat, and their passes take a
-    # propagator on the alpha path (over whole periods with 2 save points the fold's period is one gap).
-    # The averaged and bare runs have one term, and their passes read the scalars only as the basis weights.
-    # The averaged pulse is centred in the window over 5 save points, so its passes integrate the first half's
-    # propagators and mirror them: the first pass also takes the identity
+    # run every halving before failing; the constant rwa runs, here past the Floquet cap, take the alpha path over
+    # the window.  The averaged and bare runs have one term, and their passes read the scalars only as the basis
+    # weights.  The averaged pulse is centred in the window over 5 save points, so its passes integrate the first
+    # half's propagators and mirror them: the first pass also takes the identity
     y0, frame = _first_pass_failure(monkeypatch, bad, tier, shape, "scalars")
-    assert y0.ndim == (1 if shape == "sin2" and tier != "averaged" else 2)
+    assert y0.ndim == (2 if tier == "averaged" else 1)
     assert (frame.beat is not None) == (tier == "rwa" and shape != "sin2")
 
 
@@ -725,7 +795,7 @@ def test_non_finite_star_fails_in_the_first_magnus_pass(monkeypatch, bad, tier, 
     # the same runs with a bad entry in a star instead: the terms are built from the stars on the first pass, and
     # both the alpha_j and the one-envelope basis carry it
     y0, frame = _first_pass_failure(monkeypatch, bad, tier, shape, "stars")
-    assert y0.ndim == (1 if shape == "sin2" and tier != "averaged" else 2)
+    assert y0.ndim == (2 if tier == "averaged" else 1)
     assert (frame.beat is not None) == (tier == "rwa" and shape != "sin2")
 
 
@@ -847,9 +917,10 @@ def _shaped_draw(seed, n, sign, shape, shift, window, tier="rwa"):
 
 def _magnus_run(cs, pp, psi, settings=None):
     """The trajectory of a run, its (steps, halvings, error estimate, tolerance) and the engine's propagator over
-    the window.  A constant generator takes one eigendecomposition: no steps or halvings, and the tolerance is the
-    larger of tol and its estimate, as _propagate logs them."""
+    the window.  A constant generator, and constant envelopes with a beat, take one eigendecomposition: no steps or
+    halvings, and the tolerance is the larger of tol and its estimate, as _propagate logs them."""
     magnus, eigh_states, calls = ddsim.dynamics._magnus, ddsim.dynamics._eigh_states, []
+    floquet_states = ddsim.dynamics._floquet_states
     tol = (settings or IntegratorSettings()).tol
 
     def recorded(frame, y0, *args, **kwargs):
@@ -857,16 +928,21 @@ def _magnus_run(cs, pp, psi, settings=None):
         calls.append((info[:4], lambda: magnus(frame, np.eye(len(y0), dtype=complex), *args, **kwargs)[0][-1]))
         return ys, info
 
-    def recorded_eigh(frame, y0, grid):
-        ys, estimate = eigh_states(frame, y0, grid)
-        columns = np.eye(len(y0), dtype=complex)
-        calls.append(((0, 0, estimate, max(tol, estimate)),
-                      lambda: np.column_stack([eigh_states(frame, column, grid)[0][-1] for column in columns])))
-        return ys, estimate
+    def recorder(states):
+        def recorded(frame, y0, *args):
+            solved = states(frame, y0, *args)
+            if solved is not None:
+                columns = np.eye(len(y0), dtype=complex)
+                calls.append(((0, 0, solved[1], max(tol, solved[1])),
+                              lambda: np.column_stack([states(frame, column, *args)[0][-1] for column in columns])))
+            return solved
+
+        return recorded
 
     propagate = propagate_rwa if psi.frame == "rwa" else propagate_averaged
     with mock.patch.object(ddsim.dynamics, "_magnus", recorded), \
-            mock.patch.object(ddsim.dynamics, "_eigh_states", recorded_eigh):
+            mock.patch.object(ddsim.dynamics, "_eigh_states", recorder(eigh_states)), \
+            mock.patch.object(ddsim.dynamics, "_floquet_states", recorder(floquet_states)):
         traj = propagate(cs, pp, psi, settings)
     [(info, propagator)] = calls
     return traj, info, propagator
@@ -878,7 +954,7 @@ def _magnus_run(cs, pp, psi, settings=None):
        sign=st.sampled_from([-1, 1]), shape=st.sampled_from(["sin2", "gaussian", "trapezoid", "constant"]),
        shift=st.floats(-1.0, 1.0), window=st.floats(0.2, 0.5))
 def test_magnus_matches_dop853_within_its_estimate_and_is_unitary(seed, tier, n, sign, shape, shift, window):
-    # constant rwa runs over at least two beat periods fold, and each example integrates its own period
+    # constant rwa runs take the Floquet matrix, whose propagator is read column by column
     cs, pp, psi = _shaped_draw(seed, n, sign, shape, shift, window, tier)
     traj, (_, _, estimate, tol), propagator = _magnus_run(cs, pp, psi, IntegratorSettings(save_points=5))
     assert estimate <= tol
@@ -1186,7 +1262,7 @@ def _beat_draw(seed, n, sign, drive, detuning):
 @pytest.mark.filterwarnings("ignore:envelope switching time is short")
 def test_only_constant_envelope_rwa_frames_carry_the_beat():
     # the scalars of constant envelopes with a beat depend on t only through the beat phase, so the frame carries
-    # the beat, which keys the fold memo; either sign of Delta
+    # the beat, from which _floquet builds its matrix; either sign of Delta
     for seed, sign in ((11, 1), (12, -1)):
         cs, frame = _beat_draw(seed, 3, sign, 0.3, 10.0)
         assert frame.beat == cs.delta_qubit / HBAR
@@ -1274,7 +1350,7 @@ def test_no_tier_calls_solve_ivp(monkeypatch):
     period = 2.0 * math.pi * HBAR / 30.0
     sin2 = Envelope("sin2", center=1.75 * period, width=3.5 * period)
     runs = [  # (tier, Delta, window in beat periods, envelope)
-        ("rwa", 30.0, 3.5, None),  # folded
+        ("rwa", 30.0, 3.5, None),  # the Floquet matrix
         ("rwa", 0.0, 3.5, None),
         ("rwa", 30.0, 1.5, None),
         ("averaged", 30.0, 3.5, None),
@@ -1416,8 +1492,8 @@ def test_mirrored_pass_matches_the_direct_pass(seed, tier, n, sign, shape, on_sa
     # with the same steps, halvings and estimate
     save_points = 2 * half + 1
     cs, pp, psi = _mirror_draw(seed, n, sign, shape, tier, save_points, window, on_saves)
-    frame, period = ddsim.dynamics._rwa_frame(cs, pp, crossed=tier == "rwa")
-    assert period is None and frame.mirror is not None
+    frame = ddsim.dynamics._rwa_frame(cs, pp, crossed=tier == "rwa")
+    assert frame.beat is None and frame.mirror is not None
     ys, facts, knots = _engine_run(frame, psi.amplitudes, pp, save_points)
     steps, halvings = facts[:2]
     assert len(knots) == halvings + 2 and facts[5] == steps // 2
@@ -1441,7 +1517,7 @@ def test_breakpoints_ulps_from_saved_times_are_those_times(window):
     grid = np.linspace(0.0, window, 401)
     off = np.array([np.min(np.abs(grid - kink)) for kink in env.kinks]) / np.spacing(window)
     assert np.all(off <= 2.0) and np.count_nonzero(off) >= 3
-    frame, _ = ddsim.dynamics._rwa_frame(cs, pp, crossed=False)
+    frame = ddsim.dynamics._rwa_frame(cs, pp, crossed=False)
     ys, facts, knots = _engine_run(frame, psi.amplitudes, pp, 401)
     assert knots and np.array_equal(knots[0], grid)
     unsnapped = np.union1d(grid, env.kinks)
@@ -1475,17 +1551,16 @@ def _reversal_case(case, n):
 @pytest.mark.parametrize("case", ["off-centre", "two envelopes", "loop phase", "even saves", "beat", "fold"])
 def test_runs_that_do_not_mirror_keep_the_direct_pass(case, monkeypatch):
     # each of these breaks one condition of the mirror: a shifted or second envelope, a loop phase, an even
-    # number of saved times (no middle knot), a beat, or the fold, whose pass takes a propagator
+    # number of saved times (no middle knot), a beat, or constant envelopes with a beat, which take the Floquet matrix
     cs, pp, psi, save_points = _reversal_case(case, 3)
     crossed = psi.frame == "rwa"
-    frame, period = ddsim.dynamics._rwa_frame(cs, pp, crossed=crossed)
-    assert (frame.mirror is not None) == (case == "even saves") and (period is not None) == (case == "fold")
+    frame = ddsim.dynamics._rwa_frame(cs, pp, crossed=crossed)
+    assert (frame.mirror is not None) == (case == "even saves") and (frame.beat is not None) == (case == "fold")
     propagate = propagate_rwa if crossed else propagate_averaged
     rwa_frame, runs = ddsim.dynamics._rwa_frame, []
 
     def stripped(*args, **kwargs):
-        frame, period = rwa_frame(*args, **kwargs)
-        return dataclasses.replace(frame, mirror=None), period
+        return dataclasses.replace(rwa_frame(*args, **kwargs), mirror=None)
 
     for keep in (True, False):
         with mock.patch.object(ddsim.dynamics, "_rwa_frame", rwa_frame if keep else stripped), \
@@ -1498,21 +1573,21 @@ def test_runs_that_do_not_mirror_keep_the_direct_pass(case, monkeypatch):
 @pytest.mark.filterwarnings("ignore:envelope switching time is short")
 @hypothesis_settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["averaged mirrored", "averaged shaped", "rwa shaped",
-                                                             "rwa at zero", "rwa folded"]),
+                                                             "rwa at zero", "rwa floquet"]),
        n=st.integers(1, 5), sign=st.sampled_from([-1, 1]), shape=st.sampled_from(["sin2", "gaussian", "trapezoid"]),
        chi0=st.floats(0.0, 2.0 * math.pi), chi1=st.floats(0.0, 2.0 * math.pi))
 def test_drive_phases_rotate_the_qubit_basis(seed, case, n, sign, shape, chi0, chi1):
     # a phase chi_q added to pulse q multiplies <q|H|k> by e^{i chi_q}, so H' = W H W^dagger with
     # W = diag(e^{i chi0}, e^{i chi1}, 1, ...), and the run from psi0 is W times the run from W^dagger psi0 at the
     # old phases.  In the rwa tier pulse 0 also drives 1 <-> k (mu0) and pulse 1 drives 0 <-> k (mu1), so
-    # chi0 = chi1 there.  Mirrored runs (one centred envelope) and direct ones (two envelopes, a beat, a fold)
+    # chi0 = chi1 there.  Mirrored runs (one centred envelope) and direct ones (two envelopes, a beat, the Floquet matrix)
     # alike
     tier = case.split()[0]
     if tier == "rwa":
         chi1 = chi0
     if case in ("averaged mirrored", "rwa at zero"):
         cs, pp, psi = _mirror_draw(seed, n, sign, shape, tier, 5)
-    elif case == "rwa folded":  # a gate window: constant pulses over 7 beat periods, saved at its two ends
+    elif case == "rwa floquet":  # a gate window: constant pulses over 7 beat periods, saved at its two ends
         cs, pp, psi = _shaped_draw(seed, n, sign, "constant", 0.0, 0.5, tier)
         pp = dataclasses.replace(pp, duration=7.0 * 2.0 * math.pi * HBAR / abs(cs.delta_qubit))
     else:
@@ -1521,7 +1596,7 @@ def test_drive_phases_rotate_the_qubit_basis(seed, case, n, sign, shape, chi0, c
     w[:2] = np.exp(1j * np.array([chi0, chi1]))
     turned = dataclasses.replace(pp, phi0=pp.phi0 + chi0, phi1=pp.phi1 + chi1)
     propagate = propagate_rwa if tier == "rwa" else propagate_averaged
-    settings = IntegratorSettings(save_points=2 if case == "rwa folded" else 5)
+    settings = IntegratorSettings(save_points=2 if case == "rwa floquet" else 5)
     with mock.patch.object(ddsim.dynamics, "_mirror_pass", wraps=ddsim.dynamics._mirror_pass) as mirror_pass:
         base = propagate(cs, pp, StateVector(np.conj(w) * psi.amplitudes, tier), settings)
         run = propagate(cs, turned, psi, settings)
@@ -1656,7 +1731,7 @@ def _extended_run(ham, diag, psi, times):
        n=st.integers(1, 10), sign=st.sampled_from([-1, 1]), save_points=st.sampled_from([2, 3, 201, 1001, 2001]),
        window=st.floats(0.2, 2.0))
 def test_constant_generators_match_expm_at_every_saved_time(seed, case, n, sign, save_points, window):
-    # a constant generator takes one eigendecomposition for all saved times, no steps and no fold; scipy's expm of
+    # a constant generator takes one eigendecomposition for all saved times and no steps; scipy's expm of
     # the generator built from the couplings is the independent reference
     cs, pp, psi, ham, diag = _constant_draw(seed, case, n, sign, window)
     propagate = propagate_averaged if case == "averaged" else propagate_rwa
@@ -1668,10 +1743,18 @@ def test_constant_generators_match_expm_at_every_saved_time(seed, case, n, sign,
     match = re.fullmatch(rf"{tier} propagation: one eigendecomposition of the constant generator at {save_points} "
                          r"saved times, error estimate (\S+) \(tolerance 1\.0e-10\)", line)
     assert match
-    # the eigenvalues' rounding grows over the window, eps d (d + rate T) in dimension d
-    frame = ddsim.dynamics._rwa_frame(cs, pp, crossed=case != "averaged")[0]
-    dim = n + 2
-    assert float(match[1]) == pytest.approx(np.finfo(float).eps * dim * (dim + frame.rate * window), rel=1e-2)
+    # the estimate is read from the decomposition of the frame's generator: ||W^dagger W - I|| plus the window times
+    # the components |c| = |W^dagger psi0| weighing each eigenvalue's residual ||H w - lambda w|| and the rounding
+    # eps (|lambda| + max |diag|) of lambda t and of the c-frame phases
+    frame = ddsim.dynamics._rwa_frame(cs, pp, crossed=case != "averaged")
+    gen = np.diag(frame.diag).astype(complex)
+    gen[:2, 2:] = frame.scalars(np.zeros(1))[0, 0] * frame.stars[0]
+    gen[2:, :2] = np.conj(gen[:2, 2:]).T
+    lam, w = np.linalg.eigh(gen)
+    drift = (np.linalg.norm(gen @ w - w * lam, axis=0)
+             + np.finfo(float).eps * (np.abs(lam) + np.max(np.abs(frame.diag))))
+    expected = np.linalg.norm(np.conj(w).T @ w - np.eye(n + 2)) + window * np.abs(np.conj(w).T @ psi.amplitudes) @ drift
+    assert float(match[1]) == pytest.approx(expected, rel=1e-2)
     assert np.max(np.abs(traj.amplitudes - _expm_run(ham, diag, psi.amplitudes, traj.times))) <= 1e-12
 
 
