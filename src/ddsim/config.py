@@ -3,9 +3,15 @@
 A run is described by a single JSON document.  `mode` selects what to
 compute; the sections it needs are validated structurally against
 SCHEMA (types, ranges, enums) and then semantically while the library
-objects are built.  The second carrier frequency is never configured:
-it is always derived from the first so the pair sits exactly on the
-two-photon resonance.
+objects are built.  SCHEMA is a JSON Schema (draft 2020-12) document.
+No JSON Schema library checks it at run time: one walk over SCHEMA
+implements exactly the keywords it uses (KEYWORDS) and, of several
+errors, reports the one jsonschema 4.26's `best_match` picks, with the
+same message; the test suite holds the two to the same verdict,
+location and message.  NaN, the infinities and integers beyond the
+float range are rejected before the walk, anywhere in the document.
+The second carrier frequency is never configured: it is always derived
+from the first so the pair sits exactly on the two-photon resonance.
 
 Sweeps refer to scalar fields by dotted path ("pulses.amp0",
 "spectrum.delta"); each axis is an inclusive linear range.
@@ -16,9 +22,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
+import operator
 from typing import Any, Iterator, Sequence
 
-import jsonschema
 import numpy as np
 
 from .drive import SHAPES as ENVELOPE_SHAPES, Envelope, PulsePair, enforce_two_photon_resonance
@@ -198,7 +205,6 @@ SCHEMA = {
     "required": ["mode"],
     "additionalProperties": False,
 }
-_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)  # SCHEMA itself is checked by the test suite
 
 
 def load_config(path) -> dict:
@@ -207,42 +213,140 @@ def load_config(path) -> dict:
         raw = fh.read()
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    # besides JSONDecodeError, json.loads raises a plain ValueError on an integer of more digits than int()
+    # converts, and a RecursionError on nesting too deep for it
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     validate_config(cfg)
     return cfg
 
 
+# float() of an integer rounds to nearest even, so the integers from here up round to 2**1024 and overflow
+_FLOAT_LIMIT = 2**1024 - 2**970
+
+
 def _check_finite(node: Any, path: tuple = ()) -> None:
-    """Reject NaN and +-inf anywhere in the document, which no bound in SCHEMA rejects."""
-    if isinstance(node, float) and not math.isfinite(node):
-        loc = "/".join(str(p) for p in path) or "<root>"
-        raise ConfigError(f"config invalid at {loc}: non-finite number {json.dumps(node)} is not allowed")
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, value in children:
-        _check_finite(value, (*path, key))
+    """Reject NaN, +-inf and integers beyond the float range anywhere in the document.
 
-
-def _integral_floats_to_ints(node: Any, schema: dict) -> None:
-    """Turn the floats in the "integer" fields of schema into ints, in place.
-
-    JSON Schema counts 5.0 as an integer, so once node has passed the
-    schema check every such float is integral, and a run takes it as
-    its int spelling.
+    No bound in SCHEMA rejects them.  An integer too large for a float
+    is the digit spelling of 1e400, which JSON reads as infinity.
     """
-    if isinstance(node, dict):
-        children = [(key, schema.get("properties", {}).get(key)) for key in node]
-    elif isinstance(node, list):
-        children = [(i, schema.get("items")) for i in range(len(node))]
+    if isinstance(node, float) and not math.isfinite(node):
+        problem = f"non-finite number {json.dumps(node)}"
+    elif isinstance(node, int) and not -_FLOAT_LIMIT < node < _FLOAT_LIMIT:
+        problem = "integer beyond the float range"
     else:
+        children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, value in children:
+            _check_finite(value, (*path, key))
         return
-    for key, sub in children:
-        if sub is None:
+    loc = "/".join(str(p) for p in path) or "<root>"
+    raise ConfigError(f"config invalid at {loc}: {problem} is not allowed")
+
+
+def _is_number(node: Any) -> bool:
+    return isinstance(node, numbers.Number) and not isinstance(node, bool)
+
+
+_TYPES = {
+    "object": lambda node: isinstance(node, dict),
+    "array": lambda node: isinstance(node, list),
+    "string": lambda node: isinstance(node, str),
+    "boolean": lambda node: isinstance(node, bool),
+    "number": _is_number,
+    "integer": lambda node: (isinstance(node, int) and not isinstance(node, bool))
+    or (isinstance(node, float) and node.is_integer()),
+}
+
+
+def _too_short(kind):
+    return lambda node, n: (
+        f"{node!r} {'should be non-empty' if n == 1 else 'is too short'}"
+        if isinstance(node, kind) and len(node) < n else None
+    )
+
+
+def _bound(breaks, text):
+    return lambda node, bound: f"{node!r} {text} {bound!r}" if _is_number(node) and breaks(node, bound) else None
+
+
+# the keywords that check a node by itself, each as (node, the keyword's value) -> jsonschema's message or None
+_NODE_CHECKS = {
+    "type": lambda node, name: None if _TYPES[name](node) else f"{node!r} is not of type {name!r}",
+    "enum": lambda node, names: (
+        None if isinstance(node, str) and node in names else f"{node!r} is not one of {names!r}"
+    ),
+    "minItems": _too_short(list),
+    "maxItems": lambda node, n: (
+        f"{node!r} {'is expected to be empty' if n == 0 else 'is too long'}"
+        if isinstance(node, list) and len(node) > n else None
+    ),
+    "minLength": _too_short(str),
+    "minimum": _bound(operator.lt, "is less than the minimum of"),
+    "exclusiveMinimum": _bound(operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": _bound(operator.ge, "is greater than or equal to the maximum of"),
+}
+# every keyword _schema_errors implements; "enum" takes strings only, and "additionalProperties" only false
+KEYWORDS = frozenset(_NODE_CHECKS) | {"properties", "required", "additionalProperties", "items"}
+
+
+def _schema_errors(node: Any, schema: dict, path: tuple, errors: list, floats: list) -> None:
+    """Append (path, message) for each keyword of schema that node breaks, in jsonschema's order.
+
+    Keywords run in the schema's own order; "properties" and "items"
+    descend into the children they name.  The (container, key) of each
+    integral float in an "integer" field goes to floats.
+    """
+    for keyword, value in schema.items():
+        check = _NODE_CHECKS.get(keyword)
+        if check is not None:
+            message = check(node, value)
+            if message is not None:
+                errors.append((path, message))
+        elif keyword == "items":
+            if isinstance(node, list):
+                _descend(node, [(i, value) for i in range(len(node))], path, errors, floats)
+        elif not isinstance(node, dict):
             continue
-        if sub.get("type") == "integer" and isinstance(node[key], float):
-            node[key] = int(node[key])
-        else:
-            _integral_floats_to_ints(node[key], sub)
+        elif keyword == "properties":
+            _descend(node, [(key, sub) for key, sub in value.items() if key in node], path, errors, floats)
+        elif keyword == "required":
+            errors.extend((path, f"{name!r} is a required property") for name in value if name not in node)
+        elif keyword == "additionalProperties":
+            extras = sorted((key for key in node if key not in schema.get("properties", {})), key=str)
+            if extras:
+                listed = ", ".join(map(repr, extras))
+                verb = "was" if len(extras) == 1 else "were"
+                errors.append((path, f"Additional properties are not allowed ({listed} {verb} unexpected)"))
+
+
+def _descend(node: dict | list, children: list, path: tuple, errors: list, floats: list) -> None:
+    for key, sub in children:
+        child = node[key]
+        _schema_errors(child, sub, (*path, key), errors, floats)
+        if sub.get("type") == "integer" and isinstance(child, float):
+            floats.append((node, key))
+
+
+def _schema_error(node: Any, schema: dict) -> tuple | None:
+    """The (path, message) of the error of node against schema that jsonschema's best_match picks, or None.
+
+    best_match takes the error of the shortest path, then of the largest
+    path, then one whose node fails its schema's "type"; every error at
+    one path shares one schema and one node, so the last rule never
+    splits them, and the first found wins.
+
+    If node has no error, the integral floats in its "integer" fields
+    become ints, in place: JSON Schema counts 5.0 as an integer, and a
+    run takes it as its int spelling.
+    """
+    errors, floats = [], []
+    _schema_errors(node, schema, (), errors, floats)
+    if errors:
+        return max(errors, key=lambda err: (-len(err[0]), err[0]))
+    for container, key in floats:
+        container[key] = int(container[key])
+    return None
 
 
 def validate_config(cfg: Any) -> None:
@@ -252,11 +356,11 @@ def validate_config(cfg: Any) -> None:
     in cfg, in place.
     """
     _check_finite(cfg)
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    error = _schema_error(cfg, SCHEMA)
     if error is not None:
-        loc = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {loc}: {error.message}") from error
-    _integral_floats_to_ints(cfg, SCHEMA)
+        path, message = error
+        loc = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config invalid at {loc}: {message}")
 
     mode = cfg["mode"]
     needed = set(_REQUIRED_SECTIONS[mode])
@@ -292,12 +396,10 @@ def _check_sweep_axis(axis: dict) -> None:
         raise ConfigError(f"sweep path {path!r}: unknown field {fld!r}")
     if props[fld].get("type") not in ("number", "integer"):
         raise ConfigError(f"sweep path {path!r}: field is not numeric")
-    validator = jsonschema.Draft202012Validator(props[fld])
     for value in _axis_values(axis):
-        try:
-            validator.validate(value)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"sweep path {path!r}: {exc.message}") from exc
+        error = _schema_error(value, props[fld])
+        if error is not None:
+            raise ConfigError(f"sweep path {path!r}: {error[1]}")
 
 
 def _axis_values(axis: dict) -> list:

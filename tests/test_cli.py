@@ -11,6 +11,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -655,21 +656,32 @@ def test_each_config_is_built_once(tmp_path, monkeypatch, capsys, command, cfg, 
 # ---------------------------------------------------------------------
 
 
-def test_broken_json_exits_config(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    "{not json",
+    '{"mode": "propagate-rwa", "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    '{"mode": "propagate-rwa", "seed": ' + "1" * 5000 + "}",
+], ids=["broken", "nested-100000-deep", "integer-of-5000-digits"])
+def test_broken_json_exits_config(tmp_path, capsys, text):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_text(text)
     assert main(["validate", str(path)]) == EXIT_CONFIG
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "config"
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert [err["error"]["type"] for err in errors] == ["config", "config"]
+    assert all("not valid JSON" in err["error"]["message"] for err in errors)
 
 
-# json writes these floats as NaN, Infinity and -Infinity, which json also reads
+# json writes these floats as NaN, Infinity and -Infinity, which json also reads; an integer too large for a
+# float is the digit spelling of what 1e400 reads as
 @pytest.mark.parametrize("section, field, value", [
     ("integrator", "tol", math.nan),
     ("integrator", "tol", math.inf),
     ("pulses", "duration", math.inf),
     ("pulses", "phi0", -math.inf),
     ("spectrum", "dipole0", math.nan),
+    ("pulses", "amp0", 10**400),
+    ("spectrum", "spacing", 10**400),
 ])
 def test_non_finite_number_exits_config(tmp_path, capsys, section, field, value):
     cfg = _propagate_cfg()
@@ -681,7 +693,8 @@ def test_non_finite_number_exits_config(tmp_path, capsys, section, field, value)
     assert not out_dir.exists()
     errors = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
     assert len(errors) == 2
-    assert all(f"non-finite number {json.dumps(value)} " in err["error"]["message"] for err in errors)
+    problem = "integer beyond the float range" if isinstance(value, int) else f"non-finite number {json.dumps(value)}"
+    assert all(f"at {section}/{field}: {problem} is not allowed" in err["error"]["message"] for err in errors)
 
 
 # keys of former integrators: one engine takes one tolerance, tol = atol + rtol, and its
@@ -830,6 +843,39 @@ def test_rejects_nonpositive_jobs(tmp_path, capsys):
 # ---------------------------------------------------------------------
 # process-level behavior
 # ---------------------------------------------------------------------
+
+
+_NO_JSONSCHEMA_SCRIPT = r"""
+import json, pathlib, re, sys
+sys.modules["jsonschema"] = None  # any import of it fails
+from ddsim.cli import main
+
+readme, out = map(pathlib.Path, sys.argv[1:])
+block = re.search(r"A minimal propagation config:\s*```json\n(.*?)```", readme.read_text(), re.S).group(1)
+(out / "minimal.json").write_text(block)
+assert main(["validate", str(out / "minimal.json")]) == 0
+assert main(["run", str(out / "minimal.json"), "--out", str(out / "run")]) == 0
+bad = json.loads(block)
+bad["pulses"]["duration"] = 0
+(out / "bad.json").write_text(json.dumps(bad))
+assert main(["run", str(out / "bad.json"), "--out", str(out / "bad")]) == 2
+assert sys.modules.pop("jsonschema") is None
+assert not [name for name in sys.modules if name.split(".")[0] == "jsonschema"]
+"""
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    src = Path(config.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    proc = subprocess.run([sys.executable, "-c", _NO_JSONSCHEMA_SCRIPT, str(readme), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "minimal_trajectory.csv").stat().st_size > 0
+    assert not (tmp_path / "bad").exists()
+    errors = [json.loads(line) for line in proc.stderr.splitlines() if line.startswith("{")]
+    message = "config invalid at pulses/duration: 0 is less than or equal to the minimum of 0"
+    assert errors == [{"error": {"type": "config", "message": message, "exit_code": EXIT_CONFIG}}]
 
 
 def test_module_entry_point_reports_version():

@@ -1,16 +1,21 @@
 """Configuration validation and object construction from JSON documents."""
 
+import copy
 import json
 import math
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from ddsim import Envelope, IntegratorSettings, SpectrumModel, StateVector, schedule_stirap
 from ddsim.cli import _dry_run
 from ddsim.config import (
+    KEYWORDS,
     SCHEMA,
     ConfigError,
     build_envelope,
@@ -25,6 +30,7 @@ from ddsim.config import (
     sweep_points,
     validate_config,
 )
+from ddsim.config import _schema_error
 
 
 def _base_cfg(**extra):
@@ -80,12 +86,17 @@ def test_out_of_range_value_rejected():
 
 
 # a dict config can hold what json.loads would only read from NaN and Infinity literals;
-# the check comes before the schema's, so -inf is not reported as below a minimum
+# the check comes before the schema's, so -inf is not reported as below a minimum.  An integer
+# too large for a float would overflow where a builder converts it
 @pytest.mark.parametrize("path, value", [
     (("pulses", "duration"), math.nan),
     (("pulses", "amp0"), math.inf),
     (("pulses", "amp0"), -math.inf),
     (("sweep", "axes", 0, "stop"), math.inf),
+    (("pulses", "amp0"), 10**400),
+    (("spectrum", "spacing"), 10**400),
+    (("sweep", "axes", 0, "stop"), -10**400),
+    (("pulses", "amp0"), 2**1024 - 2**970),  # the least integer that float() overflows on
 ])
 def test_non_finite_numbers_rejected_with_location(path, value):
     cfg = _sweep_cfg([{"path": "pulses.amp0", "start": 10.0, "stop": 30.0, "steps": 3}])
@@ -94,8 +105,16 @@ def test_non_finite_numbers_rejected_with_location(path, value):
         node = node[key]
     node[path[-1]] = value
     loc = "/".join(str(p) for p in path)
-    with pytest.raises(ConfigError, match=f"at {loc}: non-finite number {json.dumps(value)} "):
+    problem = "integer beyond the float range" if isinstance(value, int) else f"non-finite number {json.dumps(value)}"
+    with pytest.raises(ConfigError, match=f"at {loc}: {re.escape(problem)} is not allowed"):
         validate_config(cfg)
+
+
+def test_integers_below_the_float_overflow_pass_the_finite_check():
+    cfg = _base_cfg()
+    cfg["pulses"]["amp0"] = 2**1024 - 2**970 - 1  # float() rounds it to the largest double
+    validate_config(cfg)
+    assert float(cfg["pulses"]["amp0"]) == 1.7976931348623157e308
 
 
 @pytest.mark.parametrize(
@@ -201,8 +220,145 @@ _ENUM_BUILDERS = {
 
 
 def test_schema_is_valid_draft_2020_12():
-    # validate_config builds its validator once and never checks SCHEMA itself
+    # validate_config walks SCHEMA and never checks SCHEMA itself
     Draft202012Validator.check_schema(SCHEMA)
+
+
+def _schema_nodes(node):
+    yield node
+    for child in node.get("properties", {}).values():
+        yield from _schema_nodes(child)
+    if "items" in node:
+        yield from _schema_nodes(node["items"])
+
+
+def test_schema_uses_only_the_keywords_the_walker_implements():
+    # a keyword outside KEYWORDS (say "pattern") would be skipped without a word, so SCHEMA may not use one
+    nodes = list(_schema_nodes(SCHEMA))
+    used = {keyword for node in nodes for keyword in node} - {"$schema"}
+    assert used <= KEYWORDS, used - KEYWORDS
+    assert all(isinstance(name, str) for node in nodes for name in node.get("enum", ()))
+    assert all(node["additionalProperties"] is False for node in nodes if "additionalProperties" in node)
+    assert all(isinstance(node["type"], str) for node in nodes if "type" in node)
+
+
+# every section and field of SCHEMA with a valid value
+_FULL_CFG = {
+    "mode": "sweep",
+    "seed": 3,
+    "spectrum": {"delta": 5.0, "omega_exc": 2000.0, "n_levels": 3, "shape": "uniform", "spacing": 20.0,
+                 "doublet_split": 1.0, "dipole0": 2.0, "dipole1": -2.0, "epsilon0": 0.0, "jitter": 0.5, "seed": 0},
+    "pulses": {"amp0": 20.0, "amp1": 0, "omega0": 1905.0, "phi0": 0.1, "phi1": -1, "duration": 1.0,
+               "envelope0": {"shape": "trapezoid", "center": 0.5, "width": 1.0, "ramp": 0.0},
+               "envelope1": {"shape": "gaussian", "width": 0.2},
+               "gamma_y0": 0.0, "gamma_z0": 0.1, "gamma_y1": 0.0, "gamma_z1": 0.1},
+    "integrator": {"tol": 1e-10, "save_points": 5.0},
+    "initial_state": {"alpha": [1.0, 0.0], "beta": [0, 0.5]},
+    "gate": {"target": "CUSTOM", "custom_unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "k": 0, "l": 1,
+             "k_max": 4, "l_max": 9.0, "allow_rescale": True, "scale_bounds": [0.5, 2.0]},
+    "stirap": {"ordering": "counterintuitive", "delay": 0.05, "envelope": {"shape": "sin2"}},
+    "sweep": {"mode": "propagate-averaged",
+              "axes": [{"path": "pulses.amp0", "start": 10.0, "stop": 30.0, "steps": 3},
+                       {"path": "integrator.save_points", "start": 3, "stop": 5, "steps": 2.0}]},
+    "compare": {"exact_tier": "bare"},
+    "output": {"prefix": "x"},
+}
+_KEYS = sorted({key for node in _schema_nodes(SCHEMA) for key in node.get("properties", {})} | {"x", ""})
+# around every bound in SCHEMA (0, 1 and 2), integral floats among them
+_NUMBERS = st.sampled_from([0, 1, 2, 3, -1, 0.0, -0.0, 1.0, 2.0, 5.0, -1.0, 0.5, 1e-300]) | st.floats(-5.0, 5.0)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS
+    | st.sampled_from(["", "a", "sin2", "NOT", "rwa", "propagate-rwa", "pulses.amp0"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nodes(node, path=()):
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in children:
+        yield from _nodes(value, (*path, key))
+
+
+@st.composite
+def _mutated_cfgs(draw):
+    """_FULL_CFG or a bare minimum with up to four values replaced, deleted or added at random places."""
+    cfg = copy.deepcopy(draw(st.sampled_from([_FULL_CFG, _base_cfg()])))
+    for _ in range(draw(st.integers(1, 4))):
+        path, node = draw(st.sampled_from(list(_nodes(cfg))))
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "add" and isinstance(node, (dict, list)):
+            value = draw(_JSON)
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(_KEYS))] = value
+            else:
+                node.insert(draw(st.integers(0, len(node))), value)
+        elif path:
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            if action == "delete":
+                del parent[path[-1]]
+            else:  # a number mostly by another number, to reach the bounds
+                number = isinstance(node, (int, float)) and not isinstance(node, bool)
+                parent[path[-1]] = draw(_NUMBERS | _JSON if number else _JSON)
+        else:
+            cfg = draw(_JSON)
+    return cfg
+
+
+def _reference_error(cfg):
+    error = best_match(Draft202012Validator(SCHEMA).iter_errors(cfg))
+    return None if error is None else (tuple(error.absolute_path), error.message)
+
+
+def _assert_walker_matches_jsonschema(cfg):
+    expected = _reference_error(cfg)
+    assert _schema_error(copy.deepcopy(cfg), SCHEMA) == expected
+    if expected is not None:  # validate_config reports it, located the same way
+        loc = "/".join(str(p) for p in expected[0]) or "<root>"
+        with pytest.raises(ConfigError) as info:
+            validate_config(copy.deepcopy(cfg))
+        assert str(info.value) == f"config invalid at {loc}: {expected[1]}"
+
+
+@settings(max_examples=1000)
+@given(_mutated_cfgs())
+def test_walker_reports_the_error_jsonschema_best_match_picks(cfg):
+    _assert_walker_matches_jsonschema(cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    _FULL_CFG,
+    # an integral float below an error is reported as written: the ints come only once nothing is wrong
+    {**_FULL_CFG, "sweep": {"mode": "propagate-rwa", "axes": [
+        {"path": "pulses.amp0", "start": 1, "stop": 2, "steps": 3.0}, {}, {}, {}]}},
+    # several errors at one depth: the largest path wins, and at one path the first keyword and required name
+    {**_FULL_CFG, "pulses": {"amp0": -1}, "spectrum": {"x": 1}},
+    {**_FULL_CFG, "gate": {"k": -1.5, "l": 0, "extra": 1, "other": 2}},
+    {**_FULL_CFG, "initial_state": {"alpha": [True, "1"], "beta": [1, 2, 3]}},
+    # a bool is neither a number nor an integer, and a number is not a bool
+    {**_FULL_CFG, "pulses": {**_FULL_CFG["pulses"], "amp0": True}},
+    {**_FULL_CFG, "integrator": {"save_points": False}},
+    {**_FULL_CFG, "gate": {**_FULL_CFG["gate"], "allow_rescale": 1}},
+    {"mode": "nope", "y": 1, "x": 2},
+    [],
+])
+def test_walker_matches_jsonschema_on_chosen_configs(cfg):
+    _assert_walker_matches_jsonschema(cfg)
+
+
+def test_integral_floats_become_ints_only_in_a_valid_config():
+    cfg = copy.deepcopy(_FULL_CFG)
+    validate_config(cfg)
+    assert type(cfg["integrator"]["save_points"]) is int and type(cfg["gate"]["l_max"]) is int
+    assert type(cfg["sweep"]["axes"][1]["steps"]) is int
+    bad = copy.deepcopy(_FULL_CFG)
+    bad["output"]["prefix"] = ""
+    with pytest.raises(ConfigError, match="output/prefix"):
+        validate_config(bad)
+    assert bad["integrator"] == _FULL_CFG["integrator"] and type(bad["integrator"]["save_points"]) is float
 
 
 def test_every_schema_enum_value_builds():
@@ -430,9 +586,14 @@ def test_load_config_round_trip(tmp_path):
     assert cfg["mode"] == "propagate-rwa"
 
 
-def test_load_config_rejects_bad_json(tmp_path):
+@pytest.mark.parametrize("text", [
+    "{'mode': 'propagate-rwa'}",  # single quotes: not JSON
+    '{"mode": "propagate-rwa", "x": ' + "[" * 100_000 + "]" * 100_000 + "}",  # nested past json's recursion limit
+    '{"mode": "propagate-rwa", "seed": ' + "1" * 5000 + "}",  # more digits than int() converts
+], ids=["single-quotes", "nested-100000-deep", "integer-of-5000-digits"])
+def test_load_config_rejects_bad_json(tmp_path, text):
     path = tmp_path / "broken.json"
-    path.write_text("{'mode': 'propagate-rwa'}")  # single quotes: not JSON
+    path.write_text(text)
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
 
