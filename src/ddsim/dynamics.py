@@ -12,16 +12,12 @@ propagate_rwa
     phase e^{i delta_k t}, and the crossed couplings (pulse 0 on the 1<->k transition and pulse 1 on 0<->k) ride on
     an extra beat factor e^{+-i Delta t} at the qubit splitting.  This is the workhorse "exact" tier.
 
-    With both pulses on, both envelopes constant and Delta != 0 the equations repeat every beat period, and over any
-    window one eigendecomposition of their Floquet matrix gives every saved state (see below).
-
     With one pulse off (all its couplings 0, as at amplitude 0; the paper's phase gate switches the second pulse
     off) the remaining crossed coupling carries the beat alone: mu0 e^{+i Delta t} on <1|H|k> where pulse 1 is off,
     mu1 e^{-i Delta t} on <0|H|k> where pulse 0 is off.  Turning that qubit level at the beat, b_1 = c_1 e^{-i
     Delta t / hbar} (or b_0 = c_0 e^{+i Delta t / hbar}), takes the beat off and puts +Delta / hbar (or -Delta /
-    hbar) on its diagonal, so the run has one envelope, the other pulse's, at any Delta: a single-pulse frame.  A
-    constant generator (a single constant pulse, or one constant envelope at Delta = 0) takes no steps: one
-    eigendecomposition gives every saved state (see below). Other runs at Delta = 0 and shaped envelopes are
+    hbar) on its diagonal, so the run has one envelope, the other pulse's, at any Delta: a single-pulse frame.
+    Constant envelopes take no steps: one eigendecomposition gives every saved state (see below).  Other runs are
     integrated directly.  Each call logs (INFO) which path it took.
 
 propagate_averaged
@@ -55,7 +51,7 @@ Omegas in one of two ways:
 - alpha path, the reference: the alpha_j of every step are one product of the node-difference weights h
   _ALPHA_NODES @ u and the terms, and Omega takes their commutators (_alpha_omega).  Every frame of two or more
   terms takes it (shaped rwa runs with a beat, constant ones past the Floquet matrix's cap, runs with two
-  envelopes) and logs "magnus".
+  envelopes, one of them shaped) and logs "magnus".
 - one envelope: a frame of one term, -i (D + f(t) V), has every step's Omega a combination of ten fixed matrices
   whose weights are fixed combinations of fifteen monomials in the step and f at its nodes.  The ten matrices, with
   the constant weights folded in, are built once per frame (_one_envelope_basis), and the run logs "magnus (one
@@ -70,27 +66,24 @@ Omegas in one of two ways:
   An even number of saved times, an off-centre envelope, complex dipoles whose phase differs between levels and the
   bare tier's field integrate the whole window; a constant f takes no steps (see below).
 
-Where the generator is constant (one envelope, and it constant: a single constant pulse in either tier, both
-envelopes constant in the averaged tier, or in the rwa tier at Delta = 0) no step is taken: one eigendecomposition
-H/hbar = W Lambda W^dagger gives every saved state as W e^{-i Lambda t} W^dagger psi0 (_eigh_states; the
-eigenvector method for normal matrices of Moler & Van Loan, SIAM Rev. 45, 3 (2003)).  Each computed eigenvalue lies
-within its residual ||H w - lambda w|| of an exact one, so the estimate is ||W^dagger W - I|| plus the window T
-times that residual and the rounding eps |lambda| of the phases, weighted by psi0's components (_eigen_rounding).
-The log reads "one eigendecomposition of the constant generator at N saved times".
-
-Constant envelopes with a beat w = Delta / hbar (both pulses on) have H_b(t)/hbar = H0 + H1 e^{i w t} + h.c., and
-Shirley's matrix K_mn = H_{m-n} + m w delta_mn over the harmonics -N..N (Phys. Rev. 138, B979 (1965)), made real by
-diagonal phases and a phase per harmonic where it can be, gives every saved state from one eigendecomposition
-(_floquet).  N grows until the edge weight, the amplitude harmonics +-N can hold, is at most tol; with the rounding
-above it is the estimate.  Past _FLOQUET_MAX_HARMONICS the run takes Magnus steps.  The log reads "Floquet matrix
-over harmonics -N..N, dimension M, at N saved times".
+Where every envelope is constant no step is taken, with or without a beat.  The generator is then H_b(t)/hbar = H0
++ H1 e^{i w t} + h.c., with H0 = D plus the direct couplings, and H1 = (V_cos - i V_sin) / 2 the crossed ones where
+they carry the beat w = Delta / hbar (rwa with both pulses on at Delta != 0), else 0.  Shirley's matrix K_mn = H_{m-n}
++ m w delta_mn over the harmonics -N..N (Phys. Rev. 138, B979 (1965)) gives every saved state from one
+eigendecomposition K = W Lambda W^dagger (_floquet; the eigenvector method for normal matrices of Moler & Van Loan,
+SIAM Rev. 45, 3 (2003)).  Where H1 = 0 the matrix at N = 0 is H0 itself and exact; with a beat it is made real by
+diagonal phases and a phase per harmonic where it can be, and N grows until the edge weight, the amplitude harmonics
++-N can hold, is at most tol.  Each computed eigenvalue lies within its residual ||K w - lambda w|| of an exact one,
+so the estimate is the edge weight plus ||W^dagger W - I|| plus the window T times that residual and the rounding eps
+|lambda| of the phases, weighted by psi0's components (_eigen_rounding).  Past _FLOQUET_MAX_HARMONICS the run takes
+Magnus steps.  The log reads "Floquet matrix over harmonics -N..N, dimension M, at S saved times".
 
 Each step is orthogonal to rounding (the Taylor remainder is below eps), so a norm check cannot see the step error:
 each run is repeated at half the step, and the step halved until the step-doubling error estimate is at most tol
 (or the rounding floor eps * steps, with a warning when the floor accepts what tol would not), else
-PropagationError.  A NaN or infinite coupling fails the exponential's norm check in the first pass (a constant
-generator's and a Floquet matrix's check comes before their eigendecomposition).  The last eigendecomposition of
-each kind is kept for the next run with equal couplings (the other basis state of a gate check), to the same bits.
+PropagationError.  A NaN or infinite coupling fails the exponential's norm check in the first pass (a Floquet
+matrix's check comes before its eigendecomposition).  The last eigendecomposition is kept for the next run
+with equal couplings (the other basis state of a gate check), to the same bits.
 
 Norms are still checked, never renormalized: a drift of sum |c|^2 from 1 beyond _NORM_TOL raises PropagationError.
 """
@@ -103,7 +96,7 @@ import logging
 import math
 import os
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, ClassVar
@@ -170,11 +163,10 @@ class IntegratorSettings:
     """Numerical controls for the propagators.
 
     Every tier takes Magnus steps no longer than the shortest envelope switching time, halved until their
-    step-doubling error estimate is at most tol (the amplitudes have norm 1).  A constant generator (a single
-    constant pulse, or one constant envelope without a beat: the averaged tier, or rwa at Delta = 0) takes one
-    eigendecomposition and no steps, and so do constant envelopes with a beat in the rwa tier, whose Floquet matrix
-    takes as many harmonics as bring its edge weight to tol.  Their estimate, read from the decomposition, warns
-    where it exceeds tol.
+    step-doubling error estimate is at most tol (the amplitudes have norm 1).  Constant envelopes take one
+    eigendecomposition of their Floquet matrix and no steps; with a beat (rwa, both pulses on, Delta != 0) the
+    matrix takes as many harmonics as bring its edge weight to tol, without one it is the constant generator.  Its
+    estimate, read from the decomposition, warns where it exceeds tol.
     """
 
     tol: float = 1.01e-10
@@ -286,13 +278,12 @@ class _BFrame:
     warning there.
 
     A frame of one term forms its Omegas from _one_envelope_basis(terms) (one_envelope); every other frame takes
-    the alpha path (see _alpha_omega).  beat, rad/ns, is set where the u_a depend on t only through the beat phase
-    beat * t (an rwa run with both envelopes constant and Delta != 0, beat = Delta / hbar): its terms come in
-    triples (1, cos, sin) of beat * t, one per pulse group, from which _floquet builds its Floquet matrix. constant
-    marks a constant generator (one term, and its u constant), which _propagate takes by one eigendecomposition
-    (_eigh_states). mirror, the phases S of _mirror_phases, is set where H(T - t) = K H(t) K^-1 over the window [0,
-    T] with K = S conj: one shaped envelope centred on T / 2, and couplings that a diagonal phase change makes real
-    (see _mirror_pass).
+    the alpha path (see _alpha_omega).  beat, rad/ns, is set on every frame whose envelopes are all constant, which
+    _propagate takes by one eigendecomposition of its Floquet matrix (_floquet_states): where the u_a depend on t
+    through the beat phase beat * t (an rwa run with both pulses on and Delta != 0, beat = Delta / hbar) its terms
+    come in triples (1, cos, sin) of beat * t, one per pulse group; elsewhere beat is 0 and the u_a are 1. mirror,
+    the phases S of _mirror_phases, is set where H(T - t) = K H(t) K^-1 over the window [0, T] with K = S conj: one
+    shaped envelope centred on T / 2, and couplings that a diagonal phase change makes real (see _mirror_pass).
     """
 
     scalars: Callable
@@ -302,7 +293,6 @@ class _BFrame:
     c_frame: bool = False
     beat: float | None = None
     mirror: np.ndarray | None = None
-    constant: bool = False
 
     @cached_property
     def terms(self) -> np.ndarray:
@@ -562,33 +552,10 @@ def _eigen_rounding(ham, lam, w, diag):
     """(||W^dagger W - I||, and per eigenvalue the rate at which a phase may drift: its residual ||ham w - lambda w||,
     within which an exact eigenvalue lies, plus eps (|lambda| + max |diag|) for rounding lambda t and the c-frame
     phases diag t) of the eigendecomposition ham = W Lambda W^dagger of a frame with diagonal diag."""
-    drift = np.linalg.norm(ham @ w - w * lam, axis=0) + np.finfo(float).eps * (np.abs(lam) + np.max(np.abs(diag)))
-    return float(np.linalg.norm(np.conj(w).T @ w - np.eye(len(lam)))), drift
-
-
-@lru_cache(maxsize=1)
-def _constant_eigh(diag, star):
-    """(Lambda, W, _eigen_rounding) of H/hbar = diag(diag) + star, as bytes so that the last is kept for the other
-    basis state of a gate check; a non-finite coupling raises PropagationError before the decomposition."""
-    diag = np.frombuffer(diag)
-    ham = _star_matrix(diag, np.frombuffer(star, dtype=complex).reshape(2, -1))
-    if not np.all(np.isfinite(ham)):
-        raise PropagationError("constant generator is not finite; are the couplings finite?")
-    lam, w = np.linalg.eigh(ham)
-    return (lam, w, *_eigen_rounding(ham, lam, w, diag))
-
-
-def _eigh_states(frame, psi0, grid):
-    """b-frame amplitudes on grid of a constant generator (frame.constant), psi(t) = W e^{-i Lambda t} W^dagger psi0
-    (_constant_eigh), their estimate, ||W^dagger W - I|| plus the window T times sum_lambda |c_lambda| drift_lambda
-    over c = W^dagger psi0, and their log text."""
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite coupling is reported there, not by warnings
-        star = frame.scalars(grid[:1])[0, 0] * frame.stars[0]
-    lam, w, offset, drift = _constant_eigh(frame.diag.tobytes(), star.tobytes())
-    coeffs = np.conj(w).T @ psi0
-    ys = (np.exp(-1j * np.outer(grid, lam)) * coeffs) @ w.T
-    return (ys, offset + grid[-1] * float(np.abs(coeffs) @ drift),
-            f"one eigendecomposition of the constant generator at {len(grid)} saved times")
+    # the norms summed by hand: np.linalg.norm's argument checks cost more than the sums at a constant generator's size
+    residual, gram = np.abs(ham @ w - w * lam), np.abs(np.conj(w).T @ w - np.eye(len(lam)))
+    drift = np.sqrt((residual * residual).sum(axis=0)) + np.finfo(float).eps * (np.abs(lam) + np.abs(diag).max())
+    return math.sqrt((gram * gram).sum()), drift
 
 
 def _real_form(h0, h1):
@@ -625,82 +592,94 @@ def _blas_thread_setter():
     return lambda count: count
 
 
-@contextmanager
-def _one_blas_thread():
-    """Keep OpenBLAS to the calling thread within the block: for a Floquet matrix (dim 40-100) a second thread on a
-    2-core machine spun the other core (process CPU 2-4x wall time) and at times stalled the eigh by 50-130 ms."""
-    setter = _blas_thread_setter()
-    previous = setter(1)
-    try:
-        yield
-    finally:
-        setter(previous)
+def _shirley(h0, h1, beat, harmonics):
+    """Shirley's matrix K_mn = H_{m-n} + m beat delta_mn over the harmonics m, n = -N..N, of H0 and H1 = H_1 (H_-1 =
+    H1^dagger), in blocks of dimension len(h0); at N = 0 it is H0."""
+    if not harmonics:
+        return h0
+    d, count, index = len(h0), 2 * harmonics + 1, np.arange(2 * harmonics + 1)
+    k = np.zeros((count, d, count, d), dtype=h0.dtype)
+    k[index, :, index, :] = h0
+    k[index[1:], :, index[:-1], :] = h1
+    k[index[:-1], :, index[1:], :] = np.conj(h1).T
+    k = k.reshape(count * d, -1)
+    k[np.diag_indices(count * d)] += np.repeat((index - harmonics) * beat, d)
+    return k
 
 
 @lru_cache(maxsize=1)
 def _floquet(diag, stars, beat, tol):
-    """Shirley's matrix of a beating frame, decomposed, or None where it needs more than _FLOQUET_MAX_HARMONICS.
+    """Shirley's matrix of an all-constant frame, decomposed, or None where it needs more than _FLOQUET_MAX_HARMONICS.
 
     diag and stars are the frame's arrays as bytes, so that the last result is kept for the other basis state of a
-    gate check.  The stars come in triples (1, cos, sin) of beat t, so H_b(t)/hbar = H0 + H1 e^{i beat t} + h.c. with
-    H1 = (V_cos - i V_sin) / 2, and K_mn = H_{m-n} + m beat delta_mn over the harmonics -N..N, in its real form
-    (_real_form), is decomposed as W Lambda W^dagger.  The first N is the least with x^N / N! <= tol,
-    x = ||H1|| / |beat| (beating runs at g / Delta up to 0.33, over 3 to 5119 beat periods, had edge weights of
-    (c x)^N / N!, c <= 0.96); while the edge weight max_{n = +-N} sum_lambda ||W_n,lambda|| ||W_0,lambda||, a bound
-    on the amplitude harmonic n can hold, exceeds tol, N grows by 4 (each decomposition logs at DEBUG).  Returns
-    (N, S, b, Lambda, W, W_0^dagger S*, edge weight, ||W^dagger W - I||, weights): per eigenvalue its drift
-    (_eigen_rounding) summed over the harmonics n with weights ||W_n,lambda||, plus eps |n beat| for rounding
-    n beat t.  A non-finite coupling raises PropagationError before any eigh.
+    gate check.  H_b(t)/hbar = H0 + H1 e^{i beat t} + h.c. with H0 = D plus the direct stars.  Without a beat every
+    star is direct and H1 = 0, so K = H0 at N = 0 is exact (edge weight 0) and is decomposed as it is.  With one the
+    stars come in triples (1, cos, sin) of beat t, H1 = (V_cos - i V_sin) / 2, and K_mn = H_{m-n} + m beat delta_mn
+    over the harmonics -N..N (_shirley), in its real form (_real_form), is decomposed as W Lambda W^dagger.  The first
+    N is the least with x^N / N! <= tol, x = ||H1|| / |beat| (beating runs at g / Delta up to 0.33, over 3 to 5119
+    beat periods, had edge weights of (c x)^N / N!, c <= 0.96); while the edge weight max_{n = +-N} sum_lambda
+    ||W_n,lambda|| ||W_0,lambda||, a bound on the amplitude harmonic n can hold, exceeds tol, N grows by 4 (each
+    decomposition logs at DEBUG).  Returns (n = -N..N, b^n, S, Lambda, W, W_0^dagger S*, edge weight, ||W^dagger W -
+    I||, weights), with S and b the real form's phases: per eigenvalue its drift (_eigen_rounding) summed over the
+    harmonics n with weights ||W_n,lambda||, plus eps |n beat| for rounding n beat t.  A non-finite coupling raises
+    PropagationError before any eigh.
     """
     diag = np.frombuffer(diag)
     d = len(diag)
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite coupling is reported below, not by warnings
-        direct, cos, sin = np.frombuffer(stars, dtype=complex).reshape(-1, 3, 2, d - 2).sum(axis=0)
-        h0, h1 = _star_matrix(diag, direct), (_star_matrix(0.0 * diag, cos) - 1j * _star_matrix(0.0 * diag, sin)) / 2.0
-    if not (np.all(np.isfinite(h0)) and np.all(np.isfinite(h1))):
+        stars = np.frombuffer(stars, dtype=complex).reshape(-1, 3 if beat else 1, 2, d - 2).sum(axis=0)
+        h0 = _star_matrix(diag, stars[0])
+        h1 = (_star_matrix(0.0 * diag, stars[1]) - 1j * _star_matrix(0.0 * diag, stars[2])) / 2.0 if beat else 0.0
+    if not (np.isfinite(h0).all() and np.isfinite(h1).all()):
         raise PropagationError("Floquet matrix is not finite; are the couplings finite?")
-    phases, turn, h0, h1 = _real_form(h0, h1)
-    ratio, harmonics, term = np.linalg.norm(h1, 2) / abs(beat), 0, 1.0
-    while term > tol:
-        harmonics += 1
-        term *= ratio / harmonics
+    phases, turn, harmonics = 1.0, 1.0, 0
+    if beat:
+        phases, turn, h0, h1 = _real_form(h0, h1)
+        ratio, term = np.linalg.norm(h1, 2) / abs(beat), 1.0
+        while term > tol:
+            harmonics += 1
+            term *= ratio / harmonics
     while harmonics <= _FLOQUET_MAX_HARMONICS:
-        count, index = 2 * harmonics + 1, np.arange(2 * harmonics + 1)
-        k = np.zeros((count, d, count, d), dtype=h0.dtype)
-        k[index, :, index, :] = h0
-        k[index[1:], :, index[:-1], :] = h1
-        k[index[:-1], :, index[1:], :] = np.conj(h1).T
-        k = k.reshape(count * d, -1)
-        k[np.diag_indices(count * d)] += np.repeat((index - harmonics) * beat, d)
+        n = np.arange(-harmonics, harmonics + 1)
+        k = _shirley(h0, h1, beat, harmonics)
         lam, w = np.linalg.eigh(k)
-        blocks = np.linalg.norm(w.reshape(count, d, -1), axis=1)  # ||W_n,lambda||
-        edge = float(max(blocks[0] @ blocks[harmonics], blocks[-1] @ blocks[harmonics]))
+        blocks = np.sqrt((np.abs(w.reshape(len(n), d, -1)) ** 2).sum(axis=1))  # ||W_n,lambda||
+        edge = float(max(blocks[0] @ blocks[harmonics], blocks[-1] @ blocks[harmonics])) if beat else 0.0
         logger.debug("Floquet matrix over harmonics -%d..%d: edge weight %.2e", harmonics, harmonics, edge)
         if edge <= tol:
             offset, drift = _eigen_rounding(k, lam, w, diag)
-            weights = blocks.sum(axis=0) * drift + np.finfo(float).eps * abs(beat) * (np.abs(index - harmonics) @ blocks)
+            weights = blocks.sum(axis=0) * drift + np.finfo(float).eps * abs(beat) * (np.abs(n) @ blocks)
             head = np.conj(w[harmonics * d:(harmonics + 1) * d].T * phases)  # W_0^dagger S*, as every array here
-            return harmonics, phases, turn, lam, w, head, edge, offset, weights  # only ever read
+            return n, turn ** n, phases, lam, w, head, edge, offset, weights  # only ever read
         harmonics += 4
     return None
 
 
 def _floquet_states(frame, psi0, grid, tol):
-    """b-frame amplitudes on grid of a beating frame, psi(t) = S sum_n b^n e^{i n beat t} W_n e^{-i Lambda t}
+    """b-frame amplitudes on grid of an all-constant frame, psi(t) = S sum_n b^n e^{i n beat t} W_n e^{-i Lambda t}
     W_0^dagger S* psi0 (_floquet), their estimate, the edge weight plus ||W^dagger W - I|| plus T sum_lambda
-    |c_lambda| weights_lambda over c = W_0^dagger S* psi0, and their log text; None past _FLOQUET_MAX_HARMONICS."""
-    with _one_blas_thread():
+    |c_lambda| weights_lambda over c = W_0^dagger S* psi0, and their log text; None past _FLOQUET_MAX_HARMONICS.
+
+    OpenBLAS is kept to the calling thread meanwhile: for a Floquet matrix (dim 40-100) a second thread on a 2-core
+    machine spun the other core (process CPU 2-4x wall time) and at times stalled the eigh by 50-130 ms."""
+    setter = _blas_thread_setter()
+    previous = setter(1)
+    try:
         solved = _floquet(frame.diag.tobytes(), frame.stars.tobytes(), frame.beat, tol)
         if solved is None:
             return None
-        harmonics, phases, turn, lam, w, head, edge, offset, weights = solved
+        n, turns, phases, lam, w, head, edge, offset, weights = solved
         coeffs = head @ psi0
-        x = np.exp(-1j * np.outer(grid, lam)) * coeffs
-        full = (x.real @ w.T + 1j * (x.imag @ w.T)).reshape(len(grid), 2 * harmonics + 1, -1)  # two real products
-    n = np.arange(-harmonics, harmonics + 1)
-    ys = phases * (np.exp(1j * np.outer(frame.beat * grid, n))[:, None, :] * turn ** n @ full)[:, 0]
+        x = np.exp(-1j * (grid[:, None] * lam)) * coeffs
+        # a real W (the real form) takes two real products
+        full = (x @ w.T if np.iscomplexobj(w) else x.real @ w.T + 1j * (x.imag @ w.T)).reshape(len(grid), len(n), -1)
+    finally:
+        setter(previous)
+    if len(n) > 1:  # the harmonics' phases; at N = 0, W_0 alone
+        full = np.exp(1j * np.outer(frame.beat * grid, n))[:, None, :] * turns @ full
+    ys = phases * full[:, 0]
     return (ys, edge + offset + grid[-1] * float(np.abs(coeffs) @ weights),
-            f"Floquet matrix over harmonics -{harmonics}..{harmonics}, dimension {len(lam)}, at {len(grid)} saved times")
+            f"Floquet matrix over harmonics -{n[-1]}..{n[-1]}, dimension {len(lam)}, at {len(grid)} saved times")
 
 
 def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
@@ -739,8 +718,8 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
 
 def _propagate(model, psi0, frame, pulses, settings):
     """Integrate the star-coupled equations of a tier, in its b-frame form model (a _BFrame), from psi0 over
-    [0, pulses.duration]: by one eigendecomposition where the generator is constant (_eigh_states) or beats
-    (_floquet_states, unless past _FLOQUET_MAX_HARMONICS), else by Magnus steps (_magnus)."""
+    [0, pulses.duration]: by one eigendecomposition where every envelope is constant (_floquet_states, unless past
+    _FLOQUET_MAX_HARMONICS), else by Magnus steps (_magnus)."""
     settings = settings or IntegratorSettings()
     if psi0.frame != frame:
         raise ValueError(f"initial state is in frame {psi0.frame!r}, expected {frame!r}")
@@ -748,8 +727,7 @@ def _propagate(model, psi0, frame, pulses, settings):
         raise ValueError(f"state has {len(psi0.amplitudes)} amplitudes, structure needs {len(model.diag)}")
     grid = np.linspace(0.0, pulses.duration, settings.save_points)
     note = ""
-    solved = (_eigh_states(model, psi0.amplitudes, grid) if model.constant
-              else model.beat is not None and _floquet_states(model, psi0.amplitudes, grid, settings.tol))
+    solved = model.beat is not None and _floquet_states(model, psi0.amplitudes, grid, settings.tol)
     if solved:
         ys, estimate, path = solved
         floor, kind, bound = max(settings.tol, estimate), "Eigendecomposition", "||H W - W Lambda|| T"
@@ -798,8 +776,8 @@ def _rwa_frame(couplings, pulses, crossed):
     and at any beat where one pulse's couplings are all 0: f is then the other pulse's envelope, and qubit level 1
     (pulse 1 off) or 0 (pulse 0 off) is turned at the beat, +wq or -wq on its diagonal, which takes the beat off
     the one crossed coupling left.  One shaped envelope centred in the window also takes the mirror phases of
-    those couplings (_mirror_phases); a constant one takes no steps (see _propagate).  A beat with
-    both envelopes constant sets the frame's beat, which takes the Floquet matrix over any window (_floquet).
+    those couplings (_mirror_phases).  Envelopes that are all constant set the frame's beat, wq where the scalars
+    carry it and 0 elsewhere, which takes one Floquet matrix over any window and no steps (_floquet).
     """
     wd = couplings.delta / HBAR                            # detuning phases, rad/ns
     wq = couplings.delta_qubit / HBAR if crossed else 0.0  # beat phase, rad/ns
@@ -813,12 +791,12 @@ def _rwa_frame(couplings, pulses, crossed):
         mu0, mu1 = ((couplings.mu0 * phase0 / HBAR, couplings.mu1 * phase1 / HBAR) if crossed
                     else (zero, np.zeros_like(lam1)))
         g_max = np.hypot(np.abs(lam0) + np.abs(mu1), np.abs(mu0) + np.abs(lam1))
-        rate = np.max(np.abs(wd), initial=0.0) + abs(wq) + np.linalg.norm(g_max)
+        rate = np.abs(wd).max(initial=0.0) + abs(wq) + math.sqrt(g_max.dot(g_max))
         # a pulse whose couplings are all 0 (amplitude 0) leaves the other's envelope alone, and turning the qubit
         # level that the remaining crossed coupling reaches at the beat takes the beat off it: level 1 at +wq
         # where pulse 1 is off, level 0 at -wq where pulse 0 is off
-        off1 = not (np.any(lam1) or np.any(mu1))
-        off0 = not (off1 or np.any(lam0) or np.any(mu0))
+        off1 = not (lam1.any() or mu1.any())
+        off0 = not (off1 or lam0.any() or mu0.any())
         qubit = (0.0, wq) if off1 else (-wq, 0.0) if off0 else (0.0, 0.0)
         if off1 or off0 or (wq == 0.0 and env0 == env1):
             envelopes, stars = (env1 if off0 else env0,), np.array([[lam0 + mu1, mu0 + lam1]])
@@ -830,7 +808,7 @@ def _rwa_frame(couplings, pulses, crossed):
             envelopes, stars = (((env0,), pulse0 + pulse1) if env0 == env1
                                 else ((env0, env1), np.concatenate((pulse0, pulse1))))
         one_term = len(stars) == 1
-        constant = one_term and envelopes[0].shape == "constant"
+        constant = all(env.shape == "constant" for env in envelopes)
         # f(T - t) = f(t): the envelope is centred in the window; a constant one takes no steps and never mirrors
         centred = (one_term and not constant
                    and abs(envelopes[0].center - 0.5 * pulses.duration) <= 1e-12 * pulses.duration)
@@ -844,10 +822,8 @@ def _rwa_frame(couplings, pulses, crossed):
         theta = wq * t
         return (f[:, None] * np.array([np.ones_like(t), np.cos(theta), np.sin(theta)])).reshape(-1, len(t))
 
-    # the scalars depend on t only through wq t
-    beating = turning and env0.shape == env1.shape == "constant"
     return _BFrame(scalars, stars, np.concatenate((qubit, -wd)), rate, c_frame=crossed,
-                   beat=wq if beating else None, mirror=mirror, constant=constant)
+                   beat=(wq if turning else 0.0) if constant else None, mirror=mirror)
 
 
 def propagate_rwa(
@@ -860,13 +836,13 @@ def propagate_rwa(
 
     The couplings must have been derived from the same pulse pair (the
     detuning list and the crossed couplings are trusted as given).
-    Constant envelopes with Delta != 0, over any window, take one
-    eigendecomposition of their Floquet matrix ("Floquet matrix over
-    harmonics -N..N"), kept for the next run with equal couplings and
-    tol.  With one pulse off (all its couplings 0) the run takes a
-    single-pulse frame with one envelope; a constant generator (a single
-    constant pulse, or constant envelopes at Delta = 0) takes one
-    eigendecomposition: see the module docstring.
+    Constant envelopes, over any window, take one eigendecomposition of
+    their Floquet matrix ("Floquet matrix over harmonics -N..N"), kept
+    for the next run with equal couplings and tol: harmonics -N..N of
+    the beat with both pulses on at Delta != 0, harmonic 0 (the constant
+    generator) without one.  With one pulse off (all its couplings 0)
+    the run takes a single-pulse frame with one envelope: see the module
+    docstring.
     """
     return _propagate(_rwa_frame(couplings, pulses, crossed=True), psi0, "rwa", pulses, settings)
 
@@ -883,9 +859,9 @@ def propagate_averaged(
     2 pi hbar / Delta; a violation is reported as a warning, not an
     error, since the comparison against the rwa tier is itself a useful
     diagnostic.  Shared envelopes, or one pulse off, take the
-    one-envelope basis; where that envelope is constant the generator is
-    constant and the run takes one eigendecomposition: see the module
-    docstring.
+    one-envelope basis; where every envelope is constant the generator
+    is constant and the run takes one eigendecomposition of it (the
+    Floquet matrix over harmonic 0): see the module docstring.
     """
     if not slow_switching_ok(pulses, couplings.delta_qubit):
         warnings.warn(

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import settings
 
 
-# every property draws the same examples on every run, keeps no example database and has no
-# per-example deadline, so Tier-1 stays deterministic; a property sets only its max_examples
+# every property seeds its draws from the test itself, keeps no example database and has no per-example
+# deadline; a property sets only its max_examples.  The draws are not always the same from run to run:
+# Hypothesis (6.155) also draws constants that it collects from the loaded local modules, and which ones it
+# takes varies with the process's memory layout (the 1000 examples of a property differed between runs in a
+# few or in hundreds of examples; with that pool emptied, or address randomization off, every run drew the
+# same), and no setting turns that pool off
 settings.register_profile("ddsim", derandomize=True, database=None, deadline=None)
 settings.load_profile("ddsim")
 

@@ -907,15 +907,15 @@ _BEAT_WINDOW = 2.4814006179624018  # exactly 3 beat periods at Delta = 5 ueV
     pytest.param("propagate-rwa", {**_FLAT, "duration": _BEAT_WINDOW}, 2,
                  r"rwa propagation: Floquet matrix over harmonics -(\d+)\.\.\1, dimension \d+, at 2 saved times"
                  r", error estimate \S+ \(tolerance \S+\)$", id="beat"),
-    # the same pulses in the averaged tier: both share one envelope and no beat is left, so the generator is
-    # constant and one eigendecomposition gives every saved state
+    # the same pulses in the averaged tier: no beat is left, so the generator is constant, and its Floquet matrix
+    # over harmonic 0 alone, one eigendecomposition, gives every saved state
     pytest.param("propagate-averaged", {**_FLAT, "duration": _BEAT_WINDOW}, 2,
-                 r"averaged propagation: one eigendecomposition of the constant generator at 2 saved times, "
+                 r"averaged propagation: Floquet matrix over harmonics -0\.\.0, dimension 5, at 2 saved times, "
                  r"error estimate \S+ \(tolerance \S+\)$", id="beat_averaged"),
     # pulse 1 off, as in the paper's phase gate: turning qubit level 1 at the beat takes the beat off the crossed
     # coupling and leaves one constant envelope, so the rwa run's generator is constant too
     pytest.param("propagate-rwa", {**_FLAT, "amp1": 0, "duration": _BEAT_WINDOW}, 2,
-                 r"rwa propagation: one eigendecomposition of the constant generator at 2 saved times, "
+                 r"rwa propagation: Floquet matrix over harmonics -0\.\.0, dimension 5, at 2 saved times, "
                  r"error estimate \S+ \(tolerance \S+\)$", id="single"),
     # one sin2 pulse shape centred in the window, averaged tier, at the default 201 save points: the run integrates
     # the first half of the window and takes the second by time reversal
@@ -955,8 +955,8 @@ def test_each_fast_path_logs_its_line(tmp_path, caplog, monkeypatch, mode, pulse
 ])
 def test_non_finite_coupling_of_a_constant_run_exits_numeric_without_files(tmp_path, capsys, monkeypatch, mode,
                                                                           pulses):
-    # the config path rejects non-finite numbers, so the NaN is planted in the derived couplings: a constant
-    # generator, and constant pulses with a beat (the Floquet matrix), check them before their eigendecomposition
+    # the config path rejects non-finite numbers, so the NaN is planted in the derived couplings: constant pulses,
+    # with a beat or without one, check their Floquet matrix before its eigendecomposition
     derive = cli.derive_couplings
 
     def planted(*args):

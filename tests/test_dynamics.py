@@ -505,13 +505,13 @@ def test_every_beat_run_is_within_the_default_tol(case):
     pytest.param("constant", 3.5, "rwa propagation: Floquet matrix over harmonics -7..7, dimension 45, at 201 saved times",
                  id="constant-3.5-floquet"),
     ("sin2", 3.5, "magnus over"),
-    # rwa at Delta = 0 with one envelope: the crossed couplings carry no beat, and a constant generator takes one
-    # eigendecomposition
-    pytest.param("zero", 3.5, "rwa propagation: one eigendecomposition of the constant generator at 201 saved times, "
-                 "error estimate ", id="zero-3.5-one eigendecomposition"),
+    # rwa at Delta = 0 with one envelope: the crossed couplings carry no beat, and the constant generator is the
+    # Floquet matrix over harmonic 0 alone, one eigendecomposition
+    pytest.param("zero", 3.5, "rwa propagation: Floquet matrix over harmonics -0..0, dimension 3, at 201 saved "
+                 "times, error estimate ", id="zero-3.5-one eigendecomposition"),
     # pulse 1 off: turning qubit level 1 at the beat leaves one envelope, constant or shaped
-    pytest.param("off", 3.5, "rwa propagation: one eigendecomposition of the constant generator at 201 saved times, "
-                 "error estimate ", id="off-3.5-one eigendecomposition"),
+    pytest.param("off", 3.5, "rwa propagation: Floquet matrix over harmonics -0..0, dimension 3, at 201 saved "
+                 "times, error estimate ", id="off-3.5-one eigendecomposition"),
     pytest.param("off sin2", 3.5, "rwa propagation: magnus (one envelope) over",
                  id="off sin2-3.5-magnus (one envelope)"),
     pytest.param("constant", 1.5, "rwa propagation: Floquet matrix over harmonics -7..7, dimension 45, at 201 saved times",
@@ -569,19 +569,18 @@ def _memo_case(delta_qubit=30.0, periods=3.5, **pair):
 
 def test_second_basis_state_is_bit_identical_to_a_cold_run(monkeypatch):
     # the run from |0> decomposes and the run from |1> is served its decomposition; with the kept one cleared, the
-    # run from |1> decomposes afresh, to the same bits: constant pulses with a beat (the Floquet matrix), and with
-    # pulse 1 off (a constant generator, as in a PHASE gate)
+    # run from |1> decomposes afresh, to the same bits: constant pulses with a beat, and with pulse 1 off (no beat,
+    # as in a PHASE gate)
     dims = _count_decompositions(monkeypatch)
-    ddsim.dynamics._constant_eigh.cache_clear()
     fold_cs, pp, _, _ = _fold_draw(5, 2, +1, 12.5)
     settings = IntegratorSettings(save_points=7)
     one = StateVector.qubit(0.0, 1.0, 2)
-    for cs, kept in ((fold_cs, ddsim.dynamics._floquet), (_pulse_off(fold_cs, 1), ddsim.dynamics._constant_eigh)):
+    for cs in (fold_cs, _pulse_off(fold_cs, 1)):
         dims.clear()
         propagate_rwa(cs, pp, StateVector.qubit(1.0, 0.0, 2), settings)
         warm = propagate_rwa(cs, pp, one, settings)
         assert len(dims) == 1
-        kept.cache_clear()
+        ddsim.dynamics._floquet.cache_clear()
         cold = propagate_rwa(cs, pp, one, settings)
         assert len(dims) == 2
         assert np.array_equal(warm.times, cold.times)
@@ -917,10 +916,9 @@ def _shaped_draw(seed, n, sign, shape, shift, window, tier="rwa"):
 
 def _magnus_run(cs, pp, psi, settings=None):
     """The trajectory of a run, its (steps, halvings, error estimate, tolerance) and the engine's propagator over
-    the window.  A constant generator, and constant envelopes with a beat, take one eigendecomposition: no steps or
-    halvings, and the tolerance is the larger of tol and its estimate, as _propagate logs them."""
-    magnus, eigh_states, calls = ddsim.dynamics._magnus, ddsim.dynamics._eigh_states, []
-    floquet_states = ddsim.dynamics._floquet_states
+    the window.  Constant envelopes, with or without a beat, take one eigendecomposition of their Floquet matrix: no
+    steps or halvings, and the tolerance is the larger of tol and its estimate, as _propagate logs them."""
+    magnus, floquet_states, calls = ddsim.dynamics._magnus, ddsim.dynamics._floquet_states, []
     tol = (settings or IntegratorSettings()).tol
 
     def recorded(frame, y0, *args, **kwargs):
@@ -928,21 +926,17 @@ def _magnus_run(cs, pp, psi, settings=None):
         calls.append((info[:4], lambda: magnus(frame, np.eye(len(y0), dtype=complex), *args, **kwargs)[0][-1]))
         return ys, info
 
-    def recorder(states):
-        def recorded(frame, y0, *args):
-            solved = states(frame, y0, *args)
-            if solved is not None:
-                columns = np.eye(len(y0), dtype=complex)
-                calls.append(((0, 0, solved[1], max(tol, solved[1])),
-                              lambda: np.column_stack([states(frame, column, *args)[0][-1] for column in columns])))
-            return solved
-
-        return recorded
+    def recorded_states(frame, y0, *args):
+        solved = floquet_states(frame, y0, *args)
+        if solved is not None:
+            columns = np.eye(len(y0), dtype=complex)
+            calls.append(((0, 0, solved[1], max(tol, solved[1])),
+                          lambda: np.column_stack([floquet_states(frame, c, *args)[0][-1] for c in columns])))
+        return solved
 
     propagate = propagate_rwa if psi.frame == "rwa" else propagate_averaged
     with mock.patch.object(ddsim.dynamics, "_magnus", recorded), \
-            mock.patch.object(ddsim.dynamics, "_eigh_states", recorder(eigh_states)), \
-            mock.patch.object(ddsim.dynamics, "_floquet_states", recorder(floquet_states)):
+            mock.patch.object(ddsim.dynamics, "_floquet_states", recorded_states):
         traj = propagate(cs, pp, psi, settings)
     [(info, propagator)] = calls
     return traj, info, propagator
@@ -1260,20 +1254,27 @@ def _beat_draw(seed, n, sign, drive, detuning):
 
 
 @pytest.mark.filterwarnings("ignore:envelope switching time is short")
-def test_only_constant_envelope_rwa_frames_carry_the_beat():
-    # the scalars of constant envelopes with a beat depend on t only through the beat phase, so the frame carries
-    # the beat, from which _floquet builds its matrix; either sign of Delta
+def test_only_constant_envelope_frames_carry_the_beat():
+    # every frame whose envelopes are all constant carries the beat, from which _floquet builds its matrix: Delta /
+    # hbar where the scalars depend on t through the beat phase (rwa, both pulses on; either sign of Delta)
     for seed, sign in ((11, 1), (12, -1)):
         cs, frame = _beat_draw(seed, 3, sign, 0.3, 10.0)
         assert frame.beat == cs.delta_qubit / HBAR
-    # shaped rwa, rwa at Delta = 0, bare and averaged runs have no beat
     sp, om0 = _single_level(-300.0, delta_qubit=30.0)
     sin2 = Envelope("sin2", center=1.0, width=2.0)
     flat = _flat_pair(sp, om0, amp=20.0, duration=2.0)
     shaped = dataclasses.replace(flat, envelope0=sin2, envelope1=sin2)
     still, still_om0 = _single_level(-300.0)
-    for tier, model, pulses in (("rwa", sp, shaped), ("rwa", still, _flat_pair(still, still_om0, 20.0, 2.0)),
-                                ("bare", sp, shaped), ("averaged", sp, flat), ("averaged", sp, shaped)):
+    # and 0 where the scalars are constant: rwa at Delta = 0, one pulse off, the averaged tier, and two constant
+    # envelopes that compare unequal
+    unequal = dataclasses.replace(flat, envelope0=Envelope("constant", center=1.0))
+    for tier, model, pulses in (("rwa", still, _flat_pair(still, still_om0, 20.0, 2.0)),
+                                ("rwa", sp, dataclasses.replace(flat, amp1=0.0)), ("averaged", sp, flat),
+                                ("averaged", sp, unequal)):
+        assert _tier_frame(tier, derive_couplings(model, pulses), pulses).beat == 0.0
+    # shaped rwa and averaged runs, and bare runs, have no beat
+    for tier, model, pulses in (("rwa", sp, shaped), ("bare", sp, shaped), ("bare", sp, flat),
+                                ("averaged", sp, shaped)):
         model = model if tier == "bare" else derive_couplings(model, pulses)
         assert _tier_frame(tier, model, pulses).beat is None
 
@@ -1644,12 +1645,13 @@ def _unrotated_frame(cs, pp):
 def test_single_pulse_runs_match_the_unrotated_alpha_path(seed, n, sign, off, shape, shift, save_points, window):
     # with one pulse off the rwa frame turns the qubit level that the other pulse's crossed coupling reaches at the
     # beat (level 1 at +Delta / hbar where pulse 1 is off, level 0 at -Delta / hbar where pulse 0 is off), which
-    # leaves one envelope: a constant one takes one eigendecomposition, a shaped one the one-envelope basis.
-    # The same couplings with the beat left on them, six terms on the alpha path at tol 1e-13, are the reference
+    # leaves one envelope: a constant one takes one eigendecomposition (its Floquet matrix without a beat), a shaped
+    # one the one-envelope basis.  The same couplings with the beat left on them, six terms on the alpha path at tol
+    # 1e-13, are the reference
     cs, pp, psi = _shaped_draw(seed, n, sign, shape, shift, window)
     cs = _pulse_off(cs, off)
     frame = _tier_frame("rwa", cs, pp)
-    assert len(frame.stars) == 1 and frame.beat is None
+    assert len(frame.stars) == 1 and frame.beat == (0.0 if shape == "constant" else None)
     t = np.linspace(0.0, window, 7)
     assert np.array_equal(frame.scalars(t), (pp.envelope1 if off == 0 else pp.envelope0)(t)[None])
     qubit = [0.0, 0.0]
@@ -1731,8 +1733,8 @@ def _extended_run(ham, diag, psi, times):
        n=st.integers(1, 10), sign=st.sampled_from([-1, 1]), save_points=st.sampled_from([2, 3, 201, 1001, 2001]),
        window=st.floats(0.2, 2.0))
 def test_constant_generators_match_expm_at_every_saved_time(seed, case, n, sign, save_points, window):
-    # a constant generator takes one eigendecomposition for all saved times and no steps; scipy's expm of
-    # the generator built from the couplings is the independent reference
+    # a constant generator is its Floquet matrix over harmonic 0 alone: one eigendecomposition for all saved times
+    # and no steps; scipy's expm of the generator built from the couplings is the independent reference
     cs, pp, psi, ham, diag = _constant_draw(seed, case, n, sign, window)
     propagate = propagate_averaged if case == "averaged" else propagate_rwa
     with mock.patch.object(ddsim.dynamics.logger, "info") as info:
@@ -1740,12 +1742,12 @@ def test_constant_generators_match_expm_at_every_saved_time(seed, case, n, sign,
     [(args, _)] = info.call_args_list
     line = args[0] % args[1:]
     tier = "averaged" if case == "averaged" else "rwa"
-    match = re.fullmatch(rf"{tier} propagation: one eigendecomposition of the constant generator at {save_points} "
-                         r"saved times, error estimate (\S+) \(tolerance 1\.0e-10\)", line)
+    match = re.fullmatch(rf"{tier} propagation: Floquet matrix over harmonics -0\.\.0, dimension {n + 2}, at "
+                         rf"{save_points} saved times, error estimate (\S+) \(tolerance 1\.0e-10\)", line)
     assert match
-    # the estimate is read from the decomposition of the frame's generator: ||W^dagger W - I|| plus the window times
-    # the components |c| = |W^dagger psi0| weighing each eigenvalue's residual ||H w - lambda w|| and the rounding
-    # eps (|lambda| + max |diag|) of lambda t and of the c-frame phases
+    # the estimate is read from the decomposition of the frame's generator: the edge weight 0, ||W^dagger W - I||,
+    # and the window times the components |c| = |W^dagger psi0| weighing each eigenvalue's residual ||H w - lambda
+    # w|| and the rounding eps (|lambda| + max |diag|) of lambda t and of the c-frame phases
     frame = ddsim.dynamics._rwa_frame(cs, pp, crossed=case != "averaged")
     gen = np.diag(frame.diag).astype(complex)
     gen[:2, 2:] = frame.scalars(np.zeros(1))[0, 0] * frame.stars[0]
@@ -1806,16 +1808,20 @@ _CONSTANT_CASES = ["pulse 0 off", "pulse 1 off", "averaged", "rwa at zero"]
 
 @pytest.mark.parametrize("case", ["PHASE gate"] + _CONSTANT_CASES)
 def test_constant_generators_take_no_magnus_pass(case, monkeypatch):
-    # a constant generator takes one eigendecomposition per run, from its diagonal and star: no Magnus pass, no
+    # a constant generator takes its Floquet matrix over harmonic 0 alone, from its diagonal and star: one
+    # eigendecomposition per run, or per gate check, whose two basis states share it; no Magnus pass, no
     # exponential of a real form, and no real-form terms
-    eigh_states, frames = ddsim.dynamics._eigh_states, []
+    floquet_states, frames, harmonics = ddsim.dynamics._floquet_states, [], []
+    dims = _count_decompositions(monkeypatch)
 
     def recorded(frame, *args):
         frames.append(frame)
-        return eigh_states(frame, *args)
+        solved = floquet_states(frame, *args)
+        harmonics.append(re.match(r"Floquet matrix over harmonics -(\d+)", solved[2])[1])
+        return solved
 
-    monkeypatch.setattr(ddsim.dynamics, "_eigh_states", recorded)
-    for name in ("_magnus", "_magnus_pass", "_mirror_pass", "_one_envelope_basis", "_expm"):
+    monkeypatch.setattr(ddsim.dynamics, "_floquet_states", recorded)
+    for name in ("_magnus", "_magnus_pass", "_mirror_pass", "_one_envelope_basis", "_expm", "_real_form"):
         monkeypatch.setattr(ddsim.dynamics, name, mock.Mock(side_effect=AssertionError(f"{name} called")))
     if case == "PHASE gate":  # both basis states of criterion 4's PHASE check
         cs, pp = _criterion_4_gate(2005.0, 5.0, 1905.0, 0.2, 50.0, GateSpec(target="PHASE", l=10))
@@ -1825,8 +1831,26 @@ def test_constant_generators_take_no_magnus_pass(case, monkeypatch):
         cs, pp, psi, _, _ = _constant_draw(3, case, 4, 1, 0.5)
         propagate = propagate_averaged if case == "averaged" else propagate_rwa
         propagate(cs, pp, psi, IntegratorSettings(save_points=5))
-    assert len(frames) == (2 if case == "PHASE gate" else 1)
-    assert all(frame.constant and "terms" not in frame.__dict__ for frame in frames)
+    assert len(frames) == (2 if case == "PHASE gate" else 1) and harmonics == ["0"] * len(frames)
+    assert len(dims) == 1
+    assert all(frame.beat == 0.0 and "terms" not in frame.__dict__ for frame in frames)
+
+
+@pytest.mark.parametrize("case", ["averaged", "rwa at zero"])
+def test_unequal_constant_envelopes_take_one_decomposition(case, monkeypatch):
+    # two constant envelopes that compare unequal (their centres differ) are both 1 everywhere, so without a beat
+    # the generator is constant: one eigendecomposition and no Magnus steps, and scipy's expm of the generator built
+    # from the couplings at every saved time
+    cs, pp, psi, ham, diag = _constant_draw(3, case, 4, 1, 0.5)
+    pp = dataclasses.replace(pp, envelope0=Envelope("constant", center=1.0), envelope1=Envelope("constant"))
+    assert pp.envelope0 != pp.envelope1
+    dims = _count_decompositions(monkeypatch)
+    for name in ("_magnus", "_expm"):
+        monkeypatch.setattr(ddsim.dynamics, name, mock.Mock(side_effect=AssertionError(f"{name} called")))
+    propagate = propagate_averaged if case == "averaged" else propagate_rwa
+    traj = propagate(cs, pp, psi, IntegratorSettings(save_points=201))
+    assert len(dims) == 1
+    assert np.max(np.abs(traj.amplitudes - _expm_run(ham, diag, psi.amplitudes, traj.times))) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
