@@ -57,8 +57,9 @@ Omegas in one of two ways:
   the constant weights folded in, are built once per frame (_one_envelope_basis), and the run logs "magnus (one
   envelope)". The bare tier always has one term; the rwa and averaged tiers where envelope0 == envelope1 (constant
   included) without a beat (the averaged tier, or rwa at Delta = 0), or with one pulse off. Where f is a shaped
-  envelope centred in the window [0, T], f(T - t) = f(t), and a diagonal phase change S makes V real (each row of V
-  one complex factor times real dipoles), H(T - t) = K H(t) K^-1 for the antiunitary K = S conj, so U(T - a, T - b)
+  envelope centred in the window [0, T], f(T - t) = f(t), and a diagonal phase change P makes V real (each row of V
+  one complex factor times real dipoles, zero couplings included: _real_form, the gauge of the Floquet matrix
+  below), S = P^2 has S conj(V) S* = V, so H(T - t) = K H(t) K^-1 for the antiunitary K = S conj and U(T - a, T - b)
   = K U(a, b) K^-1.  The three-node Gauss step is time-symmetric too, so on steps that mirror about T / 2 (an odd
   number of saved times) each pass integrates the propagators U_j of the first half only and takes psi(T - t_j) = S
   conj(U_j) U_mid^T S* U_mid psi0 (_mirror_pass): half the exponentials, the same states to rounding, and the same
@@ -282,8 +283,8 @@ class _BFrame:
     _propagate takes by one eigendecomposition of its Floquet matrix (_floquet_states): where the u_a depend on t
     through the beat phase beat * t (an rwa run with both pulses on and Delta != 0, beat = Delta / hbar) its terms
     come in triples (1, cos, sin) of beat * t, one per pulse group; elsewhere beat is 0 and the u_a are 1. mirror,
-    the phases S of _mirror_phases, is set where H(T - t) = K H(t) K^-1 over the window [0, T] with K = S conj: one
-    shaped envelope centred on T / 2, and couplings that a diagonal phase change makes real (see _mirror_pass).
+    the phases S = P^2 of the real gauge P of _real_form, is set where H(T - t) = K H(t) K^-1 over the window [0, T]
+    with K = S conj: one shaped envelope centred on T / 2, and couplings that P makes real (see _mirror_pass).
     """
 
     scalars: Callable
@@ -298,10 +299,8 @@ class _BFrame:
     def terms(self) -> np.ndarray:
         """-i D and the -i V_a in real form, flattened to shape (1 + A, (2 dim)^2)."""
         dim = len(self.diag)
-        gen = np.zeros((1 + len(self.stars), dim, dim), dtype=complex)
-        gen[0] = np.diag(-1j * self.diag)
-        gen[1:, :2, 2:] = -1j * self.stars
-        gen[1:, 2:, :2] = -np.conj(np.swapaxes(gen[1:, :2, 2:], 1, 2))
+        gen = -1j * np.array([_star_matrix(self.diag, np.zeros_like(self.stars[0]))]
+                             + [_star_matrix(np.zeros(dim), star) for star in self.stars])
         real = np.empty((len(gen), dim, 2, dim, 2))
         real[:, :, 0, :, 0] = real[:, :, 1, :, 1] = gen.real
         real[:, :, 1, :, 0] = gen.imag
@@ -474,23 +473,6 @@ def _magnus_pass(frame, y0, knots, counts):
     return out[:, 0::2] + 1j * out[:, 1::2]
 
 
-def _mirror_phases(v0, v1):
-    """The diagonal S, shape (2 + n,), with S conj(V) S* = V for the star <0|V|k> = v0_k, <1|V|k> = v1_k, or None.
-
-    S_0 = 1, S_k = e^{-2 i arg v0_k} and S_1 = e^{2 i (arg v1_k - arg v0_k)}, which must agree across the levels k
-    within 16 ulps (dipoles of one phase give a few; a loop phase arg(v1_k / v0_k) that differs between levels,
-    as complex dipoles can give, does not agree).  A coupling that is zero or not finite leaves S undefined.
-    """
-    r0, r1 = np.abs(v0), np.abs(v1)
-    if not (np.all((0.0 < r0) & (r0 < math.inf)) and np.all((0.0 < r1) & (r1 < math.inf))):  # also rejects NaN
-        return None
-    u0, u1 = v0 / r0, v1 / r1
-    loop = (u1 * np.conj(u0)) ** 2
-    if np.max(np.abs(loop - loop[0])) > 16.0 * np.finfo(float).eps:
-        return None
-    return np.concatenate(([1.0, loop[0]], np.conj(u0) ** 2))
-
-
 def _is_mirror_grid(knots, counts):
     """Whether the steps of counts[j] over [knots[j], knots[j + 1]] mirror about the middle knot of the window
     [0, knots[-1]]: an odd number of knots, each knots[i] + knots[-1 - i] within 4 ulps of knots[-1], and counts
@@ -558,27 +540,38 @@ def _eigen_rounding(ham, lam, w, diag):
     return math.sqrt((gram * gram).sum()), drift
 
 
-def _real_form(h0, h1):
-    """(S, b, S* H0 S, b* S* H1 S), real, with diagonal phases S_j = e^{i alpha_j} and a harmonic phase b = e^{i beta},
-    or (1, 1, H0, H1) where no such phases exist (complex dipoles whose phase differs between levels).  With
-    <0|H0|k> = a_k, <1|H0|k> = b_k, <1|H1|k> = c_k, <k|H1|0> = e_k and alpha_0 = 0, the entries are real where
-    alpha_k = -arg a_k = alpha_1 - arg b_k = alpha_1 + beta - arg c_k = arg e_k - beta (mod pi): alpha_1 and beta
-    follow from the largest products b_k a_k*, e_k a_k and c_k b_k*, each alpha_k from its largest coupling, and
-    they are kept where no imaginary part exceeds 16 ulps of the largest entry."""
-    a, b, c, e = h0[0, 2:], h0[1, 2:], h1[1, 2:], h1[2:, 0]
+def _real_form(star, crossed=None):
+    """(P, b): diagonal phases P_j = e^{i alpha_j}, shape (2 + n,), and a harmonic phase b = e^{i beta} that make
+    P* H0 P and b* P* H1 P real, else None (complex dipoles whose phase differs between levels, or a coupling not
+    finite).
 
-    def unit(z):  # the phase of the largest entry, 1 if all vanish
-        z = z.flat[np.argmax(np.abs(z))]
+    star holds <0|H0|k> = a_k and <1|H0|k> = b_k; crossed, where a beat carries H1 (_floquet), <j|H1|k> and <k|H1|j>
+    as crossed[0, j, k] and crossed[1, j, k], of which the rwa tier fills c_k = <1|H1|k> and e_k = <k|H1|0>.  With
+    alpha_0 = 0 the entries are real where alpha_k = -arg a_k = alpha_1 - arg b_k = alpha_1 + beta - arg c_k = arg e_k
+    - beta (mod pi): alpha_1 and beta follow from the largest products b_k a_k*, e_k a_k and c_k b_k*, each alpha_k
+    from its largest coupling (a zero one constrains nothing; a non-finite one leaves a NaN phase), kept where no
+    imaginary part exceeds 16 ulps of the largest coupling.  _floquet decomposes Shirley's matrix in this form, and
+    a star V with P* V P real has S conj(V) S* = V for S = P^2, the mirror phases of _rwa_frame (_mirror_pass).
+    """
+    def unit(z):  # the phase of z's largest entry, 1 if all vanish
+        z = z[np.abs(z).argmax()]
         return z / abs(z) if z else 1.0
 
-    turn, beta = unit(b * np.conj(a)), unit(np.concatenate((e * a, c * np.conj(b))))
-    options = np.array([np.conj(a), turn * np.conj(b), turn * beta * np.conj(c), e * np.conj(beta)])
-    phases = np.concatenate(([1.0, turn], [unit(z) for z in options.T]))
-    r0, r1 = np.conj(phases)[:, None] * h0 * phases, np.conj(beta * phases)[:, None] * h1 * phases
-    if max(np.max(np.abs(r0.imag)), np.max(np.abs(r1.imag))) > 16.0 * np.finfo(float).eps * max(
-            np.max(np.abs(r0)), np.max(np.abs(r1))):
-        return np.ones(len(h0)), 1.0, h0, h1
-    return phases, beta, r0.real, r1.real
+    a, b = star
+    options = np.conj(star)
+    turn, beta = unit(b * options[0]), 1.0
+    options[1] = turn * options[1]
+    if crossed is not None:
+        c, e = crossed[0, 1], crossed[1, 0]
+        beta = unit(np.concatenate((e * a, c * np.conj(b))))
+        options = np.concatenate((options, [turn * beta * np.conj(c), e * np.conj(beta)]))
+        star = np.stack((star, np.conj(beta) * crossed[0], beta * np.conj(crossed[1])))  # with H1, <k|H1|j> conjugated
+    best = options[np.abs(options).argmax(axis=0), np.arange(len(a))]  # each level's largest coupling
+    size = np.hypot(best.real, best.imag)  # the abs that unit takes
+    phases = np.concatenate(([1.0, turn], np.divide(best, size, out=np.ones_like(best), where=size > 0.0)))
+    if not np.abs((np.conj(phases[:2])[:, None] * star * phases[2:]).imag).max() <= 16.0 * 2.0 ** -52 * size.max():
+        return None
+    return phases, beta
 
 
 @lru_cache(maxsize=1)
@@ -634,7 +627,10 @@ def _floquet(diag, stars, beat, tol):
         raise PropagationError("Floquet matrix is not finite; are the couplings finite?")
     phases, turn, harmonics = 1.0, 1.0, 0
     if beat:
-        phases, turn, h0, h1 = _real_form(h0, h1)
+        if gauge := _real_form(stars[0], np.stack((h1[:2, 2:], h1[2:, :2].T))):
+            phases, turn = gauge
+            h0 = (np.conj(phases)[:, None] * h0 * phases).real
+            h1 = (np.conj(turn * phases)[:, None] * h1 * phases).real
         ratio, term = np.linalg.norm(h1, 2) / abs(beat), 1.0
         while term > tol:
             harmonics += 1
@@ -682,22 +678,22 @@ def _floquet_states(frame, psi0, grid, tol):
             f"Floquet matrix over harmonics -{n[-1]}..{n[-1]}, dimension {len(lam)}, at {len(grid)} saved times")
 
 
-def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
-    """Amplitudes on grid by Magnus-6 steps, and (steps, halvings, error estimate, tolerance, path, integrated).
+def _magnus(frame, y0, grid, breaks, tol, cap):
+    """Amplitudes on grid of the state y0, shape (dim,), by Magnus-6 steps, and (steps, halvings, error estimate,
+    tolerance, path, integrated).
 
     Steps are equal within each gap between saved times and envelope breakpoints (breaks; one within 4 ulps of the
     window end from a saved time is that time), no longer than cap (ns) and first about 1/_MAGNUS_STEPS_PER_PERIOD
-    of the period 2 pi / frame.rate.  y0 is one state of shape (dim,) or a propagator of shape (dim, dim).  Each
-    run is repeated at half the step until the step-doubling estimate is at most tol (_step_doubling).  path names
-    how the passes formed their Omegas: "magnus (one envelope)" for a frame of one term, else "magnus" (the alpha
-    path).
+    of the period 2 pi / frame.rate.  Each run is repeated at half the step until the step-doubling estimate is at
+    most tol (_step_doubling).  path names how the passes formed their Omegas: "magnus (one envelope)" for a frame
+    of one term, else "magnus" (the alpha path).
 
-    A state y0 under a frame with mirror phases, on knots and steps that mirror about the middle of the window
-    (_is_mirror_grid: an odd number of saved times, breakpoints placed symmetrically), integrates each pass over
-    the first half only and takes the second half by time reversal (_mirror_pass): the same states to rounding, the
-    same steps, halvings and estimate.  integrated counts the steps of the accepted pass that were integrated,
-    steps // 2 there and steps otherwise; every other run (a propagator, an even number of saved times, an
-    off-centre grid) takes _magnus_pass over the whole window.
+    A frame with mirror phases, on knots and steps that mirror about the middle of the window (_is_mirror_grid: an
+    odd number of saved times, breakpoints placed symmetrically), integrates each pass over the first half only and
+    takes the second half by time reversal (_mirror_pass): the same states to rounding, the same steps, halvings
+    and estimate.  integrated counts the steps of the accepted pass that were integrated, steps // 2 there and
+    steps otherwise; every other run (an even number of saved times, an off-centre grid) takes _magnus_pass over
+    the whole window.
     """
     inner = np.array([b for b in breaks if grid[0] < b < grid[-1]], dtype=float)
     if inner.size:
@@ -709,7 +705,7 @@ def _magnus(frame, y0, grid, breaks, tol, cap=math.inf):
     period = 2.0 * math.pi / frame.rate if frame.rate > 0 else math.inf
     h = min(period / _MAGNUS_STEPS_PER_PERIOD, cap)
     counts = np.maximum(np.ceil(np.diff(knots) / h), 1.0).astype(int)  # h is inf at a rate of 0 or NaN
-    mirrored = frame.mirror is not None and y0.ndim == 1 and _is_mirror_grid(knots, counts)
+    mirrored = frame.mirror is not None and _is_mirror_grid(knots, counts)
     run = _mirror_pass if mirrored else _magnus_pass
     fine, steps, *facts = _step_doubling(lambda counts: run(frame, y0, knots, counts), counts, tol)
     path = "magnus (one envelope)" if len(frame.stars) == 1 else "magnus"
@@ -775,9 +771,9 @@ def _rwa_frame(couplings, pulses, crossed):
     One term, f(t) (lambda0 + mu1) and f(t) (mu0 + lambda1), serves without a beat where envelope0 == envelope1,
     and at any beat where one pulse's couplings are all 0: f is then the other pulse's envelope, and qubit level 1
     (pulse 1 off) or 0 (pulse 0 off) is turned at the beat, +wq or -wq on its diagonal, which takes the beat off
-    the one crossed coupling left.  One shaped envelope centred in the window also takes the mirror phases of
-    those couplings (_mirror_phases).  Envelopes that are all constant set the frame's beat, wq where the scalars
-    carry it and 0 elsewhere, which takes one Floquet matrix over any window and no steps (_floquet).
+    the one crossed coupling left.  One shaped envelope centred in the window also takes the mirror phases S = P^2
+    of the real gauge P of those couplings (_real_form).  Envelopes that are all constant set the frame's beat, wq
+    where the scalars carry it and 0 elsewhere, which takes one Floquet matrix over any window and no steps (_floquet).
     """
     wd = couplings.delta / HBAR                            # detuning phases, rad/ns
     wq = couplings.delta_qubit / HBAR if crossed else 0.0  # beat phase, rad/ns
@@ -812,7 +808,7 @@ def _rwa_frame(couplings, pulses, crossed):
         # f(T - t) = f(t): the envelope is centred in the window; a constant one takes no steps and never mirrors
         centred = (one_term and not constant
                    and abs(envelopes[0].center - 0.5 * pulses.duration) <= 1e-12 * pulses.duration)
-        mirror = _mirror_phases(*stars[0]) if centred else None
+        gauge = _real_form(stars[0]) if centred else None
     turning = wq != 0.0 and not one_term  # the scalars carry the beat
 
     def scalars(t):
@@ -823,7 +819,7 @@ def _rwa_frame(couplings, pulses, crossed):
         return (f[:, None] * np.array([np.ones_like(t), np.cos(theta), np.sin(theta)])).reshape(-1, len(t))
 
     return _BFrame(scalars, stars, np.concatenate((qubit, -wd)), rate, c_frame=crossed,
-                   beat=(wq if turning else 0.0) if constant else None, mirror=mirror)
+                   beat=(wq if turning else 0.0) if constant else None, mirror=gauge[0] ** 2 if gauge else None)
 
 
 def propagate_rwa(

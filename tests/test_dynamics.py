@@ -3,12 +3,14 @@
 import cmath
 import dataclasses
 import functools
+import io
 import logging
 import math
 import os
 import re
 import subprocess
 import sys
+import tokenize
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -421,16 +423,39 @@ def test_fold_matches_c_frame_reference(case, caplog):
 def test_floquet_matrix_without_a_real_form_matches_the_reference():
     # complex dipoles d1_k whose phase arg(d1_k / d0_k) differs between the levels leave no diagonal phases that make
     # the Floquet matrix real, so it is decomposed as a complex Hermitian one
-    cs, pp, psi, _ = _fold_draw(2, 3, -1, 5.5)
+    real, pp, psi, _ = _fold_draw(2, 3, -1, 5.5)
     loop = np.exp(1j * np.array([0.0, 0.4, 1.1]))
-    cs = dataclasses.replace(cs, lambda1=cs.lambda1 * loop, mu0=cs.mu0 * loop)
+    cs = dataclasses.replace(real, lambda1=real.lambda1 * loop, mu0=real.mu0 * loop)
     ddsim.dynamics._floquet.cache_clear()
     with mock.patch.object(ddsim.dynamics, "_real_form", wraps=ddsim.dynamics._real_form) as real_form:
         traj = propagate_rwa(cs, pp, psi, IntegratorSettings(save_points=7))
     real_form.assert_called_once()
-    assert np.iscomplexobj(ddsim.dynamics._real_form(*real_form.call_args.args)[2])
+    assert ddsim.dynamics._real_form(*real_form.call_args.args) is None
     ref = _c_frame_reference(cs, pp, psi.amplitudes[:, None], traj.times)[:, :, 0]
     assert np.max(np.abs(traj.amplitudes - ref)) <= IntegratorSettings().tol
+    # the same gauge decides the mirror: a centred shaped pulse takes none with these dipoles, and one without them
+    env = Envelope("sin2", center=0.5 * pp.duration, width=0.8 * pp.duration)
+    shaped = dataclasses.replace(pp, envelope0=env, envelope1=env)
+    assert ddsim.dynamics._rwa_frame(cs, shaped, crossed=False).mirror is None
+    assert ddsim.dynamics._rwa_frame(real, shaped, crossed=False).mirror is not None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.inf, 1.0)])
+def test_a_non_finite_coupling_has_no_real_form(bad):
+    # couplings of one phase per row have a real gauge; a non-finite one in any place of the star or of H1 leaves
+    # none (its callers run it under errstate, or check the couplings first)
+    star = np.array([[1.0, -2.0, 0.5], [0.3, 1.5, -0.7]]) * np.exp(1j * np.array([[0.4], [1.9]]))
+    crossed = np.array([[np.zeros(3), 0.6 * star[1]], [0.8 * np.conj(star[0]), np.zeros(3)]])
+    assert ddsim.dynamics._real_form(star) is not None and ddsim.dynamics._real_form(star, crossed) is not None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for index in np.ndindex(star.shape):
+            poisoned = star.copy()
+            poisoned[index] = bad
+            assert ddsim.dynamics._real_form(poisoned) is None and ddsim.dynamics._real_form(poisoned, crossed) is None
+        for index in np.ndindex(crossed.shape):
+            poisoned = crossed.copy()
+            poisoned[index] = bad
+            assert ddsim.dynamics._real_form(star, poisoned) is None
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -864,7 +889,7 @@ def test_integrate_stops_at_kinks_on_and_between_saved_times():
     frame = ddsim.dynamics._BFrame(lambda t: env(t)[None], np.array([[[g], [0.0]]]), np.zeros(3), g)
     grid = np.linspace(0.0, 1.0, 5)
     ys, _ = ddsim.dynamics._magnus(frame, np.array([1.0, 0.0, 0.0], dtype=complex), grid, env.kinks + env.kinks,
-                                   1.01e-13)
+                                   1.01e-13, math.inf)
     phase = g * np.array([0.0, 0.0, 0.2, 0.4, 0.4])
     assert np.max(np.abs(ys - np.column_stack([np.cos(phase), 0.0 * phase, -1j * np.sin(phase)]))) <= 1e-12
 
@@ -917,21 +942,24 @@ def _shaped_draw(seed, n, sign, shape, shift, window, tier="rwa"):
 def _magnus_run(cs, pp, psi, settings=None):
     """The trajectory of a run, its (steps, halvings, error estimate, tolerance) and the engine's propagator over
     the window.  Constant envelopes, with or without a beat, take one eigendecomposition of their Floquet matrix: no
-    steps or halvings, and the tolerance is the larger of tol and its estimate, as _propagate logs them."""
+    steps or halvings, and the tolerance is the larger of tol and its estimate, as _propagate logs them.  Each engine
+    takes one state, so the propagator is a run per column; Magnus runs take it at tol = 1, which every column meets
+    at its first comparison, so that all columns take the same steps, those of the run's first fine pass."""
     magnus, floquet_states, calls = ddsim.dynamics._magnus, ddsim.dynamics._floquet_states, []
     tol = (settings or IntegratorSettings()).tol
 
-    def recorded(frame, y0, *args, **kwargs):
-        ys, info = magnus(frame, y0, *args, **kwargs)
-        calls.append((info[:4], lambda: magnus(frame, np.eye(len(y0), dtype=complex), *args, **kwargs)[0][-1]))
+    def columns(run, frame, y0, *args):
+        return lambda: np.column_stack([run(frame, c, *args)[0][-1] for c in np.eye(len(y0), dtype=complex)])
+
+    def recorded(frame, y0, grid, breaks, run_tol, cap):
+        ys, info = magnus(frame, y0, grid, breaks, run_tol, cap)
+        calls.append((info[:4], columns(magnus, frame, y0, grid, breaks, 1.0, cap)))
         return ys, info
 
     def recorded_states(frame, y0, *args):
         solved = floquet_states(frame, y0, *args)
         if solved is not None:
-            columns = np.eye(len(y0), dtype=complex)
-            calls.append(((0, 0, solved[1], max(tol, solved[1])),
-                          lambda: np.column_stack([floquet_states(frame, c, *args)[0][-1] for c in columns])))
+            calls.append(((0, 0, solved[1], max(tol, solved[1])), columns(floquet_states, frame, y0, *args)))
         return solved
 
     propagate = propagate_rwa if psi.frame == "rwa" else propagate_averaged
@@ -1424,6 +1452,18 @@ def test_every_tier_and_the_cli_run_without_scipy(tmp_path):
     assert (tmp_path / "run" / "minimal_trajectory.csv").stat().st_size > 0
 
 
+def test_helpers_named_in_the_prose_exist():
+    # every _name that a docstring or comment of ddsim.dynamics cites is an attribute of the module or of _BFrame, so
+    # that prose naming a retired helper fails here; a subscript such as )_j or W_0 belongs to the text before it
+    source = Path(ddsim.dynamics.__file__).read_text()
+    prose = "\n".join(token.string for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                       if token.type in (tokenize.COMMENT, tokenize.STRING))
+    names = set(re.findall(r"(?<![\w)\]}])_[A-Za-z]\w*", prose))
+    assert {"_BFrame", "_real_form", "_mirror_pass", "_FLOQUET_MAX_HARMONICS"} <= names
+    assert sorted(name for name in names if not hasattr(ddsim.dynamics, name)
+                  and not hasattr(ddsim.dynamics._BFrame, name)) == []
+
+
 def test_solve_ivp_is_read_lazily_from_scipy():
     # no tier calls it; the benchmark harness still reads the name
     assert ddsim.dynamics.solve_ivp is solve_ivp
@@ -1439,9 +1479,8 @@ def _mirror_draw(seed, n, sign, shape, tier, save_points, window=0.4, on_saves=T
     """Couplings of real dipoles of either sign under two pulses of random phases that share one envelope centred
     in the window, and a random qubit state: the averaged tier at Delta = sign * (40..120) ueV or the rwa tier at
     Delta = 0, and detunings of the sign `sign`.  Pulse 1 is at most 0.6 of pulse 0, so that in the rwa tier the
-    sums lambda0 + mu1 and mu0 + lambda1 of both pulses cannot cancel (where they do, to rounding, the phases S
-    differ between levels beyond 16 ulps and the run is not mirrored).  A trapezoid's ramp ends fall on saved
-    times (on_saves) or between them."""
+    sums lambda0 + mu1 and mu0 + lambda1 of both pulses stay away from 0 (test_zero_couplings_mirror takes one that
+    vanishes).  A trapezoid's ramp ends fall on saved times (on_saves) or between them."""
     rng = np.random.default_rng(seed)
     d0, d1 = rng.choice([-1.0, 1.0], (2, n)) * rng.uniform(0.5, 2.0, (2, n))
     a0 = float(rng.uniform(1.0, 5.0))
@@ -1504,6 +1543,32 @@ def test_mirrored_pass_matches_the_direct_pass(seed, tier, n, sign, shape, on_sa
     floor = np.finfo(float).eps * steps
     assert np.max(np.abs(ys - direct)) <= floor
     assert abs(facts[2] - direct_facts[2]) <= floor
+
+
+@pytest.mark.filterwarnings("ignore:envelope switching time is short")
+@pytest.mark.parametrize("case", ["dark transition", "cancelled sum"])
+@pytest.mark.parametrize("shape", ["sin2", "gaussian", "trapezoid"])
+def test_zero_couplings_mirror(case, shape, caplog):
+    # a zero coupling constrains no phase of the real gauge: an averaged run where level 1 has dipole_to_1 = 0
+    # (lambda1 = mu0 = 0), or an rwa run at Delta = 0 whose pulses of equal phase cancel lambda0 + mu1 on level 1,
+    # is mirrored, to the states of the direct pass within eps per step
+    tier = "averaged" if case == "dark transition" else "rwa"
+    cs, pp, psi = _mirror_draw(3, 3, -1, shape, tier, 41)
+    if case == "dark transition":
+        cs = dataclasses.replace(cs, lambda1=cs.lambda1 * [1.0, 0.0, 1.0], mu0=cs.mu0 * [1.0, 0.0, 1.0])
+    else:
+        cs = dataclasses.replace(cs, mu1=np.where([False, True, False], -cs.lambda0, cs.mu1))
+        pp = dataclasses.replace(pp, phi1=pp.phi0)
+    frame = ddsim.dynamics._rwa_frame(cs, pp, crossed=tier == "rwa")
+    row = 1 if case == "dark transition" else 0  # <1|V|k> or <0|V|k>
+    assert frame.stars[0, row, 1] == 0.0 and frame.mirror is not None
+    with caplog.at_level(logging.INFO, logger="ddsim.dynamics"):
+        (propagate_rwa if tier == "rwa" else propagate_averaged)(cs, pp, psi, IntegratorSettings(save_points=41))
+    assert "second half by time reversal" in caplog.text
+    ys, facts, knots = _engine_run(frame, psi.amplitudes, pp, 41)
+    direct, direct_facts, none = _engine_run(dataclasses.replace(frame, mirror=None), psi.amplitudes, pp, 41)
+    assert knots and not none and direct_facts[:2] == facts[:2]
+    assert np.max(np.abs(ys - direct)) <= np.finfo(float).eps * facts[0]
 
 
 @pytest.mark.parametrize("window", [0.53, 1.71, 2.73])
